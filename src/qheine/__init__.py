@@ -39,8 +39,6 @@ from .qcore import (
     qpoch_finite,
     qpoch_infinite,
     qpoch_ratio,
-    qpoch_scaled,
-    set_precision,
 )
 
 __version__ = "0.1.0"

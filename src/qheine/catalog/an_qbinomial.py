@@ -21,7 +21,15 @@ from .core import (
     vande,
 )
 
-__all__ = ["FAMILIES"]
+__all__ = [
+    "FAMILIES",
+    "milne_lilly_term",
+    "milne_lilly_product",
+    "gk_term",
+    "gk_product",
+    "extra_c_term",
+    "extra_c_product",
+]
 
 
 # -- paired-parameter A_n q-binomial sum (Milne/Lilly form) ------------------
@@ -30,28 +38,31 @@ __all__ = ["FAMILIES"]
 #       * z^{|k|} q^{sum (r-1)k_r} q^{e2(k)} prod_r x_r^{-k_r}
 
 
-def _ml_build(dims):
-    n = dims["n"]
+def milne_lilly_term(P, avec, xvec, base, z, k):
+    value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
+    value *= z ** sum(k) * base ** staircase(k) * base ** e2(k)
+    for r in range(len(xvec)):
+        value *= xvec[r] ** (-k[r])
+    return value
 
+
+def milne_lilly_product(P, avec, xvec, base, z):
+    return product_over(
+        P.infinite(avec[r] * z / xvec[r], base) / P.infinite(z / xvec[r], base)
+        for r in range(len(xvec))
+    )
+
+
+def _ml_build(dims):
     def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return product_over(
-            P.infinite(p["a"][r] * p["z"] / p["x"][r], B.q)
-            / P.infinite(p["z"] / p["x"][r], B.q)
-            for r in range(n)
-        )
+        p = ctx.params
+        return milne_lilly_product(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"])
 
     def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        x = p["x"]
-        value = vande(x, k, q) * sq_ratio(ctx.poch, p["a"], x, q, k)
-        value *= p["z"] ** sum(k) * q ** staircase(k) * q ** e2(k)
-        for r in range(n):
-            value *= x[r] ** (-k[r])
-        return value
+        p = ctx.params
+        return milne_lilly_term(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"], k)
 
-    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(n, rhs_term)
+    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(dims["n"], rhs_term)
 
 
 def _ml_domain(dims, p, bases):
@@ -87,24 +98,30 @@ AN_QBIN_MILNE_LILLY = IdentityFamily(
 # The sum does not depend on the auxiliary distinct variables x.
 
 
+def gk_term(P, a, xvec, base, z, k):
+    value = vande(xvec, k, base)
+    for r in range(len(xvec)):
+        value *= P.finite(a, base, k[r]) / P.finite(base, base, k[r])
+    return value * z ** sum(k) * base ** staircase(k)
+
+
+def gk_product(P, a, n, base, z):
+    return product_over(
+        P.infinite(a * z * base**r, base) / P.infinite(z * base**r, base)
+        for r in range(n)
+    )
+
+
 def _gk_build(dims):
     n = dims["n"]
 
     def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        return product_over(
-            P.infinite(p["a"] * p["z"] * q**r, q) / P.infinite(p["z"] * q**r, q)
-            for r in range(n)
-        )
+        p = ctx.params
+        return gk_product(ctx.poch, p["a"], n, ctx.bases.q, p["z"])
 
     def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        value = vande(p["x"], k, q)
-        for r in range(n):
-            value *= P.finite(p["a"], q, k[r]) / P.finite(q, q, k[r])
-        return value * p["z"] ** sum(k) * q ** staircase(k)
+        p = ctx.params
+        return gk_term(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"], k)
 
     return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(n, rhs_term)
 
@@ -141,28 +158,33 @@ AN_QBIN_GK = IdentityFamily(
 # At c = 0 the extra product collapses to 1.
 
 
-def _extra_c_build(dims):
-    n = dims["n"]
+def extra_c_term(P, avec, c, xvec, base, z, k):
+    big_a = product_over(avec)
+    kk = sum(k)
+    value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
+    for r in range(len(xvec)):
+        cx = c * xvec[r]
+        value *= P.finite(cx / big_a, base, k[r]) * P.finite(cx, base, kk)
+        value /= P.finite(cx, base, k[r]) * P.finite(cx / avec[r], base, kk)
+    return value * z**kk * base ** staircase(k)
 
+
+def extra_c_product(P, avec, base, z):
+    return P.infinite(product_over(avec) * z, base) / P.infinite(z, base)
+
+
+def _extra_c_build(dims):
     def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = product_over(p["a"])
-        return P.infinite(big_a * p["z"], B.q) / P.infinite(p["z"], B.q)
+        p = ctx.params
+        return extra_c_product(ctx.poch, p["a"], ctx.bases.q, p["z"])
 
     def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        x = p["x"]
-        big_a = product_over(p["a"])
-        kk = sum(k)
-        value = vande(x, k, q) * sq_ratio(ctx.poch, p["a"], x, q, k)
-        for r in range(n):
-            cx = p["c"] * x[r]
-            value *= P.finite(cx / big_a, q, k[r]) * P.finite(cx, q, kk)
-            value /= P.finite(cx, q, k[r]) * P.finite(cx / p["a"][r], q, kk)
-        return value * p["z"] ** kk * q ** staircase(k)
+        p = ctx.params
+        return extra_c_term(
+            ctx.poch, p["a"], p["c"], p["x"], ctx.bases.q, p["z"], k
+        )
 
-    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(n, rhs_term)
+    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(dims["n"], rhs_term)
 
 
 def _extra_c_domain(dims, p, bases):

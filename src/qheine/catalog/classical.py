@@ -9,21 +9,36 @@ from mpmath import mpf
 from ..multisum import SeriesSide
 from .core import IdentityFamily, ParamSpec, argument, coefficient
 
-__all__ = ["FAMILIES"]
+__all__ = [
+    "FAMILIES",
+    "qbin_term",
+    "qbin_product",
+    "q_euler_term",
+    "q_euler_inner_term",
+    "q_euler_product",
+]
 
 
 # -- q-binomial theorem: sum_k (a)_k/(q)_k z^k = (az)_oo/(z)_oo -------------
 
 
+def qbin_term(P, a, base, z, k):
+    kk = k[0]
+    return P.finite(a, base, kk) / P.finite(base, base, kk) * z**kk
+
+
+def qbin_product(P, a, base, z):
+    return P.infinite(a * z, base) / P.infinite(z, base)
+
+
 def _qbin_build(dims):
     def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk = k[0]
-        return P.finite(p["a"], B.q, kk) / P.finite(B.q, B.q, kk) * p["z"] ** kk
+        p = ctx.params
+        return qbin_term(ctx.poch, p["a"], ctx.bases.q, p["z"], k)
 
     def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return P.infinite(p["a"] * p["z"], B.q) / P.infinite(p["z"], B.q)
+        p = ctx.params
+        return qbin_product(ctx.poch, p["a"], ctx.bases.q, p["z"])
 
     return SeriesSide(1, lhs_term), SeriesSide(0, prefactor=rhs_prefactor)
 
@@ -175,34 +190,48 @@ BIBASIC_HEINE = IdentityFamily(
 # -- q-analogue of Euler's transformation ------------------------------------
 
 
+def q_euler_term(P, a, b, c, base, z, k):
+    kk = k[0]
+    return (
+        P.finite(a, base, kk)
+        * P.finite(b, base, kk)
+        / (P.finite(base, base, kk) * P.finite(c, base, kk))
+        * z**kk
+    )
+
+
+def q_euler_inner_term(P, a, b, c, base, arg, j):
+    """Right-hand summand; ``arg`` is the formed argument a b z / c."""
+    jj = j[0]
+    return (
+        P.finite(c / a, base, jj)
+        * P.finite(c / b, base, jj)
+        / (P.finite(base, base, jj) * P.finite(c, base, jj))
+        * arg**jj
+    )
+
+
+def q_euler_product(P, base, arg, z):
+    """(arg; base)_oo / (z; base)_oo, with the argument arg already formed."""
+    return P.infinite(arg, base) / P.infinite(z, base)
+
+
 def _qeuler_build(dims):
+    def arg(p):
+        return p["a"] * p["b"] * p["z"] / p["c"]
+
     def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk = k[0]
-        q = B.q
-        return (
-            P.finite(p["a"], q, kk)
-            * P.finite(p["b"], q, kk)
-            / (P.finite(q, q, kk) * P.finite(p["c"], q, kk))
-            * p["z"] ** kk
-        )
+        p = ctx.params
+        return q_euler_term(ctx.poch, p["a"], p["b"], p["c"], ctx.bases.q, p["z"], k)
 
     def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        arg = p["a"] * p["b"] * p["z"] / p["c"]
-        return P.infinite(arg, q) / P.infinite(p["z"], q)
+        p = ctx.params
+        return q_euler_product(ctx.poch, ctx.bases.q, arg(p), p["z"])
 
     def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj = j[0]
-        q = B.q
-        arg = p["a"] * p["b"] * p["z"] / p["c"]
-        return (
-            P.finite(p["c"] / p["a"], q, jj)
-            * P.finite(p["c"] / p["b"], q, jj)
-            / (P.finite(q, q, jj) * P.finite(p["c"], q, jj))
-            * arg ** jj
+        p = ctx.params
+        return q_euler_inner_term(
+            ctx.poch, p["a"], p["b"], p["c"], ctx.bases.q, arg(p), j
         )
 
     return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)

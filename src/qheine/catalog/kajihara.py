@@ -7,6 +7,7 @@ from __future__ import annotations
 from mpmath import mpf
 
 from ..multisum import SeriesSide
+from .classical import q_euler_product
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -20,7 +21,34 @@ from .core import (
     vande,
 )
 
-__all__ = ["FAMILIES"]
+__all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term"]
+
+
+def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
+    value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
+    for r in range(len(xvec)):
+        if k[r] == 0:
+            continue
+        for s in range(len(yvec)):
+            value *= P.finite(bvec[s] * xvec[r] * yvec[s], base, k[r])
+            value /= P.finite(c * xvec[r] * yvec[s], base, k[r])
+    return value * z ** sum(k) * base ** staircase(k)
+
+
+def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, arg, j):
+    """Right-hand summand; ``arg`` is the formed argument A B z / c^m."""
+    m = len(yvec)
+    value = vande(yvec, j, base)
+    for r in range(m):
+        if j[r] == 0:
+            continue
+        for s in range(m):
+            value *= P.finite(c * yvec[r] / (bvec[s] * yvec[s]), base, j[r])
+            value /= P.finite(base * yvec[r] / yvec[s], base, j[r])
+        for s in range(len(xvec)):
+            value *= P.finite(c * xvec[s] * yvec[r] / avec[s], base, j[r])
+            value /= P.finite(c * xvec[s] * yvec[r], base, j[r])
+    return value * arg ** sum(j) * base ** staircase(j)
 
 
 def _kajihara_build(dims):
@@ -29,38 +57,20 @@ def _kajihara_build(dims):
     def big_arg(p):
         return product_over(p["a"]) * product_over(p["b"]) * p["z"] / p["c"] ** m
 
+    def grid(p):
+        return p["a"], p["b"], p["c"], p["x"], p["y"]
+
     def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        x, y = p["x"], p["y"]
-        value = vande(x, k, q) * sq_ratio(ctx.poch, p["a"], x, q, k)
-        for r in range(n):
-            if k[r] == 0:
-                continue
-            for s in range(m):
-                value *= P.finite(p["b"][s] * x[r] * y[s], q, k[r])
-                value /= P.finite(p["c"] * x[r] * y[s], q, k[r])
-        return value * p["z"] ** sum(k) * q ** staircase(k)
+        p = ctx.params
+        return kajihara_term(ctx.poch, *grid(p), ctx.bases.q, p["z"], k)
 
     def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return P.infinite(big_arg(p), B.q) / P.infinite(p["z"], B.q)
+        p = ctx.params
+        return q_euler_product(ctx.poch, ctx.bases.q, big_arg(p), p["z"])
 
     def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        x, y = p["x"], p["y"]
-        value = vande(y, j, q)
-        for r in range(m):
-            if j[r] == 0:
-                continue
-            for s in range(m):
-                value *= P.finite(p["c"] * y[r] / (p["b"][s] * y[s]), q, j[r])
-                value /= P.finite(q * y[r] / y[s], q, j[r])
-            for s in range(n):
-                value *= P.finite(p["c"] * x[s] * y[r] / p["a"][s], q, j[r])
-                value /= P.finite(p["c"] * x[s] * y[r], q, j[r])
-        return value * big_arg(p) ** sum(j) * q ** staircase(j)
+        p = ctx.params
+        return kajihara_inner_term(ctx.poch, *grid(p), ctx.bases.q, big_arg(p), j)
 
     return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 

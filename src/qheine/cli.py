@@ -26,14 +26,14 @@ from .errors import (
     QHeineError,
     UnknownIdentity,
 )
-from .multisum import TruncationPolicy, evaluate_in_context, make_context
+from .multisum import TruncationPolicy
+# Unused here; kept because perfbench/probes.py patches cli.evaluate_in_context.
+from .multisum import evaluate_in_context  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_PROPERTY_H_FAILED = 3
-
-_REL_FLOOR = mpf(10) ** -300
 
 
 @dataclass
@@ -237,14 +237,11 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
     ids = sorted(set(ids))
 
     records: list[dict] = [_header(config)]
-    total_cases = 0
-    total_passed = 0
+    summaries = []
     for identity_id in ids:
         family = catalog.lookup(identity_id)
         started = time.perf_counter()
-        id_cases = 0
-        id_passed = 0
-        worst = mpf(0)
+        results = []
         for assignment in _assignments_for(family, config):
             identity = family.instantiate(assignment)
             policy = _policy_for(identity, config)
@@ -256,25 +253,11 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
                     identity, params, bases, policy, tolerance=config.tolerance
                 )
                 records.append(report.case_row(result, assignment, index))
-                id_cases += 1
-                id_passed += int(result.passed)
-                worst = max(worst, result.rel_error)
-        records.append(
-            {
-                "kind": "summary",
-                "identity": identity_id,
-                "cases": id_cases,
-                "passed": id_passed,
-                "failed": id_cases - id_passed,
-                "worst_rel_error": report.value_str(worst),
-                "wall_ms": round((time.perf_counter() - started) * 1000, 3),
-            }
-        )
-        total_cases += id_cases
-        total_passed += id_passed
-    exit_code = EXIT_OK if total_passed == total_cases else EXIT_VERIFICATION_FAILED
-    records.append(_total(total_cases, total_passed, exit_code))
-    return records, exit_code
+                results.append(result)
+        summaries.append(_summary(identity_id, results, started))
+        records.append(summaries[-1])
+    records.append(_total(summaries))
+    return records, records[-1]["exit_code"]
 
 
 def _compose_sample(config: RunConfig, rng: random.Random):
@@ -283,20 +266,21 @@ def _compose_sample(config: RunConfig, rng: random.Random):
     bases = sample_bases(rng, config.precision)
     slots = []
     has_transformation = False
-    for spec in config.blocks:
-        name, dims = parse_block_spec(spec)
-        h_r = exponent(rng)
-        block = heine_engine.sample_block(name, rng, dims, bases.power(h_r))
-        if isinstance(block, heine_engine.TransformationBlock):
-            has_transformation = True
-        with mp.workprec(config.precision):
-            z_r = argument(rng) * min(1, block.arg_bound)
-        slots.append(heine_engine.BlockSlot(block, h_r, z_r))
-    base_name, base_dims = parse_block_spec(config.base)
-    base_block = heine_engine.sample_block(base_name, rng, base_dims, bases.qt)
-    if isinstance(base_block, heine_engine.TransformationBlock):
-        has_transformation = True
+    # Block factories derive constants from their parameters, so they run at
+    # the run's precision rather than the ambient one.
     with mp.workprec(config.precision):
+        for spec in config.blocks:
+            name, dims = parse_block_spec(spec)
+            h_r = exponent(rng)
+            block = heine_engine.sample_block(name, rng, dims, bases.power(h_r))
+            if isinstance(block, heine_engine.TransformationBlock):
+                has_transformation = True
+            z_r = argument(rng) * min(1, block.arg_bound)
+            slots.append(heine_engine.BlockSlot(block, h_r, z_r))
+        base_name, base_dims = parse_block_spec(config.base)
+        base_block = heine_engine.sample_block(base_name, rng, base_dims, bases.qt)
+        if isinstance(base_block, heine_engine.TransformationBlock):
+            has_transformation = True
         w = argument(rng) * min(1, base_block.arg_bound)
     base_slot = heine_engine.BlockSlot(base_block, bases.t, w)
 
@@ -317,23 +301,19 @@ def run_compose(config: RunConfig) -> tuple[list[dict], int]:
     """Sample block assignments, compose them, and verify each composition."""
     records: list[dict] = [_header(config)]
     rng = random.Random(config.seed)
-    label = "+".join(config.blocks) + "/" + config.base
+    label = "composed:" + "+".join(config.blocks) + "/" + config.base
     started = time.perf_counter()
-    cases = 0
-    passed = 0
+    results = []
     h_failures = 0
-    worst = mpf(0)
-    tolerance = mpf(config.tolerance)
     for index in range(config.samples):
         try:
             bases, composed = _compose_sample(config, rng)
         except PropertyHViolation as exc:
             h_failures += 1
-            cases += 1
             records.append(
                 {
                     "kind": "case",
-                    "identity": f"composed:{label}",
+                    "identity": label,
                     "dims": {},
                     "sample_index": index,
                     "passed": False,
@@ -342,61 +322,18 @@ def run_compose(config: RunConfig) -> tuple[list[dict], int]:
                 }
             )
             continue
-        policy = _policy_for(composed, config)
-        ctx = make_context({}, bases)
-        lhs_value, lhs_diag = evaluate_in_context(composed.lhs, ctx, policy)
-        rhs_value, rhs_diag = evaluate_in_context(composed.rhs, ctx, policy)
-        with mp.workprec(bases.prec):
-            abs_error = abs(lhs_value - rhs_value)
-            rel_error = abs_error / max(abs(lhs_value), abs(rhs_value), _REL_FLOOR)
-        ok = bool(rel_error <= tolerance)
-        cases += 1
-        passed += int(ok)
-        worst = max(worst, rel_error)
-        records.append(
-            {
-                "kind": "case",
-                "identity": composed.id,
-                "dims": {},
-                "sample_index": index,
-                "passed": ok,
-                "status": "ok",
-                "rel_error": report.value_str(rel_error),
-                "abs_error": report.value_str(abs_error),
-                "tolerance": report.value_str(tolerance),
-                "lhs": report.complex_dict(lhs_value),
-                "rhs": report.complex_dict(rhs_value),
-                "lhs_shells": lhs_diag.shells,
-                "rhs_shells": rhs_diag.shells,
-                "lhs_converged": lhs_diag.converged,
-                "rhs_converged": rhs_diag.converged,
-                "bases": {
-                    "q": report.value_str(bases.q),
-                    "h": report.value_str(bases.h),
-                    "t": report.value_str(bases.t),
-                    "precision": bases.prec,
-                },
-            }
+        result = catalog.verify(
+            composed,
+            {},
+            bases,
+            _policy_for(composed, config),
+            tolerance=config.tolerance,
         )
-    records.append(
-        {
-            "kind": "summary",
-            "identity": f"composed:{label}",
-            "cases": cases,
-            "passed": passed,
-            "failed": cases - passed,
-            "worst_rel_error": report.value_str(worst),
-            "wall_ms": round((time.perf_counter() - started) * 1000, 3),
-        }
-    )
-    if h_failures:
-        exit_code = EXIT_PROPERTY_H_FAILED
-    elif passed != cases:
-        exit_code = EXIT_VERIFICATION_FAILED
-    else:
-        exit_code = EXIT_OK
-    records.append(_total(cases, passed, exit_code))
-    return records, exit_code
+        records.append(report.case_row(result, composed.dims, index))
+        results.append(result)
+    summary = _summary(label, results, started, h_failures)
+    records += [summary, _total([summary], h_failures)]
+    return records, records[-1]["exit_code"]
 
 
 def _header(config: RunConfig) -> dict:
@@ -411,7 +348,31 @@ def _header(config: RunConfig) -> dict:
     }
 
 
-def _total(cases: int, passed: int, exit_code: int) -> dict:
+def _summary(identity: str, results: list, started: float, h_failures: int = 0) -> dict:
+    """Per-identity counts; ``h_failures`` cases failed before verification."""
+    cases = len(results) + h_failures
+    passed = sum(int(result.passed) for result in results)
+    worst = max((result.rel_error for result in results), default=mpf(0))
+    return {
+        "kind": "summary",
+        "identity": identity,
+        "cases": cases,
+        "passed": passed,
+        "failed": cases - passed,
+        "worst_rel_error": report.value_str(worst),
+        "wall_ms": round((time.perf_counter() - started) * 1000, 3),
+    }
+
+
+def _total(summaries: list[dict], h_failures: int = 0) -> dict:
+    cases = sum(summary["cases"] for summary in summaries)
+    passed = sum(summary["passed"] for summary in summaries)
+    if h_failures:
+        exit_code = EXIT_PROPERTY_H_FAILED
+    elif passed != cases:
+        exit_code = EXIT_VERIFICATION_FAILED
+    else:
+        exit_code = EXIT_OK
     return {
         "kind": "total",
         "cases": cases,

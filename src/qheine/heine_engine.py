@@ -17,19 +17,26 @@ from typing import Callable, Sequence, Union
 
 from mpmath import mp, mpf, mpmathify
 
-from .catalog.core import (
-    Identity,
-    coefficient,
-    distinct_vector,
-    product_over,
-    signed,
-    sq_ratio,
-    staircase,
-    vande,
+from .catalog.an_qbinomial import (
+    extra_c_product,
+    extra_c_term,
+    gk_product,
+    gk_term,
+    milne_lilly_product,
+    milne_lilly_term,
 )
+from .catalog.classical import (
+    q_euler_inner_term,
+    q_euler_product,
+    q_euler_term,
+    qbin_product,
+    qbin_term,
+)
+from .catalog.core import Identity, coefficient, distinct_vector, product_over, signed
+from .catalog.kajihara import kajihara_inner_term, kajihara_term
 from .errors import DomainEmpty, PropertyHViolation, UnknownIdentity
 from .multisum import SeriesSide, TruncationPolicy
-from .qcore import DEFAULT_PRECISION, PochCache, QComplex, e2
+from .qcore import DEFAULT_PRECISION, PochCache, QComplex
 
 __all__ = [
     "QBinomialBlock",
@@ -123,12 +130,6 @@ class HCheckResult:
         return self.passed
 
 
-def _outer(block: AnyBlock):
-    if isinstance(block, TransformationBlock):
-        return block.outer_dimension, block.outer_term
-    return block.dimension, block.term
-
-
 def check_property_H(
     block: AnyBlock,
     trials: int = 24,
@@ -140,7 +141,8 @@ def check_property_H(
     S(z*H; k) = H^{|k|} S(z; k) at randomly sampled (z, H, k)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dimension, term = _outer(block)
+    view = as_transformation(block)
+    dimension, term = view.outer_dimension, view.outer_term
     rng = random.Random(seed)
     cache = PochCache(prec)
     tol = mpmathify(tol)
@@ -340,43 +342,32 @@ def compose_with_transformation(
 
 # ---------------------------------------------------------------------------
 # shipped block library
+#
+# Each factory binds the parameters of a catalog summation; the summands and
+# product sides are the ones its catalog family verifies.
 
 
 def classical_qbin_block(a, base) -> QBinomialBlock:
     a = mpmathify(a)
     base = mpmathify(base)
-
-    def term(P, z, k):
-        kk = k[0]
-        return P.finite(a, base, kk) / P.finite(base, base, kk) * z**kk
-
-    def product(P, z):
-        return P.infinite(a * z, base) / P.infinite(z, base)
-
-    return QBinomialBlock("q_bin", 1, term, product)
+    return QBinomialBlock(
+        "q_bin",
+        1,
+        lambda P, z, k: qbin_term(P, a, base, z, k),
+        lambda P, z: qbin_product(P, a, base, z),
+    )
 
 
 def milne_lilly_block(avec, xvec, base) -> QBinomialBlock:
     avec = tuple(mpmathify(v) for v in avec)
     xvec = tuple(mpmathify(v) for v in xvec)
     base = mpmathify(base)
-    n = len(xvec)
-
-    def term(P, z, k):
-        value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-        value *= z ** sum(k) * base ** staircase(k) * base ** e2(k)
-        for r in range(n):
-            value *= xvec[r] ** (-k[r])
-        return value
-
-    def product(P, z):
-        return product_over(
-            P.infinite(avec[r] * z / xvec[r], base) / P.infinite(z / xvec[r], base)
-            for r in range(n)
-        )
-
     return QBinomialBlock(
-        "milne_lilly", n, term, product, arg_bound=float(min(abs(x) for x in xvec))
+        "milne_lilly",
+        len(xvec),
+        lambda P, z, k: milne_lilly_term(P, avec, xvec, base, z, k),
+        lambda P, z: milne_lilly_product(P, avec, xvec, base, z),
+        arg_bound=float(min(abs(x) for x in xvec)),
     )
 
 
@@ -385,20 +376,12 @@ def gk_block(a, xvec, base) -> QBinomialBlock:
     xvec = tuple(mpmathify(v) for v in xvec)
     base = mpmathify(base)
     n = len(xvec)
-
-    def term(P, z, k):
-        value = vande(xvec, k, base)
-        for r in range(n):
-            value *= P.finite(a, base, k[r]) / P.finite(base, base, k[r])
-        return value * z ** sum(k) * base ** staircase(k)
-
-    def product(P, z):
-        return product_over(
-            P.infinite(a * z * base**r, base) / P.infinite(z * base**r, base)
-            for r in range(n)
-        )
-
-    return QBinomialBlock("gk", n, term, product)
+    return QBinomialBlock(
+        "gk",
+        n,
+        lambda P, z, k: gk_term(P, a, xvec, base, z, k),
+        lambda P, z: gk_product(P, a, n, base, z),
+    )
 
 
 def extra_parameter_block(avec, c, xvec, base) -> QBinomialBlock:
@@ -406,22 +389,12 @@ def extra_parameter_block(avec, c, xvec, base) -> QBinomialBlock:
     c = mpmathify(c)
     xvec = tuple(mpmathify(v) for v in xvec)
     base = mpmathify(base)
-    n = len(xvec)
-    big_a = product_over(avec)
-
-    def term(P, z, k):
-        kk = sum(k)
-        value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-        for r in range(n):
-            cx = c * xvec[r]
-            value *= P.finite(cx / big_a, base, k[r]) * P.finite(cx, base, kk)
-            value /= P.finite(cx, base, k[r]) * P.finite(cx / avec[r], base, kk)
-        return value * z**kk * base ** staircase(k)
-
-    def product(P, z):
-        return P.infinite(big_a * z, base) / P.infinite(z, base)
-
-    return QBinomialBlock("extra_c", n, term, product)
+    return QBinomialBlock(
+        "extra_c",
+        len(xvec),
+        lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
+        lambda P, z: extra_c_product(P, avec, base, z),
+    )
 
 
 def kajihara_block(avec, bvec, c, xvec, yvec, base) -> TransformationBlock:
@@ -431,42 +404,15 @@ def kajihara_block(avec, bvec, c, xvec, yvec, base) -> TransformationBlock:
     xvec = tuple(mpmathify(v) for v in xvec)
     yvec = tuple(mpmathify(v) for v in yvec)
     base = mpmathify(base)
-    n, m = len(xvec), len(yvec)
-    stretch = product_over(avec) * product_over(bvec) / c**m
-
-    def outer_term(P, z, k):
-        value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-        for r in range(n):
-            if k[r] == 0:
-                continue
-            for s in range(m):
-                value *= P.finite(bvec[s] * xvec[r] * yvec[s], base, k[r])
-                value /= P.finite(c * xvec[r] * yvec[s], base, k[r])
-        return value * z ** sum(k) * base ** staircase(k)
-
-    def inner_term(P, z, j):
-        value = vande(yvec, j, base)
-        for r in range(m):
-            if j[r] == 0:
-                continue
-            for s in range(m):
-                value *= P.finite(c * yvec[r] / (bvec[s] * yvec[s]), base, j[r])
-                value /= P.finite(base * yvec[r] / yvec[s], base, j[r])
-            for s in range(n):
-                value *= P.finite(c * xvec[s] * yvec[r] / avec[s], base, j[r])
-                value /= P.finite(c * xvec[s] * yvec[r], base, j[r])
-        return value * (stretch * z) ** sum(j) * base ** staircase(j)
-
-    def product(P, z):
-        return P.infinite(stretch * z, base) / P.infinite(z, base)
-
+    grid = (avec, bvec, c, xvec, yvec)
+    stretch = product_over(avec) * product_over(bvec) / c ** len(yvec)
     return TransformationBlock(
         "kajihara",
-        n,
-        m,
-        outer_term,
-        inner_term,
-        product,
+        len(xvec),
+        len(yvec),
+        lambda P, z, k: kajihara_term(P, *grid, base, z, k),
+        lambda P, z, j: kajihara_inner_term(P, *grid, base, stretch * z, j),
+        lambda P, z: q_euler_product(P, base, stretch * z, z),
         arg_bound=float(min(1, 1 / abs(stretch))),
     )
 
@@ -477,35 +423,13 @@ def q_euler_block(a, b, c, base) -> TransformationBlock:
     c = mpmathify(c)
     base = mpmathify(base)
     stretch = a * b / c
-
-    def outer_term(P, z, k):
-        kk = k[0]
-        return (
-            P.finite(a, base, kk)
-            * P.finite(b, base, kk)
-            / (P.finite(base, base, kk) * P.finite(c, base, kk))
-            * z**kk
-        )
-
-    def inner_term(P, z, j):
-        jj = j[0]
-        return (
-            P.finite(c / a, base, jj)
-            * P.finite(c / b, base, jj)
-            / (P.finite(base, base, jj) * P.finite(c, base, jj))
-            * (stretch * z) ** jj
-        )
-
-    def product(P, z):
-        return P.infinite(stretch * z, base) / P.infinite(z, base)
-
     return TransformationBlock(
         "q_euler",
         1,
         1,
-        outer_term,
-        inner_term,
-        product,
+        lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
+        lambda P, z, j: q_euler_inner_term(P, a, b, c, base, stretch * z, j),
+        lambda P, z: q_euler_product(P, base, stretch * z, z),
         arg_bound=float(min(1, 1 / abs(stretch))),
     )
 

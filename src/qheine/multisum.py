@@ -7,7 +7,6 @@ order inside each shell, so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -48,10 +47,6 @@ def enumerate_shell(dimension: int, shell_weight: int) -> list[MultiIndex]:
         for rest in enumerate_shell(dimension - 1, shell_weight - first):
             out.append((first,) + rest)
     return out
-
-
-def shell_size(dimension: int, shell_weight: int) -> int:
-    return math.comb(shell_weight + dimension - 1, dimension - 1)
 
 
 def vandermonde_factor(x: Sequence, k: Sequence[int], step_power) -> QComplex:

@@ -24,13 +24,6 @@ DEFAULT_PRECISION = 128
 _MAX_FACTORS = 200_000
 
 
-def set_precision(bits: int = DEFAULT_PRECISION) -> None:
-    """Set the global working precision (binary digits, >= 64)."""
-    if bits < 64:
-        raise ValueError("working precision below 64 bits is not supported")
-    mp.prec = bits
-
-
 def default_tol(prec: int) -> mpf:
     """Product-truncation tolerance leaving ~8 decimal guard digits."""
     return mpf(10) ** -(prec * 301 // 1000 - 8)
@@ -95,16 +88,6 @@ def qpoch_ratio(a, base, scale, tol=None) -> QComplex:
             "(a*scale; base)_oo vanished; the requested index is a pole"
         )
     return num / den
-
-
-def qpoch_scaled(a, base, step_power, k: int, tol=None) -> QComplex:
-    """q-rising factorial (a; base)_{c*k} with step_power = base**c cached.
-
-    ``step_power`` must come from a BaseSystem so that every non-integer
-    index is realised as an integer power of one precomputed branch value.
-    """
-    step_power = mpmathify(step_power)
-    return qpoch_ratio(a, base, step_power ** int(k), tol)
 
 
 def e2(k: Sequence[int]) -> int:

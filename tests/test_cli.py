@@ -167,6 +167,41 @@ class TestComposeCommand:
         assert len(parsed["cases"]) == 3
         assert all(case["passed"] for case in parsed["cases"])
         assert parsed["cases"][0]["identity"] == "composed:q_bin/q_bin"
+        # Compose and verify rows share one schema.
+        _, verify_out = run_cli(
+            capsys, ["verify", "--identity", "q_binomial", "--samples", "1"]
+        )
+        verify_row = report.parse_json_lines(verify_out)["cases"][0]
+        row = parsed["cases"][0]
+        assert set(row) == set(verify_row)
+        assert {"lhs_terms", "lhs_tail_bound", "rhs_tail_bound", "params"} <= set(row)
+        reparsed = report.parse_json_lines(report.render_json_lines([row]))
+        assert reparsed["cases"] == [row]
+
+    def test_run_precision_not_ambient(self):
+        # Blocks derive constants from their parameters; those must be
+        # formed at the run's 128 bits, not at the ambient 53.
+        old = mp.prec
+        mp.prec = 53
+        try:
+            for blocks, base in (
+                (["kajihara:1x2"], "q_bin"),
+                (["q_euler"], "q_euler"),
+                (["extra_c:2"], "q_bin"),
+            ):
+                config = cli.RunConfig(
+                    mode="compose",
+                    blocks=blocks,
+                    base=base,
+                    samples=2,
+                    seed=3,
+                    precision=128,
+                )
+                records, code = cli.run_compose(config)
+                assert code == 0, (blocks, base)
+                assert mp.prec == 53
+        finally:
+            mp.prec = old
 
     def test_two_block_assignment(self, capsys):
         code, out = run_cli(

@@ -17,7 +17,6 @@ from qheine import (
     qpoch_finite,
     qpoch_infinite,
     qpoch_ratio,
-    qpoch_scaled,
 )
 from util import rel
 
@@ -69,25 +68,27 @@ class TestQpochInfinite:
 
 
 class TestQpochScaled:
+    """(a; base)_{c k} through PochCache.ratio with scale = step**k, where
+    step = base**c."""
+
     def test_integer_index_consistency(self):
-        scaled = qpoch_scaled(mpf("0.2"), mpf("0.5"), mpf("0.5"), 3)
+        scaled = PochCache(128).ratio(mpf("0.2"), mpf("0.5"), mpf("0.5") ** 3)
         finite = qpoch_finite(mpf("0.2"), mpf("0.5"), 3)
         assert rel(scaled, finite) < mpf("1e-29")
 
     def test_zero_index(self):
-        assert rel(qpoch_scaled(mpf("0.2"), mpf("0.5"), mpf("0.7"), 0), mpf(1)) < mpf(
-            "1e-30"
-        )
+        value = PochCache(128).ratio(mpf("0.2"), mpf("0.5"), mpf("0.7") ** 0)
+        assert rel(value, mpf(1)) < mpf("1e-30")
 
     def test_noninteger_step_against_oracle(self):
         step = mpf("0.5") ** mpf("1.7")
-        value = qpoch_scaled(mpf("0.2"), mpf("0.5"), step, 2)
+        value = PochCache(128).ratio(mpf("0.2"), mpf("0.5"), step**2)
         assert rel(value, mpf(SCALED_02)) < mpf("1e-29")
 
     def test_pole_is_reported(self):
         # a * step^k = 4 = base^{-2}, so the denominator product vanishes.
         with pytest.raises(DivisionByZero):
-            qpoch_scaled(mpf(2), mpf("0.5"), mpf("0.5"), -1)
+            PochCache(128).ratio(mpf(2), mpf("0.5"), mpf("0.5") ** -1)
 
 
 class TestSymmetricFunctions:
