@@ -39,10 +39,10 @@ __all__ = [
 
 
 def milne_lilly_term(P, avec, xvec, base, z, k):
-    value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    value *= z ** sum(k) * base ** staircase(k) * base ** e2(k)
+    value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
+    value *= P.intpow(z, sum(k)) * P.intpow(base, staircase(k)) * P.intpow(base, e2(k))
     for r in range(len(xvec)):
-        value *= xvec[r] ** (-k[r])
+        value *= P.intpow(xvec[r], -k[r])
     return value
 
 
@@ -99,10 +99,10 @@ AN_QBIN_MILNE_LILLY = IdentityFamily(
 
 
 def gk_term(P, a, xvec, base, z, k):
-    value = vande(xvec, k, base)
+    value = vande(P, xvec, k, base)
     for r in range(len(xvec)):
         value *= P.finite(a, base, k[r]) / P.finite(base, base, k[r])
-    return value * z ** sum(k) * base ** staircase(k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
 
 
 def gk_product(P, a, n, base, z):
@@ -161,12 +161,12 @@ AN_QBIN_GK = IdentityFamily(
 def extra_c_term(P, avec, c, xvec, base, z, k):
     big_a = product_over(avec)
     kk = sum(k)
-    value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
+    value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
     for r in range(len(xvec)):
         cx = c * xvec[r]
         value *= P.finite(cx / big_a, base, k[r]) * P.finite(cx, base, kk)
         value /= P.finite(cx, base, k[r]) * P.finite(cx / avec[r], base, kk)
-    return value * z**kk * base ** staircase(k)
+    return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
 
 
 def extra_c_product(P, avec, base, z):

@@ -24,7 +24,7 @@ __all__ = [
 
 def qbin_term(P, a, base, z, k):
     kk = k[0]
-    return P.finite(a, base, kk) / P.finite(base, base, kk) * z**kk
+    return P.finite(a, base, kk) / P.finite(base, base, kk) * P.intpow(z, kk)
 
 
 def qbin_product(P, a, base, z):
@@ -74,7 +74,7 @@ def _heine_build(dims):
             P.finite(p["a"], q, kk)
             * P.finite(p["b"], q, kk)
             / (P.finite(p["c"], q, kk) * P.finite(q, q, kk))
-            * p["z"] ** kk
+            * P.intpow(p["z"], kk)
         )
 
     def rhs_prefactor(ctx):
@@ -94,7 +94,7 @@ def _heine_build(dims):
             P.finite(p["c"] / p["b"], q, jj)
             * P.finite(p["z"], q, jj)
             / (P.finite(p["a"] * p["z"], q, jj) * P.finite(q, q, jj))
-            * p["b"] ** jj
+            * P.intpow(p["b"], jj)
         )
 
     return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
@@ -131,13 +131,13 @@ def _bibasic_heine_build(dims):
     def lhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         kk = k[0]
-        scale = B.qht ** kk
+        scale = P.intpow(B.qht, kk)
         return (
             P.finite(p["a"], B.qh, kk)
             / P.finite(B.qh, B.qh, kk)
             * P.ratio(p["w"], B.qt, scale)
             / P.ratio(p["b"] * p["w"], B.qt, scale)
-            * p["z"] ** kk
+            * P.intpow(p["z"], kk)
         )
 
     def rhs_prefactor(ctx):
@@ -151,13 +151,13 @@ def _bibasic_heine_build(dims):
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         jj = j[0]
-        scale = B.qht ** jj
+        scale = P.intpow(B.qht, jj)
         return (
             P.finite(p["b"], B.qt, jj)
             / P.finite(B.qt, B.qt, jj)
             * P.ratio(p["z"], B.qh, scale)
             / P.ratio(p["a"] * p["z"], B.qh, scale)
-            * p["w"] ** jj
+            * P.intpow(p["w"], jj)
         )
 
     return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
@@ -196,7 +196,7 @@ def q_euler_term(P, a, b, c, base, z, k):
         P.finite(a, base, kk)
         * P.finite(b, base, kk)
         / (P.finite(base, base, kk) * P.finite(c, base, kk))
-        * z**kk
+        * P.intpow(z, kk)
     )
 
 
@@ -207,7 +207,7 @@ def q_euler_inner_term(P, a, b, c, base, arg, j):
         P.finite(c / a, base, jj)
         * P.finite(c / b, base, jj)
         / (P.finite(base, base, jj) * P.finite(c, base, jj))
-        * arg**jj
+        * P.intpow(arg, jj)
     )
 
 
@@ -271,14 +271,14 @@ def _bibasic_euler_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         kk, kt = k
         inner_arg = p["d"] * p["e"] * p["w"] / p["f"]
-        scale = B.qht ** kk
+        scale = P.intpow(B.qht, kk)
         return (
             P.finite(p["a"], B.qh, kk)
             * P.finite(p["b"], B.qh, kk)
             / (P.finite(B.qh, B.qh, kk) * P.finite(p["c"], B.qh, kk))
             * P.ratio(p["w"], B.qt, scale)
             / P.ratio(inner_arg, B.qt, scale)
-            * p["z"] ** kk
+            * P.intpow(p["z"], kk)
             * P.finite(p["f"] / p["d"], B.qt, kt)
             * P.finite(p["f"] / p["e"], B.qt, kt)
             / (P.finite(B.qt, B.qt, kt) * P.finite(p["f"], B.qt, kt))
@@ -298,14 +298,14 @@ def _bibasic_euler_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         jj, jt = j
         inner_arg = p["a"] * p["b"] * p["z"] / p["c"]
-        scale = B.qht ** jj
+        scale = P.intpow(B.qht, jj)
         return (
             P.finite(p["d"], B.qt, jj)
             * P.finite(p["e"], B.qt, jj)
             / (P.finite(B.qt, B.qt, jj) * P.finite(p["f"], B.qt, jj))
             * P.ratio(p["z"], B.qh, scale)
             / P.ratio(inner_arg, B.qh, scale)
-            * p["w"] ** jj
+            * P.intpow(p["w"], jj)
             * P.finite(p["c"] / p["a"], B.qh, jt)
             * P.finite(p["c"] / p["b"], B.qh, jt)
             / (P.finite(B.qh, B.qh, jt) * P.finite(p["c"], B.qh, jt))

@@ -289,23 +289,54 @@ def geom(base_power, dim: int) -> tuple:
     return tuple(out)
 
 
-def sq_ratio(P, avec, x, base, k) -> QComplex:
-    """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r}."""
-    value = mpf(1)
-    n = len(x)
-    for r in range(n):
-        kr = k[r]
+def finite_rows(P, tag: str, values: tuple, base, pairs) -> list:
+    """Rows of (numerator, denominator) finite-product tables in ``base``.
+
+    ``pairs()`` lists, for each index r, the (numerator, denominator)
+    arguments of the factors read at k_r; it may use only ``values`` and
+    ``base``.  The tables are built once per run (``PochCache.table``), and
+    ``times_rows`` reads them.
+    """
+
+    def build():
+        return [
+            [(P.finite_table(a, base), P.finite_table(b, base)) for a, b in row]
+            for row in pairs()
+        ]
+
+    return P.table(tag, values + (base,), build)
+
+
+def times_rows(value, rows, k) -> QComplex:
+    """value * prod_r prod_{(num, den) in row r} num_{k_r} / den_{k_r},
+    multiplied factor by factor in row order; rows with k_r = 0 are 1."""
+    for kr, row in zip(k, rows):
         if kr == 0:
             continue
-        for s in range(n):
-            ratio = x[r] / x[s]
-            value *= P.finite(avec[s] * ratio, base, kr)
-            value /= P.finite(base * ratio, base, kr)
+        for num, den in row:
+            value *= num.at(kr)
+            value /= den.at(kr)
     return value
 
 
-def vande(x, k, step) -> QComplex:
-    return vandermonde_ratio(x, k, step)
+def sq_ratio(P, avec, x, base, k) -> QComplex:
+    """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r}."""
+
+    def pairs():
+        rows = []
+        for r in range(len(x)):
+            ratios = [x[r] / x_s for x_s in x]
+            rows.append(
+                [(a_s * ratio, base * ratio) for a_s, ratio in zip(avec, ratios)]
+            )
+        return rows
+
+    rows = finite_rows(P, "sq_ratio", (avec, x), base, pairs)
+    return times_rows(mpf(1), rows, k)
+
+
+def vande(P, x, k, step) -> QComplex:
+    return vandermonde_ratio(x, k, step, P)
 
 
 def product_over(values) -> QComplex:

@@ -30,15 +30,19 @@ def _heine7_build(dims):
     def lhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         x = p["x"]
-        scale = B.qht ** sum(k)
-        value = vande(x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        scale = P.intpow(B.qht, sum(k))
+        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         for r in range(m):
             wy = p["w"] / p["y"][r]
             value *= P.ratio(wy, B.qt, scale)
             value /= P.ratio(p["b"][r] * wy, B.qt, scale)
-        value *= p["z"] ** sum(k) * B.qh ** staircase(k) * B.qh ** e2(k)
+        value *= (
+            P.intpow(p["z"], sum(k))
+            * P.intpow(B.qh, staircase(k))
+            * P.intpow(B.qh, e2(k))
+        )
         for r in range(n):
-            value *= x[r] ** (-k[r])
+            value *= P.intpow(x[r], -k[r])
         return value
 
     def rhs_prefactor(ctx):
@@ -55,15 +59,19 @@ def _heine7_build(dims):
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
-        scale = B.qht ** sum(j)
-        value = vande(y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        scale = P.intpow(B.qht, sum(j))
+        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         for r in range(n):
             zx = p["z"] / p["x"][r]
             value *= P.ratio(zx, B.qh, scale)
             value /= P.ratio(p["a"][r] * zx, B.qh, scale)
-        value *= p["w"] ** sum(j) * B.qt ** staircase(j) * B.qt ** e2(j)
+        value *= (
+            P.intpow(p["w"], sum(j))
+            * P.intpow(B.qt, staircase(j))
+            * P.intpow(B.qt, e2(j))
+        )
         for r in range(m):
-            value *= y[r] ** (-j[r])
+            value *= P.intpow(y[r], -j[r])
         return value
 
     return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
@@ -115,15 +123,19 @@ def _heine8_build(dims):
     def lhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         x = p["x"]
-        scale = B.qht ** sum(k)
-        value = vande(x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        scale = P.intpow(B.qht, sum(k))
+        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         for r in range(m):
-            shifted_w = p["w"] * B.qt**r
+            shifted_w = p["w"] * P.intpow(B.qt, r)
             value *= P.ratio(shifted_w, B.qt, scale)
             value /= P.ratio(p["b"] * shifted_w, B.qt, scale)
-        value *= p["z"] ** sum(k) * B.qh ** staircase(k) * B.qh ** e2(k)
+        value *= (
+            P.intpow(p["z"], sum(k))
+            * P.intpow(B.qh, staircase(k))
+            * P.intpow(B.qh, e2(k))
+        )
         for r in range(n):
-            value *= x[r] ** (-k[r])
+            value *= P.intpow(x[r], -k[r])
         return value
 
     def rhs_prefactor(ctx):
@@ -140,15 +152,15 @@ def _heine8_build(dims):
 
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        scale = B.qht ** sum(j)
-        value = vande(p["y"], j, B.qt)
+        scale = P.intpow(B.qht, sum(j))
+        value = vande(P, p["y"], j, B.qt)
         for r in range(m):
             value *= P.finite(p["b"], B.qt, j[r]) / P.finite(B.qt, B.qt, j[r])
         for r in range(n):
             zx = p["z"] / p["x"][r]
             value *= P.ratio(zx, B.qh, scale)
             value /= P.ratio(p["a"][r] * zx, B.qh, scale)
-        return value * p["w"] ** sum(j) * B.qt ** staircase(j)
+        return value * P.intpow(p["w"], sum(j)) * P.intpow(B.qt, staircase(j))
 
     return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 
@@ -198,9 +210,9 @@ def _heine1_build(dims):
         x = p["x"]
         kk = sum(k)
         big_a = product_over(p["a"])
-        scale = B.qht ** kk
-        value = vande(x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
-        value *= p["z"] ** kk * B.qh ** staircase(k)
+        scale = P.intpow(B.qht, kk)
+        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        value *= P.intpow(p["z"], kk) * P.intpow(B.qh, staircase(k))
         for r in range(n):
             cx = p["c"] * x[r]
             value *= P.finite(cx / big_a, B.qh, k[r]) * P.finite(cx, B.qh, kk)
@@ -227,9 +239,9 @@ def _heine1_build(dims):
         jj = sum(j)
         big_a = product_over(p["a"])
         big_b = product_over(p["b"])
-        scale = B.qht ** jj
-        value = vande(y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
-        value *= p["w"] ** jj * B.qt ** staircase(j)
+        scale = P.intpow(B.qht, jj)
+        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
         for r in range(m):
             dy = p["d"] * y[r]
             value *= P.finite(dy / big_b, B.qt, j[r]) * P.finite(dy, B.qt, jj)
@@ -286,13 +298,13 @@ def _heine2_build(dims):
 
     def lhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        scale = B.qht ** sum(k)
-        value = vande(p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
+        scale = P.intpow(B.qht, sum(k))
+        value = vande(P, p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
         for r in range(m):
             wy = p["w"] / p["y"][r]
             value *= P.ratio(wy, B.qt, scale)
             value /= P.ratio(p["b"][r] * wy, B.qt, scale)
-        return value * p["z"] ** sum(k) * B.qh ** staircase(k)
+        return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, staircase(k))
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -307,12 +319,16 @@ def _heine2_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
         big_a = product_over(p["a"])
-        scale = B.qht ** sum(j)
-        value = vande(y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        scale = P.intpow(B.qht, sum(j))
+        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_a * p["z"], B.qh, scale)
-        value *= p["w"] ** sum(j) * B.qt ** staircase(j) * B.qt ** e2(j)
+        value *= (
+            P.intpow(p["w"], sum(j))
+            * P.intpow(B.qt, staircase(j))
+            * P.intpow(B.qt, e2(j))
+        )
         for r in range(m):
-            value *= y[r] ** (-j[r])
+            value *= P.intpow(y[r], -j[r])
         return value
 
     return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)

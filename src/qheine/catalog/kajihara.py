@@ -14,48 +14,72 @@ from .core import (
     argument,
     coefficient,
     distinct_vector,
+    finite_rows,
     product_over,
     signed,
     sq_ratio,
     staircase,
+    times_rows,
     vande,
 )
 
 __all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term"]
 
 
+def grid_rows(P, bvec, c, xvec, yvec, base) -> list:
+    """Row r: (b_s x_r y_s; base) over (c x_r y_s; base) for every s."""
+
+    def pairs():
+        return [
+            [(b_s * x_r * y_s, c * x_r * y_s) for b_s, y_s in zip(bvec, yvec)]
+            for x_r in xvec
+        ]
+
+    return finite_rows(P, "kajihara.grid", (bvec, c, xvec, yvec), base, pairs)
+
+
+def inner_rows(P, avec, bvec, c, xvec, yvec, base) -> list:
+    """Row r: (c y_r/(b_s y_s); base) over (base y_r/y_s; base) for every s,
+    then (c x_s y_r/a_s; base) over (c x_s y_r; base) for every s."""
+
+    def pairs():
+        rows = []
+        for r in range(len(yvec)):
+            row = [
+                (c * yvec[r] / (bvec[s] * yvec[s]), base * yvec[r] / yvec[s])
+                for s in range(len(yvec))
+            ]
+            row += [
+                (c * xvec[s] * yvec[r] / avec[s], c * xvec[s] * yvec[r])
+                for s in range(len(xvec))
+            ]
+            rows.append(row)
+        return rows
+
+    return finite_rows(P, "kajihara.inner", (avec, bvec, c, xvec, yvec), base, pairs)
+
+
 def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
-    value = vande(xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    for r in range(len(xvec)):
-        if k[r] == 0:
-            continue
-        for s in range(len(yvec)):
-            value *= P.finite(bvec[s] * xvec[r] * yvec[s], base, k[r])
-            value /= P.finite(c * xvec[r] * yvec[s], base, k[r])
-    return value * z ** sum(k) * base ** staircase(k)
+    value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
+    value = times_rows(value, grid_rows(P, bvec, c, xvec, yvec, base), k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
 
 
 def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, arg, j):
     """Right-hand summand; ``arg`` is the formed argument A B z / c^m."""
-    m = len(yvec)
-    value = vande(yvec, j, base)
-    for r in range(m):
-        if j[r] == 0:
-            continue
-        for s in range(m):
-            value *= P.finite(c * yvec[r] / (bvec[s] * yvec[s]), base, j[r])
-            value /= P.finite(base * yvec[r] / yvec[s], base, j[r])
-        for s in range(len(xvec)):
-            value *= P.finite(c * xvec[s] * yvec[r] / avec[s], base, j[r])
-            value /= P.finite(c * xvec[s] * yvec[r], base, j[r])
-    return value * arg ** sum(j) * base ** staircase(j)
+    value = vande(P, yvec, j, base)
+    value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
+    return value * P.intpow(arg, sum(j)) * P.intpow(base, staircase(j))
 
 
 def _kajihara_build(dims):
     n, m = dims["n"], dims["m"]
 
-    def big_arg(p):
-        return product_over(p["a"]) * product_over(p["b"]) * p["z"] / p["c"] ** m
+    def big_arg(P, p):
+        def build():
+            return product_over(p["a"]) * product_over(p["b"]) * p["z"] / p["c"] ** m
+
+        return P.table("kajihara.arg", (p["a"], p["b"], p["c"], p["z"]), build)
 
     def grid(p):
         return p["a"], p["b"], p["c"], p["x"], p["y"]
@@ -66,11 +90,12 @@ def _kajihara_build(dims):
 
     def rhs_prefactor(ctx):
         p = ctx.params
-        return q_euler_product(ctx.poch, ctx.bases.q, big_arg(p), p["z"])
+        return q_euler_product(ctx.poch, ctx.bases.q, big_arg(ctx.poch, p), p["z"])
 
     def rhs_term(ctx, j):
         p = ctx.params
-        return kajihara_inner_term(ctx.poch, *grid(p), ctx.bases.q, big_arg(p), j)
+        P = ctx.poch
+        return kajihara_inner_term(P, *grid(p), ctx.bases.q, big_arg(P, p), j)
 
     return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 
@@ -131,52 +156,45 @@ def _kajihara_double_build(dims):
     n, m = dims["n"], dims["m"]
     nu, mu = dims["nu"], dims["mu"]
 
-    def m_arg(p):
-        return product_over(p["a"]) * product_over(p["b"]) / p["c"] ** mu
+    def m_arg(P, p):
+        def build():
+            return product_over(p["a"]) * product_over(p["b"]) / p["c"] ** mu
 
-    def d_arg(p):
-        return product_over(p["d"]) * product_over(p["e"]) / p["f"] ** nu
+        return P.table("kajihara_double.m", (p["a"], p["b"], p["c"]), build)
+
+    def d_arg(P, p):
+        def build():
+            return product_over(p["d"]) * product_over(p["e"]) / p["f"] ** nu
+
+        return P.table("kajihara_double.d", (p["d"], p["e"], p["f"]), build)
 
     def lhs_term(ctx, idx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         k, kt = idx[:n], idx[n:]
         x, big_x, y, big_y = p["x"], p["X"], p["y"], p["Y"]
         kk = sum(k)
-        scale = B.qht ** kk
+        scale = P.intpow(B.qht, kk)
 
-        value = vande(x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
-        for r in range(n):
-            if k[r] == 0:
-                continue
-            for s in range(mu):
-                value *= P.finite(p["b"][s] * x[r] * big_x[s], B.qh, k[r])
-                value /= P.finite(p["c"] * x[r] * big_x[s], B.qh, k[r])
+        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        value = times_rows(value, grid_rows(P, p["b"], p["c"], x, big_x, B.qh), k)
         value *= P.ratio(p["w"], B.qt, scale)
-        value /= P.ratio(d_arg(p) * p["w"], B.qt, scale)
-        value *= p["z"] ** kk * B.qh ** staircase(k)
+        value /= P.ratio(d_arg(P, p) * p["w"], B.qt, scale)
+        value *= P.intpow(p["z"], kk) * P.intpow(B.qh, staircase(k))
 
-        value *= vande(big_y, kt, B.qt)
-        for r in range(nu):
-            if kt[r] == 0:
-                continue
-            for s in range(nu):
-                value *= P.finite(
-                    p["f"] * big_y[r] / (p["e"][s] * big_y[s]), B.qt, kt[r]
-                )
-                value /= P.finite(B.qt * big_y[r] / big_y[s], B.qt, kt[r])
-            for s in range(m):
-                value *= P.finite(p["f"] * y[s] * big_y[r] / p["d"][s], B.qt, kt[r])
-                value /= P.finite(p["f"] * y[s] * big_y[r], B.qt, kt[r])
-        value *= (d_arg(p) * p["w"] * scale) ** sum(kt) * B.qt ** staircase(kt)
+        value *= vande(P, big_y, kt, B.qt)
+        rows = inner_rows(P, p["d"], p["e"], p["f"], y, big_y, B.qt)
+        value = times_rows(value, rows, kt)
+        shifted = d_arg(P, p) * p["w"] * scale
+        value *= shifted ** sum(kt) * P.intpow(B.qt, staircase(kt))
         return value
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         return (
             P.infinite(p["w"], B.qt)
-            * P.infinite(m_arg(p) * p["z"], B.qh)
+            * P.infinite(m_arg(P, p) * p["z"], B.qh)
             / (
-                P.infinite(d_arg(p) * p["w"], B.qt)
+                P.infinite(d_arg(P, p) * p["w"], B.qt)
                 * P.infinite(p["z"], B.qh)
             )
         )
@@ -186,32 +204,19 @@ def _kajihara_double_build(dims):
         j, jt = idx[:m], idx[m:]
         x, big_x, y, big_y = p["x"], p["X"], p["y"], p["Y"]
         jj = sum(j)
-        scale = B.qht ** jj
+        scale = P.intpow(B.qht, jj)
 
-        value = vande(y, j, B.qt) * sq_ratio(ctx.poch, p["d"], y, B.qt, j)
-        for r in range(m):
-            if j[r] == 0:
-                continue
-            for s in range(nu):
-                value *= P.finite(p["e"][s] * y[r] * big_y[s], B.qt, j[r])
-                value /= P.finite(p["f"] * y[r] * big_y[s], B.qt, j[r])
+        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["d"], y, B.qt, j)
+        value = times_rows(value, grid_rows(P, p["e"], p["f"], y, big_y, B.qt), j)
         value *= P.ratio(p["z"], B.qh, scale)
-        value /= P.ratio(m_arg(p) * p["z"], B.qh, scale)
-        value *= p["w"] ** jj * B.qt ** staircase(j)
+        value /= P.ratio(m_arg(P, p) * p["z"], B.qh, scale)
+        value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
 
-        value *= vande(big_x, jt, B.qh)
-        for r in range(mu):
-            if jt[r] == 0:
-                continue
-            for s in range(mu):
-                value *= P.finite(
-                    p["c"] * big_x[r] / (p["b"][s] * big_x[s]), B.qh, jt[r]
-                )
-                value /= P.finite(B.qh * big_x[r] / big_x[s], B.qh, jt[r])
-            for s in range(n):
-                value *= P.finite(p["c"] * x[s] * big_x[r] / p["a"][s], B.qh, jt[r])
-                value /= P.finite(p["c"] * x[s] * big_x[r], B.qh, jt[r])
-        value *= (m_arg(p) * p["z"] * scale) ** sum(jt) * B.qh ** staircase(jt)
+        value *= vande(P, big_x, jt, B.qh)
+        rows = inner_rows(P, p["a"], p["b"], p["c"], x, big_x, B.qh)
+        value = times_rows(value, rows, jt)
+        shifted = m_arg(P, p) * p["z"] * scale
+        value *= shifted ** sum(jt) * P.intpow(B.qh, staircase(jt))
         return value
 
     return SeriesSide(n + nu, lhs_term), SeriesSide(m + mu, rhs_term, rhs_prefactor)

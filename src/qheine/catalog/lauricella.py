@@ -39,8 +39,8 @@ def _qlauricella_build(dims):
             base_r = B.power(p["hexp"][r])
             value *= P.finite(p["a"][r], base_r, k[r])
             value /= P.finite(base_r, base_r, k[r])
-            value *= p["z"][r] ** k[r]
-            scale *= B.power(B.t * p["hexp"][r]) ** k[r]
+            value *= P.intpow(p["z"][r], k[r])
+            scale *= P.intpow(B.power(B.t * p["hexp"][r]), k[r])
         value *= P.ratio(p["w"], B.qt, scale)
         value /= P.ratio(p["b"] * p["w"], B.qt, scale)
         return value
@@ -60,10 +60,10 @@ def _qlauricella_build(dims):
         value = P.finite(p["b"], B.qt, jj) / P.finite(B.qt, B.qt, jj)
         for r in range(p_dim):
             base_r = B.power(p["hexp"][r])
-            scale = B.power(B.t * p["hexp"][r]) ** jj
+            scale = P.intpow(B.power(B.t * p["hexp"][r]), jj)
             value *= P.ratio(p["z"][r], base_r, scale)
             value /= P.ratio(p["a"][r] * p["z"][r], base_r, scale)
-        return value * p["w"] ** jj
+        return value * P.intpow(p["w"], jj)
 
     return SeriesSide(p_dim, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
 
@@ -117,22 +117,21 @@ def _master_big_build(dims):
         x1, x2 = p["x1"], p["x2"]
         big_b = product_over(p["b"])
 
-        value = vande(x1, k1, base1) * sq_ratio(ctx.poch, p["a1"], x1, base1, k1)
-        value *= vande(x2, k2, base2)
+        value = vande(P, x1, k1, base1) * sq_ratio(ctx.poch, p["a1"], x1, base1, k1)
+        value *= vande(P, x2, k2, base2)
         for r in range(n2):
             value *= P.finite(p["a2"], base2, k2[r])
             value /= P.finite(base2, base2, k2[r])
-        scale = (
-            B.power(B.t * p["h1"]) ** sum(k1)
-            * B.power(B.t * p["h2"]) ** sum(k2)
-        )
+        stretch1 = B.power(B.t * p["h1"])
+        stretch2 = B.power(B.t * p["h2"])
+        scale = P.intpow(stretch1, sum(k1)) * P.intpow(stretch2, sum(k2))
         value *= P.ratio(p["w"], B.qt, scale)
         value /= P.ratio(big_b * p["w"], B.qt, scale)
-        value *= p["z1"] ** sum(k1) * p["z2"] ** sum(k2)
-        value *= base1 ** staircase(k1) * base2 ** staircase(k2)
-        value *= base1 ** e2(k1)
+        value *= P.intpow(p["z1"], sum(k1)) * P.intpow(p["z2"], sum(k2))
+        value *= P.intpow(base1, staircase(k1)) * P.intpow(base2, staircase(k2))
+        value *= P.intpow(base1, e2(k1))
         for r in range(n1):
-            value *= x1[r] ** (-k1[r])
+            value *= P.intpow(x1[r], -k1[r])
         return value
 
     def rhs_prefactor(ctx):
@@ -158,20 +157,20 @@ def _master_big_build(dims):
         y = p["y"]
         jj = sum(j)
         big_b = product_over(p["b"])
-        value = vande(y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         for r in range(m):
             cy = p["c"] * y[r]
             value *= P.finite(cy / big_b, B.qt, j[r]) * P.finite(cy, B.qt, jj)
             value /= P.finite(cy, B.qt, j[r]) * P.finite(cy / p["b"][r], B.qt, jj)
-        value *= p["w"] ** jj * B.qt ** staircase(j)
-        scale1 = B.power(B.t * p["h1"]) ** jj
-        scale2 = B.power(B.t * p["h2"]) ** jj
+        value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
+        scale1 = P.intpow(B.power(B.t * p["h1"]), jj)
+        scale2 = P.intpow(B.power(B.t * p["h2"]), jj)
         for r in range(n1):
             zx = p["z1"] / p["x1"][r]
             value *= P.ratio(zx, base1, scale1)
             value /= P.ratio(p["a1"][r] * zx, base1, scale1)
         for r in range(n2):
-            shifted = p["z2"] * base2**r
+            shifted = p["z2"] * P.intpow(base2, r)
             value *= P.ratio(shifted, base2, scale2)
             value /= P.ratio(p["a2"] * shifted, base2, scale2)
         return value
@@ -247,15 +246,15 @@ def _master_lauricella_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         l, k = idx[:p_dim], idx[p_dim:]
         big_b = product_over(p["b"])
-        value = vande(p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
+        value = vande(P, p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
         for r in range(p_dim):
             value *= P.finite(p["cp"][r], B.qh, l[r])
             value /= P.finite(B.qh, B.qh, l[r])
-            value *= p["u"][r] ** l[r]
-        scale = B.qht ** (sum(k) + sum(l))
+            value *= P.intpow(p["u"][r], l[r])
+        scale = P.intpow(B.qht, sum(k) + sum(l))
         value *= P.ratio(p["w"], B.qt, scale)
         value /= P.ratio(big_b * p["w"], B.qt, scale)
-        return value * p["z"] ** sum(k) * B.qh ** staircase(k)
+        return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, staircase(k))
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -275,13 +274,13 @@ def _master_lauricella_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         big_a = product_over(p["a"])
         jj = sum(j)
-        scale = B.qht ** jj
-        value = vande(p["y"], j, B.qt) * sq_ratio(ctx.poch, p["b"], p["y"], B.qt, j)
+        scale = P.intpow(B.qht, jj)
+        value = vande(P, p["y"], j, B.qt) * sq_ratio(ctx.poch, p["b"], p["y"], B.qt, j)
         value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_a * p["z"], B.qh, scale)
         for r in range(p_dim):
             value *= P.ratio(p["u"][r], B.qh, scale)
             value /= P.ratio(p["cp"][r] * p["u"][r], B.qh, scale)
-        return value * p["w"] ** jj * B.qt ** staircase(j)
+        return value * P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
 
     return SeriesSide(p_dim + n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 

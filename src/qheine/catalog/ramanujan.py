@@ -48,25 +48,25 @@ def _ram_core_build(dims):
     def lhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         jj = j[0]
-        scale = B.qht ** jj
+        scale = P.intpow(B.qht, jj)
         return (
             P.finite(-p["b"] * B.q / p["a"], B.qt, jj)
             / P.finite(B.qt, B.qt, jj)
             * P.ratio(p["d"] * B.qh, B.qh, scale)
             / P.ratio(p["c"] * B.q * B.qh, B.qh, scale)
-            * (p["a"] * B.qt) ** jj
+            * P.intpow(p["a"] * B.qt, jj)
         )
 
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         kk = k[0]
-        scale = B.qht ** kk
+        scale = P.intpow(B.qht, kk)
         return (
             P.finite(p["c"] * B.q / p["d"], B.qh, kk)
             / P.finite(B.qh, B.qh, kk)
             * P.ratio(p["a"] * B.qt, B.qt, scale)
             / P.ratio(-p["b"] * B.q * B.qt, B.qt, scale)
-            * (p["d"] * B.qh) ** kk
+            * P.intpow(p["d"] * B.qh, kk)
         )
 
     return SeriesSide(1, lhs_term, lhs_prefactor), SeriesSide(1, rhs_term)
@@ -119,32 +119,32 @@ def _ram_1_4_1_anm_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q_tm = B.power(B.t * m)
         jj = sum(j)
-        scale = B.power(B.h * B.t * m * n) ** jj
-        value = vande(geom(B.qt, m), j, q_tm)
+        scale = P.intpow(B.power(B.h * B.t * m * n), jj)
+        value = vande(P, geom(B.qt, m), j, q_tm)
         for r in range(m):
             value *= P.finite(-p["b"] * B.q / p["a"], q_tm, j[r])
             value /= P.finite(q_tm, q_tm, j[r])
         value *= P.ratio(p["d"] * B.qh, B.qh, scale)
         value /= P.ratio(p["c"] * B.q * B.qh, B.qh, scale)
-        return value * (p["a"] * q_tm) ** jj * q_tm ** staircase(j)
+        return value * P.intpow(p["a"] * q_tm, jj) * P.intpow(q_tm, staircase(j))
 
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q_tm = B.power(B.t * m)
         q_hn = B.power(B.h * n)
         kk = sum(k)
-        scale = B.power(B.h * B.t * m * n) ** kk
-        value = vande(geom(B.qh, n), k, q_hn)
+        scale = P.intpow(B.power(B.h * B.t * m * n), kk)
+        value = vande(P, geom(B.qh, n), k, q_hn)
         for r in range(1, n + 1):
             value *= P.finite(
                 p["c"] * B.q * B.power(B.h * (r - n)) / p["d"], B.qh, n * k[r - 1]
             )
-            value /= P.finite(B.qh**r, B.qh, n * k[r - 1])
+            value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
         for r in range(1, m + 1):
-            value *= P.ratio(p["a"] * q_tm**r, q_tm, scale)
-            value /= P.ratio(-p["b"] * B.q * q_tm**r, q_tm, scale)
-        value *= (p["d"] * q_hn) ** kk
-        value *= B.qh ** ((n - 1) * staircase(k)) * B.qh ** (n * e2(k))
+            value *= P.ratio(p["a"] * P.intpow(q_tm, r), q_tm, scale)
+            value /= P.ratio(-p["b"] * B.q * P.intpow(q_tm, r), q_tm, scale)
+        value *= P.intpow(p["d"] * q_hn, kk)
+        value *= P.intpow(B.qh, (n - 1) * staircase(k)) * P.intpow(B.qh, n * e2(k))
         return value
 
     return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(n, rhs_term)
@@ -198,12 +198,12 @@ def _ram_1_4_10_anm_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(geom(q, n), k, q**n)
+        value = vande(P, geom(q, n), k, P.intpow(q, n))
         for r in range(1, n + 1):
-            value /= P.finite(q**r, q, n * k[r - 1])
+            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         for r in range(1, m + 1):
-            value /= P.finite(q ** (m * r), q**m, n * kk)
-        return value * q ** (n * kk + (n - 1) * staircase(k) + n * e2(k))
+            value /= P.finite(P.intpow(q, m * r), P.intpow(q, m), n * kk)
+        return value * P.intpow(q, n * kk + (n - 1) * staircase(k) + n * e2(k))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -217,11 +217,11 @@ def _ram_1_4_10_anm_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         jj = sum(j)
-        value = vande(geom(q, m), j, q**m) * P.finite(q, q, m * n * jj)
+        value = vande(P, geom(q, m), j, P.intpow(q, m)) * P.finite(q, q, m * n * jj)
         for r in range(m):
-            value /= P.finite(q**m, q**m, j[r])
+            value /= P.finite(P.intpow(q, m), P.intpow(q, m), j[r])
         exponent = m * staircase(j) + m * sum(tri(jr) for jr in j)
-        return value * (-1) ** jj * q**exponent
+        return value * (-1) ** jj * P.intpow(q, exponent)
 
     return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 
@@ -260,11 +260,11 @@ def _ram_1_4_10_m1_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(geom(q, n), k, q**n)
+        value = vande(P, geom(q, n), k, P.intpow(q, n))
         for r in range(1, n + 1):
-            value /= P.finite(q**r, q, n * k[r - 1])
+            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         value /= P.finite(q, q, n * kk)
-        return value * q ** (n * kk + (n - 1) * staircase(k) + n * e2(k))
+        return value * P.intpow(q, n * kk + (n - 1) * staircase(k) + n * e2(k))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -278,7 +278,7 @@ def _ram_1_4_10_m1_build(dims):
             P.finite(q, q, n * jj)
             / P.finite(q, q, jj)
             * (-1) ** jj
-            * q ** tri(jj)
+            * P.intpow(q, tri(jj))
         )
 
     return SeriesSide(n, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
@@ -302,16 +302,16 @@ def _ram_1_4_10_build(dims):
     def lhs_term(ctx, k):
         P, B = ctx.poch, ctx.bases
         kk = k[0]
-        return B.q**kk / P.finite(B.q, B.q, kk) ** 2
+        return P.intpow(B.q, kk) / P.finite(B.q, B.q, kk) ** 2
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
         return 1 / P.infinite(B.q, B.q) ** 2
 
     def rhs_term(ctx, j):
-        B = ctx.bases
+        P, B = ctx.poch, ctx.bases
         jj = j[0]
-        return (-1) ** jj * B.q ** tri(jj)
+        return (-1) ** jj * P.intpow(B.q, tri(jj))
 
     return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
 
@@ -334,13 +334,13 @@ def _ram_1_4_10_c_build(dims):
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
         q = B.q
-        qn = q**n
+        qn = P.intpow(q, n)
         jj = sum(j)
-        value = vande(geom(q, m), j, q**m)
+        value = vande(P, geom(q, m), j, P.intpow(q, m))
         for r in range(1, m + 1):
-            value /= P.finite(q**r, q, m * j[r - 1])
+            value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
         value /= P.finite(qn, qn, m * jj)
-        return value * q ** (m * jj + (m - 1) * staircase(j) + m * e2(j))
+        return value * P.intpow(q, m * jj + (m - 1) * staircase(j) + m * e2(j))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -352,13 +352,13 @@ def _ram_1_4_10_c_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(geom(q, n), k, q**n) * P.finite(q, q, m * n * kk)
+        value = vande(P, geom(q, n), k, P.intpow(q, n)) * P.finite(q, q, m * n * kk)
         for r in range(1, n + 1):
-            value /= P.finite(q**r, q, n * k[r - 1])
+            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
             tri(n * kr) for kr in k
         )
-        return value * (-1) ** (n * kk) * q**exponent
+        return value * (-1) ** (n * kk) * P.intpow(q, exponent)
 
     return SeriesSide(m, lhs_term), SeriesSide(n, rhs_term, rhs_prefactor)
 
@@ -388,9 +388,9 @@ def _ram_1_4_10_n_single_build(dims):
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
         q = B.q
-        qn = q**n
+        qn = P.intpow(q, n)
         jj = j[0]
-        return q**jj / (P.finite(q, q, jj) * P.finite(qn, qn, jj))
+        return P.intpow(q, jj) / (P.finite(q, q, jj) * P.finite(qn, qn, jj))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -401,13 +401,13 @@ def _ram_1_4_10_n_single_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(geom(q, n), k, q**n) * P.finite(q, q, n * kk)
+        value = vande(P, geom(q, n), k, P.intpow(q, n)) * P.finite(q, q, n * kk)
         for r in range(1, n + 1):
-            value /= P.finite(q**r, q, n * k[r - 1])
+            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
             tri(n * kr) for kr in k
         )
-        return value * (-1) ** (n * kk) * q**exponent
+        return value * (-1) ** (n * kk) * P.intpow(q, exponent)
 
     return SeriesSide(1, lhs_term), SeriesSide(n, rhs_term, rhs_prefactor)
 
@@ -445,11 +445,12 @@ def _ram_eq26_a2_build(dims):
         q_tm = B.power(B.t * m)
         s_htm = B.power(B.h * B.t * m)
         jj = sum(j)
-        value = vande(geom(B.qt, m), j, q_tm)
+        value = vande(P, geom(B.qt, m), j, q_tm)
         for r in range(m):
             value /= P.finite(q_tm, q_tm, j[r])
-        value *= p["b"] ** jj / P.ratio(-p["a"] * B.qh, B.qh, s_htm**jj)
-        return value * q_tm ** (staircase(j) + sum(tri(jr) for jr in j))
+        shifted = P.intpow(s_htm, jj)
+        value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * B.qh, B.qh, shifted)
+        return value * P.intpow(q_tm, staircase(j) + sum(tri(jr) for jr in j))
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -464,9 +465,11 @@ def _ram_eq26_a2_build(dims):
         q_tm = B.power(B.t * m)
         s_htm = B.power(B.h * B.t * m)
         kk = k[0]
-        value = p["a"] ** kk * B.qh ** tri(kk) / P.finite(B.qh, B.qh, kk)
+        value = (
+            P.intpow(p["a"], kk) * P.intpow(B.qh, tri(kk)) / P.finite(B.qh, B.qh, kk)
+        )
         for r in range(1, m + 1):
-            value /= P.ratio(-p["b"] * q_tm**r, q_tm, s_htm**kk)
+            value /= P.ratio(-p["b"] * P.intpow(q_tm, r), q_tm, P.intpow(s_htm, kk))
         return value
 
     return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
@@ -495,11 +498,11 @@ def _ram_1_4_12_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         jj = j[0]
         return (
-            p["b"] ** jj
-            * B.qt ** tri(jj)
+            P.intpow(p["b"], jj)
+            * P.intpow(B.qt, tri(jj))
             / (
                 P.finite(B.qt, B.qt, jj)
-                * P.ratio(-p["a"] * B.qh, B.qh, B.qht**jj)
+                * P.ratio(-p["a"] * B.qh, B.qh, P.intpow(B.qht, jj))
             )
         )
 
@@ -511,11 +514,11 @@ def _ram_1_4_12_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         kk = k[0]
         return (
-            p["a"] ** kk
-            * B.qh ** tri(kk)
+            P.intpow(p["a"], kk)
+            * P.intpow(B.qh, tri(kk))
             / (
                 P.finite(B.qh, B.qh, kk)
-                * P.ratio(-p["b"] * B.qt, B.qt, B.qht**kk)
+                * P.ratio(-p["b"] * B.qt, B.qt, P.intpow(B.qht, kk))
             )
         )
 
@@ -546,14 +549,14 @@ def _ram_eq26_a3_build(dims):
     def lhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q = B.q
-        qm = q**m
-        scale = (B.qt**m) ** sum(j)
+        qm = P.intpow(q, m)
+        scale = P.intpow(P.intpow(B.qt, m), sum(j))
         jj = sum(j)
-        value = vande(geom(q, m), j, qm)
+        value = vande(P, geom(q, m), j, qm)
         for r in range(m):
             value /= P.finite(qm, qm, j[r])
-        value *= p["b"] ** jj / P.ratio(-p["a"] * q, q, scale)
-        return value * q ** (m * staircase(j) + m * sum(tri(jr) for jr in j))
+        value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * q, q, scale)
+        return value * P.intpow(q, m * staircase(j) + m * sum(tri(jr) for jr in j))
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -566,12 +569,12 @@ def _ram_eq26_a3_build(dims):
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q = B.q
-        qm = q**m
+        qm = P.intpow(q, m)
         kk = k[0]
-        scale = B.power(m * B.t) ** kk
-        value = p["a"] ** kk * q ** tri(kk) / P.finite(q, q, kk)
+        scale = P.intpow(B.power(m * B.t), kk)
+        value = P.intpow(p["a"], kk) * P.intpow(q, tri(kk)) / P.finite(q, q, kk)
         for r in range(1, m + 1):
-            value /= P.ratio(-p["b"] * qm**r, qm, scale)
+            value /= P.ratio(-p["b"] * P.intpow(qm, r), qm, scale)
         return value
 
     return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
@@ -604,16 +607,17 @@ def _ram_eq26_b_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q_tm = B.power(B.t * m)
         q_hn = B.power(B.h * n)
-        scale = B.power(B.h * n * B.t * m) ** sum(j)
+        scale = P.intpow(B.power(B.h * n * B.t * m), sum(j))
         jj = sum(j)
-        value = vande(geom(B.qt, m), j, q_tm)
+        value = vande(P, geom(B.qt, m), j, q_tm)
         for r in range(1, m + 1):
-            value /= P.finite(B.qt**r, B.qt, m * j[r - 1])
-        value *= p["b"] ** (m * jj) / P.ratio((-p["a"] * B.qh) ** n, q_hn, scale)
+            value /= P.finite(P.intpow(B.qt, r), B.qt, m * j[r - 1])
+        inner = P.intpow(-p["a"] * B.qh, n)
+        value *= P.intpow(p["b"], m * jj) / P.ratio(inner, q_hn, scale)
         exponent = 2 * m * staircase(j) - m * (m - 1) * jj + sum(
             tri(m * jr) for jr in j
         )
-        return value * B.qt**exponent
+        return value * P.intpow(B.qt, exponent)
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -624,16 +628,17 @@ def _ram_eq26_b_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q_tm = B.power(B.t * m)
         q_hn = B.power(B.h * n)
-        scale = B.power(B.h * n * B.t * m) ** sum(k)
+        scale = P.intpow(B.power(B.h * n * B.t * m), sum(k))
         kk = sum(k)
-        value = vande(geom(B.qh, n), k, q_hn)
+        value = vande(P, geom(B.qh, n), k, q_hn)
         for r in range(1, n + 1):
-            value /= P.finite(B.qh**r, B.qh, n * k[r - 1])
-        value *= p["a"] ** (n * kk) / P.ratio((-p["b"] * B.qt) ** m, q_tm, scale)
+            value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
+        inner = P.intpow(-p["b"] * B.qt, m)
+        value *= P.intpow(p["a"], n * kk) / P.ratio(inner, q_tm, scale)
         exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
             tri(n * kr) for kr in k
         )
-        return value * B.qh**exponent
+        return value * P.intpow(B.qh, exponent)
 
     return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
         n, rhs_term, rhs_prefactor
@@ -669,17 +674,17 @@ def _ram_1_4_17_anm_build(dims):
     def lhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q = B.q
-        qn = q**n
-        scale = (B.qt ** (n * m)) ** sum(j)
+        qn = P.intpow(q, n)
+        scale = P.intpow(P.intpow(B.qt, n * m), sum(j))
         jj = sum(j)
-        value = vande(geom(q, m), j, q**m)
+        value = vande(P, geom(q, m), j, P.intpow(q, m))
         for r in range(1, m + 1):
-            value /= P.finite(q**r, q, m * j[r - 1])
-        value *= p["b"] ** (m * jj) / P.ratio((-p["a"] * q) ** n, qn, scale)
+            value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
+        value *= P.intpow(p["b"], m * jj) / P.ratio(P.intpow(-p["a"] * q, n), qn, scale)
         exponent = 2 * m * staircase(j) - m * (m - 1) * jj + sum(
             tri(m * jr) for jr in j
         )
-        return value * q**exponent
+        return value * P.intpow(q, exponent)
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -689,17 +694,17 @@ def _ram_1_4_17_anm_build(dims):
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q = B.q
-        qm = q**m
-        scale = (B.qt ** (n * m)) ** sum(k)
+        qm = P.intpow(q, m)
+        scale = P.intpow(P.intpow(B.qt, n * m), sum(k))
         kk = sum(k)
-        value = vande(geom(q, n), k, q**n)
+        value = vande(P, geom(q, n), k, P.intpow(q, n))
         for r in range(1, n + 1):
-            value /= P.finite(q**r, q, n * k[r - 1])
-        value *= p["a"] ** (n * kk) / P.ratio((-p["b"] * q) ** m, qm, scale)
+            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
+        value *= P.intpow(p["a"], n * kk) / P.ratio(P.intpow(-p["b"] * q, m), qm, scale)
         exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
             tri(n * kr) for kr in k
         )
-        return value * q**exponent
+        return value * P.intpow(q, exponent)
 
     return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
         n, rhs_term, rhs_prefactor
@@ -734,9 +739,9 @@ def _ram_1_4_17_build(dims):
         q = B.q
         jj = j[0]
         return (
-            p["b"] ** jj
-            * q ** tri(jj)
-            / (P.finite(q, q, jj) * P.ratio(-p["a"] * q, q, B.qt**jj))
+            P.intpow(p["b"], jj)
+            * P.intpow(q, tri(jj))
+            / (P.finite(q, q, jj) * P.ratio(-p["a"] * q, q, P.intpow(B.qt, jj)))
         )
 
     def rhs_prefactor(ctx):
@@ -748,9 +753,9 @@ def _ram_1_4_17_build(dims):
         q = B.q
         kk = k[0]
         return (
-            p["a"] ** kk
-            * q ** tri(kk)
-            / (P.finite(q, q, kk) * P.ratio(-p["b"] * q, q, B.qt**kk))
+            P.intpow(p["a"], kk)
+            * P.intpow(q, tri(kk))
+            / (P.finite(q, q, kk) * P.ratio(-p["b"] * q, q, P.intpow(B.qt, kk)))
         )
 
     return SeriesSide(1, lhs_term, lhs_prefactor), SeriesSide(
@@ -776,18 +781,18 @@ def _ram_1_4_9a_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(geom(q, m), k, q**m)
+        value = vande(P, geom(q, m), k, P.intpow(q, m))
         for r in range(1, m + 1):
-            value /= P.finite(q**r, q, m * k[r - 1])
+            value /= P.finite(P.intpow(q, r), q, m * k[r - 1])
         exponent = 2 * m * staircase(k) - m * (m - 1) * kk + sum(
             tri(m * kr) for kr in k
         )
-        return value * q**exponent
+        return value * P.intpow(q, exponent)
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
         q = B.q
-        qm = q**m
+        qm = P.intpow(q, m)
         return _quadratic(ctx, j) / P.finite(qm, qm, m * sum(j))
 
     def rhs_prefactor(ctx):
@@ -799,12 +804,12 @@ def _ram_1_4_9a_build(dims):
     def rhs_term(ctx, k):
         P, B = ctx.poch, ctx.bases
         q = B.q
-        qm = q**m
+        qm = P.intpow(q, m)
         kk = sum(k)
         return (
             _quadratic(ctx, k)
             * (-1) ** (m * kk)
-            / P.finite((-q) ** m, qm, m * kk)
+            / P.finite(P.intpow(-q, m), qm, m * kk)
         )
 
     return SeriesSide(m, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
@@ -828,7 +833,7 @@ def _ram_1_4_9_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         jj = j[0]
-        return q ** tri(jj) / P.finite(q, q, jj) ** 2
+        return P.intpow(q, tri(jj)) / P.finite(q, q, jj) ** 2
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -841,7 +846,7 @@ def _ram_1_4_9_build(dims):
         kk = k[0]
         return (
             (-1) ** kk
-            * q ** tri(kk)
+            * P.intpow(q, tri(kk))
             / (P.finite(q, q, kk) * P.finite(-q, q, kk))
         )
 
@@ -866,14 +871,14 @@ def _ram_1_4_9b_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         jj = sum(j)
-        value = vande(geom(q, m), j, q**m)
+        value = vande(P, geom(q, m), j, P.intpow(q, m))
         for r in range(1, m + 1):
-            value /= P.finite(q**r, q, m * j[r - 1])
+            value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
         value /= P.finite(q, q, m * jj)
         exponent = 2 * m * staircase(j) - m * (m - 1) * jj + sum(
             tri(m * jr) for jr in j
         )
-        return value * q**exponent
+        return value * P.intpow(q, exponent)
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -886,8 +891,8 @@ def _ram_1_4_9b_build(dims):
         kk = k[0]
         return (
             (-1) ** kk
-            * q ** tri(kk)
-            / (P.finite(q, q, kk) * P.finite((-q) ** m, q**m, kk))
+            * P.intpow(q, tri(kk))
+            / (P.finite(q, q, kk) * P.finite(P.intpow(-q, m), P.intpow(q, m), kk))
         )
 
     return SeriesSide(m, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)

@@ -252,7 +252,7 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
         for block, (lo, hi), s_r, z_r in zip(blocks, offsets, cross, arguments):
             part = k[lo:hi]
             value *= block.term(P, z_r, part)
-            scale *= s_r ** sum(part)
+            scale *= P.intpow(s_r, sum(part))
         value *= base_block.product(P, base_argument * scale)
         value /= base_block.product(P, base_argument)
         return value
@@ -269,7 +269,7 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
         value = base_block.term(P, base_argument, j)
         stretch = sum(j)
         for block, s_r, z_r in zip(blocks, cross, arguments):
-            shift = s_r**stretch
+            shift = P.intpow(s_r, stretch)
             value *= block.product(P, z_r * shift) / block.product(P, z_r)
         return value
 
@@ -305,7 +305,7 @@ def compose_with_transformation(
     def lhs_term(ctx, idx):
         P = ctx.poch
         k, kt = idx[:n_outer], idx[n_outer:]
-        scale = cross ** sum(k)
+        scale = P.intpow(cross, sum(k))
         shifted = w * scale
         return (
             first.outer_term(P, z, k)
@@ -323,7 +323,7 @@ def compose_with_transformation(
     def rhs_term(ctx, idx):
         P = ctx.poch
         j, jt = idx[:m_outer], idx[m_outer:]
-        scale = cross ** sum(j)
+        scale = P.intpow(cross, sum(j))
         shifted = z * scale
         return (
             base.outer_term(P, w, j)
@@ -446,7 +446,7 @@ def broken_block(a, base) -> QBinomialBlock:
             P.finite(a, base, kk)
             / P.finite(base, base, kk)
             * P.finite(z, base, kk)
-            * z**kk
+            * P.intpow(z, kk)
         )
 
     def product(P, z):

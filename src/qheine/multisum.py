@@ -27,6 +27,11 @@ MultiIndex = tuple[int, ...]
 
 _TINY = mpf(10) ** -300
 
+# A Vandermonde pair 1 - u with |1 - u| < 2**-_LOSS_BITS has lost that many
+# bits to cancellation and is recomputed by ``exact_pair``.
+_LOSS_BITS = 16
+_LOSS = mpf(2) ** -_LOSS_BITS
+
 
 def weight(k: Sequence[int]) -> int:
     """Total weight |k| of a multi-index."""
@@ -59,32 +64,79 @@ def vandermonde_factor(x: Sequence, k: Sequence[int], step_power) -> QComplex:
     value = mpf(1)
     for r in range(n):
         for s in range(r + 1, n):
-            den = x[r] - x[s]
-            if den == 0:
+            if x[r] == x[s]:
                 raise DegenerateVariables(f"x[{r}] == x[{s}]")
-            value *= (x[r] * step ** k[r] - x[s] * step ** k[s]) / den
+            value *= exact_pair(x[r], x[s], step, k[r], k[s])
     return value
 
 
-def vandermonde_ratio(x: Sequence, k: Sequence[int], step_power) -> QComplex:
-    """Type-A Vandermonde factor in ratio form:
-    prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s).
+def exact_pair(x_r, x_s, step, d_r: int, d_s: int) -> QComplex:
+    """(x_r S^{d_r} - x_s S^{d_s}) / (x_r - x_s), rounded to the working
+    precision, with x_r, x_s and S = ``step`` taken as exact.
 
-    Equals vandermonde_factor times S^{-sum_r (r-1) k_r}; series displays in
-    the catalog use this form together with an explicit power factor.
+    The numerator is formed at a precision raised by the bits it loses to
+    cancellation, so the value is accurate even where x_r S^{d_r} is close to
+    x_s S^{d_s}.  A numerator that stays zero at four times the working
+    precision is taken as an exact zero.
     """
-    if len(x) != len(k):
-        raise LengthMismatch("x and k must have the same length")
-    step = mpmathify(step_power)
+    prec = mp.prec
+    extra = 2 * _LOSS_BITS
+    while True:
+        with mp.workprec(prec + extra):
+            left = x_r * step**d_r
+            right = x_s * step**d_s
+            num = left - right
+            value = num / (x_r - x_s)
+        lost = max(mp.mag(left), mp.mag(right)) - mp.mag(num) if num else extra
+        if lost + _LOSS_BITS <= extra or extra > 4 * prec:
+            return +value
+        extra = max(2 * extra, lost + 2 * _LOSS_BITS)
+
+
+def vandermonde_pairs(x: Sequence) -> list[tuple]:
+    """(r, s, x_r/x_s, 1 - x_r/x_s) for every pair r < s; the last entry is
+    None where 1 - x_r/x_s lost more than _LOSS_BITS bits to cancellation."""
+    pairs = []
     n = len(x)
-    value = mpf(1)
     for r in range(n):
         for s in range(r + 1, n):
             ratio = x[r] / x[s]
             den = 1 - ratio
             if den == 0:
                 raise DegenerateVariables(f"x[{r}] == x[{s}]")
-            value *= (1 - step ** (k[r] - k[s]) * ratio) / den
+            pairs.append((r, s, ratio, None if abs(den) < _LOSS else den))
+    return pairs
+
+
+def vandermonde_ratio(
+    x: Sequence, k: Sequence[int], step_power, poch: PochCache | None = None
+) -> QComplex:
+    """Type-A Vandermonde factor in ratio form:
+    prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s).
+
+    Equals vandermonde_factor times S^{-sum_r (r-1) k_r}; series displays in
+    the catalog use this form together with an explicit power factor.  With
+    a run's ``poch`` cache, the pair values and the powers of S are taken
+    from it instead of being recomputed.  A pair whose numerator or
+    denominator loses more than _LOSS_BITS bits to cancellation is evaluated
+    by ``exact_pair`` instead.
+    """
+    if len(x) != len(k):
+        raise LengthMismatch("x and k must have the same length")
+    step = mpmathify(step_power)
+    if poch is None:
+        pairs, power = vandermonde_pairs(x), pow
+    else:
+        pairs = poch.table("vandermonde", (x,), lambda: vandermonde_pairs(x))
+        power = poch.intpow
+    value = mpf(1)
+    for r, s, ratio, den in pairs:
+        shift = k[r] - k[s]
+        num = 1 - power(step, shift) * ratio
+        if den is None or abs(num) < _LOSS:
+            value *= exact_pair(x[r], x[s], step, shift, 0)
+        else:
+            value *= num / den
     return value
 
 

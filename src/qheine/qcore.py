@@ -109,6 +109,43 @@ def dot(exponents: Sequence, k: Sequence[int]) -> QComplex:
     return total
 
 
+def value_key(x):
+    """Hashable exact value of an mpmath number: its raw ``_mpf_`` or
+    ``_mpc_`` tuple.  Cache keys built from it never hash an mpf object;
+    an mpf and an mpc of equal value get different keys."""
+    try:
+        return x._mpf_
+    except AttributeError:
+        pass
+    try:
+        return x._mpc_
+    except AttributeError:
+        return value_key(mpmathify(x))
+
+
+class FiniteTable(list):
+    """(a; base)_0, (a; base)_1, ... as a list that ``at`` extends."""
+
+    __slots__ = ("factor", "base", "prec")
+
+    def __init__(self, a, base, prec: int):
+        super().__init__((mpf(1),))
+        self.factor = mpmathify(a)
+        self.base = base
+        self.prec = prec
+
+    def at(self, k: int) -> QComplex:
+        """(a; base)_k, extending the table through index k if needed."""
+        if len(self) <= k:
+            with mp.workprec(self.prec):
+                factor = self.factor
+                while len(self) <= k:
+                    self.append(self[-1] * (1 - factor))
+                    factor *= self.base
+                self.factor = factor
+        return self[k]
+
+
 class BaseSystem:
     """The modular data (q, h, t) with the derived powers q^h, q^t, q^{ht}.
 
@@ -142,14 +179,15 @@ class BaseSystem:
     def power(self, alpha) -> QComplex:
         """q**alpha via the cached principal logarithm (memoised)."""
         alpha = mpmathify(alpha)
-        cached = self._powers.get(alpha)
+        key = value_key(alpha)
+        cached = self._powers.get(key)
         if cached is None:
             with mp.workprec(self.prec):
                 if isinstance(alpha, mpf) and alpha == int(alpha):
                     cached = self.q ** int(alpha)
                 else:
                     cached = mp.exp(alpha * self._log_q)
-            self._powers[alpha] = cached
+            self._powers[key] = cached
         return cached
 
     def __repr__(self):
@@ -157,11 +195,13 @@ class BaseSystem:
 
 
 class PochCache:
-    """Memoised q-rising factorials for one evaluation run.
+    """Memoised q-rising factorials and term-layer values for one run.
 
-    Values are bit-identical to calling the qpoch_* functions from scratch
-    at the same precision; the cache only removes repeated work across the
-    many series terms that share the same products.
+    Values are bit-identical to computing them from scratch at the cache
+    precision; the cache only removes repeated work across the many series
+    terms that share the same products, powers and pair tables.  Every key
+    is built from raw mpmath values (``value_key``), so no lookup hashes an
+    mpf object.
     """
 
     def __init__(self, prec: int, tol=None):
@@ -170,23 +210,22 @@ class PochCache:
         self._finite: dict = {}
         self._infinite: dict = {}
         self._ratio: dict = {}
+        self._intpow: dict = {}
+        self._tables: dict = {}
+
+    def finite_table(self, a, base) -> FiniteTable:
+        """The list of (a; base)_0, (a; base)_1, ... kept for this run."""
+        key = (value_key(a), value_key(base))
+        table = self._finite.get(key)
+        if table is None:
+            table = self._finite[key] = FiniteTable(a, base, self.prec)
+        return table
 
     def finite(self, a, base, k: int) -> QComplex:
-        key = (a, base)
-        entry = self._finite.get(key)
-        if entry is None:
-            entry = self._finite[key] = ([mpf(1)], [mpmathify(a)])
-        values, next_factor = entry
-        if len(values) <= k:
-            with mp.workprec(self.prec):
-                while len(values) <= k:
-                    factor = next_factor[0]
-                    values.append(values[-1] * (1 - factor))
-                    next_factor[0] = factor * base
-        return values[k]
+        return self.finite_table(a, base).at(k)
 
     def infinite(self, a, base) -> QComplex:
-        key = (a, base)
+        key = (value_key(a), value_key(base))
         value = self._infinite.get(key)
         if value is None:
             with mp.workprec(self.prec):
@@ -196,7 +235,7 @@ class PochCache:
 
     def ratio(self, a, base, scale) -> QComplex:
         """(a; base)_kappa with scale = base**kappa, as a product ratio."""
-        key = (a, base, scale)
+        key = (value_key(a), value_key(base), value_key(scale))
         value = self._ratio.get(key)
         if value is None:
             num = self.infinite(a, base)
@@ -210,4 +249,33 @@ class PochCache:
             with mp.workprec(self.prec):
                 value = num / den
             self._ratio[key] = value
+        return value
+
+    def intpow(self, x, n: int) -> QComplex:
+        """x ** n for an integer n, evaluated at the cache precision."""
+        key = (value_key(x), n)
+        value = self._intpow.get(key)
+        if value is None:
+            with mp.workprec(self.prec):
+                value = x**n
+            self._intpow[key] = value
+        return value
+
+    def table(self, tag: str, values: tuple, build):
+        """``build()`` evaluated at the cache precision, once per ``tag`` and
+        set of ``values``, the scalars and vectors it is built from.
+
+        For values that depend only on the parameters of a run, such as the
+        pair tables of ``catalog.core.sq_ratio`` and
+        ``multisum.vandermonde_ratio``.
+        """
+        key = (tag,) + tuple(
+            tuple(map(value_key, v)) if isinstance(v, (tuple, list)) else value_key(v)
+            for v in values
+        )
+        value = self._tables.get(key)
+        if value is None:
+            with mp.workprec(self.prec):
+                value = build()
+            self._tables[key] = value
         return value

@@ -1,8 +1,8 @@
 """Report serialisation: json-lines, csv, and plain text.
 
-High-precision values are written as decimal strings with 50 significant
-digits so that reparsing at the recorded working precision recovers them
-exactly.  The ``generated_at`` and ``wall_ms`` fields are volatile run
+High-precision values are written as decimal strings with enough
+significant digits for the run's precision (at least 50) so that reparsing
+at the recorded working precision recovers them exactly.  The ``generated_at`` and ``wall_ms`` fields are volatile run
 metadata; ``strip_volatile`` removes them for reproducibility comparisons.
 """
 
@@ -11,25 +11,34 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Any, Iterable
 
 from mpmath import mp, mpc, mpf, mpmathify
+
+from .qcore import DEFAULT_PRECISION
 
 SCHEMA_VERSION = "1"
 VALUE_DIGITS = 50
 VOLATILE_KEYS = ("generated_at", "wall_ms")
 
 
-def value_str(x) -> str:
-    with mp.workprec(max(mp.prec, 192)):
-        return mp.nstr(mpmathify(x), VALUE_DIGITS, strip_zeros=True)
+def value_digits(prec: int) -> int:
+    """Significant digits that recover a ``prec``-bit value when parsed back
+    at ``prec`` bits: ceil(prec log10 2) + 2, never fewer than VALUE_DIGITS."""
+    return max(VALUE_DIGITS, math.ceil(prec * math.log10(2)) + 2)
 
 
-def complex_dict(x) -> dict:
+def value_str(x, prec: int = DEFAULT_PRECISION) -> str:
+    with mp.workprec(max(mp.prec, prec, 192)):
+        return mp.nstr(mpmathify(x), value_digits(prec), strip_zeros=True)
+
+
+def complex_dict(x, prec: int = DEFAULT_PRECISION) -> dict:
     x = mpmathify(x)
     if isinstance(x, mpc):
-        return {"re": value_str(x.real), "im": value_str(x.imag)}
-    return {"re": value_str(x), "im": "0.0"}
+        return {"re": value_str(x.real, prec), "im": value_str(x.imag, prec)}
+    return {"re": value_str(x, prec), "im": "0.0"}
 
 
 def parse_value(s: str, prec: int):
@@ -46,43 +55,45 @@ def parse_complex(d: dict, prec: int):
         return mpc(re, im)
 
 
-def params_to_json(params: dict) -> dict:
+def params_to_json(params: dict, prec: int = DEFAULT_PRECISION) -> dict:
     out = {}
     for name, value in params.items():
         if isinstance(value, tuple):
-            out[name] = [value_str(v) for v in value]
+            out[name] = [value_str(v, prec) for v in value]
         else:
-            out[name] = value_str(value)
+            out[name] = value_str(value, prec)
     return out
 
 
 def case_row(result, dims, sample_index) -> dict:
-    """Flatten a VerificationResult into a serialisable case record."""
+    """Flatten a VerificationResult into a serialisable case record; values
+    carry enough digits for the precision of its run."""
+    prec = result.bases.prec
     return {
         "kind": "case",
         "identity": result.identity_id,
         "dims": dict(dims),
         "sample_index": sample_index,
         "passed": result.passed,
-        "rel_error": value_str(result.rel_error),
-        "abs_error": value_str(result.abs_error),
-        "tolerance": value_str(result.tolerance),
-        "lhs": complex_dict(result.lhs_value),
-        "rhs": complex_dict(result.rhs_value),
+        "rel_error": value_str(result.rel_error, prec),
+        "abs_error": value_str(result.abs_error, prec),
+        "tolerance": value_str(result.tolerance, prec),
+        "lhs": complex_dict(result.lhs_value, prec),
+        "rhs": complex_dict(result.rhs_value, prec),
         "lhs_shells": result.lhs_diag.shells,
         "rhs_shells": result.rhs_diag.shells,
         "lhs_terms": result.lhs_diag.terms,
         "rhs_terms": result.rhs_diag.terms,
         "lhs_converged": result.lhs_diag.converged,
         "rhs_converged": result.rhs_diag.converged,
-        "lhs_tail_bound": value_str(result.lhs_diag.tail_bound),
-        "rhs_tail_bound": value_str(result.rhs_diag.tail_bound),
-        "params": params_to_json(result.params),
+        "lhs_tail_bound": value_str(result.lhs_diag.tail_bound, prec),
+        "rhs_tail_bound": value_str(result.rhs_diag.tail_bound, prec),
+        "params": params_to_json(result.params, prec),
         "bases": {
-            "q": value_str(result.bases.q),
-            "h": value_str(result.bases.h),
-            "t": value_str(result.bases.t),
-            "precision": result.bases.prec,
+            "q": value_str(result.bases.q, prec),
+            "h": value_str(result.bases.h, prec),
+            "t": value_str(result.bases.t, prec),
+            "precision": prec,
         },
         "status": "ok",
     }

@@ -1,11 +1,19 @@
+import random
+
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qheine import catalog
+from qheine.catalog import core
 from qheine.catalog.core import ParamSpec
-from qheine.errors import DomainViolation, InvalidConfig, UnknownIdentity
-from qheine.multisum import TruncationPolicy
-from qheine.qcore import BaseSystem
+from qheine.errors import (
+    DegenerateVariables,
+    DomainViolation,
+    InvalidConfig,
+    UnknownIdentity,
+)
+from qheine.multisum import TruncationPolicy, vandermonde_ratio
+from qheine.qcore import BaseSystem, PochCache, qpoch_finite
 from util import rel, side_values
 
 EXPECTED_IDS = [
@@ -263,3 +271,53 @@ class TestStatedSpecialCases:
             lhs1, rhs1 = side_values(companion, params, bases)
             assert rel(lhs0, lhs1) < mpf("1e-20")
             assert rel(rhs0, rhs1) < mpf("1e-20")
+
+
+class TestTermTables:
+    """The run-cached sq_ratio and Vandermonde helper against the direct
+    formulas, bit for bit."""
+
+    @staticmethod
+    def _point(rng, n, complex_x):
+        def coord(lo, hi):
+            return mpf(rng.uniform(lo, hi))
+
+        avec = tuple(coord(-0.8, 0.8) for _ in range(n))
+        if complex_x:
+            x = tuple(mpc(coord(0.6, 1.8), coord(-0.5, 0.5)) for _ in range(n))
+        else:
+            x = tuple(coord(0.6, 1.8) for _ in range(n))
+        k = tuple(rng.randint(0, 4) for _ in range(n))
+        return avec, x, k
+
+    @staticmethod
+    def _direct_sq_ratio(avec, x, base, k):
+        value = mpf(1)
+        for r in range(len(x)):
+            if k[r] == 0:
+                continue
+            for s in range(len(x)):
+                ratio = x[r] / x[s]
+                value *= qpoch_finite(avec[s] * ratio, base, k[r])
+                value /= qpoch_finite(base * ratio, base, k[r])
+        return value
+
+    @pytest.mark.parametrize("complex_x", [False, True])
+    def test_matches_direct_formulas(self, complex_x):
+        rng = random.Random(7 + complex_x)
+        base = mpf("0.45")
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            avec, x, k = self._point(rng, n, complex_x)
+            cache = PochCache(128)
+            for _ in range(2):  # the second pass reads the cached tables
+                cached = core.sq_ratio(cache, avec, x, base, k)
+                assert cached == self._direct_sq_ratio(avec, x, base, k)
+                assert core.vande(cache, x, k, base) == vandermonde_ratio(x, k, base)
+
+    def test_coincident_variables_raise(self):
+        cache = PochCache(128)
+        x = (mpf("0.7"), mpf("1.1"), mpf("0.7"))
+        for _ in range(2):
+            with pytest.raises(DegenerateVariables):
+                core.vande(cache, x, (1, 0, 2), mpf("0.4"))

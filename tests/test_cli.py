@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qheine import cli, report
 from qheine.errors import InvalidConfig
@@ -11,6 +11,23 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+class TestReportValues:
+    @pytest.mark.parametrize("prec", [128, 192, 256, 1024])
+    def test_values_round_trip_at_run_precision(self, prec):
+        with mp.workprec(prec):
+            values = (mpf(1) / 3, -+mp.pi, mpc(mpf(2) / 7, -1 / mp.e))
+        for value in values:
+            parsed = report.parse_complex(report.complex_dict(value, prec), prec)
+            assert type(parsed) is type(value)
+            assert parsed == value
+
+    def test_128_bit_values_keep_50_digits(self):
+        third = mpf(1) / 3
+        assert report.value_str(third, 128) == report.value_str(third)
+        assert len(report.value_str(third, 128)) == len("0.") + 50
+        assert report.value_digits(1024) == 311
 
 
 class TestVerifyCommand:

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from qheine import (
     BaseSystem,
@@ -100,6 +100,17 @@ class TestVandermonde:
         factor = vandermonde_factor(x, tuple(k), step)
         ratio = vandermonde_ratio(x, tuple(k), step)
         assert rel(factor, ratio * step ** staircase(tuple(k))) < mpf("1e-30")
+
+    def test_cancelling_pair(self):
+        # S^{-1} x_1/x_2 = 0.8/0.7999999999999999 leaves about 2e-16 of the
+        # pair numerator: both forms must still be accurate to the last bits.
+        x = (mpf(1), mpf("1.25"))
+        step = mpf(0.7999999999999999)
+        with mp.workprec(400):
+            exact = vandermonde_factor(x, (2, 3), step)
+        assert rel(vandermonde_factor(x, (2, 3), step), exact) < mpf("1e-36")
+        ratio = vandermonde_ratio(x, (2, 3), step) * step**3
+        assert rel(ratio, exact) < mpf("1e-36")
 
 
 def _geometric_side(dimension):

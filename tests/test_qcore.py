@@ -164,6 +164,7 @@ class TestBaseSystem:
     def test_power_is_memoised(self):
         bases = BaseSystem(mpf("0.3"), mpf("1.5"), mpf("0.8"))
         assert bases.power(mpf("1.5")) is bases.qh
+        assert bases.power("0.8") is bases.qt
 
     def test_rejects_nonconvergent(self):
         with pytest.raises(NonConvergentBase):
@@ -192,3 +193,60 @@ class TestPochCache:
         cache = PochCache(128)
         with pytest.raises(DivisionByZero):
             cache.ratio(mpf(4), mpf("0.5"), mpf(1))
+
+
+def same_bits(x, y):
+    """Equal type and equal raw mpmath value, not just equal numbers."""
+
+    def raw(v):
+        return v._mpc_ if isinstance(v, mpc) else v._mpf_
+
+    return type(x) is type(y) and raw(x) == raw(y)
+
+
+class TestCacheKeys:
+    @pytest.mark.parametrize("n", [-7, -1, 0, 1, 2, 13])
+    @pytest.mark.parametrize(
+        "x", [mpf("0.3"), mpf("-1.7"), mpc("0.4", "-0.25"), mpc("-2", "0.5")]
+    )
+    def test_intpow_is_plain_power(self, x, n):
+        cache = PochCache(128)
+        first = cache.intpow(x, n)
+        assert same_bits(first, x**n)
+        assert cache.intpow(x, n) is first
+
+    def test_intpow_at_cache_precision(self):
+        cache = PochCache(256)
+        x = mpf(1) / 3
+        value = cache.intpow(x, 5)
+        with mp.workprec(256):
+            assert same_bits(value, x**5)
+
+    @pytest.mark.parametrize("mpc_first", [False, True])
+    def test_mpf_and_mpc_of_equal_value(self, mpc_first):
+        cache = PochCache(128)
+        real, cplx = mpf("0.5"), mpc("0.5", "0")
+        base = mpf("0.3")
+        order = (cplx, real) if mpc_first else (real, cplx)
+        for a in order:
+            assert same_bits(cache.finite(a, base, 4), qpoch_finite(a, base, 4))
+            assert same_bits(cache.intpow(a, 3), a**3)
+            assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
+        assert isinstance(cache.finite(cplx, base, 2), mpc)
+        assert isinstance(cache.finite(real, base, 2), mpf)
+
+    def test_tables_are_keyed_by_argument_and_base(self):
+        cache = PochCache(128)
+        a = mpf("0.3")
+        for base in (mpf("0.5"), mpf("0.25"), mpc("0.5", "0")):
+            assert same_bits(cache.finite(a, base, 6), qpoch_finite(a, base, 6))
+            assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
+
+    def test_finite_table_grows_like_the_product(self):
+        cache = PochCache(128)
+        a, base = mpc("0.3", "0.1"), mpf("0.4")
+        table = cache.finite_table(a, base)
+        assert cache.finite(a, base, 5) == table[5]
+        assert cache.finite_table(a, base) is table
+        for k in range(len(table)):
+            assert same_bits(table[k], qpoch_finite(a, base, k))
