@@ -21,6 +21,7 @@ from .multisum import (
     EvalContext,
     SeriesSide,
     TruncationPolicy,
+    block_term,
     enumerate_shell,
     evaluate,
     evaluate_in_context,

@@ -161,7 +161,13 @@ def verify(
     policy: TruncationPolicy | None = None,
     tolerance=mpf("1e-20"),
 ) -> VerificationResult:
-    """Evaluate both sides of an identity and compare them."""
+    """Evaluate both sides of an identity and compare them.
+
+    The case passes when the relative error is within ``tolerance`` and both
+    sides converged: a side that reached the shell cap before its tail fell
+    below the policy's tolerance has not earned a verdict, however close the
+    two values are.
+    """
     identity.validate_params(params)
     if not identity.domain(params, bases):
         raise DomainViolation(f"{identity.id}: point outside identity domain")
@@ -192,7 +198,9 @@ def verify(
         rel_error=rel_error,
         lhs_diag=lhs_diag,
         rhs_diag=rhs_diag,
-        passed=bool(rel_error <= tolerance),
+        passed=bool(
+            rel_error <= tolerance and lhs_diag.converged and rhs_diag.converged
+        ),
     )
 
 

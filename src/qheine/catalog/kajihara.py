@@ -4,9 +4,11 @@ expansion step to two copies of it."""
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from mpmath import mpf
 
-from ..multisum import SeriesSide
+from ..multisum import SeriesSide, block_term
 from .classical import q_euler_product
 from .core import (
     IdentityFamily,
@@ -24,6 +26,8 @@ from .core import (
 )
 
 __all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term"]
+
+_ONE = mpf(1)
 
 
 def grid_rows(P, bvec, c, xvec, yvec, base) -> list:
@@ -168,25 +172,44 @@ def _kajihara_double_build(dims):
 
         return P.table("kajihara_double.d", (p["d"], p["e"], p["f"]), build)
 
-    def lhs_term(ctx, idx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        k, kt = idx[:n], idx[n:]
-        x, big_x, y, big_y = p["x"], p["X"], p["y"], p["Y"]
-        kk = sum(k)
-        scale = P.intpow(B.qht, kk)
+    # Each grid: parameter names, its base and its argument.
+    first = (("a", "b", "c", "x", "X"), attrgetter("qh"), "z")
+    second = (("d", "e", "f", "y", "Y"), attrgetter("qt"), "w")
 
-        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
-        value = times_rows(value, grid_rows(P, p["b"], p["c"], x, big_x, B.qh), k)
-        value *= P.ratio(p["w"], B.qt, scale)
-        value /= P.ratio(d_arg(P, p) * p["w"], B.qt, scale)
-        value *= P.intpow(p["z"], kk) * P.intpow(B.qh, staircase(k))
+    def side(sizes, outer, inner, stretch):
+        """Summand of one side: the ``outer`` grid's left summand, times the
+        ``inner`` grid's product ratio and right summand at the stretched
+        argument.  The right summand is homogeneous in its argument, so it is
+        taken at argument 1 and the argument's power joins the product ratio,
+        which depends on the block weights only."""
+        outer_names, outer_base, outer_arg = outer
+        inner_names, inner_base, inner_arg = inner
 
-        value *= vande(P, big_y, kt, B.qt)
-        rows = inner_rows(P, p["d"], p["e"], p["f"], y, big_y, B.qt)
-        value = times_rows(value, rows, kt)
-        shifted = d_arg(P, p) * p["w"] * scale
-        value *= shifted ** sum(kt) * P.intpow(B.qt, staircase(kt))
-        return value
+        def outer_part(ctx, k):
+            p = ctx.params
+            grid = (p[name] for name in outer_names)
+            base = outer_base(ctx.bases)
+            return kajihara_term(ctx.poch, *grid, base, p[outer_arg], k)
+
+        def inner_part(ctx, kt):
+            p = ctx.params
+            grid = (p[name] for name in inner_names)
+            base = inner_base(ctx.bases)
+            return kajihara_inner_term(ctx.poch, *grid, base, _ONE, kt)
+
+        def coupling(ctx, weights):
+            P, B, p = ctx.poch, ctx.bases, ctx.params
+            scale = P.intpow(B.qht, weights[0])
+            base = inner_base(B)
+            arg = p[inner_arg]
+            stretched = stretch(P, p) * arg
+            value = P.ratio(arg, base, scale) / P.ratio(stretched, base, scale)
+            return value * (stretched * scale) ** weights[1]
+
+        return block_term(sizes, (outer_part, inner_part), coupling)
+
+    lhs_term = side((n, nu), first, second, d_arg)
+    rhs_term = side((m, mu), second, first, m_arg)
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -198,26 +221,6 @@ def _kajihara_double_build(dims):
                 * P.infinite(p["z"], B.qh)
             )
         )
-
-    def rhs_term(ctx, idx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        j, jt = idx[:m], idx[m:]
-        x, big_x, y, big_y = p["x"], p["X"], p["y"], p["Y"]
-        jj = sum(j)
-        scale = P.intpow(B.qht, jj)
-
-        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["d"], y, B.qt, j)
-        value = times_rows(value, grid_rows(P, p["e"], p["f"], y, big_y, B.qt), j)
-        value *= P.ratio(p["z"], B.qh, scale)
-        value /= P.ratio(m_arg(P, p) * p["z"], B.qh, scale)
-        value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
-
-        value *= vande(P, big_x, jt, B.qh)
-        rows = inner_rows(P, p["a"], p["b"], p["c"], x, big_x, B.qh)
-        value = times_rows(value, rows, jt)
-        shifted = m_arg(P, p) * p["z"] * scale
-        value *= shifted ** sum(jt) * P.intpow(B.qh, staircase(jt))
-        return value
 
     return SeriesSide(n + nu, lhs_term), SeriesSide(m + mu, rhs_term, rhs_prefactor)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from mpmath import mpf
 
-from ..multisum import SeriesSide
+from ..multisum import SeriesSide, block_term
 from ..qcore import e2
 from .core import (
     IdentityFamily,
@@ -109,36 +109,49 @@ QLAURICELLA_BIBASIC = IdentityFamily(
 def _master_big_build(dims):
     n1, n2, m = dims["n1"], dims["n2"], dims["m"]
 
-    def lhs_term(ctx, idx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        k1, k2 = idx[:n1], idx[n1:]
-        base1 = B.power(p["h1"])
-        base2 = B.power(p["h2"])
-        x1, x2 = p["x1"], p["x2"]
-        big_b = product_over(p["b"])
+    def constants(P, B, p):
+        """b_1 ... b_m, q^{t h1} and q^{t h2}, built once per run."""
 
+        def build():
+            return (
+                product_over(p["b"]),
+                B.power(B.t * p["h1"]),
+                B.power(B.t * p["h2"]),
+            )
+
+        return P.table("master_big", (B.q, B.t, p["h1"], p["h2"], p["b"]), build)
+
+    def first_part(ctx, k1):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        base1 = B.power(p["h1"])
+        x1 = p["x1"]
         value = vande(P, x1, k1, base1) * sq_ratio(ctx.poch, p["a1"], x1, base1, k1)
-        value *= vande(P, x2, k2, base2)
-        for r in range(n2):
-            value *= P.finite(p["a2"], base2, k2[r])
-            value /= P.finite(base2, base2, k2[r])
-        stretch1 = B.power(B.t * p["h1"])
-        stretch2 = B.power(B.t * p["h2"])
-        scale = P.intpow(stretch1, sum(k1)) * P.intpow(stretch2, sum(k2))
-        value *= P.ratio(p["w"], B.qt, scale)
-        value /= P.ratio(big_b * p["w"], B.qt, scale)
-        value *= P.intpow(p["z1"], sum(k1)) * P.intpow(p["z2"], sum(k2))
-        value *= P.intpow(base1, staircase(k1)) * P.intpow(base2, staircase(k2))
-        value *= P.intpow(base1, e2(k1))
+        value *= P.intpow(p["z1"], sum(k1))
+        value *= P.intpow(base1, staircase(k1)) * P.intpow(base1, e2(k1))
         for r in range(n1):
             value *= P.intpow(x1[r], -k1[r])
         return value
+
+    def second_part(ctx, k2):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        base2 = B.power(p["h2"])
+        value = vande(P, p["x2"], k2, base2)
+        for r in range(n2):
+            value *= P.finite(p["a2"], base2, k2[r])
+            value /= P.finite(base2, base2, k2[r])
+        return value * P.intpow(p["z2"], sum(k2)) * P.intpow(base2, staircase(k2))
+
+    def base_ratio(ctx, weights):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        big_b, stretch1, stretch2 = constants(P, B, p)
+        scale = P.intpow(stretch1, weights[0]) * P.intpow(stretch2, weights[1])
+        return P.ratio(p["w"], B.qt, scale) / P.ratio(big_b * p["w"], B.qt, scale)
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         base1 = B.power(p["h1"])
         base2 = B.power(p["h2"])
-        big_b = product_over(p["b"])
+        big_b = constants(P, B, p)[0]
         value = mpf(1)
         for r in range(n1):
             zx = p["z1"] / p["x1"][r]
@@ -156,15 +169,15 @@ def _master_big_build(dims):
         base2 = B.power(p["h2"])
         y = p["y"]
         jj = sum(j)
-        big_b = product_over(p["b"])
+        big_b, stretch1, stretch2 = constants(P, B, p)
         value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         for r in range(m):
             cy = p["c"] * y[r]
             value *= P.finite(cy / big_b, B.qt, j[r]) * P.finite(cy, B.qt, jj)
             value /= P.finite(cy, B.qt, j[r]) * P.finite(cy / p["b"][r], B.qt, jj)
         value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
-        scale1 = P.intpow(B.power(B.t * p["h1"]), jj)
-        scale2 = P.intpow(B.power(B.t * p["h2"]), jj)
+        scale1 = P.intpow(stretch1, jj)
+        scale2 = P.intpow(stretch2, jj)
         for r in range(n1):
             zx = p["z1"] / p["x1"][r]
             value *= P.ratio(zx, base1, scale1)
@@ -175,6 +188,7 @@ def _master_big_build(dims):
             value /= P.ratio(p["a2"] * shifted, base2, scale2)
         return value
 
+    lhs_term = block_term((n1, n2), (first_part, second_part), base_ratio)
     return SeriesSide(n1 + n2, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 
 
@@ -242,19 +256,25 @@ MASTER_INSTANCE_BIG = IdentityFamily(
 def _master_lauricella_build(dims):
     p_dim, n, m = dims["p"], dims["n"], dims["m"]
 
-    def lhs_term(ctx, idx):
+    def one_dimensional_part(r):
+        def part(ctx, l):
+            P, B, p = ctx.poch, ctx.bases, ctx.params
+            lr = l[0]
+            value = P.finite(p["cp"][r], B.qh, lr) / P.finite(B.qh, B.qh, lr)
+            return value * P.intpow(p["u"][r], lr)
+
+        return part
+
+    def an_part(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        l, k = idx[:p_dim], idx[p_dim:]
-        big_b = product_over(p["b"])
         value = vande(P, p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
-        for r in range(p_dim):
-            value *= P.finite(p["cp"][r], B.qh, l[r])
-            value /= P.finite(B.qh, B.qh, l[r])
-            value *= P.intpow(p["u"][r], l[r])
-        scale = P.intpow(B.qht, sum(k) + sum(l))
-        value *= P.ratio(p["w"], B.qt, scale)
-        value /= P.ratio(big_b * p["w"], B.qt, scale)
         return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, staircase(k))
+
+    def base_ratio(ctx, weights):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        big_b = product_over(p["b"])
+        scale = P.intpow(B.qht, sum(weights))
+        return P.ratio(p["w"], B.qt, scale) / P.ratio(big_b * p["w"], B.qt, scale)
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -282,6 +302,8 @@ def _master_lauricella_build(dims):
             value /= P.ratio(p["cp"][r] * p["u"][r], B.qh, scale)
         return value * P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
 
+    parts = tuple(one_dimensional_part(r) for r in range(p_dim)) + (an_part,)
+    lhs_term = block_term((1,) * p_dim + (n,), parts, base_ratio)
     return SeriesSide(p_dim + n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 
 

@@ -8,6 +8,8 @@ written exactly as displayed; no cross-side cancellation is performed.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from mpmath import mpf
 
 from ..multisum import SeriesSide, TruncationPolicy
@@ -28,6 +30,24 @@ __all__ = ["FAMILIES"]
 # Entries whose summands decay only like q^{|k|} need far more shells than
 # the argument-controlled families; at q = 0.6 roughly 110 shells reach 1e-24.
 _SLOW_POLICY = TruncationPolicy(max_shell_weight=170)
+
+
+def _per_run(tag, build):
+    """``(P, B) -> build(B)``, evaluated once per run (``PochCache.table``)
+    for constants made from the bases alone: powers of q and the variable
+    vectors specialised to geometric progressions.  ``tag`` names the entry
+    and the dimensions ``build`` uses."""
+
+    def constants(P, B):
+        return P.table(tag, (B.q, B.h, B.t), lambda: build(B))
+
+    return constants
+
+
+def _q_vector(dim):
+    """(P, B) -> the variable vector (1, q, ..., q^{dim-1}), built once per
+    run."""
+    return _per_run(("geom q", dim), lambda B: geom(B.q, dim))
 
 
 # -- the central bibasic identity behind this family -------------------------
@@ -103,6 +123,17 @@ RAM_CORE = IdentityFamily(
 
 def _ram_1_4_1_anm_build(dims):
     n, m = dims["n"], dims["m"]
+    powers = _per_run(
+        ("ram_1_4_1_anm", n, m),
+        lambda B: SimpleNamespace(
+            q_tm=B.power(B.t * m),
+            q_hn=B.power(B.h * n),
+            stretch=B.power(B.h * B.t * m * n),
+            x_t=geom(B.qt, m),
+            x_h=geom(B.qh, n),
+            shifts=tuple(B.power(B.h * (r - n)) for r in range(1, n + 1)),
+        ),
+    )
 
     def lhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -117,10 +148,11 @@ def _ram_1_4_1_anm_build(dims):
 
     def lhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
+        c = powers(P, B)
+        q_tm = c.q_tm
         jj = sum(j)
-        scale = P.intpow(B.power(B.h * B.t * m * n), jj)
-        value = vande(P, geom(B.qt, m), j, q_tm)
+        scale = P.intpow(c.stretch, jj)
+        value = vande(P, c.x_t, j, q_tm)
         for r in range(m):
             value *= P.finite(-p["b"] * B.q / p["a"], q_tm, j[r])
             value /= P.finite(q_tm, q_tm, j[r])
@@ -130,14 +162,14 @@ def _ram_1_4_1_anm_build(dims):
 
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        q_hn = B.power(B.h * n)
+        c = powers(P, B)
+        q_tm, q_hn = c.q_tm, c.q_hn
         kk = sum(k)
-        scale = P.intpow(B.power(B.h * B.t * m * n), kk)
-        value = vande(P, geom(B.qh, n), k, q_hn)
+        scale = P.intpow(c.stretch, kk)
+        value = vande(P, c.x_h, k, q_hn)
         for r in range(1, n + 1):
             value *= P.finite(
-                p["c"] * B.q * B.power(B.h * (r - n)) / p["d"], B.qh, n * k[r - 1]
+                p["c"] * B.q * c.shifts[r - 1] / p["d"], B.qh, n * k[r - 1]
             )
             value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
         for r in range(1, m + 1):
@@ -193,12 +225,14 @@ RAM_1_4_1_ANM = IdentityFamily(
 
 def _ram_1_4_10_anm_build(dims):
     n, m = dims["n"], dims["m"]
+    x_n = _q_vector(n)
+    x_m = _q_vector(m)
 
     def lhs_term(ctx, k):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(P, geom(q, n), k, P.intpow(q, n))
+        value = vande(P, x_n(P, B), k, P.intpow(q, n))
         for r in range(1, n + 1):
             value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         for r in range(1, m + 1):
@@ -217,7 +251,7 @@ def _ram_1_4_10_anm_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         jj = sum(j)
-        value = vande(P, geom(q, m), j, P.intpow(q, m)) * P.finite(q, q, m * n * jj)
+        value = vande(P, x_m(P, B), j, P.intpow(q, m)) * P.finite(q, q, m * n * jj)
         for r in range(m):
             value /= P.finite(P.intpow(q, m), P.intpow(q, m), j[r])
         exponent = m * staircase(j) + m * sum(tri(jr) for jr in j)
@@ -255,12 +289,13 @@ RAM_1_4_10_ANM = IdentityFamily(
 
 def _ram_1_4_10_m1_build(dims):
     n = dims["n"]
+    x_n = _q_vector(n)
 
     def lhs_term(ctx, k):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(P, geom(q, n), k, P.intpow(q, n))
+        value = vande(P, x_n(P, B), k, P.intpow(q, n))
         for r in range(1, n + 1):
             value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         value /= P.finite(q, q, n * kk)
@@ -330,13 +365,15 @@ RAM_1_4_10 = IdentityFamily(
 
 def _ram_1_4_10_c_build(dims):
     n, m = dims["n"], dims["m"]
+    x_n = _q_vector(n)
+    x_m = _q_vector(m)
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
         q = B.q
         qn = P.intpow(q, n)
         jj = sum(j)
-        value = vande(P, geom(q, m), j, P.intpow(q, m))
+        value = vande(P, x_m(P, B), j, P.intpow(q, m))
         for r in range(1, m + 1):
             value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
         value /= P.finite(qn, qn, m * jj)
@@ -352,7 +389,7 @@ def _ram_1_4_10_c_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(P, geom(q, n), k, P.intpow(q, n)) * P.finite(q, q, m * n * kk)
+        value = vande(P, x_n(P, B), k, P.intpow(q, n)) * P.finite(q, q, m * n * kk)
         for r in range(1, n + 1):
             value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
@@ -384,6 +421,7 @@ RAM_1_4_10_C = IdentityFamily(
 
 def _ram_1_4_10_n_single_build(dims):
     n = dims["n"]
+    x_n = _q_vector(n)
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
@@ -401,7 +439,7 @@ def _ram_1_4_10_n_single_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(P, geom(q, n), k, P.intpow(q, n)) * P.finite(q, q, n * kk)
+        value = vande(P, x_n(P, B), k, P.intpow(q, n)) * P.finite(q, q, n * kk)
         for r in range(1, n + 1):
             value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
@@ -435,6 +473,12 @@ def _coeff_params(rng, dims, bases):
 
 def _ram_eq26_a2_build(dims):
     m = dims["m"]
+    powers = _per_run(
+        ("ram_eq26_a2", m),
+        lambda B: SimpleNamespace(
+            q_tm=B.power(B.t * m), s_htm=B.power(B.h * B.t * m), x_t=geom(B.qt, m)
+        ),
+    )
 
     def lhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -442,10 +486,10 @@ def _ram_eq26_a2_build(dims):
 
     def lhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        s_htm = B.power(B.h * B.t * m)
+        c = powers(P, B)
+        q_tm, s_htm = c.q_tm, c.s_htm
         jj = sum(j)
-        value = vande(P, geom(B.qt, m), j, q_tm)
+        value = vande(P, c.x_t, j, q_tm)
         for r in range(m):
             value /= P.finite(q_tm, q_tm, j[r])
         shifted = P.intpow(s_htm, jj)
@@ -462,8 +506,8 @@ def _ram_eq26_a2_build(dims):
 
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        s_htm = B.power(B.h * B.t * m)
+        c = powers(P, B)
+        q_tm, s_htm = c.q_tm, c.s_htm
         kk = k[0]
         value = (
             P.intpow(p["a"], kk) * P.intpow(B.qh, tri(kk)) / P.finite(B.qh, B.qh, kk)
@@ -541,6 +585,8 @@ RAM_1_4_12 = IdentityFamily(
 
 def _ram_eq26_a3_build(dims):
     m = dims["m"]
+    x_m = _q_vector(m)
+    q_mt = _per_run(("ram_eq26_a3", m), lambda B: B.power(m * B.t))
 
     def lhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -552,7 +598,7 @@ def _ram_eq26_a3_build(dims):
         qm = P.intpow(q, m)
         scale = P.intpow(P.intpow(B.qt, m), sum(j))
         jj = sum(j)
-        value = vande(P, geom(q, m), j, qm)
+        value = vande(P, x_m(P, B), j, qm)
         for r in range(m):
             value /= P.finite(qm, qm, j[r])
         value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * q, q, scale)
@@ -571,7 +617,7 @@ def _ram_eq26_a3_build(dims):
         q = B.q
         qm = P.intpow(q, m)
         kk = k[0]
-        scale = P.intpow(B.power(m * B.t), kk)
+        scale = P.intpow(q_mt(P, B), kk)
         value = P.intpow(p["a"], kk) * P.intpow(q, tri(kk)) / P.finite(q, q, kk)
         for r in range(1, m + 1):
             value /= P.ratio(-p["b"] * P.intpow(qm, r), qm, scale)
@@ -597,6 +643,16 @@ RAM_EQ26_A3 = IdentityFamily(
 
 def _ram_eq26_b_build(dims):
     n, m = dims["n"], dims["m"]
+    powers = _per_run(
+        ("ram_eq26_b", n, m),
+        lambda B: SimpleNamespace(
+            q_tm=B.power(B.t * m),
+            q_hn=B.power(B.h * n),
+            stretch=B.power(B.h * n * B.t * m),
+            x_t=geom(B.qt, m),
+            x_h=geom(B.qh, n),
+        ),
+    )
 
     def lhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -605,11 +661,11 @@ def _ram_eq26_b_build(dims):
 
     def lhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        q_hn = B.power(B.h * n)
-        scale = P.intpow(B.power(B.h * n * B.t * m), sum(j))
+        c = powers(P, B)
+        q_tm, q_hn = c.q_tm, c.q_hn
+        scale = P.intpow(c.stretch, sum(j))
         jj = sum(j)
-        value = vande(P, geom(B.qt, m), j, q_tm)
+        value = vande(P, c.x_t, j, q_tm)
         for r in range(1, m + 1):
             value /= P.finite(P.intpow(B.qt, r), B.qt, m * j[r - 1])
         inner = P.intpow(-p["a"] * B.qh, n)
@@ -626,11 +682,11 @@ def _ram_eq26_b_build(dims):
 
     def rhs_term(ctx, k):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        q_hn = B.power(B.h * n)
-        scale = P.intpow(B.power(B.h * n * B.t * m), sum(k))
+        c = powers(P, B)
+        q_tm, q_hn = c.q_tm, c.q_hn
+        scale = P.intpow(c.stretch, sum(k))
         kk = sum(k)
-        value = vande(P, geom(B.qh, n), k, q_hn)
+        value = vande(P, c.x_h, k, q_hn)
         for r in range(1, n + 1):
             value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
         inner = P.intpow(-p["b"] * B.qt, m)
@@ -665,6 +721,8 @@ RAM_EQ26_B = IdentityFamily(
 
 def _ram_1_4_17_anm_build(dims):
     n, m = dims["n"], dims["m"]
+    x_n = _q_vector(n)
+    x_m = _q_vector(m)
 
     def lhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
@@ -677,7 +735,7 @@ def _ram_1_4_17_anm_build(dims):
         qn = P.intpow(q, n)
         scale = P.intpow(P.intpow(B.qt, n * m), sum(j))
         jj = sum(j)
-        value = vande(P, geom(q, m), j, P.intpow(q, m))
+        value = vande(P, x_m(P, B), j, P.intpow(q, m))
         for r in range(1, m + 1):
             value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
         value *= P.intpow(p["b"], m * jj) / P.ratio(P.intpow(-p["a"] * q, n), qn, scale)
@@ -697,7 +755,7 @@ def _ram_1_4_17_anm_build(dims):
         qm = P.intpow(q, m)
         scale = P.intpow(P.intpow(B.qt, n * m), sum(k))
         kk = sum(k)
-        value = vande(P, geom(q, n), k, P.intpow(q, n))
+        value = vande(P, x_n(P, B), k, P.intpow(q, n))
         for r in range(1, n + 1):
             value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
         value *= P.intpow(p["a"], n * kk) / P.ratio(P.intpow(-p["b"] * q, m), qm, scale)
@@ -776,12 +834,13 @@ RAM_1_4_17 = IdentityFamily(
 
 def _ram_1_4_9a_build(dims):
     m = dims["m"]
+    x_m = _q_vector(m)
 
     def _quadratic(ctx, k):
         P, B = ctx.poch, ctx.bases
         q = B.q
         kk = sum(k)
-        value = vande(P, geom(q, m), k, P.intpow(q, m))
+        value = vande(P, x_m(P, B), k, P.intpow(q, m))
         for r in range(1, m + 1):
             value /= P.finite(P.intpow(q, r), q, m * k[r - 1])
         exponent = 2 * m * staircase(k) - m * (m - 1) * kk + sum(
@@ -866,12 +925,13 @@ RAM_1_4_9 = IdentityFamily(
 
 def _ram_1_4_9b_build(dims):
     m = dims["m"]
+    x_m = _q_vector(m)
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
         q = B.q
         jj = sum(j)
-        value = vande(P, geom(q, m), j, P.intpow(q, m))
+        value = vande(P, x_m(P, B), j, P.intpow(q, m))
         for r in range(1, m + 1):
             value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
         value /= P.finite(q, q, m * jj)

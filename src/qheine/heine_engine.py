@@ -35,7 +35,7 @@ from .catalog.classical import (
 from .catalog.core import Identity, coefficient, distinct_vector, product_over, signed
 from .catalog.kajihara import kajihara_inner_term, kajihara_term
 from .errors import DomainEmpty, PropertyHViolation, UnknownIdentity
-from .multisum import SeriesSide, TruncationPolicy
+from .multisum import SeriesSide, TruncationPolicy, block_term
 from .qcore import DEFAULT_PRECISION, PochCache, QComplex
 
 __all__ = [
@@ -192,7 +192,9 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
     """Build the composed transformation for p blocks over one base block.
 
     The left side is the flattened (n_1+...+n_p)-fold sum of the block
-    summands times the base block's product ratio at the dot-product index;
+    summands times the base block's product ratio at the dot-product index
+    (a ``multisum.block_term``: each block summand is evaluated once per
+    sub-index and the ratio once per tuple of block weights);
     the right side is the base block's m-fold sum times the product ratios
     of every block at the stretched index.
     """
@@ -238,24 +240,17 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
             "compose() takes q-binomial blocks; use "
             "compose_with_transformation for transformation blocks"
         )
-    offsets = []
-    start = 0
-    for block in blocks:
-        offsets.append((start, start + block.dimension))
-        start += block.dimension
-    lhs_dimension = start
 
-    def lhs_term(ctx, k):
+    def block_summand(block, z_r):
+        return lambda ctx, part: block.term(ctx.poch, z_r, part)
+
+    def base_ratio(ctx, weights):
         P = ctx.poch
-        value = mpf(1)
         scale = mpf(1)
-        for block, (lo, hi), s_r, z_r in zip(blocks, offsets, cross, arguments):
-            part = k[lo:hi]
-            value *= block.term(P, z_r, part)
-            scale *= P.intpow(s_r, sum(part))
-        value *= base_block.product(P, base_argument * scale)
-        value /= base_block.product(P, base_argument)
-        return value
+        for s_r, w_r in zip(cross, weights):
+            scale *= P.intpow(s_r, w_r)
+        value = base_block.product(P, base_argument * scale)
+        return value / base_block.product(P, base_argument)
 
     def rhs_prefactor(ctx):
         P = ctx.poch
@@ -273,10 +268,12 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
             value *= block.product(P, z_r * shift) / block.product(P, z_r)
         return value
 
+    sizes = tuple(block.dimension for block in blocks)
+    parts = tuple(block_summand(b, z_r) for b, z_r in zip(blocks, arguments))
     label = "composed:" + "+".join(b.label for b in blocks) + "/" + base_block.label
     return _composed_identity(
         label,
-        SeriesSide(lhs_dimension, lhs_term),
+        SeriesSide(sum(sizes), block_term(sizes, parts, base_ratio)),
         SeriesSide(base_block.dimension, rhs_term, rhs_prefactor),
     )
 

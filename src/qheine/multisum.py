@@ -153,6 +153,65 @@ def make_context(params: Mapping, bases: BaseSystem, tol=None) -> EvalContext:
     return EvalContext(params=params, bases=bases, poch=PochCache(bases.prec, tol))
 
 
+Term = Callable[[EvalContext, MultiIndex], QComplex]
+
+
+def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> Term:
+    """Summand of a series whose index k = (k_1, ..., k_p) splits into blocks
+    of the given ``sizes``:
+
+        term(ctx, k) = coupling(ctx, (|k_1|, ..., |k_p|)) * prod_r part_r(ctx, k_r).
+
+    This is the shape of a side built by Heine's method: block summands times
+    a product ratio whose index depends on the block weights alone.  Each
+    part value is computed once per sub-index k_r and the coupling once per
+    weight tuple, and both are kept in the run's ``PochCache.terms`` under
+    the function, so two sides sharing one cache never mix.  The weights of
+    a tuple add up to |k|, so a coupling is only looked up again within the
+    same shell, and only the current shell's couplings are kept.  A value
+    whose index is the whole of k could never be looked up again, so it is
+    not kept: the coupling when every block is one-dimensional, and the part
+    when there is only one block.  A part or coupling that raises is not
+    stored.  The factors are multiplied coupling first, then in block order.
+    """
+    if len(sizes) != len(parts):
+        raise LengthMismatch("block_term needs one part per block size")
+    blocks = []
+    start = 0
+    for size, part in zip(sizes, parts):
+        blocks.append((part, start, start + size))
+        start += size
+    keep_coupling = any(size > 1 for size in sizes)
+    keep_parts = len(sizes) > 1
+
+    def term(ctx: EvalContext, k: MultiIndex) -> QComplex:
+        memo = ctx.poch.terms
+        weights = tuple(sum(k[lo:hi]) for _, lo, hi in blocks)
+        if keep_coupling:
+            total = sum(weights)
+            shell = memo.get(coupling)
+            if shell is None or shell[0] != total:
+                shell = memo[coupling] = (total, {})
+            value = shell[1].get(weights)
+            if value is None:
+                value = shell[1][weights] = coupling(ctx, weights)
+        else:
+            value = coupling(ctx, weights)
+        for part, lo, hi in blocks:
+            sub = k[lo:hi]
+            if keep_parts:
+                key = (part, sub)
+                factor = memo.get(key)
+                if factor is None:
+                    factor = memo[key] = part(ctx, sub)
+            else:
+                factor = part(ctx, sub)
+            value *= factor
+        return value
+
+    return term
+
+
 @dataclass(frozen=True)
 class SeriesSide:
     """One side of an identity: an n-fold sum with a prefactor.

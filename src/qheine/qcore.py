@@ -201,7 +201,9 @@ class PochCache:
     precision; the cache only removes repeated work across the many series
     terms that share the same products, powers and pair tables.  Every key
     is built from raw mpmath values (``value_key``), so no lookup hashes an
-    mpf object.
+    mpf object.  ``terms`` holds the block factors of ``multisum.block_term``:
+    each part under its function and index, the current shell's couplings
+    under the coupling function.
     """
 
     def __init__(self, prec: int, tol=None):
@@ -212,6 +214,7 @@ class PochCache:
         self._ratio: dict = {}
         self._intpow: dict = {}
         self._tables: dict = {}
+        self.terms: dict = {}
 
     def finite_table(self, a, base) -> FiniteTable:
         """The list of (a; base)_0, (a; base)_1, ... kept for this run."""
@@ -261,9 +264,10 @@ class PochCache:
             self._intpow[key] = value
         return value
 
-    def table(self, tag: str, values: tuple, build):
-        """``build()`` evaluated at the cache precision, once per ``tag`` and
-        set of ``values``, the scalars and vectors it is built from.
+    def table(self, tag, values: tuple, build):
+        """``build()`` evaluated at the cache precision, once per ``tag`` (a
+        hashable name) and set of ``values``, the scalars and vectors it is
+        built from.
 
         For values that depend only on the parameters of a run, such as the
         pair tables of ``catalog.core.sq_ratio`` and

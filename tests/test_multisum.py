@@ -1,21 +1,27 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from qheine import (
     BaseSystem,
     DegenerateVariables,
+    DivisionByZero,
     DomainViolation,
     PoleEncountered,
     SeriesSide,
     TruncationNotConverged,
     TruncationPolicy,
+    block_term,
     enumerate_shell,
     evaluate,
+    evaluate_in_context,
+    make_context,
     qpoch_infinite,
     vandermonde_factor,
     vandermonde_ratio,
@@ -199,3 +205,144 @@ class TestEvaluate:
         value, diag = evaluate(side, {}, bases)
         assert value == mpf("2.5")
         assert diag.shells == 0
+
+
+def _counted(calls, name, function):
+    """``function`` wrapped to count its calls per (name, index)."""
+
+    def counted(ctx, index):
+        calls[name, index] += 1
+        return function(ctx, index)
+
+    return counted
+
+
+def _block_parts(complex_values):
+    """Three block factors and a coupling with real or complex values."""
+    c = mpc("0.3", "0.2") if complex_values else mpf("0.3")
+
+    def first(ctx, k):
+        return c ** sum(k) * (1 + k[0]) / (2 + k[1])
+
+    def second(ctx, k):
+        return mpf("0.7") ** k[0] / (1 + k[0])
+
+    def third(ctx, k):
+        return ctx.poch.intpow(mpf("0.45"), 2 * k[0] + k[2]) * (3 - k[1])
+
+    def coupling(ctx, weights):
+        return (mpf(1) + weights[0]) / (mpf(2) + weights[1] * weights[2] + c)
+
+    return (first, second, third), coupling
+
+
+class TestBlockTerm:
+    sizes = (2, 1, 3)
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_equals_direct_product(self, complex_values):
+        parts, coupling = _block_parts(complex_values)
+        term = block_term(self.sizes, parts, coupling)
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
+        rng = random.Random(7)
+        for _ in range(40):
+            k = tuple(rng.randint(0, 4) for _ in range(6))
+            blocks = (k[:2], k[2:3], k[3:])
+            direct = coupling(ctx, tuple(sum(b) for b in blocks))
+            for part, sub in zip(parts, blocks):
+                direct *= part(ctx, sub)
+            assert term(ctx, k) == direct
+            assert term(ctx, k) == direct
+            assert isinstance(term(ctx, k), mpc) == complex_values
+
+    def test_each_part_once_per_sub_index(self):
+        calls = Counter()
+        parts, coupling = _block_parts(False)
+        counted = [_counted(calls, i, part) for i, part in enumerate(parts)]
+        coupling = _counted(calls, "c", coupling)
+        side = SeriesSide(6, block_term(self.sizes, counted, coupling))
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
+        policy = TruncationPolicy(max_shell_weight=5, min_shells=6)
+        with pytest.warns(TruncationNotConverged):
+            evaluate_in_context(side, ctx, policy)
+        indices = [k for w in range(6) for k in enumerate_shell(6, w)]
+        expected = set()
+        for k in indices:
+            blocks = (k[:2], k[2:3], k[3:])
+            expected |= {(i, sub) for i, sub in enumerate(blocks)}
+            expected.add(("c", tuple(sum(b) for b in blocks)))
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+        assert len(indices) > len(calls)
+        # Only the last shell's couplings are still kept.
+        total, kept = ctx.poch.terms[coupling]
+        assert total == 5 and all(sum(w) == 5 for w in kept)
+
+    def test_whole_index_values_are_not_kept(self):
+        # One-dimensional blocks: the weight tuple is the whole index.
+        calls = Counter()
+        parts = (lambda ctx, k: mpf(k[0] + 1), lambda ctx, k: mpf(2) ** k[0])
+        coupling = _counted(calls, "c", lambda ctx, w: mpf(1) / (1 + w[0] + w[1]))
+        term = block_term((1, 1), parts, coupling)
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
+        for _ in range(2):
+            assert term(ctx, (2, 3)) == mpf(1) / 6 * 3 * 8
+        assert calls["c", (2, 3)] == 2
+        assert coupling not in ctx.poch.terms
+        # A single block: its sub-index is the whole index.
+        part = _counted(calls, "p", lambda ctx, k: mpf(k[0] - k[1]))
+        term = block_term((2,), (part,), lambda ctx, w: mpf(w[0]))
+        for _ in range(2):
+            assert term(ctx, (4, 1)) == 15
+        assert calls["p", (4, 1)] == 2
+        assert (part, (4, 1)) not in ctx.poch.terms
+
+    def test_sides_sharing_a_cache_keep_separate_memos(self):
+        def side(scale):
+            parts = (lambda ctx, k: scale ** sum(k), lambda ctx, k: scale ** k[0])
+            coupling = lambda ctx, w: scale + w[0] + w[1]  # noqa: E731
+            return SeriesSide(3, block_term((2, 1), parts, coupling))
+
+        lhs, rhs = side(mpf("0.5")), side(mpf("0.25"))
+        bases = BaseSystem(mpf("0.5"))
+        ctx = make_context({}, bases)
+        policy = TruncationPolicy(max_shell_weight=120, tail_ratio_tol=1e-30)
+        shared = (
+            evaluate_in_context(lhs, ctx, policy)[0],
+            evaluate_in_context(rhs, ctx, policy)[0],
+        )
+        alone = (
+            evaluate_in_context(lhs, make_context({}, bases), policy)[0],
+            evaluate_in_context(rhs, make_context({}, bases), policy)[0],
+        )
+        assert shared == alone
+        assert shared[0] != shared[1]
+
+    def test_pole_in_a_part_is_never_cached(self):
+        def part(ctx, k):
+            if k == (1,):
+                raise DivisionByZero("pole at k = 1")
+            return mpf("0.5") ** k[0]
+
+        side = SeriesSide(2, block_term((1, 1), (part, part), lambda ctx, w: mpf(1)))
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
+        for _ in range(2):
+            with pytest.raises(PoleEncountered):
+                evaluate_in_context(side, ctx)
+            with pytest.raises(DivisionByZero):
+                side.term(ctx, (0, 1))
+        assert (part, (1,)) not in ctx.poch.terms
+        assert ctx.poch.terms[part, (0,)] == 1
+
+    def test_degenerate_variables_propagate(self):
+        x = (mpf("1.5"), mpf("1.5"))
+
+        def part(ctx, k):
+            return vandermonde_ratio(x, k, ctx.bases.q, ctx.poch)
+
+        parts = (part, lambda ctx, k: mpf(1))
+        side = SeriesSide(3, block_term((2, 1), parts, lambda ctx, w: mpf(1)))
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
+        for _ in range(2):
+            with pytest.raises(DegenerateVariables):
+                evaluate_in_context(side, ctx)
