@@ -4,8 +4,6 @@ carrying an extra free parameter c."""
 
 from __future__ import annotations
 
-from mpmath import mpf
-
 from ..multisum import SeriesSide
 from ..qcore import e2
 from .core import (
@@ -25,10 +23,13 @@ __all__ = [
     "FAMILIES",
     "milne_lilly_term",
     "milne_lilly_product",
+    "milne_lilly_summation",
     "gk_term",
     "gk_product",
+    "gk_summation",
     "extra_c_term",
     "extra_c_product",
+    "extra_c_summation",
 ]
 
 
@@ -50,6 +51,14 @@ def milne_lilly_product(P, avec, xvec, base, z):
     return product_over(
         P.infinite(avec[r] * z / xvec[r], base) / P.infinite(z / xvec[r], base)
         for r in range(len(xvec))
+    )
+
+
+def milne_lilly_summation(avec, xvec, base):
+    """The summand (P, z, k) and product side (P, z), parameters bound."""
+    return (
+        lambda P, z, k: milne_lilly_term(P, avec, xvec, base, z, k),
+        lambda P, z: milne_lilly_product(P, avec, xvec, base, z),
     )
 
 
@@ -112,6 +121,14 @@ def gk_product(P, a, n, base, z):
     )
 
 
+def gk_summation(a, xvec, base):
+    """The summand (P, z, k) and product side (P, z), parameters bound."""
+    return (
+        lambda P, z, k: gk_term(P, a, xvec, base, z, k),
+        lambda P, z: gk_product(P, a, len(xvec), base, z),
+    )
+
+
 def _gk_build(dims):
     n = dims["n"]
 
@@ -171,6 +188,14 @@ def extra_c_term(P, avec, c, xvec, base, z, k):
 
 def extra_c_product(P, avec, base, z):
     return P.infinite(product_over(avec) * z, base) / P.infinite(z, base)
+
+
+def extra_c_summation(avec, c, xvec, base):
+    """The summand (P, z, k) and product side (P, z), parameters bound."""
+    return (
+        lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
+        lambda P, z: extra_c_product(P, avec, base, z),
+    )
 
 
 def _extra_c_build(dims):

@@ -4,8 +4,6 @@ transformation, and the bibasic Euler double-sum transformation."""
 
 from __future__ import annotations
 
-from mpmath import mpf
-
 from ..multisum import SeriesSide
 from .core import IdentityFamily, ParamSpec, argument, coefficient
 
@@ -13,6 +11,7 @@ __all__ = [
     "FAMILIES",
     "qbin_term",
     "qbin_product",
+    "qbin_summation",
     "q_euler_term",
     "q_euler_inner_term",
     "q_euler_product",
@@ -29,6 +28,14 @@ def qbin_term(P, a, base, z, k):
 
 def qbin_product(P, a, base, z):
     return P.infinite(a * z, base) / P.infinite(z, base)
+
+
+def qbin_summation(a, base):
+    """The summand (P, z, k) and product side (P, z), parameters bound."""
+    return (
+        lambda P, z, k: qbin_term(P, a, base, z, k),
+        lambda P, z: qbin_product(P, a, base, z),
+    )
 
 
 def _qbin_build(dims):

@@ -6,75 +6,42 @@ from __future__ import annotations
 
 from mpmath import mpf
 
-from ..multisum import SeriesSide
-from ..qcore import e2
+from ..multisum import HeineBlock, heine_sides
+from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
 from .core import (
     IdentityFamily,
     ParamSpec,
     argument,
     coefficient,
     distinct_vector,
-    product_over,
     signed,
-    sq_ratio,
-    staircase,
-    vande,
 )
 
 __all__ = ["FAMILIES"]
 
+_ZERO = mpf(0)
 
-def _heine7_build(dims):
-    n, m = dims["n"], dims["m"]
 
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        x = p["x"]
-        scale = P.intpow(B.qht, sum(k))
-        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
-        for r in range(m):
-            wy = p["w"] / p["y"][r]
-            value *= P.ratio(wy, B.qt, scale)
-            value /= P.ratio(p["b"][r] * wy, B.qt, scale)
-        value *= (
-            P.intpow(p["z"], sum(k))
-            * P.intpow(B.qh, staircase(k))
-            * P.intpow(B.qh, e2(k))
-        )
-        for r in range(n):
-            value *= P.intpow(x[r], -k[r])
-        return value
+def _build(block, base):
+    """``build(dims)`` of the n-fold to m-fold Heine pair: ``block(p, q^h)``
+    and ``base(p, q^t)`` bind the summand and product side of the n-fold
+    summation, at argument z, and of the m-fold one, at argument w."""
 
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        value = mpf(1)
-        for r in range(m):
-            wy = p["w"] / p["y"][r]
-            value *= P.infinite(wy, B.qt) / P.infinite(p["b"][r] * wy, B.qt)
-        for r in range(n):
-            zx = p["z"] / p["x"][r]
-            value *= P.infinite(p["a"][r] * zx, B.qh) / P.infinite(zx, B.qh)
-        return value
+    def build(dims):
+        def bind(ctx):
+            B, p = ctx.bases, ctx.params
+            first = HeineBlock(*block(p, B.qh), p["z"], B.qht)
+            return (first,), HeineBlock(*base(p, B.qt), p["w"])
 
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        y = p["y"]
-        scale = P.intpow(B.qht, sum(j))
-        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
-        for r in range(n):
-            zx = p["z"] / p["x"][r]
-            value *= P.ratio(zx, B.qh, scale)
-            value /= P.ratio(p["a"][r] * zx, B.qh, scale)
-        value *= (
-            P.intpow(p["w"], sum(j))
-            * P.intpow(B.qt, staircase(j))
-            * P.intpow(B.qt, e2(j))
-        )
-        for r in range(m):
-            value *= P.intpow(y[r], -j[r])
-        return value
+        return heine_sides(((dims["n"], 0),), (dims["m"], 0), bind)
 
-    return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+    return build
+
+
+_heine7_build = _build(
+    lambda p, qh: milne_lilly_summation(p["a"], p["x"], qh),
+    lambda p, qt: milne_lilly_summation(p["b"], p["y"], qt),
+)
 
 
 def _heine7_domain(dims, p, bases):
@@ -117,52 +84,10 @@ THM_HEINE7 = IdentityFamily(
 )
 
 
-def _heine8_build(dims):
-    n, m = dims["n"], dims["m"]
-
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        x = p["x"]
-        scale = P.intpow(B.qht, sum(k))
-        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
-        for r in range(m):
-            shifted_w = p["w"] * P.intpow(B.qt, r)
-            value *= P.ratio(shifted_w, B.qt, scale)
-            value /= P.ratio(p["b"] * shifted_w, B.qt, scale)
-        value *= (
-            P.intpow(p["z"], sum(k))
-            * P.intpow(B.qh, staircase(k))
-            * P.intpow(B.qh, e2(k))
-        )
-        for r in range(n):
-            value *= P.intpow(x[r], -k[r])
-        return value
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        value = mpf(1)
-        for r in range(m):
-            shifted_w = p["w"] * B.qt**r
-            value *= P.infinite(shifted_w, B.qt)
-            value /= P.infinite(p["b"] * shifted_w, B.qt)
-        for r in range(n):
-            zx = p["z"] / p["x"][r]
-            value *= P.infinite(p["a"][r] * zx, B.qh) / P.infinite(zx, B.qh)
-        return value
-
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        scale = P.intpow(B.qht, sum(j))
-        value = vande(P, p["y"], j, B.qt)
-        for r in range(m):
-            value *= P.finite(p["b"], B.qt, j[r]) / P.finite(B.qt, B.qt, j[r])
-        for r in range(n):
-            zx = p["z"] / p["x"][r]
-            value *= P.ratio(zx, B.qh, scale)
-            value /= P.ratio(p["a"][r] * zx, B.qh, scale)
-        return value * P.intpow(p["w"], sum(j)) * P.intpow(B.qt, staircase(j))
-
-    return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+_heine8_build = _build(
+    lambda p, qh: milne_lilly_summation(p["a"], p["x"], qh),
+    lambda p, qt: gk_summation(p["b"], p["y"], qt),
+)
 
 
 def _heine8_domain(dims, p, bases):
@@ -202,55 +127,10 @@ THM_HEINE8 = IdentityFamily(
 )
 
 
-def _heine1_build(dims):
-    n, m = dims["n"], dims["m"]
-
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        x = p["x"]
-        kk = sum(k)
-        big_a = product_over(p["a"])
-        scale = P.intpow(B.qht, kk)
-        value = vande(P, x, k, B.qh) * sq_ratio(ctx.poch, p["a"], x, B.qh, k)
-        value *= P.intpow(p["z"], kk) * P.intpow(B.qh, staircase(k))
-        for r in range(n):
-            cx = p["c"] * x[r]
-            value *= P.finite(cx / big_a, B.qh, k[r]) * P.finite(cx, B.qh, kk)
-            value /= P.finite(cx, B.qh, k[r]) * P.finite(cx / p["a"][r], B.qh, kk)
-        big_b = product_over(p["b"])
-        value *= P.ratio(p["w"], B.qt, scale)
-        value /= P.ratio(big_b * p["w"], B.qt, scale)
-        return value
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = product_over(p["a"])
-        big_b = product_over(p["b"])
-        return (
-            P.infinite(p["w"], B.qt)
-            / P.infinite(big_b * p["w"], B.qt)
-            * P.infinite(big_a * p["z"], B.qh)
-            / P.infinite(p["z"], B.qh)
-        )
-
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        y = p["y"]
-        jj = sum(j)
-        big_a = product_over(p["a"])
-        big_b = product_over(p["b"])
-        scale = P.intpow(B.qht, jj)
-        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
-        value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
-        for r in range(m):
-            dy = p["d"] * y[r]
-            value *= P.finite(dy / big_b, B.qt, j[r]) * P.finite(dy, B.qt, jj)
-            value /= P.finite(dy, B.qt, j[r]) * P.finite(dy / p["b"][r], B.qt, jj)
-        value *= P.ratio(p["z"], B.qh, scale)
-        value /= P.ratio(big_a * p["z"], B.qh, scale)
-        return value
-
-    return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+_heine1_build = _build(
+    lambda p, qh: extra_c_summation(p["a"], p["c"], p["x"], qh),
+    lambda p, qt: extra_c_summation(p["b"], p["d"], p["y"], qt),
+)
 
 
 def _heine1_domain(dims, p, bases):
@@ -293,45 +173,11 @@ THM_HEINE1 = IdentityFamily(
 )
 
 
-def _heine2_build(dims):
-    n, m = dims["n"], dims["m"]
-
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        scale = P.intpow(B.qht, sum(k))
-        value = vande(P, p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
-        for r in range(m):
-            wy = p["w"] / p["y"][r]
-            value *= P.ratio(wy, B.qt, scale)
-            value /= P.ratio(p["b"][r] * wy, B.qt, scale)
-        return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, staircase(k))
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = product_over(p["a"])
-        value = mpf(1)
-        for r in range(m):
-            wy = p["w"] / p["y"][r]
-            value *= P.infinite(wy, B.qt) / P.infinite(p["b"][r] * wy, B.qt)
-        return value * P.infinite(big_a * p["z"], B.qh) / P.infinite(p["z"], B.qh)
-
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        y = p["y"]
-        big_a = product_over(p["a"])
-        scale = P.intpow(B.qht, sum(j))
-        value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
-        value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_a * p["z"], B.qh, scale)
-        value *= (
-            P.intpow(p["w"], sum(j))
-            * P.intpow(B.qt, staircase(j))
-            * P.intpow(B.qt, e2(j))
-        )
-        for r in range(m):
-            value *= P.intpow(y[r], -j[r])
-        return value
-
-    return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+# At c = 0 the extra-parameter summation has the plain product side.
+_heine2_build = _build(
+    lambda p, qh: extra_c_summation(p["a"], _ZERO, p["x"], qh),
+    lambda p, qt: milne_lilly_summation(p["b"], p["y"], qt),
+)
 
 
 def _heine2_domain(dims, p, bases):

@@ -4,17 +4,14 @@ expansion step to two copies of it."""
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from mpmath import mpf
 
-from ..multisum import SeriesSide, block_term
+from ..multisum import HeineBlock, SeriesSide, heine_sides
 from .classical import q_euler_product
 from .core import (
     IdentityFamily,
     ParamSpec,
     argument,
-    coefficient,
     distinct_vector,
     finite_rows,
     product_over,
@@ -25,7 +22,7 @@ from .core import (
     vande,
 )
 
-__all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term"]
+__all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term", "kajihara_summation"]
 
 _ONE = mpf(1)
 
@@ -74,6 +71,20 @@ def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, arg, j):
     value = vande(P, yvec, j, base)
     value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
     return value * P.intpow(arg, sum(j)) * P.intpow(base, staircase(j))
+
+
+def kajihara_summation(avec, bvec, c, xvec, yvec, base):
+    """The transformation with its parameters bound: the left summand
+    (P, z, k), the product side (P, z), the right summand at unit argument
+    (P, j) and the stretch A B / c^m of its argument."""
+    grid = (avec, bvec, c, xvec, yvec)
+    stretch = product_over(avec) * product_over(bvec) / c ** len(yvec)
+    return (
+        lambda P, z, k: kajihara_term(P, *grid, base, z, k),
+        lambda P, z: q_euler_product(P, base, stretch * z, z),
+        lambda P, j: kajihara_inner_term(P, *grid, base, _ONE, j),
+        stretch,
+    )
 
 
 def _kajihara_build(dims):
@@ -157,72 +168,18 @@ KAJIHARA = IdentityFamily(
 
 
 def _kajihara_double_build(dims):
-    n, m = dims["n"], dims["m"]
-    nu, mu = dims["nu"], dims["mu"]
+    def bind(ctx):
+        B, p = ctx.bases, ctx.params
 
-    def m_arg(P, p):
-        def build():
-            return product_over(p["a"]) * product_over(p["b"]) / p["c"] ** mu
+        def block(names, base, argument, cross=_ONE):
+            grid = (p[name] for name in names)
+            term, product, inner, stretch = kajihara_summation(*grid, base)
+            return HeineBlock(term, product, argument, cross, inner, stretch)
 
-        return P.table("kajihara_double.m", (p["a"], p["b"], p["c"]), build)
+        first = block(("a", "b", "c", "x", "X"), B.qh, p["z"], B.qht)
+        return (first,), block(("d", "e", "f", "y", "Y"), B.qt, p["w"])
 
-    def d_arg(P, p):
-        def build():
-            return product_over(p["d"]) * product_over(p["e"]) / p["f"] ** nu
-
-        return P.table("kajihara_double.d", (p["d"], p["e"], p["f"]), build)
-
-    # Each grid: parameter names, its base and its argument.
-    first = (("a", "b", "c", "x", "X"), attrgetter("qh"), "z")
-    second = (("d", "e", "f", "y", "Y"), attrgetter("qt"), "w")
-
-    def side(sizes, outer, inner, stretch):
-        """Summand of one side: the ``outer`` grid's left summand, times the
-        ``inner`` grid's product ratio and right summand at the stretched
-        argument.  The right summand is homogeneous in its argument, so it is
-        taken at argument 1 and the argument's power joins the product ratio,
-        which depends on the block weights only."""
-        outer_names, outer_base, outer_arg = outer
-        inner_names, inner_base, inner_arg = inner
-
-        def outer_part(ctx, k):
-            p = ctx.params
-            grid = (p[name] for name in outer_names)
-            base = outer_base(ctx.bases)
-            return kajihara_term(ctx.poch, *grid, base, p[outer_arg], k)
-
-        def inner_part(ctx, kt):
-            p = ctx.params
-            grid = (p[name] for name in inner_names)
-            base = inner_base(ctx.bases)
-            return kajihara_inner_term(ctx.poch, *grid, base, _ONE, kt)
-
-        def coupling(ctx, weights):
-            P, B, p = ctx.poch, ctx.bases, ctx.params
-            scale = P.intpow(B.qht, weights[0])
-            base = inner_base(B)
-            arg = p[inner_arg]
-            stretched = stretch(P, p) * arg
-            value = P.ratio(arg, base, scale) / P.ratio(stretched, base, scale)
-            return value * (stretched * scale) ** weights[1]
-
-        return block_term(sizes, (outer_part, inner_part), coupling)
-
-    lhs_term = side((n, nu), first, second, d_arg)
-    rhs_term = side((m, mu), second, first, m_arg)
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return (
-            P.infinite(p["w"], B.qt)
-            * P.infinite(m_arg(P, p) * p["z"], B.qh)
-            / (
-                P.infinite(d_arg(P, p) * p["w"], B.qt)
-                * P.infinite(p["z"], B.qh)
-            )
-        )
-
-    return SeriesSide(n + nu, lhs_term), SeriesSide(m + mu, rhs_term, rhs_prefactor)
+    return heine_sides(((dims["n"], dims["mu"]),), (dims["m"], dims["nu"]), bind)
 
 
 def _kajihara_double_domain(dims, p, bases):

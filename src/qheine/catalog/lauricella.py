@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from mpmath import mpf
 
-from ..multisum import SeriesSide, block_term
+from ..multisum import HeineBlock, SeriesSide, block_term, heine_sides
 from ..qcore import e2
+from .classical import qbin_summation
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -14,7 +15,6 @@ from .core import (
     coefficient,
     distinct_vector,
     exponent,
-    geom,
     product_over,
     signed,
     sq_ratio,
@@ -29,43 +29,15 @@ __all__ = ["FAMILIES"]
 
 
 def _qlauricella_build(dims):
-    p_dim = dims["p"]
+    def bind(ctx):
+        B, p = ctx.bases, ctx.params
+        blocks = [
+            HeineBlock(*qbin_summation(a_r, B.power(h_r)), z_r, B.power(B.t * h_r))
+            for a_r, z_r, h_r in zip(p["a"], p["z"], p["hexp"])
+        ]
+        return blocks, HeineBlock(*qbin_summation(p["b"], B.qt), p["w"])
 
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        value = mpf(1)
-        scale = mpf(1)
-        for r in range(p_dim):
-            base_r = B.power(p["hexp"][r])
-            value *= P.finite(p["a"][r], base_r, k[r])
-            value /= P.finite(base_r, base_r, k[r])
-            value *= P.intpow(p["z"][r], k[r])
-            scale *= P.intpow(B.power(B.t * p["hexp"][r]), k[r])
-        value *= P.ratio(p["w"], B.qt, scale)
-        value /= P.ratio(p["b"] * p["w"], B.qt, scale)
-        return value
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        value = P.infinite(p["w"], B.qt) / P.infinite(p["b"] * p["w"], B.qt)
-        for r in range(p_dim):
-            base_r = B.power(p["hexp"][r])
-            value *= P.infinite(p["a"][r] * p["z"][r], base_r)
-            value /= P.infinite(p["z"][r], base_r)
-        return value
-
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj = j[0]
-        value = P.finite(p["b"], B.qt, jj) / P.finite(B.qt, B.qt, jj)
-        for r in range(p_dim):
-            base_r = B.power(p["hexp"][r])
-            scale = P.intpow(B.power(B.t * p["hexp"][r]), jj)
-            value *= P.ratio(p["z"][r], base_r, scale)
-            value /= P.ratio(p["a"][r] * p["z"][r], base_r, scale)
-        return value * P.intpow(p["w"], jj)
-
-    return SeriesSide(p_dim, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
+    return heine_sides(((1, 0),) * dims["p"], (1, 0), bind)
 
 
 def _qlauricella_domain(dims, p, bases):
@@ -121,6 +93,27 @@ def _master_big_build(dims):
 
         return P.table("master_big", (B.q, B.t, p["h1"], p["h2"], p["b"]), build)
 
+    def rhs_arguments(P, B, p):
+        """The right side's finite-product and product arguments, built once
+        per run: (c y_r, c y_r/(b_1 ... b_m), c y_r/b_r) for each r, then
+        (z1/x1_r, a1_r z1/x1_r) and (z2 q^{h2 r}, a2 z2 q^{h2 r})."""
+
+        def build():
+            big_b = constants(P, B, p)[0]
+            base2 = B.power(p["h2"])
+            cy = [p["c"] * yr for yr in p["y"]]
+            zx = [p["z1"] / xr for xr in p["x1"]]
+            shifted = [p["z2"] * P.intpow(base2, r) for r in range(n2)]
+            return (
+                [(v, v / big_b, v / br) for v, br in zip(cy, p["b"])],
+                [(v, ar * v) for v, ar in zip(zx, p["a1"])],
+                [(v, p["a2"] * v) for v in shifted],
+            )
+
+        names = ("h2", "b", "c", "y", "z1", "x1", "a1", "z2", "a2")
+        values = (B.q,) + tuple(p[name] for name in names)
+        return P.table("master_big.rhs", values, build)
+
     def first_part(ctx, k1):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         base1 = B.power(p["h1"])
@@ -152,13 +145,12 @@ def _master_big_build(dims):
         base1 = B.power(p["h1"])
         base2 = B.power(p["h2"])
         big_b = constants(P, B, p)[0]
+        _, first_args, second_args = rhs_arguments(P, B, p)
         value = mpf(1)
-        for r in range(n1):
-            zx = p["z1"] / p["x1"][r]
-            value *= P.infinite(p["a1"][r] * zx, base1) / P.infinite(zx, base1)
-        for r in range(n2):
-            shifted = p["z2"] * base2**r
-            value *= P.infinite(p["a2"] * shifted, base2)
+        for zx, azx in first_args:
+            value *= P.infinite(azx, base1) / P.infinite(zx, base1)
+        for shifted, a_shifted in second_args:
+            value *= P.infinite(a_shifted, base2)
             value /= P.infinite(shifted, base2)
         value *= P.infinite(p["w"], B.qt) / P.infinite(big_b * p["w"], B.qt)
         return value
@@ -169,23 +161,21 @@ def _master_big_build(dims):
         base2 = B.power(p["h2"])
         y = p["y"]
         jj = sum(j)
-        big_b, stretch1, stretch2 = constants(P, B, p)
+        _, stretch1, stretch2 = constants(P, B, p)
+        cy_rows, first_args, second_args = rhs_arguments(P, B, p)
         value = vande(P, y, j, B.qt) * sq_ratio(ctx.poch, p["b"], y, B.qt, j)
-        for r in range(m):
-            cy = p["c"] * y[r]
-            value *= P.finite(cy / big_b, B.qt, j[r]) * P.finite(cy, B.qt, jj)
-            value /= P.finite(cy, B.qt, j[r]) * P.finite(cy / p["b"][r], B.qt, jj)
+        for jr, (cy, cy_big_b, cy_b) in zip(j, cy_rows):
+            value *= P.finite(cy_big_b, B.qt, jr) * P.finite(cy, B.qt, jj)
+            value /= P.finite(cy, B.qt, jr) * P.finite(cy_b, B.qt, jj)
         value *= P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
         scale1 = P.intpow(stretch1, jj)
         scale2 = P.intpow(stretch2, jj)
-        for r in range(n1):
-            zx = p["z1"] / p["x1"][r]
+        for zx, azx in first_args:
             value *= P.ratio(zx, base1, scale1)
-            value /= P.ratio(p["a1"][r] * zx, base1, scale1)
-        for r in range(n2):
-            shifted = p["z2"] * P.intpow(base2, r)
+            value /= P.ratio(azx, base1, scale1)
+        for shifted, a_shifted in second_args:
             value *= P.ratio(shifted, base2, scale2)
-            value /= P.ratio(p["a2"] * shifted, base2, scale2)
+            value /= P.ratio(a_shifted, base2, scale2)
         return value
 
     lhs_term = block_term((n1, n2), (first_part, second_part), base_ratio)

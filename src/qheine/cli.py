@@ -183,11 +183,50 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
     return config
 
 
+# The type each RunConfig field must have; a config file can set any field.
+_FIELD_TYPES = {
+    "mode": str,
+    "identities": list,
+    "dims": (list, type(None)),
+    "samples": int,
+    "seed": int,
+    "precision": int,
+    "max_shell": (int, type(None)),
+    "tail_tol": (int, float),
+    "min_shells": int,
+    "tolerance": (int, float),
+    "report": str,
+    "out": (str, type(None)),
+    "blocks": list,
+    "base": str,
+}
+
+
 def validate_config(config: RunConfig) -> None:
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidConfig(f"{name} has the wrong type: {value!r}")
+    for name in ("identities", "blocks"):
+        if not all(isinstance(v, str) for v in getattr(config, name)):
+            raise InvalidConfig(f"{name} must be a list of strings")
+    for spec in config.dims or ():
+        if not isinstance(spec, dict) or not all(
+            isinstance(k, str) and type(v) is int and v >= 1 for k, v in spec.items()
+        ):
+            raise InvalidConfig(f"dims entry {spec!r} must map names to integers >= 1")
+    if config.mode not in ("verify", "compose"):
+        raise InvalidConfig(f"unknown mode {config.mode!r}")
     if config.samples < 1:
         raise InvalidConfig("samples must be >= 1")
     if config.precision < 64:
         raise InvalidConfig("precision must be >= 64 bits")
+    if config.max_shell is not None and config.max_shell < 0:
+        raise InvalidConfig("max_shell must be >= 0")
+    if config.min_shells < 0:
+        raise InvalidConfig("min_shells must be >= 0")
+    if not config.tail_tol > 0 or config.tolerance < 0:
+        raise InvalidConfig("tail_tol must be > 0 and tolerance >= 0")
     if config.report not in ("json-lines", "csv", "text"):
         raise InvalidConfig(f"unknown report format {config.report!r}")
     if config.mode == "verify":
@@ -198,9 +237,11 @@ def validate_config(config: RunConfig) -> None:
         if not config.blocks:
             raise InvalidConfig("compose needs at least one block")
         for spec in list(config.blocks) + [config.base]:
-            name, _ = parse_block_spec(spec)
+            name, dims = parse_block_spec(spec)
             if name not in heine_engine.BLOCK_NAMES:
                 raise InvalidConfig(f"unknown block {name!r}")
+            if len(dims) > (2 if name == "kajihara" else 1) or min(dims) < 1:
+                raise InvalidConfig(f"bad block dimensions in {spec!r}")
 
 
 def _policy_for(identity, config: RunConfig) -> TruncationPolicy:
@@ -265,7 +306,6 @@ def _compose_sample(config: RunConfig, rng: random.Random):
     slot, and the composed identity."""
     bases = sample_bases(rng, config.precision)
     slots = []
-    has_transformation = False
     # Block factories derive constants from their parameters, so they run at
     # the run's precision rather than the ambient one.
     with mp.workprec(config.precision):
@@ -273,27 +313,15 @@ def _compose_sample(config: RunConfig, rng: random.Random):
             name, dims = parse_block_spec(spec)
             h_r = exponent(rng)
             block = heine_engine.sample_block(name, rng, dims, bases.power(h_r))
-            if isinstance(block, heine_engine.TransformationBlock):
-                has_transformation = True
             z_r = argument(rng) * min(1, block.arg_bound)
             slots.append(heine_engine.BlockSlot(block, h_r, z_r))
         base_name, base_dims = parse_block_spec(config.base)
         base_block = heine_engine.sample_block(base_name, rng, base_dims, bases.qt)
-        if isinstance(base_block, heine_engine.TransformationBlock):
-            has_transformation = True
         w = argument(rng) * min(1, base_block.arg_bound)
     base_slot = heine_engine.BlockSlot(base_block, bases.t, w)
-
-    if has_transformation:
-        if len(slots) != 1:
-            raise InvalidConfig(
-                "transformation blocks compose pairwise; give exactly one block"
-            )
-        composed = heine_engine.compose_with_transformation(slots[0], base_slot, bases)
-    else:
-        composed = heine_engine.compose(
-            heine_engine.BlockAssignment(tuple(slots), base_slot, bases)
-        )
+    composed = heine_engine.compose(
+        heine_engine.BlockAssignment(tuple(slots), base_slot, bases)
+    )
     return bases, composed
 
 

@@ -6,7 +6,8 @@ Blocks whose summand is homogeneous in the argument (S(zH; k) = H^{|k|}
 S(z; k), checked numerically) can be composed: p blocks with bases q^{h_r}
 and one base block with base q^t yield a (n_1+...+n_p)-fold to m-fold
 transformation.  Transformation blocks (L, P, R triples with
-sum L = P * sum R) compose the same way and produce double-sum identities.
+sum L = P * sum R) compose the same way, mixed freely with q-binomial
+blocks, and add their inner sums to the other side.
 """
 
 from __future__ import annotations
@@ -18,24 +19,20 @@ from typing import Callable, Sequence, Union
 from mpmath import mp, mpf, mpmathify
 
 from .catalog.an_qbinomial import (
-    extra_c_product,
-    extra_c_term,
-    gk_product,
-    gk_term,
-    milne_lilly_product,
-    milne_lilly_term,
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
 )
 from .catalog.classical import (
     q_euler_inner_term,
     q_euler_product,
     q_euler_term,
-    qbin_product,
-    qbin_term,
+    qbin_summation,
 )
-from .catalog.core import Identity, coefficient, distinct_vector, product_over, signed
-from .catalog.kajihara import kajihara_inner_term, kajihara_term
+from .catalog.core import Identity, coefficient, distinct_vector, signed
+from .catalog.kajihara import kajihara_summation
 from .errors import DomainEmpty, PropertyHViolation, UnknownIdentity
-from .multisum import SeriesSide, TruncationPolicy, block_term
+from .multisum import HeineBlock, SeriesSide, TruncationPolicy, heine_sides
 from .qcore import DEFAULT_PRECISION, PochCache, QComplex
 
 __all__ = [
@@ -60,6 +57,8 @@ __all__ = [
     "BLOCK_NAMES",
 ]
 
+_ONE = mpf(1)
+
 
 @dataclass(frozen=True)
 class QBinomialBlock:
@@ -74,15 +73,18 @@ class QBinomialBlock:
 
 @dataclass(frozen=True)
 class TransformationBlock:
-    """A transformation sum_k L(z; k) = P(z) * sum_j R(z; j), parameters
-    bound.  ``inner_term`` receives the (possibly shifted) argument value."""
+    """A transformation sum_k L(z; k) = P(z) * sum_j R(sigma z; j),
+    parameters bound.  R is homogeneous in its argument, so ``inner_term``
+    is R(1; j), taken at unit argument, and ``stretch`` is sigma:
+    R(sigma z; j) = (sigma z)^{|j|} R(1; j)."""
 
     label: str
     outer_dimension: int
     inner_dimension: int
     outer_term: Callable[[PochCache, QComplex, tuple], QComplex]
-    inner_term: Callable[[PochCache, QComplex, tuple], QComplex]
+    inner_term: Callable[[PochCache, tuple], QComplex] | None
     product: Callable[[PochCache, QComplex], QComplex]
+    stretch: QComplex = _ONE
     arg_bound: float = 1.0
 
 
@@ -98,7 +100,7 @@ def as_transformation(block: AnyBlock) -> TransformationBlock:
         outer_dimension=block.dimension,
         inner_dimension=0,
         outer_term=block.term,
-        inner_term=lambda P, z, j: mpf(1),
+        inner_term=None,
         product=block.product,
         arg_bound=block.arg_bound,
     )
@@ -189,14 +191,14 @@ def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity
 
 
 def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
-    """Build the composed transformation for p blocks over one base block.
+    """Build the composed transformation for p blocks over one base block,
+    any of them q-binomial or transformation blocks.
 
-    The left side is the flattened (n_1+...+n_p)-fold sum of the block
-    summands times the base block's product ratio at the dot-product index
-    (a ``multisum.block_term``: each block summand is evaluated once per
-    sub-index and the ratio once per tuple of block weights);
-    the right side is the base block's m-fold sum times the product ratios
-    of every block at the stretched index.
+    The left side is the flattened sum of the block summands (and the base
+    block's inner sum) times the base block's product ratio at the
+    dot-product index; the right side is the base block's sum (and the
+    blocks' inner sums) times the product ratios of every block at the
+    stretched index.  Both are built by ``multisum.heine_sides``.
     """
     slots = tuple(assignment.slots)
     base_slot = assignment.base_slot
@@ -228,113 +230,35 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
         for slot in slots + (base_slot,):
             _require_property_H(slot.block, bases.prec)
 
-    base_block = base_slot.block
-    if isinstance(base_block, TransformationBlock):
-        raise DomainEmpty(
-            "compose() takes q-binomial blocks; use "
-            "compose_with_transformation for transformation blocks"
+    views = tuple(as_transformation(slot.block) for slot in slots)
+    base = as_transformation(base_slot.block)
+
+    def bound(view, argument, s_r=_ONE):
+        return HeineBlock(
+            view.outer_term,
+            view.product,
+            argument,
+            s_r,
+            view.inner_term,
+            view.stretch,
         )
-    blocks = tuple(slot.block for slot in slots)
-    if any(isinstance(b, TransformationBlock) for b in blocks):
-        raise DomainEmpty(
-            "compose() takes q-binomial blocks; use "
-            "compose_with_transformation for transformation blocks"
-        )
 
-    def block_summand(block, z_r):
-        return lambda ctx, part: block.term(ctx.poch, z_r, part)
-
-    def base_ratio(ctx, weights):
-        P = ctx.poch
-        scale = mpf(1)
-        for s_r, w_r in zip(cross, weights):
-            scale *= P.intpow(s_r, w_r)
-        value = base_block.product(P, base_argument * scale)
-        return value / base_block.product(P, base_argument)
-
-    def rhs_prefactor(ctx):
-        P = ctx.poch
-        value = mpf(1)
-        for block, z_r in zip(blocks, arguments):
-            value *= block.product(P, z_r)
-        return value / base_block.product(P, base_argument)
-
-    def rhs_term(ctx, j):
-        P = ctx.poch
-        value = base_block.term(P, base_argument, j)
-        stretch = sum(j)
-        for block, s_r, z_r in zip(blocks, cross, arguments):
-            shift = P.intpow(s_r, stretch)
-            value *= block.product(P, z_r * shift) / block.product(P, z_r)
-        return value
-
-    sizes = tuple(block.dimension for block in blocks)
-    parts = tuple(block_summand(b, z_r) for b, z_r in zip(blocks, arguments))
-    label = "composed:" + "+".join(b.label for b in blocks) + "/" + base_block.label
-    return _composed_identity(
-        label,
-        SeriesSide(sum(sizes), block_term(sizes, parts, base_ratio)),
-        SeriesSide(base_block.dimension, rhs_term, rhs_prefactor),
+    blocks = tuple(map(bound, views, arguments, cross))
+    bound_base = bound(base, base_argument)
+    lhs, rhs = heine_sides(
+        tuple((v.outer_dimension, v.inner_dimension) for v in views),
+        (base.outer_dimension, base.inner_dimension),
+        lambda ctx: (blocks, bound_base),
     )
+    label = "composed:" + "+".join(v.label for v in views) + "/" + base.label
+    return _composed_identity(label, lhs, rhs)
 
 
 def compose_with_transformation(
     slot: BlockSlot, base_slot: BlockSlot, bases, check: bool = True
 ) -> Identity:
-    """Compose two transformation blocks (or q-binomial blocks viewed as
-    such) into the double-sum identity produced by one expansion step."""
-    first = as_transformation(slot.block)
-    base = as_transformation(base_slot.block)
-    with mp.workprec(bases.prec):
-        cross = bases.power(mpmathify(slot.exponent) * mpmathify(base_slot.exponent))
-        z = mpmathify(slot.argument)
-        w = mpmathify(base_slot.argument)
-    if not abs(cross) < 1:
-        raise DomainEmpty("|q^(t*h)| >= 1; no joint domain")
-    if not (abs(z) < first.arg_bound and abs(w) < base.arg_bound):
-        raise DomainEmpty("arguments outside the block domains")
-    if check:
-        _require_property_H(first, bases.prec)
-        _require_property_H(base, bases.prec)
-
-    n_outer = first.outer_dimension
-
-    def lhs_term(ctx, idx):
-        P = ctx.poch
-        k, kt = idx[:n_outer], idx[n_outer:]
-        scale = P.intpow(cross, sum(k))
-        shifted = w * scale
-        return (
-            first.outer_term(P, z, k)
-            * base.product(P, shifted)
-            / base.product(P, w)
-            * base.inner_term(P, shifted, kt)
-        )
-
-    m_outer = base.outer_dimension
-
-    def rhs_prefactor(ctx):
-        P = ctx.poch
-        return first.product(P, z) / base.product(P, w)
-
-    def rhs_term(ctx, idx):
-        P = ctx.poch
-        j, jt = idx[:m_outer], idx[m_outer:]
-        scale = P.intpow(cross, sum(j))
-        shifted = z * scale
-        return (
-            base.outer_term(P, w, j)
-            * first.product(P, shifted)
-            / first.product(P, z)
-            * first.inner_term(P, shifted, jt)
-        )
-
-    label = f"composed:{first.label}/{base.label}"
-    return _composed_identity(
-        label,
-        SeriesSide(n_outer + base.inner_dimension, lhs_term),
-        SeriesSide(m_outer + first.inner_dimension, rhs_term, rhs_prefactor),
-    )
+    """``compose`` of one block over a base block."""
+    return compose(BlockAssignment((slot,), base_slot, bases), check)
 
 
 # ---------------------------------------------------------------------------
@@ -344,72 +268,57 @@ def compose_with_transformation(
 # product sides are the ones its catalog family verifies.
 
 
+def _vector(values) -> tuple:
+    return tuple(mpmathify(v) for v in values)
+
+
 def classical_qbin_block(a, base) -> QBinomialBlock:
-    a = mpmathify(a)
-    base = mpmathify(base)
-    return QBinomialBlock(
-        "q_bin",
-        1,
-        lambda P, z, k: qbin_term(P, a, base, z, k),
-        lambda P, z: qbin_product(P, a, base, z),
-    )
+    return QBinomialBlock("q_bin", 1, *qbin_summation(mpmathify(a), mpmathify(base)))
 
 
 def milne_lilly_block(avec, xvec, base) -> QBinomialBlock:
-    avec = tuple(mpmathify(v) for v in avec)
-    xvec = tuple(mpmathify(v) for v in xvec)
-    base = mpmathify(base)
+    xvec = _vector(xvec)
     return QBinomialBlock(
         "milne_lilly",
         len(xvec),
-        lambda P, z, k: milne_lilly_term(P, avec, xvec, base, z, k),
-        lambda P, z: milne_lilly_product(P, avec, xvec, base, z),
+        *milne_lilly_summation(_vector(avec), xvec, mpmathify(base)),
         arg_bound=float(min(abs(x) for x in xvec)),
     )
 
 
 def gk_block(a, xvec, base) -> QBinomialBlock:
-    a = mpmathify(a)
-    xvec = tuple(mpmathify(v) for v in xvec)
-    base = mpmathify(base)
-    n = len(xvec)
+    xvec = _vector(xvec)
     return QBinomialBlock(
-        "gk",
-        n,
-        lambda P, z, k: gk_term(P, a, xvec, base, z, k),
-        lambda P, z: gk_product(P, a, n, base, z),
+        "gk", len(xvec), *gk_summation(mpmathify(a), xvec, mpmathify(base))
     )
 
 
 def extra_parameter_block(avec, c, xvec, base) -> QBinomialBlock:
-    avec = tuple(mpmathify(v) for v in avec)
-    c = mpmathify(c)
-    xvec = tuple(mpmathify(v) for v in xvec)
-    base = mpmathify(base)
+    xvec = _vector(xvec)
     return QBinomialBlock(
         "extra_c",
         len(xvec),
-        lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
-        lambda P, z: extra_c_product(P, avec, base, z),
+        *extra_c_summation(_vector(avec), mpmathify(c), xvec, mpmathify(base)),
     )
 
 
 def kajihara_block(avec, bvec, c, xvec, yvec, base) -> TransformationBlock:
-    avec = tuple(mpmathify(v) for v in avec)
-    bvec = tuple(mpmathify(v) for v in bvec)
-    c = mpmathify(c)
-    xvec = tuple(mpmathify(v) for v in xvec)
-    yvec = tuple(mpmathify(v) for v in yvec)
-    base = mpmathify(base)
-    grid = (avec, bvec, c, xvec, yvec)
-    stretch = product_over(avec) * product_over(bvec) / c ** len(yvec)
+    term, product, inner, stretch = kajihara_summation(
+        _vector(avec),
+        _vector(bvec),
+        mpmathify(c),
+        _vector(xvec),
+        _vector(yvec),
+        mpmathify(base),
+    )
     return TransformationBlock(
         "kajihara",
         len(xvec),
         len(yvec),
-        lambda P, z, k: kajihara_term(P, *grid, base, z, k),
-        lambda P, z, j: kajihara_inner_term(P, *grid, base, stretch * z, j),
-        lambda P, z: q_euler_product(P, base, stretch * z, z),
+        term,
+        inner,
+        product,
+        stretch,
         arg_bound=float(min(1, 1 / abs(stretch))),
     )
 
@@ -425,8 +334,9 @@ def q_euler_block(a, b, c, base) -> TransformationBlock:
         1,
         1,
         lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
-        lambda P, z, j: q_euler_inner_term(P, a, b, c, base, stretch * z, j),
+        lambda P, j: q_euler_inner_term(P, a, b, c, base, _ONE, j),
         lambda P, z: q_euler_product(P, base, stretch * z, z),
+        stretch,
         arg_bound=float(min(1, 1 / abs(stretch))),
     )
 

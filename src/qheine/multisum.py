@@ -212,6 +212,124 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
     return term
 
 
+_ONE = mpf(1)
+
+
+@dataclass(frozen=True)
+class HeineBlock:
+    """A summation sum_k term(P, z, k) = product(P, z), bound to one run at
+    z = ``argument``.  ``cross`` is the block's base raised to the power t,
+    s = q^{t h} for a block in base q^h (the base block has none).
+
+    A transformation block has an inner sum as well:
+    sum_k term(P, z, k) = product(P, z) * sum_j inner(P, j) (stretch z)^{|j|},
+    where ``inner`` is the inner summand at unit argument.  Every summand
+    is homogeneous in its argument: term(P, z H, k) = H^{|k|} term(P, z, k).
+    """
+
+    term: Callable
+    product: Callable
+    argument: QComplex
+    cross: QComplex = _ONE
+    inner: Callable | None = None
+    stretch: QComplex = _ONE
+
+
+def heine_sides(
+    shapes: Sequence[tuple[int, int]], base_shape: tuple[int, int], bind
+) -> tuple[SeriesSide, SeriesSide]:
+    """The two sides of the Heine pair of p blocks over a base block.
+
+    ``shapes`` gives each block's (outer, inner) dimensions and
+    ``base_shape`` the base block's; an inner dimension of 0 means a plain
+    summation.  ``bind(ctx)`` returns the run's blocks and base block as
+    ``HeineBlock`` values; it is called once per run and kept in the run's
+    ``PochCache.terms`` under ``bind``.  With z_r, s_r, S_r, P_r, R_r,
+    sigma_r the blocks' arguments, cross bases, summands, products, inner
+    summands and stretches, w and index 0 for the base block, and
+    s = prod_r s_r^{|k_r|}:
+
+        lhs = sum_{k, kt} prod_r S_r(z_r; k_r) * R_0(1; kt)
+                * P_0(w s)/P_0(w) * (sigma_0 w s)^{|kt|}
+        rhs = prod_r P_r(z_r)/P_0(w) * sum_{j, jt} S_0(w; j) prod_r R_r(1; jt_r)
+                * prod_r P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|}
+
+    Both sides are ``block_term`` summands.  Expanding P_0(w s) as its sum
+    and swapping the two sums turns one side into the other.
+    """
+    p = len(shapes)
+    base_outer, base_inner = base_shape
+    inner_blocks = [r for r, (_, size) in enumerate(shapes) if size]
+
+    def bound(ctx) -> tuple:
+        memo = ctx.poch.terms
+        blocks = memo.get(bind)
+        if blocks is None:
+            blocks, base = bind(ctx)
+            blocks = memo[bind] = tuple(blocks) + (base,)
+        return blocks
+
+    def summand(r):
+        def part(ctx, k):
+            block = bound(ctx)[r]
+            return block.term(ctx.poch, block.argument, k)
+
+        return part
+
+    def inner_summand(r):
+        return lambda ctx, j: bound(ctx)[r].inner(ctx.poch, j)
+
+    def lhs_coupling(ctx, weights):
+        P = ctx.poch
+        blocks = bound(ctx)
+        scale = _ONE
+        for block, weight in zip(blocks, weights[:p]):
+            scale *= P.intpow(block.cross, weight)
+        base = blocks[p]
+        w = base.argument
+        value = base.product(P, w * scale) / base.product(P, w)
+        if base_inner:
+            value *= (base.stretch * w * scale) ** weights[p]
+        return value
+
+    def rhs_coupling(ctx, weights):
+        P = ctx.poch
+        blocks = bound(ctx)
+        inner_weights = dict(zip(inner_blocks, weights[1:]))
+        value = _ONE
+        for r, block in enumerate(blocks[:p]):
+            z = block.argument
+            shift = P.intpow(block.cross, weights[0])
+            value *= block.product(P, z * shift) / block.product(P, z)
+            if r in inner_weights:
+                value *= (block.stretch * z * shift) ** inner_weights[r]
+        return value
+
+    def rhs_prefactor(ctx):
+        P = ctx.poch
+        blocks = bound(ctx)
+        value = _ONE
+        for block in blocks[:p]:
+            value *= block.product(P, block.argument)
+        return value / blocks[p].product(P, blocks[p].argument)
+
+    lhs_sizes = tuple(outer for outer, _ in shapes)
+    lhs_parts = [summand(r) for r in range(p)]
+    if base_inner:
+        lhs_sizes += (base_inner,)
+        lhs_parts.append(inner_summand(p))
+    rhs_sizes = (base_outer,) + tuple(shapes[r][1] for r in inner_blocks)
+    rhs_parts = [summand(p)] + [inner_summand(r) for r in inner_blocks]
+    return (
+        SeriesSide(sum(lhs_sizes), block_term(lhs_sizes, lhs_parts, lhs_coupling)),
+        SeriesSide(
+            sum(rhs_sizes),
+            block_term(rhs_sizes, rhs_parts, rhs_coupling),
+            rhs_prefactor,
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class SeriesSide:
     """One side of an identity: an n-fold sum with a prefactor.

@@ -203,7 +203,8 @@ class PochCache:
     is built from raw mpmath values (``value_key``), so no lookup hashes an
     mpf object.  ``terms`` holds the block factors of ``multisum.block_term``:
     each part under its function and index, the current shell's couplings
-    under the coupling function.
+    under the coupling function; and the run's bound blocks of
+    ``multisum.heine_sides`` under their ``bind`` function.
     """
 
     def __init__(self, prec: int, tol=None):

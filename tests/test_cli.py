@@ -248,6 +248,43 @@ class TestComposeCommand:
     def test_unknown_block_exit_2(self):
         assert cli.main(["compose", "--blocks", "nonsense"]) == 2
 
+    def test_mixed_blocks(self, capsys):
+        # A transformation block and a q-binomial block over a
+        # transformation base block.
+        code, out = run_cli(
+            capsys,
+            ["compose", "--blocks", "q_bin,q_euler", "--base", "q_euler",
+             "--samples", "1", "--seed", "2"],
+        )
+        assert code == 0
+        parsed = report.parse_json_lines(out)
+        assert parsed["cases"][0]["identity"] == "composed:q_bin+q_euler/q_euler"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["compose", "--blocks", "gk:0"], None),
+            (["compose", "--blocks", "milne_lilly:-1"], None),
+            (["compose", "--blocks", "kajihara:2x0"], None),
+            (["verify", "--identity", "q_binomial"], {"samples": "2"}),
+            (["verify", "--identity", "q_binomial"], {"dims": {"n": 2}}),
+            (["verify", "--identity", "q_binomial", "--max-shell", "-1"], None),
+            (["verify", "--identity", "q_binomial", "--tail-tol", "0"], None),
+        ],
+    )
+    def test_config_error_exit_2(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(config_path)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
 
 class TestExportCatalog:
     def test_document(self, capsys):

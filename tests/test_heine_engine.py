@@ -176,11 +176,13 @@ class TestCompose:
             ((("q_bin", (1,)), ("extra_c", (2,))), ("milne_lilly", (2,))),
             ((("gk", (2,)),), ("extra_c", (2,))),
             ((("milne_lilly", (2,)), ("q_bin", (1,))), ("q_bin", (1,))),
+            ((("q_euler", (1,)), ("q_bin", (1,))), ("q_euler", (1,))),
+            ((("kajihara", (1, 2)), ("gk", (2,))), ("q_bin", (1,))),
         ],
     )
     def test_random_assignments_verify(self, block_specs, base_spec):
-        # Arbitrary assignments drawn from the shipped library stay
-        # verifiable at 1e-18.
+        # Arbitrary assignments drawn from the shipped library, transformation
+        # and q-binomial blocks mixed, stay verifiable at 1e-18.
         rng = random.Random(hash(base_spec) % 1000)
         for sample in range(2):
             bases = BaseSystem(
@@ -209,48 +211,95 @@ class TestCompose:
 
     @pytest.mark.parametrize(
         "specs",
-        [("q_bin:1", "q_bin:1"), ("milne_lilly:2", "gk:1"), ("gk:3",)],
+        [
+            (("q_bin:1", "q_bin:1"), "q_bin:1"),
+            (("milne_lilly:2", "gk:1"), "q_bin:1"),
+            (("gk:3",), "q_bin:1"),
+            (("q_euler:1",), "q_euler:1"),
+            (("kajihara:1x2",), "q_bin:1"),
+            (("q_euler:1", "q_bin:1"), "kajihara:2x1"),
+        ],
     )
     def test_left_terms_match_unfactored_summand(self, specs):
-        # The left side evaluates each block summand once per sub-index and
-        # the base ratio once per weight tuple; every term must agree with
-        # the product rebuilt from scratch to within 2^-110.
+        # Both sides evaluate each block factor once per sub-index and the
+        # coupling once per weight tuple; every term and the prefactor must
+        # agree with the unfactored expansion step to within 2^-110.
         rng = random.Random(17)
         bases = BaseSystem(mpf("0.35"), mpf("1.3"), mpf("0.8"))
+
+        def draw(spec, base):
+            name, dims = spec.split(":")
+            dims = tuple(int(d) for d in dims.split("x"))
+            return engine.sample_block(name, rng, dims, base)
+
+        block_specs, base_spec = specs
         slots = []
         with mp.workprec(bases.prec):
-            for spec in specs:
-                name, dim = spec.split(":")
+            for spec in block_specs:
                 exponent = mpf(rng.uniform(0.6, 2.0))
-                block = engine.sample_block(
-                    name, rng, (int(dim),), bases.power(exponent)
-                )
+                block = draw(spec, bases.power(exponent))
                 argument = mpf(rng.uniform(0.03, 0.2)) * min(1, block.arg_bound)
                 slots.append(engine.BlockSlot(block, exponent, argument))
-            base_block = engine.sample_block("q_bin", rng, (1,), bases.qt)
-        base_slot = engine.BlockSlot(base_block, bases.t, mpf("0.15"))
+            base_block = draw(base_spec, bases.qt)
+            base_argument = mpf("0.15") * min(1, base_block.arg_bound)
+        base_slot = engine.BlockSlot(base_block, bases.t, base_argument)
         composed = engine.compose(
             engine.BlockAssignment(tuple(slots), base_slot, bases)
         )
+        views = [engine.as_transformation(slot.block) for slot in slots]
+        crosses = [bases.power(bases.t * slot.exponent) for slot in slots]
+        base = engine.as_transformation(base_block)
 
-        def reference(P, k):
+        # The summands of one expansion step as compose_with_transformation
+        # wrote them for a pair of blocks, here for p blocks over the base.
+        # ``inner`` is the inner summand R(x; j) at the argument x.
+        def inner(block, P, x, j):
+            if not block.inner_dimension:
+                return mpf(1)
+            return block.inner_term(P, j) * (block.stretch * x) ** sum(j)
+
+        def lhs_reference(P, idx):
             value, scale, start = mpf(1), mpf(1), 0
+            for slot, block, cross in zip(slots, views, crosses):
+                k = idx[start : start + block.outer_dimension]
+                start += block.outer_dimension
+                value *= block.outer_term(P, slot.argument, k)
+                scale *= P.intpow(cross, sum(k))
+            shifted = base_argument * scale
+            value *= base.product(P, shifted) / base.product(P, base_argument)
+            return value * inner(base, P, shifted, idx[start:])
+
+        def rhs_reference(P, idx):
+            j = idx[: base.outer_dimension]
+            start = base.outer_dimension
+            value = base.outer_term(P, base_argument, j)
+            for slot, block, cross in zip(slots, views, crosses):
+                jt = idx[start : start + block.inner_dimension]
+                start += block.inner_dimension
+                shifted = slot.argument * P.intpow(cross, sum(j))
+                value *= block.product(P, shifted) / block.product(P, slot.argument)
+                value *= inner(block, P, shifted, jt)
+            return value
+
+        def prefactor_reference(P):
+            value = mpf(1)
             for slot in slots:
-                part = k[start : start + slot.block.dimension]
-                start += slot.block.dimension
-                value *= slot.block.term(P, slot.argument, part)
-                cross = bases.power(bases.t * slot.exponent)
-                scale *= P.intpow(cross, sum(part))
-            value *= base_block.product(P, base_slot.argument * scale)
-            return value / base_block.product(P, base_slot.argument)
+                value *= slot.block.product(P, slot.argument)
+            return value / base.product(P, base_argument)
 
         factored = make_context({}, bases)
         direct = PochCache(bases.prec)
         with mp.workprec(bases.prec):
-            for w in range(6):
-                for k in enumerate_shell(composed.lhs.dimension, w):
-                    value = composed.lhs.term(factored, k)
-                    assert rel(value, reference(direct, k)) < mpf(2) ** -110, k
+            value = composed.rhs.prefactor(factored)
+            assert rel(value, prefactor_reference(direct)) < mpf(2) ** -110
+            for side, reference in (
+                (composed.lhs, lhs_reference),
+                (composed.rhs, rhs_reference),
+            ):
+                for w in range(6):
+                    for k in enumerate_shell(side.dimension, w):
+                        value = side.term(factored, k)
+                        assert rel(value, reference(direct, k)) < mpf(2) ** -110, k
 
     def test_property_violation_raised(self):
         bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
