@@ -7,8 +7,15 @@ path), removes the volatile fields with ``report.strip_volatile`` and
 prints the sha256 of the result.  The exit code is the run's exit code.
 Two checkouts whose arithmetic is the same print the same digest.
 
-Example:
+Arguments are added to that ``qheine verify`` command, so a flag given
+again overrides the default (argparse keeps the last value), and
+``--identity`` replaces ``--all``.  Without arguments the command is the
+reference sweep above.
+
+Examples:
     PYTHONPATH=src python3 scripts/report_digest.py
+    PYTHONPATH=src python3 scripts/report_digest.py --precision 1024 \
+        --identity thm_heine7 --identity ram_core
 """
 
 import contextlib
@@ -21,14 +28,17 @@ from qheine import cli, report
 ARGV = ["verify", "--all", "--samples", "1", "--seed", "1"]
 
 
-def main() -> int:
+def main(extra: list) -> int:
+    argv = ARGV + extra
+    if any(arg.startswith("--identity") for arg in extra):
+        argv.remove("--all")
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = cli.main(ARGV)
+        code = cli.main(argv)
     stripped = report.strip_volatile(buffer.getvalue())
     print(hashlib.sha256(stripped.encode("utf-8")).hexdigest())
     return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

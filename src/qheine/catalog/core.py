@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf, mpmathify
@@ -15,11 +15,9 @@ from ..errors import (
     DomainViolation,
     InvalidConfig,
     QHeineError,
-    UnknownIdentity,
 )
 from ..multisum import (
     Diagnostics,
-    EvalContext,
     SeriesSide,
     TruncationPolicy,
     evaluate_in_context,

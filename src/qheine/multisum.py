@@ -369,7 +369,13 @@ class Diagnostics:
 def evaluate_in_context(
     side: SeriesSide, ctx: EvalContext, policy: TruncationPolicy | None = None
 ) -> tuple[QComplex, Diagnostics]:
-    """Sum one series side under a shared evaluation context."""
+    """Sum one series side under a shared evaluation context.
+
+    Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
+    ``ctx.poch.leave_shells()``: a product, ratio or power requested in one
+    shell only is dropped two shells later, and the prefactor's are kept for
+    the run.
+    """
     if policy is None:
         policy = TruncationPolicy()
     if not side.domain(ctx):
@@ -386,36 +392,41 @@ def evaluate_in_context(
         small_streak = 0
         prev_shell_abs = None
         shell_abs = mpf(0)
-        for w in range(policy.max_shell_weight + 1):
-            shell_sum = mpf(0)
-            for k in enumerate_shell(side.dimension, w):
-                try:
-                    shell_sum += side.term(ctx, k)
-                except (ZeroDivisionError, DivisionByZero) as exc:
-                    raise PoleEncountered(
-                        f"zero denominator at index {k}: {exc}"
-                    ) from exc
-                diag.terms += 1
-            total += shell_sum
-            diag.shells = w + 1
-            prev_shell_abs = shell_abs if w > 0 else None
-            shell_abs = abs(shell_sum)
-            ratio = shell_abs / max(abs(total), _TINY)
-            diag.last_shell_abs = shell_abs
-            diag.last_shell_ratio = ratio
-            if w >= policy.min_shells and ratio < tail_tol:
-                small_streak += 1
-                if small_streak >= 2:
-                    break
+        poch = ctx.poch
+        try:
+            for w in range(policy.max_shell_weight + 1):
+                poch.next_shell()
+                shell_sum = mpf(0)
+                for k in enumerate_shell(side.dimension, w):
+                    try:
+                        shell_sum += side.term(ctx, k)
+                    except (ZeroDivisionError, DivisionByZero) as exc:
+                        raise PoleEncountered(
+                            f"zero denominator at index {k}: {exc}"
+                        ) from exc
+                    diag.terms += 1
+                total += shell_sum
+                diag.shells = w + 1
+                prev_shell_abs = shell_abs if w > 0 else None
+                shell_abs = abs(shell_sum)
+                ratio = shell_abs / max(abs(total), _TINY)
+                diag.last_shell_abs = shell_abs
+                diag.last_shell_ratio = ratio
+                if w >= policy.min_shells and ratio < tail_tol:
+                    small_streak += 1
+                    if small_streak >= 2:
+                        break
+                else:
+                    small_streak = 0
             else:
-                small_streak = 0
-        else:
-            diag.converged = False
-            warnings.warn(
-                "tail ratio never fell below tolerance before the shell cap",
-                TruncationNotConverged,
-                stacklevel=2,
-            )
+                diag.converged = False
+                warnings.warn(
+                    "tail ratio never fell below tolerance before the shell cap",
+                    TruncationNotConverged,
+                    stacklevel=2,
+                )
+        finally:
+            poch.leave_shells()
 
         # Geometric tail estimate from the last two shells, floored at the
         # precision noise level so the bound is never vacuously zero.

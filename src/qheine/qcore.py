@@ -11,6 +11,19 @@ import math
 from typing import Sequence, Union
 
 from mpmath import mp, mpc, mpf, mpmathify
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_abs,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_sub,
+    mpf_abs,
+    mpf_cmp,
+    mpf_ge,
+    mpf_mul,
+    mpf_sub,
+)
 
 from .errors import DivisionByZero, LengthMismatch, NonConvergentBase
 
@@ -22,6 +35,9 @@ DEFAULT_PRECISION = 128
 # pathologically close to 1, which the BaseSystem validation already rejects
 # for sensible inputs.
 _MAX_FACTORS = 200_000
+_NOT_CONVERGED = "infinite product did not reach tolerance; base too close to 1"
+
+_COMPLEX_ONE = (fone, fzero)
 
 
 def default_tol(prec: int) -> mpf:
@@ -33,14 +49,7 @@ def qpoch_finite(a, base, k: int) -> QComplex:
     """Finite q-rising factorial (a; base)_k = prod_{r<k} (1 - a*base^r)."""
     if k < 0:
         raise ValueError("finite q-rising factorial needs k >= 0")
-    a = mpmathify(a)
-    base = mpmathify(base)
-    prod = mpf(1)
-    factor = a
-    for _ in range(int(k)):
-        prod *= 1 - factor
-        factor *= base
-    return prod
+    return FiniteTable(a, base, mp.prec).at(int(k))
 
 
 def qpoch_infinite(a, base, tol=None) -> QComplex:
@@ -49,6 +58,11 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     The product is truncated at the first R with |a|*|base|^R below
     tol*(1-|base|); comparing log(1-x) <= -x termwise bounds the dropped
     tail factor within ~tol of 1 in relative terms.
+
+    The factors are multiplied on raw ``_mpf_``/``_mpc_`` tuples with the
+    operations, precision and rounding of mpmath's operators, so the result
+    is bit for bit that of the loop ``prod *= 1 - factor; factor *= base``
+    on mpf and mpc objects.
     """
     a = mpmathify(a)
     base = mpmathify(base)
@@ -57,19 +71,80 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
         raise NonConvergentBase(f"|base| = {absbase} >= 1")
     if tol is None:
         tol = default_tol(mp.prec)
-    threshold = mpmathify(tol) * (1 - absbase)
-    prod = mpf(1)
-    factor = a
-    count = 0
-    while abs(factor) >= threshold:
-        prod *= 1 - factor
-        factor *= base
-        count += 1
-        if count > _MAX_FACTORS:
-            raise NonConvergentBase(
-                "infinite product did not reach tolerance; base too close to 1"
-            )
-    return prod
+    threshold = (mpmathify(tol) * (1 - absbase))._mpf_
+    prec, rnd = mp._prec_rounding
+    a, base = value_key(a), value_key(base)
+    if len(a) == 4 and len(base) == 4:
+        prod = _real_infinite(a, base, threshold, prec, rnd)
+    else:
+        prod = _complex_infinite(a, base, threshold, prec, rnd)
+    return _number(prod)
+
+
+def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
+    """The raw product of ``qpoch_infinite`` for a real a and base.
+
+    The stopping test |factor| >= threshold first compares magnitudes
+    (exponent + bitcount): a factor whose magnitude differs from the
+    threshold's is on the side it points to.  Ties, factors with more than
+    ``prec`` bits (whose abs would round) and thresholds that are not
+    positive numbers take the exact comparison.
+    """
+    tmag = threshold[2] + threshold[3]
+    limit = prec if threshold[1] and not threshold[0] else 0
+    prod, factor = fone, a
+    for _ in range(_MAX_FACTORS + 1):
+        _, man, exp, bc = factor
+        if man and bc <= limit:
+            mag = exp + bc
+            if mag < tmag or (
+                mag == tmag and mpf_cmp((0, man, exp, bc), threshold) < 0
+            ):
+                return prod
+        elif not mpf_ge(mpf_abs(factor, prec, rnd), threshold):
+            return prod
+        prod = mpf_mul(prod, mpf_sub(fone, factor, prec, rnd), prec, rnd)
+        factor = mpf_mul(factor, base, prec, rnd)
+    raise NonConvergentBase(_NOT_CONVERGED)
+
+
+def _complex_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
+    """The raw product of ``qpoch_infinite`` when a or base is complex."""
+    prod, factor = fone, a
+    for _ in range(_MAX_FACTORS + 1):
+        if len(factor) == 4:
+            size = mpf_abs(factor, prec, rnd)
+        else:
+            size = mpc_abs(factor, prec, rnd)
+        if not mpf_ge(size, threshold):
+            return prod
+        prod = _mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
+        factor = _mul(factor, base, prec, rnd)
+    raise NonConvergentBase(_NOT_CONVERGED)
+
+
+def _mul(x, y, prec: int, rnd: str) -> tuple:
+    """x * y on raw values, as mpmath's operators round it; a real times a
+    complex value is ``mpc_mul_mpf``."""
+    if len(x) == 4:
+        if len(y) == 4:
+            return mpf_mul(x, y, prec, rnd)
+        return mpc_mul_mpf(y, x, prec, rnd)
+    if len(y) == 4:
+        return mpc_mul_mpf(x, y, prec, rnd)
+    return mpc_mul(x, y, prec, rnd)
+
+
+def _one_minus(x, prec: int, rnd: str) -> tuple:
+    """1 - x on a raw value, as mpmath's operators round it."""
+    if len(x) == 4:
+        return mpf_sub(fone, x, prec, rnd)
+    return mpc_sub(_COMPLEX_ONE, x, prec, rnd)
+
+
+def _number(raw) -> QComplex:
+    """The mpf or mpc with the raw value ``raw``."""
+    return mp.make_mpc(raw) if len(raw) == 2 else mp.make_mpf(raw)
 
 
 def qpoch_ratio(a, base, scale, tol=None) -> QComplex:
@@ -124,25 +199,32 @@ def value_key(x):
 
 
 class FiniteTable(list):
-    """(a; base)_0, (a; base)_1, ... as a list that ``at`` extends."""
+    """(a; base)_0, (a; base)_1, ... as a list that ``at`` extends.
+
+    The next factor and the base are kept as raw values, and the table grows
+    with the raw operations of ``qpoch_infinite``: each entry is bit for bit
+    the loop ``prod *= 1 - factor; factor *= base`` on mpmath objects.
+    """
 
     __slots__ = ("factor", "base", "prec")
 
     def __init__(self, a, base, prec: int):
         super().__init__((mpf(1),))
-        self.factor = mpmathify(a)
-        self.base = base
+        self.factor = value_key(mpmathify(a))
+        self.base = value_key(base)
         self.prec = prec
 
     def at(self, k: int) -> QComplex:
         """(a; base)_k, extending the table through index k if needed."""
         if len(self) <= k:
-            with mp.workprec(self.prec):
-                factor = self.factor
-                while len(self) <= k:
-                    self.append(self[-1] * (1 - factor))
-                    factor *= self.base
-                self.factor = factor
+            prec, rnd = self.prec, mp._prec_rounding[1]
+            factor, base = self.factor, self.base
+            prod = value_key(self[-1])
+            while len(self) <= k:
+                prod = _mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
+                self.append(_number(prod))
+                factor = _mul(factor, base, prec, rnd)
+            self.factor = factor
         return self[k]
 
 
@@ -194,6 +276,47 @@ class BaseSystem:
         return f"BaseSystem(q={self.q}, h={self.h}, t={self.t}, prec={self.prec})"
 
 
+class ShellMemo(dict):
+    """A memo whose values live for the run or for two shells.
+
+    The dict itself holds the run's values.  A value computed inside a shell
+    of ``multisum.evaluate_in_context`` is kept in ``young`` for that shell
+    and in ``old`` for the next one, then dropped; a second request in that
+    window moves it to the run.  A value computed outside the shell loop,
+    such as a prefactor's, goes straight to the run.
+    """
+
+    __slots__ = ("young", "old")
+
+    def __init__(self):
+        super().__init__()
+        self.young: dict = {}
+        self.old: dict = {}
+
+    def find(self, key):
+        """The value under ``key``, or None; a young or old value found is
+        moved to the run."""
+        value = self.get(key)
+        if value is None:
+            value = self.young.pop(key, None)
+            if value is None:
+                value = self.old.pop(key, None)
+                if value is None:
+                    return None
+            self[key] = value
+        return value
+
+    def keep(self, key, value, in_shell: bool) -> None:
+        """Store a value just computed, in a shell or for the run."""
+        (self.young if in_shell else self)[key] = value
+
+    def age(self) -> None:
+        """A shell boundary: the last shell's values become old, and the
+        values computed in the shell before and not requested again go."""
+        self.old = self.young
+        self.young = {}
+
+
 class PochCache:
     """Memoised q-rising factorials and term-layer values for one run.
 
@@ -201,21 +324,36 @@ class PochCache:
     precision; the cache only removes repeated work across the many series
     terms that share the same products, powers and pair tables.  Every key
     is built from raw mpmath values (``value_key``), so no lookup hashes an
-    mpf object.  ``terms`` holds the block factors of ``multisum.block_term``:
-    each part under its function and index, the current shell's couplings
-    under the coupling function; and the run's bound blocks of
-    ``multisum.heine_sides`` under their ``bind`` function.
+    mpf object.  Infinite products, ratios and integer powers are kept in
+    ``ShellMemo`` memos: a value computed in a shell lives for that shell
+    and the next unless it is requested again there.  ``next_shell`` and
+    ``leave_shells`` mark the shell loop.  Finite tables and ``table``
+    values are kept for the run.  ``terms`` holds the block factors of
+    ``multisum.block_term``: each part under its function and index, the
+    current shell's couplings under the coupling function; and the run's
+    bound blocks of ``multisum.heine_sides`` under their ``bind`` function.
     """
 
     def __init__(self, prec: int, tol=None):
         self.prec = int(prec)
         self.tol = tol if tol is not None else default_tol(self.prec)
+        self.in_shell = False
         self._finite: dict = {}
-        self._infinite: dict = {}
-        self._ratio: dict = {}
-        self._intpow: dict = {}
+        self._infinite = ShellMemo()
+        self._ratio = ShellMemo()
+        self._intpow = ShellMemo()
         self._tables: dict = {}
         self.terms: dict = {}
+
+    def next_shell(self) -> None:
+        """Mark the start of a shell of the series being summed."""
+        self.in_shell = True
+        for memo in (self._infinite, self._ratio, self._intpow):
+            memo.age()
+
+    def leave_shells(self) -> None:
+        """Mark the end of the shell loop: later values are kept for the run."""
+        self.in_shell = False
 
     def finite_table(self, a, base) -> FiniteTable:
         """The list of (a; base)_0, (a; base)_1, ... kept for this run."""
@@ -230,17 +368,17 @@ class PochCache:
 
     def infinite(self, a, base) -> QComplex:
         key = (value_key(a), value_key(base))
-        value = self._infinite.get(key)
+        value = self._infinite.find(key)
         if value is None:
             with mp.workprec(self.prec):
                 value = qpoch_infinite(a, base, self.tol)
-            self._infinite[key] = value
+            self._infinite.keep(key, value, self.in_shell)
         return value
 
     def ratio(self, a, base, scale) -> QComplex:
         """(a; base)_kappa with scale = base**kappa, as a product ratio."""
         key = (value_key(a), value_key(base), value_key(scale))
-        value = self._ratio.get(key)
+        value = self._ratio.find(key)
         if value is None:
             num = self.infinite(a, base)
             with mp.workprec(self.prec):
@@ -252,17 +390,17 @@ class PochCache:
                 )
             with mp.workprec(self.prec):
                 value = num / den
-            self._ratio[key] = value
+            self._ratio.keep(key, value, self.in_shell)
         return value
 
     def intpow(self, x, n: int) -> QComplex:
         """x ** n for an integer n, evaluated at the cache precision."""
         key = (value_key(x), n)
-        value = self._intpow.get(key)
+        value = self._intpow.find(key)
         if value is None:
             with mp.workprec(self.prec):
                 value = x**n
-            self._intpow[key] = value
+            self._intpow.keep(key, value, self.in_shell)
         return value
 
     def table(self, tag, values: tuple, build):

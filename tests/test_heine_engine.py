@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 from mpmath import mp, mpf
@@ -183,7 +184,7 @@ class TestCompose:
     def test_random_assignments_verify(self, block_specs, base_spec):
         # Arbitrary assignments drawn from the shipped library, transformation
         # and q-binomial blocks mixed, stay verifiable at 1e-18.
-        rng = random.Random(hash(base_spec) % 1000)
+        rng = random.Random(zlib.crc32(repr(base_spec).encode()))
         for sample in range(2):
             bases = BaseSystem(
                 mpf(rng.uniform(0.15, 0.5)),

@@ -26,6 +26,7 @@ from qheine import (
     vandermonde_factor,
     vandermonde_ratio,
 )
+from qheine import catalog, cli, qcore
 from qheine.catalog.core import staircase
 from util import rel
 
@@ -346,3 +347,114 @@ class TestBlockTerm:
         for _ in range(2):
             with pytest.raises(DegenerateVariables):
                 evaluate_in_context(side, ctx)
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The (a, base) of every infinite product the kernel computes."""
+    calls = []
+    raw = qcore.qpoch_infinite
+
+    def counted(a, base, tol=None):
+        calls.append((a, base))
+        return raw(a, base, tol)
+
+    monkeypatch.setattr(qcore, "qpoch_infinite", counted)
+    return calls
+
+
+def _verify_cases(family_id, dims_list=None):
+    family = catalog.lookup(family_id)
+    for dims in dims_list or family.default_dims:
+        identity = family.instantiate(dims)
+        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        assert catalog.verify(identity, params, bases).passed
+
+
+def _compose_case():
+    argv = ["compose", "--blocks", "q_euler,q_bin", "--base", "kajihara:2x1"]
+    assert cli.main(argv + ["--samples", "1", "--seed", "1"]) == 0
+
+
+class TestShellLifetimes:
+    """evaluate_in_context marks each shell, so a product lives in the
+    run's cache for as long as it is requested again."""
+
+    q = mpf("0.1")
+
+    def test_left_prefactor_product_read_by_right_terms(self, computed):
+        q, a = self.q, mpf("0.3")
+
+        def product(ctx):
+            return ctx.poch.infinite(a, q)
+
+        def rhs_term(ctx, k):
+            return q ** k[0] * (product(ctx) if k[0] == 9 else 1)
+
+        lhs = SeriesSide(1, lambda ctx, k: q ** k[0], prefactor=product)
+        ctx = make_context({}, BaseSystem(q))
+        evaluate_in_context(lhs, ctx)
+        evaluate_in_context(SeriesSide(1, rhs_term), ctx)
+        assert len(computed) == 1
+
+    def test_product_of_consecutive_shells_computed_once(self, computed):
+        q = self.q
+
+        def term(ctx, k):
+            return q ** k[0] * ctx.poch.infinite(q ** (k[0] // 2), q)
+
+        ctx = make_context({}, BaseSystem(q))
+        _, diag = evaluate_in_context(SeriesSide(1, term), ctx)
+        assert len(computed) == (diag.shells + 1) // 2
+        assert ctx.poch.in_shell is False
+
+    def test_product_requested_once_is_dropped(self, computed):
+        q = self.q
+
+        def term(ctx, k):
+            return q ** k[0] * ctx.poch.infinite(q ** (k[0] + 1), q)
+
+        ctx = make_context({}, BaseSystem(q))
+        _, diag = evaluate_in_context(SeriesSide(1, term), ctx)
+        memo = ctx.poch._infinite
+        assert len(computed) == diag.shells
+        assert not memo and len(memo.young) == len(memo.old) == 1
+
+    def test_qlauricella_left_side_keeps_two_shells(self, computed, monkeypatch):
+        identity = catalog.lookup("qlauricella_bibasic").instantiate({"p": 3})
+        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        ctx = make_context(params, bases)
+        marks = []
+        raw_next = qcore.PochCache.next_shell
+
+        def next_shell(cache):
+            marks.append(len(computed))
+            raw_next(cache)
+
+        monkeypatch.setattr(qcore.PochCache, "next_shell", next_shell)
+        _, diag = evaluate_in_context(identity.lhs, ctx, identity.policy)
+        memo = ctx.poch._infinite
+        last_two = len(computed) - marks[-2]
+        assert diag.shells > 20 and len(computed) > 5 * last_two
+        assert len(memo.young) + len(memo.old) == last_two
+        assert len(memo) < diag.shells
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: _verify_cases(
+                "master_instance_lauricella", [{"m": 2, "n": 1, "p": 2}]
+            ),
+            lambda: _verify_cases("kajihara_double"),
+            lambda: _verify_cases("ram_core"),
+            _compose_case,
+        ],
+        ids=["master_instance_lauricella", "kajihara_double", "ram_core", "compose"],
+    )
+    def test_as_few_products_as_an_unbounded_memo(self, computed, monkeypatch, run):
+        run()
+        bounded = len(computed)
+        computed.clear()
+        monkeypatch.setattr(qcore.ShellMemo, "age", lambda memo: None)
+        run()
+        assert bounded == len(computed) > 0

@@ -18,7 +18,10 @@ from qheine import (
     qpoch_infinite,
     qpoch_ratio,
 )
-from util import rel
+from qheine import qcore
+from qheine.qcore import FiniteTable
+import util
+from util import MAX_FACTORS, qpoch_finite_loop, qpoch_infinite_loop, rel
 
 # Exact rational oracle for the five-factor complex product, computed with
 # fractions.Fraction: prod_{r<5} (1 - (0.3+0.1i) * 0.4^r).
@@ -250,3 +253,221 @@ class TestCacheKeys:
         assert cache.finite_table(a, base) is table
         for k in range(len(table)):
             assert same_bits(table[k], qpoch_finite(a, base, k))
+
+
+def _raw_value(v):
+    return (type(v), v._mpc_ if isinstance(v, mpc) else v._mpf_)
+
+
+_PRECISIONS = st.sampled_from([64, 128, 256, 1024])
+
+
+@st.composite
+def _kernel_arguments(draw, arg_max=1.6, base_max=0.8):
+    """(prec, a, base): a and base real or complex, each sometimes held at
+    more bits than the working precision."""
+    prec = draw(_PRECISIONS)
+    part = st.floats(min_value=-arg_max, max_value=arg_max)
+    small = st.floats(min_value=-base_max, max_value=base_max)
+
+    def number(strategy):
+        x = mpf(draw(strategy))
+        if draw(st.booleans()):
+            with mp.workprec(prec + 64):
+                x = x / 3
+        return x
+
+    a = number(part)
+    if draw(st.booleans()):
+        a = mpc(a, draw(part))
+    base = number(small)
+    if draw(st.booleans()):
+        imag = draw(small)
+        base = mpc(base, imag) if abs(mpc(base, imag)) <= base_max else mpc(0, imag)
+    return prec, a, base
+
+
+class TestRawKernel:
+    """qpoch_infinite and FiniteTable run on raw tuples; each must give the
+    bits of the product loop on mpmath objects in tests/util.py."""
+
+    @given(_kernel_arguments(), st.sampled_from([None, "1e-12", "1e-40"]))
+    @settings(max_examples=120, deadline=None)
+    def test_infinite_matches_object_loop(self, args, tol):
+        prec, a, base = args
+        tol = None if tol is None else mpf(tol)
+        with mp.workprec(prec):
+            assert _raw_value(qpoch_infinite(a, base, tol)) == _raw_value(
+                qpoch_infinite_loop(a, base, tol)
+            )
+
+    @given(
+        _kernel_arguments(arg_max=3.0, base_max=1.2),
+        st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_finite_table_matches_object_loop(self, args, indices):
+        prec, a, base = args
+        table = FiniteTable(a, base, prec)
+        for k in indices:
+            value = table.at(k)
+            with mp.workprec(prec):
+                want = _raw_value(qpoch_finite_loop(a, base, k))
+                assert _raw_value(qpoch_finite(a, base, k)) == want
+            assert _raw_value(value) == want
+
+    @pytest.mark.parametrize(
+        "a, base",
+        [
+            (mpf(0), mpf("0.5")),
+            (mpc(0, 0), mpf("0.5")),
+            (mpf("0.6"), mpf(0)),
+            (mpc("0.6", "0.2"), mpc(0, 0)),
+            (mpf("0.7"), mpf("-0.45")),
+            (mpf("-0.7"), mpf("-0.3")),
+            (mpf("2.5"), mpf("0.5")),
+            (mpf("-7.25"), mpf("-0.6")),
+            (mpc("1.5", "-2"), mpf("0.4")),
+            (mpf("0.3"), mpc("0.2", "0.5")),
+            (mpc("0.5", "0"), mpf("0.3")),
+        ],
+    )
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_edge_cases(self, a, base, prec):
+        with mp.workprec(prec):
+            got = qpoch_infinite(a, base)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base))
+            for k in (0, 1, 5):
+                assert _raw_value(qpoch_finite(a, base, k)) == _raw_value(
+                    qpoch_finite_loop(a, base, k)
+                )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("nudge", [0, 1, -1])
+    def test_factor_at_the_threshold(self, sign, nudge):
+        # Factors 0.75, 0.375, 0.1875, ... in base 1/2; tol = 0.375 puts the
+        # threshold tol * (1 - 1/2) at 0.1875, or just off it with nudge.
+        a, base = mpf("0.75"), sign * mpf("0.5")
+        tol = mpf("0.375") + nudge * mpf(2) ** -100
+        with mp.workprec(128):
+            got = qpoch_infinite(a, base, tol)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            factors = 3 if nudge <= 0 else 2
+            assert got == qpoch_finite(a, base, factors)
+
+    def test_threshold_not_positive(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_MAX_FACTORS", 1000)
+        with mp.workprec(64):
+            for tol in (mpf(-1), mpf(-1) / 3):
+                with pytest.raises(NonConvergentBase):
+                    qpoch_infinite(mpf("0.5"), mpf("0.5"), tol)
+            # A zero threshold stops at nothing: even a = 0 runs to the cap.
+            with pytest.raises(NonConvergentBase):
+                qpoch_infinite(0, mpf("0.5"), 0)
+            # Nothing compares >= nan, so a nan threshold stops at once.
+            for base in (mpf("0.5"), mpc("0.5", "0.5")):
+                got = qpoch_infinite(mpf("0.5"), base, mpf("nan"))
+                want = qpoch_infinite_loop(mpf("0.5"), base, mpf("nan"))
+                assert _raw_value(got) == _raw_value(want) == _raw_value(mpf(1))
+
+    def test_cap_matches_object_loop(self, monkeypatch):
+        # (0.5; 0.5)_oo at tol 1e-3 multiplies 10 factors: a cap of 10
+        # passes it and a cap of 9 does not, as in the object loop.
+        assert MAX_FACTORS == qcore._MAX_FACTORS
+        a, base, tol = mpf("0.5"), mpf("0.5"), mpf("1e-3")
+        for cap, passes in ((10, True), (9, False)):
+            monkeypatch.setattr(qcore, "_MAX_FACTORS", cap)
+            monkeypatch.setattr(util, "MAX_FACTORS", cap)
+            for product in (qpoch_infinite, qpoch_infinite_loop):
+                for arg in (a, mpc(a, 0)):
+                    if passes:
+                        assert product(arg, base, tol) == qpoch_finite(arg, base, 10)
+                    else:
+                        with pytest.raises(NonConvergentBase):
+                            product(arg, base, tol)
+
+    @pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("complex_base", [False, True])
+    def test_special_values(self, monkeypatch, a, complex_base):
+        monkeypatch.setattr(qcore, "_MAX_FACTORS", 20)
+        monkeypatch.setattr(util, "MAX_FACTORS", 20)
+        base = mpc("0.5", "0.25") if complex_base else mpf("0.5")
+        outcomes = []
+        for product in (qpoch_infinite, qpoch_infinite_loop):
+            try:
+                outcomes.append(_raw_value(product(mpf(a), base)))
+            except NonConvergentBase:
+                outcomes.append(NonConvergentBase)
+        assert outcomes[0] == outcomes[1]
+
+    def test_nonconvergent_at_the_factor_cap(self):
+        base = 1 - mpf(2) ** -30
+        with mp.workprec(64):
+            with pytest.raises(NonConvergentBase, match="did not reach tolerance"):
+                qpoch_infinite(mpf("0.5"), base)
+
+
+class TestShellMemo:
+    """Products, ratios and powers computed in a shell live for that shell
+    and the next one unless requested again; others live for the run."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+        raw = qcore.qpoch_infinite
+
+        def counted(a, base, tol=None):
+            calls.append((a, base))
+            return raw(a, base, tol)
+
+        monkeypatch.setattr(qcore, "qpoch_infinite", counted)
+        return calls
+
+    def test_consecutive_shells_compute_once(self, computed):
+        cache = PochCache(128)
+        a, base = mpf("0.3"), mpf("0.5")
+        cache.next_shell()
+        first = cache.infinite(a, base)
+        cache.next_shell()
+        assert cache.infinite(a, base) is first
+        for _ in range(5):
+            cache.next_shell()
+        assert cache.infinite(a, base) is first
+        assert len(computed) == 1
+
+    def test_requested_once_is_gone_two_shells_later(self, computed):
+        cache = PochCache(128)
+        a, base = mpf("0.3"), mpf("0.5")
+        cache.next_shell()
+        cache.infinite(a, base)
+        cache.intpow(a, 3)
+        cache.next_shell()
+        cache.next_shell()
+        for memo in (cache._infinite, cache._intpow):
+            assert not memo and not memo.young and not memo.old
+        cache.infinite(a, base)
+        assert len(computed) == 2
+
+    def test_second_request_in_the_same_shell_keeps_it(self, computed):
+        cache = PochCache(128)
+        a, base = mpf("0.3"), mpf("0.5")
+        cache.next_shell()
+        cache.ratio(a, base, base**2)
+        cache.ratio(a, base, base**2)
+        for _ in range(3):
+            cache.next_shell()
+        cache.ratio(a, base, base**2)
+        assert len(computed) == 2  # numerator and denominator, once each
+
+    def test_values_outside_shells_are_kept_for_the_run(self, computed):
+        cache = PochCache(128)
+        a, base = mpf("0.3"), mpf("0.5")
+        cache.infinite(a, base)
+        cache.next_shell()
+        cache.leave_shells()
+        cache.intpow(a, 2)
+        for _ in range(4):
+            cache.next_shell()
+        assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
+        assert len(computed) == 1
+        assert (qcore.value_key(a), 2) in cache._intpow

@@ -1,10 +1,53 @@
 """Shared helpers for the test suite."""
 
-from mpmath import mpf
+from mpmath import mp, mpf, mpmathify
 
+from qheine.errors import NonConvergentBase
 from qheine.multisum import evaluate_in_context, make_context
+from qheine.qcore import default_tol
 
 REL_FLOOR = mpf("1e-300")
+
+# Must equal qcore._MAX_FACTORS.
+MAX_FACTORS = 200_000
+
+
+def qpoch_finite_loop(a, base, k):
+    """Reference (a; base)_k: the product loop on mpmath objects, which
+    ``qcore.FiniteTable`` and ``qcore.qpoch_finite`` must match bit for bit."""
+    a = mpmathify(a)
+    base = mpmathify(base)
+    prod = mpf(1)
+    factor = a
+    for _ in range(int(k)):
+        prod *= 1 - factor
+        factor *= base
+    return prod
+
+
+def qpoch_infinite_loop(a, base, tol=None):
+    """Reference (a; base)_oo: the product loop on mpmath objects, which
+    ``qcore.qpoch_infinite`` must match bit for bit, errors included."""
+    a = mpmathify(a)
+    base = mpmathify(base)
+    absbase = abs(base)
+    if absbase >= 1:
+        raise NonConvergentBase(f"|base| = {absbase} >= 1")
+    if tol is None:
+        tol = default_tol(mp.prec)
+    threshold = mpmathify(tol) * (1 - absbase)
+    prod = mpf(1)
+    factor = a
+    count = 0
+    while abs(factor) >= threshold:
+        prod *= 1 - factor
+        factor *= base
+        count += 1
+        if count > MAX_FACTORS:
+            raise NonConvergentBase(
+                "infinite product did not reach tolerance; base too close to 1"
+            )
+    return prod
 
 
 def rel(a, b):
