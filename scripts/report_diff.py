@@ -5,8 +5,9 @@ Both reports are normalised with ``report.strip_volatile``, and their cases
 are matched by (identity, dims, sample_index).  For every case the script
 prints the largest relative change of the lhs and rhs values between the
 two reports, then the largest change over all cases.  It exits 1 if the two
-reports hold different sets of cases or if any case's verdict (``passed``
-and ``status``) differs, and 0 otherwise.
+reports hold different sets of cases, if any case's verdict (``passed`` and
+``status``) differs, or if any case's work counts (``lhs_shells``,
+``rhs_shells``, ``lhs_terms``, ``rhs_terms``) differ, and 0 otherwise.
 
 Use it where ``report_digest.py`` cannot help: a change that moves the last
 bits of the values changes the digest, and this shows by how much.
@@ -22,6 +23,8 @@ import sys
 from mpmath import mp, mpf
 
 from qheine import report
+
+COUNTS = ("lhs_shells", "rhs_shells", "lhs_terms", "rhs_terms")
 
 
 def cases(path: str) -> dict:
@@ -68,6 +71,8 @@ def main(argv) -> int:
             )
         verdicts = [(c["passed"], c.get("status", "ok")) for c in (old, cur)]
         flag = "" if verdicts[0] == verdicts[1] else "  VERDICT CHANGED"
+        if any(old.get(name) != cur.get(name) for name in COUNTS):
+            flag += "  COUNTS CHANGED"
         if flag:
             code = 1
         shown = "n/a" if change is None else mp.nstr(change, 3)

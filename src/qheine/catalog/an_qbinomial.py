@@ -4,6 +4,8 @@ carrying an extra free parameter c."""
 
 from __future__ import annotations
 
+import math
+
 from ..multisum import SeriesSide
 from ..qcore import e2
 from .core import (
@@ -27,6 +29,9 @@ __all__ = [
     "gk_term",
     "gk_product",
     "gk_summation",
+    "euler_exp_term",
+    "euler_exp_product",
+    "euler_exp_summation",
     "extra_c_term",
     "extra_c_product",
     "extra_c_summation",
@@ -166,6 +171,36 @@ AN_QBIN_GK = IdentityFamily(
     sample=_gk_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )
+
+
+# -- A_n Euler exponential sum, the a -> oo limit of the gk sum --------------
+# prod_{r<n} (-z q^r)_oo
+#   = sum_k V(x,k) prod_r q^{C(k_r,2)}/(q)_{k_r} z^{|k|} q^{sum (r-1)k_r}
+# Like the gk sum, it does not depend on x.  No catalog family: it backs the
+# partial-theta entries of catalog.ramanujan.
+
+
+def euler_exp_term(P, xvec, base, z, k):
+    value = vande(P, xvec, k, base)
+    for kr in k:
+        value /= P.finite(base, base, kr)
+    exponent = staircase(k) + sum(math.comb(kr, 2) for kr in k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
+
+
+def euler_exp_product(P, n, base, z):
+    value = P.infinite(-z, base)
+    for r in range(1, n):
+        value *= P.infinite(-z * base**r, base)
+    return value
+
+
+def euler_exp_summation(xvec, base):
+    """The summand (P, z, k) and product side (P, z), parameters bound."""
+    return (
+        lambda P, z, k: euler_exp_term(P, xvec, base, z, k),
+        lambda P, z: euler_exp_product(P, len(xvec), base, z),
+    )
 
 
 # -- A_n q-binomial sum with an extra parameter c ----------------------------

@@ -2,18 +2,25 @@
 
 These entries use variable vectors specialised to geometric progressions in
 the base, which collapses the generic Vandermonde factor to pure q-powers and
-introduces the quadratic exponents typical of this family.  Each side is
-written exactly as displayed; no cross-side cancellation is performed.
+introduces the quadratic exponents typical of this family.
+
+Six entries are Heine pairs at specialised parameters and are built by
+``multisum.heine_sides`` (Heine's method): ram_core and ram_1_4_1_anm from
+the gk and Milne-Lilly summations, ram_eq26_a2, ram_1_4_12, ram_eq26_a3 and
+ram_1_4_17 from the Euler exponential summation.  The other ten are written
+exactly as displayed: their sides are collapsed forms with stretched finite
+products, or (ram_1_4_9, ram_1_4_10) Heine pairs whose Heine form would
+trade finite-table lookups for an infinite product per term.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
-from mpmath import mpf
-
-from ..multisum import SeriesSide, TruncationPolicy
+from ..multisum import HeineBlock, SeriesSide, TruncationPolicy, heine_sides
 from ..qcore import e2
+from .an_qbinomial import euler_exp_summation, gk_summation, milne_lilly_summation
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -50,57 +57,81 @@ def _q_vector(dim):
     return _per_run(("geom q", dim), lambda B: geom(B.q, dim))
 
 
-# -- the central bibasic identity behind this family -------------------------
+# -- entries built by Heine's method -----------------------------------------
 
 
-def _ram_core_build(dims):
-    def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return (
-            P.infinite(p["a"] * B.qt, B.qt)
-            * P.infinite(p["c"] * B.q * B.qh, B.qh)
-            / (
-                P.infinite(-p["b"] * B.q * B.qt, B.qt)
-                * P.infinite(p["d"] * B.qh, B.qh)
-            )
+def _displayed(shapes, base_shape, bind, common):
+    """The sides of ``multisum.heine_sides(shapes, base_shape, bind)`` as
+    displayed: both multiplied by ``common(P, blocks, base)``, which is the
+    lhs prefactor and multiplies the rhs one.  ``common`` is built from the
+    bound blocks' own products, which the rhs prefactor computes anyway."""
+    lhs, rhs = heine_sides(shapes, base_shape, bind)
+
+    def factor(ctx):
+        return common(ctx.poch, *bind(ctx))
+
+    def rhs_prefactor(ctx):
+        return factor(ctx) * rhs.prefactor(ctx)
+
+    return replace(lhs, prefactor=factor), replace(rhs, prefactor=rhs_prefactor)
+
+
+def _base_product(P, blocks, base):
+    return base.product(P, base.argument)
+
+
+def _base_over_block(P, blocks, base):
+    (block,) = blocks
+    return base.product(P, base.argument) / block.product(P, block.argument)
+
+
+# -- the central bibasic identity and its m-fold to n-fold extension ----------
+# Heine's method on the m-fold gk summation in base q^{tm} (upper parameter
+# -bq/a, x_r = q^{t(r-1)}) at a q^{tm}, with cross base q^{htmn}, over the
+# n-fold Milne-Lilly summation in base q^{hn} (every a_r = cq/d, x_r =
+# q^{h(r-1)}) at w = d q^{hn}.  With these x_r the Milne-Lilly product side
+# collapses to (cq/d w q^{h(1-n)}; q^h)_oo / (w q^{h(1-n)}; q^h)_oo.  The
+# display multiplies both sides by the base block's product over the
+# block's; ram_core is n = m = 1.
+
+
+def _ram_1_4_1_build(dims):
+    n, m = dims.get("n", 1), dims.get("m", 1)
+
+    def bind(ctx):
+        B, p = ctx.bases, ctx.params
+        q_tm, q_hn = B.power(B.t * m), B.power(B.h * n)
+        ratio, shift = p["c"] * B.q / p["d"], B.power(B.h * (1 - n))
+
+        def base_product(P, w):
+            w = w * shift
+            return P.infinite(ratio * w, B.qh) / P.infinite(w, B.qh)
+
+        block = HeineBlock(
+            *gk_summation(-p["b"] * B.q / p["a"], geom(B.qt, m), q_tm),
+            p["a"] * q_tm,
+            B.power(B.h * B.t * m * n),
         )
+        base_term, _ = milne_lilly_summation((ratio,) * n, geom(B.qh, n), q_hn)
+        return (block,), HeineBlock(base_term, base_product, p["d"] * q_hn)
 
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj = j[0]
-        scale = P.intpow(B.qht, jj)
-        return (
-            P.finite(-p["b"] * B.q / p["a"], B.qt, jj)
-            / P.finite(B.qt, B.qt, jj)
-            * P.ratio(p["d"] * B.qh, B.qh, scale)
-            / P.ratio(p["c"] * B.q * B.qh, B.qh, scale)
-            * P.intpow(p["a"] * B.qt, jj)
-        )
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk = k[0]
-        scale = P.intpow(B.qht, kk)
-        return (
-            P.finite(p["c"] * B.q / p["d"], B.qh, kk)
-            / P.finite(B.qh, B.qh, kk)
-            * P.ratio(p["a"] * B.qt, B.qt, scale)
-            / P.ratio(-p["b"] * B.q * B.qt, B.qt, scale)
-            * P.intpow(p["d"] * B.qh, kk)
-        )
-
-    return SeriesSide(1, lhs_term, lhs_prefactor), SeriesSide(1, rhs_term)
+    return _displayed(((m, 0),), (n, 0), bind, _base_over_block)
 
 
-def _ram_core_domain(dims, p, bases):
+def _ram_1_4_1_domain(dims, p, bases):
     if p["a"] == 0 or p["d"] == 0:
         return False
-    return abs(p["a"] * bases.qt) < 1 and abs(p["d"] * bases.qh) < 1
+    q_tm = bases.power(bases.t * dims.get("m", 1))
+    # The n-fold sum inherits max_r |z/x_r| < 1 from its parent
+    # transformation; with x_r = q^{h(r-1)} the binding case is |d q^h| < 1,
+    # strictly stronger than |d q^{hn}| < 1 once n > 1.
+    return abs(p["a"] * q_tm) < 1 and abs(p["d"] * bases.qh) < 1
 
 
-def _ram_core_sample(rng, dims, bases):
+def _ram_1_4_1_sample(rng, dims, bases):
+    q_tm = bases.power(bases.t * dims.get("m", 1))
     return {
-        "a": argument(rng) / bases.qt,
+        "a": argument(rng) / q_tm,
         "b": coefficient(rng),
         "c": coefficient(rng),
         "d": argument(rng) / bases.qh,
@@ -112,94 +143,10 @@ RAM_CORE = IdentityFamily(
     reference="bibasic transformation central to the Ramanujan 2phi1 family",
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
-    build=_ram_core_build,
-    domain=_ram_core_domain,
-    sample=_ram_core_sample,
+    build=_ram_1_4_1_build,
+    domain=_ram_1_4_1_domain,
+    sample=_ram_1_4_1_sample,
 )
-
-
-# -- its m-fold to n-fold extension -------------------------------------------
-
-
-def _ram_1_4_1_anm_build(dims):
-    n, m = dims["n"], dims["m"]
-    powers = _per_run(
-        ("ram_1_4_1_anm", n, m),
-        lambda B: SimpleNamespace(
-            q_tm=B.power(B.t * m),
-            q_hn=B.power(B.h * n),
-            stretch=B.power(B.h * B.t * m * n),
-            x_t=geom(B.qt, m),
-            x_h=geom(B.qh, n),
-            shifts=tuple(B.power(B.h * (r - n)) for r in range(1, n + 1)),
-        ),
-    )
-
-    def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        value = mpf(1)
-        for r in range(1, m + 1):
-            value *= P.infinite(p["a"] * q_tm**r, q_tm)
-            value /= P.infinite(-p["b"] * B.q * q_tm**r, q_tm)
-        value *= P.infinite(p["c"] * B.q * B.qh, B.qh)
-        value /= P.infinite(p["d"] * B.qh, B.qh)
-        return value
-
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        c = powers(P, B)
-        q_tm = c.q_tm
-        jj = sum(j)
-        scale = P.intpow(c.stretch, jj)
-        value = vande(P, c.x_t, j, q_tm)
-        for r in range(m):
-            value *= P.finite(-p["b"] * B.q / p["a"], q_tm, j[r])
-            value /= P.finite(q_tm, q_tm, j[r])
-        value *= P.ratio(p["d"] * B.qh, B.qh, scale)
-        value /= P.ratio(p["c"] * B.q * B.qh, B.qh, scale)
-        return value * P.intpow(p["a"] * q_tm, jj) * P.intpow(q_tm, staircase(j))
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        c = powers(P, B)
-        q_tm, q_hn = c.q_tm, c.q_hn
-        kk = sum(k)
-        scale = P.intpow(c.stretch, kk)
-        value = vande(P, c.x_h, k, q_hn)
-        for r in range(1, n + 1):
-            value *= P.finite(
-                p["c"] * B.q * c.shifts[r - 1] / p["d"], B.qh, n * k[r - 1]
-            )
-            value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
-        for r in range(1, m + 1):
-            value *= P.ratio(p["a"] * P.intpow(q_tm, r), q_tm, scale)
-            value /= P.ratio(-p["b"] * B.q * P.intpow(q_tm, r), q_tm, scale)
-        value *= P.intpow(p["d"] * q_hn, kk)
-        value *= P.intpow(B.qh, (n - 1) * staircase(k)) * P.intpow(B.qh, n * e2(k))
-        return value
-
-    return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(n, rhs_term)
-
-
-def _ram_1_4_1_anm_domain(dims, p, bases):
-    if p["a"] == 0 or p["d"] == 0:
-        return False
-    q_tm = bases.power(bases.t * dims["m"])
-    # The n-fold sum inherits max_r |z/x_r| < 1 from its parent
-    # transformation; with x_r = q^{h(r-1)} the binding case is |d q^h| < 1,
-    # strictly stronger than |d q^{hn}| < 1 once n > 1.
-    return abs(p["a"] * q_tm) < 1 and abs(p["d"] * bases.qh) < 1
-
-
-def _ram_1_4_1_anm_sample(rng, dims, bases):
-    q_tm = bases.power(bases.t * dims["m"])
-    return {
-        "a": argument(rng) / q_tm,
-        "b": coefficient(rng),
-        "c": coefficient(rng),
-        "d": argument(rng) / bases.qh,
-    }
 
 
 RAM_1_4_1_ANM = IdentityFamily(
@@ -208,9 +155,9 @@ RAM_1_4_1_ANM = IdentityFamily(
     "transformation, variables specialised to geometric progressions",
     dim_names=("n", "m"),
     schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
-    build=_ram_1_4_1_anm_build,
-    domain=_ram_1_4_1_anm_domain,
-    sample=_ram_1_4_1_anm_sample,
+    build=_ram_1_4_1_build,
+    domain=_ram_1_4_1_domain,
+    sample=_ram_1_4_1_sample,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -471,54 +418,38 @@ def _coeff_params(rng, dims, bases):
     return {"a": coefficient(rng), "b": coefficient(rng)}
 
 
-def _ram_eq26_a2_build(dims):
-    m = dims["m"]
-    powers = _per_run(
-        ("ram_eq26_a2", m),
-        lambda B: SimpleNamespace(
-            q_tm=B.power(B.t * m), s_htm=B.power(B.h * B.t * m), x_t=geom(B.qt, m)
-        ),
-    )
+def _partial_theta_build(exponents):
+    """``build(dims)`` of an m-fold partial-theta entry, by Heine's method on
+    the m-fold Euler summation in base q^{em} (x_r = q^{e(r-1)}) at b q^{em},
+    with cross base q^g, over the one-fold one in base q^f at a q^f, where
+    (e, f, g) = ``exponents(B, m)``.  The display multiplies both sides by
+    the base block's product (-a q^f; q^f)_oo.  An entry without an m
+    dimension is the m = 1 case."""
 
-    def lhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return P.infinite(-ctx.params["a"] * B.qh, B.qh)
+    def build(dims):
+        m = dims.get("m", 1)
 
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        c = powers(P, B)
-        q_tm, s_htm = c.q_tm, c.s_htm
-        jj = sum(j)
-        value = vande(P, c.x_t, j, q_tm)
-        for r in range(m):
-            value /= P.finite(q_tm, q_tm, j[r])
-        shifted = P.intpow(s_htm, jj)
-        value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * B.qh, B.qh, shifted)
-        return value * P.intpow(q_tm, staircase(j) + sum(tri(jr) for jr in j))
+        def bind(ctx):
+            B, p = ctx.bases, ctx.params
+            e, f, g = exponents(B, m)
+            block_base, base_base = B.power(e * m), B.power(f)
+            block = HeineBlock(
+                *euler_exp_summation(geom(B.power(e), m), block_base),
+                p["b"] * block_base,
+                B.power(g),
+            )
+            one_fold = euler_exp_summation(geom(base_base, 1), base_base)
+            return (block,), HeineBlock(*one_fold, p["a"] * base_base)
 
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        value = mpf(1)
-        for r in range(1, m + 1):
-            value *= P.infinite(-p["b"] * q_tm**r, q_tm)
-        return value
+        return _displayed(((m, 0),), (1, 0), bind, _base_product)
 
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        c = powers(P, B)
-        q_tm, s_htm = c.q_tm, c.s_htm
-        kk = k[0]
-        value = (
-            P.intpow(p["a"], kk) * P.intpow(B.qh, tri(kk)) / P.finite(B.qh, B.qh, kk)
-        )
-        for r in range(1, m + 1):
-            value /= P.ratio(-p["b"] * P.intpow(q_tm, r), q_tm, P.intpow(s_htm, kk))
-        return value
+    return build
 
-    return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
-        1, rhs_term, rhs_prefactor
-    )
+
+# Bases q^{tm} and q^h, cross base q^{htm}.
+_ram_eq26_a2_build = _partial_theta_build(lambda B, m: (B.t, B.h, B.h * B.t * m))
+# Bases q^m and q, cross base q^{mt}.
+_ram_eq26_a3_build = _partial_theta_build(lambda B, m: (1, 1, m * B.t))
 
 
 RAM_EQ26_A2 = IdentityFamily(
@@ -533,99 +464,16 @@ RAM_EQ26_A2 = IdentityFamily(
 )
 
 
-def _ram_1_4_12_build(dims):
-    def lhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return P.infinite(-ctx.params["a"] * B.qh, B.qh)
-
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj = j[0]
-        return (
-            P.intpow(p["b"], jj)
-            * P.intpow(B.qt, tri(jj))
-            / (
-                P.finite(B.qt, B.qt, jj)
-                * P.ratio(-p["a"] * B.qh, B.qh, P.intpow(B.qht, jj))
-            )
-        )
-
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return P.infinite(-ctx.params["b"] * B.qt, B.qt)
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk = k[0]
-        return (
-            P.intpow(p["a"], kk)
-            * P.intpow(B.qh, tri(kk))
-            / (
-                P.finite(B.qh, B.qh, kk)
-                * P.ratio(-p["b"] * B.qt, B.qt, P.intpow(B.qht, kk))
-            )
-        )
-
-    return SeriesSide(1, lhs_term, lhs_prefactor), SeriesSide(
-        1, rhs_term, rhs_prefactor
-    )
-
-
 RAM_1_4_12 = IdentityFamily(
     id="ram_1_4_12",
     reference="bibasic partial-theta transformation symmetric in (a, q^h) "
     "and (b, q^t)",
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_1_4_12_build,
+    build=_ram_eq26_a2_build,
     domain=_always,
     sample=_coeff_params,
 )
-
-
-def _ram_eq26_a3_build(dims):
-    m = dims["m"]
-    x_m = _q_vector(m)
-    q_mt = _per_run(("ram_eq26_a3", m), lambda B: B.power(m * B.t))
-
-    def lhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return P.infinite(-ctx.params["a"] * B.q, B.q)
-
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        qm = P.intpow(q, m)
-        scale = P.intpow(P.intpow(B.qt, m), sum(j))
-        jj = sum(j)
-        value = vande(P, x_m(P, B), j, qm)
-        for r in range(m):
-            value /= P.finite(qm, qm, j[r])
-        value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * q, q, scale)
-        return value * P.intpow(q, m * staircase(j) + m * sum(tri(jr) for jr in j))
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        qm = B.q**m
-        value = mpf(1)
-        for r in range(1, m + 1):
-            value *= P.infinite(-p["b"] * qm**r, qm)
-        return value
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        qm = P.intpow(q, m)
-        kk = k[0]
-        scale = P.intpow(q_mt(P, B), kk)
-        value = P.intpow(p["a"], kk) * P.intpow(q, tri(kk)) / P.finite(q, q, kk)
-        for r in range(1, m + 1):
-            value /= P.ratio(-p["b"] * P.intpow(qm, r), qm, scale)
-        return value
-
-    return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
-        1, rhs_term, rhs_prefactor
-    )
 
 
 RAM_EQ26_A3 = IdentityFamily(
@@ -787,46 +635,12 @@ RAM_1_4_17_ANM = IdentityFamily(
 )
 
 
-def _ram_1_4_17_build(dims):
-    def lhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return P.infinite(-ctx.params["a"] * B.q, B.q)
-
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        jj = j[0]
-        return (
-            P.intpow(p["b"], jj)
-            * P.intpow(q, tri(jj))
-            / (P.finite(q, q, jj) * P.ratio(-p["a"] * q, q, P.intpow(B.qt, jj)))
-        )
-
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return P.infinite(-ctx.params["b"] * B.q, B.q)
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        kk = k[0]
-        return (
-            P.intpow(p["a"], kk)
-            * P.intpow(q, tri(kk))
-            / (P.finite(q, q, kk) * P.ratio(-p["b"] * q, q, P.intpow(B.qt, kk)))
-        )
-
-    return SeriesSide(1, lhs_term, lhs_prefactor), SeriesSide(
-        1, rhs_term, rhs_prefactor
-    )
-
-
 RAM_1_4_17 = IdentityFamily(
     id="ram_1_4_17",
     reference="symmetric partial-theta transformation with index stretch t",
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_1_4_17_build,
+    build=_ram_eq26_a3_build,
     domain=_always,
     sample=_coeff_params,
 )

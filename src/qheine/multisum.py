@@ -123,6 +123,8 @@ def vandermonde_ratio(
     """
     if len(x) != len(k):
         raise LengthMismatch("x and k must have the same length")
+    if len(x) < 2:
+        return mpf(1)
     step = mpmathify(step_power)
     if poch is None:
         pairs, power = vandermonde_pairs(x), pow

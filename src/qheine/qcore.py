@@ -23,6 +23,7 @@ from mpmath.libmp import (
     mpf_ge,
     mpf_mul,
     mpf_sub,
+    to_float,
 )
 
 from .errors import DivisionByZero, LengthMismatch, NonConvergentBase
@@ -32,12 +33,13 @@ QComplex = Union[mpf, mpc]
 DEFAULT_PRECISION = 128
 
 # Hard cap on factors in one infinite product; only reachable for |base|
-# pathologically close to 1, which the BaseSystem validation already rejects
-# for sensible inputs.
+# pathologically close to 1.  A product estimated to need more than twice
+# the cap is refused before its loop starts.
 _MAX_FACTORS = 200_000
 _NOT_CONVERGED = "infinite product did not reach tolerance; base too close to 1"
 
 _COMPLEX_ONE = (fone, fzero)
+_LN2 = math.log(2)
 
 
 def default_tol(prec: int) -> mpf:
@@ -71,14 +73,45 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
         raise NonConvergentBase(f"|base| = {absbase} >= 1")
     if tol is None:
         tol = default_tol(mp.prec)
-    threshold = (mpmathify(tol) * (1 - absbase))._mpf_
-    prec, rnd = mp._prec_rounding
+    gap = 1 - absbase
+    threshold = (mpmathify(tol) * gap)._mpf_
     a, base = value_key(a), value_key(base)
+    if _clearly_past_cap(a, gap._mpf_, threshold):
+        raise NonConvergentBase(_NOT_CONVERGED)
+    prec, rnd = mp._prec_rounding
     if len(a) == 4 and len(base) == 4:
         prod = _real_infinite(a, base, threshold, prec, rnd)
     else:
         prod = _complex_infinite(a, base, threshold, prec, rnd)
     return _number(prod)
+
+
+def _clearly_past_cap(a, gap, threshold) -> bool:
+    """Whether the product with first factor ``a`` needs more than twice
+    ``_MAX_FACTORS`` factors, so that ``qpoch_infinite`` can raise without
+    running its loop to the cap.  All three arguments are raw values, and
+    ``gap`` is 1 - |base|.
+
+    The loop stops at the first n with |a| |base|^n < threshold, after
+    log(|a|/threshold) / -log(1 - gap) factors.  Both logarithms are taken
+    in floating point; the factor 2 absorbs their rounding, so a product the
+    loop finishes is never refused.  Only |base| > 1/2, a positive threshold
+    and a finite nonzero a are estimated; the loop settles the rest.
+    """
+    if gap[2] + gap[3] >= 0 or threshold[0] or not threshold[1]:
+        return False
+    size = mpf_abs(a, 53) if len(a) == 4 else mpc_abs(a, 53)
+    if not size[1]:
+        return False
+    depth = _log(size) - _log(threshold)
+    return depth > 2 * _MAX_FACTORS * -math.log1p(-to_float(gap)) + 1e-6
+
+
+def _log(x) -> float:
+    """log(x) of a positive finite raw mpf, in floating point at any
+    exponent."""
+    _, man, exp, _ = x
+    return math.log(man) + exp * _LN2
 
 
 def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:

@@ -13,11 +13,13 @@ from qheine.errors import (
     TruncationNotConverged,
     UnknownIdentity,
 )
+from qheine.catalog.an_qbinomial import euler_exp_summation
 from qheine.catalog.kajihara import grid_rows, inner_rows
 from qheine.multisum import (
     SeriesSide,
     TruncationPolicy,
     enumerate_shell,
+    evaluate_in_context,
     make_context,
     vandermonde_ratio,
 )
@@ -358,12 +360,38 @@ class TestTermTables:
                 core.vande(cache, x, (1, 0, 2), mpf("0.4"))
 
 
+class TestEulerExponential:
+    """The A_n Euler exponential summation, sum_k V(x, k) prod_r
+    q^{C(k_r,2)}/(q;q)_{k_r} z^{|k|} q^{sum (r-1)k_r}, equals its product
+    prod_{r<n} (-z q^r; q)_oo whatever the distinct x."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("z", [mpf("0.35"), mpf("-0.6"), mpc("0.2", "-0.45")])
+    @pytest.mark.parametrize("geometric", [False, True])
+    def test_sum_equals_product(self, n, z, geometric):
+        bases = BaseSystem(mpf("0.45"))
+        with mp.workprec(bases.prec):
+            if geometric:
+                x = core.geom(bases.q, n)
+            else:
+                x = core.distinct_vector(random.Random(n), n)
+        term, product = euler_exp_summation(x, bases.q)
+        side = SeriesSide(n, lambda ctx, k: term(ctx.poch, z, k))
+        # Products truncated at 1e-36, below the 1e-30 of the default.
+        ctx = make_context({}, bases, tol=mpf("1e-36"))
+        policy = TruncationPolicy(max_shell_weight=60, tail_ratio_tol=1e-36)
+        value, diag = evaluate_in_context(side, ctx, policy)
+        with mp.workprec(bases.prec):
+            assert diag.converged
+            assert rel(value, product(ctx.poch, z)) < mpf("1e-30")
+
+
 # -- unfactored summands of the block-factored sides --------------------------
 #
 # Each rebuilds every factor for every term, in the order the summand is
 # displayed; the catalog evaluates the same factors once per block index.
-# The thm_heine* and qlauricella_bibasic references write both sides out by
-# hand; the catalog builds them with multisum.heine_sides.
+# The thm_heine*, qlauricella_bibasic and six Ramanujan references write
+# both sides out by hand; the catalog builds them with multisum.heine_sides.
 
 
 def _unit(ctx):
@@ -689,6 +717,103 @@ def _qlauricella_reference(dims):
     return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
 
 
+def _ram_1_4_1_reference(dims):
+    """ram_1_4_1_anm as displayed; at n = m = 1 it is ram_core."""
+    n, m = dims.get("n", 1), dims.get("m", 1)
+
+    def lhs_prefactor(ctx):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        q_tm = B.power(B.t * m)
+        value = mpf(1)
+        for r in range(1, m + 1):
+            value *= P.infinite(p["a"] * q_tm**r, q_tm)
+            value /= P.infinite(-p["b"] * B.q * q_tm**r, q_tm)
+        value *= P.infinite(p["c"] * B.q * B.qh, B.qh)
+        return value / P.infinite(p["d"] * B.qh, B.qh)
+
+    def lhs_term(ctx, j):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        q_tm = B.power(B.t * m)
+        jj = sum(j)
+        scale = P.intpow(B.power(B.h * B.t * m * n), jj)
+        value = core.vande(P, core.geom(B.qt, m), j, q_tm)
+        for r in range(m):
+            value *= P.finite(-p["b"] * B.q / p["a"], q_tm, j[r])
+            value /= P.finite(q_tm, q_tm, j[r])
+        value *= P.ratio(p["d"] * B.qh, B.qh, scale)
+        value /= P.ratio(p["c"] * B.q * B.qh, B.qh, scale)
+        return value * P.intpow(p["a"] * q_tm, jj) * P.intpow(q_tm, core.staircase(j))
+
+    def rhs_term(ctx, k):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        q_tm, q_hn = B.power(B.t * m), B.power(B.h * n)
+        kk = sum(k)
+        scale = P.intpow(B.power(B.h * B.t * m * n), kk)
+        value = core.vande(P, core.geom(B.qh, n), k, q_hn)
+        for r in range(1, n + 1):
+            shift = B.power(B.h * (r - n))
+            value *= P.finite(p["c"] * B.q * shift / p["d"], B.qh, n * k[r - 1])
+            value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
+        for r in range(1, m + 1):
+            value *= P.ratio(p["a"] * P.intpow(q_tm, r), q_tm, scale)
+            value /= P.ratio(-p["b"] * B.q * P.intpow(q_tm, r), q_tm, scale)
+        value *= P.intpow(p["d"] * q_hn, kk)
+        return value * P.intpow(B.qh, (n - 1) * core.staircase(k) + n * e2(k))
+
+    return {"lhs": (lhs_term, lhs_prefactor), "rhs": (rhs_term, _unit)}
+
+
+def _partial_theta_reference(dims, exponents):
+    """ram_eq26_a2 (exponents (t, h, htm)) and ram_eq26_a3 ((1, 1, mt)) as
+    displayed; at m = 1 they are ram_1_4_12 and ram_1_4_17."""
+    m = dims.get("m", 1)
+
+    def lhs_prefactor(ctx):
+        P, B = ctx.poch, ctx.bases
+        base = B.power(exponents(B, m)[1])
+        return P.infinite(-ctx.params["a"] * base, base)
+
+    def lhs_term(ctx, j):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        e, f, g = exponents(B, m)
+        q_em, base = B.power(e * m), B.power(f)
+        jj = sum(j)
+        value = core.vande(P, core.geom(B.power(e), m), j, q_em)
+        for r in range(m):
+            value /= P.finite(q_em, q_em, j[r])
+        value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * base, base, B.power(g) ** jj)
+        return value * P.intpow(q_em, core.staircase(j) + sum(core.tri(x) for x in j))
+
+    def rhs_prefactor(ctx):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        q_em = B.power(exponents(B, m)[0] * m)
+        value = mpf(1)
+        for r in range(1, m + 1):
+            value *= P.infinite(-p["b"] * q_em**r, q_em)
+        return value
+
+    def rhs_term(ctx, k):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        e, f, g = exponents(B, m)
+        q_em, base = B.power(e * m), B.power(f)
+        kk = k[0]
+        value = P.intpow(p["a"], kk) * P.intpow(base, core.tri(kk))
+        value /= P.finite(base, base, kk)
+        for r in range(1, m + 1):
+            value /= P.ratio(-p["b"] * P.intpow(q_em, r), q_em, B.power(g) ** kk)
+        return value
+
+    return {"lhs": (lhs_term, lhs_prefactor), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _eq26_a2_reference(dims):
+    return _partial_theta_reference(dims, lambda B, m: (B.t, B.h, B.h * B.t * m))
+
+
+def _eq26_a3_reference(dims):
+    return _partial_theta_reference(dims, lambda B, m: (1, 1, m * B.t))
+
+
 _FIRST = (("a", "b", "c", "x", "X"), "qh", "z")
 _SECOND = (("d", "e", "f", "y", "Y"), "qt", "w")
 # (family, side) -> dims -> (unfactored summand, prefactor)
@@ -713,6 +838,12 @@ for _family_id, _build in (
     ("thm_heine1", _heine1_reference),
     ("thm_heine2", _heine2_reference),
     ("qlauricella_bibasic", _qlauricella_reference),
+    ("ram_core", _ram_1_4_1_reference),
+    ("ram_1_4_1_anm", _ram_1_4_1_reference),
+    ("ram_eq26_a2", _eq26_a2_reference),
+    ("ram_1_4_12", _eq26_a2_reference),
+    ("ram_eq26_a3", _eq26_a3_reference),
+    ("ram_1_4_17", _eq26_a3_reference),
 ):
     for _side in ("lhs", "rhs"):
         _REFERENCES[_family_id, _side] = lambda dims, b=_build, s=_side: b(dims)[s]

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -305,3 +308,37 @@ class TestConfigParsing:
         assert cli.parse_block_spec("milne_lilly:2") == ("milne_lilly", (2,))
         assert cli.parse_block_spec("kajihara:2x1") == ("kajihara", (2, 1))
         assert cli.parse_block_spec("q_bin") == ("q_bin", (1,))
+
+
+class TestReportDiff:
+    """scripts/report_diff.py fails a pair of reports whose cases did
+    different work, even when every value and verdict agrees."""
+
+    @staticmethod
+    def _script():
+        path = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
+        spec = importlib.util.spec_from_file_location("report_diff", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_changed_term_count_fails(self, tmp_path, capsys):
+        base, new = tmp_path / "base.jsonl", tmp_path / "new.jsonl"
+        argv = ["verify", "--identity", "q_binomial", "--samples", "2", "--seed", "1"]
+        assert cli.main(argv + ["--out", str(base)]) == 0
+        lines = base.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if '"kind":"case"' in line)
+        lines[index], count = re.subn(
+            r'"lhs_terms":(\d+)',
+            lambda match: f'"lhs_terms":{int(match.group(1)) + 1}',
+            lines[index],
+        )
+        assert count == 1
+        new.write_text("".join(lines), encoding="utf-8")
+        diff = self._script()
+        capsys.readouterr()
+        assert diff.main([str(base), str(base)]) == 0
+        assert "CHANGED" not in capsys.readouterr().out
+        assert diff.main([str(base), str(new)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("COUNTS CHANGED") == 1 and "VERDICT" not in out

@@ -447,9 +447,18 @@ class TestShellLifetimes:
             ),
             lambda: _verify_cases("kajihara_double"),
             lambda: _verify_cases("ram_core"),
+            lambda: _verify_cases("ram_1_4_1_anm", [{"n": 2, "m": 2}]),
+            lambda: _verify_cases("ram_eq26_a2", [{"m": 2}]),
             _compose_case,
         ],
-        ids=["master_instance_lauricella", "kajihara_double", "ram_core", "compose"],
+        ids=[
+            "master_instance_lauricella",
+            "kajihara_double",
+            "ram_core",
+            "ram_1_4_1_anm",
+            "ram_eq26_a2",
+            "compose",
+        ],
     )
     def test_as_few_products_as_an_unbounded_memo(self, computed, monkeypatch, run):
         run()

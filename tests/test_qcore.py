@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +400,31 @@ class TestRawKernel:
             except NonConvergentBase:
                 outcomes.append(NonConvergentBase)
         assert outcomes[0] == outcomes[1]
+
+    def test_estimate_refuses_no_product_the_loop_finishes(self, monkeypatch):
+        # (0.5; 0.9)_oo at tol 1e-3 multiplies 81 factors, the first base
+        # above 1/2 where the factor count is estimated before the loop.
+        a, tol = mpf("0.5"), mpf("1e-3")
+        for base in (mpf("0.9"), mpc("0.72", "0.54")):
+            for cap, passes in ((81, True), (80, False), (40, False)):
+                monkeypatch.setattr(qcore, "_MAX_FACTORS", cap)
+                monkeypatch.setattr(util, "MAX_FACTORS", cap)
+                for product in (qpoch_infinite, qpoch_infinite_loop):
+                    if passes:
+                        assert product(a, base, tol) == qpoch_finite(a, base, 81)
+                    else:
+                        with pytest.raises(NonConvergentBase):
+                            product(a, base, tol)
+
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_far_past_the_cap_raises_at_once(self, prec):
+        # |base| = 1 - 2^-50: about 1e17 factors to reach the tolerance.
+        with mp.workprec(prec):
+            base = mpc("0.8", "0.6") * (1 - mpf(2) ** -50)
+            start = time.perf_counter()
+            with pytest.raises(NonConvergentBase, match="did not reach tolerance"):
+                qpoch_infinite(mpf("-1.38"), base)
+            assert time.perf_counter() - start < 0.1
 
     def test_nonconvergent_at_the_factor_cap(self):
         base = 1 - mpf(2) ** -30
