@@ -210,14 +210,29 @@ def euler_exp_summation(xvec, base):
 # At c = 0 the extra product collapses to 1.
 
 
+def extra_c_rows(P, avec, c, xvec, base) -> list:
+    """Row r: the tables of (c x_r/A; base), (c x_r; base), (c x_r; base)
+    and (c x_r/a_r; base) with A = a_1 ... a_n, built once per run."""
+
+    def build():
+        big_a = product_over(avec)
+        rows = []
+        for a_r, x_r in zip(avec, xvec):
+            cx = c * x_r
+            args = (cx / big_a, cx, cx, cx / a_r)
+            rows.append(tuple(P.finite_table(v, base) for v in args))
+        return rows
+
+    return P.table("extra_c", (avec, c, xvec, base), build)
+
+
 def extra_c_term(P, avec, c, xvec, base, z, k):
-    big_a = product_over(avec)
     kk = sum(k)
     value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    for r in range(len(xvec)):
-        cx = c * xvec[r]
-        value *= P.finite(cx / big_a, base, k[r]) * P.finite(cx, base, kk)
-        value /= P.finite(cx, base, k[r]) * P.finite(cx / avec[r], base, kk)
+    rows = extra_c_rows(P, avec, c, xvec, base)
+    for kr, (num_r, num_kk, den_r, den_kk) in zip(k, rows):
+        value *= num_r.at(kr) * num_kk.at(kk)
+        value /= den_r.at(kr) * den_kk.at(kk)
     return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
 
 

@@ -24,7 +24,14 @@ from ..multisum import (
     make_context,
     vandermonde_ratio,
 )
-from ..qcore import DEFAULT_PRECISION, BaseSystem, QComplex
+from ..qcore import (
+    DEFAULT_PRECISION,
+    ONE,
+    BaseSystem,
+    QComplex,
+    raw_product,
+    raw_quotients,
+)
 
 _REL_FLOOR = mpf(10) ** -300
 
@@ -315,14 +322,15 @@ def finite_rows(P, tag: str, values: tuple, base, pairs) -> list:
 
 def times_rows(value, rows, k) -> QComplex:
     """value * prod_r prod_{(num, den) in row r} num_{k_r} / den_{k_r},
-    multiplied factor by factor in row order; rows with k_r = 0 are 1."""
-    for kr, row in zip(k, rows):
-        if kr == 0:
-            continue
-        for num, den in row:
-            value *= num.at(kr)
-            value /= den.at(kr)
-    return value
+    multiplied factor by factor in row order; rows with k_r = 0 are 1.
+
+    The factors are multiplied on raw values with the rounding of
+    ``value *= num; value /= den`` at the working precision, and the result
+    is one mpf or mpc made at the end."""
+    return raw_quotients(
+        ((num.at(kr), den.at(kr)) for kr, row in zip(k, rows) if kr for num, den in row),
+        value,
+    )
 
 
 def sq_ratio(P, avec, x, base, k) -> QComplex:
@@ -338,7 +346,7 @@ def sq_ratio(P, avec, x, base, k) -> QComplex:
         return rows
 
     rows = finite_rows(P, "sq_ratio", (avec, x), base, pairs)
-    return times_rows(mpf(1), rows, k)
+    return times_rows(ONE, rows, k)
 
 
 def vande(P, x, k, step) -> QComplex:
@@ -346,7 +354,6 @@ def vande(P, x, k, step) -> QComplex:
 
 
 def product_over(values) -> QComplex:
-    out = mpf(1)
-    for v in values:
-        out *= v
-    return out
+    """The product of ``values``, multiplied in order from 1 as ``out *= v``
+    rounds it at the working precision."""
+    return raw_product(values)

@@ -260,36 +260,49 @@ def _master_lauricella_build(dims):
         value = vande(P, p["x"], k, B.qh) * sq_ratio(ctx.poch, p["a"], p["x"], B.qh, k)
         return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, staircase(k))
 
+    def arguments(P, p):
+        """(b_1 ... b_m w, a_1 ... a_n z, [cp_r u_r]), the product
+        arguments made from the parameters, built once per run."""
+
+        def build():
+            return (
+                product_over(p["b"]) * p["w"],
+                product_over(p["a"]) * p["z"],
+                [cp_r * u_r for cp_r, u_r in zip(p["cp"], p["u"])],
+            )
+
+        names = ("a", "b", "cp", "u", "w", "z")
+        return P.table("master_lauricella", tuple(p[name] for name in names), build)
+
     def base_ratio(ctx, weights):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_b = product_over(p["b"])
+        bw = arguments(P, p)[0]
         scale = P.intpow(B.qht, sum(weights))
-        return P.ratio(p["w"], B.qt, scale) / P.ratio(big_b * p["w"], B.qt, scale)
+        return P.ratio(p["w"], B.qt, scale) / P.ratio(bw, B.qt, scale)
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = product_over(p["a"])
-        big_b = product_over(p["b"])
+        bw, az, cpu = arguments(P, p)
         value = (
             P.infinite(p["w"], B.qt)
-            * P.infinite(big_a * p["z"], B.qh)
-            / (P.infinite(big_b * p["w"], B.qt) * P.infinite(p["z"], B.qh))
+            * P.infinite(az, B.qh)
+            / (P.infinite(bw, B.qt) * P.infinite(p["z"], B.qh))
         )
         for r in range(p_dim):
-            value *= P.infinite(p["cp"][r] * p["u"][r], B.qh)
+            value *= P.infinite(cpu[r], B.qh)
             value /= P.infinite(p["u"][r], B.qh)
         return value
 
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = product_over(p["a"])
+        _, az, cpu = arguments(P, p)
         jj = sum(j)
         scale = P.intpow(B.qht, jj)
         value = vande(P, p["y"], j, B.qt) * sq_ratio(ctx.poch, p["b"], p["y"], B.qt, j)
-        value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_a * p["z"], B.qh, scale)
+        value *= P.ratio(p["z"], B.qh, scale) / P.ratio(az, B.qh, scale)
         for r in range(p_dim):
             value *= P.ratio(p["u"][r], B.qh, scale)
-            value /= P.ratio(p["cp"][r] * p["u"][r], B.qh, scale)
+            value /= P.ratio(cpu[r], B.qh, scale)
         return value * P.intpow(p["w"], jj) * P.intpow(B.qt, staircase(j))
 
     parts = tuple(one_dimensional_part(r) for r in range(p_dim)) + (an_part,)

@@ -295,7 +295,7 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
                 )
                 records.append(report.case_row(result, assignment, index))
                 results.append(result)
-        summaries.append(_summary(identity_id, results, started))
+        summaries.append(_summary(identity_id, results, started, config.precision))
         records.append(summaries[-1])
     records.append(_total(summaries))
     return records, records[-1]["exit_code"]
@@ -359,7 +359,7 @@ def run_compose(config: RunConfig) -> tuple[list[dict], int]:
         )
         records.append(report.case_row(result, composed.dims, index))
         results.append(result)
-    summary = _summary(label, results, started, h_failures)
+    summary = _summary(label, results, started, config.precision, h_failures)
     records += [summary, _total([summary], h_failures)]
     return records, records[-1]["exit_code"]
 
@@ -376,8 +376,12 @@ def _header(config: RunConfig) -> dict:
     }
 
 
-def _summary(identity: str, results: list, started: float, h_failures: int = 0) -> dict:
-    """Per-identity counts; ``h_failures`` cases failed before verification."""
+def _summary(
+    identity: str, results: list, started: float, prec: int, h_failures: int = 0
+) -> dict:
+    """Per-identity counts; ``h_failures`` cases failed before verification.
+    The worst relative error is written with the digits of the run's
+    precision ``prec``, as the case rows are."""
     cases = len(results) + h_failures
     passed = sum(int(result.passed) for result in results)
     worst = max((result.rel_error for result in results), default=mpf(0))
@@ -387,7 +391,7 @@ def _summary(identity: str, results: list, started: float, h_failures: int = 0) 
         "cases": cases,
         "passed": passed,
         "failed": cases - passed,
-        "worst_rel_error": report.value_str(worst),
+        "worst_rel_error": report.value_str(worst, prec),
         "wall_ms": round((time.perf_counter() - started) * 1000, 3),
     }
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from mpmath import mp, mpf, mpmathify
 
@@ -88,7 +88,10 @@ class TransformationBlock:
     arg_bound: float = 1.0
 
 
-AnyBlock = Union[QBinomialBlock, TransformationBlock]
+# A string, as the annotations are: a typing subscript made at import time
+# would keep both classes in typing's caches after the package is imported
+# again.
+AnyBlock = "QBinomialBlock | TransformationBlock"
 
 
 def as_transformation(block: AnyBlock) -> TransformationBlock:

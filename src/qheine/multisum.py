@@ -21,7 +21,7 @@ from .errors import (
     PoleEncountered,
     TruncationNotConverged,
 )
-from .qcore import BaseSystem, PochCache, QComplex
+from .qcore import ONE, BaseSystem, PochCache, QComplex, raw_product, raw_sum
 
 MultiIndex = tuple[int, ...]
 
@@ -94,8 +94,9 @@ def exact_pair(x_r, x_s, step, d_r: int, d_s: int) -> QComplex:
 
 
 def vandermonde_pairs(x: Sequence) -> list[tuple]:
-    """(r, s, x_r/x_s, 1 - x_r/x_s) for every pair r < s; the last entry is
-    None where 1 - x_r/x_s lost more than _LOSS_BITS bits to cancellation."""
+    """(r, s, x_r/x_s, 1 - x_r/x_s, {}) for every pair r < s; the fourth
+    entry is None where 1 - x_r/x_s lost more than _LOSS_BITS bits to
+    cancellation, and the dict holds the pair's factors by shift."""
     pairs = []
     n = len(x)
     for r in range(n):
@@ -104,42 +105,56 @@ def vandermonde_pairs(x: Sequence) -> list[tuple]:
             den = 1 - ratio
             if den == 0:
                 raise DegenerateVariables(f"x[{r}] == x[{s}]")
-            pairs.append((r, s, ratio, None if abs(den) < _LOSS else den))
+            pairs.append((r, s, ratio, None if abs(den) < _LOSS else den, {}))
     return pairs
 
 
 def vandermonde_ratio(
-    x: Sequence, k: Sequence[int], step_power, poch: PochCache | None = None
+    x: Sequence, k: Sequence[int], step_power, poch: PochCache
 ) -> QComplex:
     """Type-A Vandermonde factor in ratio form:
     prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s).
 
     Equals vandermonde_factor times S^{-sum_r (r-1) k_r}; series displays in
-    the catalog use this form together with an explicit power factor.  With
-    a run's ``poch`` cache, the pair values and the powers of S are taken
-    from it instead of being recomputed.  A pair whose numerator or
-    denominator loses more than _LOSS_BITS bits to cancellation is evaluated
-    by ``exact_pair`` instead.
+    the catalog use this form together with an explicit power factor.  The
+    run's ``poch`` cache keeps the pair table of x and S, and in it each
+    pair's factor under its shift k_r - k_s: a factor is computed once per
+    run, at the cache precision.  A pair whose numerator or denominator
+    loses more than _LOSS_BITS bits to cancellation is evaluated by
+    ``exact_pair`` instead.  The factors are multiplied in pair order at
+    the cache precision; each is already rounded to it, so the product
+    starts from the first factor with the bits a start from 1 would give.
     """
     if len(x) != len(k):
         raise LengthMismatch("x and k must have the same length")
     if len(x) < 2:
-        return mpf(1)
-    step = mpmathify(step_power)
-    if poch is None:
-        pairs, power = vandermonde_pairs(x), pow
-    else:
-        pairs = poch.table("vandermonde", (x,), lambda: vandermonde_pairs(x))
-        power = poch.intpow
-    value = mpf(1)
-    for r, s, ratio, den in pairs:
+        return ONE
+    pairs = poch.table(
+        "vandermonde", (x, step_power), lambda: vandermonde_pairs(x)
+    )
+    factors = []
+    for pair in pairs:
+        r, s, _, _, by_shift = pair
         shift = k[r] - k[s]
-        num = 1 - power(step, shift) * ratio
+        factor = by_shift.get(shift)
+        if factor is None:
+            factor = by_shift[shift] = _pair_factor(x, step_power, pair, shift, poch)
+        factors.append(factor)
+    if len(factors) == 1:
+        return factors[0]
+    return raw_product(factors[1:], factors[0], prec=poch.prec)
+
+
+def _pair_factor(x, step_power, pair, shift: int, poch: PochCache) -> QComplex:
+    """(1 - S^shift x_r/x_s) / (1 - x_r/x_s) for one pair of
+    ``vandermonde_pairs``, at the cache precision."""
+    r, s, ratio, den, _ = pair
+    step = mpmathify(step_power)
+    with mp.workprec(poch.prec):
+        num = 1 - poch.intpow(step, shift) * ratio
         if den is None or abs(num) < _LOSS:
-            value *= exact_pair(x[r], x[s], step, shift, 0)
-        else:
-            value *= num / den
-    return value
+            return exact_pair(x[r], x[s], step, shift, 0)
+        return num / den
 
 
 @dataclass
@@ -155,7 +170,10 @@ def make_context(params: Mapping, bases: BaseSystem, tol=None) -> EvalContext:
     return EvalContext(params=params, bases=bases, poch=PochCache(bases.prec, tol))
 
 
-Term = Callable[[EvalContext, MultiIndex], QComplex]
+# A summand (ctx, k) -> value.  A string, as the annotations are: a typing
+# subscript made at import time would keep EvalContext in typing's caches
+# after the package is imported again.
+Term = "Callable[[EvalContext, MultiIndex], QComplex]"
 
 
 def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> Term:
@@ -174,21 +192,25 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
     whose index is the whole of k could never be looked up again, so it is
     not kept: the coupling when every block is one-dimensional, and the part
     when there is only one block.  A part or coupling that raises is not
-    stored.  The factors are multiplied coupling first, then in block order.
+    stored.  The factors are multiplied as raw values, coupling first, then
+    in block order, with the rounding of ``value *= factor`` at the working
+    precision; the term is one mpf or mpc made at the end.
     """
     if len(sizes) != len(parts):
         raise LengthMismatch("block_term needs one part per block size")
-    blocks = []
+    spans = []
     start = 0
-    for size, part in zip(sizes, parts):
-        blocks.append((part, start, start + size))
+    for size in sizes:
+        spans.append(slice(start, start + size))
         start += size
+    parts = tuple(parts)
     keep_coupling = any(size > 1 for size in sizes)
     keep_parts = len(sizes) > 1
 
     def term(ctx: EvalContext, k: MultiIndex) -> QComplex:
         memo = ctx.poch.terms
-        weights = tuple(sum(k[lo:hi]) for _, lo, hi in blocks)
+        subs = [k[span] for span in spans]
+        weights = tuple(map(sum, subs))
         if keep_coupling:
             total = sum(weights)
             shell = memo.get(coupling)
@@ -199,8 +221,8 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
                 value = shell[1][weights] = coupling(ctx, weights)
         else:
             value = coupling(ctx, weights)
-        for part, lo, hi in blocks:
-            sub = k[lo:hi]
+        factors = []
+        for part, sub in zip(parts, subs):
             if keep_parts:
                 key = (part, sub)
                 factor = memo.get(key)
@@ -208,13 +230,10 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
                     factor = memo[key] = part(ctx, sub)
             else:
                 factor = part(ctx, sub)
-            value *= factor
-        return value
+            factors.append(factor)
+        return raw_product(factors, value)
 
     return term
-
-
-_ONE = mpf(1)
 
 
 @dataclass(frozen=True)
@@ -232,9 +251,9 @@ class HeineBlock:
     term: Callable
     product: Callable
     argument: QComplex
-    cross: QComplex = _ONE
+    cross: QComplex = ONE
     inner: Callable | None = None
-    stretch: QComplex = _ONE
+    stretch: QComplex = ONE
 
 
 def heine_sides(
@@ -246,7 +265,8 @@ def heine_sides(
     ``base_shape`` the base block's; an inner dimension of 0 means a plain
     summation.  ``bind(ctx)`` returns the run's blocks and base block as
     ``HeineBlock`` values; it is called once per run and kept in the run's
-    ``PochCache.terms`` under ``bind``.  With z_r, s_r, S_r, P_r, R_r,
+    ``PochCache.terms`` under ``bind``, and so are the products P_r(z_r) and
+    P_0(w) that the couplings divide by.  With z_r, s_r, S_r, P_r, R_r,
     sigma_r the blocks' arguments, cross bases, summands, products, inner
     summands and stretches, w and index 0 for the base block, and
     s = prod_r s_r^{|k_r|}:
@@ -281,15 +301,27 @@ def heine_sides(
     def inner_summand(r):
         return lambda ctx, j: bound(ctx)[r].inner(ctx.poch, j)
 
+    def at_argument(ctx, r):
+        """P_r(z_r), or P_0(w) for r = p: block r's product at its own
+        argument, which the couplings divide by on every term, once per run
+        and kept in the run's ``PochCache.terms``."""
+        memo = ctx.poch.terms
+        key = (at_argument, r)
+        value = memo.get(key)
+        if value is None:
+            block = bound(ctx)[r]
+            value = memo[key] = block.product(ctx.poch, block.argument)
+        return value
+
     def lhs_coupling(ctx, weights):
         P = ctx.poch
         blocks = bound(ctx)
-        scale = _ONE
+        scale = ONE
         for block, weight in zip(blocks, weights[:p]):
             scale *= P.intpow(block.cross, weight)
         base = blocks[p]
         w = base.argument
-        value = base.product(P, w * scale) / base.product(P, w)
+        value = base.product(P, w * scale) / at_argument(ctx, p)
         if base_inner:
             value *= (base.stretch * w * scale) ** weights[p]
         return value
@@ -298,22 +330,20 @@ def heine_sides(
         P = ctx.poch
         blocks = bound(ctx)
         inner_weights = dict(zip(inner_blocks, weights[1:]))
-        value = _ONE
+        value = ONE
         for r, block in enumerate(blocks[:p]):
             z = block.argument
             shift = P.intpow(block.cross, weights[0])
-            value *= block.product(P, z * shift) / block.product(P, z)
+            value *= block.product(P, z * shift) / at_argument(ctx, r)
             if r in inner_weights:
                 value *= (block.stretch * z * shift) ** inner_weights[r]
         return value
 
     def rhs_prefactor(ctx):
-        P = ctx.poch
-        blocks = bound(ctx)
-        value = _ONE
-        for block in blocks[:p]:
-            value *= block.product(P, block.argument)
-        return value / blocks[p].product(P, blocks[p].argument)
+        value = ONE
+        for r in range(p):
+            value *= at_argument(ctx, r)
+        return value / at_argument(ctx, p)
 
     lhs_sizes = tuple(outer for outer, _ in shapes)
     lhs_parts = [summand(r) for r in range(p)]
@@ -376,7 +406,8 @@ def evaluate_in_context(
     Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
     ``ctx.poch.leave_shells()``: a product, ratio or power requested in one
     shell only is dropped two shells later, and the prefactor's are kept for
-    the run.
+    the run.  A shell's terms are added on raw values, with the rounding of
+    ``shell_sum += term`` at the run's precision.
     """
     if policy is None:
         policy = TruncationPolicy()
@@ -395,18 +426,22 @@ def evaluate_in_context(
         prev_shell_abs = None
         shell_abs = mpf(0)
         poch = ctx.poch
+
+        def shell_terms(w):
+            for k in enumerate_shell(side.dimension, w):
+                try:
+                    term = side.term(ctx, k)
+                except (ZeroDivisionError, DivisionByZero) as exc:
+                    raise PoleEncountered(
+                        f"zero denominator at index {k}: {exc}"
+                    ) from exc
+                diag.terms += 1
+                yield term
+
         try:
             for w in range(policy.max_shell_weight + 1):
                 poch.next_shell()
-                shell_sum = mpf(0)
-                for k in enumerate_shell(side.dimension, w):
-                    try:
-                        shell_sum += side.term(ctx, k)
-                    except (ZeroDivisionError, DivisionByZero) as exc:
-                        raise PoleEncountered(
-                            f"zero denominator at index {k}: {exc}"
-                        ) from exc
-                    diag.terms += 1
+                shell_sum = raw_sum(shell_terms(w))
                 total += shell_sum
                 diag.shells = w + 1
                 prev_shell_abs = shell_abs if w > 0 else None

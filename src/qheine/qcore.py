@@ -8,6 +8,7 @@ was handed, so results are deterministic for a fixed precision.
 from __future__ import annotations
 
 import math
+from operator import is_
 from typing import Sequence, Union
 
 from mpmath import mp, mpc, mpf, mpmathify
@@ -15,13 +16,22 @@ from mpmath.libmp import (
     fone,
     fzero,
     mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_div_mpf,
+    mpc_mpf_div,
     mpc_mul,
     mpc_mul_mpf,
+    mpc_pow_int,
     mpc_sub,
     mpf_abs,
+    mpf_add,
     mpf_cmp,
+    mpf_div,
     mpf_ge,
     mpf_mul,
+    mpf_pow_int,
     mpf_sub,
     to_float,
 )
@@ -39,6 +49,7 @@ _MAX_FACTORS = 200_000
 _NOT_CONVERGED = "infinite product did not reach tolerance; base too close to 1"
 
 _COMPLEX_ONE = (fone, fzero)
+ONE = mpf(1)
 _LN2 = math.log(2)
 
 
@@ -83,7 +94,7 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
         prod = _real_infinite(a, base, threshold, prec, rnd)
     else:
         prod = _complex_infinite(a, base, threshold, prec, rnd)
-    return _number(prod)
+    return from_raw(prod)
 
 
 def _clearly_past_cap(a, gap, threshold) -> bool:
@@ -151,12 +162,12 @@ def _complex_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
             size = mpc_abs(factor, prec, rnd)
         if not mpf_ge(size, threshold):
             return prod
-        prod = _mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
-        factor = _mul(factor, base, prec, rnd)
+        prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
+        factor = raw_mul(factor, base, prec, rnd)
     raise NonConvergentBase(_NOT_CONVERGED)
 
 
-def _mul(x, y, prec: int, rnd: str) -> tuple:
+def raw_mul(x, y, prec: int, rnd: str) -> tuple:
     """x * y on raw values, as mpmath's operators round it; a real times a
     complex value is ``mpc_mul_mpf``."""
     if len(x) == 4:
@@ -168,6 +179,36 @@ def _mul(x, y, prec: int, rnd: str) -> tuple:
     return mpc_mul(x, y, prec, rnd)
 
 
+def raw_add(x, y, prec: int, rnd: str) -> tuple:
+    """x + y on raw values, as mpmath's operators round it."""
+    if len(x) == 4:
+        if len(y) == 4:
+            return mpf_add(x, y, prec, rnd)
+        return mpc_add_mpf(y, x, prec, rnd)
+    if len(y) == 4:
+        return mpc_add_mpf(x, y, prec, rnd)
+    return mpc_add(x, y, prec, rnd)
+
+
+def raw_div(x, y, prec: int, rnd: str) -> tuple:
+    """x / y on raw values, as mpmath's operators round it."""
+    if len(x) == 4:
+        if len(y) == 4:
+            return mpf_div(x, y, prec, rnd)
+        return mpc_mpf_div(x, y, prec, rnd)
+    if len(y) == 4:
+        return mpc_div_mpf(x, y, prec, rnd)
+    return mpc_div(x, y, prec, rnd)
+
+
+def _pow_int(x, n: int, prec: int, rnd: str) -> tuple:
+    """x ** n for a raw value and an integer n, as mpmath's operators round
+    it."""
+    if len(x) == 4:
+        return mpf_pow_int(x, n, prec, rnd)
+    return mpc_pow_int(x, n, prec, rnd)
+
+
 def _one_minus(x, prec: int, rnd: str) -> tuple:
     """1 - x on a raw value, as mpmath's operators round it."""
     if len(x) == 4:
@@ -175,9 +216,44 @@ def _one_minus(x, prec: int, rnd: str) -> tuple:
     return mpc_sub(_COMPLEX_ONE, x, prec, rnd)
 
 
-def _number(raw) -> QComplex:
+def from_raw(raw) -> QComplex:
     """The mpf or mpc with the raw value ``raw``."""
     return mp.make_mpc(raw) if len(raw) == 2 else mp.make_mpf(raw)
+
+
+def raw_product(values, start=ONE, prec: int | None = None) -> QComplex:
+    """start * v_1 * v_2 * ..., multiplied in order on raw values and rounded
+    at each step as ``value *= v`` rounds it at ``prec`` (default: the
+    working precision); one mpf or mpc is made at the end."""
+    work, rnd = mp._prec_rounding
+    prec = prec or work
+    raw = value_key(start)
+    for v in values:
+        raw = raw_mul(raw, value_key(v), prec, rnd)
+    return from_raw(raw)
+
+
+def raw_quotients(pairs, start=ONE) -> QComplex:
+    """start * n_1 / d_1 * n_2 / d_2 * ... for the (n_i, d_i) of ``pairs``,
+    on raw values with the rounding of ``value *= n; value /= d`` at the
+    working precision; one mpf or mpc is made at the end."""
+    prec, rnd = mp._prec_rounding
+    raw = value_key(start)
+    for num, den in pairs:
+        raw = raw_mul(raw, value_key(num), prec, rnd)
+        raw = raw_div(raw, value_key(den), prec, rnd)
+    return from_raw(raw)
+
+
+def raw_sum(values) -> QComplex:
+    """0 + v_1 + v_2 + ..., added in order on raw values with the rounding
+    of ``value += v`` at the working precision; one mpf or mpc is made at
+    the end."""
+    prec, rnd = mp._prec_rounding
+    raw = fzero
+    for v in values:
+        raw = raw_add(raw, value_key(v), prec, rnd)
+    return from_raw(raw)
 
 
 def qpoch_ratio(a, base, scale, tol=None) -> QComplex:
@@ -254,9 +330,9 @@ class FiniteTable(list):
             factor, base = self.factor, self.base
             prod = value_key(self[-1])
             while len(self) <= k:
-                prod = _mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
-                self.append(_number(prod))
-                factor = _mul(factor, base, prec, rnd)
+                prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
+                self.append(from_raw(prod))
+                factor = raw_mul(factor, base, prec, rnd)
             self.factor = factor
         return self[k]
 
@@ -361,7 +437,8 @@ class PochCache:
     ``ShellMemo`` memos: a value computed in a shell lives for that shell
     and the next unless it is requested again there.  ``next_shell`` and
     ``leave_shells`` mark the shell loop.  Finite tables and ``table``
-    values are kept for the run.  ``terms`` holds the block factors of
+    values are kept for the run; the Vandermonde pair tables keep each
+    pair's factors by shift.  ``terms`` holds the block factors of
     ``multisum.block_term``: each part under its function and index, the
     current shell's couplings under the coupling function; and the run's
     bound blocks of ``multisum.heine_sides`` under their ``bind`` function.
@@ -376,6 +453,7 @@ class PochCache:
         self._ratio = ShellMemo()
         self._intpow = ShellMemo()
         self._tables: dict = {}
+        self._last: dict = {}
         self.terms: dict = {}
 
     def next_shell(self) -> None:
@@ -413,26 +491,24 @@ class PochCache:
         key = (value_key(a), value_key(base), value_key(scale))
         value = self._ratio.find(key)
         if value is None:
+            prec, rnd = self.prec, mp._prec_rounding[1]
             num = self.infinite(a, base)
-            with mp.workprec(self.prec):
-                shifted = a * scale
-            den = self.infinite(shifted, base)
+            den = self.infinite(from_raw(raw_mul(key[0], key[2], prec, rnd)), base)
             if den == 0:
                 raise DivisionByZero(
                     "(a*scale; base)_oo vanished; the requested index is a pole"
                 )
-            with mp.workprec(self.prec):
-                value = num / den
+            value = from_raw(raw_div(value_key(num), value_key(den), prec, rnd))
             self._ratio.keep(key, value, self.in_shell)
         return value
 
     def intpow(self, x, n: int) -> QComplex:
-        """x ** n for an integer n, evaluated at the cache precision."""
+        """x ** n for an integer n, evaluated at the cache precision on the
+        raw value, as mpmath's operator rounds it."""
         key = (value_key(x), n)
         value = self._intpow.find(key)
         if value is None:
-            with mp.workprec(self.prec):
-                value = x**n
+            value = from_raw(_pow_int(key[0], n, self.prec, mp._prec_rounding[1]))
             self._intpow.keep(key, value, self.in_shell)
         return value
 
@@ -443,8 +519,20 @@ class PochCache:
 
         For values that depend only on the parameters of a run, such as the
         pair tables of ``catalog.core.sq_ratio`` and
-        ``multisum.vandermonde_ratio``.
+        ``multisum.vandermonde_ratio``.  A term function asks for the same
+        table with the same objects on every term, so the last table of each
+        tag is kept with its ``values`` and returned when they are the same
+        objects again, without building a key; only other requests build
+        the key from the raw values.  ``values`` must not be changed after
+        the call.
         """
+        last = self._last.get(tag)
+        if (
+            last is not None
+            and len(last[0]) == len(values)
+            and all(map(is_, last[0], values))
+        ):
+            return last[1]
         key = (tag,) + tuple(
             tuple(map(value_key, v)) if isinstance(v, (tuple, list)) else value_key(v)
             for v in values
@@ -454,4 +542,5 @@ class PochCache:
             with mp.workprec(self.prec):
                 value = build()
             self._tables[key] = value
+        self._last[tag] = (values, value)
         return value

@@ -84,6 +84,27 @@ class TestVerifyCommand:
                 value = report.parse_value(text, precision)
                 assert report.value_str(value) == text
 
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_worst_error_at_run_precision(self, capsys, prec):
+        # The summary writes its worst relative error with the digits of the
+        # run's precision, so it is the worst case row's rel_error exactly.
+        code, out = run_cli(
+            capsys,
+            [
+                "verify", "--identity", "q_binomial", "--samples", "3",
+                "--seed", "3", "--precision", str(prec),
+            ],
+        )
+        assert code == 0
+        parsed = report.parse_json_lines(out)
+        worst = max(
+            parsed["cases"],
+            key=lambda case: report.parse_value(case["rel_error"], prec),
+        )
+        (summary,) = parsed["summaries"]
+        assert summary["worst_rel_error"] == worst["rel_error"]
+        assert len(summary["worst_rel_error"]) > report.value_digits(prec)
+
     def test_dims_flag_restricts_assignments(self, capsys):
         code, out = run_cli(
             capsys,

@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +32,9 @@ from qheine import (
     vandermonde_ratio,
 )
 from qheine import catalog, cli, qcore
+from qheine.qcore import PochCache
 from qheine.catalog.core import staircase
-from util import rel
+from util import rel, vandermonde_ratio_loop
 
 
 class TestShells:
@@ -59,7 +65,7 @@ class TestShells:
 class TestVandermonde:
     def test_single_variable(self):
         assert vandermonde_factor((mpf(1),), (3,), mpf("0.5")) == 1
-        assert vandermonde_ratio((mpf(1),), (3,), mpf("0.5")) == 1
+        assert vandermonde_ratio((mpf(1),), (3,), mpf("0.5"), PochCache(128)) == 1
 
     def test_zero_index(self):
         x = (mpf(1), mpf("0.5"))
@@ -75,7 +81,7 @@ class TestVandermonde:
         with pytest.raises(DegenerateVariables):
             vandermonde_factor((mpf(1), mpf(1)), (1, 0), mpf("0.3"))
         with pytest.raises(DegenerateVariables):
-            vandermonde_ratio((mpf(1), mpf(1)), (1, 0), mpf("0.3"))
+            vandermonde_ratio((mpf(1), mpf(1)), (1, 0), mpf("0.3"), PochCache(128))
 
     @given(
         st.lists(
@@ -105,7 +111,7 @@ class TestVandermonde:
         x = tuple(mpf(1) + mpf(i) / 4 for i in range(n))
         step = mpf(step)
         factor = vandermonde_factor(x, tuple(k), step)
-        ratio = vandermonde_ratio(x, tuple(k), step)
+        ratio = vandermonde_ratio(x, tuple(k), step, PochCache(mp.prec))
         assert rel(factor, ratio * step ** staircase(tuple(k))) < mpf("1e-30")
 
     def test_cancelling_pair(self):
@@ -116,8 +122,153 @@ class TestVandermonde:
         with mp.workprec(400):
             exact = vandermonde_factor(x, (2, 3), step)
         assert rel(vandermonde_factor(x, (2, 3), step), exact) < mpf("1e-36")
-        ratio = vandermonde_ratio(x, (2, 3), step) * step**3
+        ratio = vandermonde_ratio(x, (2, 3), step, PochCache(mp.prec)) * step**3
         assert rel(ratio, exact) < mpf("1e-36")
+
+
+
+def _bits(value):
+    return (type(value), value._mpc_ if isinstance(value, mpc) else value._mpf_)
+
+
+@st.composite
+def _vandermonde_points(draw):
+    """(x, step, ks): 1 to 4 distinct variables, real or complex, a real or
+    complex step, and indices drawn from a small range, so that shifts
+    repeat within and across the ks."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    complex_x = draw(st.booleans())
+    real = st.integers(min_value=-30, max_value=40)
+    imag = st.integers(min_value=-40, max_value=40)
+    coords = draw(
+        st.lists(
+            st.tuples(real, imag), min_size=n, max_size=n, unique_by=lambda c: c[0]
+        )
+    )
+    x = tuple(
+        mpc(1 + mpf(a) / 37, mpf(b) / 41) if complex_x else 1 + mpf(a) / 37
+        for a, b in coords
+    )
+    step = draw(st.sampled_from([mpf("0.3"), mpf(1) / 3, mpc("0.4", "-0.25")]))
+    index = st.tuples(*[st.integers(min_value=0, max_value=5)] * n)
+    ks = draw(st.lists(index, min_size=1, max_size=8))
+    return x, step, ks
+
+
+class TestCachedVandermonde:
+    """``vandermonde_ratio`` keeps each pair's factor in the run's cache
+    under its shift; every value must be the uncached loop's, bit for bit."""
+
+    @given(_vandermonde_points())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_uncached_loop(self, point):
+        x, step, ks = point
+        cache = PochCache(128)
+        for _ in range(2):  # the second pass reads the cached factors
+            for k in ks:
+                value = vandermonde_ratio(x, k, step, cache)
+                assert _bits(value) == _bits(vandermonde_ratio_loop(x, k, step))
+
+    @given(_vandermonde_points(), _vandermonde_points())
+    @settings(max_examples=40, deadline=None)
+    def test_sides_sharing_a_cache(self, lhs, rhs):
+        # Two sides' variables and steps, asked for in turn from one cache,
+        # and the lhs variables with the rhs step.
+        cache = PochCache(128)
+        x, step, ks = lhs
+        y, other_step, js = rhs
+        requests = [(x, step, k) for k in ks] + [(y, other_step, j) for j in js]
+        requests += [(x, other_step, k) for k in ks]
+        for _ in range(2):
+            for v, s, k in requests:
+                assert _bits(vandermonde_ratio(v, k, s, cache)) == _bits(
+                    vandermonde_ratio_loop(v, k, s)
+                )
+
+    @pytest.mark.parametrize(
+        "x, step, k",
+        [
+            # S^{-1} x_1/x_2 = 0.8/0.7999999999999999: the numerator cancels.
+            ((mpf(1), mpf("1.25")), mpf(0.7999999999999999), (2, 3)),
+            # x_1/x_2 within 2^-20 of 1: the denominator cancels.
+            ((mpf(1), 1 + mpf(2) ** -20, mpf("1.5")), mpf("0.5"), (1, 1, 0)),
+        ],
+    )
+    def test_cancelling_pair_goes_through_exact_pair(self, x, step, k):
+        cache = PochCache(128)
+        for _ in range(2):
+            value = vandermonde_ratio(x, k, step, cache)
+            assert _bits(value) == _bits(vandermonde_ratio_loop(x, k, step))
+        with mp.workprec(400):
+            exact = vandermonde_ratio_loop(x, k, step)
+        assert rel(value, exact) < mpf("1e-36")
+
+    def test_single_variable_needs_no_table(self):
+        cache = PochCache(128)
+        assert vandermonde_ratio((mpf("0.7"),), (4,), mpf("0.5"), cache) == 1
+        assert not cache._tables
+
+    def test_factors_at_the_cache_precision(self):
+        x, step = (mpf(1) / 3, mpf(5) / 7, mpf(9) / 11), mpf(2) / 9
+        cache = PochCache(256)
+        with mp.workprec(256):
+            expected = vandermonde_ratio_loop(x, (3, 0, 2), step)
+        value = vandermonde_ratio(x, (3, 0, 2), step, cache)
+        assert _bits(value) == _bits(expected)
+
+    def test_caches_do_not_share_tables(self):
+        # The same objects asked for in two runs at different precisions:
+        # each run reads its own tables.
+        x, step = (mpf(1) / 3, mpf(5) / 7), mpf(2) / 9
+        runs = [(prec, PochCache(prec)) for prec in (128, 256, 128)]
+        for _ in range(2):
+            for prec, cache in runs:
+                for k in ((3, 0), (0, 2), (4, 1)):
+                    with mp.workprec(prec):
+                        expected = vandermonde_ratio_loop(x, k, step)
+                        value = vandermonde_ratio(x, k, step, cache)
+                    assert _bits(value) == _bits(expected)
+
+
+class TestReimport:
+    def test_old_classes_are_freed(self):
+        # Importing the package again must leave nothing of the first import
+        # alive: no typing cache may hold its classes.
+        script = textwrap.dedent(
+            """
+            import gc, importlib, sys, weakref
+
+            def load():
+                for name in [n for n in sys.modules if n.split(".")[0] == "qheine"]:
+                    del sys.modules[name]
+                importlib.import_module("qheine.cli")
+
+            load()
+            old = [
+                weakref.ref(sys.modules[module].__dict__[name])
+                for module, name in [
+                    ("qheine.multisum", "EvalContext"),
+                    ("qheine.qcore", "PochCache"),
+                    ("qheine.heine_engine", "QBinomialBlock"),
+                    ("qheine.heine_engine", "TransformationBlock"),
+                ]
+            ]
+            load()
+            gc.collect()
+            print([ref() is None for ref in old])
+            """
+        )
+        src = str(Path(qcore.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.split() == ["[True,", "True,", "True,", "True]"]
 
 
 def _geometric_side(dimension):

@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 
 import pytest
@@ -226,6 +227,22 @@ class TestCacheKeys:
         with mp.workprec(256):
             assert same_bits(value, x**5)
 
+    @pytest.mark.parametrize("prec, ambient", [(128, 53), (1024, 128), (1024, 2048)])
+    @pytest.mark.parametrize("complex_x", [False, True])
+    def test_intpow_raw_at_cache_precision(self, prec, ambient, complex_x):
+        # The power is taken on the raw value at the cache precision, with
+        # the rounding of x**n there, whatever the ambient precision.
+        with mp.workprec(prec):
+            x = mpf(-7) / 9 if not complex_x else mpc(mpf(5) / 7, -mpf(2) / 3)
+        cache = PochCache(prec)
+        for n in range(-7, 14):
+            with mp.workprec(ambient):
+                value = cache.intpow(x, n)
+            with mp.workprec(prec):
+                expected = x**n
+            assert _raw_value(value) == _raw_value(expected)
+            assert cache.intpow(x, n) is value
+
     @pytest.mark.parametrize("mpc_first", [False, True])
     def test_mpf_and_mpc_of_equal_value(self, mpc_first):
         cache = PochCache(128)
@@ -245,6 +262,23 @@ class TestCacheKeys:
         for base in (mpf("0.5"), mpf("0.25"), mpc("0.5", "0")):
             assert same_bits(cache.finite(a, base, 6), qpoch_finite(a, base, 6))
             assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
+
+    def test_tables_are_found_by_identity_then_by_value(self):
+        cache = PochCache(128)
+        built = []
+
+        def table(tag, values):
+            return cache.table(tag, values, lambda: built.append(values) or values)
+
+        x, base = (mpf("0.3"), mpf("0.7")), mpf("0.5")
+        first = table("t", (x, base))
+        assert table("t", (x, base)) is first  # the same objects
+        assert table("t", ((mpf("0.3"), mpf("0.7")), mpf("0.5"))) is first
+        assert table("t", (x,)) is not first  # fewer values, another table
+        assert table("t", (x, mpc("0.5", "0"))) is not first  # an mpc
+        assert table("u", (x, base)) is not first  # another tag
+        assert table("t", (x, base)) is first
+        assert len(built) == 4
 
     def test_finite_table_grows_like_the_product(self):
         cache = PochCache(128)
@@ -316,6 +350,53 @@ class TestRawKernel:
                 want = _raw_value(qpoch_finite_loop(a, base, k))
                 assert _raw_value(qpoch_finite(a, base, k)) == want
             assert _raw_value(value) == want
+
+    @given(_kernel_arguments(arg_max=3.0, base_max=1.2))
+    @settings(max_examples=120, deadline=None)
+    def test_raw_operations_match_operators(self, args):
+        # The raw arithmetic of the term layer: the operator's result, real
+        # and complex operands in either order, each sometimes held at more
+        # bits than the precision.
+        prec, x, y = args
+        ops = [
+            (qcore.raw_add, operator.add),
+            (qcore.raw_mul, operator.mul),
+            (qcore.raw_div, operator.truediv),
+        ]
+        for u, v in ((x, y), (y, x)):
+            for raw_op, op in ops:
+                if op is operator.truediv and v == 0:
+                    continue
+                raw = raw_op(qcore.value_key(u), qcore.value_key(v), prec, "n")
+                with mp.workprec(prec):
+                    want = op(u, v)
+                assert _raw_value(qcore.from_raw(raw)) == _raw_value(want)
+
+    @given(st.lists(_kernel_arguments(arg_max=3.0, base_max=1.2), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_raw_folds_match_operator_chains(self, drawn):
+        # raw_product, raw_quotients and raw_sum: the bits of the operator
+        # loop from the same start, at the working precision or, for
+        # raw_product, at a precision of their own.
+        values = [x for _, x, base in drawn for x in (x, base)]
+        nonzero = [v for v in values if v != 0]
+        start = values[0] if values else mpf(1)
+        for prec in (53, 128, 1024):
+            with mp.workprec(prec):
+                product, quotients, total = start, start, mpf(0)
+                for v in values:
+                    product *= v
+                    total += v
+                for num, den in zip(values, nonzero):
+                    quotients *= num
+                    quotients /= den
+                assert _raw_value(qcore.raw_product(values, start)) == _raw_value(product)
+                assert _raw_value(qcore.raw_sum(values)) == _raw_value(total)
+                got = qcore.raw_quotients(zip(values, nonzero), start)
+                assert _raw_value(got) == _raw_value(quotients)
+            with mp.workprec(53):
+                got = qcore.raw_product(values, start, prec=prec)
+            assert _raw_value(got) == _raw_value(product)
 
     @pytest.mark.parametrize(
         "a, base",

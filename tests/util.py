@@ -2,8 +2,8 @@
 
 from mpmath import mp, mpf, mpmathify
 
-from qheine.errors import NonConvergentBase
-from qheine.multisum import evaluate_in_context, make_context
+from qheine.errors import DegenerateVariables, NonConvergentBase
+from qheine.multisum import _LOSS, evaluate_in_context, exact_pair, make_context
 from qheine.qcore import default_tol
 
 REL_FLOOR = mpf("1e-300")
@@ -48,6 +48,35 @@ def qpoch_infinite_loop(a, base, tol=None):
                 "infinite product did not reach tolerance; base too close to 1"
             )
     return prod
+
+
+def vandermonde_ratio_loop(x, k, step_power):
+    """Reference prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s): the
+    uncached loop on mpmath objects at the working precision, which
+    ``multisum.vandermonde_ratio`` must match bit for bit.  A pair whose
+    numerator or denominator is below ``multisum._LOSS`` goes through
+    ``exact_pair``."""
+    n = len(x)
+    if n < 2:
+        return mpf(1)
+    step = mpmathify(step_power)
+    pairs = []
+    for r in range(n):
+        for s in range(r + 1, n):
+            ratio = x[r] / x[s]
+            den = 1 - ratio
+            if den == 0:
+                raise DegenerateVariables(f"x[{r}] == x[{s}]")
+            pairs.append((r, s, ratio, den))
+    value = mpf(1)
+    for r, s, ratio, den in pairs:
+        shift = k[r] - k[s]
+        num = 1 - step**shift * ratio
+        if abs(den) < _LOSS or abs(num) < _LOSS:
+            value *= exact_pair(x[r], x[s], step, shift, 0)
+        else:
+            value *= num / den
+    return value
 
 
 def rel(a, b):
