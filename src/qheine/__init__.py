@@ -23,23 +23,18 @@ from .multisum import (
     TruncationPolicy,
     block_term,
     enumerate_shell,
-    evaluate,
     evaluate_in_context,
     make_context,
-    vandermonde_factor,
     vandermonde_ratio,
-    weight,
 )
 from .qcore import (
     DEFAULT_PRECISION,
     BaseSystem,
     PochCache,
     default_tol,
-    dot,
     e2,
     qpoch_finite,
     qpoch_infinite,
-    qpoch_ratio,
 )
 
 __version__ = "0.1.0"

@@ -7,17 +7,18 @@ from __future__ import annotations
 import math
 
 from ..multisum import SeriesSide
-from ..qcore import e2
+from ..qcore import e2, raw_product
 from .core import (
     IdentityFamily,
     ParamSpec,
     argument,
     coefficient,
     distinct_vector,
-    product_over,
+    geom,
     signed,
     sq_ratio,
     staircase,
+    tri,
     vande,
 )
 
@@ -32,6 +33,9 @@ __all__ = [
     "euler_exp_term",
     "euler_exp_product",
     "euler_exp_summation",
+    "stretched_euler_term",
+    "stretched_euler_product",
+    "stretched_euler_summation",
     "extra_c_term",
     "extra_c_product",
     "extra_c_summation",
@@ -53,7 +57,7 @@ def milne_lilly_term(P, avec, xvec, base, z, k):
 
 
 def milne_lilly_product(P, avec, xvec, base, z):
-    return product_over(
+    return raw_product(
         P.infinite(avec[r] * z / xvec[r], base) / P.infinite(z / xvec[r], base)
         for r in range(len(xvec))
     )
@@ -120,7 +124,7 @@ def gk_term(P, a, xvec, base, z, k):
 
 
 def gk_product(P, a, n, base, z):
-    return product_over(
+    return raw_product(
         P.infinite(a * z * base**r, base) / P.infinite(z * base**r, base)
         for r in range(n)
     )
@@ -203,6 +207,42 @@ def euler_exp_summation(xvec, base):
     )
 
 
+# -- A_n stretched Euler sum at geometric variables x_r = Q^{r-1} -------------
+# ((-1)^n z Q^n; Q^n)_oo
+#   = sum_k V(x,k; Q^n) prod_r Q^{C(n k_r+1,2)}/(Q^r; Q)_{n k_r}
+#       * z^{|k|} Q^{2n sum (r-1)k_r - n(n-1)|k|}
+# The Vandermonde factor and the finite products are stretched by n.  No
+# catalog family: it backs the quadratic entries of catalog.ramanujan.
+
+
+def stretched_euler_term(P, xvec, base, z, k):
+    """The summand at k, with ``xvec`` = (1, Q, ..., Q^{n-1}) for Q =
+    ``base`` (the caller keeps one vector per run)."""
+    n = len(xvec)
+    value = vande(P, xvec, k, P.intpow(base, n))
+    for r, kr in enumerate(k, 1):
+        value /= P.finite(P.intpow(base, r), base, n * kr)
+    exponent = 2 * n * staircase(k) - n * (n - 1) * sum(k)
+    exponent += sum(tri(n * kr) for kr in k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
+
+
+def stretched_euler_product(P, n, base, z):
+    stretched = P.intpow(base, n)
+    return P.infinite((-1) ** n * z * stretched, stretched)
+
+
+def stretched_euler_summation(n, base):
+    """The summand (P, z, k) and product side (P, z), in base Q = ``base``
+    with x_r = Q^{r-1}, r = 1..n.  The x_r are multiplied at the working
+    precision, so bind the summation at the run's."""
+    xvec = geom(base, n)
+    return (
+        lambda P, z, k: stretched_euler_term(P, xvec, base, z, k),
+        lambda P, z: stretched_euler_product(P, n, base, z),
+    )
+
+
 # -- A_n q-binomial sum with an extra parameter c ----------------------------
 # (a_1...a_n z)_oo/(z)_oo = sum_k V(x,k) prod_{r,s}(a_s x_r/x_s)_{k_r}/(q...)
 #   * prod_r [(c x_r/A)_{k_r} (c x_r)_{|k|}] / [(c x_r)_{k_r} (c x_r/a_r)_{|k|}]
@@ -215,7 +255,7 @@ def extra_c_rows(P, avec, c, xvec, base) -> list:
     and (c x_r/a_r; base) with A = a_1 ... a_n, built once per run."""
 
     def build():
-        big_a = product_over(avec)
+        big_a = raw_product(avec)
         rows = []
         for a_r, x_r in zip(avec, xvec):
             cx = c * x_r
@@ -237,7 +277,7 @@ def extra_c_term(P, avec, c, xvec, base, z, k):
 
 
 def extra_c_product(P, avec, base, z):
-    return P.infinite(product_over(avec) * z, base) / P.infinite(z, base)
+    return P.infinite(raw_product(avec) * z, base) / P.infinite(z, base)
 
 
 def extra_c_summation(avec, c, xvec, base):

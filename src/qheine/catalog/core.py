@@ -29,7 +29,6 @@ from ..qcore import (
     ONE,
     BaseSystem,
     QComplex,
-    raw_product,
     raw_quotients,
 )
 
@@ -351,9 +350,3 @@ def sq_ratio(P, avec, x, base, k) -> QComplex:
 
 def vande(P, x, k, step) -> QComplex:
     return vandermonde_ratio(x, k, step, P)
-
-
-def product_over(values) -> QComplex:
-    """The product of ``values``, multiplied in order from 1 as ``out *= v``
-    rounds it at the working precision."""
-    return raw_product(values)

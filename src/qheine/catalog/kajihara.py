@@ -7,6 +7,7 @@ from __future__ import annotations
 from mpmath import mpf
 
 from ..multisum import HeineBlock, SeriesSide, heine_sides
+from ..qcore import raw_product
 from .classical import q_euler_product
 from .core import (
     IdentityFamily,
@@ -14,7 +15,6 @@ from .core import (
     argument,
     distinct_vector,
     finite_rows,
-    product_over,
     signed,
     sq_ratio,
     staircase,
@@ -78,7 +78,7 @@ def kajihara_summation(avec, bvec, c, xvec, yvec, base):
     (P, z, k), the product side (P, z), the right summand at unit argument
     (P, j) and the stretch A B / c^m of its argument."""
     grid = (avec, bvec, c, xvec, yvec)
-    stretch = product_over(avec) * product_over(bvec) / c ** len(yvec)
+    stretch = raw_product(avec) * raw_product(bvec) / c ** len(yvec)
     return (
         lambda P, z, k: kajihara_term(P, *grid, base, z, k),
         lambda P, z: q_euler_product(P, base, stretch * z, z),
@@ -92,7 +92,7 @@ def _kajihara_build(dims):
 
     def big_arg(P, p):
         def build():
-            return product_over(p["a"]) * product_over(p["b"]) * p["z"] / p["c"] ** m
+            return raw_product(p["a"]) * raw_product(p["b"]) * p["z"] / p["c"] ** m
 
         return P.table("kajihara.arg", (p["a"], p["b"], p["c"], p["z"]), build)
 
@@ -119,7 +119,7 @@ def _kajihara_domain(dims, p, bases):
     if p["c"] == 0 or any(a == 0 for a in p["a"]):
         return False
     m = dims["m"]
-    big = product_over(p["a"]) * product_over(p["b"]) * p["z"] / p["c"] ** m
+    big = raw_product(p["a"]) * raw_product(p["b"]) * p["z"] / p["c"] ** m
     return abs(p["z"]) < 1 and abs(big) < 1
 
 
@@ -128,7 +128,7 @@ def _kajihara_sample(rng, dims, bases):
     a = tuple(signed(rng, 0.3, 0.9) for _ in range(n))
     b = tuple(signed(rng, 0.3, 0.9) for _ in range(m))
     c = signed(rng, 0.25, 0.55)
-    scale = product_over(a) * product_over(b) / c**m
+    scale = raw_product(a) * raw_product(b) / c**m
     z = argument(rng)
     if abs(scale * z) > mpf("0.2"):
         z = z * mpf("0.2") / abs(scale * z)
@@ -187,8 +187,8 @@ def _kajihara_double_domain(dims, p, bases):
         return False
     if any(v == 0 for v in p["a"] + p["d"] + p["b"] + p["e"]):
         return False
-    m_scale = product_over(p["a"]) * product_over(p["b"]) / p["c"] ** dims["mu"]
-    d_scale = product_over(p["d"]) * product_over(p["e"]) / p["f"] ** dims["nu"]
+    m_scale = raw_product(p["a"]) * raw_product(p["b"]) / p["c"] ** dims["mu"]
+    d_scale = raw_product(p["d"]) * raw_product(p["e"]) / p["f"] ** dims["nu"]
     return (
         abs(p["z"]) < 1
         and abs(p["w"]) < 1
@@ -206,8 +206,8 @@ def _kajihara_double_sample(rng, dims, bases):
     e = tuple(signed(rng, 0.3, 0.9) for _ in range(nu))
     c = signed(rng, 0.25, 0.55)
     f = signed(rng, 0.25, 0.55)
-    m_scale = product_over(a) * product_over(b) / c**mu
-    d_scale = product_over(d) * product_over(e) / f**nu
+    m_scale = raw_product(a) * raw_product(b) / c**mu
+    d_scale = raw_product(d) * raw_product(e) / f**nu
     z = argument(rng)
     if abs(m_scale * z) > mpf("0.2"):
         z = z * mpf("0.2") / abs(m_scale * z)

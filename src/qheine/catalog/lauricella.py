@@ -6,7 +6,7 @@ from __future__ import annotations
 from mpmath import mpf
 
 from ..multisum import HeineBlock, SeriesSide, block_term, heine_sides
-from ..qcore import e2
+from ..qcore import e2, raw_product
 from .classical import qbin_summation
 from .core import (
     IdentityFamily,
@@ -15,7 +15,6 @@ from .core import (
     coefficient,
     distinct_vector,
     exponent,
-    product_over,
     signed,
     sq_ratio,
     staircase,
@@ -86,7 +85,7 @@ def _master_big_build(dims):
 
         def build():
             return (
-                product_over(p["b"]),
+                raw_product(p["b"]),
                 B.power(B.t * p["h1"]),
                 B.power(B.t * p["h2"]),
             )
@@ -266,8 +265,8 @@ def _master_lauricella_build(dims):
 
         def build():
             return (
-                product_over(p["b"]) * p["w"],
-                product_over(p["a"]) * p["z"],
+                raw_product(p["b"]) * p["w"],
+                raw_product(p["a"]) * p["z"],
                 [cp_r * u_r for cp_r, u_r in zip(p["cp"], p["u"])],
             )
 

@@ -4,23 +4,36 @@ These entries use variable vectors specialised to geometric progressions in
 the base, which collapses the generic Vandermonde factor to pure q-powers and
 introduces the quadratic exponents typical of this family.
 
-Six entries are Heine pairs at specialised parameters and are built by
+Eight entries are Heine pairs at specialised parameters and are built by
 ``multisum.heine_sides`` (Heine's method): ram_core and ram_1_4_1_anm from
 the gk and Milne-Lilly summations, ram_eq26_a2, ram_1_4_12, ram_eq26_a3 and
-ram_1_4_17 from the Euler exponential summation.  The other ten are written
-exactly as displayed: their sides are collapsed forms with stretched finite
-products, or (ram_1_4_9, ram_1_4_10) Heine pairs whose Heine form would
-trade finite-table lookups for an infinite product per term.
+ram_1_4_17 from the Euler exponential summation, and ram_eq26_b and
+ram_1_4_17_anm from the stretched Euler summation, whose Vandermonde factor
+and finite products are stretched by the dimension.
+
+The other eight are written as displayed, each summand once.  ram_1_4_9,
+ram_1_4_10, ram_1_4_9a, ram_1_4_9b, ram_1_4_10_c and ram_1_4_10_n_single
+couple their summands through finite products; a Heine form would trade
+those finite-table lookups for an infinite product per term.  The stretched
+summands of the last four come from ``stretched_euler_term`` at z = +-1.
+The lhs of ram_1_4_10_anm, ram_1_4_10_m1 and ram_1_4_10_c is one "linear"
+stretched summand (``_linear_term``) with no closed product, so no block
+can be bound to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 from ..multisum import HeineBlock, SeriesSide, TruncationPolicy, heine_sides
-from ..qcore import e2
-from .an_qbinomial import euler_exp_summation, gk_summation, milne_lilly_summation
+from ..qcore import ONE, e2
+from .an_qbinomial import (
+    euler_exp_summation,
+    gk_summation,
+    milne_lilly_summation,
+    stretched_euler_summation,
+    stretched_euler_term,
+)
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -39,22 +52,14 @@ __all__ = ["FAMILIES"]
 _SLOW_POLICY = TruncationPolicy(max_shell_weight=170)
 
 
-def _per_run(tag, build):
-    """``(P, B) -> build(B)``, evaluated once per run (``PochCache.table``)
-    for constants made from the bases alone: powers of q and the variable
-    vectors specialised to geometric progressions.  ``tag`` names the entry
-    and the dimensions ``build`` uses."""
-
-    def constants(P, B):
-        return P.table(tag, (B.q, B.h, B.t), lambda: build(B))
-
-    return constants
-
-
 def _q_vector(dim):
     """(P, B) -> the variable vector (1, q, ..., q^{dim-1}), built once per
-    run."""
-    return _per_run(("geom q", dim), lambda B: geom(B.q, dim))
+    run (``PochCache.table``)."""
+
+    def vector(P, B):
+        return P.table(("geom q", dim), (B.q,), lambda: geom(B.q, dim))
+
+    return vector
 
 
 # -- entries built by Heine's method -----------------------------------------
@@ -170,21 +175,30 @@ RAM_1_4_1_ANM = IdentityFamily(
 # -- the sum_k q^k/(q)_k^2 family ---------------------------------------------
 
 
+def _linear_term(P, xvec, q, k, denominators):
+    """V(x, k; q^n) / prod_r (q^r; q)_{n k_r} / prod(denominators)
+    * q^{n|k| + (n-1) sum_r (r-1)k_r + n e2(k)}, with ``xvec`` = (1, q, ...,
+    q^{n-1}): the summand the lhs of the ram_1_4_10 extensions share.  It
+    has no closed product, so it is a helper and not a summation."""
+    n = len(xvec)
+    value = vande(P, xvec, k, P.intpow(q, n))
+    for r, kr in enumerate(k, 1):
+        value /= P.finite(P.intpow(q, r), q, n * kr)
+    for den in denominators:
+        value /= den
+    return value * P.intpow(q, n * sum(k) + (n - 1) * staircase(k) + n * e2(k))
+
+
 def _ram_1_4_10_anm_build(dims):
     n, m = dims["n"], dims["m"]
     x_n = _q_vector(n)
     x_m = _q_vector(m)
 
     def lhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = sum(k)
-        value = vande(P, x_n(P, B), k, P.intpow(q, n))
-        for r in range(1, n + 1):
-            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
-        for r in range(1, m + 1):
-            value /= P.finite(P.intpow(q, m * r), P.intpow(q, m), n * kk)
-        return value * P.intpow(q, n * kk + (n - 1) * staircase(k) + n * e2(k))
+        P, q = ctx.poch, ctx.bases.q
+        q_m, kk = P.intpow(q, m), sum(k)
+        extra = (P.finite(P.intpow(q, m * r), q_m, n * kk) for r in range(1, m + 1))
+        return _linear_term(P, x_n(P, ctx.bases), q, k, extra)
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -239,14 +253,8 @@ def _ram_1_4_10_m1_build(dims):
     x_n = _q_vector(n)
 
     def lhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = sum(k)
-        value = vande(P, x_n(P, B), k, P.intpow(q, n))
-        for r in range(1, n + 1):
-            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
-        value /= P.finite(q, q, n * kk)
-        return value * P.intpow(q, n * kk + (n - 1) * staircase(k) + n * e2(k))
+        P, q = ctx.poch, ctx.bases.q
+        return _linear_term(P, x_n(P, ctx.bases), q, k, (P.finite(q, q, n * sum(k)),))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -314,17 +322,12 @@ def _ram_1_4_10_c_build(dims):
     n, m = dims["n"], dims["m"]
     x_n = _q_vector(n)
     x_m = _q_vector(m)
+    sign = (-ONE) ** n
 
     def lhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
+        P, q = ctx.poch, ctx.bases.q
         qn = P.intpow(q, n)
-        jj = sum(j)
-        value = vande(P, x_m(P, B), j, P.intpow(q, m))
-        for r in range(1, m + 1):
-            value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
-        value /= P.finite(qn, qn, m * jj)
-        return value * P.intpow(q, m * jj + (m - 1) * staircase(j) + m * e2(j))
+        return _linear_term(P, x_m(P, ctx.bases), q, j, (P.finite(qn, qn, m * sum(j)),))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -333,16 +336,9 @@ def _ram_1_4_10_c_build(dims):
         return 1 / (P.infinite(q, q) * P.infinite(qn, qn))
 
     def rhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = sum(k)
-        value = vande(P, x_n(P, B), k, P.intpow(q, n)) * P.finite(q, q, m * n * kk)
-        for r in range(1, n + 1):
-            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
-        exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
-            tri(n * kr) for kr in k
-        )
-        return value * (-1) ** (n * kk) * P.intpow(q, exponent)
+        P, q = ctx.poch, ctx.bases.q
+        value = stretched_euler_term(P, x_n(P, ctx.bases), q, sign, k)
+        return value * P.finite(q, q, m * n * sum(k))
 
     return SeriesSide(m, lhs_term), SeriesSide(n, rhs_term, rhs_prefactor)
 
@@ -369,6 +365,7 @@ RAM_1_4_10_C = IdentityFamily(
 def _ram_1_4_10_n_single_build(dims):
     n = dims["n"]
     x_n = _q_vector(n)
+    sign = (-ONE) ** n
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
@@ -383,16 +380,9 @@ def _ram_1_4_10_n_single_build(dims):
         return 1 / (P.infinite(q, q) * P.infinite(q**n, q**n))
 
     def rhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = sum(k)
-        value = vande(P, x_n(P, B), k, P.intpow(q, n)) * P.finite(q, q, n * kk)
-        for r in range(1, n + 1):
-            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
-        exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
-            tri(n * kr) for kr in k
-        )
-        return value * (-1) ** (n * kk) * P.intpow(q, exponent)
+        P, q = ctx.poch, ctx.bases.q
+        value = stretched_euler_term(P, x_n(P, ctx.bases), q, sign, k)
+        return value * P.finite(q, q, n * sum(k))
 
     return SeriesSide(1, lhs_term), SeriesSide(n, rhs_term, rhs_prefactor)
 
@@ -418,38 +408,54 @@ def _coeff_params(rng, dims, bases):
     return {"a": coefficient(rng), "b": coefficient(rng)}
 
 
-def _partial_theta_build(exponents):
-    """``build(dims)`` of an m-fold partial-theta entry, by Heine's method on
-    the m-fold Euler summation in base q^{em} (x_r = q^{e(r-1)}) at b q^{em},
-    with cross base q^g, over the one-fold one in base q^f at a q^f, where
-    (e, f, g) = ``exponents(B, m)``.  The display multiplies both sides by
-    the base block's product (-a q^f; q^f)_oo.  An entry without an m
-    dimension is the m = 1 case."""
+def _euler_block(B, e, dim, z):
+    """The dim-fold Euler summation in base q^{e dim} (x_r = q^{e(r-1)}) at
+    z q^{e dim}: summand, product and argument."""
+    base = B.power(e * dim)
+    return (*euler_exp_summation(geom(B.power(e), dim), base), z * base)
+
+
+def _stretched_block(B, e, dim, z):
+    """The dim-fold stretched Euler summation in base q^e at z^dim: summand,
+    product and argument."""
+    return (*stretched_euler_summation(dim, B.power(e)), z**dim)
+
+
+def _partial_theta_build(kind, exponents):
+    """``build(dims)`` of a partial-theta entry, by Heine's method on the
+    m-fold summation ``kind(B, e, m, b)`` (``_euler_block`` or
+    ``_stretched_block``), with cross base q^g, over the n-fold one ``kind(B,
+    f, n, a)``, where (e, f, g) = ``exponents(B, n, m)``.  The display
+    multiplies both sides by the base block's product.  An entry without an
+    n or m dimension is the case n = 1 or m = 1."""
 
     def build(dims):
-        m = dims.get("m", 1)
+        n, m = dims.get("n", 1), dims.get("m", 1)
 
         def bind(ctx):
             B, p = ctx.bases, ctx.params
-            e, f, g = exponents(B, m)
-            block_base, base_base = B.power(e * m), B.power(f)
-            block = HeineBlock(
-                *euler_exp_summation(geom(B.power(e), m), block_base),
-                p["b"] * block_base,
-                B.power(g),
-            )
-            one_fold = euler_exp_summation(geom(base_base, 1), base_base)
-            return (block,), HeineBlock(*one_fold, p["a"] * base_base)
+            e, f, g = exponents(B, n, m)
+            block = HeineBlock(*kind(B, e, m, p["b"]), B.power(g))
+            return (block,), HeineBlock(*kind(B, f, n, p["a"]))
 
-        return _displayed(((m, 0),), (1, 0), bind, _base_product)
+        return _displayed(((m, 0),), (n, 0), bind, _base_product)
 
     return build
 
 
-# Bases q^{tm} and q^h, cross base q^{htm}.
-_ram_eq26_a2_build = _partial_theta_build(lambda B, m: (B.t, B.h, B.h * B.t * m))
-# Bases q^m and q, cross base q^{mt}.
-_ram_eq26_a3_build = _partial_theta_build(lambda B, m: (1, 1, m * B.t))
+# Blocks in base q^t (times m for the Euler kind) and q^h, cross base
+# q^{hntm}.
+def _bases_t_h(B, n, m):
+    return B.t, B.h, B.h * n * B.t * m
+
+
+# Blocks in base q (times m for the Euler kind) and q, cross base q^{nmt}.
+def _bases_1_1(B, n, m):
+    return 1, 1, n * m * B.t
+
+
+_ram_eq26_a2_build = _partial_theta_build(_euler_block, _bases_t_h)
+_ram_eq26_a3_build = _partial_theta_build(_euler_block, _bases_1_1)
 
 
 RAM_EQ26_A2 = IdentityFamily(
@@ -489,73 +495,13 @@ RAM_EQ26_A3 = IdentityFamily(
 )
 
 
-def _ram_eq26_b_build(dims):
-    n, m = dims["n"], dims["m"]
-    powers = _per_run(
-        ("ram_eq26_b", n, m),
-        lambda B: SimpleNamespace(
-            q_tm=B.power(B.t * m),
-            q_hn=B.power(B.h * n),
-            stretch=B.power(B.h * n * B.t * m),
-            x_t=geom(B.qt, m),
-            x_h=geom(B.qh, n),
-        ),
-    )
-
-    def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_hn = B.power(B.h * n)
-        return P.infinite((-p["a"] * B.qh) ** n, q_hn)
-
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        c = powers(P, B)
-        q_tm, q_hn = c.q_tm, c.q_hn
-        scale = P.intpow(c.stretch, sum(j))
-        jj = sum(j)
-        value = vande(P, c.x_t, j, q_tm)
-        for r in range(1, m + 1):
-            value /= P.finite(P.intpow(B.qt, r), B.qt, m * j[r - 1])
-        inner = P.intpow(-p["a"] * B.qh, n)
-        value *= P.intpow(p["b"], m * jj) / P.ratio(inner, q_hn, scale)
-        exponent = 2 * m * staircase(j) - m * (m - 1) * jj + sum(
-            tri(m * jr) for jr in j
-        )
-        return value * P.intpow(B.qt, exponent)
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q_tm = B.power(B.t * m)
-        return P.infinite((-p["b"] * B.qt) ** m, q_tm)
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        c = powers(P, B)
-        q_tm, q_hn = c.q_tm, c.q_hn
-        scale = P.intpow(c.stretch, sum(k))
-        kk = sum(k)
-        value = vande(P, c.x_h, k, q_hn)
-        for r in range(1, n + 1):
-            value /= P.finite(P.intpow(B.qh, r), B.qh, n * k[r - 1])
-        inner = P.intpow(-p["b"] * B.qt, m)
-        value *= P.intpow(p["a"], n * kk) / P.ratio(inner, q_tm, scale)
-        exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
-            tri(n * kr) for kr in k
-        )
-        return value * P.intpow(B.qh, exponent)
-
-    return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
-        n, rhs_term, rhs_prefactor
-    )
-
-
 RAM_EQ26_B = IdentityFamily(
     id="ram_eq26_b",
     reference="fully quadratic m-fold to n-fold partial-theta "
     "transformation in bases q^{hn} and q^{tm}",
     dim_names=("n", "m"),
     schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_eq26_b_build,
+    build=_partial_theta_build(_stretched_block, _bases_t_h),
     domain=_always,
     sample=_coeff_params,
     default_dims=(
@@ -567,63 +513,13 @@ RAM_EQ26_B = IdentityFamily(
 )
 
 
-def _ram_1_4_17_anm_build(dims):
-    n, m = dims["n"], dims["m"]
-    x_n = _q_vector(n)
-    x_m = _q_vector(m)
-
-    def lhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        return P.infinite((-p["a"] * q) ** n, q**n)
-
-    def lhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        qn = P.intpow(q, n)
-        scale = P.intpow(P.intpow(B.qt, n * m), sum(j))
-        jj = sum(j)
-        value = vande(P, x_m(P, B), j, P.intpow(q, m))
-        for r in range(1, m + 1):
-            value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
-        value *= P.intpow(p["b"], m * jj) / P.ratio(P.intpow(-p["a"] * q, n), qn, scale)
-        exponent = 2 * m * staircase(j) - m * (m - 1) * jj + sum(
-            tri(m * jr) for jr in j
-        )
-        return value * P.intpow(q, exponent)
-
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        return P.infinite((-p["b"] * q) ** m, q**m)
-
-    def rhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        qm = P.intpow(q, m)
-        scale = P.intpow(P.intpow(B.qt, n * m), sum(k))
-        kk = sum(k)
-        value = vande(P, x_n(P, B), k, P.intpow(q, n))
-        for r in range(1, n + 1):
-            value /= P.finite(P.intpow(q, r), q, n * k[r - 1])
-        value *= P.intpow(p["a"], n * kk) / P.ratio(P.intpow(-p["b"] * q, m), qm, scale)
-        exponent = 2 * n * staircase(k) - n * (n - 1) * kk + sum(
-            tri(n * kr) for kr in k
-        )
-        return value * P.intpow(q, exponent)
-
-    return SeriesSide(m, lhs_term, lhs_prefactor), SeriesSide(
-        n, rhs_term, rhs_prefactor
-    )
-
-
 RAM_1_4_17_ANM = IdentityFamily(
     id="ram_1_4_17_anm",
     reference="m-fold to n-fold extension of the symmetric partial-theta "
     "transformation with index stretch t",
     dim_names=("n", "m"),
     schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_1_4_17_anm_build,
+    build=_partial_theta_build(_stretched_block, _bases_1_1),
     domain=_always,
     sample=_coeff_params,
     default_dims=(
@@ -649,24 +545,13 @@ RAM_1_4_17 = IdentityFamily(
 def _ram_1_4_9a_build(dims):
     m = dims["m"]
     x_m = _q_vector(m)
-
-    def _quadratic(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = sum(k)
-        value = vande(P, x_m(P, B), k, P.intpow(q, m))
-        for r in range(1, m + 1):
-            value /= P.finite(P.intpow(q, r), q, m * k[r - 1])
-        exponent = 2 * m * staircase(k) - m * (m - 1) * kk + sum(
-            tri(m * kr) for kr in k
-        )
-        return value * P.intpow(q, exponent)
+    sign = (-ONE) ** m
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
-        q = B.q
-        qm = P.intpow(q, m)
-        return _quadratic(ctx, j) / P.finite(qm, qm, m * sum(j))
+        qm = P.intpow(B.q, m)
+        value = stretched_euler_term(P, x_m(P, B), B.q, ONE, j)
+        return value / P.finite(qm, qm, m * sum(j))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases
@@ -678,12 +563,8 @@ def _ram_1_4_9a_build(dims):
         P, B = ctx.poch, ctx.bases
         q = B.q
         qm = P.intpow(q, m)
-        kk = sum(k)
-        return (
-            _quadratic(ctx, k)
-            * (-1) ** (m * kk)
-            / P.finite(P.intpow(-q, m), qm, m * kk)
-        )
+        value = stretched_euler_term(P, x_m(P, B), q, sign, k)
+        return value / P.finite(P.intpow(-q, m), qm, m * sum(k))
 
     return SeriesSide(m, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
 
@@ -743,16 +624,8 @@ def _ram_1_4_9b_build(dims):
 
     def lhs_term(ctx, j):
         P, B = ctx.poch, ctx.bases
-        q = B.q
-        jj = sum(j)
-        value = vande(P, x_m(P, B), j, P.intpow(q, m))
-        for r in range(1, m + 1):
-            value /= P.finite(P.intpow(q, r), q, m * j[r - 1])
-        value /= P.finite(q, q, m * jj)
-        exponent = 2 * m * staircase(j) - m * (m - 1) * jj + sum(
-            tri(m * jr) for jr in j
-        )
-        return value * P.intpow(q, exponent)
+        value = stretched_euler_term(P, x_m(P, B), B.q, ONE, j)
+        return value / P.finite(B.q, B.q, m * sum(j))
 
     def rhs_prefactor(ctx):
         P, B = ctx.poch, ctx.bases

@@ -33,11 +33,6 @@ _LOSS_BITS = 16
 _LOSS = mpf(2) ** -_LOSS_BITS
 
 
-def weight(k: Sequence[int]) -> int:
-    """Total weight |k| of a multi-index."""
-    return sum(k)
-
-
 def enumerate_shell(dimension: int, shell_weight: int) -> list[MultiIndex]:
     """All compositions of ``shell_weight`` into ``dimension`` non-negative
     parts, in lexicographic order; there are C(w+n-1, n-1) of them."""
@@ -52,22 +47,6 @@ def enumerate_shell(dimension: int, shell_weight: int) -> list[MultiIndex]:
         for rest in enumerate_shell(dimension - 1, shell_weight - first):
             out.append((first,) + rest)
     return out
-
-
-def vandermonde_factor(x: Sequence, k: Sequence[int], step_power) -> QComplex:
-    """Type-A Vandermonde factor in product form:
-    prod_{r<s} (x_r*S^{k_r} - x_s*S^{k_s}) / (x_r - x_s) with S = step_power."""
-    if len(x) != len(k):
-        raise LengthMismatch("x and k must have the same length")
-    step = mpmathify(step_power)
-    n = len(x)
-    value = mpf(1)
-    for r in range(n):
-        for s in range(r + 1, n):
-            if x[r] == x[s]:
-                raise DegenerateVariables(f"x[{r}] == x[{s}]")
-            value *= exact_pair(x[r], x[s], step, k[r], k[s])
-    return value
 
 
 def exact_pair(x_r, x_s, step, d_r: int, d_s: int) -> QComplex:
@@ -115,8 +94,9 @@ def vandermonde_ratio(
     """Type-A Vandermonde factor in ratio form:
     prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s).
 
-    Equals vandermonde_factor times S^{-sum_r (r-1) k_r}; series displays in
-    the catalog use this form together with an explicit power factor.  The
+    Equals the product form prod_{r<s} (x_r S^{k_r} - x_s S^{k_s}) / (x_r -
+    x_s) times S^{-sum_r (r-1) k_r}; series displays in the catalog use this
+    form together with an explicit power factor.  The
     run's ``poch`` cache keeps the pair table of x and S, and in it each
     pair's factor under its shift k_r - k_s: a factor is computed once per
     run, at the cache precision.  A pair whose numerator or denominator
@@ -481,12 +461,3 @@ def evaluate_in_context(
         value = pref * total
     return value, diag
 
-
-def evaluate(
-    side: SeriesSide,
-    params: Mapping,
-    bases: BaseSystem,
-    policy: TruncationPolicy | None = None,
-) -> tuple[QComplex, Diagnostics]:
-    """Sum one series side; builds a fresh product cache for the run."""
-    return evaluate_in_context(side, make_context(params, bases), policy)

@@ -36,7 +36,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .errors import DivisionByZero, LengthMismatch, NonConvergentBase
+from .errors import DivisionByZero, NonConvergentBase
 
 QComplex = Union[mpf, mpc]
 
@@ -256,41 +256,11 @@ def raw_sum(values) -> QComplex:
     return from_raw(raw)
 
 
-def qpoch_ratio(a, base, scale, tol=None) -> QComplex:
-    """(a; base)_kappa for a general index, given scale = base**kappa.
-
-    Computed as (a; base)_oo / (a*scale; base)_oo, which is the defining
-    extension of the q-rising factorial to arbitrary index.
-    """
-    a = mpmathify(a)
-    base = mpmathify(base)
-    scale = mpmathify(scale)
-    num = qpoch_infinite(a, base, tol)
-    den = qpoch_infinite(a * scale, base, tol)
-    if den == 0:
-        raise DivisionByZero(
-            "(a*scale; base)_oo vanished; the requested index is a pole"
-        )
-    return num / den
-
-
 def e2(k: Sequence[int]) -> int:
     """Elementary symmetric function of degree 2 of a multi-index:
     C(|k|, 2) - sum_r C(k_r, 2)."""
     total = sum(k)
     return math.comb(total, 2) - sum(math.comb(kr, 2) for kr in k)
-
-
-def dot(exponents: Sequence, k: Sequence[int]) -> QComplex:
-    """Dot product h.k = h_1 k_1 + ... + h_p k_p."""
-    if len(exponents) != len(k):
-        raise LengthMismatch(
-            f"dot product needs equal lengths, got {len(exponents)} and {len(k)}"
-        )
-    total = mpf(0)
-    for h_r, k_r in zip(exponents, k):
-        total += mpmathify(h_r) * k_r
-    return total
 
 
 def value_key(x):

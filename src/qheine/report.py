@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from typing import Any, Iterable
+from typing import Iterable
 
 from mpmath import mp, mpc, mpf, mpmathify
 

@@ -13,7 +13,10 @@ from qheine.errors import (
     TruncationNotConverged,
     UnknownIdentity,
 )
-from qheine.catalog.an_qbinomial import euler_exp_summation
+from qheine.catalog.an_qbinomial import (
+    euler_exp_summation,
+    stretched_euler_summation,
+)
 from qheine.catalog.kajihara import grid_rows, inner_rows
 from qheine.multisum import (
     SeriesSide,
@@ -22,7 +25,7 @@ from qheine.multisum import (
     evaluate_in_context,
     make_context,
 )
-from qheine.qcore import BaseSystem, PochCache, e2, qpoch_finite
+from qheine.qcore import BaseSystem, PochCache, e2, qpoch_finite, raw_product
 from util import rel, side_values, vandermonde_ratio_loop
 
 EXPECTED_IDS = [
@@ -362,19 +365,25 @@ class TestTermTables:
 class TestEulerExponential:
     """The A_n Euler exponential summation, sum_k V(x, k) prod_r
     q^{C(k_r,2)}/(q;q)_{k_r} z^{|k|} q^{sum (r-1)k_r}, equals its product
-    prod_{r<n} (-z q^r; q)_oo whatever the distinct x."""
+    prod_{r<n} (-z q^r; q)_oo whatever the distinct x.  The stretched
+    summation, sum_k V(x, k; q^n) prod_r q^{C(n k_r+1,2)}/(q^r;q)_{n k_r}
+    z^{|k|} q^{2n sum (r-1)k_r - n(n-1)|k|}, equals ((-1)^n z q^n; q^n)_oo at
+    x_r = q^{r-1}."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("z", [mpf("0.35"), mpf("-0.6"), mpc("0.2", "-0.45")])
-    @pytest.mark.parametrize("geometric", [False, True])
+    @pytest.mark.parametrize("geometric", [False, True, "stretched"])
     def test_sum_equals_product(self, n, z, geometric):
         bases = BaseSystem(mpf("0.45"))
+        # Built at the run's precision: geom multiplies at the ambient one.
         with mp.workprec(bases.prec):
-            if geometric:
-                x = core.geom(bases.q, n)
+            if geometric == "stretched":
+                term, product = stretched_euler_summation(n, bases.q)
+            elif geometric:
+                term, product = euler_exp_summation(core.geom(bases.q, n), bases.q)
             else:
                 x = core.distinct_vector(random.Random(n), n)
-        term, product = euler_exp_summation(x, bases.q)
+                term, product = euler_exp_summation(x, bases.q)
         side = SeriesSide(n, lambda ctx, k: term(ctx.poch, z, k))
         # Products truncated at 1e-36, below the 1e-30 of the default.
         ctx = make_context({}, bases, tol=mpf("1e-36"))
@@ -389,7 +398,7 @@ class TestEulerExponential:
 #
 # Each rebuilds every factor for every term, in the order the summand is
 # displayed; the catalog evaluates the same factors once per block index.
-# The thm_heine*, qlauricella_bibasic and six Ramanujan references write
+# The thm_heine*, qlauricella_bibasic and eight Ramanujan references write
 # both sides out by hand; the catalog builds them with multisum.heine_sides.
 
 
@@ -399,9 +408,9 @@ def _unit(ctx):
 
 def _kajihara_double_prefactor(ctx):
     P, B, p = ctx.poch, ctx.bases, ctx.params
-    m_arg = core.product_over(p["a"]) * core.product_over(p["b"])
+    m_arg = raw_product(p["a"]) * raw_product(p["b"])
     m_arg /= p["c"] ** len(p["b"])
-    d_arg = core.product_over(p["d"]) * core.product_over(p["e"])
+    d_arg = raw_product(p["d"]) * raw_product(p["e"])
     d_arg /= p["f"] ** len(p["e"])
     return (
         P.infinite(p["w"], B.qt)
@@ -423,7 +432,7 @@ def _kajihara_double_reference(dims, outer, inner, swap):
         base, other = getattr(B, outer_base), getattr(B, inner_base)
         kk = sum(k)
         scale = P.intpow(B.qht, kk)
-        stretched = core.product_over(p[d]) * core.product_over(p[e])
+        stretched = raw_product(p[d]) * raw_product(p[e])
         stretched = stretched / p[f] ** dims[swap[1]] * p[w]
         value = core.vande(P, p[x], k, base) * core.sq_ratio(P, p[a], p[x], base, k)
         value = core.times_rows(
@@ -453,7 +462,7 @@ def _master_big_reference(dims):
             value *= P.finite(p["a2"], base2, kr) / P.finite(base2, base2, kr)
         scale = P.intpow(B.power(B.t * p["h1"]), sum(k1))
         scale *= P.intpow(B.power(B.t * p["h2"]), sum(k2))
-        big_bw = core.product_over(p["b"]) * p["w"]
+        big_bw = raw_product(p["b"]) * p["w"]
         value *= P.ratio(p["w"], B.qt, scale) / P.ratio(big_bw, B.qt, scale)
         value *= P.intpow(p["z1"], sum(k1)) * P.intpow(p["z2"], sum(k2))
         value *= P.intpow(base1, core.staircase(k1) + e2(k1))
@@ -475,7 +484,7 @@ def _master_lauricella_reference(dims):
             value *= P.finite(cr, B.qh, lr) / P.finite(B.qh, B.qh, lr)
             value *= P.intpow(ur, lr)
         scale = P.intpow(B.qht, sum(k) + sum(l))
-        big_bw = core.product_over(p["b"]) * p["w"]
+        big_bw = raw_product(p["b"]) * p["w"]
         value *= P.ratio(p["w"], B.qt, scale) / P.ratio(big_bw, B.qt, scale)
         return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, core.staircase(k))
 
@@ -590,7 +599,7 @@ def _heine1_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         x = p["x"]
         kk = sum(k)
-        big_a = core.product_over(p["a"])
+        big_a = raw_product(p["a"])
         scale = P.intpow(B.qht, kk)
         value = core.vande(P, x, k, B.qh) * core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         value *= P.intpow(p["z"], kk) * P.intpow(B.qh, core.staircase(k))
@@ -598,15 +607,15 @@ def _heine1_reference(dims):
             cx = p["c"] * x[r]
             value *= P.finite(cx / big_a, B.qh, k[r]) * P.finite(cx, B.qh, kk)
             value /= P.finite(cx, B.qh, k[r]) * P.finite(cx / p["a"][r], B.qh, kk)
-        big_b = core.product_over(p["b"])
+        big_b = raw_product(p["b"])
         value *= P.ratio(p["w"], B.qt, scale)
         value /= P.ratio(big_b * p["w"], B.qt, scale)
         return value
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = core.product_over(p["a"])
-        big_b = core.product_over(p["b"])
+        big_a = raw_product(p["a"])
+        big_b = raw_product(p["b"])
         return (
             P.infinite(p["w"], B.qt)
             / P.infinite(big_b * p["w"], B.qt)
@@ -618,8 +627,8 @@ def _heine1_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
         jj = sum(j)
-        big_a = core.product_over(p["a"])
-        big_b = core.product_over(p["b"])
+        big_a = raw_product(p["a"])
+        big_b = raw_product(p["b"])
         scale = P.intpow(B.qht, jj)
         value = core.vande(P, y, j, B.qt) * core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         value *= P.intpow(p["w"], jj) * P.intpow(B.qt, core.staircase(j))
@@ -650,7 +659,7 @@ def _heine2_reference(dims):
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = core.product_over(p["a"])
+        big_a = raw_product(p["a"])
         value = mpf(1)
         for r in range(m):
             wy = p["w"] / p["y"][r]
@@ -660,7 +669,7 @@ def _heine2_reference(dims):
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
-        big_a = core.product_over(p["a"])
+        big_a = raw_product(p["a"])
         scale = P.intpow(B.qht, sum(j))
         value = core.vande(P, y, j, B.qt) * core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_a * p["z"], B.qh, scale)
@@ -813,6 +822,47 @@ def _eq26_a3_reference(dims):
     return _partial_theta_reference(dims, lambda B, m: (1, 1, m * B.t))
 
 
+def _stretched_theta_reference(dims, exponents):
+    """ram_eq26_b (exponents (t, h, hntm)) and ram_1_4_17_anm ((1, 1, ntm))
+    as displayed: the m-fold quadratic sum in base q^e at b against the
+    n-fold product in base q^f at a, and the other way round."""
+    n, m = dims["n"], dims["m"]
+
+    def side(dim, name, slot, o_dim, o_name, o_slot):
+        def product_args(ctx):
+            B = ctx.bases
+            o_base = B.power(exponents(B, n, m)[o_slot])
+            return (-ctx.params[o_name] * o_base) ** o_dim, o_base**o_dim
+
+        def prefactor(ctx):
+            return ctx.poch.infinite(*product_args(ctx))
+
+        def term(ctx, k):
+            P, B, p = ctx.poch, ctx.bases, ctx.params
+            exps, kk = exponents(B, n, m), sum(k)
+            base, scale = B.power(exps[slot]), B.power(exps[2]) ** kk
+            value = core.vande(P, core.geom(base, dim), k, base**dim)
+            for r in range(1, dim + 1):
+                value /= P.finite(base**r, base, dim * k[r - 1])
+            value *= p[name] ** (dim * kk) / P.ratio(*product_args(ctx), scale)
+            exponent = 2 * dim * core.staircase(k) - dim * (dim - 1) * kk
+            return value * base ** (exponent + sum(core.tri(dim * x) for x in k))
+
+        return term, prefactor
+
+    return {"lhs": side(m, "b", 0, n, "a", 1), "rhs": side(n, "a", 1, m, "b", 0)}
+
+
+def _eq26_b_reference(dims):
+    return _stretched_theta_reference(
+        dims, lambda B, n, m: (B.t, B.h, B.h * n * B.t * m)
+    )
+
+
+def _1_4_17_anm_reference(dims):
+    return _stretched_theta_reference(dims, lambda B, n, m: (1, 1, n * m * B.t))
+
+
 _FIRST = (("a", "b", "c", "x", "X"), "qh", "z")
 _SECOND = (("d", "e", "f", "y", "Y"), "qt", "w")
 # (family, side) -> dims -> (unfactored summand, prefactor)
@@ -843,6 +893,8 @@ for _family_id, _build in (
     ("ram_1_4_12", _eq26_a2_reference),
     ("ram_eq26_a3", _eq26_a3_reference),
     ("ram_1_4_17", _eq26_a3_reference),
+    ("ram_eq26_b", _eq26_b_reference),
+    ("ram_1_4_17_anm", _1_4_17_anm_reference),
 ):
     for _side in ("lhs", "rhs"):
         _REFERENCES[_family_id, _side] = lambda dims, b=_build, s=_side: b(dims)[s]

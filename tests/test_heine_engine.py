@@ -10,11 +10,10 @@ from qheine.multisum import (
     SeriesSide,
     TruncationPolicy,
     enumerate_shell,
-    evaluate,
     make_context,
 )
 from qheine.qcore import BaseSystem, PochCache
-from util import rel, side_values
+from util import evaluate, rel, side_values
 
 
 def _block_dims(name):

@@ -24,17 +24,15 @@ from qheine import (
     TruncationPolicy,
     block_term,
     enumerate_shell,
-    evaluate,
     evaluate_in_context,
     make_context,
     qpoch_infinite,
-    vandermonde_factor,
     vandermonde_ratio,
 )
 from qheine import catalog, cli, qcore
 from qheine.qcore import PochCache
 from qheine.catalog.core import staircase
-from util import rel, vandermonde_ratio_loop
+from util import evaluate, rel, vandermonde_factor, vandermonde_ratio_loop
 
 
 class TestShells:

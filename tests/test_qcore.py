@@ -14,16 +14,21 @@ from qheine import (
     NonConvergentBase,
     PochCache,
     default_tol,
-    dot,
     e2,
     qpoch_finite,
     qpoch_infinite,
-    qpoch_ratio,
 )
 from qheine import qcore
 from qheine.qcore import FiniteTable
 import util
-from util import MAX_FACTORS, qpoch_finite_loop, qpoch_infinite_loop, rel
+from util import (
+    MAX_FACTORS,
+    dot,
+    qpoch_finite_loop,
+    qpoch_infinite_loop,
+    qpoch_ratio,
+    rel,
+)
 
 # Exact rational oracle for the five-factor complex product, computed with
 # fractions.Fraction: prod_{r<5} (1 - (0.3+0.1i) * 0.4^r).

@@ -2,9 +2,14 @@
 
 from mpmath import mp, mpf, mpmathify
 
-from qheine.errors import DegenerateVariables, NonConvergentBase
+from qheine.errors import (
+    DegenerateVariables,
+    DivisionByZero,
+    LengthMismatch,
+    NonConvergentBase,
+)
 from qheine.multisum import _LOSS, evaluate_in_context, exact_pair, make_context
-from qheine.qcore import default_tol
+from qheine.qcore import default_tol, qpoch_infinite
 
 REL_FLOOR = mpf("1e-300")
 
@@ -77,6 +82,57 @@ def vandermonde_ratio_loop(x, k, step_power):
         else:
             value *= num / den
     return value
+
+
+def qpoch_ratio(a, base, scale, tol=None):
+    """Reference (a; base)_kappa for a general index, given scale =
+    base**kappa: (a; base)_oo / (a*scale; base)_oo, the defining extension of
+    the q-rising factorial, which ``PochCache.ratio`` must match."""
+    a = mpmathify(a)
+    base = mpmathify(base)
+    scale = mpmathify(scale)
+    num = qpoch_infinite(a, base, tol)
+    den = qpoch_infinite(a * scale, base, tol)
+    if den == 0:
+        raise DivisionByZero(
+            "(a*scale; base)_oo vanished; the requested index is a pole"
+        )
+    return num / den
+
+
+def dot(exponents, k):
+    """Reference dot product h.k = h_1 k_1 + ... + h_p k_p."""
+    if len(exponents) != len(k):
+        raise LengthMismatch(
+            f"dot product needs equal lengths, got {len(exponents)} and {len(k)}"
+        )
+    total = mpf(0)
+    for h_r, k_r in zip(exponents, k):
+        total += mpmathify(h_r) * k_r
+    return total
+
+
+def vandermonde_factor(x, k, step_power):
+    """Reference type-A Vandermonde factor in product form:
+    prod_{r<s} (x_r S^{k_r} - x_s S^{k_s}) / (x_r - x_s) with S =
+    ``step_power``; ``multisum.vandermonde_ratio`` is this times
+    S^{-sum_r (r-1) k_r}."""
+    if len(x) != len(k):
+        raise LengthMismatch("x and k must have the same length")
+    step = mpmathify(step_power)
+    n = len(x)
+    value = mpf(1)
+    for r in range(n):
+        for s in range(r + 1, n):
+            if x[r] == x[s]:
+                raise DegenerateVariables(f"x[{r}] == x[{s}]")
+            value *= exact_pair(x[r], x[s], step, k[r], k[s])
+    return value
+
+
+def evaluate(side, params, bases, policy=None):
+    """Sum one series side with a fresh product cache for the run."""
+    return evaluate_in_context(side, make_context(params, bases), policy)
 
 
 def rel(a, b):
