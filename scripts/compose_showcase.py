@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Build the four named block compositions and compare them against their
-hand-transcribed catalog counterparts at one sampled point each.
+"""Build the four named block compositions with ``heine_engine.compose``
+and compare them against their catalog counterparts, which bind the same
+summations through ``multisum.heine_sides``, at one sampled point each.
 
 Example:
     python3 scripts/compose_showcase.py --seed 4
@@ -11,6 +12,12 @@ import argparse
 from mpmath import mp, mpf
 
 from qheine import catalog, heine_engine as engine
+from qheine.catalog.an_qbinomial import (
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
+)
+from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.multisum import evaluate_in_context, make_context
 
 mp.prec = 128
@@ -49,13 +56,13 @@ def main():
         engine.BlockAssignment(
             (
                 engine.BlockSlot(
-                    engine.classical_qbin_block(params["a"], bases.qh),
+                    qbin_summation(params["a"], bases.qh),
                     bases.h,
                     params["z"],
                 ),
             ),
             engine.BlockSlot(
-                engine.classical_qbin_block(params["b"], bases.qt),
+                qbin_summation(params["b"], bases.qt),
                 bases.t,
                 params["w"],
             ),
@@ -72,20 +79,20 @@ def main():
     with mp.workprec(bases.prec):
         slots = (
             engine.BlockSlot(
-                engine.milne_lilly_block(
+                milne_lilly_summation(
                     params["a1"], params["x1"], bases.power(params["h1"])
                 ),
                 params["h1"],
                 params["z1"],
             ),
             engine.BlockSlot(
-                engine.gk_block(params["a2"], params["x2"], bases.power(params["h2"])),
+                gk_summation(params["a2"], params["x2"], bases.power(params["h2"])),
                 params["h2"],
                 params["z2"],
             ),
         )
         base_slot = engine.BlockSlot(
-            engine.extra_parameter_block(
+            extra_c_summation(
                 params["b"], params["c"], params["y"], bases.qt
             ),
             bases.t,
@@ -101,20 +108,20 @@ def main():
     params, bases = catalog.sample_domain(target, seed=seed, count=1)[0]
     slots = tuple(
         engine.BlockSlot(
-            engine.classical_qbin_block(params["cp"][r], bases.qh),
+            qbin_summation(params["cp"][r], bases.qh),
             bases.h,
             params["u"][r],
         )
         for r in range(2)
     ) + (
         engine.BlockSlot(
-            engine.extra_parameter_block(params["a"], 0, params["x"], bases.qh),
+            extra_c_summation(params["a"], 0, params["x"], bases.qh),
             bases.h,
             params["z"],
         ),
     )
     base_slot = engine.BlockSlot(
-        engine.extra_parameter_block(params["b"], 0, params["y"], bases.qt),
+        extra_c_summation(params["b"], 0, params["y"], bases.qt),
         bases.t,
         params["w"],
     )
@@ -130,12 +137,12 @@ def main():
     params, bases = catalog.sample_domain(target, seed=seed, count=1)[0]
     composed = engine.compose_with_transformation(
         engine.BlockSlot(
-            engine.q_euler_block(params["a"], params["b"], params["c"], bases.qh),
+            q_euler_summation(params["a"], params["b"], params["c"], bases.qh),
             bases.h,
             params["z"],
         ),
         engine.BlockSlot(
-            engine.q_euler_block(params["d"], params["e"], params["f"], bases.qt),
+            q_euler_summation(params["d"], params["e"], params["f"], bases.qt),
             bases.t,
             params["w"],
         ),

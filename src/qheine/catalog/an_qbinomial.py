@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 
-from ..multisum import SeriesSide
+from ..multisum import Summation
 from ..qcore import e2, raw_product
 from .core import (
     IdentityFamily,
@@ -18,6 +18,7 @@ from .core import (
     signed,
     sq_ratio,
     staircase,
+    summation_sides,
     tri,
     vande,
 )
@@ -63,24 +64,23 @@ def milne_lilly_product(P, avec, xvec, base, z):
     )
 
 
-def milne_lilly_summation(avec, xvec, base):
-    """The summand (P, z, k) and product side (P, z), parameters bound."""
-    return (
+def milne_lilly_summation(avec, xvec, base) -> Summation:
+    """The summation, parameters bound; it converges for |z| < min |x_r|."""
+    return Summation(
+        len(xvec),
         lambda P, z, k: milne_lilly_term(P, avec, xvec, base, z, k),
         lambda P, z: milne_lilly_product(P, avec, xvec, base, z),
+        arg_bound=float(min(abs(x) for x in xvec)),
+        label="milne_lilly",
     )
 
 
 def _ml_build(dims):
-    def lhs_prefactor(ctx):
+    def bind(ctx):
         p = ctx.params
-        return milne_lilly_product(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"])
+        return milne_lilly_summation(p["a"], p["x"], ctx.bases.q), p["z"]
 
-    def rhs_term(ctx, k):
-        p = ctx.params
-        return milne_lilly_term(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"], k)
-
-    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(dims["n"], rhs_term)
+    return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
 def _ml_domain(dims, p, bases):
@@ -130,26 +130,22 @@ def gk_product(P, a, n, base, z):
     )
 
 
-def gk_summation(a, xvec, base):
-    """The summand (P, z, k) and product side (P, z), parameters bound."""
-    return (
+def gk_summation(a, xvec, base) -> Summation:
+    """The summation, parameters bound."""
+    return Summation(
+        len(xvec),
         lambda P, z, k: gk_term(P, a, xvec, base, z, k),
         lambda P, z: gk_product(P, a, len(xvec), base, z),
+        label="gk",
     )
 
 
 def _gk_build(dims):
-    n = dims["n"]
-
-    def lhs_prefactor(ctx):
+    def bind(ctx):
         p = ctx.params
-        return gk_product(ctx.poch, p["a"], n, ctx.bases.q, p["z"])
+        return gk_summation(p["a"], p["x"], ctx.bases.q), p["z"]
 
-    def rhs_term(ctx, k):
-        p = ctx.params
-        return gk_term(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"], k)
-
-    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(n, rhs_term)
+    return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
 def _gk_domain(dims, p, bases):
@@ -199,11 +195,13 @@ def euler_exp_product(P, n, base, z):
     return value
 
 
-def euler_exp_summation(xvec, base):
-    """The summand (P, z, k) and product side (P, z), parameters bound."""
-    return (
+def euler_exp_summation(xvec, base) -> Summation:
+    """The summation, parameters bound."""
+    return Summation(
+        len(xvec),
         lambda P, z, k: euler_exp_term(P, xvec, base, z, k),
         lambda P, z: euler_exp_product(P, len(xvec), base, z),
+        label="euler_exp",
     )
 
 
@@ -232,14 +230,15 @@ def stretched_euler_product(P, n, base, z):
     return P.infinite((-1) ** n * z * stretched, stretched)
 
 
-def stretched_euler_summation(n, base):
-    """The summand (P, z, k) and product side (P, z), in base Q = ``base``
-    with x_r = Q^{r-1}, r = 1..n.  The x_r are multiplied at the working
-    precision, so bind the summation at the run's."""
-    xvec = geom(base, n)
-    return (
+def stretched_euler_summation(n, base, prec: int) -> Summation:
+    """The summation in base Q = ``base`` with x_r = Q^{r-1}, r = 1..n,
+    multiplied at ``prec`` bits."""
+    xvec = geom(base, n, prec)
+    return Summation(
+        n,
         lambda P, z, k: stretched_euler_term(P, xvec, base, z, k),
         lambda P, z: stretched_euler_product(P, n, base, z),
+        label="stretched_euler",
     )
 
 
@@ -269,10 +268,12 @@ def extra_c_rows(P, avec, c, xvec, base) -> list:
 def extra_c_term(P, avec, c, xvec, base, z, k):
     kk = sum(k)
     value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    rows = extra_c_rows(P, avec, c, xvec, base)
-    for kr, (num_r, num_kk, den_r, den_kk) in zip(k, rows):
-        value *= num_r.at(kr) * num_kk.at(kk)
-        value /= den_r.at(kr) * den_kk.at(kk)
+    # At c = 0 every factor of the rows is exactly 1.
+    if c:
+        rows = extra_c_rows(P, avec, c, xvec, base)
+        for kr, (num_r, num_kk, den_r, den_kk) in zip(k, rows):
+            value *= num_r.at(kr) * num_kk.at(kk)
+            value /= den_r.at(kr) * den_kk.at(kk)
     return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
 
 
@@ -280,26 +281,22 @@ def extra_c_product(P, avec, base, z):
     return P.infinite(raw_product(avec) * z, base) / P.infinite(z, base)
 
 
-def extra_c_summation(avec, c, xvec, base):
-    """The summand (P, z, k) and product side (P, z), parameters bound."""
-    return (
+def extra_c_summation(avec, c, xvec, base) -> Summation:
+    """The summation, parameters bound."""
+    return Summation(
+        len(xvec),
         lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
         lambda P, z: extra_c_product(P, avec, base, z),
+        label="extra_c",
     )
 
 
 def _extra_c_build(dims):
-    def lhs_prefactor(ctx):
+    def bind(ctx):
         p = ctx.params
-        return extra_c_product(ctx.poch, p["a"], ctx.bases.q, p["z"])
+        return extra_c_summation(p["a"], p["c"], p["x"], ctx.bases.q), p["z"]
 
-    def rhs_term(ctx, k):
-        p = ctx.params
-        return extra_c_term(
-            ctx.poch, p["a"], p["c"], p["x"], ctx.bases.q, p["z"], k
-        )
-
-    return SeriesSide(0, prefactor=lhs_prefactor), SeriesSide(dims["n"], rhs_term)
+    return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
 def _extra_c_domain(dims, p, bases):

@@ -4,8 +4,8 @@ transformation, and the bibasic Euler double-sum transformation."""
 
 from __future__ import annotations
 
-from ..multisum import SeriesSide
-from .core import IdentityFamily, ParamSpec, argument, coefficient
+from ..multisum import HeineBlock, SeriesSide, Summation, heine_sides
+from .core import IdentityFamily, ParamSpec, argument, coefficient, summation_sides
 
 __all__ = [
     "FAMILIES",
@@ -15,6 +15,7 @@ __all__ = [
     "q_euler_term",
     "q_euler_inner_term",
     "q_euler_product",
+    "q_euler_summation",
 ]
 
 
@@ -30,24 +31,22 @@ def qbin_product(P, a, base, z):
     return P.infinite(a * z, base) / P.infinite(z, base)
 
 
-def qbin_summation(a, base):
-    """The summand (P, z, k) and product side (P, z), parameters bound."""
-    return (
+def qbin_summation(a, base) -> Summation:
+    """The summation, parameters bound."""
+    return Summation(
+        1,
         lambda P, z, k: qbin_term(P, a, base, z, k),
         lambda P, z: qbin_product(P, a, base, z),
+        label="q_bin",
     )
 
 
 def _qbin_build(dims):
-    def lhs_term(ctx, k):
+    def bind(ctx):
         p = ctx.params
-        return qbin_term(ctx.poch, p["a"], ctx.bases.q, p["z"], k)
+        return qbin_summation(p["a"], ctx.bases.q), p["z"]
 
-    def rhs_prefactor(ctx):
-        p = ctx.params
-        return qbin_product(ctx.poch, p["a"], ctx.bases.q, p["z"])
-
-    return SeriesSide(1, lhs_term), SeriesSide(0, prefactor=rhs_prefactor)
+    return summation_sides((1, 0), bind)
 
 
 def _qbin_domain(dims, p, bases):
@@ -135,39 +134,15 @@ HEINE_2PHI1 = IdentityFamily(
 
 
 def _bibasic_heine_build(dims):
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk = k[0]
-        scale = P.intpow(B.qht, kk)
-        return (
-            P.finite(p["a"], B.qh, kk)
-            / P.finite(B.qh, B.qh, kk)
-            * P.ratio(p["w"], B.qt, scale)
-            / P.ratio(p["b"] * p["w"], B.qt, scale)
-            * P.intpow(p["z"], kk)
-        )
+    """Heine's method on the q-binomial summation in base q^h at z, with
+    cross base q^{ht}, over the one in base q^t at w."""
 
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return (
-            P.infinite(p["w"], B.qt)
-            * P.infinite(p["a"] * p["z"], B.qh)
-            / (P.infinite(p["b"] * p["w"], B.qt) * P.infinite(p["z"], B.qh))
-        )
+    def bind(ctx):
+        B, p = ctx.bases, ctx.params
+        block = HeineBlock(qbin_summation(p["a"], B.qh), p["z"], B.qht)
+        return (block,), HeineBlock(qbin_summation(p["b"], B.qt), p["w"])
 
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj = j[0]
-        scale = P.intpow(B.qht, jj)
-        return (
-            P.finite(p["b"], B.qt, jj)
-            / P.finite(B.qt, B.qt, jj)
-            * P.ratio(p["z"], B.qh, scale)
-            / P.ratio(p["a"] * p["z"], B.qh, scale)
-            * P.intpow(p["w"], jj)
-        )
-
-    return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
+    return heine_sides(((1, 0),), (1, 0), bind)
 
 
 def _bibasic_heine_domain(dims, p, bases):
@@ -207,14 +182,13 @@ def q_euler_term(P, a, b, c, base, z, k):
     )
 
 
-def q_euler_inner_term(P, a, b, c, base, arg, j):
-    """Right-hand summand; ``arg`` is the formed argument a b z / c."""
+def q_euler_inner_term(P, a, b, c, base, j):
+    """Right-hand summand at unit argument."""
     jj = j[0]
     return (
         P.finite(c / a, base, jj)
         * P.finite(c / b, base, jj)
         / (P.finite(base, base, jj) * P.finite(c, base, jj))
-        * P.intpow(arg, jj)
     )
 
 
@@ -223,25 +197,28 @@ def q_euler_product(P, base, arg, z):
     return P.infinite(arg, base) / P.infinite(z, base)
 
 
+def q_euler_summation(a, b, c, base) -> Summation:
+    """The transformation, parameters bound: the inner summand at unit
+    argument and the stretch a b / c of its argument."""
+    stretch = a * b / c
+    return Summation(
+        1,
+        lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
+        lambda P, z: q_euler_product(P, base, stretch * z, z),
+        1,
+        lambda P, j: q_euler_inner_term(P, a, b, c, base, j),
+        stretch,
+        arg_bound=float(1 / max(1, abs(stretch))),
+        label="q_euler",
+    )
+
+
 def _qeuler_build(dims):
-    def arg(p):
-        return p["a"] * p["b"] * p["z"] / p["c"]
-
-    def lhs_term(ctx, k):
+    def bind(ctx):
         p = ctx.params
-        return q_euler_term(ctx.poch, p["a"], p["b"], p["c"], ctx.bases.q, p["z"], k)
+        return q_euler_summation(p["a"], p["b"], p["c"], ctx.bases.q), p["z"]
 
-    def rhs_prefactor(ctx):
-        p = ctx.params
-        return q_euler_product(ctx.poch, ctx.bases.q, arg(p), p["z"])
-
-    def rhs_term(ctx, j):
-        p = ctx.params
-        return q_euler_inner_term(
-            ctx.poch, p["a"], p["b"], p["c"], ctx.bases.q, arg(p), j
-        )
-
-    return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
+    return summation_sides((1, 1), bind)
 
 
 def _qeuler_domain(dims, p, bases):
@@ -274,52 +251,16 @@ Q_EULER = IdentityFamily(
 
 
 def _bibasic_euler_build(dims):
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk, kt = k
-        inner_arg = p["d"] * p["e"] * p["w"] / p["f"]
-        scale = P.intpow(B.qht, kk)
-        return (
-            P.finite(p["a"], B.qh, kk)
-            * P.finite(p["b"], B.qh, kk)
-            / (P.finite(B.qh, B.qh, kk) * P.finite(p["c"], B.qh, kk))
-            * P.ratio(p["w"], B.qt, scale)
-            / P.ratio(inner_arg, B.qt, scale)
-            * P.intpow(p["z"], kk)
-            * P.finite(p["f"] / p["d"], B.qt, kt)
-            * P.finite(p["f"] / p["e"], B.qt, kt)
-            / (P.finite(B.qt, B.qt, kt) * P.finite(p["f"], B.qt, kt))
-            * (inner_arg * scale) ** kt
-        )
+    """Heine's method on the q-Euler transformation in base q^h at z, with
+    cross base q^{ht}, over the one in base q^t at w."""
 
-    def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        return (
-            P.infinite(p["w"], B.qt)
-            / P.infinite(p["d"] * p["e"] * p["w"] / p["f"], B.qt)
-            * P.infinite(p["a"] * p["b"] * p["z"] / p["c"], B.qh)
-            / P.infinite(p["z"], B.qh)
-        )
+    def bind(ctx):
+        B, p = ctx.bases, ctx.params
+        first = q_euler_summation(p["a"], p["b"], p["c"], B.qh)
+        base = q_euler_summation(p["d"], p["e"], p["f"], B.qt)
+        return (HeineBlock(first, p["z"], B.qht),), HeineBlock(base, p["w"])
 
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj, jt = j
-        inner_arg = p["a"] * p["b"] * p["z"] / p["c"]
-        scale = P.intpow(B.qht, jj)
-        return (
-            P.finite(p["d"], B.qt, jj)
-            * P.finite(p["e"], B.qt, jj)
-            / (P.finite(B.qt, B.qt, jj) * P.finite(p["f"], B.qt, jj))
-            * P.ratio(p["z"], B.qh, scale)
-            / P.ratio(inner_arg, B.qh, scale)
-            * P.intpow(p["w"], jj)
-            * P.finite(p["c"] / p["a"], B.qh, jt)
-            * P.finite(p["c"] / p["b"], B.qh, jt)
-            / (P.finite(B.qh, B.qh, jt) * P.finite(p["c"], B.qh, jt))
-            * (inner_arg * scale) ** jt
-        )
-
-    return SeriesSide(2, lhs_term), SeriesSide(2, rhs_term, rhs_prefactor)
+    return heine_sides(((1, 1),), (1, 1), bind)
 
 
 def _bibasic_euler_domain(dims, p, bases):

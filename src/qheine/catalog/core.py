@@ -293,12 +293,49 @@ def tri(n: int) -> int:
     return math.comb(n + 1, 2)
 
 
-def geom(base_power, dim: int) -> tuple:
-    """(1, Q, Q^2, ..., Q^{dim-1}) for specialised variable vectors."""
+def geom(base_power, dim: int, prec: int) -> tuple:
+    """(1, Q, Q^2, ..., Q^{dim-1}) for specialised variable vectors,
+    multiplied at ``prec`` bits."""
     out = [mpf(1)]
-    for _ in range(dim - 1):
-        out.append(out[-1] * base_power)
+    with mp.workprec(prec):
+        for _ in range(dim - 1):
+            out.append(out[-1] * base_power)
     return tuple(out)
+
+
+def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
+    """The two sides of a family that states one summation: its sum, and
+    its product times its inner sum, if any.  ``shape`` is the summation's
+    (outer, inner) dimensions, and ``bind(ctx)`` returns the run's
+    ``Summation`` and argument z; it is called once per run and kept in the
+    run's ``PochCache.terms`` under ``bind``.  The inner summand is taken at
+    unit argument times (stretch z)^{|j|}.  The sum is the lhs unless
+    ``product_left``."""
+    outer, inner = shape
+
+    def bound(ctx) -> tuple:
+        """(summation, z, stretch z) of the run."""
+        memo = ctx.poch.terms
+        run = memo.get(bind)
+        if run is None:
+            summation, z = bind(ctx)
+            run = memo[bind] = (summation, z, summation.stretch * z)
+        return run
+
+    def term(ctx, k):
+        summation, z, _ = bound(ctx)
+        return summation.term(ctx.poch, z, k)
+
+    def product(ctx):
+        summation, z, _ = bound(ctx)
+        return summation.product(ctx.poch, z)
+
+    def inner_term(ctx, j):
+        summation, _, stretched = bound(ctx)
+        return summation.inner(ctx.poch, j) * ctx.poch.intpow(stretched, sum(j))
+
+    sides = (SeriesSide(outer, term), SeriesSide(inner, inner_term, product))
+    return sides[::-1] if product_left else sides
 
 
 def finite_rows(P, tag: str, values: tuple, base, pairs) -> list:

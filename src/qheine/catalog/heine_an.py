@@ -24,14 +24,14 @@ _ZERO = mpf(0)
 
 def _build(block, base):
     """``build(dims)`` of the n-fold to m-fold Heine pair: ``block(p, q^h)``
-    and ``base(p, q^t)`` bind the summand and product side of the n-fold
-    summation, at argument z, and of the m-fold one, at argument w."""
+    and ``base(p, q^t)`` bind the n-fold summation, at argument z, and the
+    m-fold one, at argument w."""
 
     def build(dims):
         def bind(ctx):
             B, p = ctx.bases, ctx.params
-            first = HeineBlock(*block(p, B.qh), p["z"], B.qht)
-            return (first,), HeineBlock(*base(p, B.qt), p["w"])
+            first = HeineBlock(block(p, B.qh), p["z"], B.qht)
+            return (first,), HeineBlock(base(p, B.qt), p["w"])
 
         return heine_sides(((dims["n"], 0),), (dims["m"], 0), bind)
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from mpmath import mpf
 
-from ..multisum import HeineBlock, SeriesSide, heine_sides
-from ..qcore import raw_product
+from ..multisum import HeineBlock, Summation, heine_sides
+from ..qcore import ONE, raw_product
 from .classical import q_euler_product
 from .core import (
     IdentityFamily,
@@ -18,13 +18,12 @@ from .core import (
     signed,
     sq_ratio,
     staircase,
+    summation_sides,
     times_rows,
     vande,
 )
 
 __all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term", "kajihara_summation"]
-
-_ONE = mpf(1)
 
 
 def grid_rows(P, bvec, c, xvec, yvec, base) -> list:
@@ -66,53 +65,37 @@ def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
     return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
 
 
-def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, arg, j):
-    """Right-hand summand; ``arg`` is the formed argument A B z / c^m."""
+def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, j):
+    """Right-hand summand at unit argument."""
     value = vande(P, yvec, j, base)
     value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
-    return value * P.intpow(arg, sum(j)) * P.intpow(base, staircase(j))
+    return value * P.intpow(base, staircase(j))
 
 
-def kajihara_summation(avec, bvec, c, xvec, yvec, base):
-    """The transformation with its parameters bound: the left summand
-    (P, z, k), the product side (P, z), the right summand at unit argument
-    (P, j) and the stretch A B / c^m of its argument."""
+def kajihara_summation(avec, bvec, c, xvec, yvec, base) -> Summation:
+    """The transformation, parameters bound: the inner summand at unit
+    argument and the stretch A B / c^m of its argument."""
     grid = (avec, bvec, c, xvec, yvec)
     stretch = raw_product(avec) * raw_product(bvec) / c ** len(yvec)
-    return (
+    return Summation(
+        len(xvec),
         lambda P, z, k: kajihara_term(P, *grid, base, z, k),
         lambda P, z: q_euler_product(P, base, stretch * z, z),
-        lambda P, j: kajihara_inner_term(P, *grid, base, _ONE, j),
+        len(yvec),
+        lambda P, j: kajihara_inner_term(P, *grid, base, j),
         stretch,
+        arg_bound=float(1 / max(1, abs(stretch))),
+        label="kajihara",
     )
 
 
 def _kajihara_build(dims):
-    n, m = dims["n"], dims["m"]
-
-    def big_arg(P, p):
-        def build():
-            return raw_product(p["a"]) * raw_product(p["b"]) * p["z"] / p["c"] ** m
-
-        return P.table("kajihara.arg", (p["a"], p["b"], p["c"], p["z"]), build)
-
-    def grid(p):
-        return p["a"], p["b"], p["c"], p["x"], p["y"]
-
-    def lhs_term(ctx, k):
+    def bind(ctx):
         p = ctx.params
-        return kajihara_term(ctx.poch, *grid(p), ctx.bases.q, p["z"], k)
+        grid = (p[name] for name in ("a", "b", "c", "x", "y"))
+        return kajihara_summation(*grid, ctx.bases.q), p["z"]
 
-    def rhs_prefactor(ctx):
-        p = ctx.params
-        return q_euler_product(ctx.poch, ctx.bases.q, big_arg(ctx.poch, p), p["z"])
-
-    def rhs_term(ctx, j):
-        p = ctx.params
-        P = ctx.poch
-        return kajihara_inner_term(P, *grid(p), ctx.bases.q, big_arg(P, p), j)
-
-    return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+    return summation_sides((dims["n"], dims["m"]), bind)
 
 
 def _kajihara_domain(dims, p, bases):
@@ -171,10 +154,9 @@ def _kajihara_double_build(dims):
     def bind(ctx):
         B, p = ctx.bases, ctx.params
 
-        def block(names, base, argument, cross=_ONE):
+        def block(names, base, argument, cross=ONE):
             grid = (p[name] for name in names)
-            term, product, inner, stretch = kajihara_summation(*grid, base)
-            return HeineBlock(term, product, argument, cross, inner, stretch)
+            return HeineBlock(kajihara_summation(*grid, base), argument, cross)
 
         first = block(("a", "b", "c", "x", "X"), B.qh, p["z"], B.qht)
         return (first,), block(("d", "e", "f", "y", "Y"), B.qt, p["w"])

@@ -57,7 +57,7 @@ def _q_vector(dim):
     run (``PochCache.table``)."""
 
     def vector(P, B):
-        return P.table(("geom q", dim), (B.q,), lambda: geom(B.q, dim))
+        return P.table(("geom q", dim), (B.q,), lambda: geom(B.q, dim, P.prec))
 
     return vector
 
@@ -82,12 +82,14 @@ def _displayed(shapes, base_shape, bind, common):
 
 
 def _base_product(P, blocks, base):
-    return base.product(P, base.argument)
+    return base.summation.product(P, base.argument)
 
 
 def _base_over_block(P, blocks, base):
     (block,) = blocks
-    return base.product(P, base.argument) / block.product(P, block.argument)
+    return _base_product(P, blocks, base) / block.summation.product(
+        P, block.argument
+    )
 
 
 # -- the central bibasic identity and its m-fold to n-fold extension ----------
@@ -113,12 +115,13 @@ def _ram_1_4_1_build(dims):
             return P.infinite(ratio * w, B.qh) / P.infinite(w, B.qh)
 
         block = HeineBlock(
-            *gk_summation(-p["b"] * B.q / p["a"], geom(B.qt, m), q_tm),
+            gk_summation(-p["b"] * B.q / p["a"], geom(B.qt, m, B.prec), q_tm),
             p["a"] * q_tm,
             B.power(B.h * B.t * m * n),
         )
-        base_term, _ = milne_lilly_summation((ratio,) * n, geom(B.qh, n), q_hn)
-        return (block,), HeineBlock(base_term, base_product, p["d"] * q_hn)
+        base = milne_lilly_summation((ratio,) * n, geom(B.qh, n, B.prec), q_hn)
+        base = replace(base, product=base_product)
+        return (block,), HeineBlock(base, p["d"] * q_hn)
 
     return _displayed(((m, 0),), (n, 0), bind, _base_over_block)
 
@@ -409,16 +412,16 @@ def _coeff_params(rng, dims, bases):
 
 
 def _euler_block(B, e, dim, z):
-    """The dim-fold Euler summation in base q^{e dim} (x_r = q^{e(r-1)}) at
-    z q^{e dim}: summand, product and argument."""
+    """The dim-fold Euler summation in base q^{e dim} (x_r = q^{e(r-1)}) and
+    its argument z q^{e dim}."""
     base = B.power(e * dim)
-    return (*euler_exp_summation(geom(B.power(e), dim), base), z * base)
+    return euler_exp_summation(geom(B.power(e), dim, B.prec), base), z * base
 
 
 def _stretched_block(B, e, dim, z):
-    """The dim-fold stretched Euler summation in base q^e at z^dim: summand,
-    product and argument."""
-    return (*stretched_euler_summation(dim, B.power(e)), z**dim)
+    """The dim-fold stretched Euler summation in base q^e and its argument
+    z^dim."""
+    return stretched_euler_summation(dim, B.power(e), B.prec), z**dim
 
 
 def _partial_theta_build(kind, exponents):

@@ -306,7 +306,7 @@ def _compose_sample(config: RunConfig, rng: random.Random):
     slot, and the composed identity."""
     bases = sample_bases(rng, config.precision)
     slots = []
-    # Block factories derive constants from their parameters, so they run at
+    # Blocks derive constants from their parameters, so they are drawn at
     # the run's precision rather than the ambient one.
     with mp.workprec(config.precision):
         for spec in config.blocks:

@@ -1,20 +1,21 @@
-"""Composable summation blocks and the mechanical construction of
-dimension-changing transformations from them.
+"""Composition of summation blocks into dimension-changing
+transformations.
 
-A q-binomial block is a pair (S, P) with sum_k S(z; k) = P(z) on its domain.
-Blocks whose summand is homogeneous in the argument (S(zH; k) = H^{|k|}
-S(z; k), checked numerically) can be composed: p blocks with bases q^{h_r}
-and one base block with base q^t yield a (n_1+...+n_p)-fold to m-fold
-transformation.  Transformation blocks (L, P, R triples with
-sum L = P * sum R) compose the same way, mixed freely with q-binomial
-blocks, and add their inner sums to the other side.
+A block is a ``multisum.Summation``: a summation sum_k S(z; k) = P(z), or a
+transformation sum_k L(z; k) = P(z) * sum_j R(sigma z; j), with its
+parameters bound.  Blocks whose summand is homogeneous in the argument
+(S(zH; k) = H^{|k|} S(z; k), checked numerically) can be composed: p blocks
+with bases q^{h_r} and one base block with base q^t yield a
+(n_1+...+n_p)-fold to m-fold transformation, and the inner sums of
+transformation blocks join the other side.  The shipped blocks are the
+catalog's summations.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf, mpmathify
 
@@ -23,97 +24,32 @@ from .catalog.an_qbinomial import (
     gk_summation,
     milne_lilly_summation,
 )
-from .catalog.classical import (
-    q_euler_inner_term,
-    q_euler_product,
-    q_euler_term,
-    qbin_summation,
-)
+from .catalog.classical import q_euler_summation, qbin_summation
 from .catalog.core import Identity, coefficient, distinct_vector, signed
 from .catalog.kajihara import kajihara_summation
 from .errors import DomainEmpty, PropertyHViolation, UnknownIdentity
-from .multisum import HeineBlock, SeriesSide, TruncationPolicy, heine_sides
-from .qcore import DEFAULT_PRECISION, PochCache, QComplex
+from .multisum import HeineBlock, SeriesSide, Summation, TruncationPolicy, heine_sides
+from .qcore import DEFAULT_PRECISION, PochCache
 
 __all__ = [
-    "QBinomialBlock",
-    "TransformationBlock",
     "BlockSlot",
     "BlockAssignment",
     "HCheckResult",
     "check_property_H",
     "compose",
     "compose_with_transformation",
-    "classical_qbin_block",
-    "milne_lilly_block",
-    "gk_block",
-    "extra_parameter_block",
-    "kajihara_block",
-    "q_euler_block",
     "broken_block",
-    "as_transformation",
     "sample_block",
     "SHIPPED_BLOCK_NAMES",
     "BLOCK_NAMES",
 ]
-
-_ONE = mpf(1)
-
-
-@dataclass(frozen=True)
-class QBinomialBlock:
-    """A summation theorem sum_k S(z; k) = P(z), parameters bound."""
-
-    label: str
-    dimension: int
-    term: Callable[[PochCache, QComplex, tuple], QComplex]
-    product: Callable[[PochCache, QComplex], QComplex]
-    arg_bound: float = 1.0
-
-
-@dataclass(frozen=True)
-class TransformationBlock:
-    """A transformation sum_k L(z; k) = P(z) * sum_j R(sigma z; j),
-    parameters bound.  R is homogeneous in its argument, so ``inner_term``
-    is R(1; j), taken at unit argument, and ``stretch`` is sigma:
-    R(sigma z; j) = (sigma z)^{|j|} R(1; j)."""
-
-    label: str
-    outer_dimension: int
-    inner_dimension: int
-    outer_term: Callable[[PochCache, QComplex, tuple], QComplex]
-    inner_term: Callable[[PochCache, tuple], QComplex] | None
-    product: Callable[[PochCache, QComplex], QComplex]
-    stretch: QComplex = _ONE
-    arg_bound: float = 1.0
-
-
-# A string, as the annotations are: a typing subscript made at import time
-# would keep both classes in typing's caches after the package is imported
-# again.
-AnyBlock = "QBinomialBlock | TransformationBlock"
-
-
-def as_transformation(block: AnyBlock) -> TransformationBlock:
-    """View a q-binomial block as a transformation with a trivial inner sum."""
-    if isinstance(block, TransformationBlock):
-        return block
-    return TransformationBlock(
-        label=block.label,
-        outer_dimension=block.dimension,
-        inner_dimension=0,
-        outer_term=block.term,
-        inner_term=None,
-        product=block.product,
-        arg_bound=block.arg_bound,
-    )
 
 
 @dataclass(frozen=True)
 class BlockSlot:
     """A block with its base exponent h_r and argument z_r."""
 
-    block: AnyBlock
+    block: Summation
     exponent: object
     argument: object
 
@@ -136,7 +72,7 @@ class HCheckResult:
 
 
 def check_property_H(
-    block: AnyBlock,
+    block: Summation,
     trials: int = 24,
     seed: int = 0,
     tol=mpf("1e-24"),
@@ -146,8 +82,7 @@ def check_property_H(
     S(z*H; k) = H^{|k|} S(z; k) at randomly sampled (z, H, k)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    view = as_transformation(block)
-    dimension, term = view.outer_dimension, view.outer_term
+    dimension, term = block.dimension, block.term
     rng = random.Random(seed)
     cache = PochCache(prec)
     tol = mpmathify(tol)
@@ -169,7 +104,7 @@ def check_property_H(
     return HCheckResult(passed=bool(worst <= tol), max_deviation=worst, trials=trials)
 
 
-def _require_property_H(block: AnyBlock, prec: int) -> None:
+def _require_property_H(block: Summation, prec: int) -> None:
     result = check_property_H(block, trials=8, seed=131, prec=prec)
     if not result.passed:
         raise PropertyHViolation(
@@ -233,28 +168,15 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
         for slot in slots + (base_slot,):
             _require_property_H(slot.block, bases.prec)
 
-    views = tuple(as_transformation(slot.block) for slot in slots)
-    base = as_transformation(base_slot.block)
-
-    def bound(view, argument, s_r=_ONE):
-        return HeineBlock(
-            view.outer_term,
-            view.product,
-            argument,
-            s_r,
-            view.inner_term,
-            view.stretch,
-        )
-
-    blocks = tuple(map(bound, views, arguments, cross))
-    bound_base = bound(base, base_argument)
+    blocks = tuple(map(HeineBlock, (slot.block for slot in slots), arguments, cross))
+    base = HeineBlock(base_slot.block, base_argument)
     lhs, rhs = heine_sides(
-        tuple((v.outer_dimension, v.inner_dimension) for v in views),
-        (base.outer_dimension, base.inner_dimension),
-        lambda ctx: (blocks, bound_base),
+        tuple((slot.block.dimension, slot.block.inner_dimension) for slot in slots),
+        (base_slot.block.dimension, base_slot.block.inner_dimension),
+        lambda ctx: (blocks, base),
     )
-    label = "composed:" + "+".join(v.label for v in views) + "/" + base.label
-    return _composed_identity(label, lhs, rhs)
+    labels = "+".join(slot.block.label for slot in slots)
+    return _composed_identity(f"composed:{labels}/{base_slot.block.label}", lhs, rhs)
 
 
 def compose_with_transformation(
@@ -265,86 +187,10 @@ def compose_with_transformation(
 
 
 # ---------------------------------------------------------------------------
-# shipped block library
-#
-# Each factory binds the parameters of a catalog summation; the summands and
-# product sides are the ones its catalog family verifies.
+# shipped block library: the catalog's summations, and one counterexample
 
 
-def _vector(values) -> tuple:
-    return tuple(mpmathify(v) for v in values)
-
-
-def classical_qbin_block(a, base) -> QBinomialBlock:
-    return QBinomialBlock("q_bin", 1, *qbin_summation(mpmathify(a), mpmathify(base)))
-
-
-def milne_lilly_block(avec, xvec, base) -> QBinomialBlock:
-    xvec = _vector(xvec)
-    return QBinomialBlock(
-        "milne_lilly",
-        len(xvec),
-        *milne_lilly_summation(_vector(avec), xvec, mpmathify(base)),
-        arg_bound=float(min(abs(x) for x in xvec)),
-    )
-
-
-def gk_block(a, xvec, base) -> QBinomialBlock:
-    xvec = _vector(xvec)
-    return QBinomialBlock(
-        "gk", len(xvec), *gk_summation(mpmathify(a), xvec, mpmathify(base))
-    )
-
-
-def extra_parameter_block(avec, c, xvec, base) -> QBinomialBlock:
-    xvec = _vector(xvec)
-    return QBinomialBlock(
-        "extra_c",
-        len(xvec),
-        *extra_c_summation(_vector(avec), mpmathify(c), xvec, mpmathify(base)),
-    )
-
-
-def kajihara_block(avec, bvec, c, xvec, yvec, base) -> TransformationBlock:
-    term, product, inner, stretch = kajihara_summation(
-        _vector(avec),
-        _vector(bvec),
-        mpmathify(c),
-        _vector(xvec),
-        _vector(yvec),
-        mpmathify(base),
-    )
-    return TransformationBlock(
-        "kajihara",
-        len(xvec),
-        len(yvec),
-        term,
-        inner,
-        product,
-        stretch,
-        arg_bound=float(min(1, 1 / abs(stretch))),
-    )
-
-
-def q_euler_block(a, b, c, base) -> TransformationBlock:
-    a = mpmathify(a)
-    b = mpmathify(b)
-    c = mpmathify(c)
-    base = mpmathify(base)
-    stretch = a * b / c
-    return TransformationBlock(
-        "q_euler",
-        1,
-        1,
-        lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
-        lambda P, j: q_euler_inner_term(P, a, b, c, base, _ONE, j),
-        lambda P, z: q_euler_product(P, base, stretch * z, z),
-        stretch,
-        arg_bound=float(min(1, 1 / abs(stretch))),
-    )
-
-
-def broken_block(a, base) -> QBinomialBlock:
+def broken_block(a, base) -> Summation:
     """Deliberate homogeneity counterexample: the summand carries the
     argument inside a rising factorial."""
     a = mpmathify(a)
@@ -362,14 +208,14 @@ def broken_block(a, base) -> QBinomialBlock:
     def product(P, z):
         return P.infinite(a * z, base) / P.infinite(z, base)
 
-    return QBinomialBlock("broken", 1, term, product)
+    return Summation(1, term, product, label="broken")
 
 
 SHIPPED_BLOCK_NAMES = ("q_bin", "milne_lilly", "gk", "extra_c", "kajihara")
 BLOCK_NAMES = SHIPPED_BLOCK_NAMES + ("q_euler", "broken")
 
 
-def sample_block(name: str, rng: random.Random, dims: Sequence[int], base) -> AnyBlock:
+def sample_block(name: str, rng: random.Random, dims: Sequence[int], base) -> Summation:
     """Draw a block of the named family with random admissible parameters.
 
     ``dims`` carries one entry for most families and (n, m) for the
@@ -378,17 +224,17 @@ def sample_block(name: str, rng: random.Random, dims: Sequence[int], base) -> An
     dims = tuple(dims)
     n = dims[0] if dims else 1
     if name == "q_bin":
-        return classical_qbin_block(coefficient(rng), base)
+        return qbin_summation(coefficient(rng), base)
     if name == "milne_lilly":
-        return milne_lilly_block(
+        return milne_lilly_summation(
             tuple(coefficient(rng) for _ in range(n)),
             distinct_vector(rng, n),
             base,
         )
     if name == "gk":
-        return gk_block(coefficient(rng), distinct_vector(rng, n), base)
+        return gk_summation(coefficient(rng), distinct_vector(rng, n), base)
     if name == "extra_c":
-        return extra_parameter_block(
+        return extra_c_summation(
             tuple(signed(rng, 0.35, 0.9) for _ in range(n)),
             signed(rng, 0.0, 0.45),
             distinct_vector(rng, n),
@@ -396,7 +242,7 @@ def sample_block(name: str, rng: random.Random, dims: Sequence[int], base) -> An
         )
     if name == "kajihara":
         m = dims[1] if len(dims) > 1 else 1
-        return kajihara_block(
+        return kajihara_summation(
             tuple(signed(rng, 0.3, 0.9) for _ in range(n)),
             tuple(signed(rng, 0.3, 0.9) for _ in range(m)),
             signed(rng, 0.25, 0.55),
@@ -405,7 +251,7 @@ def sample_block(name: str, rng: random.Random, dims: Sequence[int], base) -> An
             base,
         )
     if name == "q_euler":
-        return q_euler_block(
+        return q_euler_summation(
             coefficient(rng), coefficient(rng), signed(rng, 0.3, 0.9), base
         )
     if name == "broken":

@@ -21,7 +21,15 @@ from .errors import (
     PoleEncountered,
     TruncationNotConverged,
 )
-from .qcore import ONE, BaseSystem, PochCache, QComplex, raw_product, raw_sum
+from .qcore import (
+    ONE,
+    BaseSystem,
+    PochCache,
+    QComplex,
+    raw_product,
+    raw_sum,
+    value_key,
+)
 
 MultiIndex = tuple[int, ...]
 
@@ -156,6 +164,19 @@ def make_context(params: Mapping, bases: BaseSystem, tol=None) -> EvalContext:
 Term = "Callable[[EvalContext, MultiIndex], QComplex]"
 
 
+def _in_shell(memo: dict, fn, total: int, key, ctx):
+    """fn(ctx, key), kept in ``memo`` under ``fn`` and ``key`` while the
+    shell of weight ``total`` lasts: only the current shell's values are
+    kept."""
+    shell = memo.get(fn)
+    if shell is None or shell[0] != total:
+        shell = memo[fn] = (total, {})
+    value = shell[1].get(key)
+    if value is None:
+        value = shell[1][key] = fn(ctx, key)
+    return value
+
+
 def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> Term:
     """Summand of a series whose index k = (k_1, ..., k_p) splits into blocks
     of the given ``sizes``:
@@ -192,13 +213,7 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
         subs = [k[span] for span in spans]
         weights = tuple(map(sum, subs))
         if keep_coupling:
-            total = sum(weights)
-            shell = memo.get(coupling)
-            if shell is None or shell[0] != total:
-                shell = memo[coupling] = (total, {})
-            value = shell[1].get(weights)
-            if value is None:
-                value = shell[1][weights] = coupling(ctx, weights)
+            value = _in_shell(memo, coupling, sum(weights), weights, ctx)
         else:
             value = coupling(ctx, weights)
         factors = []
@@ -217,23 +232,37 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
 
 
 @dataclass(frozen=True)
-class HeineBlock:
-    """A summation sum_k term(P, z, k) = product(P, z), bound to one run at
-    z = ``argument``.  ``cross`` is the block's base raised to the power t,
-    s = q^{t h} for a block in base q^h (the base block has none).
+class Summation:
+    """A summation sum_k term(P, z, k) = product(P, z) over ``dimension``
+    indices, with its parameters bound.
 
-    A transformation block has an inner sum as well:
-    sum_k term(P, z, k) = product(P, z) * sum_j inner(P, j) (stretch z)^{|j|},
-    where ``inner`` is the inner summand at unit argument.  Every summand
-    is homogeneous in its argument: term(P, z H, k) = H^{|k|} term(P, z, k).
+    A transformation has an inner sum over ``inner_dimension`` indices as
+    well: sum_k term(P, z, k) = product(P, z) * sum_j inner(P, j) (stretch
+    z)^{|j|}, where ``inner`` is the inner summand at unit argument.  Every
+    summand is homogeneous in its argument: term(P, z H, k) = H^{|k|}
+    term(P, z, k).  The sum converges for |z| < ``arg_bound``, and
+    ``label`` names it in a composed identity.
     """
 
+    dimension: int
     term: Callable
     product: Callable
-    argument: QComplex
-    cross: QComplex = ONE
+    inner_dimension: int = 0
     inner: Callable | None = None
     stretch: QComplex = ONE
+    arg_bound: float = 1.0
+    label: str = ""
+
+
+@dataclass(frozen=True)
+class HeineBlock:
+    """A summation bound to one run at z = ``argument``.  ``cross`` is the
+    block's base raised to the power t, s = q^{t h} for a block in base q^h
+    (the base block has none)."""
+
+    summation: Summation
+    argument: QComplex
+    cross: QComplex = ONE
 
 
 def heine_sides(
@@ -257,29 +286,39 @@ def heine_sides(
                 * prod_r P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|}
 
     Both sides are ``block_term`` summands.  Expanding P_0(w s) as its sum
-    and swapping the two sums turns one side into the other.
+    and swapping the two sums turns one side into the other.  Blocks that
+    share a cross base contribute one power of it, for the sum of their
+    weights, so weight tuples with the same sums give the same s; if any
+    cross base is shared, the lhs coupling of the current shell is kept
+    under those sums.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
     inner_blocks = [r for r, (_, size) in enumerate(shapes) if size]
 
     def bound(ctx) -> tuple:
+        """The run's blocks and base block, and the block indices grouped
+        by cross base, in order of first appearance."""
         memo = ctx.poch.terms
-        blocks = memo.get(bind)
-        if blocks is None:
+        run = memo.get(bind)
+        if run is None:
             blocks, base = bind(ctx)
-            blocks = memo[bind] = tuple(blocks) + (base,)
-        return blocks
+            blocks = tuple(blocks) + (base,)
+            groups: dict = {}
+            for r, block in enumerate(blocks[:p]):
+                groups.setdefault(value_key(block.cross), []).append(r)
+            run = memo[bind] = (blocks, tuple(groups.values()))
+        return run
 
     def summand(r):
         def part(ctx, k):
-            block = bound(ctx)[r]
-            return block.term(ctx.poch, block.argument, k)
+            block = bound(ctx)[0][r]
+            return block.summation.term(ctx.poch, block.argument, k)
 
         return part
 
     def inner_summand(r):
-        return lambda ctx, j: bound(ctx)[r].inner(ctx.poch, j)
+        return lambda ctx, j: bound(ctx)[0][r].summation.inner(ctx.poch, j)
 
     def at_argument(ctx, r):
         """P_r(z_r), or P_0(w) for r = p: block r's product at its own
@@ -289,34 +328,44 @@ def heine_sides(
         key = (at_argument, r)
         value = memo.get(key)
         if value is None:
-            block = bound(ctx)[r]
-            value = memo[key] = block.product(ctx.poch, block.argument)
+            block = bound(ctx)[0][r]
+            value = memo[key] = block.summation.product(ctx.poch, block.argument)
+        return value
+
+    def lhs_ratio(ctx, sums):
+        """The lhs coupling at ``sums``: the total weight of each group of
+        blocks sharing a cross base, then the base block's inner weight."""
+        P = ctx.poch
+        blocks, groups = bound(ctx)
+        scale = ONE
+        for group, weight in zip(groups, sums):
+            scale *= P.intpow(blocks[group[0]].cross, weight)
+        base = blocks[p]
+        w = base.argument
+        value = base.summation.product(P, w * scale) / at_argument(ctx, p)
+        if base_inner:
+            value *= (base.summation.stretch * w * scale) ** sums[-1]
         return value
 
     def lhs_coupling(ctx, weights):
-        P = ctx.poch
-        blocks = bound(ctx)
-        scale = ONE
-        for block, weight in zip(blocks, weights[:p]):
-            scale *= P.intpow(block.cross, weight)
-        base = blocks[p]
-        w = base.argument
-        value = base.product(P, w * scale) / at_argument(ctx, p)
-        if base_inner:
-            value *= (base.stretch * w * scale) ** weights[p]
-        return value
+        groups = bound(ctx)[1]
+        if len(groups) == p:
+            return lhs_ratio(ctx, weights)
+        sums = tuple(sum(weights[r] for r in group) for group in groups)
+        sums += weights[p:]
+        return _in_shell(ctx.poch.terms, lhs_ratio, sum(weights), sums, ctx)
 
     def rhs_coupling(ctx, weights):
         P = ctx.poch
-        blocks = bound(ctx)
+        blocks = bound(ctx)[0]
         inner_weights = dict(zip(inner_blocks, weights[1:]))
         value = ONE
         for r, block in enumerate(blocks[:p]):
             z = block.argument
             shift = P.intpow(block.cross, weights[0])
-            value *= block.product(P, z * shift) / at_argument(ctx, r)
+            value *= block.summation.product(P, z * shift) / at_argument(ctx, r)
             if r in inner_weights:
-                value *= (block.stretch * z * shift) ** inner_weights[r]
+                value *= (block.summation.stretch * z * shift) ** inner_weights[r]
         return value
 
     def rhs_prefactor(ctx):

@@ -20,6 +20,12 @@ from qheine import (
     qpoch_infinite,
     report,
 )
+from qheine.catalog.an_qbinomial import (
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
+)
+from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.multisum import TruncationPolicy, evaluate_in_context, make_context
 from qheine.qcore import BaseSystem
 from util import rel, side_values, verify_sweep
@@ -317,20 +323,20 @@ def test_criterion_6_master_theorem_engine():
     worst = mpf(0)
     one = mpf(1)
 
-    # composed identities reproduce their hand-transcribed counterparts
+    # composed identities reproduce their catalog counterparts
     bibasic = catalog.lookup("bibasic_heine").instantiate()
     for params, bases in catalog.sample_domain(bibasic, seed=607, count=5):
         composed = engine.compose(
             engine.BlockAssignment(
                 (
                     engine.BlockSlot(
-                        engine.classical_qbin_block(params["a"], bases.qh),
+                        qbin_summation(params["a"], bases.qh),
                         bases.h,
                         params["z"],
                     ),
                 ),
                 engine.BlockSlot(
-                    engine.classical_qbin_block(params["b"], bases.qt),
+                    qbin_summation(params["b"], bases.qt),
                     bases.t,
                     params["w"],
                 ),
@@ -346,14 +352,14 @@ def test_criterion_6_master_theorem_engine():
         with mp.workprec(bases.prec):
             slots = (
                 engine.BlockSlot(
-                    engine.milne_lilly_block(
+                    milne_lilly_summation(
                         params["a1"], params["x1"], bases.power(params["h1"])
                     ),
                     params["h1"],
                     params["z1"],
                 ),
                 engine.BlockSlot(
-                    engine.gk_block(
+                    gk_summation(
                         params["a2"], params["x2"], bases.power(params["h2"])
                     ),
                     params["h2"],
@@ -361,7 +367,7 @@ def test_criterion_6_master_theorem_engine():
                 ),
             )
             base_slot = engine.BlockSlot(
-                engine.extra_parameter_block(
+                extra_c_summation(
                     params["b"], params["c"], params["y"], bases.qt
                 ),
                 bases.t,
@@ -378,20 +384,20 @@ def test_criterion_6_master_theorem_engine():
     for params, bases in catalog.sample_domain(lau, seed=609, count=5):
         slots = tuple(
             engine.BlockSlot(
-                engine.classical_qbin_block(params["cp"][r], bases.qh),
+                qbin_summation(params["cp"][r], bases.qh),
                 bases.h,
                 params["u"][r],
             )
             for r in range(2)
         ) + (
             engine.BlockSlot(
-                engine.extra_parameter_block(params["a"], 0, params["x"], bases.qh),
+                extra_c_summation(params["a"], 0, params["x"], bases.qh),
                 bases.h,
                 params["z"],
             ),
         )
         base_slot = engine.BlockSlot(
-            engine.extra_parameter_block(params["b"], 0, params["y"], bases.qt),
+            extra_c_summation(params["b"], 0, params["y"], bases.qt),
             bases.t,
             params["w"],
         )
@@ -404,12 +410,12 @@ def test_criterion_6_master_theorem_engine():
     for params, bases in catalog.sample_domain(euler, seed=610, count=5):
         composed = engine.compose_with_transformation(
             engine.BlockSlot(
-                engine.q_euler_block(params["a"], params["b"], params["c"], bases.qh),
+                q_euler_summation(params["a"], params["b"], params["c"], bases.qh),
                 bases.h,
                 params["z"],
             ),
             engine.BlockSlot(
-                engine.q_euler_block(params["d"], params["e"], params["f"], bases.qt),
+                q_euler_summation(params["d"], params["e"], params["f"], bases.qt),
                 bases.t,
                 params["w"],
             ),

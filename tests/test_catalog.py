@@ -375,31 +375,33 @@ class TestEulerExponential:
     @pytest.mark.parametrize("geometric", [False, True, "stretched"])
     def test_sum_equals_product(self, n, z, geometric):
         bases = BaseSystem(mpf("0.45"))
-        # Built at the run's precision: geom multiplies at the ambient one.
-        with mp.workprec(bases.prec):
+        # Built at mpmath's default 53 bits: geom multiplies at the
+        # precision it is given, the run's.
+        with mp.workprec(53):
             if geometric == "stretched":
-                term, product = stretched_euler_summation(n, bases.q)
+                summation = stretched_euler_summation(n, bases.q, bases.prec)
             elif geometric:
-                term, product = euler_exp_summation(core.geom(bases.q, n), bases.q)
+                x = core.geom(bases.q, n, bases.prec)
+                summation = euler_exp_summation(x, bases.q)
             else:
                 x = core.distinct_vector(random.Random(n), n)
-                term, product = euler_exp_summation(x, bases.q)
-        side = SeriesSide(n, lambda ctx, k: term(ctx.poch, z, k))
+                summation = euler_exp_summation(x, bases.q)
+        side = SeriesSide(n, lambda ctx, k: summation.term(ctx.poch, z, k))
         # Products truncated at 1e-36, below the 1e-30 of the default.
         ctx = make_context({}, bases, tol=mpf("1e-36"))
         policy = TruncationPolicy(max_shell_weight=60, tail_ratio_tol=1e-36)
         value, diag = evaluate_in_context(side, ctx, policy)
         with mp.workprec(bases.prec):
             assert diag.converged
-            assert rel(value, product(ctx.poch, z)) < mpf("1e-30")
+            assert rel(value, summation.product(ctx.poch, z)) < mpf("1e-30")
 
 
 # -- unfactored summands of the block-factored sides --------------------------
 #
 # Each rebuilds every factor for every term, in the order the summand is
 # displayed; the catalog evaluates the same factors once per block index.
-# The thm_heine*, qlauricella_bibasic and eight Ramanujan references write
-# both sides out by hand; the catalog builds them with multisum.heine_sides.
+# Every reference writes the side out by hand; the catalog builds both sides
+# of each of these families with multisum.heine_sides.
 
 
 def _unit(ctx):
@@ -744,7 +746,7 @@ def _ram_1_4_1_reference(dims):
         q_tm = B.power(B.t * m)
         jj = sum(j)
         scale = P.intpow(B.power(B.h * B.t * m * n), jj)
-        value = core.vande(P, core.geom(B.qt, m), j, q_tm)
+        value = core.vande(P, core.geom(B.qt, m, B.prec), j, q_tm)
         for r in range(m):
             value *= P.finite(-p["b"] * B.q / p["a"], q_tm, j[r])
             value /= P.finite(q_tm, q_tm, j[r])
@@ -757,7 +759,7 @@ def _ram_1_4_1_reference(dims):
         q_tm, q_hn = B.power(B.t * m), B.power(B.h * n)
         kk = sum(k)
         scale = P.intpow(B.power(B.h * B.t * m * n), kk)
-        value = core.vande(P, core.geom(B.qh, n), k, q_hn)
+        value = core.vande(P, core.geom(B.qh, n, B.prec), k, q_hn)
         for r in range(1, n + 1):
             shift = B.power(B.h * (r - n))
             value *= P.finite(p["c"] * B.q * shift / p["d"], B.qh, n * k[r - 1])
@@ -786,7 +788,7 @@ def _partial_theta_reference(dims, exponents):
         e, f, g = exponents(B, m)
         q_em, base = B.power(e * m), B.power(f)
         jj = sum(j)
-        value = core.vande(P, core.geom(B.power(e), m), j, q_em)
+        value = core.vande(P, core.geom(B.power(e), m, B.prec), j, q_em)
         for r in range(m):
             value /= P.finite(q_em, q_em, j[r])
         value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * base, base, B.power(g) ** jj)
@@ -841,7 +843,7 @@ def _stretched_theta_reference(dims, exponents):
             P, B, p = ctx.poch, ctx.bases, ctx.params
             exps, kk = exponents(B, n, m), sum(k)
             base, scale = B.power(exps[slot]), B.power(exps[2]) ** kk
-            value = core.vande(P, core.geom(base, dim), k, base**dim)
+            value = core.vande(P, core.geom(base, dim, B.prec), k, base**dim)
             for r in range(1, dim + 1):
                 value /= P.finite(base**r, base, dim * k[r - 1])
             value *= p[name] ** (dim * kk) / P.ratio(*product_args(ctx), scale)
@@ -863,6 +865,159 @@ def _1_4_17_anm_reference(dims):
     return _stretched_theta_reference(dims, lambda B, n, m: (1, 1, n * m * B.t))
 
 
+def _bibasic_heine_reference(dims):
+    def lhs_term(ctx, k):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        kk = k[0]
+        scale = P.intpow(B.qht, kk)
+        return (
+            P.finite(p["a"], B.qh, kk)
+            / P.finite(B.qh, B.qh, kk)
+            * P.ratio(p["w"], B.qt, scale)
+            / P.ratio(p["b"] * p["w"], B.qt, scale)
+            * P.intpow(p["z"], kk)
+        )
+
+    def rhs_prefactor(ctx):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        return (
+            P.infinite(p["w"], B.qt)
+            * P.infinite(p["a"] * p["z"], B.qh)
+            / (P.infinite(p["b"] * p["w"], B.qt) * P.infinite(p["z"], B.qh))
+        )
+
+    def rhs_term(ctx, j):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        jj = j[0]
+        scale = P.intpow(B.qht, jj)
+        return (
+            P.finite(p["b"], B.qt, jj)
+            / P.finite(B.qt, B.qt, jj)
+            * P.ratio(p["z"], B.qh, scale)
+            / P.ratio(p["a"] * p["z"], B.qh, scale)
+            * P.intpow(p["w"], jj)
+        )
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _bibasic_euler_reference(dims):
+    def side(names, base, argument, inner_names, other, other_argument):
+        """The side whose outer sum is the q-Euler transformation of
+        ``names`` in ``base`` at ``argument``, and whose inner sum is the
+        right sum of the one of ``inner_names`` in ``other``."""
+
+        def term(ctx, idx):
+            P, B, p = ctx.poch, ctx.bases, ctx.params
+            a, b, c = (p[name] for name in names)
+            d, e, f = (p[name] for name in inner_names)
+            q, o = getattr(B, base), getattr(B, other)
+            kk, kt = idx
+            inner_arg = d * e * p[other_argument] / f
+            scale = P.intpow(B.qht, kk)
+            return (
+                P.finite(a, q, kk)
+                * P.finite(b, q, kk)
+                / (P.finite(q, q, kk) * P.finite(c, q, kk))
+                * P.ratio(p[other_argument], o, scale)
+                / P.ratio(inner_arg, o, scale)
+                * P.intpow(p[argument], kk)
+                * P.finite(f / d, o, kt)
+                * P.finite(f / e, o, kt)
+                / (P.finite(o, o, kt) * P.finite(f, o, kt))
+                * (inner_arg * scale) ** kt
+            )
+
+        return term
+
+    def rhs_prefactor(ctx):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        return (
+            P.infinite(p["w"], B.qt)
+            / P.infinite(p["d"] * p["e"] * p["w"] / p["f"], B.qt)
+            * P.infinite(p["a"] * p["b"] * p["z"] / p["c"], B.qh)
+            / P.infinite(p["z"], B.qh)
+        )
+
+    first, second = ("a", "b", "c"), ("d", "e", "f")
+    return {
+        "lhs": (side(first, "qh", "z", second, "qt", "w"), _unit),
+        "rhs": (side(second, "qt", "w", first, "qh", "z"), rhs_prefactor),
+    }
+
+
+def _master_big_rhs_reference(dims):
+    n2 = dims["n2"]
+
+    def first_args(p):
+        return [(p["z1"] / xr, ar * p["z1"] / xr) for ar, xr in zip(p["a1"], p["x1"])]
+
+    def second_args(P, p, base2):
+        shifted = [p["z2"] * P.intpow(base2, r) for r in range(n2)]
+        return [(v, p["a2"] * v) for v in shifted]
+
+    def prefactor(ctx):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        base1, base2 = B.power(p["h1"]), B.power(p["h2"])
+        value = mpf(1)
+        for zx, azx in first_args(p):
+            value *= P.infinite(azx, base1) / P.infinite(zx, base1)
+        for shifted, a_shifted in second_args(P, p, base2):
+            value *= P.infinite(a_shifted, base2) / P.infinite(shifted, base2)
+        big_bw = raw_product(p["b"]) * p["w"]
+        return value * P.infinite(p["w"], B.qt) / P.infinite(big_bw, B.qt)
+
+    def term(ctx, j):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        base1, base2 = B.power(p["h1"]), B.power(p["h2"])
+        y, jj = p["y"], sum(j)
+        big_b = raw_product(p["b"])
+        value = core.vande(P, y, j, B.qt) * core.sq_ratio(P, p["b"], y, B.qt, j)
+        for jr, yr, br in zip(j, y, p["b"]):
+            cy = p["c"] * yr
+            value *= P.finite(cy / big_b, B.qt, jr) * P.finite(cy, B.qt, jj)
+            value /= P.finite(cy, B.qt, jr) * P.finite(cy / br, B.qt, jj)
+        value *= P.intpow(p["w"], jj) * P.intpow(B.qt, core.staircase(j))
+        scale1 = P.intpow(B.power(B.t * p["h1"]), jj)
+        scale2 = P.intpow(B.power(B.t * p["h2"]), jj)
+        for zx, azx in first_args(p):
+            value *= P.ratio(zx, base1, scale1) / P.ratio(azx, base1, scale1)
+        for shifted, a_shifted in second_args(P, p, base2):
+            value *= P.ratio(shifted, base2, scale2)
+            value /= P.ratio(a_shifted, base2, scale2)
+        return value
+
+    return term, prefactor
+
+
+def _master_lauricella_rhs_reference(dims):
+    def prefactor(ctx):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        big_bw = raw_product(p["b"]) * p["w"]
+        big_az = raw_product(p["a"]) * p["z"]
+        value = (
+            P.infinite(p["w"], B.qt)
+            * P.infinite(big_az, B.qh)
+            / (P.infinite(big_bw, B.qt) * P.infinite(p["z"], B.qh))
+        )
+        for cr, ur in zip(p["cp"], p["u"]):
+            value *= P.infinite(cr * ur, B.qh) / P.infinite(ur, B.qh)
+        return value
+
+    def term(ctx, j):
+        P, B, p = ctx.poch, ctx.bases, ctx.params
+        y, jj = p["y"], sum(j)
+        big_az = raw_product(p["a"]) * p["z"]
+        scale = P.intpow(B.qht, jj)
+        value = core.vande(P, y, j, B.qt) * core.sq_ratio(P, p["b"], y, B.qt, j)
+        value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_az, B.qh, scale)
+        for cr, ur in zip(p["cp"], p["u"]):
+            value *= P.ratio(ur, B.qh, scale) / P.ratio(cr * ur, B.qh, scale)
+        return value * P.intpow(p["w"], jj) * P.intpow(B.qt, core.staircase(j))
+
+    return term, prefactor
+
+
 _FIRST = (("a", "b", "c", "x", "X"), "qh", "z")
 _SECOND = (("d", "e", "f", "y", "Y"), "qt", "w")
 # (family, side) -> dims -> (unfactored summand, prefactor)
@@ -876,12 +1031,16 @@ _REFERENCES = {
         _kajihara_double_prefactor,
     ),
     ("master_instance_big", "lhs"): lambda dims: (_master_big_reference(dims), _unit),
+    ("master_instance_big", "rhs"): _master_big_rhs_reference,
     ("master_instance_lauricella", "lhs"): lambda dims: (
         _master_lauricella_reference(dims),
         _unit,
     ),
+    ("master_instance_lauricella", "rhs"): _master_lauricella_rhs_reference,
 }
 for _family_id, _build in (
+    ("bibasic_heine", _bibasic_heine_reference),
+    ("bibasic_euler", _bibasic_euler_reference),
     ("thm_heine7", _heine7_reference),
     ("thm_heine8", _heine8_reference),
     ("thm_heine1", _heine1_reference),

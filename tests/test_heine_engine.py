@@ -5,6 +5,13 @@ import pytest
 from mpmath import mp, mpf
 
 from qheine import catalog, heine_engine as engine
+from qheine.catalog.an_qbinomial import (
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
+)
+from qheine.catalog.classical import q_euler_summation, qbin_summation
+from qheine.catalog.kajihara import kajihara_summation
 from qheine.errors import DomainEmpty, PropertyHViolation
 from qheine.multisum import (
     SeriesSide,
@@ -37,7 +44,7 @@ class TestPropertyH:
         assert result.max_deviation > mpf("0.01")
 
     def test_trials_validated(self):
-        block = engine.classical_qbin_block(mpf("0.2"), mpf("0.3"))
+        block = qbin_summation(mpf("0.2"), mpf("0.3"))
         with pytest.raises(ValueError):
             engine.check_property_H(block, trials=0)
 
@@ -52,7 +59,7 @@ class TestBlockSelfConsistency:
             base_value = mpf(rng.uniform(0.15, 0.55))
             dims = _block_dims(name)
             block = engine.sample_block(name, rng, dims, base_value)
-            if isinstance(block, engine.TransformationBlock):
+            if block.inner_dimension:
                 continue  # transformation blocks are covered separately
             z = mpf(rng.uniform(0.03, 0.2)) * min(1, block.arg_bound)
 
@@ -89,12 +96,12 @@ class TestCompose:
         bibasic = catalog.lookup("bibasic_heine").instantiate()
         for params, bases in catalog.sample_domain(bibasic, seed=51, count=3):
             slot = engine.BlockSlot(
-                engine.classical_qbin_block(params["a"], bases.qh),
+                qbin_summation(params["a"], bases.qh),
                 bases.h,
                 params["z"],
             )
             base_slot = engine.BlockSlot(
-                engine.classical_qbin_block(params["b"], bases.qt),
+                qbin_summation(params["b"], bases.qt),
                 bases.t,
                 params["w"],
             )
@@ -114,13 +121,13 @@ class TestCompose:
         identity = family.instantiate({"n1": 2, "n2": 1, "m": 2})
         for params, bases in catalog.sample_domain(identity, seed=52, count=2):
             with mp.workprec(bases.prec):
-                first = engine.milne_lilly_block(
+                first = milne_lilly_summation(
                     params["a1"], params["x1"], bases.power(params["h1"])
                 )
-                second = engine.gk_block(
+                second = gk_summation(
                     params["a2"], params["x2"], bases.power(params["h2"])
                 )
-                base_block = engine.extra_parameter_block(
+                base_block = extra_c_summation(
                     params["b"], params["c"], params["y"], bases.qt
                 )
             composed = engine.compose(
@@ -144,7 +151,7 @@ class TestCompose:
         for params, bases in catalog.sample_domain(identity, seed=53, count=2):
             slots = [
                 engine.BlockSlot(
-                    engine.classical_qbin_block(params["cp"][r], bases.qh),
+                    qbin_summation(params["cp"][r], bases.qh),
                     bases.h,
                     params["u"][r],
                 )
@@ -152,13 +159,13 @@ class TestCompose:
             ]
             slots.append(
                 engine.BlockSlot(
-                    engine.extra_parameter_block(params["a"], 0, params["x"], bases.qh),
+                    extra_c_summation(params["a"], 0, params["x"], bases.qh),
                     bases.h,
                     params["z"],
                 )
             )
             base_slot = engine.BlockSlot(
-                engine.extra_parameter_block(params["b"], 0, params["y"], bases.qt),
+                extra_c_summation(params["b"], 0, params["y"], bases.qt),
                 bases.t,
                 params["w"],
             )
@@ -246,9 +253,9 @@ class TestCompose:
         composed = engine.compose(
             engine.BlockAssignment(tuple(slots), base_slot, bases)
         )
-        views = [engine.as_transformation(slot.block) for slot in slots]
+        views = [slot.block for slot in slots]
         crosses = [bases.power(bases.t * slot.exponent) for slot in slots]
-        base = engine.as_transformation(base_block)
+        base = base_block
 
         # The summands of one expansion step as compose_with_transformation
         # wrote them for a pair of blocks, here for p blocks over the base.
@@ -256,23 +263,23 @@ class TestCompose:
         def inner(block, P, x, j):
             if not block.inner_dimension:
                 return mpf(1)
-            return block.inner_term(P, j) * (block.stretch * x) ** sum(j)
+            return block.inner(P, j) * (block.stretch * x) ** sum(j)
 
         def lhs_reference(P, idx):
             value, scale, start = mpf(1), mpf(1), 0
             for slot, block, cross in zip(slots, views, crosses):
-                k = idx[start : start + block.outer_dimension]
-                start += block.outer_dimension
-                value *= block.outer_term(P, slot.argument, k)
+                k = idx[start : start + block.dimension]
+                start += block.dimension
+                value *= block.term(P, slot.argument, k)
                 scale *= P.intpow(cross, sum(k))
             shifted = base_argument * scale
             value *= base.product(P, shifted) / base.product(P, base_argument)
             return value * inner(base, P, shifted, idx[start:])
 
         def rhs_reference(P, idx):
-            j = idx[: base.outer_dimension]
-            start = base.outer_dimension
-            value = base.outer_term(P, base_argument, j)
+            j = idx[: base.dimension]
+            start = base.dimension
+            value = base.term(P, base_argument, j)
             for slot, block, cross in zip(slots, views, crosses):
                 jt = idx[start : start + block.inner_dimension]
                 start += block.inner_dimension
@@ -307,7 +314,7 @@ class TestCompose:
             engine.broken_block(mpf("0.2"), bases.qh), bases.h, mpf("0.1")
         )
         base_slot = engine.BlockSlot(
-            engine.classical_qbin_block(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
+            qbin_summation(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
         )
         with pytest.raises(PropertyHViolation):
             engine.compose(engine.BlockAssignment((slot,), base_slot, bases))
@@ -315,10 +322,10 @@ class TestCompose:
     def test_argument_outside_domain(self):
         bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
         slot = engine.BlockSlot(
-            engine.classical_qbin_block(mpf("0.2"), bases.qh), bases.h, mpf("1.5")
+            qbin_summation(mpf("0.2"), bases.qh), bases.h, mpf("1.5")
         )
         base_slot = engine.BlockSlot(
-            engine.classical_qbin_block(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
+            qbin_summation(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
         )
         with pytest.raises(DomainEmpty):
             engine.compose(engine.BlockAssignment((slot,), base_slot, bases))
@@ -328,10 +335,10 @@ class TestComposeWithTransformation:
     def test_classical_euler_pair_reproduces_bibasic_euler(self):
         target = catalog.lookup("bibasic_euler").instantiate()
         for params, bases in catalog.sample_domain(target, seed=54, count=2):
-            first = engine.q_euler_block(
+            first = q_euler_summation(
                 params["a"], params["b"], params["c"], bases.qh
             )
-            base = engine.q_euler_block(
+            base = q_euler_summation(
                 params["d"], params["e"], params["f"], bases.qt
             )
             composed = engine.compose_with_transformation(
@@ -348,10 +355,10 @@ class TestComposeWithTransformation:
         # with c = b and f = e the inner sums collapse to their first term
         bibasic = catalog.lookup("bibasic_heine").instantiate()
         for params, bases in catalog.sample_domain(bibasic, seed=55, count=2):
-            first = engine.q_euler_block(
+            first = q_euler_summation(
                 params["a"], mpf("0.4"), mpf("0.4"), bases.qh
             )
-            base = engine.q_euler_block(
+            base = q_euler_summation(
                 params["b"], mpf("0.3"), mpf("0.3"), bases.qt
             )
             composed = engine.compose_with_transformation(
@@ -368,10 +375,10 @@ class TestComposeWithTransformation:
         target = catalog.lookup("bibasic_euler").instantiate()
         one = mpf(1)
         for params, bases in catalog.sample_domain(target, seed=56, count=2):
-            first = engine.kajihara_block(
+            first = kajihara_summation(
                 (params["a"],), (params["b"],), params["c"], (one,), (one,), bases.qh
             )
-            base = engine.kajihara_block(
+            base = kajihara_summation(
                 (params["d"],), (params["e"],), params["f"], (one,), (one,), bases.qt
             )
             composed = engine.compose_with_transformation(
@@ -388,8 +395,8 @@ class TestComposeWithTransformation:
         # composing two lifted q-binomial blocks equals the plain composition
         bibasic = catalog.lookup("bibasic_heine").instantiate()
         params, bases = catalog.sample_domain(bibasic, seed=57, count=1)[0]
-        first = engine.classical_qbin_block(params["a"], bases.qh)
-        base = engine.classical_qbin_block(params["b"], bases.qt)
+        first = qbin_summation(params["a"], bases.qh)
+        base = qbin_summation(params["b"], bases.qt)
         composed = engine.compose_with_transformation(
             engine.BlockSlot(first, bases.h, params["z"]),
             engine.BlockSlot(base, bases.t, params["w"]),

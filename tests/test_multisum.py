@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,8 @@ from qheine import (
     vandermonde_ratio,
 )
 from qheine import catalog, cli, qcore
+from qheine.catalog.classical import qbin_product, qbin_summation, qbin_term
+from qheine.multisum import HeineBlock, heine_sides
 from qheine.qcore import PochCache
 from qheine.catalog.core import staircase
 from util import evaluate, rel, vandermonde_factor, vandermonde_ratio_loop
@@ -247,8 +250,8 @@ class TestReimport:
                 for module, name in [
                     ("qheine.multisum", "EvalContext"),
                     ("qheine.qcore", "PochCache"),
-                    ("qheine.heine_engine", "QBinomialBlock"),
-                    ("qheine.heine_engine", "TransformationBlock"),
+                    ("qheine.multisum", "Summation"),
+                    ("qheine.heine_engine", "BlockSlot"),
                 ]
             ]
             load()
@@ -496,6 +499,68 @@ class TestBlockTerm:
         for _ in range(2):
             with pytest.raises(DegenerateVariables):
                 evaluate_in_context(side, ctx)
+
+
+class TestSharedCrossBases:
+    """heine_sides gives blocks that share a cross base one power of it, for
+    the sum of their weights, and keeps the lhs coupling under those sums."""
+
+    bases = BaseSystem(mpf("0.35"), mpf("1.3"), mpf("0.8"))
+    uppers = (mpf("0.3"), mpf("-0.5"))
+    arguments = (mpf("0.2"), mpf("0.15"))
+    b, w = mpf("0.4"), mpf("0.1")
+
+    def _sides(self, crosses, calls):
+        """Two q-binomial blocks in base q^h over one in base q^t whose
+        product records its arguments in ``calls``."""
+        B = self.bases
+
+        def product(P, w):
+            calls.append(w)
+            return qbin_product(P, self.b, B.qt, w)
+
+        base = replace(qbin_summation(self.b, B.qt), product=product)
+
+        def bind(ctx):
+            blocks = [
+                HeineBlock(qbin_summation(a, B.qh), z, s)
+                for a, z, s in zip(self.uppers, self.arguments, crosses)
+            ]
+            return blocks, HeineBlock(base, self.w)
+
+        return heine_sides(((1, 0), (1, 0)), (1, 0), bind)
+
+    def test_base_product_once_per_total_weight(self):
+        B = self.bases
+        calls = []
+        lhs, rhs = self._sides((B.qht, B.qht), calls)
+        ctx = make_context({}, B)
+        value, diag = evaluate_in_context(lhs, ctx)
+        # Once at the base argument, then once per shell.
+        assert len(calls) == diag.shells + 1 < diag.terms
+        other, _ = evaluate_in_context(rhs, ctx)
+        assert rel(value, other) < mpf("1e-20")
+
+    def test_distinct_cross_bases_keep_every_power(self):
+        B = self.bases
+        crosses = (B.qht, B.power(B.t * mpf("0.7")))
+        calls = []
+        lhs, _ = self._sides(crosses, calls)
+        ctx = make_context({}, B)
+        direct = PochCache(B.prec)
+        with mp.workprec(B.prec):
+            for w in range(6):
+                ctx.poch.next_shell()
+                for k in enumerate_shell(2, w):
+                    scale = mpf(1)
+                    for s, kr in zip(crosses, k):
+                        scale *= direct.intpow(s, kr)
+                    expected = qbin_product(direct, self.b, B.qt, self.w * scale)
+                    expected /= qbin_product(direct, self.b, B.qt, self.w)
+                    for a, z, kr in zip(self.uppers, self.arguments, k):
+                        expected *= qbin_term(direct, a, B.qh, z, (kr,))
+                    assert _bits(lhs.term(ctx, k)) == _bits(expected), k
+        assert len(calls) == 1 + sum(w + 1 for w in range(6))
 
 
 @pytest.fixture

@@ -1,0 +1,98 @@
+"""The benchmark's layer probes (perfbench/probes.py) install on the package
+and come off it again.
+
+They patch functions, methods and module attributes by name, so a name they
+patch that the package no longer has fails here, and not only in a traced
+benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Loads the package as perfbench/run.py does, then runs one q_binomial
+# verify and one q_bin/q_bin compose case of the benchmark's workloads with
+# the probes installed, and compares every patched owner's attributes before
+# installing and after removing them.
+SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+
+    sys.path.insert(0, sys.argv[1])
+    import run, workloads
+    from probes import Instrumentation, Tracer
+
+    q = run.load_qheine()
+    wanted = (
+        ("reference_sweep", "q_binomial{}"),
+        ("compose_mix", "q_bin+q_bin/q_bin#0"),
+    )
+    cases = [
+        case
+        for workload, key in wanted
+        for case in workloads.build_cases(workload, q.catalog)
+        if case.key == key
+    ]
+    m = q.modules
+    owners = [module for name, module in m.items() if name != "term_modules"]
+    owners += m["term_modules"] + [
+        m["qcore"].PochCache,
+        m["qcore"].BaseSystem,
+        m["catalog.core"].IdentityFamily,
+    ]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = Tracer()
+    probes = Instrumentation(m, tracer)
+    probes.install()
+    try:
+        result = run.run_pass(q, cases, cases, tracer)
+    finally:
+        probes.remove()
+    after = [dict(vars(owner)) for owner in owners]
+    restored = all(
+        old.keys() == new.keys() and all(old[k] is new[k] for k in old)
+        for old, new in zip(before, after)
+    )
+    print(json.dumps({
+        "keys": [case.key for case in cases],
+        "codes": [result["cases"][case.key]["code"] for case in cases],
+        "errors": [result["cases"][case.key]["error"] for case in cases],
+        "calls": dict(tracer.calls),
+        "restored": restored,
+    }))
+    """
+)
+
+
+def test_probes_install_and_come_off():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["keys"] == ["q_binomial{}", "q_bin+q_bin/q_bin#0"]
+    assert out["errors"] == [None, None]
+    assert out["codes"] == [0, 0]
+    calls = out["calls"]
+    for layer in (
+        "cli",
+        "catalog.verify",
+        "catalog.term",
+        "heine_engine.compose",
+        "heine_engine.property_h",
+        "heine_engine.term",
+        "multisum.side",
+        "qcore.infinite",
+    ):
+        assert calls.get(layer, 0) > 0, layer
+    assert out["restored"]
