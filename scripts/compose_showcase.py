@@ -137,12 +137,16 @@ def main():
     params, bases = catalog.sample_domain(target, seed=seed, count=1)[0]
     composed = engine.compose_with_transformation(
         engine.BlockSlot(
-            q_euler_summation(params["a"], params["b"], params["c"], bases.qh),
+            q_euler_summation(
+                params["a"], params["b"], params["c"], bases.qh, bases.prec
+            ),
             bases.h,
             params["z"],
         ),
         engine.BlockSlot(
-            q_euler_summation(params["d"], params["e"], params["f"], bases.qt),
+            q_euler_summation(
+                params["d"], params["e"], params["f"], bases.qt, bases.prec
+            ),
             bases.t,
             params["w"],
         ),

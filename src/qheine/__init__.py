@@ -33,7 +33,6 @@ from .qcore import (
     PochCache,
     default_tol,
     e2,
-    qpoch_finite,
     qpoch_infinite,
 )
 

@@ -8,6 +8,7 @@ import math
 
 from ..multisum import Summation
 from ..qcore import e2, raw_product
+from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -38,7 +39,6 @@ __all__ = [
     "stretched_euler_product",
     "stretched_euler_summation",
     "extra_c_term",
-    "extra_c_product",
     "extra_c_summation",
 ]
 
@@ -277,16 +277,12 @@ def extra_c_term(P, avec, c, xvec, base, z, k):
     return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
 
 
-def extra_c_product(P, avec, base, z):
-    return P.infinite(raw_product(avec) * z, base) / P.infinite(z, base)
-
-
 def extra_c_summation(avec, c, xvec, base) -> Summation:
     """The summation, parameters bound."""
     return Summation(
         len(xvec),
         lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
-        lambda P, z: extra_c_product(P, avec, base, z),
+        lambda P, z: qbin_product(P, raw_product(avec), base, z),
         label="extra_c",
     )
 

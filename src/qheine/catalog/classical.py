@@ -4,6 +4,8 @@ transformation, and the bibasic Euler double-sum transformation."""
 
 from __future__ import annotations
 
+from mpmath import mp
+
 from ..multisum import HeineBlock, SeriesSide, Summation, heine_sides
 from .core import IdentityFamily, ParamSpec, argument, coefficient, summation_sides
 
@@ -14,7 +16,6 @@ __all__ = [
     "qbin_summation",
     "q_euler_term",
     "q_euler_inner_term",
-    "q_euler_product",
     "q_euler_summation",
 ]
 
@@ -192,19 +193,16 @@ def q_euler_inner_term(P, a, b, c, base, j):
     )
 
 
-def q_euler_product(P, base, arg, z):
-    """(arg; base)_oo / (z; base)_oo, with the argument arg already formed."""
-    return P.infinite(arg, base) / P.infinite(z, base)
-
-
-def q_euler_summation(a, b, c, base) -> Summation:
+def q_euler_summation(a, b, c, base, prec: int) -> Summation:
     """The transformation, parameters bound: the inner summand at unit
-    argument and the stretch a b / c of its argument."""
-    stretch = a * b / c
+    argument and the stretch a b / c of its argument, multiplied at
+    ``prec`` bits."""
+    with mp.workprec(prec):
+        stretch = a * b / c
     return Summation(
         1,
         lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
-        lambda P, z: q_euler_product(P, base, stretch * z, z),
+        lambda P, z: qbin_product(P, stretch, base, z),
         1,
         lambda P, j: q_euler_inner_term(P, a, b, c, base, j),
         stretch,
@@ -216,7 +214,8 @@ def q_euler_summation(a, b, c, base) -> Summation:
 def _qeuler_build(dims):
     def bind(ctx):
         p = ctx.params
-        return q_euler_summation(p["a"], p["b"], p["c"], ctx.bases.q), p["z"]
+        B = ctx.bases
+        return q_euler_summation(p["a"], p["b"], p["c"], B.q, B.prec), p["z"]
 
     return summation_sides((1, 1), bind)
 
@@ -256,8 +255,8 @@ def _bibasic_euler_build(dims):
 
     def bind(ctx):
         B, p = ctx.bases, ctx.params
-        first = q_euler_summation(p["a"], p["b"], p["c"], B.qh)
-        base = q_euler_summation(p["d"], p["e"], p["f"], B.qt)
+        first = q_euler_summation(p["a"], p["b"], p["c"], B.qh, B.prec)
+        base = q_euler_summation(p["d"], p["e"], p["f"], B.qt, B.prec)
         return (HeineBlock(first, p["z"], B.qht),), HeineBlock(base, p["w"])
 
     return heine_sides(((1, 1),), (1, 1), bind)

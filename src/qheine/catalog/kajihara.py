@@ -4,11 +4,11 @@ expansion step to two copies of it."""
 
 from __future__ import annotations
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from ..multisum import HeineBlock, Summation, heine_sides
 from ..qcore import ONE, raw_product
-from .classical import q_euler_product
+from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -72,15 +72,17 @@ def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, j):
     return value * P.intpow(base, staircase(j))
 
 
-def kajihara_summation(avec, bvec, c, xvec, yvec, base) -> Summation:
+def kajihara_summation(avec, bvec, c, xvec, yvec, base, prec: int) -> Summation:
     """The transformation, parameters bound: the inner summand at unit
-    argument and the stretch A B / c^m of its argument."""
+    argument and the stretch A B / c^m of its argument, multiplied at
+    ``prec`` bits."""
     grid = (avec, bvec, c, xvec, yvec)
-    stretch = raw_product(avec) * raw_product(bvec) / c ** len(yvec)
+    with mp.workprec(prec):
+        stretch = raw_product(avec) * raw_product(bvec) / c ** len(yvec)
     return Summation(
         len(xvec),
         lambda P, z, k: kajihara_term(P, *grid, base, z, k),
-        lambda P, z: q_euler_product(P, base, stretch * z, z),
+        lambda P, z: qbin_product(P, stretch, base, z),
         len(yvec),
         lambda P, j: kajihara_inner_term(P, *grid, base, j),
         stretch,
@@ -93,7 +95,7 @@ def _kajihara_build(dims):
     def bind(ctx):
         p = ctx.params
         grid = (p[name] for name in ("a", "b", "c", "x", "y"))
-        return kajihara_summation(*grid, ctx.bases.q), p["z"]
+        return kajihara_summation(*grid, ctx.bases.q, ctx.bases.prec), p["z"]
 
     return summation_sides((dims["n"], dims["m"]), bind)
 
@@ -156,7 +158,8 @@ def _kajihara_double_build(dims):
 
         def block(names, base, argument, cross=ONE):
             grid = (p[name] for name in names)
-            return HeineBlock(kajihara_summation(*grid, base), argument, cross)
+            summation = kajihara_summation(*grid, base, B.prec)
+            return HeineBlock(summation, argument, cross)
 
         first = block(("a", "b", "c", "x", "X"), B.qh, p["z"], B.qht)
         return (first,), block(("d", "e", "f", "y", "Y"), B.qt, p["w"])

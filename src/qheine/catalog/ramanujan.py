@@ -11,14 +11,18 @@ ram_1_4_17 from the Euler exponential summation, and ram_eq26_b and
 ram_1_4_17_anm from the stretched Euler summation, whose Vandermonde factor
 and finite products are stretched by the dimension.
 
-The other eight are written as displayed, each summand once.  ram_1_4_9,
-ram_1_4_10, ram_1_4_9a, ram_1_4_9b, ram_1_4_10_c and ram_1_4_10_n_single
-couple their summands through finite products; a Heine form would trade
-those finite-table lookups for an infinite product per term.  The stretched
-summands of the last four come from ``stretched_euler_term`` at z = +-1.
-The lhs of ram_1_4_10_anm, ram_1_4_10_m1 and ram_1_4_10_c is one "linear"
-stretched summand (``_linear_term``) with no closed product, so no block
-can be bound to it.
+Four are written as displayed, each summand once: ram_1_4_10_anm,
+ram_1_4_10_c, ram_1_4_9a and ram_1_4_9b couple their summands through
+finite products; a Heine form would trade those finite-table lookups for an
+infinite product per term.  The stretched summands of the last three come
+from ``stretched_euler_term`` at z = +-1.  The lhs of ram_1_4_10_anm and
+ram_1_4_10_c is one "linear" stretched summand (``_linear_term``) with no
+closed product, so no block can be bound to it.
+
+The other four are those at fixed dimensions and share their builders,
+which read a missing dimension as 1: ram_1_4_10 and ram_1_4_10_m1 are
+ram_1_4_10_anm at n = m = 1 and at m = 1, ram_1_4_10_n_single is
+ram_1_4_10_c at m = 1, and ram_1_4_9 is ram_1_4_9b at m = 1.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .an_qbinomial import (
     stretched_euler_summation,
     stretched_euler_term,
 )
+from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -111,8 +116,7 @@ def _ram_1_4_1_build(dims):
         ratio, shift = p["c"] * B.q / p["d"], B.power(B.h * (1 - n))
 
         def base_product(P, w):
-            w = w * shift
-            return P.infinite(ratio * w, B.qh) / P.infinite(w, B.qh)
+            return qbin_product(P, ratio, B.qh, w * shift)
 
         block = HeineBlock(
             gk_summation(-p["b"] * B.q / p["a"], geom(B.qt, m, B.prec), q_tm),
@@ -193,7 +197,7 @@ def _linear_term(P, xvec, q, k, denominators):
 
 
 def _ram_1_4_10_anm_build(dims):
-    n, m = dims["n"], dims["m"]
+    n, m = dims.get("n", 1), dims.get("m", 1)
     x_n = _q_vector(n)
     x_m = _q_vector(m)
 
@@ -251,39 +255,13 @@ RAM_1_4_10_ANM = IdentityFamily(
 )
 
 
-def _ram_1_4_10_m1_build(dims):
-    n = dims["n"]
-    x_n = _q_vector(n)
-
-    def lhs_term(ctx, k):
-        P, q = ctx.poch, ctx.bases.q
-        return _linear_term(P, x_n(P, ctx.bases), q, k, (P.finite(q, q, n * sum(k)),))
-
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return 1 / P.infinite(B.q, B.q) ** 2
-
-    def rhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        jj = j[0]
-        return (
-            P.finite(q, q, n * jj)
-            / P.finite(q, q, jj)
-            * (-1) ** jj
-            * P.intpow(q, tri(jj))
-        )
-
-    return SeriesSide(n, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
-
-
 RAM_1_4_10_M1 = IdentityFamily(
     id="ram_1_4_10_m1",
     reference="n-fold extension of sum q^k/(q;q)_k^2 against a single "
     "alternating theta-like sum",
     dim_names=("n",),
     schema=(),
-    build=_ram_1_4_10_m1_build,
+    build=_ram_1_4_10_anm_build,
     domain=_always,
     sample=_no_params,
     default_dims=({"n": 1}, {"n": 2}),
@@ -291,30 +269,12 @@ RAM_1_4_10_M1 = IdentityFamily(
 )
 
 
-def _ram_1_4_10_build(dims):
-    def lhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        kk = k[0]
-        return P.intpow(B.q, kk) / P.finite(B.q, B.q, kk) ** 2
-
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        return 1 / P.infinite(B.q, B.q) ** 2
-
-    def rhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        jj = j[0]
-        return (-1) ** jj * P.intpow(B.q, tri(jj))
-
-    return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
-
-
 RAM_1_4_10 = IdentityFamily(
     id="ram_1_4_10",
     reference="classical evaluation of sum q^k/(q;q)_k^2",
     dim_names=(),
     schema=(),
-    build=_ram_1_4_10_build,
+    build=_ram_1_4_10_anm_build,
     domain=_always,
     sample=_no_params,
     policy=_SLOW_POLICY,
@@ -322,7 +282,7 @@ RAM_1_4_10 = IdentityFamily(
 
 
 def _ram_1_4_10_c_build(dims):
-    n, m = dims["n"], dims["m"]
+    n, m = dims.get("n", 1), dims.get("m", 1)
     x_n = _q_vector(n)
     x_m = _q_vector(m)
     sign = (-ONE) ** n
@@ -365,38 +325,13 @@ RAM_1_4_10_C = IdentityFamily(
 )
 
 
-def _ram_1_4_10_n_single_build(dims):
-    n = dims["n"]
-    x_n = _q_vector(n)
-    sign = (-ONE) ** n
-
-    def lhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        qn = P.intpow(q, n)
-        jj = j[0]
-        return P.intpow(q, jj) / (P.finite(q, q, jj) * P.finite(qn, qn, jj))
-
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        return 1 / (P.infinite(q, q) * P.infinite(q**n, q**n))
-
-    def rhs_term(ctx, k):
-        P, q = ctx.poch, ctx.bases.q
-        value = stretched_euler_term(P, x_n(P, ctx.bases), q, sign, k)
-        return value * P.finite(q, q, n * sum(k))
-
-    return SeriesSide(1, lhs_term), SeriesSide(n, rhs_term, rhs_prefactor)
-
-
 RAM_1_4_10_N_SINGLE = IdentityFamily(
     id="ram_1_4_10_n_single",
     reference="single-sum form of the companion extension of "
     "sum q^k/(q;q)_k^2",
     dim_names=("n",),
     schema=(),
-    build=_ram_1_4_10_n_single_build,
+    build=_ram_1_4_10_c_build,
     domain=_always,
     sample=_no_params,
     default_dims=({"n": 1}, {"n": 2}),
@@ -585,44 +520,8 @@ RAM_1_4_9A = IdentityFamily(
 )
 
 
-def _ram_1_4_9_build(dims):
-    def lhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        jj = j[0]
-        return P.intpow(q, tri(jj)) / P.finite(q, q, jj) ** 2
-
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        return P.infinite(-q, q) / P.infinite(q, q)
-
-    def rhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = k[0]
-        return (
-            (-1) ** kk
-            * P.intpow(q, tri(kk))
-            / (P.finite(q, q, kk) * P.finite(-q, q, kk))
-        )
-
-    return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
-
-
-RAM_1_4_9 = IdentityFamily(
-    id="ram_1_4_9",
-    reference="classical transformation of sum q^{C(j+1,2)}/(q;q)_j^2",
-    dim_names=(),
-    schema=(),
-    build=_ram_1_4_9_build,
-    domain=_always,
-    sample=_no_params,
-)
-
-
 def _ram_1_4_9b_build(dims):
-    m = dims["m"]
+    m = dims.get("m", 1)
     x_m = _q_vector(m)
 
     def lhs_term(ctx, j):
@@ -658,6 +557,17 @@ RAM_1_4_9B = IdentityFamily(
     domain=_always,
     sample=_no_params,
     default_dims=({"m": 1}, {"m": 2}),
+)
+
+
+RAM_1_4_9 = IdentityFamily(
+    id="ram_1_4_9",
+    reference="classical transformation of sum q^{C(j+1,2)}/(q;q)_j^2",
+    dim_names=(),
+    schema=(),
+    build=_ram_1_4_9b_build,
+    domain=_always,
+    sample=_no_params,
 )
 
 

@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 from mpmath import mp, mpf
 
 from . import __version__, catalog, heine_engine, report
+from .catalog.blocks import BLOCK_NAMES, sample_block
 from .catalog.core import argument, exponent, sample_bases
 from .errors import (
     InvalidConfig,
@@ -238,7 +239,7 @@ def validate_config(config: RunConfig) -> None:
             raise InvalidConfig("compose needs at least one block")
         for spec in list(config.blocks) + [config.base]:
             name, dims = parse_block_spec(spec)
-            if name not in heine_engine.BLOCK_NAMES:
+            if name not in BLOCK_NAMES:
                 raise InvalidConfig(f"unknown block {name!r}")
             if len(dims) > (2 if name == "kajihara" else 1) or min(dims) < 1:
                 raise InvalidConfig(f"bad block dimensions in {spec!r}")
@@ -312,11 +313,11 @@ def _compose_sample(config: RunConfig, rng: random.Random):
         for spec in config.blocks:
             name, dims = parse_block_spec(spec)
             h_r = exponent(rng)
-            block = heine_engine.sample_block(name, rng, dims, bases.power(h_r))
+            block = sample_block(name, rng, dims, bases.power(h_r), config.precision)
             z_r = argument(rng) * min(1, block.arg_bound)
             slots.append(heine_engine.BlockSlot(block, h_r, z_r))
         base_name, base_dims = parse_block_spec(config.base)
-        base_block = heine_engine.sample_block(base_name, rng, base_dims, bases.qt)
+        base_block = sample_block(base_name, rng, base_dims, bases.qt, config.precision)
         w = argument(rng) * min(1, base_block.arg_bound)
     base_slot = heine_engine.BlockSlot(base_block, bases.t, w)
     composed = heine_engine.compose(

@@ -8,26 +8,18 @@ parameters bound.  Blocks whose summand is homogeneous in the argument
 with bases q^{h_r} and one base block with base q^t yield a
 (n_1+...+n_p)-fold to m-fold transformation, and the inner sums of
 transformation blocks join the other side.  The shipped blocks are the
-catalog's summations.
+catalog's summations, drawn by ``catalog.blocks.sample_block``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from mpmath import mp, mpf, mpmathify
 
-from .catalog.an_qbinomial import (
-    extra_c_summation,
-    gk_summation,
-    milne_lilly_summation,
-)
-from .catalog.classical import q_euler_summation, qbin_summation
-from .catalog.core import Identity, coefficient, distinct_vector, signed
-from .catalog.kajihara import kajihara_summation
-from .errors import DomainEmpty, PropertyHViolation, UnknownIdentity
+from .catalog.core import Identity, signed
+from .errors import DomainEmpty, PropertyHViolation
 from .multisum import HeineBlock, SeriesSide, Summation, TruncationPolicy, heine_sides
 from .qcore import DEFAULT_PRECISION, PochCache
 
@@ -38,10 +30,6 @@ __all__ = [
     "check_property_H",
     "compose",
     "compose_with_transformation",
-    "broken_block",
-    "sample_block",
-    "SHIPPED_BLOCK_NAMES",
-    "BLOCK_NAMES",
 ]
 
 
@@ -184,76 +172,3 @@ def compose_with_transformation(
 ) -> Identity:
     """``compose`` of one block over a base block."""
     return compose(BlockAssignment((slot,), base_slot, bases), check)
-
-
-# ---------------------------------------------------------------------------
-# shipped block library: the catalog's summations, and one counterexample
-
-
-def broken_block(a, base) -> Summation:
-    """Deliberate homogeneity counterexample: the summand carries the
-    argument inside a rising factorial."""
-    a = mpmathify(a)
-    base = mpmathify(base)
-
-    def term(P, z, k):
-        kk = k[0]
-        return (
-            P.finite(a, base, kk)
-            / P.finite(base, base, kk)
-            * P.finite(z, base, kk)
-            * P.intpow(z, kk)
-        )
-
-    def product(P, z):
-        return P.infinite(a * z, base) / P.infinite(z, base)
-
-    return Summation(1, term, product, label="broken")
-
-
-SHIPPED_BLOCK_NAMES = ("q_bin", "milne_lilly", "gk", "extra_c", "kajihara")
-BLOCK_NAMES = SHIPPED_BLOCK_NAMES + ("q_euler", "broken")
-
-
-def sample_block(name: str, rng: random.Random, dims: Sequence[int], base) -> Summation:
-    """Draw a block of the named family with random admissible parameters.
-
-    ``dims`` carries one entry for most families and (n, m) for the
-    transformation family.
-    """
-    dims = tuple(dims)
-    n = dims[0] if dims else 1
-    if name == "q_bin":
-        return qbin_summation(coefficient(rng), base)
-    if name == "milne_lilly":
-        return milne_lilly_summation(
-            tuple(coefficient(rng) for _ in range(n)),
-            distinct_vector(rng, n),
-            base,
-        )
-    if name == "gk":
-        return gk_summation(coefficient(rng), distinct_vector(rng, n), base)
-    if name == "extra_c":
-        return extra_c_summation(
-            tuple(signed(rng, 0.35, 0.9) for _ in range(n)),
-            signed(rng, 0.0, 0.45),
-            distinct_vector(rng, n),
-            base,
-        )
-    if name == "kajihara":
-        m = dims[1] if len(dims) > 1 else 1
-        return kajihara_summation(
-            tuple(signed(rng, 0.3, 0.9) for _ in range(n)),
-            tuple(signed(rng, 0.3, 0.9) for _ in range(m)),
-            signed(rng, 0.25, 0.55),
-            distinct_vector(rng, n, 0.75, 1.2),
-            distinct_vector(rng, m, 0.75, 1.2),
-            base,
-        )
-    if name == "q_euler":
-        return q_euler_summation(
-            coefficient(rng), coefficient(rng), signed(rng, 0.3, 0.9), base
-        )
-    if name == "broken":
-        return broken_block(coefficient(rng), base)
-    raise UnknownIdentity(f"no block family named {name!r}")

@@ -421,8 +421,6 @@ class TruncationPolicy:
 class Diagnostics:
     shells: int = 0
     terms: int = 0
-    last_shell_abs: mpf = field(default_factory=lambda: mpf(0))
-    last_shell_ratio: mpf = field(default_factory=lambda: mpf(0))
     tail_bound: mpf = field(default_factory=lambda: mpf(0))
     converged: bool = True
 
@@ -476,8 +474,6 @@ def evaluate_in_context(
                 prev_shell_abs = shell_abs if w > 0 else None
                 shell_abs = abs(shell_sum)
                 ratio = shell_abs / max(abs(total), _TINY)
-                diag.last_shell_abs = shell_abs
-                diag.last_shell_ratio = ratio
                 if w >= policy.min_shells and ratio < tail_tol:
                     small_streak += 1
                     if small_streak >= 2:

@@ -58,13 +58,6 @@ def default_tol(prec: int) -> mpf:
     return mpf(10) ** -(prec * 301 // 1000 - 8)
 
 
-def qpoch_finite(a, base, k: int) -> QComplex:
-    """Finite q-rising factorial (a; base)_k = prod_{r<k} (1 - a*base^r)."""
-    if k < 0:
-        raise ValueError("finite q-rising factorial needs k >= 0")
-    return FiniteTable(a, base, mp.prec).at(int(k))
-
-
 def qpoch_infinite(a, base, tol=None) -> QComplex:
     """Infinite q-rising factorial (a; base)_oo for |base| < 1.
 

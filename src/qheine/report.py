@@ -217,11 +217,6 @@ def parse_json_lines(text: str) -> dict:
     return {"header": header, "cases": cases, "summaries": summaries, "total": total}
 
 
-def parse_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    return list(reader)
-
-
 def strip_volatile(text: str, fmt: str = "json-lines") -> str:
     """Normalised report content with run-time metadata removed."""
     if fmt != "json-lines":

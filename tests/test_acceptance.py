@@ -16,7 +16,6 @@ from qheine import (
     catalog,
     cli,
     heine_engine as engine,
-    qpoch_finite,
     qpoch_infinite,
     report,
 )
@@ -25,10 +24,11 @@ from qheine.catalog.an_qbinomial import (
     gk_summation,
     milne_lilly_summation,
 )
+from qheine.catalog.blocks import SHIPPED_BLOCK_NAMES, sample_block
 from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.multisum import TruncationPolicy, evaluate_in_context, make_context
 from qheine.qcore import BaseSystem
-from util import rel, side_values, verify_sweep
+from util import qpoch_finite, rel, side_values, verify_sweep
 
 CLASSICAL_IDS = (
     "q_binomial",
@@ -312,11 +312,11 @@ def test_criterion_5_ramanujan_sweep():
 def test_criterion_6_master_theorem_engine():
     rng = random.Random(606)
     # homogeneity certificates for the shipped library and the counterexample
-    for name in engine.SHIPPED_BLOCK_NAMES:
+    for name in SHIPPED_BLOCK_NAMES:
         dims = (2, 2) if name == "kajihara" else (2,)
-        block = engine.sample_block(name, rng, dims, mpf("0.3"))
+        block = sample_block(name, rng, dims, mpf("0.3"), mp.prec)
         assert engine.check_property_H(block, trials=24, seed=61).passed, name
-    broken = engine.sample_block("broken", rng, (1,), mpf("0.3"))
+    broken = sample_block("broken", rng, (1,), mpf("0.3"), mp.prec)
     assert not engine.check_property_H(broken, trials=24, seed=61).passed
 
     bound = mpf("1e-18")
@@ -410,12 +410,16 @@ def test_criterion_6_master_theorem_engine():
     for params, bases in catalog.sample_domain(euler, seed=610, count=5):
         composed = engine.compose_with_transformation(
             engine.BlockSlot(
-                q_euler_summation(params["a"], params["b"], params["c"], bases.qh),
+                q_euler_summation(
+                    params["a"], params["b"], params["c"], bases.qh, bases.prec
+                ),
                 bases.h,
                 params["z"],
             ),
             engine.BlockSlot(
-                q_euler_summation(params["d"], params["e"], params["f"], bases.qt),
+                q_euler_summation(
+                    params["d"], params["e"], params["f"], bases.qt, bases.prec
+                ),
                 bases.t,
                 params["w"],
             ),

@@ -17,7 +17,8 @@ from qheine.catalog.an_qbinomial import (
     euler_exp_summation,
     stretched_euler_summation,
 )
-from qheine.catalog.kajihara import grid_rows, inner_rows
+from qheine.catalog.classical import q_euler_summation
+from qheine.catalog.kajihara import grid_rows, inner_rows, kajihara_summation
 from qheine.multisum import (
     SeriesSide,
     TruncationPolicy,
@@ -25,8 +26,8 @@ from qheine.multisum import (
     evaluate_in_context,
     make_context,
 )
-from qheine.qcore import BaseSystem, PochCache, e2, qpoch_finite, raw_product
-from util import rel, side_values, vandermonde_ratio_loop
+from qheine.qcore import BaseSystem, PochCache, e2, raw_product
+from util import qpoch_finite, rel, side_values, vandermonde_ratio_loop
 
 EXPECTED_IDS = [
     "q_binomial",
@@ -394,6 +395,38 @@ class TestEulerExponential:
         with mp.workprec(bases.prec):
             assert diag.converged
             assert rel(value, summation.product(ctx.poch, z)) < mpf("1e-30")
+
+
+class TestStretchPrecision:
+    """q_euler_summation and kajihara_summation multiply their stretch at
+    the precision they are given: built at 53 bits or at 128, their two
+    sides sum to the same values at 128 bits, bit for bit."""
+
+    @staticmethod
+    def _sums(name, build_prec):
+        bases = BaseSystem(mpf("0.35"))
+        if name == "q_euler":
+            build, grid = q_euler_summation, (mpf("0.37"), mpf("-0.61"), mpf("0.43"))
+        else:
+            build, grid = kajihara_summation, (
+                (mpf("0.6"), mpf("-0.45")),
+                (mpf("0.7"),),
+                mpf("0.41"),
+                (mpf("0.8"), mpf("1.1")),
+                (mpf("0.9"),),
+            )
+        with mp.workprec(build_prec):
+            summation = build(*grid, bases.q, bases.prec)
+        sides = core.summation_sides(
+            (summation.dimension, summation.inner_dimension),
+            lambda ctx: (summation, mpf("0.15")),
+        )
+        ctx = make_context({}, bases)
+        return [evaluate_in_context(side, ctx)[0] for side in sides]
+
+    @pytest.mark.parametrize("name", ["q_euler", "kajihara"])
+    def test_built_at_53_bits_sums_as_at_128(self, name):
+        assert self._sums(name, 53) == self._sums(name, 128)
 
 
 # -- unfactored summands of the block-factored sides --------------------------
@@ -1018,6 +1051,114 @@ def _master_lauricella_rhs_reference(dims):
     return term, prefactor
 
 
+def _ram_1_4_10_prefactor(ctx):
+    return 1 / ctx.poch.infinite(ctx.bases.q, ctx.bases.q) ** 2
+
+
+def _ram_1_4_10_reference(dims):
+    """ram_1_4_10 as displayed: sum q^k/(q;q)_k^2 against 1/(q;q)_oo^2 sum
+    (-1)^j q^{C(j+1,2)}."""
+
+    def lhs_term(ctx, k):
+        P, B = ctx.poch, ctx.bases
+        kk = k[0]
+        return P.intpow(B.q, kk) / P.finite(B.q, B.q, kk) ** 2
+
+    def rhs_term(ctx, j):
+        P, B = ctx.poch, ctx.bases
+        jj = j[0]
+        return (-1) ** jj * P.intpow(B.q, core.tri(jj))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, _ram_1_4_10_prefactor)}
+
+
+def _stretched_head(P, q, n, k):
+    """V(x, k; q^n) / prod_r (q^r; q)_{n k_r} at x_r = q^{r-1}."""
+    value = core.vande(P, core.geom(q, n, P.prec), k, q**n)
+    for r in range(1, n + 1):
+        value /= P.finite(q**r, q, n * k[r - 1])
+    return value
+
+
+def _linear_reference(P, q, n, k):
+    """The linear stretched summand: the head times q^{n|k| + (n-1) sum_r
+    (r-1)k_r + n e2(k)}."""
+    exponent = n * sum(k) + (n - 1) * core.staircase(k) + n * e2(k)
+    return _stretched_head(P, q, n, k) * q**exponent
+
+
+def _stretched_reference(P, q, n, sign, k):
+    """The stretched Euler summand in base q at z = ``sign``: the head times
+    sign^{|k|} q^{2n sum_r (r-1)k_r - n(n-1)|k| + sum_r C(n k_r + 1, 2)}."""
+    kk = sum(k)
+    exponent = 2 * n * core.staircase(k) - n * (n - 1) * kk
+    exponent += sum(core.tri(n * x) for x in k)
+    return _stretched_head(P, q, n, k) * sign**kk * q**exponent
+
+
+def _ram_1_4_10_m1_reference(dims):
+    """ram_1_4_10_m1 as displayed: the n-fold linear sum over (q;q)_{n|k|}
+    against 1/(q;q)_oo^2 sum (q;q)_{nj}/(q;q)_j (-1)^j q^{C(j+1,2)}."""
+    n = dims["n"]
+
+    def lhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        return _linear_reference(P, q, n, k) / P.finite(q, q, n * sum(k))
+
+    def rhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        jj = j[0]
+        value = P.finite(q, q, n * jj) / P.finite(q, q, jj)
+        return value * (-1) ** jj * P.intpow(q, core.tri(jj))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, _ram_1_4_10_prefactor)}
+
+
+def _ram_1_4_10_n_single_reference(dims):
+    """ram_1_4_10_n_single as displayed: sum q^j/((q;q)_j (q^n;q^n)_j)
+    against the n-fold stretched sum at z = (-1)^n times (q;q)_{n|k|}, over
+    (q;q)_oo (q^n;q^n)_oo."""
+    n = dims["n"]
+
+    def lhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        qn, jj = P.intpow(q, n), j[0]
+        return P.intpow(q, jj) / (P.finite(q, q, jj) * P.finite(qn, qn, jj))
+
+    def rhs_prefactor(ctx):
+        P, q = ctx.poch, ctx.bases.q
+        return 1 / (P.infinite(q, q) * P.infinite(q**n, q**n))
+
+    def rhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        value = _stretched_reference(P, q, n, (-1) ** n, k)
+        return value * P.finite(q, q, n * sum(k))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _ram_1_4_9_reference(dims):
+    """ram_1_4_9 as displayed: sum q^{C(j+1,2)}/(q;q)_j^2 against
+    (-q;q)_oo/(q;q)_oo sum (-1)^k q^{C(k+1,2)}/((q;q)_k (-q;q)_k)."""
+
+    def lhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        jj = j[0]
+        return P.intpow(q, core.tri(jj)) / P.finite(q, q, jj) ** 2
+
+    def rhs_prefactor(ctx):
+        P, q = ctx.poch, ctx.bases.q
+        return P.infinite(-q, q) / P.infinite(q, q)
+
+    def rhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        kk = k[0]
+        value = (-1) ** kk * P.intpow(q, core.tri(kk))
+        return value / (P.finite(q, q, kk) * P.finite(-q, q, kk))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
 _FIRST = (("a", "b", "c", "x", "X"), "qh", "z")
 _SECOND = (("d", "e", "f", "y", "Y"), "qt", "w")
 # (family, side) -> dims -> (unfactored summand, prefactor)
@@ -1054,6 +1195,10 @@ for _family_id, _build in (
     ("ram_1_4_17", _eq26_a3_reference),
     ("ram_eq26_b", _eq26_b_reference),
     ("ram_1_4_17_anm", _1_4_17_anm_reference),
+    ("ram_1_4_10", _ram_1_4_10_reference),
+    ("ram_1_4_10_m1", _ram_1_4_10_m1_reference),
+    ("ram_1_4_10_n_single", _ram_1_4_10_n_single_reference),
+    ("ram_1_4_9", _ram_1_4_9_reference),
 ):
     for _side in ("lhs", "rhs"):
         _REFERENCES[_family_id, _side] = lambda dims, b=_build, s=_side: b(dims)[s]

@@ -8,6 +8,7 @@ from mpmath import mp, mpc, mpf
 
 from qheine import cli, report
 from qheine.errors import InvalidConfig
+from util import parse_csv
 
 
 def run_cli(capsys, argv):
@@ -134,7 +135,7 @@ class TestVerifyCommand:
             ]
         )
         assert code == 0
-        rows = report.parse_csv(out_path.read_text())
+        rows = parse_csv(out_path.read_text())
         assert len(rows) == 3
         value = report.parse_value(rows[0]["lhs_re"], 128)
         assert report.value_str(value) == rows[0]["lhs_re"]

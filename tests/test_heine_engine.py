@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from qheine import catalog, heine_engine as engine
+from qheine.catalog.blocks import SHIPPED_BLOCK_NAMES, broken_block, sample_block
 from qheine.catalog.an_qbinomial import (
     extra_c_summation,
     gk_summation,
@@ -28,17 +29,17 @@ def _block_dims(name):
 
 
 class TestPropertyH:
-    @pytest.mark.parametrize("name", engine.SHIPPED_BLOCK_NAMES + ("q_euler",))
+    @pytest.mark.parametrize("name", SHIPPED_BLOCK_NAMES + ("q_euler",))
     def test_shipped_blocks_are_homogeneous(self, name):
         rng = random.Random(7)
-        block = engine.sample_block(name, rng, _block_dims(name), mpf("0.3"))
+        block = sample_block(name, rng, _block_dims(name), mpf("0.3"), mp.prec)
         result = engine.check_property_H(block, trials=16, seed=9)
         assert result.passed
         assert result.max_deviation < mpf("1e-30")
 
     def test_counterexample_fails(self):
         rng = random.Random(7)
-        block = engine.sample_block("broken", rng, (1,), mpf("0.3"))
+        block = sample_block("broken", rng, (1,), mpf("0.3"), mp.prec)
         result = engine.check_property_H(block, trials=16, seed=9)
         assert not result.passed
         assert result.max_deviation > mpf("0.01")
@@ -50,7 +51,7 @@ class TestPropertyH:
 
 
 class TestBlockSelfConsistency:
-    @pytest.mark.parametrize("name", engine.SHIPPED_BLOCK_NAMES)
+    @pytest.mark.parametrize("name", SHIPPED_BLOCK_NAMES)
     def test_sum_equals_product(self, name):
         # The blocks' own summation theorems: sum_k S(z; k) = P(z).
         rng = random.Random(11)
@@ -58,7 +59,7 @@ class TestBlockSelfConsistency:
         for _ in range(10):
             base_value = mpf(rng.uniform(0.15, 0.55))
             dims = _block_dims(name)
-            block = engine.sample_block(name, rng, dims, base_value)
+            block = sample_block(name, rng, dims, base_value, mp.prec)
             if block.inner_dimension:
                 continue  # transformation blocks are covered separately
             z = mpf(rng.uniform(0.03, 0.2)) * min(1, block.arg_bound)
@@ -78,7 +79,7 @@ class TestBlockSelfConsistency:
         rng = random.Random(13)
         cache = PochCache(128)
         for _ in range(6):
-            block = engine.sample_block("milne_lilly", rng, (2,), mpf("0.3"))
+            block = sample_block("milne_lilly", rng, (2,), mpf("0.3"), mp.prec)
             z = mpf(rng.uniform(0.05, 0.4))
             s1 = mpf(rng.uniform(0.1, 0.8))
             s2 = mpf(rng.uniform(0.1, 0.8))
@@ -200,11 +201,12 @@ class TestCompose:
             slots = []
             for name, dims in block_specs:
                 exponent = mpf(rng.uniform(0.6, 2.0))
-                block = engine.sample_block(name, rng, dims, bases.power(exponent))
+                base = bases.power(exponent)
+                block = sample_block(name, rng, dims, base, bases.prec)
                 argument = mpf(rng.uniform(0.03, 0.2)) * min(1, block.arg_bound)
                 slots.append(engine.BlockSlot(block, exponent, argument))
             base_name, base_dims = base_spec
-            base_block = engine.sample_block(base_name, rng, base_dims, bases.qt)
+            base_block = sample_block(base_name, rng, base_dims, bases.qt, bases.prec)
             base_argument = mpf(rng.uniform(0.03, 0.2)) * min(1, base_block.arg_bound)
             composed = engine.compose(
                 engine.BlockAssignment(
@@ -237,7 +239,7 @@ class TestCompose:
         def draw(spec, base):
             name, dims = spec.split(":")
             dims = tuple(int(d) for d in dims.split("x"))
-            return engine.sample_block(name, rng, dims, base)
+            return sample_block(name, rng, dims, base, bases.prec)
 
         block_specs, base_spec = specs
         slots = []
@@ -311,7 +313,7 @@ class TestCompose:
     def test_property_violation_raised(self):
         bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
         slot = engine.BlockSlot(
-            engine.broken_block(mpf("0.2"), bases.qh), bases.h, mpf("0.1")
+            broken_block(mpf("0.2"), bases.qh), bases.h, mpf("0.1")
         )
         base_slot = engine.BlockSlot(
             qbin_summation(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
@@ -336,10 +338,10 @@ class TestComposeWithTransformation:
         target = catalog.lookup("bibasic_euler").instantiate()
         for params, bases in catalog.sample_domain(target, seed=54, count=2):
             first = q_euler_summation(
-                params["a"], params["b"], params["c"], bases.qh
+                params["a"], params["b"], params["c"], bases.qh, bases.prec
             )
             base = q_euler_summation(
-                params["d"], params["e"], params["f"], bases.qt
+                params["d"], params["e"], params["f"], bases.qt, bases.prec
             )
             composed = engine.compose_with_transformation(
                 engine.BlockSlot(first, bases.h, params["z"]),
@@ -356,10 +358,10 @@ class TestComposeWithTransformation:
         bibasic = catalog.lookup("bibasic_heine").instantiate()
         for params, bases in catalog.sample_domain(bibasic, seed=55, count=2):
             first = q_euler_summation(
-                params["a"], mpf("0.4"), mpf("0.4"), bases.qh
+                params["a"], mpf("0.4"), mpf("0.4"), bases.qh, bases.prec
             )
             base = q_euler_summation(
-                params["b"], mpf("0.3"), mpf("0.3"), bases.qt
+                params["b"], mpf("0.3"), mpf("0.3"), bases.qt, bases.prec
             )
             composed = engine.compose_with_transformation(
                 engine.BlockSlot(first, bases.h, params["z"]),
@@ -376,10 +378,12 @@ class TestComposeWithTransformation:
         one = mpf(1)
         for params, bases in catalog.sample_domain(target, seed=56, count=2):
             first = kajihara_summation(
-                (params["a"],), (params["b"],), params["c"], (one,), (one,), bases.qh
+                (params["a"],), (params["b"],), params["c"], (one,), (one,),
+                bases.qh, bases.prec,
             )
             base = kajihara_summation(
-                (params["d"],), (params["e"],), params["f"], (one,), (one,), bases.qt
+                (params["d"],), (params["e"],), params["f"], (one,), (one,),
+                bases.qt, bases.prec,
             )
             composed = engine.compose_with_transformation(
                 engine.BlockSlot(first, bases.h, params["z"]),

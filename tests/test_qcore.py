@@ -15,7 +15,6 @@ from qheine import (
     PochCache,
     default_tol,
     e2,
-    qpoch_finite,
     qpoch_infinite,
 )
 from qheine import qcore
@@ -24,6 +23,7 @@ import util
 from util import (
     MAX_FACTORS,
     dot,
+    qpoch_finite,
     qpoch_finite_loop,
     qpoch_infinite_loop,
     qpoch_ratio,

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import csv
+import io
+
 from mpmath import mp, mpf, mpmathify
 
 from qheine.errors import (
@@ -9,7 +12,7 @@ from qheine.errors import (
     NonConvergentBase,
 )
 from qheine.multisum import _LOSS, evaluate_in_context, exact_pair, make_context
-from qheine.qcore import default_tol, qpoch_infinite
+from qheine.qcore import FiniteTable, default_tol, qpoch_infinite
 
 REL_FLOOR = mpf("1e-300")
 
@@ -17,9 +20,17 @@ REL_FLOOR = mpf("1e-300")
 MAX_FACTORS = 200_000
 
 
+def qpoch_finite(a, base, k):
+    """Finite q-rising factorial (a; base)_k = prod_{r<k} (1 - a*base^r),
+    read from a fresh ``qcore.FiniteTable`` at the working precision."""
+    if k < 0:
+        raise ValueError("finite q-rising factorial needs k >= 0")
+    return FiniteTable(a, base, mp.prec).at(int(k))
+
+
 def qpoch_finite_loop(a, base, k):
     """Reference (a; base)_k: the product loop on mpmath objects, which
-    ``qcore.FiniteTable`` and ``qcore.qpoch_finite`` must match bit for bit."""
+    ``qcore.FiniteTable`` and ``qpoch_finite`` must match bit for bit."""
     a = mpmathify(a)
     base = mpmathify(base)
     prod = mpf(1)
@@ -165,3 +176,8 @@ def verify_sweep(family, dims_list, seed, count, tolerance, policy=None):
             )
             worst = max(worst, result.rel_error)
     return worst
+
+
+def parse_csv(text: str) -> list[dict]:
+    """The rows of a csv report, one dict per case."""
+    return list(csv.DictReader(io.StringIO(text)))
