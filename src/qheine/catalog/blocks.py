@@ -5,6 +5,7 @@ counterexample."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Sequence
 
 from mpmath import mpmathify
@@ -12,7 +13,7 @@ from mpmath import mpmathify
 from ..errors import UnknownIdentity
 from ..multisum import Summation
 from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
-from .classical import q_euler_summation, qbin_product, qbin_summation
+from .classical import q_euler_summation, qbin_summation, qbin_term
 from .core import coefficient, distinct_vector, signed
 from .kajihara import kajihara_summation
 
@@ -20,21 +21,15 @@ __all__ = ["broken_block", "sample_block", "SHIPPED_BLOCK_NAMES", "BLOCK_NAMES"]
 
 
 def broken_block(a, base) -> Summation:
-    """Deliberate homogeneity counterexample: the summand carries the
-    argument inside a rising factorial."""
+    """Deliberate homogeneity counterexample: the q-binomial summation whose
+    summand also carries the argument inside a rising factorial."""
     a = mpmathify(a)
     base = mpmathify(base)
 
     def term(P, z, k):
-        kk = k[0]
-        return (
-            P.finite(a, base, kk)
-            / P.finite(base, base, kk)
-            * P.finite(z, base, kk)
-            * P.intpow(z, kk)
-        )
+        return qbin_term(P, a, base, z, k) * P.finite(z, base, k[0])
 
-    return Summation(1, term, lambda P, z: qbin_product(P, a, base, z), label="broken")
+    return replace(qbin_summation(a, base), term=term, label="broken")
 
 
 SHIPPED_BLOCK_NAMES = ("q_bin", "milne_lilly", "gk", "extra_c", "kajihara")

@@ -33,6 +33,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_pow_int,
     mpf_sub,
+    round_nearest,
     to_float,
 )
 
@@ -65,7 +66,8 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     tol*(1-|base|); comparing log(1-x) <= -x termwise bounds the dropped
     tail factor within ~tol of 1 in relative terms.
 
-    The factors are multiplied on raw ``_mpf_``/``_mpc_`` tuples with the
+    A real product is multiplied on integers (``_real_infinite``), a
+    complex one on raw ``_mpf_``/``_mpc_`` tuples, both with the
     operations, precision and rounding of mpmath's operators, so the result
     is bit for bit that of the loop ``prod *= 1 - factor; factor *= base``
     on mpf and mpc objects.
@@ -121,6 +123,19 @@ def _log(x) -> float:
 def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     """The raw product of ``qpoch_infinite`` for a real a and base.
 
+    The loop runs on Python integers: the sign, mantissa and exponent of
+    the product and of the factor f.  A step with 2^(-prec-4) <= |f| < 1
+    forms 1 - f exactly, then rounds it, prod * (1 - f) and f * base to
+    ``prec`` bits as ``libmpf._normalize1`` rounds to nearest: half to
+    even, a rounding up to 2^prec carrying into the exponent.  Rounding to
+    nearest depends on the value alone, so the mantissas keep their
+    trailing zero bits, and one canonical raw tuple is made at the end:
+    the result is bit for bit that of ``mpf_sub`` and ``mpf_mul`` at every
+    step.  The other steps call those two on canonical tuples: special
+    values, a zero base or product, |f| >= 1, f more than prec + 4 bits
+    below 1 (where ``mpf_add`` may perturb 1 instead of subtracting f) and
+    rounding modes other than nearest.
+
     The stopping test |factor| >= threshold first compares magnitudes
     (exponent + bitcount): a factor whose magnitude differs from the
     threshold's is on the side it points to.  Ties, factors with more than
@@ -129,20 +144,90 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     """
     tmag = threshold[2] + threshold[3]
     limit = prec if threshold[1] and not threshold[0] else 0
-    prod, factor = fone, a
+    bsign, bman, bexp, _ = base
+    # Factors of magnitude (exponent + bitcount) in [lowest, 0] take the
+    # integer step.
+    lowest = -prec - 3 if bman and rnd == round_nearest else 1
+    carry, half = 1 << prec, 1 << (prec - 1)
+    psign, pman, pexp, pbc = fone
+    fsign, fman, fexp, fbc = a
     for _ in range(_MAX_FACTORS + 1):
-        _, man, exp, bc = factor
-        if man and bc <= limit:
-            mag = exp + bc
+        if fman and fbc <= limit:
+            mag = fexp + fbc
             if mag < tmag or (
-                mag == tmag and mpf_cmp((0, man, exp, bc), threshold) < 0
+                mag == tmag and mpf_cmp(_canonical(0, fman, fexp, fbc), threshold) < 0
             ):
-                return prod
-        elif not mpf_ge(mpf_abs(factor, prec, rnd), threshold):
-            return prod
-        prod = mpf_mul(prod, mpf_sub(fone, factor, prec, rnd), prec, rnd)
-        factor = mpf_mul(factor, base, prec, rnd)
-    raise NonConvergentBase(_NOT_CONVERGED)
+                break
+        elif mpf_ge(mpf_abs((fsign, fman, fexp, fbc), prec, rnd), threshold):
+            mag = 1  # the libmp step
+        else:
+            break
+        if pman and lowest <= mag <= 0:
+            # 1 - f > 0, then prod * (1 - f).  Neither keeps a bit count, so
+            # a mantissa rounded up to 2^prec stays as it is.
+            man = (1 << -fexp) + fman if fsign else (1 << -fexp) - fman
+            exp = fexp
+            n = man.bit_length() - prec
+            if n > 0:
+                t = man >> (n - 1)
+                if t & 1 and (t & 2 or man != t << (n - 1)):
+                    man = (t >> 1) + 1
+                else:
+                    man = t >> 1
+                exp += n
+            man *= pman
+            exp += pexp
+            n = man.bit_length() - prec
+            if n > 0:
+                t = man >> (n - 1)
+                if t & 1 and (t & 2 or man != t << (n - 1)):
+                    man = (t >> 1) + 1
+                else:
+                    man = t >> 1
+                exp += n
+            pman, pexp = man, exp
+            # f * base, whose bit count the stopping test reads.
+            man = fman * bman
+            exp = fexp + bexp
+            fbc = man.bit_length()
+            n = fbc - prec
+            if n > 0:
+                t = man >> (n - 1)
+                if t & 1 and (t & 2 or man != t << (n - 1)):
+                    man = (t >> 1) + 1
+                    if man == carry:
+                        man = half
+                        n += 1
+                else:
+                    man = t >> 1
+                exp += n
+                fbc = prec
+            fsign ^= bsign
+            fman, fexp = man, exp
+        else:
+            factor = _canonical(fsign, fman, fexp, fbc)
+            prod = _canonical(psign, pman, pexp, pbc)
+            prod = mpf_mul(prod, mpf_sub(fone, factor, prec, rnd), prec, rnd)
+            psign, pman, pexp, pbc = prod
+            fsign, fman, fexp, fbc = mpf_mul(factor, base, prec, rnd)
+    else:
+        raise NonConvergentBase(_NOT_CONVERGED)
+    if pman == 1 and not pexp and not psign:
+        # No factor was multiplied: return libmp's shared one, as the
+        # libmp loop does, so that the many such products cost no memory.
+        return fone
+    return _canonical(psign, pman, pexp, pbc)
+
+
+def _canonical(sign, man, exp, bc) -> tuple:
+    """The raw mpf (-1)^sign man 2^exp: a nonzero mantissa loses its
+    trailing zero bits and gets its bit count; zero and special values,
+    whose ``bc`` is part of their tuple, are returned as they are."""
+    if man:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        return sign, man, exp + zeros, man.bit_length()
+    return sign, man, exp, bc
 
 
 def _complex_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
@@ -412,6 +497,7 @@ class PochCache:
         self.tol = tol if tol is not None else default_tol(self.prec)
         self.in_shell = False
         self._finite: dict = {}
+        self._finite_ids: dict = {}
         self._infinite = ShellMemo()
         self._ratio = ShellMemo()
         self._intpow = ShellMemo()
@@ -430,11 +516,23 @@ class PochCache:
         self.in_shell = False
 
     def finite_table(self, a, base) -> FiniteTable:
-        """The list of (a; base)_0, (a; base)_1, ... kept for this run."""
+        """The list of (a; base)_0, (a; base)_1, ... kept for this run.
+
+        A term asks for the same tables with the same objects on every
+        term, so a table is found by the identity of ``a`` and ``base``
+        first and by their raw values only for objects not seen before.
+        The identity map holds the objects, so an id it knows is never
+        reused by another object.
+        """
+        ids = (id(a), id(base))
+        seen = self._finite_ids.get(ids)
+        if seen is not None:
+            return seen[2]
         key = (value_key(a), value_key(base))
         table = self._finite.get(key)
         if table is None:
             table = self._finite[key] = FiniteTable(a, base, self.prec)
+        self._finite_ids[ids] = (a, base, table)
         return table
 
     def finite(self, a, base, k: int) -> QComplex:

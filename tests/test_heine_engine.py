@@ -44,6 +44,18 @@ class TestPropertyH:
         assert not result.passed
         assert result.max_deviation > mpf("0.01")
 
+    def test_counterexample_is_the_q_binomial_summation_with_one_more_factor(self):
+        # Its product is the q-binomial product, and its summand carries
+        # (z; base)_k on top of the q-binomial summand.
+        a, base, z = mpf("0.2"), mpf("0.3"), mpf("0.15")
+        broken, qbin = broken_block(a, base), qbin_summation(a, base)
+        P = PochCache(mp.prec)
+        assert broken.product(P, z) == qbin.product(P, z)
+        assert (broken.dimension, broken.label) == (1, "broken")
+        for k in range(6):
+            want = qbin.term(P, z, (k,)) * P.finite(z, base, k)
+            assert rel(broken.term(P, z, (k,)), want) < mpf(2) ** -120
+
     def test_trials_validated(self):
         block = qbin_summation(mpf("0.2"), mpf("0.3"))
         with pytest.raises(ValueError):

@@ -285,6 +285,21 @@ class TestCacheKeys:
         assert table("t", (x, base)) is first
         assert len(built) == 4
 
+    def test_finite_tables_are_found_by_identity_then_by_value(self):
+        cache = PochCache(128)
+        a, base = mpf("0.3"), mpf("0.5")
+        table = cache.finite_table(a, base)
+        assert cache.finite_table(a, base) is table
+        assert cache.finite_table(mpf("0.3"), mpf("0.5")) is table
+        assert cache.finite_table(a, mpc("0.5", "0")) is not table
+        # Each argument below is dropped after its call; an id reused by the
+        # next one must not find the table of the last.
+        for k in range(1, 40):
+            x = cache.finite_table(mpf(k) / 41, base)
+            assert x is not table
+            assert same_bits(x.at(2), qpoch_finite(mpf(k) / 41, base, 2))
+        assert cache.finite_table(a, base) is table
+
     def test_finite_table_grows_like_the_product(self):
         cache = PochCache(128)
         a, base = mpc("0.3", "0.1"), mpf("0.4")
@@ -417,6 +432,11 @@ class TestRawKernel:
             (mpc("1.5", "-2"), mpf("0.4")),
             (mpf("0.3"), mpc("0.2", "0.5")),
             (mpc("0.5", "0"), mpf("0.3")),
+            (mpf(2), mpf("0.5")),
+            (mpf(-3), mpf("-0.3")),
+            (mpf(5 * 2**10), mpf("0.5")),
+            (mpf(1), mpf("0.3")),
+            (mpf(4), mpf("0.5")),
         ],
     )
     @pytest.mark.parametrize("prec", [64, 128, 1024])
@@ -428,6 +448,90 @@ class TestRawKernel:
                 assert _raw_value(qpoch_finite(a, base, k)) == _raw_value(
                     qpoch_finite_loop(a, base, k)
                 )
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_real_products_take_the_integer_loop(self, monkeypatch, prec):
+        # An ordinary real product is multiplied on integers: it calls
+        # neither libmp operation of the loop.
+        def refused(*args):
+            raise AssertionError("the real product loop called libmp")
+
+        with mp.workprec(prec):
+            cases = [
+                (a, base)
+                for a in (mpf("0.3"), mpf("-0.7"), mpf(1) / 3, mpf("0.97"))
+                for base in (mpf("0.5"), mpf("-0.45"), mpf("0.7") ** mpf("1.37"))
+            ]
+            want = [_raw_value(qpoch_infinite_loop(a, base)) for a, base in cases]
+            monkeypatch.setattr(qcore, "mpf_mul", refused)
+            monkeypatch.setattr(qcore, "mpf_sub", refused)
+            got = [_raw_value(qpoch_infinite(a, base)) for a, base in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("prec", [8, 12, 16, 24])
+    @pytest.mark.parametrize(
+        "a, base",
+        [
+            ("0.75", "0.5"),
+            ("0.3", "0.7"),
+            ("-0.6", "0.45"),
+            ("0.9", "-0.8"),
+            ("0.99", "0.9"),
+            ("0.2", "0.95"),
+            ("0.3", "0.75"),
+            ("-0.7", "-0.75"),
+        ],
+    )
+    def test_rounding_at_low_precision(self, prec, a, base):
+        # At 8-24 bits, 1 - f often needs one bit more than f, and so does
+        # f * 3/4 for an odd mantissa of f, so ties are common; 1 - f for a
+        # small f rounds up to 2^prec.  tol = 2^-prec keeps the factors
+        # coming.
+        with mp.workprec(prec):
+            a, base, tol = mpf(a), mpf(base), mpf(2) ** -prec
+            got = qpoch_infinite(a, base, tol)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+
+    @pytest.mark.parametrize("prec", [9, 65, 1025])
+    def test_factor_rounded_up_to_the_threshold(self, prec):
+        # At an odd precision, a = (2^(prec+1) - 1) / 3 / 2^prec has prec
+        # bits, and a * 3/4 = (2^(prec+1) - 1) / 2^(prec+2) is a tie that
+        # rounds up to 1/2.  tol = 2 puts the threshold tol * (1 - 3/4) at
+        # 1/2 too, so the product keeps that factor only if its bit count
+        # followed the carry.
+        with mp.workprec(prec):
+            a = mpf((2 ** (prec + 1) - 1) // 3) / 2**prec
+            base, tol = mpf("0.75"), mpf(2)
+            got = qpoch_infinite(a, base, tol)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            assert got == qpoch_finite(a, base, 2)
+
+    @pytest.mark.parametrize("tol", [None, mpf(2) ** -1070])
+    @pytest.mark.parametrize(
+        "a, base", [("0.3", "0.7"), ("0.9", "-0.8"), ("-0.6", "0.6")]
+    )
+    def test_rounding_at_1100_bits(self, tol, a, base):
+        with mp.workprec(1100):
+            a, base = mpf(a), mpf(base)
+            got = qpoch_infinite(a, base, tol)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+
+    @pytest.mark.parametrize("prec", [8, 24, 64, 128])
+    @pytest.mark.parametrize("base", ["0.5", "-0.3"])
+    def test_factors_far_below_one(self, prec, base):
+        # tol = 2^(-prec-24) runs the factors more than prec + 4 bits below
+        # 1, where mpf_sub(1, f) perturbs 1 instead of subtracting f once
+        # the exponents are more than 100 apart.
+        with mp.workprec(prec):
+            a, base, tol = mpf("0.5"), mpf(base), mpf(2) ** (-prec - 24)
+            got = qpoch_infinite(a, base, tol)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+
+    @pytest.mark.parametrize("a, base", [(1, "0.5"), (4, "0.5"), (-4, "-0.25")])
+    def test_a_factor_of_one_makes_the_product_zero(self, a, base):
+        with mp.workprec(128):
+            got = qpoch_infinite(mpf(a), mpf(base))
+            assert _raw_value(got) == _raw_value(mpf(0))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("nudge", [0, 1, -1])
