@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the stripped reference sweep report.
+"""Print the sha256 of the stripped reference sweep report, or of a
+compose run's.
 
 Runs ``qheine verify --all --samples 1 --seed 1`` in process, writing the
 report to a buffer rather than a file (the header records the ``--out``
@@ -10,12 +11,15 @@ Two checkouts whose arithmetic is the same print the same digest.
 Arguments are added to that ``qheine verify`` command, so a flag given
 again overrides the default (argparse keeps the last value), and
 ``--identity`` replaces ``--all``.  Without arguments the command is the
-reference sweep above.
+reference sweep above.  When the first argument is ``compose``, the
+arguments are a ``qheine compose`` command line, digested as given.
 
 Examples:
     PYTHONPATH=src python3 scripts/report_digest.py
     PYTHONPATH=src python3 scripts/report_digest.py --precision 1024 \
         --identity thm_heine7 --identity ram_core
+    PYTHONPATH=src python3 scripts/report_digest.py compose --blocks q_euler \
+        --base q_euler --samples 14 --seed 1
 """
 
 import contextlib
@@ -29,9 +33,12 @@ ARGV = ["verify", "--all", "--samples", "1", "--seed", "1"]
 
 
 def main(extra: list) -> int:
-    argv = ARGV + extra
-    if any(arg.startswith("--identity") for arg in extra):
-        argv.remove("--all")
+    if extra[:1] == ["compose"]:
+        argv = extra
+    else:
+        argv = ARGV + extra
+        if any(arg.startswith("--identity") for arg in extra):
+            argv.remove("--all")
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = cli.main(argv)

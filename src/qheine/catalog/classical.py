@@ -7,6 +7,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from ..multisum import HeineBlock, SeriesSide, Summation, heine_sides
+from ..qcore import from_raw, raw_div, raw_mul, value_key
 from .core import IdentityFamily, ParamSpec, argument, coefficient, summation_sides
 
 __all__ = [
@@ -29,7 +30,10 @@ def qbin_term(P, a, base, z, k):
 
 
 def qbin_product(P, a, base, z):
-    return P.infinite(a * z, base) / P.infinite(z, base)
+    prec, rnd = mp._prec_rounding
+    az = from_raw(raw_mul(value_key(a), value_key(z), prec, rnd))
+    num = value_key(P.infinite(az, base))
+    return from_raw(raw_div(num, value_key(P.infinite(z, base)), prec, rnd))
 
 
 def qbin_summation(a, base) -> Summation:
@@ -84,12 +88,19 @@ def _heine_build(dims):
             * P.intpow(p["z"], kk)
         )
 
+    def rhs_arguments(ctx):
+        """(c / b, a z), formed once per run."""
+        P, p = ctx.poch, ctx.params
+        a, b, c, z = p["a"], p["b"], p["c"], p["z"]
+        return P.table("heine_2phi1", (a, b, c, z), lambda: (c / b, a * z))
+
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         q = B.q
+        az = rhs_arguments(ctx)[1]
         return (
             P.infinite(p["b"], q)
-            * P.infinite(p["a"] * p["z"], q)
+            * P.infinite(az, q)
             / (P.infinite(p["c"], q) * P.infinite(p["z"], q))
         )
 
@@ -97,10 +108,11 @@ def _heine_build(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         jj = j[0]
         q = B.q
+        cb, az = rhs_arguments(ctx)
         return (
-            P.finite(p["c"] / p["b"], q, jj)
+            P.finite(cb, q, jj)
             * P.finite(p["z"], q, jj)
-            / (P.finite(p["a"] * p["z"], q, jj) * P.finite(q, q, jj))
+            / (P.finite(az, q, jj) * P.finite(q, q, jj))
             * P.intpow(p["b"], jj)
         )
 
@@ -183,28 +195,29 @@ def q_euler_term(P, a, b, c, base, z, k):
     )
 
 
-def q_euler_inner_term(P, a, b, c, base, j):
-    """Right-hand summand at unit argument."""
+def q_euler_inner_term(P, ca, cb, c, base, j):
+    """Right-hand summand at unit argument, with ca = c / a and cb = c / b."""
     jj = j[0]
     return (
-        P.finite(c / a, base, jj)
-        * P.finite(c / b, base, jj)
+        P.finite(ca, base, jj)
+        * P.finite(cb, base, jj)
         / (P.finite(base, base, jj) * P.finite(c, base, jj))
     )
 
 
 def q_euler_summation(a, b, c, base, prec: int) -> Summation:
     """The transformation, parameters bound: the inner summand at unit
-    argument and the stretch a b / c of its argument, multiplied at
-    ``prec`` bits."""
+    argument and the stretch a b / c of its argument.  The stretch and the
+    inner summand's c / a and c / b are formed once, at ``prec`` bits."""
     with mp.workprec(prec):
         stretch = a * b / c
+        ca, cb = c / a, c / b
     return Summation(
         1,
         lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
         lambda P, z: qbin_product(P, stretch, base, z),
         1,
-        lambda P, j: q_euler_inner_term(P, a, b, c, base, j),
+        lambda P, j: q_euler_inner_term(P, ca, cb, c, base, j),
         stretch,
         arg_bound=float(1 / max(1, abs(stretch))),
         label="q_euler",

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf, mpmathify
+from mpmath.libmp import fone
 
 from .errors import (
     DegenerateVariables,
@@ -26,6 +27,10 @@ from .qcore import (
     BaseSystem,
     PochCache,
     QComplex,
+    _pow_int,
+    from_raw,
+    raw_div,
+    raw_mul,
     raw_product,
     raw_sum,
     value_key,
@@ -291,10 +296,19 @@ def heine_sides(
     weights, so weight tuples with the same sums give the same s; if any
     cross base is shared, the lhs coupling of the current shell is kept
     under those sums.
+
+    Each coupling is a product ratio times an inner power.  The ratio and
+    the argument of the power depend only on the group sums (lhs) or on |j|
+    (rhs, per block), so where an inner weight exists, and one such index
+    therefore recurs across shells, they are computed once per index and
+    kept for the run in ``PochCache.terms``; the power is taken per term.
+    The arithmetic runs on raw values in the order of the display, with the
+    rounding of mpmath's operators at the working precision.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
-    inner_blocks = [r for r, (_, size) in enumerate(shapes) if size]
+    inner_sizes = tuple(size for _, size in shapes) + (base_inner,)
+    inner_blocks = [r for r in range(p) if inner_sizes[r]]
 
     def bound(ctx) -> tuple:
         """The run's blocks and base block, and the block indices grouped
@@ -332,20 +346,50 @@ def heine_sides(
             value = memo[key] = block.summation.product(ctx.poch, block.argument)
         return value
 
+    def stretched(ctx, r, index) -> tuple:
+        """Block r's product ratio P_r(z_r S)/P_r(z_r) at the stretch S of
+        ``index`` (r = p: the base block, at w and the group sums; else the
+        base block's outer weight |j|), and sigma_r z_r S for a block with
+        an inner sum, as raw values.  Where an inner weight exists, one
+        index recurs across shells, so the pair is kept for the run in
+        ``PochCache.terms``."""
+        keep = inner_sizes[r] if r == p else inner_blocks
+        memo = ctx.poch.terms
+        key = (stretched, r, index)
+        if keep:
+            value = memo.get(key)
+            if value is not None:
+                return value
+        P = ctx.poch
+        prec, rnd = mp._prec_rounding
+        blocks, groups = bound(ctx)
+        block = blocks[r]
+        if r == p:
+            scale = fone
+            for group, weight in zip(groups, index):
+                cross = value_key(P.intpow(blocks[group[0]].cross, weight))
+                scale = raw_mul(scale, cross, prec, rnd)
+        else:
+            scale = value_key(P.intpow(block.cross, index))
+        z = value_key(block.argument)
+        product = block.summation.product(P, from_raw(raw_mul(z, scale, prec, rnd)))
+        ratio = raw_div(value_key(product), value_key(at_argument(ctx, r)), prec, rnd)
+        arg = None
+        if inner_sizes[r]:
+            arg = raw_mul(value_key(block.summation.stretch), z, prec, rnd)
+            arg = raw_mul(arg, scale, prec, rnd)
+        if keep:
+            memo[key] = ratio, arg
+        return ratio, arg
+
     def lhs_ratio(ctx, sums):
         """The lhs coupling at ``sums``: the total weight of each group of
         blocks sharing a cross base, then the base block's inner weight."""
-        P = ctx.poch
-        blocks, groups = bound(ctx)
-        scale = ONE
-        for group, weight in zip(groups, sums):
-            scale *= P.intpow(blocks[group[0]].cross, weight)
-        base = blocks[p]
-        w = base.argument
-        value = base.summation.product(P, w * scale) / at_argument(ctx, p)
-        if base_inner:
-            value *= (base.summation.stretch * w * scale) ** sums[-1]
-        return value
+        if not base_inner:
+            return from_raw(stretched(ctx, p, sums)[0])
+        prec, rnd = mp._prec_rounding
+        ratio, arg = stretched(ctx, p, sums[:-1])
+        return from_raw(raw_mul(ratio, _pow_int(arg, sums[-1], prec, rnd), prec, rnd))
 
     def lhs_coupling(ctx, weights):
         groups = bound(ctx)[1]
@@ -356,17 +400,16 @@ def heine_sides(
         return _in_shell(ctx.poch.terms, lhs_ratio, sum(weights), sums, ctx)
 
     def rhs_coupling(ctx, weights):
-        P = ctx.poch
-        blocks = bound(ctx)[0]
+        prec, rnd = mp._prec_rounding
         inner_weights = dict(zip(inner_blocks, weights[1:]))
-        value = ONE
-        for r, block in enumerate(blocks[:p]):
-            z = block.argument
-            shift = P.intpow(block.cross, weights[0])
-            value *= block.summation.product(P, z * shift) / at_argument(ctx, r)
+        value = fone
+        for r in range(p):
+            ratio, arg = stretched(ctx, r, weights[0])
+            value = raw_mul(value, ratio, prec, rnd)
             if r in inner_weights:
-                value *= (block.summation.stretch * z * shift) ** inner_weights[r]
-        return value
+                power = _pow_int(arg, inner_weights[r], prec, rnd)
+                value = raw_mul(value, power, prec, rnd)
+        return from_raw(value)
 
     def rhs_prefactor(ctx):
         value = ONE

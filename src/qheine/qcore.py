@@ -489,7 +489,13 @@ class PochCache:
     pair's factors by shift.  ``terms`` holds the block factors of
     ``multisum.block_term``: each part under its function and index, the
     current shell's couplings under the coupling function; and the run's
-    bound blocks of ``multisum.heine_sides`` under their ``bind`` function.
+    bound blocks of ``multisum.heine_sides`` under their ``bind`` function,
+    with the coupling ratios of its transformation blocks by index.
+
+    An infinite product whose first factor is below the truncation
+    threshold by magnitude is exactly 1: ``infinite`` returns the shared
+    ``ONE`` for it without calling ``qpoch_infinite`` or storing it.  The
+    threshold's magnitude is kept per real base for the run.
     """
 
     def __init__(self, prec: int, tol=None):
@@ -501,6 +507,7 @@ class PochCache:
         self._infinite = ShellMemo()
         self._ratio = ShellMemo()
         self._intpow = ShellMemo()
+        self._empty_below: dict = {}
         self._tables: dict = {}
         self._last: dict = {}
         self.terms: dict = {}
@@ -539,13 +546,43 @@ class PochCache:
         return self.finite_table(a, base).at(k)
 
     def infinite(self, a, base) -> QComplex:
+        """(a; base)_oo at the cache precision; an empty product is the
+        shared ``ONE``."""
         key = (value_key(a), value_key(base))
+        try:
+            below = self._empty_below[key[1]]
+        except KeyError:
+            below = self._empty_below[key[1]] = self._empty_magnitude(base)
+        if below is not None and len(key[0]) == 4:
+            _, man, exp, bc = key[0]
+            if man and bc <= self.prec and exp + bc < below:
+                return ONE
         value = self._infinite.find(key)
         if value is None:
             with mp.workprec(self.prec):
                 value = qpoch_infinite(a, base, self.tol)
             self._infinite.keep(key, value, self.in_shell)
         return value
+
+    def _empty_magnitude(self, base) -> int | None:
+        """The magnitude (exponent + bit count) of the threshold
+        tol * (1 - |base|) that ``qpoch_infinite`` computes for a real base,
+        with the same operators at the cache precision: a real a of at most
+        ``prec`` bits and smaller magnitude stops its loop before the first
+        factor.  None where the shortcut does not apply: a complex base,
+        |base| >= 1 (the product raises) and a threshold that is not a
+        positive number."""
+        with mp.workprec(self.prec):
+            base = mpmathify(base)
+            if not isinstance(base, mpf):
+                return None
+            absbase = abs(base)
+            if absbase >= 1:
+                return None
+            threshold = (mpmathify(self.tol) * (1 - absbase))._mpf_
+        if threshold[0] or not threshold[1]:
+            return None
+        return threshold[2] + threshold[3]
 
     def ratio(self, a, base, scale) -> QComplex:
         """(a; base)_kappa with scale = base**kappa, as a product ratio."""

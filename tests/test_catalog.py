@@ -1228,3 +1228,34 @@ class TestBlockFactoredSides:
                             dims,
                             k,
                         )
+
+
+class TestRunArgumentsFormedOnce:
+    """Arguments that do not depend on the index (q_euler's c / a and c / b,
+    heine_2phi1's c / b and a z) are formed once per run, so each finite
+    table is found by the identity of its arguments: the identity map of
+    ``PochCache.finite_table`` holds one entry per table."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "--blocks", "q_euler", "--base", "q_euler"],
+            ["verify", "--identity", "heine_2phi1"],
+            ["verify", "--identity", "q_euler"],
+        ],
+        ids=["compose-q_euler", "heine_2phi1", "q_euler"],
+    )
+    def test_one_identity_entry_per_table(self, monkeypatch, tmp_path, argv):
+        contexts = []
+        raw = core.make_context
+
+        def make_context(*args, **kwargs):
+            contexts.append(raw(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(core, "make_context", make_context)
+        out = str(tmp_path / "report.jsonl")
+        assert cli.main(argv + ["--samples", "2", "--seed", "1", "--out", out]) == 0
+        assert len(contexts) == 2
+        for ctx in contexts:
+            assert len(ctx.poch._finite_ids) == len(ctx.poch._finite) > 0

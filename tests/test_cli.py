@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -364,3 +367,18 @@ class TestReportDiff:
         assert diff.main([str(base), str(new)]) == 1
         out = capsys.readouterr().out
         assert out.count("COUNTS CHANGED") == 1 and "VERDICT" not in out
+
+
+def test_report_digest_of_a_compose_run():
+    root = Path(__file__).resolve().parents[1]
+    argv = ["compose", "--blocks", "q_bin", "--base", "q_bin", "--samples", "1"]
+    command = [sys.executable, str(root / "scripts" / "report_digest.py")]
+    command += argv + ["--seed", "3"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    digests = []
+    for _ in range(2):
+        run = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert re.fullmatch(r"[0-9a-f]{64}\n", run.stdout)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]

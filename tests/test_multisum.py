@@ -31,6 +31,7 @@ from qheine import (
     vandermonde_ratio,
 )
 from qheine import catalog, cli, qcore
+from qheine.catalog.blocks import sample_block
 from qheine.catalog.classical import qbin_product, qbin_summation, qbin_term
 from qheine.multisum import HeineBlock, heine_sides
 from qheine.qcore import PochCache
@@ -561,6 +562,143 @@ class TestSharedCrossBases:
                         expected *= qbin_term(direct, a, B.qh, z, (kr,))
                     assert _bits(lhs.term(ctx, k)) == _bits(expected), k
         assert len(calls) == 1 + sum(w + 1 for w in range(6))
+
+
+class TestCouplingMemo:
+    """Where an inner weight exists, heine_sides computes each coupling's
+    product ratio once per (block, index) for the run, and every term is
+    still the unmemoised coupling times its parts, bit for bit."""
+
+    bases = BaseSystem(mpf("0.35"), mpf("1.3"), mpf("0.8"))
+    # (block specs, base spec): name and dims, as ``qheine compose`` reads them.
+    specs = {
+        "q_euler/q_euler": ((("q_euler", ()),), ("q_euler", ())),
+        "q_euler,q_bin/kajihara:2x1": (
+            (("q_euler", ()), ("q_bin", ())),
+            ("kajihara", (2, 1)),
+        ),
+        "q_bin,q_euler/q_euler": ((("q_bin", ()), ("q_euler", ())), ("q_euler", ())),
+        "q_bin/q_bin": ((("q_bin", ()),), ("q_bin", ())),
+    }
+    transformations = ["q_euler/q_euler", "q_euler,q_bin/kajihara:2x1", "q_bin,q_euler/q_euler"]
+
+    def _pair(self, spec, calls):
+        """Blocks drawn as ``qheine compose`` draws them, each with its own
+        cross base, whose products record (block index, argument) in
+        ``calls``; and the two sides of their Heine pair."""
+        B = self.bases
+        slots, (base_name, base_dims) = self.specs[spec]
+        rng = random.Random(5)
+
+        def counted(summation, r):
+            def product(P, z):
+                calls.append((r, qcore.value_key(z)))
+                return summation.product(P, z)
+
+            return replace(summation, product=product)
+
+        blocks = []
+        with mp.workprec(B.prec):
+            for r, (name, dims) in enumerate(slots):
+                h = 1 + r * mpf("0.2718281828")  # incommensurate cross bases
+                block = sample_block(name, rng, dims, B.power(h), B.prec)
+                z = catalog.core.argument(rng) * min(1, block.arg_bound)
+                blocks.append(HeineBlock(counted(block, r), z, B.power(B.t * h)))
+            block = sample_block(base_name, rng, base_dims, B.qt, B.prec)
+            w = catalog.core.argument(rng) * min(1, block.arg_bound)
+            base = HeineBlock(counted(block, len(slots)), w)
+        shapes = tuple(
+            (b.summation.dimension, b.summation.inner_dimension) for b in blocks
+        )
+        base_shape = (base.summation.dimension, base.summation.inner_dimension)
+        sides = heine_sides(shapes, base_shape, lambda ctx: (blocks, base))
+        return blocks, base, sides
+
+    @staticmethod
+    def _split(k, sizes):
+        out, start = [], 0
+        for size in sizes:
+            out.append(k[start : start + size])
+            start += size
+        return out
+
+    def _lhs_reference(self, P, blocks, base, k):
+        """The lhs term at k with its coupling evaluated afresh:
+        P_0(w s)/P_0(w) (sigma_0 w s)^{|kt|} times the block summands."""
+        S0 = base.summation
+        sizes = [b.summation.dimension for b in blocks] + [S0.inner_dimension]
+        subs = self._split(k, sizes)
+        scale = mpf(1)
+        for block, sub in zip(blocks, subs):
+            scale *= P.intpow(block.cross, sum(sub))
+        value = S0.product(P, base.argument * scale) / S0.product(P, base.argument)
+        if S0.inner_dimension:
+            value *= (S0.stretch * base.argument * scale) ** sum(subs[-1])
+        parts = [b.summation.term(P, b.argument, sub) for b, sub in zip(blocks, subs)]
+        if S0.inner_dimension:
+            parts.append(S0.inner(P, subs[-1]))
+        return qcore.raw_product(parts, value)
+
+    def _rhs_reference(self, P, blocks, base, k):
+        """The rhs term at k with its coupling evaluated afresh: prod_r
+        P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|} times
+        the base summand and the inner summands."""
+        inner = [b for b in blocks if b.summation.inner_dimension]
+        sizes = [base.summation.dimension] + [b.summation.inner_dimension for b in inner]
+        subs = self._split(k, sizes)
+        inner_subs = dict(zip(map(id, inner), subs[1:]))
+        value = mpf(1)
+        for block in blocks:
+            S, z = block.summation, block.argument
+            shift = P.intpow(block.cross, sum(subs[0]))
+            value *= S.product(P, z * shift) / S.product(P, z)
+            if id(block) in inner_subs:
+                value *= (S.stretch * z * shift) ** sum(inner_subs[id(block)])
+        parts = [base.summation.term(P, base.argument, subs[0])]
+        parts += [b.summation.inner(P, inner_subs[id(b)]) for b in inner]
+        return qcore.raw_product(parts, value)
+
+    @pytest.mark.parametrize("spec", transformations)
+    def test_one_product_per_block_and_index(self, spec):
+        calls = []
+        blocks, base, (lhs, rhs) = self._pair(spec, calls)
+        ctx = make_context({}, self.bases)
+        evaluate_in_context(lhs, ctx)
+        evaluate_in_context(rhs, ctx)
+        arguments = [b.argument for b in blocks] + [base.argument]
+        counts = Counter(calls)
+        # Index 0 stretches by 1, so each block's own argument is computed
+        # twice: once as the divisor P_r(z_r), once as the index-0 product.
+        for r, argument in enumerate(arguments):
+            assert counts.pop((r, qcore.value_key(argument))) == 2
+        assert counts and set(counts.values()) == {1}
+        assert {r for r, _ in counts} == set(range(len(arguments)))
+
+    @pytest.mark.parametrize("spec", transformations)
+    def test_terms_match_the_unmemoised_coupling(self, spec):
+        blocks, base, (lhs, rhs) = self._pair(spec, [])
+        B = self.bases
+        ctx = make_context({}, B)
+        direct = PochCache(B.prec)
+        for side, reference in ((lhs, self._lhs_reference), (rhs, self._rhs_reference)):
+            with mp.workprec(B.prec):
+                for w in range(7):
+                    ctx.poch.next_shell()
+                    for k in enumerate_shell(side.dimension, w):
+                        expected = reference(direct, blocks, base, k)
+                        assert _bits(side.term(ctx, k)) == _bits(expected), k
+            ctx.poch.leave_shells()
+
+    def test_no_memo_without_an_inner_weight(self):
+        # Each index of a pair of plain summations lies in one shell only,
+        # so the run keeps nothing per index: only the bound blocks and the
+        # products at the two blocks' own arguments.
+        _, _, (lhs, rhs) = self._pair("q_bin/q_bin", [])
+        ctx = make_context({}, self.bases)
+        _, diag = evaluate_in_context(lhs, ctx)
+        evaluate_in_context(rhs, ctx)
+        assert diag.shells > 6
+        assert len(ctx.poch.terms) == 3
 
 
 @pytest.fixture

@@ -623,21 +623,23 @@ class TestRawKernel:
                 qpoch_infinite(mpf("0.5"), base)
 
 
+@pytest.fixture
+def computed(monkeypatch):
+    """The (a, base) of every infinite product the kernel computes."""
+    calls = []
+    raw = qcore.qpoch_infinite
+
+    def counted(a, base, tol=None):
+        calls.append((a, base))
+        return raw(a, base, tol)
+
+    monkeypatch.setattr(qcore, "qpoch_infinite", counted)
+    return calls
+
+
 class TestShellMemo:
     """Products, ratios and powers computed in a shell live for that shell
     and the next one unless requested again; others live for the run."""
-
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        calls = []
-        raw = qcore.qpoch_infinite
-
-        def counted(a, base, tol=None):
-            calls.append((a, base))
-            return raw(a, base, tol)
-
-        monkeypatch.setattr(qcore, "qpoch_infinite", counted)
-        return calls
 
     def test_consecutive_shells_compute_once(self, computed):
         cache = PochCache(128)
@@ -687,3 +689,87 @@ class TestShellMemo:
         assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
         assert len(computed) == 1
         assert (qcore.value_key(a), 2) in cache._intpow
+
+
+class TestEmptyProducts:
+    """``PochCache.infinite`` returns the shared ``ONE`` for a real product
+    whose first factor is below the threshold by magnitude, without
+    computing or storing it; every other input takes ``qpoch_infinite``."""
+
+    @staticmethod
+    def _threshold(cache, base):
+        """tol * (1 - |base|) as ``qpoch_infinite`` forms it, and its
+        mantissa and exponent scaled to exactly ``prec`` bits."""
+        with mp.workprec(cache.prec):
+            threshold = cache.tol * (1 - abs(base))
+        man, exp = threshold.man_exp
+        shift = cache.prec - man.bit_length()
+        return threshold, man << shift, exp - shift
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_edges_match_the_object_loop(self, computed, prec):
+        cache = PochCache(prec)
+        with mp.workprec(prec):
+            base = mpf(1) / 3
+        threshold, man, exp = self._threshold(cache, base)
+        # (a, whether it takes the shortcut), each held exactly.
+        with mp.workprec(prec + 64):
+            top = mpf(2) ** (exp + prec - 1)  # smallest a of the threshold's magnitude
+            below = mpf(((1 << prec) - 1, exp - 1))  # the largest a under it
+            cases = [
+                (threshold, False),
+                (mpf((man + 1, exp)), False),  # one ulp above
+                (mpf((man - 1, exp)), False),  # one ulp below, same magnitude
+                (top, False),  # a magnitude tie below the threshold
+                (below, True),
+                (-below, True),
+                (top / 1024, True),
+                (top * (1 - mpf(2) ** -(prec + 40)), False),  # more than prec bits
+                (mpf(0), False),
+                (mpc(top / 4, top / 4), False),
+            ]
+        for a, shortcut in cases:
+            computed.clear()
+            got = cache.infinite(a, base)
+            with mp.workprec(prec):
+                want = qpoch_infinite_loop(a, base, cache.tol)
+            assert _raw_value(got) == _raw_value(want), a
+            key = (qcore.value_key(a), qcore.value_key(base))
+            memo = cache._infinite
+            if shortcut:
+                assert got is qcore.ONE and not computed
+                assert key not in memo and key not in memo.young
+            else:
+                assert len(computed) == 1 and key in memo
+        # At the magnitude tie and one ulp below, the product is empty too.
+        assert cache.infinite(top, base) == cache.infinite(cases[2][0], base) == 1
+
+    def test_complex_base_takes_the_kernel(self, computed):
+        cache = PochCache(128)
+        base = mpc("0.25", "0.25")
+        a = mpf(2) ** -200
+        assert cache.infinite(a, base) == 1
+        assert len(computed) == 1
+
+    @pytest.mark.parametrize("tol", [mpf(0), mpf(-1)])
+    def test_threshold_not_positive(self, monkeypatch, computed, tol):
+        # No threshold to fall below: even a tiny a runs to the factor cap,
+        # as in the object loop.
+        monkeypatch.setattr(qcore, "_MAX_FACTORS", 1000)
+        monkeypatch.setattr(util, "MAX_FACTORS", 1000)
+        cache = PochCache(128, tol)
+        a, base = mpf(2) ** -300, mpf("0.5")
+        for product in (cache.infinite, lambda a, base: qpoch_infinite_loop(a, base, tol)):
+            with pytest.raises(NonConvergentBase):
+                product(a, base)
+        assert len(computed) == 1
+
+    @pytest.mark.parametrize("tol", [None, mpf(-1)])
+    @pytest.mark.parametrize("base", [mpf(1), mpf(-1), mpf("1.5"), mpc("0.8", "0.6")])
+    def test_base_on_or_outside_the_unit_circle_raises(self, computed, base, tol):
+        # With tol < 0, tol * (1 - |base|) is positive for |base| > 1.
+        cache = PochCache(128, tol)
+        for _ in range(2):
+            with pytest.raises(NonConvergentBase):
+                cache.infinite(mpf(2) ** -400, base)
+        assert len(computed) == 2
