@@ -86,14 +86,16 @@ def main():
                 params["z1"],
             ),
             engine.BlockSlot(
-                gk_summation(params["a2"], params["x2"], bases.power(params["h2"])),
+                gk_summation(
+                    params["a2"], params["x2"], bases.power(params["h2"]), bases.prec
+                ),
                 params["h2"],
                 params["z2"],
             ),
         )
         base_slot = engine.BlockSlot(
             extra_c_summation(
-                params["b"], params["c"], params["y"], bases.qt
+                params["b"], params["c"], params["y"], bases.qt, bases.prec
             ),
             bases.t,
             params["w"],
@@ -115,13 +117,13 @@ def main():
         for r in range(2)
     ) + (
         engine.BlockSlot(
-            extra_c_summation(params["a"], 0, params["x"], bases.qh),
+            extra_c_summation(params["a"], 0, params["x"], bases.qh, bases.prec),
             bases.h,
             params["z"],
         ),
     )
     base_slot = engine.BlockSlot(
-        extra_c_summation(params["b"], 0, params["y"], bases.qt),
+        extra_c_summation(params["b"], 0, params["y"], bases.qt, bases.prec),
         bases.t,
         params["w"],
     )

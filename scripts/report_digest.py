@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the sha256 of the stripped reference sweep report, or of a
-compose run's.
+compose run's, or of the 1024-bit run of the hiprec_sweep families.
 
 Runs ``qheine verify --all --samples 1 --seed 1`` in process, writing the
 report to a buffer rather than a file (the header records the ``--out``
@@ -12,10 +12,15 @@ Arguments are added to that ``qheine verify`` command, so a flag given
 again overrides the default (argparse keeps the last value), and
 ``--identity`` replaces ``--all``.  Without arguments the command is the
 reference sweep above.  When the first argument is ``compose``, the
-arguments are a ``qheine compose`` command line, digested as given.
+arguments are a ``qheine compose`` command line, digested as given.  When
+it is ``hiprec``, the command is the reference sweep at the benchmark's
+hiprec_sweep precision (1024 bits) over every catalog family that
+``perfbench/workloads.py`` does not exclude from that workload, at the
+families' default dimensions; the remaining arguments are added to it.
 
 Examples:
     PYTHONPATH=src python3 scripts/report_digest.py
+    PYTHONPATH=src python3 scripts/report_digest.py hiprec
     PYTHONPATH=src python3 scripts/report_digest.py --precision 1024 \
         --identity thm_heine7 --identity ram_core
     PYTHONPATH=src python3 scripts/report_digest.py compose --blocks q_euler \
@@ -26,22 +31,38 @@ import contextlib
 import hashlib
 import io
 import sys
+from pathlib import Path
 
-from qheine import cli, report
+from qheine import catalog, cli, report
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 ARGV = ["verify", "--all", "--samples", "1", "--seed", "1"]
 
 
-def main(extra: list) -> int:
+def command(extra: list) -> list:
+    """The ``qheine`` command line that ``main(extra)`` runs."""
     if extra[:1] == ["compose"]:
-        argv = extra
-    else:
-        argv = ARGV + extra
-        if any(arg.startswith("--identity") for arg in extra):
-            argv.remove("--all")
+        return list(extra)
+    if extra[:1] == ["hiprec"]:
+        precision = ["--precision", str(workloads.PRECISION["hiprec_sweep"])]
+        families = [
+            f"--identity={family.id}"
+            for family in catalog.register_all()
+            if family.id not in workloads.HIPREC_EXCLUDED
+        ]
+        extra = precision + families + extra[1:]
+    argv = ARGV + extra
+    if any(arg.startswith("--identity") for arg in extra):
+        argv.remove("--all")
+    return argv
+
+
+def main(extra: list) -> int:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = cli.main(argv)
+        code = cli.main(command(extra))
     stripped = report.strip_volatile(buffer.getvalue())
     print(hashlib.sha256(stripped.encode("utf-8")).hexdigest())
     return code

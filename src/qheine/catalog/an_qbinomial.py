@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import math
 
+from mpmath import mp
+from mpmath.libmp import fnone, fone
+
 from ..multisum import Summation
-from ..qcore import e2, raw_product
-from .classical import qbin_product
+from ..qcore import _pow_int, e2, from_raw, raw_div, raw_mul, raw_product, value_key
+from .classical import infinite_ratio, qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -58,10 +61,17 @@ def milne_lilly_term(P, avec, xvec, base, z, k):
 
 
 def milne_lilly_product(P, avec, xvec, base, z):
-    return raw_product(
-        P.infinite(avec[r] * z / xvec[r], base) / P.infinite(z / xvec[r], base)
-        for r in range(len(xvec))
-    )
+    """prod_r (a_r z / x_r; base)_oo / (z / x_r; base)_oo, multiplied on raw
+    values at the working precision in that order."""
+    prec, rnd = mp._prec_rounding
+    z = value_key(z)
+    value = fone
+    for a_r, x_r in zip(avec, xvec):
+        x_r = value_key(x_r)
+        num = raw_div(raw_mul(value_key(a_r), z, prec, rnd), x_r, prec, rnd)
+        ratio = infinite_ratio(P, num, raw_div(z, x_r, prec, rnd), base)
+        value = raw_mul(value, ratio, prec, rnd)
+    return from_raw(value)
 
 
 def milne_lilly_summation(avec, xvec, base) -> Summation:
@@ -123,19 +133,36 @@ def gk_term(P, a, xvec, base, z, k):
     return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
 
 
-def gk_product(P, a, n, base, z):
-    return raw_product(
-        P.infinite(a * z * base**r, base) / P.infinite(z * base**r, base)
-        for r in range(n)
-    )
+def gk_product(P, a, powers, base, z):
+    """prod_r (a z base^r; base)_oo / (z base^r; base)_oo with ``powers`` the
+    raw base^r, r < n, multiplied on raw values at the working precision in
+    that order."""
+    prec, rnd = mp._prec_rounding
+    z = value_key(z)
+    az = raw_mul(value_key(a), z, prec, rnd)
+    value = fone
+    for power in powers:
+        num = raw_mul(az, power, prec, rnd)
+        ratio = infinite_ratio(P, num, raw_mul(z, power, prec, rnd), base)
+        value = raw_mul(value, ratio, prec, rnd)
+    return from_raw(value)
 
 
-def gk_summation(a, xvec, base) -> Summation:
-    """The summation, parameters bound."""
+def _powers(base, n: int, prec: int) -> tuple:
+    """The raw base^r for r < n, each rounded at ``prec`` bits as
+    ``base**r`` rounds it."""
+    rnd = mp._prec_rounding[1]
+    return tuple(_pow_int(value_key(base), r, prec, rnd) for r in range(n))
+
+
+def gk_summation(a, xvec, base, prec: int) -> Summation:
+    """The summation, parameters bound; the powers base^r of its product
+    are formed once, at ``prec`` bits."""
+    powers = _powers(base, len(xvec), prec)
     return Summation(
         len(xvec),
         lambda P, z, k: gk_term(P, a, xvec, base, z, k),
-        lambda P, z: gk_product(P, a, len(xvec), base, z),
+        lambda P, z: gk_product(P, a, powers, base, z),
         label="gk",
     )
 
@@ -143,7 +170,8 @@ def gk_summation(a, xvec, base) -> Summation:
 def _gk_build(dims):
     def bind(ctx):
         p = ctx.params
-        return gk_summation(p["a"], p["x"], ctx.bases.q), p["z"]
+        B = ctx.bases
+        return gk_summation(p["a"], p["x"], B.q, B.prec), p["z"]
 
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
@@ -188,19 +216,26 @@ def euler_exp_term(P, xvec, base, z, k):
     return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
 
 
-def euler_exp_product(P, n, base, z):
-    value = P.infinite(-z, base)
-    for r in range(1, n):
-        value *= P.infinite(-z * base**r, base)
-    return value
+def euler_exp_product(P, powers, base, z):
+    """prod_r (-z base^r; base)_oo with ``powers`` the raw base^r, r < n,
+    on raw values at the working precision; -z is the first factor."""
+    prec, rnd = mp._prec_rounding
+    minus_z = raw_mul(value_key(z), fnone, prec, rnd)  # -z, rounded as -z is
+    value = value_key(P.infinite(from_raw(minus_z), base))
+    for power in powers[1:]:
+        arg = from_raw(raw_mul(minus_z, power, prec, rnd))
+        value = raw_mul(value, value_key(P.infinite(arg, base)), prec, rnd)
+    return from_raw(value)
 
 
-def euler_exp_summation(xvec, base) -> Summation:
-    """The summation, parameters bound."""
+def euler_exp_summation(xvec, base, prec: int) -> Summation:
+    """The summation, parameters bound; the powers base^r of its product
+    are formed once, at ``prec`` bits."""
+    powers = _powers(base, len(xvec), prec)
     return Summation(
         len(xvec),
         lambda P, z, k: euler_exp_term(P, xvec, base, z, k),
-        lambda P, z: euler_exp_product(P, len(xvec), base, z),
+        lambda P, z: euler_exp_product(P, powers, base, z),
         label="euler_exp",
     )
 
@@ -225,19 +260,25 @@ def stretched_euler_term(P, xvec, base, z, k):
     return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
 
 
-def stretched_euler_product(P, n, base, z):
-    stretched = P.intpow(base, n)
-    return P.infinite((-1) ** n * z * stretched, stretched)
+def stretched_euler_product(P, sign, stretched, z):
+    """((-1)^n z Q^n; Q^n)_oo with ``sign`` the raw (-1)^n and ``stretched``
+    = Q^n, multiplied on raw values at the working precision."""
+    prec, rnd = mp._prec_rounding
+    arg = raw_mul(value_key(z), sign, prec, rnd)
+    arg = raw_mul(arg, value_key(stretched), prec, rnd)
+    return P.infinite(from_raw(arg), stretched)
 
 
 def stretched_euler_summation(n, base, prec: int) -> Summation:
     """The summation in base Q = ``base`` with x_r = Q^{r-1}, r = 1..n,
-    multiplied at ``prec`` bits."""
+    multiplied at ``prec`` bits, as are (-1)^n and Q^n of its product."""
     xvec = geom(base, n, prec)
+    sign = fnone if n % 2 else fone
+    stretched = from_raw(_pow_int(value_key(base), n, prec, mp._prec_rounding[1]))
     return Summation(
         n,
         lambda P, z, k: stretched_euler_term(P, xvec, base, z, k),
-        lambda P, z: stretched_euler_product(P, n, base, z),
+        lambda P, z: stretched_euler_product(P, sign, stretched, z),
         label="stretched_euler",
     )
 
@@ -277,12 +318,14 @@ def extra_c_term(P, avec, c, xvec, base, z, k):
     return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
 
 
-def extra_c_summation(avec, c, xvec, base) -> Summation:
-    """The summation, parameters bound."""
+def extra_c_summation(avec, c, xvec, base, prec: int) -> Summation:
+    """The summation, parameters bound; the product A = a_1 ... a_n of its
+    product side is formed once, at ``prec`` bits."""
+    big_a = raw_product(avec, prec=prec)
     return Summation(
         len(xvec),
         lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
-        lambda P, z: qbin_product(P, raw_product(avec), base, z),
+        lambda P, z: qbin_product(P, big_a, base, z),
         label="extra_c",
     )
 
@@ -290,7 +333,8 @@ def extra_c_summation(avec, c, xvec, base) -> Summation:
 def _extra_c_build(dims):
     def bind(ctx):
         p = ctx.params
-        return extra_c_summation(p["a"], p["c"], p["x"], ctx.bases.q), p["z"]
+        B = ctx.bases
+        return extra_c_summation(p["a"], p["c"], p["x"], B.q, B.prec), p["z"]
 
     return summation_sides((dims["n"], 0), bind, product_left=True)
 

@@ -56,13 +56,14 @@ def sample_block(
             base,
         )
     if name == "gk":
-        return gk_summation(coefficient(rng), distinct_vector(rng, n), base)
+        return gk_summation(coefficient(rng), distinct_vector(rng, n), base, prec)
     if name == "extra_c":
         return extra_c_summation(
             tuple(signed(rng, 0.35, 0.9) for _ in range(n)),
             signed(rng, 0.0, 0.45),
             distinct_vector(rng, n),
             base,
+            prec,
         )
     if name == "kajihara":
         m = dims[1] if len(dims) > 1 else 1

@@ -14,6 +14,7 @@ __all__ = [
     "FAMILIES",
     "qbin_term",
     "qbin_product",
+    "infinite_ratio",
     "qbin_summation",
     "q_euler_term",
     "q_euler_inner_term",
@@ -30,10 +31,19 @@ def qbin_term(P, a, base, z, k):
 
 
 def qbin_product(P, a, base, z):
-    prec, rnd = mp._prec_rounding
-    az = from_raw(raw_mul(value_key(a), value_key(z), prec, rnd))
-    num = value_key(P.infinite(az, base))
-    return from_raw(raw_div(num, value_key(P.infinite(z, base)), prec, rnd))
+    """(a z; base)_oo / (z; base)_oo, formed on raw values at the working
+    precision."""
+    z = value_key(z)
+    az = raw_mul(value_key(a), z, *mp._prec_rounding)
+    return from_raw(infinite_ratio(P, az, z, base))
+
+
+def infinite_ratio(P, num, den, base) -> tuple:
+    """(num; base)_oo / (den; base)_oo for raw num and den, as a raw value
+    divided at the working precision."""
+    top = value_key(P.infinite(from_raw(num), base))
+    bottom = value_key(P.infinite(from_raw(den), base))
+    return raw_div(top, bottom, *mp._prec_rounding)
 
 
 def qbin_summation(a, base) -> Summation:

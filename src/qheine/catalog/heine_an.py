@@ -23,15 +23,15 @@ _ZERO = mpf(0)
 
 
 def _build(block, base):
-    """``build(dims)`` of the n-fold to m-fold Heine pair: ``block(p, q^h)``
-    and ``base(p, q^t)`` bind the n-fold summation, at argument z, and the
-    m-fold one, at argument w."""
+    """``build(dims)`` of the n-fold to m-fold Heine pair: ``block(p, q^h,
+    prec)`` and ``base(p, q^t, prec)`` bind the n-fold summation, at
+    argument z, and the m-fold one, at argument w."""
 
     def build(dims):
         def bind(ctx):
             B, p = ctx.bases, ctx.params
-            first = HeineBlock(block(p, B.qh), p["z"], B.qht)
-            return (first,), HeineBlock(base(p, B.qt), p["w"])
+            first = HeineBlock(block(p, B.qh, B.prec), p["z"], B.qht)
+            return (first,), HeineBlock(base(p, B.qt, B.prec), p["w"])
 
         return heine_sides(((dims["n"], 0),), (dims["m"], 0), bind)
 
@@ -39,8 +39,8 @@ def _build(block, base):
 
 
 _heine7_build = _build(
-    lambda p, qh: milne_lilly_summation(p["a"], p["x"], qh),
-    lambda p, qt: milne_lilly_summation(p["b"], p["y"], qt),
+    lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh),
+    lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt),
 )
 
 
@@ -85,8 +85,8 @@ THM_HEINE7 = IdentityFamily(
 
 
 _heine8_build = _build(
-    lambda p, qh: milne_lilly_summation(p["a"], p["x"], qh),
-    lambda p, qt: gk_summation(p["b"], p["y"], qt),
+    lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh),
+    lambda p, qt, prec: gk_summation(p["b"], p["y"], qt, prec),
 )
 
 
@@ -128,8 +128,8 @@ THM_HEINE8 = IdentityFamily(
 
 
 _heine1_build = _build(
-    lambda p, qh: extra_c_summation(p["a"], p["c"], p["x"], qh),
-    lambda p, qt: extra_c_summation(p["b"], p["d"], p["y"], qt),
+    lambda p, qh, prec: extra_c_summation(p["a"], p["c"], p["x"], qh, prec),
+    lambda p, qt, prec: extra_c_summation(p["b"], p["d"], p["y"], qt, prec),
 )
 
 
@@ -175,8 +175,8 @@ THM_HEINE1 = IdentityFamily(
 
 # At c = 0 the extra-parameter summation has the plain product side.
 _heine2_build = _build(
-    lambda p, qh: extra_c_summation(p["a"], _ZERO, p["x"], qh),
-    lambda p, qt: milne_lilly_summation(p["b"], p["y"], qt),
+    lambda p, qh, prec: extra_c_summation(p["a"], _ZERO, p["x"], qh, prec),
+    lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt),
 )
 
 

@@ -85,12 +85,12 @@ def _master_big_build(dims):
         B, p = ctx.bases, ctx.params
         h1, h2 = p["h1"], p["h2"]
         first = milne_lilly_summation(p["a1"], p["x1"], B.power(h1))
-        second = gk_summation(p["a2"], p["x2"], B.power(h2))
+        second = gk_summation(p["a2"], p["x2"], B.power(h2), B.prec)
         blocks = (
             HeineBlock(first, p["z1"], B.power(B.t * h1)),
             HeineBlock(second, p["z2"], B.power(B.t * h2)),
         )
-        base = extra_c_summation(p["b"], p["c"], p["y"], B.qt)
+        base = extra_c_summation(p["b"], p["c"], p["y"], B.qt, B.prec)
         return blocks, HeineBlock(base, p["w"])
 
     shapes = ((dims["n1"], 0), (dims["n2"], 0))
@@ -171,9 +171,9 @@ def _master_lauricella_build(dims):
             HeineBlock(qbin_summation(c_r, B.qh), u_r, B.qht)
             for c_r, u_r in zip(p["cp"], p["u"])
         ]
-        an_block = extra_c_summation(p["a"], _ZERO, p["x"], B.qh)
+        an_block = extra_c_summation(p["a"], _ZERO, p["x"], B.qh, B.prec)
         blocks.append(HeineBlock(an_block, p["z"], B.qht))
-        base = extra_c_summation(p["b"], _ZERO, p["y"], B.qt)
+        base = extra_c_summation(p["b"], _ZERO, p["y"], B.qt, B.prec)
         return blocks, HeineBlock(base, p["w"])
 
     shapes = ((1, 0),) * dims["p"] + ((dims["n"], 0),)

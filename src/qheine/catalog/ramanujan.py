@@ -119,7 +119,9 @@ def _ram_1_4_1_build(dims):
             return qbin_product(P, ratio, B.qh, w * shift)
 
         block = HeineBlock(
-            gk_summation(-p["b"] * B.q / p["a"], geom(B.qt, m, B.prec), q_tm),
+            gk_summation(
+                -p["b"] * B.q / p["a"], geom(B.qt, m, B.prec), q_tm, B.prec
+            ),
             p["a"] * q_tm,
             B.power(B.h * B.t * m * n),
         )
@@ -350,7 +352,8 @@ def _euler_block(B, e, dim, z):
     """The dim-fold Euler summation in base q^{e dim} (x_r = q^{e(r-1)}) and
     its argument z q^{e dim}."""
     base = B.power(e * dim)
-    return euler_exp_summation(geom(B.power(e), dim, B.prec), base), z * base
+    summation = euler_exp_summation(geom(B.power(e), dim, B.prec), base, B.prec)
+    return summation, z * base
 
 
 def _stretched_block(B, e, dim, z):

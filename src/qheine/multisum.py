@@ -270,6 +270,17 @@ class HeineBlock:
     cross: QComplex = ONE
 
 
+def _cross_power(entry, n: int, prec: int, rnd: str) -> tuple:
+    """x ** n for ``entry`` = (x, powers), x a raw value and ``powers`` the
+    list of x ** 0, x ** 1, ... computed so far, which is extended through
+    n; each power is ``_pow_int`` at ``prec`` bits, the value
+    ``PochCache.intpow`` gives at the cache precision."""
+    x, powers = entry
+    while len(powers) <= n:
+        powers.append(_pow_int(x, len(powers), prec, rnd))
+    return powers[n]
+
+
 def heine_sides(
     shapes: Sequence[tuple[int, int]], base_shape: tuple[int, int], bind
 ) -> tuple[SeriesSide, SeriesSide]:
@@ -303,7 +314,13 @@ def heine_sides(
     therefore recurs across shells, they are computed once per index and
     kept for the run in ``PochCache.terms``; the power is taken per term.
     The arithmetic runs on raw values in the order of the display, with the
-    rounding of mpmath's operators at the working precision.
+    rounding of mpmath's operators at the working precision.  What the
+    couplings read is formed once per run and kept with the bound blocks:
+    the raw arguments, sigma_r z_r, and per cross base the list of its
+    integer powers at the cache precision (the values of
+    ``PochCache.intpow``); the products P_r(z_r) and P_0(w) are kept as raw
+    values.  Index 0 stretches by exactly 1, so its ratio divides P_r(z_r)
+    by itself and asks for no product.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
@@ -311,17 +328,34 @@ def heine_sides(
     inner_blocks = [r for r in range(p) if inner_sizes[r]]
 
     def bound(ctx) -> tuple:
-        """The run's blocks and base block, and the block indices grouped
-        by cross base, in order of first appearance."""
+        """The run's blocks and base block, the block indices grouped by
+        cross base (in order of first appearance), and the raw values the
+        couplings read: each block's argument z_r (w for the base block),
+        sigma_r z_r for a block with an inner sum, and per block its cross
+        base with the list of that base's integer powers, one list per
+        group, which ``_cross_power`` fills."""
         memo = ctx.poch.terms
         run = memo.get(bind)
         if run is None:
+            prec, rnd = mp._prec_rounding
             blocks, base = bind(ctx)
             blocks = tuple(blocks) + (base,)
             groups: dict = {}
+            powers: dict = {}
+            crosses = []
             for r, block in enumerate(blocks[:p]):
-                groups.setdefault(value_key(block.cross), []).append(r)
-            run = memo[bind] = (blocks, tuple(groups.values()))
+                cross = value_key(block.cross)
+                groups.setdefault(cross, []).append(r)
+                crosses.append(powers.setdefault(cross, (cross, [])))
+            args = tuple(value_key(block.argument) for block in blocks)
+            stretched_args = tuple(
+                raw_mul(value_key(block.summation.stretch), z, prec, rnd)
+                if size
+                else None
+                for block, z, size in zip(blocks, args, inner_sizes)
+            )
+            run = (blocks, tuple(groups.values()), args, stretched_args, crosses)
+            memo[bind] = run
         return run
 
     def summand(r):
@@ -335,24 +369,26 @@ def heine_sides(
         return lambda ctx, j: bound(ctx)[0][r].summation.inner(ctx.poch, j)
 
     def at_argument(ctx, r):
-        """P_r(z_r), or P_0(w) for r = p: block r's product at its own
-        argument, which the couplings divide by on every term, once per run
-        and kept in the run's ``PochCache.terms``."""
+        """P_r(z_r), or P_0(w) for r = p, as a raw value: block r's product
+        at its own argument, which the couplings divide by on every term,
+        once per run and kept in the run's ``PochCache.terms``."""
         memo = ctx.poch.terms
         key = (at_argument, r)
         value = memo.get(key)
         if value is None:
             block = bound(ctx)[0][r]
-            value = memo[key] = block.summation.product(ctx.poch, block.argument)
+            product = block.summation.product(ctx.poch, block.argument)
+            value = memo[key] = value_key(product)
         return value
 
     def stretched(ctx, r, index) -> tuple:
         """Block r's product ratio P_r(z_r S)/P_r(z_r) at the stretch S of
         ``index`` (r = p: the base block, at w and the group sums; else the
         base block's outer weight |j|), and sigma_r z_r S for a block with
-        an inner sum, as raw values.  Where an inner weight exists, one
-        index recurs across shells, so the pair is kept for the run in
-        ``PochCache.terms``."""
+        an inner sum, as raw values.  At index 0, S is exactly 1 and z_r S
+        is z_r, so the product at z_r S is P_r(z_r) and is not requested
+        again.  Where an inner weight exists, one index recurs across
+        shells, so the pair is kept for the run in ``PochCache.terms``."""
         keep = inner_sizes[r] if r == p else inner_blocks
         memo = ctx.poch.terms
         key = (stretched, r, index)
@@ -362,22 +398,24 @@ def heine_sides(
                 return value
         P = ctx.poch
         prec, rnd = mp._prec_rounding
-        blocks, groups = bound(ctx)
-        block = blocks[r]
+        blocks, groups, args, stretched_args, crosses = bound(ctx)
         if r == p:
             scale = fone
             for group, weight in zip(groups, index):
-                cross = value_key(P.intpow(blocks[group[0]].cross, weight))
-                scale = raw_mul(scale, cross, prec, rnd)
+                power = _cross_power(crosses[group[0]], weight, P.prec, rnd)
+                scale = raw_mul(scale, power, prec, rnd)
         else:
-            scale = value_key(P.intpow(block.cross, index))
-        z = value_key(block.argument)
-        product = block.summation.product(P, from_raw(raw_mul(z, scale, prec, rnd)))
-        ratio = raw_div(value_key(product), value_key(at_argument(ctx, r)), prec, rnd)
+            scale = _cross_power(crosses[r], index, P.prec, rnd)
+        z = args[r]
+        zs = raw_mul(z, scale, prec, rnd)
+        if zs == z:
+            product = at_argument(ctx, r)
+        else:
+            product = value_key(blocks[r].summation.product(P, from_raw(zs)))
+        ratio = raw_div(product, at_argument(ctx, r), prec, rnd)
         arg = None
         if inner_sizes[r]:
-            arg = raw_mul(value_key(block.summation.stretch), z, prec, rnd)
-            arg = raw_mul(arg, scale, prec, rnd)
+            arg = raw_mul(stretched_args[r], scale, prec, rnd)
         if keep:
             memo[key] = ratio, arg
         return ratio, arg
@@ -412,10 +450,11 @@ def heine_sides(
         return from_raw(value)
 
     def rhs_prefactor(ctx):
-        value = ONE
+        prec, rnd = mp._prec_rounding
+        value = fone
         for r in range(p):
-            value *= at_argument(ctx, r)
-        return value / at_argument(ctx, p)
+            value = raw_mul(value, at_argument(ctx, r), prec, rnd)
+        return from_raw(raw_div(value, at_argument(ctx, p), prec, rnd))
 
     lhs_sizes = tuple(outer for outer, _ in shapes)
     lhs_parts = [summand(r) for r in range(p)]

@@ -11,7 +11,7 @@ import math
 from operator import is_
 from typing import Sequence, Union
 
-from mpmath import mp, mpc, mpf, mpmathify
+from mpmath import libmp, mp, mpc, mpf, mpmathify
 from mpmath.libmp import (
     fone,
     fzero,
@@ -66,30 +66,45 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     tol*(1-|base|); comparing log(1-x) <= -x termwise bounds the dropped
     tail factor within ~tol of 1 in relative terms.
 
-    A real product is multiplied on integers (``_real_infinite``), a
-    complex one on raw ``_mpf_``/``_mpc_`` tuples, both with the
-    operations, precision and rounding of mpmath's operators, so the result
-    is bit for bit that of the loop ``prod *= 1 - factor; factor *= base``
-    on mpf and mpc objects.
+    The arguments are converted with ``mpmathify`` once; everything after
+    that runs on raw values at the working precision.  |base|, the
+    |base| >= 1 check, 1 - |base| and the threshold are the libmp calls of
+    mpmath's operators (``_threshold``), and the product is multiplied on
+    integers for a real a and base (``_real_infinite``) and on raw
+    ``_mpf_``/``_mpc_`` tuples otherwise, with the operations, precision and
+    rounding of mpmath's operators.  So the result and every exception are
+    bit for bit those of the loop ``prod *= 1 - factor; factor *= base`` on
+    mpf and mpc objects; one mpf or mpc is made at the end.
     """
-    a = mpmathify(a)
-    base = mpmathify(base)
-    absbase = abs(base)
-    if absbase >= 1:
-        raise NonConvergentBase(f"|base| = {absbase} >= 1")
-    if tol is None:
-        tol = default_tol(mp.prec)
-    gap = 1 - absbase
-    threshold = (mpmathify(tol) * gap)._mpf_
-    a, base = value_key(a), value_key(base)
-    if _clearly_past_cap(a, gap._mpf_, threshold):
-        raise NonConvergentBase(_NOT_CONVERGED)
+    a = value_key(mpmathify(a))
+    base = value_key(mpmathify(base))
     prec, rnd = mp._prec_rounding
+    gap, threshold = _threshold(base, tol, prec, rnd)
+    if _clearly_past_cap(a, gap, threshold):
+        raise NonConvergentBase(_NOT_CONVERGED)
     if len(a) == 4 and len(base) == 4:
         prod = _real_infinite(a, base, threshold, prec, rnd)
     else:
         prod = _complex_infinite(a, base, threshold, prec, rnd)
     return from_raw(prod)
+
+
+def _threshold(base, tol, prec: int, rnd: str) -> tuple:
+    """(1 - |base|, tol * (1 - |base|)) for a raw base, rounded as
+    ``1 - abs(base)`` and ``mpmathify(tol) * gap`` round them, with tol
+    None the default at ``prec``; ``NonConvergentBase`` where |base| >= 1
+    (a nan passes, as it passes the comparison of mpf objects).
+
+    These calls reach libmp through the ``libmp`` module, as mpmath's
+    operators do, and leave this module's names of ``mpf_sub`` and
+    ``mpf_mul`` to the libmp steps of the product loop."""
+    size = mpf_abs(base, prec, rnd) if len(base) == 4 else mpc_abs(base, prec, rnd)
+    if mpf_ge(size, fone):
+        raise NonConvergentBase(f"|base| = {from_raw(size)} >= 1")
+    gap = libmp.mpf_sub(fone, size, prec, rnd)
+    if tol is None:
+        tol = default_tol(prec)
+    return gap, libmp.mpf_mul(mpmathify(tol)._mpf_, gap, prec, rnd)
 
 
 def _clearly_past_cap(a, gap, threshold) -> bool:
@@ -547,39 +562,47 @@ class PochCache:
 
     def infinite(self, a, base) -> QComplex:
         """(a; base)_oo at the cache precision; an empty product is the
-        shared ``ONE``."""
+        shared ``ONE``.
+
+        ``a`` and ``base`` are mpf or mpc objects, and so is the value.
+        The product is computed by the module's ``qpoch_infinite`` at the
+        cache precision; ``mp.workprec`` is entered only when the ambient
+        precision differs from it, which it never does inside
+        ``multisum.evaluate_in_context``."""
         key = (value_key(a), value_key(base))
         try:
             below = self._empty_below[key[1]]
         except KeyError:
-            below = self._empty_below[key[1]] = self._empty_magnitude(base)
+            below = self._empty_below[key[1]] = self._empty_magnitude(key[1])
         if below is not None and len(key[0]) == 4:
             _, man, exp, bc = key[0]
             if man and bc <= self.prec and exp + bc < below:
                 return ONE
         value = self._infinite.find(key)
         if value is None:
-            with mp.workprec(self.prec):
+            if mp.prec == self.prec:
                 value = qpoch_infinite(a, base, self.tol)
+            else:
+                with mp.workprec(self.prec):
+                    value = qpoch_infinite(a, base, self.tol)
             self._infinite.keep(key, value, self.in_shell)
         return value
 
     def _empty_magnitude(self, base) -> int | None:
         """The magnitude (exponent + bit count) of the threshold
-        tol * (1 - |base|) that ``qpoch_infinite`` computes for a real base,
-        with the same operators at the cache precision: a real a of at most
-        ``prec`` bits and smaller magnitude stops its loop before the first
-        factor.  None where the shortcut does not apply: a complex base,
-        |base| >= 1 (the product raises) and a threshold that is not a
-        positive number."""
-        with mp.workprec(self.prec):
-            base = mpmathify(base)
-            if not isinstance(base, mpf):
-                return None
-            absbase = abs(base)
-            if absbase >= 1:
-                return None
-            threshold = (mpmathify(self.tol) * (1 - absbase))._mpf_
+        tol * (1 - |base|) that ``qpoch_infinite`` computes for a real raw
+        base, with the same calls at the cache precision: a real a of at
+        most ``prec`` bits and smaller magnitude stops its loop before the
+        first factor.  None where the shortcut does not apply: a complex
+        base, |base| >= 1 (the product raises) and a threshold that is not
+        a positive number."""
+        if len(base) != 4:
+            return None
+        try:
+            with mp.workprec(self.prec):
+                _, threshold = _threshold(base, self.tol, *mp._prec_rounding)
+        except NonConvergentBase:
+            return None
         if threshold[0] or not threshold[1]:
             return None
         return threshold[2] + threshold[3]

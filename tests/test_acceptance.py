@@ -360,7 +360,7 @@ def test_criterion_6_master_theorem_engine():
                 ),
                 engine.BlockSlot(
                     gk_summation(
-                        params["a2"], params["x2"], bases.power(params["h2"])
+                        params["a2"], params["x2"], bases.power(params["h2"]), bases.prec
                     ),
                     params["h2"],
                     params["z2"],
@@ -368,7 +368,7 @@ def test_criterion_6_master_theorem_engine():
             )
             base_slot = engine.BlockSlot(
                 extra_c_summation(
-                    params["b"], params["c"], params["y"], bases.qt
+                    params["b"], params["c"], params["y"], bases.qt, bases.prec
                 ),
                 bases.t,
                 params["w"],
@@ -391,13 +391,13 @@ def test_criterion_6_master_theorem_engine():
             for r in range(2)
         ) + (
             engine.BlockSlot(
-                extra_c_summation(params["a"], 0, params["x"], bases.qh),
+                extra_c_summation(params["a"], 0, params["x"], bases.qh, bases.prec),
                 bases.h,
                 params["z"],
             ),
         )
         base_slot = engine.BlockSlot(
-            extra_c_summation(params["b"], 0, params["y"], bases.qt),
+            extra_c_summation(params["b"], 0, params["y"], bases.qt, bases.prec),
             bases.t,
             params["w"],
         )

@@ -383,10 +383,10 @@ class TestEulerExponential:
                 summation = stretched_euler_summation(n, bases.q, bases.prec)
             elif geometric:
                 x = core.geom(bases.q, n, bases.prec)
-                summation = euler_exp_summation(x, bases.q)
+                summation = euler_exp_summation(x, bases.q, bases.prec)
             else:
                 x = core.distinct_vector(random.Random(n), n)
-                summation = euler_exp_summation(x, bases.q)
+                summation = euler_exp_summation(x, bases.q, bases.prec)
         side = SeriesSide(n, lambda ctx, k: summation.term(ctx.poch, z, k))
         # Products truncated at 1e-36, below the 1e-30 of the default.
         ctx = make_context({}, bases, tol=mpf("1e-36"))

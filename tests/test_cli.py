@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpc, mpf
 
-from qheine import cli, report
+from qheine import catalog, cli, report
 from qheine.errors import InvalidConfig
 from util import parse_csv
 
@@ -335,17 +335,22 @@ class TestConfigParsing:
         assert cli.parse_block_spec("q_bin") == ("q_bin", (1,))
 
 
+def _load_script(name):
+    """The module of ``scripts/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestReportDiff:
     """scripts/report_diff.py fails a pair of reports whose cases did
     different work, even when every value and verdict agrees."""
 
     @staticmethod
     def _script():
-        path = Path(__file__).resolve().parents[1] / "scripts" / "report_diff.py"
-        spec = importlib.util.spec_from_file_location("report_diff", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        return _load_script("report_diff")
 
     def test_changed_term_count_fails(self, tmp_path, capsys):
         base, new = tmp_path / "base.jsonl", tmp_path / "new.jsonl"
@@ -382,3 +387,20 @@ def test_report_digest_of_a_compose_run():
         assert re.fullmatch(r"[0-9a-f]{64}\n", run.stdout)
         digests.append(run.stdout)
     assert digests[0] == digests[1]
+
+
+def test_report_digest_commands():
+    # The argv each form of report_digest.py runs; no run is made.
+    digest = _load_script("report_digest")
+    assert digest.command([]) == digest.ARGV
+    compose = ["compose", "--blocks", "q_bin", "--base", "q_bin"]
+    assert digest.command(compose) == compose
+    argv = digest.command(["hiprec", "--seed", "2"])
+    assert argv[:1] == ["verify"] and "--all" not in argv
+    assert argv[argv.index("--precision") + 1] == "1024"
+    assert argv[-2:] == ["--seed", "2"]
+    identities = [arg[len("--identity=") :] for arg in argv if "--identity=" in arg]
+    excluded = set(digest.workloads.HIPREC_EXCLUDED)
+    expected = [f.id for f in catalog.register_all() if f.id not in excluded]
+    assert identities == expected and len(identities) == 29
+    assert excluded <= {f.id for f in catalog.register_all()}

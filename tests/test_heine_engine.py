@@ -138,10 +138,10 @@ class TestCompose:
                     params["a1"], params["x1"], bases.power(params["h1"])
                 )
                 second = gk_summation(
-                    params["a2"], params["x2"], bases.power(params["h2"])
+                    params["a2"], params["x2"], bases.power(params["h2"]), bases.prec
                 )
                 base_block = extra_c_summation(
-                    params["b"], params["c"], params["y"], bases.qt
+                    params["b"], params["c"], params["y"], bases.qt, bases.prec
                 )
             composed = engine.compose(
                 engine.BlockAssignment(
@@ -172,13 +172,13 @@ class TestCompose:
             ]
             slots.append(
                 engine.BlockSlot(
-                    extra_c_summation(params["a"], 0, params["x"], bases.qh),
+                    extra_c_summation(params["a"], 0, params["x"], bases.qh, bases.prec),
                     bases.h,
                     params["z"],
                 )
             )
             base_slot = engine.BlockSlot(
-                extra_c_summation(params["b"], 0, params["y"], bases.qt),
+                extra_c_summation(params["b"], 0, params["y"], bases.qt, bases.prec),
                 bases.t,
                 params["w"],
             )

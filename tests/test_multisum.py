@@ -537,8 +537,9 @@ class TestSharedCrossBases:
         lhs, rhs = self._sides((B.qht, B.qht), calls)
         ctx = make_context({}, B)
         value, diag = evaluate_in_context(lhs, ctx)
-        # Once at the base argument, then once per shell.
-        assert len(calls) == diag.shells + 1 < diag.terms
+        # Once per shell: shell 0 stretches by exactly 1, so its product is
+        # the one at the base argument that the coupling divides by.
+        assert len(calls) == diag.shells < diag.terms
         other, _ = evaluate_in_context(rhs, ctx)
         assert rel(value, other) < mpf("1e-20")
 
@@ -561,7 +562,8 @@ class TestSharedCrossBases:
                     for a, z, kr in zip(self.uppers, self.arguments, k):
                         expected *= qbin_term(direct, a, B.qh, z, (kr,))
                     assert _bits(lhs.term(ctx, k)) == _bits(expected), k
-        assert len(calls) == 1 + sum(w + 1 for w in range(6))
+        # One per weight tuple; (0, 0) is the base argument itself.
+        assert len(calls) == sum(w + 1 for w in range(6))
 
 
 class TestCouplingMemo:
@@ -667,10 +669,10 @@ class TestCouplingMemo:
         evaluate_in_context(rhs, ctx)
         arguments = [b.argument for b in blocks] + [base.argument]
         counts = Counter(calls)
-        # Index 0 stretches by 1, so each block's own argument is computed
-        # twice: once as the divisor P_r(z_r), once as the index-0 product.
+        # Index 0 stretches by exactly 1, so the index-0 product is the
+        # divisor P_r(z_r): each block's own argument is computed once.
         for r, argument in enumerate(arguments):
-            assert counts.pop((r, qcore.value_key(argument))) == 2
+            assert counts.pop((r, qcore.value_key(argument))) == 1
         assert counts and set(counts.values()) == {1}
         assert {r for r, _ in counts} == set(range(len(arguments)))
 
@@ -688,6 +690,22 @@ class TestCouplingMemo:
                         expected = reference(direct, blocks, base, k)
                         assert _bits(side.term(ctx, k)) == _bits(expected), k
             ctx.poch.leave_shells()
+
+    def test_own_product_of_zero(self):
+        # (b w; q^t)_oo = 0 at b w = 1: P_0(w) = 0 ends the lhs at its first
+        # term and the rhs in its prefactor, as it did before index 0 reused
+        # P_0(w).
+        B = self.bases
+
+        def bind(ctx):
+            block = HeineBlock(qbin_summation(mpf("0.3"), B.qh), mpf("0.2"), B.qht)
+            return [block], HeineBlock(qbin_summation(mpf(4), B.qt), mpf(1) / 4)
+
+        lhs, rhs = heine_sides(((1, 0),), (1, 0), bind)
+        with pytest.raises(PoleEncountered, match=r"index \(0,\)"):
+            evaluate_in_context(lhs, make_context({}, B))
+        with pytest.raises(ZeroDivisionError):
+            evaluate_in_context(rhs, make_context({}, B))
 
     def test_no_memo_without_an_inner_weight(self):
         # Each index of a pair of plain summations lies in one shell only,

@@ -13,6 +13,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+from mpmath import mpc, mpf
+
+from qheine import cli, qcore
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # Loads the package as perfbench/run.py does, then runs one q_binomial
@@ -96,3 +100,34 @@ def test_probes_install_and_come_off():
     ):
         assert calls.get(layer, 0) > 0, layer
     assert out["restored"]
+
+
+def test_every_computed_product_reaches_qpoch_infinite(monkeypatch, capsys):
+    # The probe counts qcore.infinite.computed and factors in a wrapper of
+    # qcore.qpoch_infinite, whose arguments it reads with abs(): every
+    # product loop that runs must have been entered through that name, with
+    # mpf or mpc arguments.
+    entered, loops = [], []
+    raw = qcore.qpoch_infinite
+
+    def counted(a, base, tol=None):
+        entered.append((type(a), type(base)))
+        return raw(a, base, tol)
+
+    def loop(name):
+        inner = getattr(qcore, name)
+
+        def run(*args):
+            loops.append(name)
+            return inner(*args)
+
+        return run
+
+    monkeypatch.setattr(qcore, "qpoch_infinite", counted)
+    for name in ("_real_infinite", "_complex_infinite"):
+        monkeypatch.setattr(qcore, name, loop(name))
+    argv = ["compose", "--blocks", "q_bin,q_bin", "--base", "q_bin"]
+    assert cli.main(argv + ["--samples", "2", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(entered) == len(loops) > 0
+    assert {t for pair in entered for t in pair} <= {mpf, mpc}

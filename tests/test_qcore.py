@@ -773,3 +773,82 @@ class TestEmptyProducts:
             with pytest.raises(NonConvergentBase):
                 cache.infinite(mpf(2) ** -400, base)
         assert len(computed) == 2
+
+
+def _outcome(product, *args):
+    """The raw value of ``product(*args)``, or the type and message of the
+    exception it raised."""
+    try:
+        return _raw_value(product(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestRawEntry:
+    """``qpoch_infinite`` converts its arguments once and runs on raw values
+    from there; its values and exceptions are those of the loop on mpf
+    objects, bit for bit, whatever types it is given.  ``PochCache.infinite``
+    computes at the cache precision under any ambient precision."""
+
+    arguments = [mpf("0.3"), 3, -0.7, "0.3", mpc("0.3", "-0.2")]
+    bases = [mpf("0.45"), 0, -0.45, "0.45", mpc("0.3", "0.3")]
+
+    @pytest.mark.parametrize("tol", [None, mpf("1e-20"), 1e-20, 0, -1, float("nan")])
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_types_and_tolerances_match_the_object_loop(self, monkeypatch, prec, tol):
+        if tol in (0, -1):
+            # No positive threshold: every product runs to the factor cap.
+            monkeypatch.setattr(qcore, "_MAX_FACTORS", 300)
+            monkeypatch.setattr(util, "MAX_FACTORS", 300)
+        with mp.workprec(prec):
+            for a in self.arguments:
+                for base in self.bases:
+                    want = _outcome(qpoch_infinite_loop, a, base, tol)
+                    assert _outcome(qpoch_infinite, a, base, tol) == want, (a, base)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize(
+        "base", [mpf(1), 1, -1, 2, 1.5, "-1", mpc("0.8", "0.6"), mpf(1) + mpf(2) ** -60]
+    )
+    def test_base_on_or_outside_the_unit_circle(self, prec, base):
+        with mp.workprec(prec):
+            for tol in (None, -1):
+                want = _outcome(qpoch_infinite_loop, mpf("0.3"), base, tol)
+                assert want[0] is NonConvergentBase
+                assert _outcome(qpoch_infinite, mpf("0.3"), base, tol) == want
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_first_factor_at_the_rounded_threshold(self, prec):
+        # tol held at more bits than prec: tol * (1 - |base|) rounded at any
+        # other precision moves the threshold off a, or off a's neighbours.
+        with mp.workprec(prec + 64):
+            tol = mpf(1) / 3
+        base = mpf("-0.4")
+        with mp.workprec(prec):
+            threshold = tol * (1 - abs(base))
+            ulp = mpf(2) ** (threshold.exp)
+            for a in (threshold - ulp, threshold, threshold + ulp):
+                for arg in (a, -a):
+                    want = _raw_value(qpoch_infinite_loop(arg, base, tol))
+                    assert _raw_value(qpoch_infinite(arg, base, tol)) == want, arg
+
+    @pytest.mark.parametrize("ambient", [53, 128])
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    def test_cache_under_another_ambient_precision(self, prec, ambient):
+        cache = PochCache(prec)
+        # Numbers only: the cache's keys read a string at the ambient precision.
+        cases = [
+            (a, base)
+            for a in self.arguments
+            for base in self.bases
+            if not isinstance(a, str) and not isinstance(base, str)
+        ]
+        cases += [(mpf("0.3"), mpf(1)), (mpf("0.3"), mpc("0.8", "0.6"))]
+        with mp.workprec(prec):
+            wanted = [
+                _outcome(qpoch_infinite_loop, a, base, cache.tol) for a, base in cases
+            ]
+        with mp.workprec(ambient):
+            for (a, base), want in zip(cases, wanted):
+                assert _outcome(cache.infinite, a, base) == want, (a, base)
+                assert mp.prec == ambient
