@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the sha256 of the stripped reference sweep report, or of a
-compose run's, or of the 1024-bit run of the hiprec_sweep families.
+compose run's, or of the 1024-bit run of the hiprec_sweep families, or of
+the compose_mix specs' runs.
 
 Runs ``qheine verify --all --samples 1 --seed 1`` in process, writing the
 report to a buffer rather than a file (the header records the ``--out``
@@ -17,10 +18,16 @@ it is ``hiprec``, the command is the reference sweep at the benchmark's
 hiprec_sweep precision (1024 bits) over every catalog family that
 ``perfbench/workloads.py`` does not exclude from that workload, at the
 families' default dimensions; the remaining arguments are added to it.
+When it is ``compose_mix``, one ``qheine compose`` command runs per spec of
+``perfbench/workloads.py``'s ``COMPOSE_SPECS``, at seed 1 with the spec's
+sample count and the remaining arguments added; the digest is that of the
+stripped reports joined in spec order, and the exit code the largest of
+the runs'.
 
 Examples:
     PYTHONPATH=src python3 scripts/report_digest.py
     PYTHONPATH=src python3 scripts/report_digest.py hiprec
+    PYTHONPATH=src python3 scripts/report_digest.py compose_mix
     PYTHONPATH=src python3 scripts/report_digest.py --precision 1024 \
         --identity thm_heine7 --identity ram_core
     PYTHONPATH=src python3 scripts/report_digest.py compose --blocks q_euler \
@@ -59,12 +66,27 @@ def command(extra: list) -> list:
     return argv
 
 
+def commands(extra: list) -> list:
+    """The ``qheine`` command lines that ``main(extra)`` runs, in order."""
+    if extra[:1] != ["compose_mix"]:
+        return [command(extra)]
+    return [
+        ["compose", "--blocks", ",".join(blocks), "--base", base]
+        + ["--samples", str(samples), "--seed", "1"]
+        + extra[1:]
+        for blocks, base, samples in workloads.COMPOSE_SPECS
+    ]
+
+
 def main(extra: list) -> int:
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = cli.main(command(extra))
-    stripped = report.strip_volatile(buffer.getvalue())
-    print(hashlib.sha256(stripped.encode("utf-8")).hexdigest())
+    digest = hashlib.sha256()
+    code = 0
+    for argv in commands(extra):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = max(code, cli.main(argv))
+        digest.update(report.strip_volatile(buffer.getvalue()).encode("utf-8"))
+    print(digest.hexdigest())
     return code
 
 

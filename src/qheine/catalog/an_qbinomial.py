@@ -10,38 +10,36 @@ from mpmath import mp
 from mpmath.libmp import fnone, fone
 
 from ..multisum import Summation
-from ..qcore import _pow_int, e2, from_raw, raw_div, raw_mul, raw_product, value_key
+from ..qcore import e2, from_raw, raw_div, raw_mul, raw_product, value_key
 from .classical import infinite_ratio, qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
+    TermSpec,
     argument,
     coefficient,
+    denom,
     distinct_vector,
     geom,
+    numer,
+    power_at,
     signed,
-    sq_ratio,
     staircase,
     summation_sides,
     tri,
-    vande,
 )
 
 __all__ = [
     "FAMILIES",
-    "milne_lilly_term",
     "milne_lilly_product",
     "milne_lilly_summation",
-    "gk_term",
     "gk_product",
     "gk_summation",
-    "euler_exp_term",
     "euler_exp_product",
     "euler_exp_summation",
-    "stretched_euler_term",
+    "stretched_spec",
     "stretched_euler_product",
     "stretched_euler_summation",
-    "extra_c_term",
     "extra_c_summation",
 ]
 
@@ -50,14 +48,6 @@ __all__ = [
 # prod_r (a_r z/x_r)_oo/(z/x_r)_oo
 #   = sum_k V(x,k) prod_{r,s} (a_s x_r/x_s)_{k_r}/(q x_r/x_s)_{k_r}
 #       * z^{|k|} q^{sum (r-1)k_r} q^{e2(k)} prod_r x_r^{-k_r}
-
-
-def milne_lilly_term(P, avec, xvec, base, z, k):
-    value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    value *= P.intpow(z, sum(k)) * P.intpow(base, staircase(k)) * P.intpow(base, e2(k))
-    for r in range(len(xvec)):
-        value *= P.intpow(xvec[r], -k[r])
-    return value
 
 
 def milne_lilly_product(P, avec, xvec, base, z):
@@ -78,7 +68,13 @@ def milne_lilly_summation(avec, xvec, base) -> Summation:
     """The summation, parameters bound; it converges for |z| < min |x_r|."""
     return Summation(
         len(xvec),
-        lambda P, z, k: milne_lilly_term(P, avec, xvec, base, z, k),
+        TermSpec(
+            base,
+            vandermonde=(xvec, base),
+            pairs=(avec, xvec),
+            exponent=lambda k: staircase(k) + e2(k),
+            monomials=xvec,
+        ),
         lambda P, z: milne_lilly_product(P, avec, xvec, base, z),
         arg_bound=float(min(abs(x) for x in xvec)),
         label="milne_lilly",
@@ -126,13 +122,6 @@ AN_QBIN_MILNE_LILLY = IdentityFamily(
 # The sum does not depend on the auxiliary distinct variables x.
 
 
-def gk_term(P, a, xvec, base, z, k):
-    value = vande(P, xvec, k, base)
-    for r in range(len(xvec)):
-        value *= P.finite(a, base, k[r]) / P.finite(base, base, k[r])
-    return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
-
-
 def gk_product(P, a, powers, base, z):
     """prod_r (a z base^r; base)_oo / (z base^r; base)_oo with ``powers`` the
     raw base^r, r < n, multiplied on raw values at the working precision in
@@ -148,20 +137,18 @@ def gk_product(P, a, powers, base, z):
     return from_raw(value)
 
 
-def _powers(base, n: int, prec: int) -> tuple:
-    """The raw base^r for r < n, each rounded at ``prec`` bits as
-    ``base**r`` rounds it."""
-    rnd = mp._prec_rounding[1]
-    return tuple(_pow_int(value_key(base), r, prec, rnd) for r in range(n))
-
-
 def gk_summation(a, xvec, base, prec: int) -> Summation:
     """The summation, parameters bound; the powers base^r of its product
     are formed once, at ``prec`` bits."""
-    powers = _powers(base, len(xvec), prec)
+    powers = [value_key(power_at(base, r, prec)) for r in range(len(xvec))]
     return Summation(
         len(xvec),
-        lambda P, z, k: gk_term(P, a, xvec, base, z, k),
+        TermSpec(
+            base,
+            vandermonde=(xvec, base),
+            rows=[(numer(a, base), denom(base, base))] * len(xvec),
+            exponent=staircase,
+        ),
         lambda P, z: gk_product(P, a, powers, base, z),
         label="gk",
     )
@@ -208,14 +195,6 @@ AN_QBIN_GK = IdentityFamily(
 # partial-theta entries of catalog.ramanujan.
 
 
-def euler_exp_term(P, xvec, base, z, k):
-    value = vande(P, xvec, k, base)
-    for kr in k:
-        value /= P.finite(base, base, kr)
-    exponent = staircase(k) + sum(math.comb(kr, 2) for kr in k)
-    return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
-
-
 def euler_exp_product(P, powers, base, z):
     """prod_r (-z base^r; base)_oo with ``powers`` the raw base^r, r < n,
     on raw values at the working precision; -z is the first factor."""
@@ -231,10 +210,15 @@ def euler_exp_product(P, powers, base, z):
 def euler_exp_summation(xvec, base, prec: int) -> Summation:
     """The summation, parameters bound; the powers base^r of its product
     are formed once, at ``prec`` bits."""
-    powers = _powers(base, len(xvec), prec)
+    powers = [value_key(power_at(base, r, prec)) for r in range(len(xvec))]
     return Summation(
         len(xvec),
-        lambda P, z, k: euler_exp_term(P, xvec, base, z, k),
+        TermSpec(
+            base,
+            vandermonde=(xvec, base),
+            rows=[(denom(base, base),)] * len(xvec),
+            exponent=lambda k: staircase(k) + sum(math.comb(kr, 2) for kr in k),
+        ),
         lambda P, z: euler_exp_product(P, powers, base, z),
         label="euler_exp",
     )
@@ -248,16 +232,24 @@ def euler_exp_summation(xvec, base, prec: int) -> Summation:
 # catalog family: it backs the quadratic entries of catalog.ramanujan.
 
 
-def stretched_euler_term(P, xvec, base, z, k):
-    """The summand at k, with ``xvec`` = (1, Q, ..., Q^{n-1}) for Q =
-    ``base`` (the caller keeps one vector per run)."""
-    n = len(xvec)
-    value = vande(P, xvec, k, P.intpow(base, n))
-    for r, kr in enumerate(k, 1):
-        value /= P.finite(P.intpow(base, r), base, n * kr)
-    exponent = 2 * n * staircase(k) - n * (n - 1) * sum(k)
-    exponent += sum(tri(n * kr) for kr in k)
-    return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
+def stretched_spec(n: int, base, prec: int, exponent=None, **fields) -> TermSpec:
+    """V(x, k; Q^n) / prod_r (Q^r; Q)_{n k_r} Q^{exponent(k)} at x_r =
+    Q^{r-1}, r = 1..n, for Q = ``base``, with the further ``TermSpec``
+    ``fields``; the exponent is the stretched Euler summand's unless one is
+    given.  x, Q^n and the Q^r are formed once, at ``prec`` bits."""
+    if exponent is None:
+
+        def exponent(k):
+            value = 2 * n * staircase(k) - n * (n - 1) * sum(k)
+            return value + sum(tri(n * kr) for kr in k)
+
+    return TermSpec(
+        base,
+        vandermonde=(geom(base, n, prec), power_at(base, n, prec)),
+        rows=[(denom(power_at(base, r, prec), base, n),) for r in range(1, n + 1)],
+        exponent=exponent,
+        **fields,
+    )
 
 
 def stretched_euler_product(P, sign, stretched, z):
@@ -272,12 +264,11 @@ def stretched_euler_product(P, sign, stretched, z):
 def stretched_euler_summation(n, base, prec: int) -> Summation:
     """The summation in base Q = ``base`` with x_r = Q^{r-1}, r = 1..n,
     multiplied at ``prec`` bits, as are (-1)^n and Q^n of its product."""
-    xvec = geom(base, n, prec)
     sign = fnone if n % 2 else fone
-    stretched = from_raw(_pow_int(value_key(base), n, prec, mp._prec_rounding[1]))
+    stretched = power_at(base, n, prec)
     return Summation(
         n,
-        lambda P, z, k: stretched_euler_term(P, xvec, base, z, k),
+        stretched_spec(n, base, prec),
         lambda P, z: stretched_euler_product(P, sign, stretched, z),
         label="stretched_euler",
     )
@@ -290,41 +281,28 @@ def stretched_euler_summation(n, base, prec: int) -> Summation:
 # At c = 0 the extra product collapses to 1.
 
 
-def extra_c_rows(P, avec, c, xvec, base) -> list:
-    """Row r: the tables of (c x_r/A; base), (c x_r; base), (c x_r; base)
-    and (c x_r/a_r; base) with A = a_1 ... a_n, built once per run."""
-
-    def build():
-        big_a = raw_product(avec)
-        rows = []
-        for a_r, x_r in zip(avec, xvec):
-            cx = c * x_r
-            args = (cx / big_a, cx, cx, cx / a_r)
-            rows.append(tuple(P.finite_table(v, base) for v in args))
-        return rows
-
-    return P.table("extra_c", (avec, c, xvec, base), build)
-
-
-def extra_c_term(P, avec, c, xvec, base, z, k):
-    kk = sum(k)
-    value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    # At c = 0 every factor of the rows is exactly 1.
-    if c:
-        rows = extra_c_rows(P, avec, c, xvec, base)
-        for kr, (num_r, num_kk, den_r, den_kk) in zip(k, rows):
-            value *= num_r.at(kr) * num_kk.at(kk)
-            value /= den_r.at(kr) * den_kk.at(kk)
-    return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
-
-
 def extra_c_summation(avec, c, xvec, base, prec: int) -> Summation:
-    """The summation, parameters bound; the product A = a_1 ... a_n of its
-    product side is formed once, at ``prec`` bits."""
+    """The summation, parameters bound; A = a_1 ... a_n and the arguments
+    c x_r / A, c x_r and c x_r / a_r are formed once, at ``prec`` bits.  At
+    c = 0 every extra factor is exactly 1, and the summand has none."""
     big_a = raw_product(avec, prec=prec)
+    rows, total = [], []
+    if c:
+        with mp.workprec(prec):
+            for a_r, x_r in zip(avec, xvec):
+                cx = c * x_r
+                rows.append((numer(cx / big_a, base), denom(cx, base)))
+                total += [numer(cx, base), denom(cx / a_r, base)]
     return Summation(
         len(xvec),
-        lambda P, z, k: extra_c_term(P, avec, c, xvec, base, z, k),
+        TermSpec(
+            base,
+            vandermonde=(xvec, base),
+            pairs=(avec, xvec),
+            rows=rows,
+            total=total,
+            exponent=staircase,
+        ),
         lambda P, z: qbin_product(P, big_a, base, z),
         label="extra_c",
     )

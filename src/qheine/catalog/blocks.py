@@ -13,7 +13,7 @@ from mpmath import mpmathify
 from ..errors import UnknownIdentity
 from ..multisum import Summation
 from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
-from .classical import q_euler_summation, qbin_summation, qbin_term
+from .classical import q_euler_summation, qbin_summation
 from .core import coefficient, distinct_vector, signed
 from .kajihara import kajihara_summation
 
@@ -21,15 +21,16 @@ __all__ = ["broken_block", "sample_block", "SHIPPED_BLOCK_NAMES", "BLOCK_NAMES"]
 
 
 def broken_block(a, base) -> Summation:
-    """Deliberate homogeneity counterexample: the q-binomial summation whose
-    summand also carries the argument inside a rising factorial."""
-    a = mpmathify(a)
-    base = mpmathify(base)
+    """Deliberate homogeneity counterexample: the q-binomial summand times
+    (z; base)_k, the argument inside a rising factorial (no ``TermSpec``)."""
+    a, base = mpmathify(a), mpmathify(base)
+    summation = qbin_summation(a, base)
+    qbin = summation.term
 
     def term(P, z, k):
-        return qbin_term(P, a, base, z, k) * P.finite(z, base, k[0])
+        return qbin(P, z, k) * P.finite(z, base, k[0])
 
-    return replace(qbin_summation(a, base), term=term, label="broken")
+    return replace(summation, term=term, label="broken")
 
 
 SHIPPED_BLOCK_NAMES = ("q_bin", "milne_lilly", "gk", "extra_c", "kajihara")

@@ -6,28 +6,30 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from ..multisum import HeineBlock, SeriesSide, Summation, heine_sides
+from ..multisum import HeineBlock, Summation, heine_sides
 from ..qcore import from_raw, raw_div, raw_mul, value_key
-from .core import IdentityFamily, ParamSpec, argument, coefficient, summation_sides
+from .core import (
+    IdentityFamily,
+    ParamSpec,
+    TermSpec,
+    argument,
+    coefficient,
+    denom,
+    numer,
+    spec_side,
+    summation_sides,
+)
 
 __all__ = [
     "FAMILIES",
-    "qbin_term",
     "qbin_product",
     "infinite_ratio",
     "qbin_summation",
-    "q_euler_term",
-    "q_euler_inner_term",
     "q_euler_summation",
 ]
 
 
 # -- q-binomial theorem: sum_k (a)_k/(q)_k z^k = (az)_oo/(z)_oo -------------
-
-
-def qbin_term(P, a, base, z, k):
-    kk = k[0]
-    return P.finite(a, base, kk) / P.finite(base, base, kk) * P.intpow(z, kk)
 
 
 def qbin_product(P, a, base, z):
@@ -50,7 +52,7 @@ def qbin_summation(a, base) -> Summation:
     """The summation, parameters bound."""
     return Summation(
         1,
-        lambda P, z, k: qbin_term(P, a, base, z, k),
+        TermSpec(base, rows=[(numer(a, base), denom(base, base))]),
         lambda P, z: qbin_product(P, a, base, z),
         label="q_bin",
     )
@@ -87,46 +89,24 @@ Q_BINOMIAL = IdentityFamily(
 
 
 def _heine_build(dims):
-    def lhs_term(ctx, k):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        kk = k[0]
-        q = B.q
-        return (
-            P.finite(p["a"], q, kk)
-            * P.finite(p["b"], q, kk)
-            / (P.finite(p["c"], q, kk) * P.finite(q, q, kk))
-            * P.intpow(p["z"], kk)
-        )
+    def lhs(ctx):
+        q, p = ctx.bases.q, ctx.params
+        rows = [(numer(p["a"], q), numer(p["b"], q), denom(p["c"], q), denom(q, q))]
+        return TermSpec(q, rows=rows), p["z"]
 
-    def rhs_arguments(ctx):
-        """(c / b, a z), formed once per run."""
-        P, p = ctx.poch, ctx.params
+    def rhs(ctx):
+        q, p = ctx.bases.q, ctx.params
         a, b, c, z = p["a"], p["b"], p["c"], p["z"]
-        return P.table("heine_2phi1", (a, b, c, z), lambda: (c / b, a * z))
+        rows = [(numer(c / b, q), numer(z, q), denom(a * z, q), denom(q, q))]
+        return TermSpec(q, rows=rows), b
 
     def rhs_prefactor(ctx):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        q = B.q
-        az = rhs_arguments(ctx)[1]
-        return (
-            P.infinite(p["b"], q)
-            * P.infinite(az, q)
-            / (P.infinite(p["c"], q) * P.infinite(p["z"], q))
-        )
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        a, b, c, z = p["a"], p["b"], p["c"], p["z"]
+        top = P.infinite(b, q) * P.infinite(a * z, q)
+        return top / (P.infinite(c, q) * P.infinite(z, q))
 
-    def rhs_term(ctx, j):
-        P, B, p = ctx.poch, ctx.bases, ctx.params
-        jj = j[0]
-        q = B.q
-        cb, az = rhs_arguments(ctx)
-        return (
-            P.finite(cb, q, jj)
-            * P.finite(p["z"], q, jj)
-            / (P.finite(az, q, jj) * P.finite(q, q, jj))
-            * P.intpow(p["b"], jj)
-        )
-
-    return SeriesSide(1, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
+    return spec_side(1, lhs), spec_side(1, rhs, rhs_prefactor)
 
 
 def _heine_domain(dims, p, bases):
@@ -195,26 +175,6 @@ BIBASIC_HEINE = IdentityFamily(
 # -- q-analogue of Euler's transformation ------------------------------------
 
 
-def q_euler_term(P, a, b, c, base, z, k):
-    kk = k[0]
-    return (
-        P.finite(a, base, kk)
-        * P.finite(b, base, kk)
-        / (P.finite(base, base, kk) * P.finite(c, base, kk))
-        * P.intpow(z, kk)
-    )
-
-
-def q_euler_inner_term(P, ca, cb, c, base, j):
-    """Right-hand summand at unit argument, with ca = c / a and cb = c / b."""
-    jj = j[0]
-    return (
-        P.finite(ca, base, jj)
-        * P.finite(cb, base, jj)
-        / (P.finite(base, base, jj) * P.finite(c, base, jj))
-    )
-
-
 def q_euler_summation(a, b, c, base, prec: int) -> Summation:
     """The transformation, parameters bound: the inner summand at unit
     argument and the stretch a b / c of its argument.  The stretch and the
@@ -222,12 +182,18 @@ def q_euler_summation(a, b, c, base, prec: int) -> Summation:
     with mp.workprec(prec):
         stretch = a * b / c
         ca, cb = c / a, c / b
+
+    def summand(u, v, **fields):
+        """(u)_k (v)_k / ((base)_k (c)_k)."""
+        rows = [(numer(u, base), numer(v, base), denom(base, base), denom(c, base))]
+        return TermSpec(base, rows=rows, **fields)
+
     return Summation(
         1,
-        lambda P, z, k: q_euler_term(P, a, b, c, base, z, k),
+        summand(a, b),
         lambda P, z: qbin_product(P, stretch, base, z),
         1,
-        lambda P, j: q_euler_inner_term(P, ca, cb, c, base, j),
+        summand(ca, cb, argument=False),
         stretch,
         arg_bound=float(1 / max(1, abs(stretch))),
         label="q_euler",

@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf, mpmathify
+from mpmath.libmp import fnone, fone
 
 from ..errors import (
     DomainExhausted,
@@ -29,7 +30,12 @@ from ..qcore import (
     ONE,
     BaseSystem,
     QComplex,
+    _pow_int,
+    from_raw,
+    raw_div,
+    raw_mul,
     raw_quotients,
+    value_key,
 )
 
 _REL_FLOOR = mpf(10) ** -300
@@ -307,83 +313,162 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
     """The two sides of a family that states one summation: its sum, and
     its product times its inner sum, if any.  ``shape`` is the summation's
     (outer, inner) dimensions, and ``bind(ctx)`` returns the run's
-    ``Summation`` and argument z; it is called once per run and kept in the
-    run's ``PochCache.terms`` under ``bind``.  The inner summand is taken at
-    unit argument times (stretch z)^{|j|}.  The sum is the lhs unless
-    ``product_left``."""
+    ``Summation`` and argument z, once per run (``run_memo``).  The inner
+    summand is taken at unit argument times (stretch z)^{|j|}.  The sum is
+    the lhs unless ``product_left``."""
     outer, inner = shape
 
     def bound(ctx) -> tuple:
         """(summation, z, stretch z) of the run."""
-        memo = ctx.poch.terms
-        run = memo.get(bind)
-        if run is None:
-            summation, z = bind(ctx)
-            run = memo[bind] = (summation, z, summation.stretch * z)
-        return run
+        summation, z = bind(ctx)
+        return summation, z, summation.stretch * z
 
     def term(ctx, k):
-        summation, z, _ = bound(ctx)
+        summation, z, _ = run_memo(ctx, bound)
         return summation.term(ctx.poch, z, k)
 
     def product(ctx):
-        summation, z, _ = bound(ctx)
+        summation, z, _ = run_memo(ctx, bound)
         return summation.product(ctx.poch, z)
 
     def inner_term(ctx, j):
-        summation, _, stretched = bound(ctx)
+        summation, _, stretched = run_memo(ctx, bound)
         return summation.inner(ctx.poch, j) * ctx.poch.intpow(stretched, sum(j))
 
     sides = (SeriesSide(outer, term), SeriesSide(inner, inner_term, product))
     return sides[::-1] if product_left else sides
 
 
-def finite_rows(P, tag: str, values: tuple, base, pairs) -> list:
-    """Rows of (numerator, denominator) finite-product tables in ``base``.
-
-    ``pairs()`` lists, for each index r, the (numerator, denominator)
-    arguments of the factors read at k_r; it may use only ``values`` and
-    ``base``.  The tables are built once per run (``PochCache.table``), and
-    ``times_rows`` reads them.
-    """
+def sq_ratio(P, avec, x, base, k) -> QComplex:
+    """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r},
+    multiplied on raw values as ``value *= num; value /= den``, factor by
+    factor in (r, s) order; its tables are built once per run."""
 
     def build():
         return [
-            [(P.finite_table(a, base), P.finite_table(b, base)) for a, b in row]
-            for row in pairs()
+            [
+                (P.finite_table(a_s * t, base), P.finite_table(base * t, base))
+                for a_s, t in zip(avec, [x_r / x_s for x_s in x])
+            ]
+            for x_r in x
         ]
 
-    return P.table(tag, values + (base,), build)
-
-
-def times_rows(value, rows, k) -> QComplex:
-    """value * prod_r prod_{(num, den) in row r} num_{k_r} / den_{k_r},
-    multiplied factor by factor in row order; rows with k_r = 0 are 1.
-
-    The factors are multiplied on raw values with the rounding of
-    ``value *= num; value /= den`` at the working precision, and the result
-    is one mpf or mpc made at the end."""
+    rows = P.table("sq_ratio", (avec, x, base), build)
     return raw_quotients(
-        ((num.at(kr), den.at(kr)) for kr, row in zip(k, rows) if kr for num, den in row),
-        value,
+        (num.at(kr), den.at(kr)) for kr, row in zip(k, rows) if kr for num, den in row
     )
 
 
-def sq_ratio(P, avec, x, base, k) -> QComplex:
-    """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r}."""
-
-    def pairs():
-        rows = []
-        for r in range(len(x)):
-            ratios = [x[r] / x_s for x_s in x]
-            rows.append(
-                [(a_s * ratio, base * ratio) for a_s, ratio in zip(avec, ratios)]
-            )
-        return rows
-
-    rows = finite_rows(P, "sq_ratio", (avec, x), base, pairs)
-    return times_rows(ONE, rows, k)
+# ---------------------------------------------------------------------------
+# summands as data
 
 
-def vande(P, x, k, step) -> QComplex:
-    return vandermonde_ratio(x, k, step, P)
+def numer(a, base, stretch: int = 1) -> tuple:
+    """(a; base)_{stretch * index} in the numerator of a ``TermSpec``."""
+    return a, base, stretch, raw_mul
+
+
+def denom(a, base, stretch: int = 1) -> tuple:
+    """(a; base)_{stretch * index} in the denominator of a ``TermSpec``."""
+    return a, base, stretch, raw_div
+
+
+def power_at(x, n: int, prec: int) -> QComplex:
+    """x ** n at ``prec`` bits, as ``PochCache.intpow`` gives it."""
+    return from_raw(_pow_int(value_key(x), n, prec, mp._prec_rounding[1]))
+
+
+@dataclass(frozen=True, eq=False)
+class TermSpec:
+    """A summand as data: at index k, the product of
+
+        vandermonde_ratio(x, k, S) for ``vandermonde`` = (x, S),
+        sq_ratio(P, a, x, base, k) for ``pairs`` = (a, x),
+        the factors of ``total`` read at stretch * |k|,
+        per index r the factors of ``rows[r]`` read at stretch * k_r,
+        base ** exponent(k), prod_r x_r^{-k_r} for ``monomials`` = x,
+        z^{|k|} if it has an ``argument``, and (-1)^{|k|} if ``sign``,
+
+    each optional; a factor is a ``numer`` or a ``denom``.  A spec is called
+    as term(P, z, k), or without an argument as inner(P, k).  Its tables are
+    looked up once per run (``PochCache.table``), and the pieces multiplied
+    on raw values in the order above, as ``value *= factor`` rounds them.
+    """
+
+    base: QComplex
+    vandermonde: tuple | None = None
+    pairs: tuple | None = None
+    rows: Sequence = ()
+    total: Sequence = ()
+    exponent: Callable[[Sequence[int]], int] | None = None
+    monomials: Sequence | None = None
+    sign: bool = False
+    argument: bool = True
+
+    def tables(self, P) -> list:
+        """``total`` and then ``rows``, each factor's arguments replaced by
+        its table."""
+
+        def build():
+            return [
+                [(P.finite_table(a, b), c, op) for a, b, c, op in factors]
+                for factors in (self.total, *self.rows)
+            ]
+
+        return P.table(self, (), build)
+
+    def __call__(self, P, *args) -> QComplex:
+        z, k = args if self.argument else (None, *args)
+        prec, rnd = mp._prec_rounding
+        value = fone
+        if self.vandermonde is not None:
+            x, step = self.vandermonde
+            value = value_key(vandermonde_ratio(x, k, step, P))
+        if self.pairs is not None:
+            factor = sq_ratio(P, *self.pairs, self.base, k)
+            value = _fold(value, raw_mul, factor, prec, rnd)
+        weight = sum(k)
+        for index, factors in zip((weight, *k), self.tables(P)):
+            if index:
+                for table, stretch, op in factors:
+                    value = _fold(value, op, table.at(stretch * index), prec, rnd)
+        n = self.exponent(k) if self.exponent else 0
+        if n:
+            value = _fold(value, raw_mul, P.intpow(self.base, n), prec, rnd)
+        if self.monomials is not None:
+            for x_r, kr in zip(self.monomials, k):
+                if kr:
+                    value = _fold(value, raw_mul, P.intpow(x_r, -kr), prec, rnd)
+        if self.argument and weight:
+            value = _fold(value, raw_mul, P.intpow(z, weight), prec, rnd)
+        if self.sign and weight & 1:
+            value = raw_mul(value, fnone, prec, rnd)
+        return from_raw(value)
+
+
+def _fold(value, op, factor, prec: int, rnd: str) -> tuple:
+    """op(value, factor) for a raw value; a factor at the working precision
+    times 1 is the factor itself."""
+    if value is fone and op is raw_mul:
+        return value_key(factor)
+    return op(value, value_key(factor), prec, rnd)
+
+
+def run_memo(ctx, bind):
+    """``bind(ctx)``, once per run (kept in ``PochCache.terms``)."""
+    memo = ctx.poch.terms
+    value = memo.get(bind)
+    if value is None:
+        value = memo[bind] = bind(ctx)
+    return value
+
+
+def spec_side(dimension: int, bind, prefactor=lambda ctx: ONE) -> SeriesSide:
+    """The side prefactor(ctx) * sum_k spec(k), where ``bind(ctx)`` returns
+    the run's ``TermSpec`` and then its argument, if it has one."""
+
+    def term(ctx, k):
+        spec, *z = run_memo(ctx, bind)
+        return spec(ctx.poch, *z, k)
+
+    return SeriesSide(dimension, term, prefactor)

@@ -12,79 +12,58 @@ from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
+    TermSpec,
     argument,
+    denom,
     distinct_vector,
-    finite_rows,
+    numer,
     signed,
-    sq_ratio,
     staircase,
     summation_sides,
-    times_rows,
-    vande,
 )
 
-__all__ = ["FAMILIES", "kajihara_term", "kajihara_inner_term", "kajihara_summation"]
-
-
-def grid_rows(P, bvec, c, xvec, yvec, base) -> list:
-    """Row r: (b_s x_r y_s; base) over (c x_r y_s; base) for every s."""
-
-    def pairs():
-        return [
-            [(b_s * x_r * y_s, c * x_r * y_s) for b_s, y_s in zip(bvec, yvec)]
-            for x_r in xvec
-        ]
-
-    return finite_rows(P, "kajihara.grid", (bvec, c, xvec, yvec), base, pairs)
-
-
-def inner_rows(P, avec, bvec, c, xvec, yvec, base) -> list:
-    """Row r: (c y_r/(b_s y_s); base) over (base y_r/y_s; base) for every s,
-    then (c x_s y_r/a_s; base) over (c x_s y_r; base) for every s."""
-
-    def pairs():
-        rows = []
-        for r in range(len(yvec)):
-            row = [
-                (c * yvec[r] / (bvec[s] * yvec[s]), base * yvec[r] / yvec[s])
-                for s in range(len(yvec))
-            ]
-            row += [
-                (c * xvec[s] * yvec[r] / avec[s], c * xvec[s] * yvec[r])
-                for s in range(len(xvec))
-            ]
-            rows.append(row)
-        return rows
-
-    return finite_rows(P, "kajihara.inner", (avec, bvec, c, xvec, yvec), base, pairs)
-
-
-def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
-    value = vande(P, xvec, k, base) * sq_ratio(P, avec, xvec, base, k)
-    value = times_rows(value, grid_rows(P, bvec, c, xvec, yvec, base), k)
-    return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
-
-
-def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, j):
-    """Right-hand summand at unit argument."""
-    value = vande(P, yvec, j, base)
-    value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
-    return value * P.intpow(base, staircase(j))
+__all__ = ["FAMILIES", "kajihara_summation"]
 
 
 def kajihara_summation(avec, bvec, c, xvec, yvec, base, prec: int) -> Summation:
     """The transformation, parameters bound: the inner summand at unit
     argument and the stretch A B / c^m of its argument, multiplied at
-    ``prec`` bits."""
-    grid = (avec, bvec, c, xvec, yvec)
+    ``prec`` bits, as are the arguments of the rows.  Row r of the summand:
+    (b_s x_r y_s)/(c x_r y_s) for every s; of the inner summand: (c y_r/(b_s
+    y_s))/(base y_r/y_s), then (c x_s y_r/a_s)/(c x_s y_r), for every s."""
+    m = len(yvec)
+
+    def quotients(pairs):
+        """(num; base) over (den; base) for each (num, den) of ``pairs``."""
+        return [f for num, den in pairs for f in (numer(num, base), denom(den, base))]
+
+    by, ax = list(zip(bvec, yvec)), list(zip(avec, xvec))
     with mp.workprec(prec):
-        stretch = raw_product(avec) * raw_product(bvec) / c ** len(yvec)
+        stretch = raw_product(avec) * raw_product(bvec) / c**m
+        grid = [
+            quotients((b_s * x_r * y_s, c * x_r * y_s) for b_s, y_s in by)
+            for x_r in xvec
+        ]
+        inner = [
+            quotients((c * y_r / (b_s * y_s), base * y_r / y_s) for b_s, y_s in by)
+            + quotients((c * x_s * y_r / a_s, c * x_s * y_r) for a_s, x_s in ax)
+            for y_r in yvec
+        ]
+    inner_term = TermSpec(
+        base, vandermonde=(yvec, base), rows=inner, exponent=staircase, argument=False
+    )
     return Summation(
         len(xvec),
-        lambda P, z, k: kajihara_term(P, *grid, base, z, k),
+        TermSpec(
+            base,
+            vandermonde=(xvec, base),
+            pairs=(avec, xvec),
+            rows=grid,
+            exponent=staircase,
+        ),
         lambda P, z: qbin_product(P, stretch, base, z),
-        len(yvec),
-        lambda P, j: kajihara_inner_term(P, *grid, base, j),
+        m,
+        inner_term,
         stretch,
         arg_bound=float(1 / max(1, abs(stretch))),
         label="kajihara",

@@ -11,13 +11,14 @@ ram_1_4_17 from the Euler exponential summation, and ram_eq26_b and
 ram_1_4_17_anm from the stretched Euler summation, whose Vandermonde factor
 and finite products are stretched by the dimension.
 
-Four are written as displayed, each summand once: ram_1_4_10_anm,
-ram_1_4_10_c, ram_1_4_9a and ram_1_4_9b couple their summands through
-finite products; a Heine form would trade those finite-table lookups for an
-infinite product per term.  The stretched summands of the last three come
-from ``stretched_euler_term`` at z = +-1.  The lhs of ram_1_4_10_anm and
-ram_1_4_10_c is one "linear" stretched summand (``_linear_term``) with no
-closed product, so no block can be bound to it.
+Four are written as displayed, each summand a ``TermSpec``:
+ram_1_4_10_anm, ram_1_4_10_c, ram_1_4_9a and ram_1_4_9b couple their
+summands through finite products at the total weight; a Heine form would
+trade those finite-table lookups for an infinite product per term.  The
+stretched summands of the last three are ``stretched_spec`` at z = +-1.
+The lhs of ram_1_4_10_anm and ram_1_4_10_c is one "linear" stretched
+summand (``_linear_spec``) with no closed product, so no block can be bound
+to it.
 
 The other four are those at fixed dimensions and share their builders,
 which read a missing dimension as 1: ram_1_4_10 and ram_1_4_10_m1 are
@@ -29,25 +30,30 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..multisum import HeineBlock, SeriesSide, TruncationPolicy, heine_sides
+from ..multisum import HeineBlock, TruncationPolicy, heine_sides
 from ..qcore import ONE, e2
 from .an_qbinomial import (
     euler_exp_summation,
     gk_summation,
     milne_lilly_summation,
     stretched_euler_summation,
-    stretched_euler_term,
+    stretched_spec,
 )
 from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
+    TermSpec,
     argument,
     coefficient,
+    denom,
     geom,
+    numer,
+    power_at,
+    run_memo,
+    spec_side,
     staircase,
     tri,
-    vande,
 )
 
 __all__ = ["FAMILIES"]
@@ -57,16 +63,6 @@ __all__ = ["FAMILIES"]
 _SLOW_POLICY = TruncationPolicy(max_shell_weight=170)
 
 
-def _q_vector(dim):
-    """(P, B) -> the variable vector (1, q, ..., q^{dim-1}), built once per
-    run (``PochCache.table``)."""
-
-    def vector(P, B):
-        return P.table(("geom q", dim), (B.q,), lambda: geom(B.q, dim, P.prec))
-
-    return vector
-
-
 # -- entries built by Heine's method -----------------------------------------
 
 
@@ -74,11 +70,16 @@ def _displayed(shapes, base_shape, bind, common):
     """The sides of ``multisum.heine_sides(shapes, base_shape, bind)`` as
     displayed: both multiplied by ``common(P, blocks, base)``, which is the
     lhs prefactor and multiplies the rhs one.  ``common`` is built from the
-    bound blocks' own products, which the rhs prefactor computes anyway."""
-    lhs, rhs = heine_sides(shapes, base_shape, bind)
+    bound blocks' own products, which the rhs prefactor computes anyway.
+    Both read one ``bind`` per run (``run_memo``)."""
+
+    def bound(ctx):
+        return run_memo(ctx, bind)
+
+    lhs, rhs = heine_sides(shapes, base_shape, bound)
 
     def factor(ctx):
-        return common(ctx.poch, *bind(ctx))
+        return common(ctx.poch, *bound(ctx))
 
     def rhs_prefactor(ctx):
         return factor(ctx) * rhs.prefactor(ctx)
@@ -184,50 +185,59 @@ RAM_1_4_1_ANM = IdentityFamily(
 # -- the sum_k q^k/(q)_k^2 family ---------------------------------------------
 
 
-def _linear_term(P, xvec, q, k, denominators):
-    """V(x, k; q^n) / prod_r (q^r; q)_{n k_r} / prod(denominators)
-    * q^{n|k| + (n-1) sum_r (r-1)k_r + n e2(k)}, with ``xvec`` = (1, q, ...,
-    q^{n-1}): the summand the lhs of the ram_1_4_10 extensions share.  It
-    has no closed product, so it is a helper and not a summation."""
-    n = len(xvec)
-    value = vande(P, xvec, k, P.intpow(q, n))
-    for r, kr in enumerate(k, 1):
-        value /= P.finite(P.intpow(q, r), q, n * kr)
-    for den in denominators:
-        value /= den
-    return value * P.intpow(q, n * sum(k) + (n - 1) * staircase(k) + n * e2(k))
+def _q_sides(lhs, rhs, rhs_prefactor):
+    """The sides of an entry without parameters: ``lhs`` and ``rhs`` are
+    (dimension, spec(q, prec)), each spec built once per run, and the rhs
+    is multiplied by ``rhs_prefactor(P, q)``."""
+
+    def side(dimension, spec, prefactor=lambda P, q: ONE):
+        def bind(ctx):
+            return (spec(ctx.bases.q, ctx.bases.prec),)
+
+        return spec_side(dimension, bind, lambda ctx: prefactor(ctx.poch, ctx.bases.q))
+
+    return side(*lhs), side(*rhs, rhs_prefactor)
+
+
+def _linear_spec(n, q, prec, total) -> TermSpec:
+    """V(x, k; q^n) / prod_r (q^r; q)_{n k_r} q^{n|k| + (n-1) sum_r (r-1)k_r
+    + n e2(k)} over the factors ``total`` at the total weight, with x_r =
+    q^{r-1}: the summand the lhs of the ram_1_4_10 extensions share, at unit
+    argument.  It has no closed product, so it is no summation."""
+
+    def exponent(k):
+        return n * sum(k) + (n - 1) * staircase(k) + n * e2(k)
+
+    return stretched_spec(n, q, prec, exponent, total=total, argument=False)
 
 
 def _ram_1_4_10_anm_build(dims):
     n, m = dims.get("n", 1), dims.get("m", 1)
-    x_n = _q_vector(n)
-    x_m = _q_vector(m)
 
-    def lhs_term(ctx, k):
-        P, q = ctx.poch, ctx.bases.q
-        q_m, kk = P.intpow(q, m), sum(k)
-        extra = (P.finite(P.intpow(q, m * r), q_m, n * kk) for r in range(1, m + 1))
-        return _linear_term(P, x_n(P, ctx.bases), q, k, extra)
+    def lhs(q, prec):
+        q_m = power_at(q, m, prec)
+        total = [denom(power_at(q, m * r, prec), q_m, n) for r in range(1, m + 1)]
+        return _linear_spec(n, q, prec, total)
 
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
+    def rhs(q, prec):
+        q_m = power_at(q, m, prec)
+        return TermSpec(
+            q,
+            vandermonde=(geom(q, m, prec), q_m),
+            rows=[(denom(q_m, q_m),)] * m,
+            total=[numer(q, q, m * n)],
+            exponent=lambda j: m * staircase(j) + m * sum(tri(jr) for jr in j),
+            sign=True,
+            argument=False,
+        )
+
+    def rhs_prefactor(P, q):
         value = 1 / P.infinite(q, q)
         for r in range(1, m + 1):
             value /= P.infinite(q ** (m * r), q**m)
         return value
 
-    def rhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        jj = sum(j)
-        value = vande(P, x_m(P, B), j, P.intpow(q, m)) * P.finite(q, q, m * n * jj)
-        for r in range(m):
-            value /= P.finite(P.intpow(q, m), P.intpow(q, m), j[r])
-        exponent = m * staircase(j) + m * sum(tri(jr) for jr in j)
-        return value * (-1) ** jj * P.intpow(q, exponent)
-
-    return SeriesSide(n, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+    return _q_sides((n, lhs), (m, rhs), rhs_prefactor)
 
 
 def _always(dims, p, bases):
@@ -285,27 +295,19 @@ RAM_1_4_10 = IdentityFamily(
 
 def _ram_1_4_10_c_build(dims):
     n, m = dims.get("n", 1), dims.get("m", 1)
-    x_n = _q_vector(n)
-    x_m = _q_vector(m)
-    sign = (-ONE) ** n
 
-    def lhs_term(ctx, j):
-        P, q = ctx.poch, ctx.bases.q
-        qn = P.intpow(q, n)
-        return _linear_term(P, x_m(P, ctx.bases), q, j, (P.finite(qn, qn, m * sum(j)),))
+    def lhs(q, prec):
+        q_n = power_at(q, n, prec)
+        return _linear_spec(m, q, prec, [denom(q_n, q_n, m)])
 
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        qn = q**n
-        return 1 / (P.infinite(q, q) * P.infinite(qn, qn))
+    def rhs(q, prec):
+        total = [numer(q, q, m * n)]
+        return stretched_spec(n, q, prec, total=total, sign=n % 2 == 1, argument=False)
 
-    def rhs_term(ctx, k):
-        P, q = ctx.poch, ctx.bases.q
-        value = stretched_euler_term(P, x_n(P, ctx.bases), q, sign, k)
-        return value * P.finite(q, q, m * n * sum(k))
+    def rhs_prefactor(P, q):
+        return 1 / (P.infinite(q, q) * P.infinite(q**n, q**n))
 
-    return SeriesSide(m, lhs_term), SeriesSide(n, rhs_term, rhs_prefactor)
+    return _q_sides((m, lhs), (n, rhs), rhs_prefactor)
 
 
 RAM_1_4_10_C = IdentityFamily(
@@ -485,29 +487,19 @@ RAM_1_4_17 = IdentityFamily(
 
 def _ram_1_4_9a_build(dims):
     m = dims["m"]
-    x_m = _q_vector(m)
-    sign = (-ONE) ** m
 
-    def lhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        qm = P.intpow(B.q, m)
-        value = stretched_euler_term(P, x_m(P, B), B.q, ONE, j)
-        return value / P.finite(qm, qm, m * sum(j))
+    def lhs(q, prec):
+        q_m = power_at(q, m, prec)
+        return stretched_spec(m, q, prec, total=[denom(q_m, q_m, m)], argument=False)
 
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        qm = q**m
-        return P.infinite((-q) ** m, qm) / P.infinite(qm, qm)
+    def rhs(q, prec):
+        total = [denom(power_at(-q, m, prec), power_at(q, m, prec), m)]
+        return stretched_spec(m, q, prec, total=total, sign=m % 2 == 1, argument=False)
 
-    def rhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        qm = P.intpow(q, m)
-        value = stretched_euler_term(P, x_m(P, B), q, sign, k)
-        return value / P.finite(P.intpow(-q, m), qm, m * sum(k))
+    def rhs_prefactor(P, q):
+        return P.infinite((-q) ** m, q**m) / P.infinite(q**m, q**m)
 
-    return SeriesSide(m, lhs_term), SeriesSide(m, rhs_term, rhs_prefactor)
+    return _q_sides((m, lhs), (m, rhs), rhs_prefactor)
 
 
 RAM_1_4_9A = IdentityFamily(
@@ -525,29 +517,20 @@ RAM_1_4_9A = IdentityFamily(
 
 def _ram_1_4_9b_build(dims):
     m = dims.get("m", 1)
-    x_m = _q_vector(m)
 
-    def lhs_term(ctx, j):
-        P, B = ctx.poch, ctx.bases
-        value = stretched_euler_term(P, x_m(P, B), B.q, ONE, j)
-        return value / P.finite(B.q, B.q, m * sum(j))
+    def lhs(q, prec):
+        return stretched_spec(m, q, prec, total=[denom(q, q, m)], argument=False)
 
-    def rhs_prefactor(ctx):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        return P.infinite((-q) ** m, q**m) / P.infinite(q, q)
-
-    def rhs_term(ctx, k):
-        P, B = ctx.poch, ctx.bases
-        q = B.q
-        kk = k[0]
-        return (
-            (-1) ** kk
-            * P.intpow(q, tri(kk))
-            / (P.finite(q, q, kk) * P.finite(P.intpow(-q, m), P.intpow(q, m), kk))
+    def rhs(q, prec):
+        rows = [(denom(q, q), denom(power_at(-q, m, prec), power_at(q, m, prec)))]
+        return TermSpec(
+            q, rows=rows, exponent=lambda k: tri(k[0]), sign=True, argument=False
         )
 
-    return SeriesSide(m, lhs_term), SeriesSide(1, rhs_term, rhs_prefactor)
+    def rhs_prefactor(P, q):
+        return P.infinite((-q) ** m, q**m) / P.infinite(q, q)
+
+    return _q_sides((m, lhs), (1, rhs), rhs_prefactor)
 
 
 RAM_1_4_9B = IdentityFamily(

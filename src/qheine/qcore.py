@@ -564,11 +564,14 @@ class PochCache:
         """(a; base)_oo at the cache precision; an empty product is the
         shared ``ONE``.
 
-        ``a`` and ``base`` are mpf or mpc objects, and so is the value.
-        The product is computed by the module's ``qpoch_infinite`` at the
-        cache precision; ``mp.workprec`` is entered only when the ambient
-        precision differs from it, which it never does inside
-        ``multisum.evaluate_in_context``."""
+        The value is an mpf or mpc object; arguments of other types are
+        read at the cache precision.  The product is computed by the
+        module's ``qpoch_infinite`` at the cache precision; ``mp.workprec``
+        is entered only when the ambient precision differs from it, which
+        it never does inside ``multisum.evaluate_in_context``."""
+        if not (isinstance(a, (mpf, mpc)) and isinstance(base, (mpf, mpc))):
+            with mp.workprec(self.prec):
+                a, base = mpmathify(a), mpmathify(base)
         key = (value_key(a), value_key(base))
         try:
             below = self._empty_below[key[1]]

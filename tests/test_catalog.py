@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from qheine import catalog, cli
-from qheine.catalog import core
+from qheine.catalog import core, ramanujan
 from qheine.catalog.core import ParamSpec
 from qheine.errors import (
     DegenerateVariables,
@@ -18,16 +18,25 @@ from qheine.catalog.an_qbinomial import (
     stretched_euler_summation,
 )
 from qheine.catalog.classical import q_euler_summation
-from qheine.catalog.kajihara import grid_rows, inner_rows, kajihara_summation
+from qheine.catalog.kajihara import kajihara_summation
 from qheine.multisum import (
     SeriesSide,
     TruncationPolicy,
     enumerate_shell,
     evaluate_in_context,
     make_context,
+    vandermonde_ratio,
 )
 from qheine.qcore import BaseSystem, PochCache, e2, raw_product
-from util import qpoch_finite, rel, side_values, vandermonde_ratio_loop
+import util
+from util import (
+    grid_rows,
+    inner_rows,
+    qpoch_finite,
+    rel,
+    side_values,
+    vandermonde_ratio_loop,
+)
 
 EXPECTED_IDS = [
     "q_binomial",
@@ -353,14 +362,15 @@ class TestTermTables:
             for _ in range(2):  # the second pass reads the cached tables
                 cached = core.sq_ratio(cache, avec, x, base, k)
                 assert cached == self._direct_sq_ratio(avec, x, base, k)
-                assert core.vande(cache, x, k, base) == vandermonde_ratio_loop(x, k, base)
+                want = vandermonde_ratio_loop(x, k, base)
+                assert vandermonde_ratio(x, k, base, cache) == want
 
     def test_coincident_variables_raise(self):
         cache = PochCache(128)
         x = (mpf("0.7"), mpf("1.1"), mpf("0.7"))
         for _ in range(2):
             with pytest.raises(DegenerateVariables):
-                core.vande(cache, x, (1, 0, 2), mpf("0.4"))
+                vandermonde_ratio(x, (1, 0, 2), mpf("0.4"), cache)
 
 
 class TestEulerExponential:
@@ -469,15 +479,16 @@ def _kajihara_double_reference(dims, outer, inner, swap):
         scale = P.intpow(B.qht, kk)
         stretched = raw_product(p[d]) * raw_product(p[e])
         stretched = stretched / p[f] ** dims[swap[1]] * p[w]
-        value = core.vande(P, p[x], k, base) * core.sq_ratio(P, p[a], p[x], base, k)
-        value = core.times_rows(
+        value = vandermonde_ratio(p[x], k, base, P)
+        value *= core.sq_ratio(P, p[a], p[x], base, k)
+        value = util.times_rows(
             value, grid_rows(P, p[b], p[c], p[x], p[big_x], base), k
         )
         value *= P.ratio(p[w], other, scale) / P.ratio(stretched, other, scale)
         value *= P.intpow(p[z], kk) * P.intpow(base, core.staircase(k))
-        value *= core.vande(P, p[big_y], kt, other)
+        value *= vandermonde_ratio(p[big_y], kt, other, P)
         rows = inner_rows(P, p[d], p[e], p[f], p[y], p[big_y], other)
-        value = core.times_rows(value, rows, kt)
+        value = util.times_rows(value, rows, kt)
         return value * (stretched * scale) ** sum(kt) * P.intpow(
             other, core.staircase(kt)
         )
@@ -491,8 +502,9 @@ def _master_big_reference(dims):
         k1, k2 = idx[: dims["n1"]], idx[dims["n1"] :]
         base1, base2 = B.power(p["h1"]), B.power(p["h2"])
         x1 = p["x1"]
-        value = core.vande(P, x1, k1, base1) * core.sq_ratio(P, p["a1"], x1, base1, k1)
-        value *= core.vande(P, p["x2"], k2, base2)
+        value = vandermonde_ratio(x1, k1, base1, P)
+        value *= core.sq_ratio(P, p["a1"], x1, base1, k1)
+        value *= vandermonde_ratio(p["x2"], k2, base2, P)
         for kr in k2:
             value *= P.finite(p["a2"], base2, kr) / P.finite(base2, base2, kr)
         scale = P.intpow(B.power(B.t * p["h1"]), sum(k1))
@@ -514,7 +526,7 @@ def _master_lauricella_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         l, k = idx[: dims["p"]], idx[dims["p"] :]
         x = p["x"]
-        value = core.vande(P, x, k, B.qh) * core.sq_ratio(P, p["a"], x, B.qh, k)
+        value = vandermonde_ratio(x, k, B.qh, P) * core.sq_ratio(P, p["a"], x, B.qh, k)
         for cr, ur, lr in zip(p["cp"], p["u"], l):
             value *= P.finite(cr, B.qh, lr) / P.finite(B.qh, B.qh, lr)
             value *= P.intpow(ur, lr)
@@ -533,7 +545,8 @@ def _heine7_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         x = p["x"]
         scale = P.intpow(B.qht, sum(k))
-        value = core.vande(P, x, k, B.qh) * core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        value = vandermonde_ratio(x, k, B.qh, P)
+        value *= core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         for r in range(m):
             wy = p["w"] / p["y"][r]
             value *= P.ratio(wy, B.qt, scale)
@@ -562,7 +575,8 @@ def _heine7_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
         scale = P.intpow(B.qht, sum(j))
-        value = core.vande(P, y, j, B.qt) * core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        value = vandermonde_ratio(y, j, B.qt, P)
+        value *= core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         for r in range(n):
             zx = p["z"] / p["x"][r]
             value *= P.ratio(zx, B.qh, scale)
@@ -586,7 +600,8 @@ def _heine8_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         x = p["x"]
         scale = P.intpow(B.qht, sum(k))
-        value = core.vande(P, x, k, B.qh) * core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        value = vandermonde_ratio(x, k, B.qh, P)
+        value *= core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         for r in range(m):
             shifted_w = p["w"] * P.intpow(B.qt, r)
             value *= P.ratio(shifted_w, B.qt, scale)
@@ -615,7 +630,7 @@ def _heine8_reference(dims):
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         scale = P.intpow(B.qht, sum(j))
-        value = core.vande(P, p["y"], j, B.qt)
+        value = vandermonde_ratio(p["y"], j, B.qt, P)
         for r in range(m):
             value *= P.finite(p["b"], B.qt, j[r]) / P.finite(B.qt, B.qt, j[r])
         for r in range(n):
@@ -636,7 +651,8 @@ def _heine1_reference(dims):
         kk = sum(k)
         big_a = raw_product(p["a"])
         scale = P.intpow(B.qht, kk)
-        value = core.vande(P, x, k, B.qh) * core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        value = vandermonde_ratio(x, k, B.qh, P)
+        value *= core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         value *= P.intpow(p["z"], kk) * P.intpow(B.qh, core.staircase(k))
         for r in range(n):
             cx = p["c"] * x[r]
@@ -665,7 +681,8 @@ def _heine1_reference(dims):
         big_a = raw_product(p["a"])
         big_b = raw_product(p["b"])
         scale = P.intpow(B.qht, jj)
-        value = core.vande(P, y, j, B.qt) * core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        value = vandermonde_ratio(y, j, B.qt, P)
+        value *= core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         value *= P.intpow(p["w"], jj) * P.intpow(B.qt, core.staircase(j))
         for r in range(m):
             dy = p["d"] * y[r]
@@ -685,7 +702,8 @@ def _heine2_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         scale = P.intpow(B.qht, sum(k))
         x = p["x"]
-        value = core.vande(P, x, k, B.qh) * core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
+        value = vandermonde_ratio(x, k, B.qh, P)
+        value *= core.sq_ratio(ctx.poch, p["a"], x, B.qh, k)
         for r in range(m):
             wy = p["w"] / p["y"][r]
             value *= P.ratio(wy, B.qt, scale)
@@ -706,7 +724,8 @@ def _heine2_reference(dims):
         y = p["y"]
         big_a = raw_product(p["a"])
         scale = P.intpow(B.qht, sum(j))
-        value = core.vande(P, y, j, B.qt) * core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
+        value = vandermonde_ratio(y, j, B.qt, P)
+        value *= core.sq_ratio(ctx.poch, p["b"], y, B.qt, j)
         value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_a * p["z"], B.qh, scale)
         value *= (
             P.intpow(p["w"], sum(j))
@@ -779,7 +798,7 @@ def _ram_1_4_1_reference(dims):
         q_tm = B.power(B.t * m)
         jj = sum(j)
         scale = P.intpow(B.power(B.h * B.t * m * n), jj)
-        value = core.vande(P, core.geom(B.qt, m, B.prec), j, q_tm)
+        value = vandermonde_ratio(core.geom(B.qt, m, B.prec), j, q_tm, P)
         for r in range(m):
             value *= P.finite(-p["b"] * B.q / p["a"], q_tm, j[r])
             value /= P.finite(q_tm, q_tm, j[r])
@@ -792,7 +811,7 @@ def _ram_1_4_1_reference(dims):
         q_tm, q_hn = B.power(B.t * m), B.power(B.h * n)
         kk = sum(k)
         scale = P.intpow(B.power(B.h * B.t * m * n), kk)
-        value = core.vande(P, core.geom(B.qh, n, B.prec), k, q_hn)
+        value = vandermonde_ratio(core.geom(B.qh, n, B.prec), k, q_hn, P)
         for r in range(1, n + 1):
             shift = B.power(B.h * (r - n))
             value *= P.finite(p["c"] * B.q * shift / p["d"], B.qh, n * k[r - 1])
@@ -821,7 +840,7 @@ def _partial_theta_reference(dims, exponents):
         e, f, g = exponents(B, m)
         q_em, base = B.power(e * m), B.power(f)
         jj = sum(j)
-        value = core.vande(P, core.geom(B.power(e), m, B.prec), j, q_em)
+        value = vandermonde_ratio(core.geom(B.power(e), m, B.prec), j, q_em, P)
         for r in range(m):
             value /= P.finite(q_em, q_em, j[r])
         value *= P.intpow(p["b"], jj) / P.ratio(-p["a"] * base, base, B.power(g) ** jj)
@@ -876,7 +895,7 @@ def _stretched_theta_reference(dims, exponents):
             P, B, p = ctx.poch, ctx.bases, ctx.params
             exps, kk = exponents(B, n, m), sum(k)
             base, scale = B.power(exps[slot]), B.power(exps[2]) ** kk
-            value = core.vande(P, core.geom(base, dim, B.prec), k, base**dim)
+            value = vandermonde_ratio(core.geom(base, dim, B.prec), k, base**dim, P)
             for r in range(1, dim + 1):
                 value /= P.finite(base**r, base, dim * k[r - 1])
             value *= p[name] ** (dim * kk) / P.ratio(*product_args(ctx), scale)
@@ -1005,7 +1024,7 @@ def _master_big_rhs_reference(dims):
         base1, base2 = B.power(p["h1"]), B.power(p["h2"])
         y, jj = p["y"], sum(j)
         big_b = raw_product(p["b"])
-        value = core.vande(P, y, j, B.qt) * core.sq_ratio(P, p["b"], y, B.qt, j)
+        value = vandermonde_ratio(y, j, B.qt, P) * core.sq_ratio(P, p["b"], y, B.qt, j)
         for jr, yr, br in zip(j, y, p["b"]):
             cy = p["c"] * yr
             value *= P.finite(cy / big_b, B.qt, jr) * P.finite(cy, B.qt, jj)
@@ -1042,7 +1061,7 @@ def _master_lauricella_rhs_reference(dims):
         y, jj = p["y"], sum(j)
         big_az = raw_product(p["a"]) * p["z"]
         scale = P.intpow(B.qht, jj)
-        value = core.vande(P, y, j, B.qt) * core.sq_ratio(P, p["b"], y, B.qt, j)
+        value = vandermonde_ratio(y, j, B.qt, P) * core.sq_ratio(P, p["b"], y, B.qt, j)
         value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_az, B.qh, scale)
         for cr, ur in zip(p["cp"], p["u"]):
             value *= P.ratio(ur, B.qh, scale) / P.ratio(cr * ur, B.qh, scale)
@@ -1074,7 +1093,7 @@ def _ram_1_4_10_reference(dims):
 
 def _stretched_head(P, q, n, k):
     """V(x, k; q^n) / prod_r (q^r; q)_{n k_r} at x_r = q^{r-1}."""
-    value = core.vande(P, core.geom(q, n, P.prec), k, q**n)
+    value = vandermonde_ratio(core.geom(q, n, P.prec), k, q**n, P)
     for r in range(1, n + 1):
         value /= P.finite(q**r, q, n * k[r - 1])
     return value
@@ -1159,6 +1178,224 @@ def _ram_1_4_9_reference(dims):
     return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
 
 
+def _qbin_reference(dims):
+    def term(ctx, k):
+        p = ctx.params
+        return util.qbin_term(ctx.poch, p["a"], ctx.bases.q, p["z"], k)
+
+    return term, _unit
+
+
+def _milne_lilly_reference(dims):
+    def term(ctx, k):
+        p = ctx.params
+        return util.milne_lilly_term(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"], k)
+
+    return term, _unit
+
+
+def _gk_reference(dims):
+    def term(ctx, k):
+        p = ctx.params
+        return util.gk_term(ctx.poch, p["a"], p["x"], ctx.bases.q, p["z"], k)
+
+    return term, _unit
+
+
+def _extra_c_reference(dims):
+    def term(ctx, k):
+        p = ctx.params
+        args = (p["a"], p["c"], p["x"], ctx.bases.q, p["z"], k)
+        return util.extra_c_term(ctx.poch, *args)
+
+    return term, _unit
+
+
+def _inner_side(stretch, inner):
+    """The product side of a single transformation: (sigma z; q)_oo /
+    (z; q)_oo times sum_j inner(ctx, j) (sigma z)^{|j|}, where
+    ``stretch(p)`` is sigma."""
+
+    def prefactor(ctx):
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        return P.infinite(stretch(p) * p["z"], q) / P.infinite(p["z"], q)
+
+    def term(ctx, j):
+        p = ctx.params
+        return inner(ctx, j) * (stretch(p) * p["z"]) ** sum(j)
+
+    return term, prefactor
+
+
+def _q_euler_reference(dims):
+    def lhs_term(ctx, k):
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        return util.q_euler_term(P, p["a"], p["b"], p["c"], q, p["z"], k)
+
+    def inner(ctx, j):
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        return util.q_euler_inner_term(P, p["a"], p["b"], p["c"], q, j)
+
+    rhs = _inner_side(lambda p: p["a"] * p["b"] / p["c"], inner)
+    return {"lhs": (lhs_term, _unit), "rhs": rhs}
+
+
+def _kajihara_reference(dims):
+    def grid(ctx):
+        return tuple(ctx.params[name] for name in ("a", "b", "c", "x", "y"))
+
+    def lhs_term(ctx, k):
+        args = grid(ctx) + (ctx.bases.q, ctx.params["z"], k)
+        return util.kajihara_term(ctx.poch, *args)
+
+    def inner(ctx, j):
+        return util.kajihara_inner_term(ctx.poch, *grid(ctx), ctx.bases.q, j)
+
+    def stretch(p):
+        return raw_product(p["a"]) * raw_product(p["b"]) / p["c"] ** dims["m"]
+
+    return {"lhs": (lhs_term, _unit), "rhs": _inner_side(stretch, inner)}
+
+
+def _heine_2phi1_reference(dims):
+    """heine_2phi1 as displayed: 2phi1(a, b; c; z) against (b, a z)_oo /
+    (c, z)_oo 2phi1(c/b, z; a z; b)."""
+
+    def lhs_term(ctx, k):
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        kk = k[0]
+        return (
+            P.finite(p["a"], q, kk)
+            * P.finite(p["b"], q, kk)
+            / (P.finite(p["c"], q, kk) * P.finite(q, q, kk))
+            * p["z"] ** kk
+        )
+
+    def rhs_prefactor(ctx):
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        return (
+            P.infinite(p["b"], q)
+            * P.infinite(p["a"] * p["z"], q)
+            / (P.infinite(p["c"], q) * P.infinite(p["z"], q))
+        )
+
+    def rhs_term(ctx, j):
+        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        jj = j[0]
+        return (
+            P.finite(p["c"] / p["b"], q, jj)
+            * P.finite(p["z"], q, jj)
+            / (P.finite(p["a"] * p["z"], q, jj) * P.finite(q, q, jj))
+            * p["b"] ** jj
+        )
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _ram_1_4_10_anm_reference(dims):
+    """ram_1_4_10_anm as displayed: the n-fold linear sum over prod_r
+    (q^{mr}; q^m)_{n|k|} against the m-fold alternating sum times
+    (q;q)_{mn|j|} over (q;q)_oo prod_r (q^{mr}; q^m)_oo."""
+    n, m = dims["n"], dims["m"]
+
+    def lhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        extra = [P.finite(q ** (m * r), q**m, n * sum(k)) for r in range(1, m + 1)]
+        return util.linear_term(P, core.geom(q, n, P.prec), q, k, extra)
+
+    def rhs_prefactor(ctx):
+        P, q = ctx.poch, ctx.bases.q
+        value = 1 / P.infinite(q, q)
+        for r in range(1, m + 1):
+            value /= P.infinite(q ** (m * r), q**m)
+        return value
+
+    def rhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        jj = sum(j)
+        value = vandermonde_ratio(core.geom(q, m, P.prec), j, q**m, P)
+        value *= P.finite(q, q, m * n * jj)
+        for jr in j:
+            value /= P.finite(q**m, q**m, jr)
+        exponent = m * core.staircase(j) + m * sum(core.tri(jr) for jr in j)
+        return value * (-1) ** jj * q**exponent
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _ram_1_4_10_c_reference(dims):
+    """ram_1_4_10_c as displayed: the m-fold linear sum over
+    (q^n; q^n)_{m|j|} against the n-fold stretched sum at z = (-1)^n times
+    (q;q)_{mn|k|}, over (q;q)_oo (q^n;q^n)_oo."""
+    n, m = dims["n"], dims["m"]
+
+    def lhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        extra = [P.finite(q**n, q**n, m * sum(j))]
+        return util.linear_term(P, core.geom(q, m, P.prec), q, j, extra)
+
+    def rhs_prefactor(ctx):
+        P, q = ctx.poch, ctx.bases.q
+        return 1 / (P.infinite(q, q) * P.infinite(q**n, q**n))
+
+    def rhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        x = core.geom(q, n, P.prec)
+        value = util.stretched_euler_term(P, x, q, mpf(-1) ** n, k)
+        return value * P.finite(q, q, m * n * sum(k))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _ram_1_4_9a_reference(dims):
+    """ram_1_4_9a as displayed: the m-fold stretched sum at z = 1 over
+    (q^m; q^m)_{m|j|} against the one at z = (-1)^m over ((-q)^m;
+    q^m)_{m|k|}, times ((-q)^m; q^m)_oo / (q^m; q^m)_oo."""
+    m = dims["m"]
+
+    def lhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        value = util.stretched_euler_term(P, core.geom(q, m, P.prec), q, mpf(1), j)
+        return value / P.finite(q**m, q**m, m * sum(j))
+
+    def rhs_prefactor(ctx):
+        P, q = ctx.poch, ctx.bases.q
+        return P.infinite((-q) ** m, q**m) / P.infinite(q**m, q**m)
+
+    def rhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        x = core.geom(q, m, P.prec)
+        value = util.stretched_euler_term(P, x, q, mpf(-1) ** m, k)
+        return value / P.finite((-q) ** m, q**m, m * sum(k))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+def _ram_1_4_9b_reference(dims):
+    """ram_1_4_9b as displayed: the m-fold stretched sum at z = 1 over
+    (q;q)_{m|j|} against ((-q)^m; q^m)_oo / (q;q)_oo sum (-1)^k
+    q^{C(k+1,2)} / ((q;q)_k ((-q)^m; q^m)_k)."""
+    m = dims["m"]
+
+    def lhs_term(ctx, j):
+        P, q = ctx.poch, ctx.bases.q
+        value = util.stretched_euler_term(P, core.geom(q, m, P.prec), q, mpf(1), j)
+        return value / P.finite(q, q, m * sum(j))
+
+    def rhs_prefactor(ctx):
+        P, q = ctx.poch, ctx.bases.q
+        return P.infinite((-q) ** m, q**m) / P.infinite(q, q)
+
+    def rhs_term(ctx, k):
+        P, q = ctx.poch, ctx.bases.q
+        kk = k[0]
+        value = (-1) ** kk * q ** core.tri(kk)
+        return value / (P.finite(q, q, kk) * P.finite((-q) ** m, q**m, kk))
+
+    return {"lhs": (lhs_term, _unit), "rhs": (rhs_term, rhs_prefactor)}
+
+
+
 _FIRST = (("a", "b", "c", "x", "X"), "qh", "z")
 _SECOND = (("d", "e", "f", "y", "Y"), "qt", "w")
 # (family, side) -> dims -> (unfactored summand, prefactor)
@@ -1178,8 +1415,21 @@ _REFERENCES = {
         _unit,
     ),
     ("master_instance_lauricella", "rhs"): _master_lauricella_rhs_reference,
+    # The single summations: the summed side; a transformation's product
+    # side too, with its inner sum.
+    ("q_binomial", "lhs"): _qbin_reference,
+    ("an_qbin_milne_lilly", "rhs"): _milne_lilly_reference,
+    ("an_qbin_gk", "rhs"): _gk_reference,
+    ("an_qbin_extra_c", "rhs"): _extra_c_reference,
 }
 for _family_id, _build in (
+    ("q_euler", _q_euler_reference),
+    ("kajihara", _kajihara_reference),
+    ("heine_2phi1", _heine_2phi1_reference),
+    ("ram_1_4_10_anm", _ram_1_4_10_anm_reference),
+    ("ram_1_4_10_c", _ram_1_4_10_c_reference),
+    ("ram_1_4_9a", _ram_1_4_9a_reference),
+    ("ram_1_4_9b", _ram_1_4_9b_reference),
     ("bibasic_heine", _bibasic_heine_reference),
     ("bibasic_euler", _bibasic_euler_reference),
     ("thm_heine7", _heine7_reference),
@@ -1228,6 +1478,37 @@ class TestBlockFactoredSides:
                             dims,
                             k,
                         )
+
+
+class TestDisplayedPairsBindOnce:
+    """A Ramanujan entry built by Heine's method and multiplied by a common
+    factor binds its summations once per case: ``heine_sides`` and the
+    common factor read one run-memoised bind."""
+
+    @pytest.mark.parametrize(
+        "identity_id, names",
+        [
+            ("ram_core", ("gk_summation", "milne_lilly_summation")),
+            ("ram_1_4_1_anm", ("gk_summation", "milne_lilly_summation")),
+            ("ram_eq26_a2", ("euler_exp_summation",)),
+            ("ram_eq26_b", ("stretched_euler_summation",)),
+        ],
+    )
+    def test_one_summation_of_each_per_case(self, monkeypatch, identity_id, names):
+        calls = []
+        for name in names:
+            raw = getattr(ramanujan, name)
+
+            def counted(*args, _raw=raw, _name=name):
+                calls.append(_name)
+                return _raw(*args)
+
+            monkeypatch.setattr(ramanujan, name, counted)
+        identity = catalog.lookup(identity_id).instantiate()
+        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        assert catalog.verify(identity, params, bases).passed
+        per_block = 2 if len(names) == 1 else 1  # block and base block
+        assert sorted(calls) == sorted(names * per_block)
 
 
 class TestRunArgumentsFormedOnce:

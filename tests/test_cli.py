@@ -404,3 +404,33 @@ def test_report_digest_commands():
     expected = [f.id for f in catalog.register_all() if f.id not in excluded]
     assert identities == expected and len(identities) == 29
     assert excluded <= {f.id for f in catalog.register_all()}
+
+
+def test_report_digest_compose_mix_commands():
+    # One compose argv per compose_mix spec, at seed 1 with the spec's
+    # sample count; no run is made.
+    digest = _load_script("report_digest")
+    specs = digest.workloads.COMPOSE_SPECS
+    argvs = digest.commands(["compose_mix", "--precision", "256"])
+    assert len(argvs) == len(specs) == 5
+    for argv, (blocks, base, samples) in zip(argvs, specs):
+        assert argv == [
+            "compose",
+            "--blocks",
+            ",".join(blocks),
+            "--base",
+            base,
+            "--samples",
+            str(samples),
+            "--seed",
+            "1",
+            "--precision",
+            "256",
+        ]
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        cli.validate_config(config)
+        assert (tuple(config.blocks), config.base) == (blocks, base)
+        assert (config.samples, config.seed, config.precision) == (samples, 1, 256)
+    # The other forms run one command each.
+    for extra in ([], ["hiprec"], ["compose", "--blocks", "q_bin", "--base", "q_bin"]):
+        assert digest.commands(extra) == [digest.command(extra)]

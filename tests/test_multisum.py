@@ -32,11 +32,11 @@ from qheine import (
 )
 from qheine import catalog, cli, qcore
 from qheine.catalog.blocks import sample_block
-from qheine.catalog.classical import qbin_product, qbin_summation, qbin_term
+from qheine.catalog.classical import qbin_product, qbin_summation
 from qheine.multisum import HeineBlock, heine_sides
 from qheine.qcore import PochCache
 from qheine.catalog.core import staircase
-from util import evaluate, rel, vandermonde_factor, vandermonde_ratio_loop
+from util import evaluate, qbin_term, rel, vandermonde_factor, vandermonde_ratio_loop
 
 
 class TestShells:

@@ -836,13 +836,10 @@ class TestRawEntry:
     @pytest.mark.parametrize("prec", [64, 128, 1024])
     def test_cache_under_another_ambient_precision(self, prec, ambient):
         cache = PochCache(prec)
-        # Numbers only: the cache's keys read a string at the ambient precision.
-        cases = [
-            (a, base)
-            for a in self.arguments
-            for base in self.bases
-            if not isinstance(a, str) and not isinstance(base, str)
-        ]
+        # Ints, floats and strings too: the cache reads them at its own
+        # precision, so a string and the mpf of another precision that it
+        # reads as at the ambient one get their own products.
+        cases = [(a, base) for a in self.arguments for base in self.bases]
         cases += [(mpf("0.3"), mpf(1)), (mpf("0.3"), mpc("0.8", "0.6"))]
         with mp.workprec(prec):
             wanted = [
@@ -852,3 +849,23 @@ class TestRawEntry:
             for (a, base), want in zip(cases, wanted):
                 assert _outcome(cache.infinite, a, base) == want, (a, base)
                 assert mp.prec == ambient
+
+    @pytest.mark.parametrize("first", ["string", "mpf", "float"])
+    def test_cache_reads_a_string_at_its_own_precision(self, first):
+        # Under ambient 53 bits, "0.45" and mpf("0.45") are different
+        # numbers at a 128-bit cache; in either order each gets its own
+        # product.
+        cache = PochCache(128)
+        a = mpf("0.3")
+        with mp.workprec(53):
+            base = {"string": "0.45", "mpf": mpf("0.45"), "float": 0.45}
+        with mp.workprec(128):
+            want = {
+                name: _outcome(qpoch_infinite_loop, a, value, cache.tol)
+                for name, value in base.items()
+            }
+        assert want["mpf"] == want["float"] != want["string"]
+        order = [first] + [name for name in base if name != first]
+        with mp.workprec(53):
+            for name in order:
+                assert _outcome(cache.infinite, a, base[name]) == want[name], name

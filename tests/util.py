@@ -2,17 +2,32 @@
 
 import csv
 import io
+import math
 
 from mpmath import mp, mpf, mpmathify
 
+from qheine.catalog.core import sq_ratio, staircase, tri
 from qheine.errors import (
     DegenerateVariables,
     DivisionByZero,
     LengthMismatch,
     NonConvergentBase,
 )
-from qheine.multisum import _LOSS, evaluate_in_context, exact_pair, make_context
-from qheine.qcore import FiniteTable, default_tol, qpoch_infinite
+from qheine.multisum import (
+    _LOSS,
+    evaluate_in_context,
+    exact_pair,
+    make_context,
+    vandermonde_ratio,
+)
+from qheine.qcore import (
+    FiniteTable,
+    default_tol,
+    e2,
+    qpoch_infinite,
+    raw_product,
+    raw_quotients,
+)
 
 REL_FLOOR = mpf("1e-300")
 
@@ -181,3 +196,196 @@ def verify_sweep(family, dims_list, seed, count, tolerance, policy=None):
 def parse_csv(text: str) -> list[dict]:
     """The rows of a csv report, one dict per case."""
     return list(csv.DictReader(io.StringIO(text)))
+
+
+# -- summands written by hand -------------------------------------------------
+#
+# The catalog states each summand as a ``catalog.core.TermSpec``.  These are
+# the same summands multiplied factor by factor on mpf objects, in the order
+# of their displays, as references for the specs.
+
+
+def qbin_term(P, a, base, z, k):
+    """(a; base)_k / (base; base)_k z^k."""
+    kk = k[0]
+    return P.finite(a, base, kk) / P.finite(base, base, kk) * P.intpow(z, kk)
+
+
+def milne_lilly_term(P, avec, xvec, base, z, k):
+    """V(x, k) prod_{r,s} (a_s x_r/x_s)_{k_r} / (base x_r/x_s)_{k_r} z^{|k|}
+    base^{sum (r-1) k_r + e2(k)} prod_r x_r^{-k_r}."""
+    value = vandermonde_ratio(xvec, k, base, P) * sq_ratio(P, avec, xvec, base, k)
+    value *= P.intpow(z, sum(k)) * P.intpow(base, staircase(k)) * P.intpow(base, e2(k))
+    for r in range(len(xvec)):
+        value *= P.intpow(xvec[r], -k[r])
+    return value
+
+
+def gk_term(P, a, xvec, base, z, k):
+    """V(x, k) prod_r (a)_{k_r} / (base)_{k_r} z^{|k|} base^{sum (r-1) k_r}."""
+    value = vandermonde_ratio(xvec, k, base, P)
+    for r in range(len(xvec)):
+        value *= P.finite(a, base, k[r]) / P.finite(base, base, k[r])
+    return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
+
+
+def euler_exp_term(P, xvec, base, z, k):
+    """V(x, k) prod_r base^{C(k_r, 2)} / (base)_{k_r} z^{|k|}
+    base^{sum (r-1) k_r}."""
+    value = vandermonde_ratio(xvec, k, base, P)
+    for kr in k:
+        value /= P.finite(base, base, kr)
+    exponent = staircase(k) + sum(math.comb(kr, 2) for kr in k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
+
+
+def stretched_head(P, xvec, base, k):
+    """V(x, k; Q^n) / prod_r (Q^r; Q)_{n k_r} for Q = ``base``."""
+    n = len(xvec)
+    value = vandermonde_ratio(xvec, k, P.intpow(base, n), P)
+    for r, kr in enumerate(k, 1):
+        value /= P.finite(P.intpow(base, r), base, n * kr)
+    return value
+
+
+def stretched_euler_term(P, xvec, base, z, k):
+    """The stretched Euler summand at x = (1, Q, ..., Q^{n-1}), Q = ``base``:
+    the head times z^{|k|} Q^{2n sum (r-1) k_r - n(n-1)|k| + sum C(n k_r+1, 2)}."""
+    n = len(xvec)
+    exponent = 2 * n * staircase(k) - n * (n - 1) * sum(k)
+    exponent += sum(tri(n * kr) for kr in k)
+    value = stretched_head(P, xvec, base, k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, exponent)
+
+
+def linear_term(P, xvec, q, k, denominators):
+    """The linear stretched summand of the ram_1_4_10 extensions: the head
+    over ``denominators`` times q^{n|k| + (n-1) sum_r (r-1)k_r + n e2(k)}."""
+    n = len(xvec)
+    value = stretched_head(P, xvec, q, k)
+    for den in denominators:
+        value /= den
+    return value * P.intpow(q, n * sum(k) + (n - 1) * staircase(k) + n * e2(k))
+
+
+def extra_c_rows(P, avec, c, xvec, base) -> list:
+    """Row r: the tables of (c x_r/A; base), (c x_r; base), (c x_r; base)
+    and (c x_r/a_r; base) with A = a_1 ... a_n."""
+
+    def build():
+        big_a = raw_product(avec)
+        rows = []
+        for a_r, x_r in zip(avec, xvec):
+            cx = c * x_r
+            args = (cx / big_a, cx, cx, cx / a_r)
+            rows.append(tuple(P.finite_table(v, base) for v in args))
+        return rows
+
+    return P.table("extra_c", (avec, c, xvec, base), build)
+
+
+def extra_c_term(P, avec, c, xvec, base, z, k):
+    """The Milne-Lilly head times prod_r (c x_r/A)_{k_r} (c x_r)_{|k|} /
+    ((c x_r)_{k_r} (c x_r/a_r)_{|k|}) z^{|k|} base^{sum (r-1) k_r}."""
+    kk = sum(k)
+    value = vandermonde_ratio(xvec, k, base, P) * sq_ratio(P, avec, xvec, base, k)
+    if c:
+        rows = extra_c_rows(P, avec, c, xvec, base)
+        for kr, (num_r, num_kk, den_r, den_kk) in zip(k, rows):
+            value *= num_r.at(kr) * num_kk.at(kk)
+            value /= den_r.at(kr) * den_kk.at(kk)
+    return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
+
+
+def q_euler_term(P, a, b, c, base, z, k):
+    """(a)_k (b)_k / ((base)_k (c)_k) z^k."""
+    kk = k[0]
+    return (
+        P.finite(a, base, kk)
+        * P.finite(b, base, kk)
+        / (P.finite(base, base, kk) * P.finite(c, base, kk))
+        * P.intpow(z, kk)
+    )
+
+
+def q_euler_inner_term(P, a, b, c, base, j):
+    """The inner summand at unit argument: (c/a)_j (c/b)_j / ((base)_j (c)_j)."""
+    jj = j[0]
+    ca, cb = c / a, c / b
+    return (
+        P.finite(ca, base, jj)
+        * P.finite(cb, base, jj)
+        / (P.finite(base, base, jj) * P.finite(c, base, jj))
+    )
+
+
+def finite_rows(P, tag: str, values: tuple, base, pairs) -> list:
+    """Rows of (numerator, denominator) finite-product tables in ``base``:
+    ``pairs()`` lists, for each index r, the (numerator, denominator)
+    arguments of the factors read at k_r, from ``values`` and ``base``
+    only.  The tables are built once per run (``PochCache.table``)."""
+
+    def build():
+        return [
+            [(P.finite_table(a, base), P.finite_table(b, base)) for a, b in row]
+            for row in pairs()
+        ]
+
+    return P.table(tag, values + (base,), build)
+
+
+def times_rows(value, rows, k):
+    """value * prod_r prod_{(num, den) in row r} num_{k_r} / den_{k_r},
+    factor by factor in row order on raw values; rows with k_r = 0 are 1."""
+    return raw_quotients(
+        ((num.at(kr), den.at(kr)) for kr, row in zip(k, rows) if kr for num, den in row),
+        value,
+    )
+
+
+def grid_rows(P, bvec, c, xvec, yvec, base) -> list:
+    """Row r: (b_s x_r y_s; base) over (c x_r y_s; base) for every s."""
+
+    def pairs():
+        return [
+            [(b_s * x_r * y_s, c * x_r * y_s) for b_s, y_s in zip(bvec, yvec)]
+            for x_r in xvec
+        ]
+
+    return finite_rows(P, "kajihara.grid", (bvec, c, xvec, yvec), base, pairs)
+
+
+def inner_rows(P, avec, bvec, c, xvec, yvec, base) -> list:
+    """Row r: (c y_r/(b_s y_s); base) over (base y_r/y_s; base) for every s,
+    then (c x_s y_r/a_s; base) over (c x_s y_r; base) for every s."""
+
+    def pairs():
+        rows = []
+        for r in range(len(yvec)):
+            row = [
+                (c * yvec[r] / (bvec[s] * yvec[s]), base * yvec[r] / yvec[s])
+                for s in range(len(yvec))
+            ]
+            row += [
+                (c * xvec[s] * yvec[r] / avec[s], c * xvec[s] * yvec[r])
+                for s in range(len(xvec))
+            ]
+            rows.append(row)
+        return rows
+
+    return finite_rows(P, "kajihara.inner", (avec, bvec, c, xvec, yvec), base, pairs)
+
+
+def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
+    """The Milne-Lilly head times the grid rows, z^{|k|} base^{sum (r-1) k_r}."""
+    value = vandermonde_ratio(xvec, k, base, P) * sq_ratio(P, avec, xvec, base, k)
+    value = times_rows(value, grid_rows(P, bvec, c, xvec, yvec, base), k)
+    return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
+
+
+def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, j):
+    """The inner summand at unit argument: V(y, j) times the inner rows,
+    base^{sum (r-1) j_r}."""
+    value = vandermonde_ratio(yvec, j, base, P)
+    value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
+    return value * P.intpow(base, staircase(j))
