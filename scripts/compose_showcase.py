@@ -80,7 +80,7 @@ def main():
         slots = (
             engine.BlockSlot(
                 milne_lilly_summation(
-                    params["a1"], params["x1"], bases.power(params["h1"])
+                    params["a1"], params["x1"], bases.power(params["h1"]), bases.prec
                 ),
                 params["h1"],
                 params["z1"],

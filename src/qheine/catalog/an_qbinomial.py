@@ -1,20 +1,25 @@
 """Multiple q-binomial summation theorems over A_n: the paired-parameter
 sum, its specialisation with a single upper parameter, and the variant
-carrying an extra free parameter c."""
+carrying an extra free parameter c; and the Euler exponential and stretched
+Euler sums that back the Ramanujan entries.
+
+Each summation is a ``TermSpec`` summand over a ``ProductSpec`` product
+side, whose constants (a_r / x_r, a base^r, -base^r, (-1)^n Q^n) its
+builder forms once, at the precision it is given."""
 
 from __future__ import annotations
 
 import math
 
 from mpmath import mp
-from mpmath.libmp import fnone, fone
 
 from ..multisum import Summation
-from ..qcore import e2, from_raw, raw_div, raw_mul, raw_product, value_key
-from .classical import infinite_ratio, qbin_product
+from ..qcore import e2, raw_product
+from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
+    ProductSpec,
     TermSpec,
     argument,
     coefficient,
@@ -31,14 +36,10 @@ from .core import (
 
 __all__ = [
     "FAMILIES",
-    "milne_lilly_product",
     "milne_lilly_summation",
-    "gk_product",
     "gk_summation",
-    "euler_exp_product",
     "euler_exp_summation",
     "stretched_spec",
-    "stretched_euler_product",
     "stretched_euler_summation",
     "extra_c_summation",
 ]
@@ -50,22 +51,18 @@ __all__ = [
 #       * z^{|k|} q^{sum (r-1)k_r} q^{e2(k)} prod_r x_r^{-k_r}
 
 
-def milne_lilly_product(P, avec, xvec, base, z):
-    """prod_r (a_r z / x_r; base)_oo / (z / x_r; base)_oo, multiplied on raw
-    values at the working precision in that order."""
-    prec, rnd = mp._prec_rounding
-    z = value_key(z)
-    value = fone
-    for a_r, x_r in zip(avec, xvec):
-        x_r = value_key(x_r)
-        num = raw_div(raw_mul(value_key(a_r), z, prec, rnd), x_r, prec, rnd)
-        ratio = infinite_ratio(P, num, raw_div(z, x_r, prec, rnd), base)
-        value = raw_mul(value, ratio, prec, rnd)
-    return from_raw(value)
-
-
-def milne_lilly_summation(avec, xvec, base) -> Summation:
-    """The summation, parameters bound; it converges for |z| < min |x_r|."""
+def milne_lilly_summation(avec, xvec, base, prec: int) -> Summation:
+    """The summation, parameters bound; it converges for |z| < min |x_r|.
+    The a_r / x_r and 1 / x_r of its product are formed once, at ``prec``
+    bits."""
+    with mp.workprec(prec):
+        product = ProductSpec(
+            [
+                factor
+                for a_r, x_r in zip(avec, xvec)
+                for factor in (numer(a_r / x_r, base), denom(1 / x_r, base))
+            ]
+        )
     return Summation(
         len(xvec),
         TermSpec(
@@ -75,7 +72,7 @@ def milne_lilly_summation(avec, xvec, base) -> Summation:
             exponent=lambda k: staircase(k) + e2(k),
             monomials=xvec,
         ),
-        lambda P, z: milne_lilly_product(P, avec, xvec, base, z),
+        product,
         arg_bound=float(min(abs(x) for x in xvec)),
         label="milne_lilly",
     )
@@ -84,7 +81,8 @@ def milne_lilly_summation(avec, xvec, base) -> Summation:
 def _ml_build(dims):
     def bind(ctx):
         p = ctx.params
-        return milne_lilly_summation(p["a"], p["x"], ctx.bases.q), p["z"]
+        B = ctx.bases
+        return milne_lilly_summation(p["a"], p["x"], B.q, B.prec), p["z"]
 
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
@@ -122,25 +120,14 @@ AN_QBIN_MILNE_LILLY = IdentityFamily(
 # The sum does not depend on the auxiliary distinct variables x.
 
 
-def gk_product(P, a, powers, base, z):
-    """prod_r (a z base^r; base)_oo / (z base^r; base)_oo with ``powers`` the
-    raw base^r, r < n, multiplied on raw values at the working precision in
-    that order."""
-    prec, rnd = mp._prec_rounding
-    z = value_key(z)
-    az = raw_mul(value_key(a), z, prec, rnd)
-    value = fone
-    for power in powers:
-        num = raw_mul(az, power, prec, rnd)
-        ratio = infinite_ratio(P, num, raw_mul(z, power, prec, rnd), base)
-        value = raw_mul(value, ratio, prec, rnd)
-    return from_raw(value)
-
-
 def gk_summation(a, xvec, base, prec: int) -> Summation:
-    """The summation, parameters bound; the powers base^r of its product
-    are formed once, at ``prec`` bits."""
-    powers = [value_key(power_at(base, r, prec)) for r in range(len(xvec))]
+    """The summation, parameters bound; the a base^r and base^r, r < n, of
+    its product are formed once, at ``prec`` bits."""
+    with mp.workprec(prec):
+        powers = [power_at(base, r, prec) for r in range(len(xvec))]
+        product = ProductSpec(
+            [f for x in powers for f in (numer(a * x, base), denom(x, base))]
+        )
     return Summation(
         len(xvec),
         TermSpec(
@@ -149,7 +136,7 @@ def gk_summation(a, xvec, base, prec: int) -> Summation:
             rows=[(numer(a, base), denom(base, base))] * len(xvec),
             exponent=staircase,
         ),
-        lambda P, z: gk_product(P, a, powers, base, z),
+        product,
         label="gk",
     )
 
@@ -195,22 +182,13 @@ AN_QBIN_GK = IdentityFamily(
 # partial-theta entries of catalog.ramanujan.
 
 
-def euler_exp_product(P, powers, base, z):
-    """prod_r (-z base^r; base)_oo with ``powers`` the raw base^r, r < n,
-    on raw values at the working precision; -z is the first factor."""
-    prec, rnd = mp._prec_rounding
-    minus_z = raw_mul(value_key(z), fnone, prec, rnd)  # -z, rounded as -z is
-    value = value_key(P.infinite(from_raw(minus_z), base))
-    for power in powers[1:]:
-        arg = from_raw(raw_mul(minus_z, power, prec, rnd))
-        value = raw_mul(value, value_key(P.infinite(arg, base)), prec, rnd)
-    return from_raw(value)
-
-
 def euler_exp_summation(xvec, base, prec: int) -> Summation:
-    """The summation, parameters bound; the powers base^r of its product
+    """The summation, parameters bound; the -base^r, r < n, of its product
     are formed once, at ``prec`` bits."""
-    powers = [value_key(power_at(base, r, prec)) for r in range(len(xvec))]
+    with mp.workprec(prec):
+        product = ProductSpec(
+            [numer(-power_at(base, r, prec), base) for r in range(len(xvec))]
+        )
     return Summation(
         len(xvec),
         TermSpec(
@@ -219,7 +197,7 @@ def euler_exp_summation(xvec, base, prec: int) -> Summation:
             rows=[(denom(base, base),)] * len(xvec),
             exponent=lambda k: staircase(k) + sum(math.comb(kr, 2) for kr in k),
         ),
-        lambda P, z: euler_exp_product(P, powers, base, z),
+        product,
         label="euler_exp",
     )
 
@@ -252,24 +230,16 @@ def stretched_spec(n: int, base, prec: int, exponent=None, **fields) -> TermSpec
     )
 
 
-def stretched_euler_product(P, sign, stretched, z):
-    """((-1)^n z Q^n; Q^n)_oo with ``sign`` the raw (-1)^n and ``stretched``
-    = Q^n, multiplied on raw values at the working precision."""
-    prec, rnd = mp._prec_rounding
-    arg = raw_mul(value_key(z), sign, prec, rnd)
-    arg = raw_mul(arg, value_key(stretched), prec, rnd)
-    return P.infinite(from_raw(arg), stretched)
-
-
 def stretched_euler_summation(n, base, prec: int) -> Summation:
     """The summation in base Q = ``base`` with x_r = Q^{r-1}, r = 1..n,
-    multiplied at ``prec`` bits, as are (-1)^n and Q^n of its product."""
-    sign = fnone if n % 2 else fone
-    stretched = power_at(base, n, prec)
+    multiplied at ``prec`` bits, as is (-1)^n Q^n of its product."""
+    with mp.workprec(prec):
+        stretched = power_at(base, n, prec)
+        product = ProductSpec([numer(-stretched if n % 2 else stretched, stretched)])
     return Summation(
         n,
         stretched_spec(n, base, prec),
-        lambda P, z: stretched_euler_product(P, sign, stretched, z),
+        product,
         label="stretched_euler",
     )
 
@@ -303,7 +273,7 @@ def extra_c_summation(avec, c, xvec, base, prec: int) -> Summation:
             total=total,
             exponent=staircase,
         ),
-        lambda P, z: qbin_product(P, big_a, base, z),
+        qbin_product(big_a, base),
         label="extra_c",
     )
 

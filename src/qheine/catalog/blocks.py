@@ -55,6 +55,7 @@ def sample_block(
             tuple(coefficient(rng) for _ in range(n)),
             distinct_vector(rng, n),
             base,
+            prec,
         )
     if name == "gk":
         return gk_summation(coefficient(rng), distinct_vector(rng, n), base, prec)

@@ -1,16 +1,21 @@
 """Classical (one-dimensional) transformations: the q-binomial theorem,
 Heine's transformation, its bibasic extension, the q-analogue of Euler's
-transformation, and the bibasic Euler double-sum transformation."""
+transformation, and the bibasic Euler double-sum transformation.
+
+Summands are ``TermSpec`` data and products ``ProductSpec`` data;
+``qbin_product`` builds the product side (a z; base)_oo / (z; base)_oo that
+the q-binomial, q-Euler, extra-parameter and Kajihara summations share."""
 
 from __future__ import annotations
 
 from mpmath import mp
 
 from ..multisum import HeineBlock, Summation, heine_sides
-from ..qcore import from_raw, raw_div, raw_mul, value_key
+from ..qcore import ONE
 from .core import (
     IdentityFamily,
     ParamSpec,
+    ProductSpec,
     TermSpec,
     argument,
     coefficient,
@@ -23,7 +28,6 @@ from .core import (
 __all__ = [
     "FAMILIES",
     "qbin_product",
-    "infinite_ratio",
     "qbin_summation",
     "q_euler_summation",
 ]
@@ -32,20 +36,9 @@ __all__ = [
 # -- q-binomial theorem: sum_k (a)_k/(q)_k z^k = (az)_oo/(z)_oo -------------
 
 
-def qbin_product(P, a, base, z):
-    """(a z; base)_oo / (z; base)_oo, formed on raw values at the working
-    precision."""
-    z = value_key(z)
-    az = raw_mul(value_key(a), z, *mp._prec_rounding)
-    return from_raw(infinite_ratio(P, az, z, base))
-
-
-def infinite_ratio(P, num, den, base) -> tuple:
-    """(num; base)_oo / (den; base)_oo for raw num and den, as a raw value
-    divided at the working precision."""
-    top = value_key(P.infinite(from_raw(num), base))
-    bottom = value_key(P.infinite(from_raw(den), base))
-    return raw_div(top, bottom, *mp._prec_rounding)
+def qbin_product(a, base) -> ProductSpec:
+    """(a z; base)_oo / (z; base)_oo."""
+    return ProductSpec([numer(a, base), denom(ONE, base)])
 
 
 def qbin_summation(a, base) -> Summation:
@@ -53,7 +46,7 @@ def qbin_summation(a, base) -> Summation:
     return Summation(
         1,
         TermSpec(base, rows=[(numer(a, base), denom(base, base))]),
-        lambda P, z: qbin_product(P, a, base, z),
+        qbin_product(a, base),
         label="q_bin",
     )
 
@@ -101,10 +94,10 @@ def _heine_build(dims):
         return TermSpec(q, rows=rows), b
 
     def rhs_prefactor(ctx):
-        P, q, p = ctx.poch, ctx.bases.q, ctx.params
+        q, p = ctx.bases.q, ctx.params
         a, b, c, z = p["a"], p["b"], p["c"], p["z"]
-        top = P.infinite(b, q) * P.infinite(a * z, q)
-        return top / (P.infinite(c, q) * P.infinite(z, q))
+        factors = [numer(b, q), numer(a * z, q), denom(c, q), denom(z, q)]
+        return ProductSpec(factors)(ctx.poch)
 
     return spec_side(1, lhs), spec_side(1, rhs, rhs_prefactor)
 
@@ -191,7 +184,7 @@ def q_euler_summation(a, b, c, base, prec: int) -> Summation:
     return Summation(
         1,
         summand(a, b),
-        lambda P, z: qbin_product(P, stretch, base, z),
+        qbin_product(stretch, base),
         1,
         summand(ca, cb, argument=False),
         stretch,

@@ -364,12 +364,14 @@ def sq_ratio(P, avec, x, base, k) -> QComplex:
 
 
 def numer(a, base, stretch: int = 1) -> tuple:
-    """(a; base)_{stretch * index} in the numerator of a ``TermSpec``."""
+    """(a; base)_{stretch * index} in the numerator of a ``TermSpec``, or
+    (a z; base)_oo in the numerator of a ``ProductSpec``."""
     return a, base, stretch, raw_mul
 
 
 def denom(a, base, stretch: int = 1) -> tuple:
-    """(a; base)_{stretch * index} in the denominator of a ``TermSpec``."""
+    """(a; base)_{stretch * index} in the denominator of a ``TermSpec``, or
+    (a z; base)_oo in the denominator of a ``ProductSpec``."""
     return a, base, stretch, raw_div
 
 
@@ -443,6 +445,29 @@ class TermSpec:
             value = _fold(value, raw_mul, P.intpow(z, weight), prec, rnd)
         if self.sign and weight & 1:
             value = raw_mul(value, fnone, prec, rnd)
+        return from_raw(value)
+
+
+@dataclass(frozen=True, eq=False)
+class ProductSpec:
+    """A product as data: prod_i (c_i z; b_i)_oo^{+-1} over the ``factors``,
+    each a ``numer(c_i, b_i)`` or a ``denom(c_i, b_i)``.  Called as
+    product(P, z), or as product(P) for the constant prod_i (c_i; b_i)_oo^{+-1}.
+    c_i z is multiplied at the working precision (z itself where c_i is 1),
+    and the factors on raw values in list order, as ``value *= f`` and
+    ``value /= f`` round them."""
+
+    factors: Sequence
+
+    def __call__(self, P, z=None) -> QComplex:
+        prec, rnd = mp._prec_rounding
+        raw_z = None if z is None else value_key(z)
+        value = fone
+        for c, base, _, op in self.factors:
+            if raw_z is not None:
+                c = value_key(c)
+                c = z if c == fone else from_raw(raw_mul(c, raw_z, prec, rnd))
+            value = _fold(value, op, P.infinite(c, base), prec, rnd)
         return from_raw(value)
 
 

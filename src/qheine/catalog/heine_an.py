@@ -39,8 +39,8 @@ def _build(block, base):
 
 
 _heine7_build = _build(
-    lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh),
-    lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt),
+    lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh, prec),
+    lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt, prec),
 )
 
 
@@ -85,7 +85,7 @@ THM_HEINE7 = IdentityFamily(
 
 
 _heine8_build = _build(
-    lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh),
+    lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh, prec),
     lambda p, qt, prec: gk_summation(p["b"], p["y"], qt, prec),
 )
 
@@ -176,7 +176,7 @@ THM_HEINE1 = IdentityFamily(
 # At c = 0 the extra-parameter summation has the plain product side.
 _heine2_build = _build(
     lambda p, qh, prec: extra_c_summation(p["a"], _ZERO, p["x"], qh, prec),
-    lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt),
+    lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt, prec),
 )
 
 

@@ -61,7 +61,7 @@ def kajihara_summation(avec, bvec, c, xvec, yvec, base, prec: int) -> Summation:
             rows=grid,
             exponent=staircase,
         ),
-        lambda P, z: qbin_product(P, stretch, base, z),
+        qbin_product(stretch, base),
         m,
         inner_term,
         stretch,

@@ -84,7 +84,7 @@ def _master_big_build(dims):
     def bind(ctx):
         B, p = ctx.bases, ctx.params
         h1, h2 = p["h1"], p["h2"]
-        first = milne_lilly_summation(p["a1"], p["x1"], B.power(h1))
+        first = milne_lilly_summation(p["a1"], p["x1"], B.power(h1), B.prec)
         second = gk_summation(p["a2"], p["x2"], B.power(h2), B.prec)
         blocks = (
             HeineBlock(first, p["z1"], B.power(B.t * h1)),

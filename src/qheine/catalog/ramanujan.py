@@ -11,17 +11,19 @@ ram_1_4_17 from the Euler exponential summation, and ram_eq26_b and
 ram_1_4_17_anm from the stretched Euler summation, whose Vandermonde factor
 and finite products are stretched by the dimension.
 
-Four are written as displayed, each summand a ``TermSpec``:
-ram_1_4_10_anm, ram_1_4_10_c, ram_1_4_9a and ram_1_4_9b couple their
-summands through finite products at the total weight; a Heine form would
-trade those finite-table lookups for an infinite product per term.  The
-stretched summands of the last three are ``stretched_spec`` at z = +-1.
-The lhs of ram_1_4_10_anm and ram_1_4_10_c is one "linear" stretched
-summand (``_linear_spec``) with no closed product, so no block can be bound
-to it.
+Four are written as displayed, each summand a ``TermSpec`` and each rhs
+prefactor a constant ``ProductSpec``: ram_1_4_10_anm, ram_1_4_10_c,
+ram_1_4_9a and ram_1_4_9b couple their summands through finite products at
+the total weight; a Heine form would trade those finite-table lookups for
+an infinite product per term.  The stretched summands of the last three
+are ``stretched_spec`` at z = +-1.  The lhs of ram_1_4_10_anm and
+ram_1_4_10_c is one "linear" stretched summand (``_linear_spec``) with no
+closed product, so no block can be bound to it.
 
-The other four are those at fixed dimensions and share their builders,
-which read a missing dimension as 1: ram_1_4_10 and ram_1_4_10_m1 are
+The other seven are general families at fixed dimensions, declared as
+``dataclasses.replace`` of them; the builders read a missing dimension as
+1.  ram_core is ram_1_4_1_anm at n = m = 1, ram_1_4_12 is ram_eq26_a2 and
+ram_1_4_17 is ram_eq26_a3 at m = 1, ram_1_4_10 and ram_1_4_10_m1 are
 ram_1_4_10_anm at n = m = 1 and at m = 1, ram_1_4_10_n_single is
 ram_1_4_10_c at m = 1, and ram_1_4_9 is ram_1_4_9b at m = 1.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..multisum import HeineBlock, TruncationPolicy, heine_sides
-from ..qcore import ONE, e2
+from ..qcore import e2
 from .an_qbinomial import (
     euler_exp_summation,
     gk_summation,
@@ -39,10 +41,10 @@ from .an_qbinomial import (
     stretched_euler_summation,
     stretched_spec,
 )
-from .classical import qbin_product
 from .core import (
     IdentityFamily,
     ParamSpec,
+    ProductSpec,
     TermSpec,
     argument,
     coefficient,
@@ -105,7 +107,7 @@ def _base_over_block(P, blocks, base):
 # q^{h(r-1)}) at w = d q^{hn}.  With these x_r the Milne-Lilly product side
 # collapses to (cq/d w q^{h(1-n)}; q^h)_oo / (w q^{h(1-n)}; q^h)_oo.  The
 # display multiplies both sides by the base block's product over the
-# block's; ram_core is n = m = 1.
+# block's.
 
 
 def _ram_1_4_1_build(dims):
@@ -115,10 +117,7 @@ def _ram_1_4_1_build(dims):
         B, p = ctx.bases, ctx.params
         q_tm, q_hn = B.power(B.t * m), B.power(B.h * n)
         ratio, shift = p["c"] * B.q / p["d"], B.power(B.h * (1 - n))
-
-        def base_product(P, w):
-            return qbin_product(P, ratio, B.qh, w * shift)
-
+        product = ProductSpec([numer(ratio * shift, B.qh), denom(shift, B.qh)])
         block = HeineBlock(
             gk_summation(
                 -p["b"] * B.q / p["a"], geom(B.qt, m, B.prec), q_tm, B.prec
@@ -126,8 +125,10 @@ def _ram_1_4_1_build(dims):
             p["a"] * q_tm,
             B.power(B.h * B.t * m * n),
         )
-        base = milne_lilly_summation((ratio,) * n, geom(B.qh, n, B.prec), q_hn)
-        base = replace(base, product=base_product)
+        base = milne_lilly_summation(
+            (ratio,) * n, geom(B.qh, n, B.prec), q_hn, B.prec
+        )
+        base = replace(base, product=product)
         return (block,), HeineBlock(base, p["d"] * q_hn)
 
     return _displayed(((m, 0),), (n, 0), bind, _base_over_block)
@@ -153,17 +154,6 @@ def _ram_1_4_1_sample(rng, dims, bases):
     }
 
 
-RAM_CORE = IdentityFamily(
-    id="ram_core",
-    reference="bibasic transformation central to the Ramanujan 2phi1 family",
-    dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
-    build=_ram_1_4_1_build,
-    domain=_ram_1_4_1_domain,
-    sample=_ram_1_4_1_sample,
-)
-
-
 RAM_1_4_1_ANM = IdentityFamily(
     id="ram_1_4_1_anm",
     reference="m-fold to n-fold extension of the central bibasic "
@@ -182,21 +172,31 @@ RAM_1_4_1_ANM = IdentityFamily(
 )
 
 
+RAM_CORE = replace(
+    RAM_1_4_1_ANM,
+    id="ram_core",
+    reference="bibasic transformation central to the Ramanujan 2phi1 family",
+    dim_names=(),
+    default_dims=(dict(),),
+)
+
+
 # -- the sum_k q^k/(q)_k^2 family ---------------------------------------------
 
 
-def _q_sides(lhs, rhs, rhs_prefactor):
+def _q_sides(lhs, rhs, rhs_product):
     """The sides of an entry without parameters: ``lhs`` and ``rhs`` are
     (dimension, spec(q, prec)), each spec built once per run, and the rhs
-    is multiplied by ``rhs_prefactor(P, q)``."""
+    is multiplied by the constant ``rhs_product(q, prec)``."""
 
-    def side(dimension, spec, prefactor=lambda P, q: ONE):
-        def bind(ctx):
-            return (spec(ctx.bases.q, ctx.bases.prec),)
+    def bind(spec):
+        return lambda ctx: (spec(ctx.bases.q, ctx.bases.prec),)
 
-        return spec_side(dimension, bind, lambda ctx: prefactor(ctx.poch, ctx.bases.q))
+    def prefactor(ctx):
+        return rhs_product(ctx.bases.q, ctx.bases.prec)(ctx.poch)
 
-    return side(*lhs), side(*rhs, rhs_prefactor)
+    (m, left), (n, right) = lhs, rhs
+    return spec_side(m, bind(left)), spec_side(n, bind(right), prefactor)
 
 
 def _linear_spec(n, q, prec, total) -> TermSpec:
@@ -231,13 +231,12 @@ def _ram_1_4_10_anm_build(dims):
             argument=False,
         )
 
-    def rhs_prefactor(P, q):
-        value = 1 / P.infinite(q, q)
-        for r in range(1, m + 1):
-            value /= P.infinite(q ** (m * r), q**m)
-        return value
+    def rhs_product(q, prec):
+        q_m = power_at(q, m, prec)
+        rows = [denom(power_at(q, m * r, prec), q_m) for r in range(1, m + 1)]
+        return ProductSpec([denom(q, q)] + rows)
 
-    return _q_sides((n, lhs), (m, rhs), rhs_prefactor)
+    return _q_sides((n, lhs), (m, rhs), rhs_product)
 
 
 def _always(dims, p, bases):
@@ -267,29 +266,22 @@ RAM_1_4_10_ANM = IdentityFamily(
 )
 
 
-RAM_1_4_10_M1 = IdentityFamily(
+RAM_1_4_10_M1 = replace(
+    RAM_1_4_10_ANM,
     id="ram_1_4_10_m1",
     reference="n-fold extension of sum q^k/(q;q)_k^2 against a single "
     "alternating theta-like sum",
     dim_names=("n",),
-    schema=(),
-    build=_ram_1_4_10_anm_build,
-    domain=_always,
-    sample=_no_params,
     default_dims=({"n": 1}, {"n": 2}),
-    policy=_SLOW_POLICY,
 )
 
 
-RAM_1_4_10 = IdentityFamily(
+RAM_1_4_10 = replace(
+    RAM_1_4_10_ANM,
     id="ram_1_4_10",
     reference="classical evaluation of sum q^k/(q;q)_k^2",
     dim_names=(),
-    schema=(),
-    build=_ram_1_4_10_anm_build,
-    domain=_always,
-    sample=_no_params,
-    policy=_SLOW_POLICY,
+    default_dims=(dict(),),
 )
 
 
@@ -304,10 +296,11 @@ def _ram_1_4_10_c_build(dims):
         total = [numer(q, q, m * n)]
         return stretched_spec(n, q, prec, total=total, sign=n % 2 == 1, argument=False)
 
-    def rhs_prefactor(P, q):
-        return 1 / (P.infinite(q, q) * P.infinite(q**n, q**n))
+    def rhs_product(q, prec):
+        q_n = power_at(q, n, prec)
+        return ProductSpec([denom(q, q), denom(q_n, q_n)])
 
-    return _q_sides((m, lhs), (n, rhs), rhs_prefactor)
+    return _q_sides((m, lhs), (n, rhs), rhs_product)
 
 
 RAM_1_4_10_C = IdentityFamily(
@@ -329,17 +322,13 @@ RAM_1_4_10_C = IdentityFamily(
 )
 
 
-RAM_1_4_10_N_SINGLE = IdentityFamily(
+RAM_1_4_10_N_SINGLE = replace(
+    RAM_1_4_10_C,
     id="ram_1_4_10_n_single",
     reference="single-sum form of the companion extension of "
     "sum q^k/(q;q)_k^2",
     dim_names=("n",),
-    schema=(),
-    build=_ram_1_4_10_c_build,
-    domain=_always,
-    sample=_no_params,
     default_dims=({"n": 1}, {"n": 2}),
-    policy=_SLOW_POLICY,
 )
 
 
@@ -397,31 +386,25 @@ def _bases_1_1(B, n, m):
     return 1, 1, n * m * B.t
 
 
-_ram_eq26_a2_build = _partial_theta_build(_euler_block, _bases_t_h)
-_ram_eq26_a3_build = _partial_theta_build(_euler_block, _bases_1_1)
-
-
 RAM_EQ26_A2 = IdentityFamily(
     id="ram_eq26_a2",
     reference="m-fold partial-theta transformation with bases q^h and q^{tm}",
     dim_names=("m",),
     schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_eq26_a2_build,
+    build=_partial_theta_build(_euler_block, _bases_t_h),
     domain=_always,
     sample=_coeff_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
 
 
-RAM_1_4_12 = IdentityFamily(
+RAM_1_4_12 = replace(
+    RAM_EQ26_A2,
     id="ram_1_4_12",
     reference="bibasic partial-theta transformation symmetric in (a, q^h) "
     "and (b, q^t)",
     dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_eq26_a2_build,
-    domain=_always,
-    sample=_coeff_params,
+    default_dims=(dict(),),
 )
 
 
@@ -431,7 +414,7 @@ RAM_EQ26_A3 = IdentityFamily(
     "with a free index stretch t",
     dim_names=("m",),
     schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_eq26_a3_build,
+    build=_partial_theta_build(_euler_block, _bases_1_1),
     domain=_always,
     sample=_coeff_params,
     default_dims=({"m": 1}, {"m": 2}),
@@ -474,14 +457,12 @@ RAM_1_4_17_ANM = IdentityFamily(
 )
 
 
-RAM_1_4_17 = IdentityFamily(
+RAM_1_4_17 = replace(
+    RAM_EQ26_A3,
     id="ram_1_4_17",
     reference="symmetric partial-theta transformation with index stretch t",
     dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("b")),
-    build=_ram_eq26_a3_build,
-    domain=_always,
-    sample=_coeff_params,
+    default_dims=(dict(),),
 )
 
 
@@ -496,10 +477,11 @@ def _ram_1_4_9a_build(dims):
         total = [denom(power_at(-q, m, prec), power_at(q, m, prec), m)]
         return stretched_spec(m, q, prec, total=total, sign=m % 2 == 1, argument=False)
 
-    def rhs_prefactor(P, q):
-        return P.infinite((-q) ** m, q**m) / P.infinite(q**m, q**m)
+    def rhs_product(q, prec):
+        q_m = power_at(q, m, prec)
+        return ProductSpec([numer(power_at(-q, m, prec), q_m), denom(q_m, q_m)])
 
-    return _q_sides((m, lhs), (m, rhs), rhs_prefactor)
+    return _q_sides((m, lhs), (m, rhs), rhs_product)
 
 
 RAM_1_4_9A = IdentityFamily(
@@ -527,10 +509,11 @@ def _ram_1_4_9b_build(dims):
             q, rows=rows, exponent=lambda k: tri(k[0]), sign=True, argument=False
         )
 
-    def rhs_prefactor(P, q):
-        return P.infinite((-q) ** m, q**m) / P.infinite(q, q)
+    def rhs_product(q, prec):
+        q_m = power_at(q, m, prec)
+        return ProductSpec([numer(power_at(-q, m, prec), q_m), denom(q, q)])
 
-    return _q_sides((m, lhs), (1, rhs), rhs_prefactor)
+    return _q_sides((m, lhs), (1, rhs), rhs_product)
 
 
 RAM_1_4_9B = IdentityFamily(
@@ -546,14 +529,12 @@ RAM_1_4_9B = IdentityFamily(
 )
 
 
-RAM_1_4_9 = IdentityFamily(
+RAM_1_4_9 = replace(
+    RAM_1_4_9B,
     id="ram_1_4_9",
     reference="classical transformation of sum q^{C(j+1,2)}/(q;q)_j^2",
     dim_names=(),
-    schema=(),
-    build=_ram_1_4_9b_build,
-    domain=_always,
-    sample=_no_params,
+    default_dims=(dict(),),
 )
 
 

@@ -358,7 +358,8 @@ def run_compose(config: RunConfig) -> tuple[list[dict], int]:
             _policy_for(composed, config),
             tolerance=config.tolerance,
         )
-        records.append(report.case_row(result, composed.dims, index))
+        row = report.case_row(result, composed.dims, index)
+        records.append({**row, "identity": label})
         results.append(result)
     summary = _summary(label, results, started, config.precision, h_failures)
     records += [summary, _total([summary], h_failures)]

@@ -518,7 +518,6 @@ class PochCache:
         self.tol = tol if tol is not None else default_tol(self.prec)
         self.in_shell = False
         self._finite: dict = {}
-        self._finite_ids: dict = {}
         self._infinite = ShellMemo()
         self._ratio = ShellMemo()
         self._intpow = ShellMemo()
@@ -538,23 +537,14 @@ class PochCache:
         self.in_shell = False
 
     def finite_table(self, a, base) -> FiniteTable:
-        """The list of (a; base)_0, (a; base)_1, ... kept for this run.
-
-        A term asks for the same tables with the same objects on every
-        term, so a table is found by the identity of ``a`` and ``base``
-        first and by their raw values only for objects not seen before.
-        The identity map holds the objects, so an id it knows is never
-        reused by another object.
-        """
-        ids = (id(a), id(base))
-        seen = self._finite_ids.get(ids)
-        if seen is not None:
-            return seen[2]
+        """The list of (a; base)_0, (a; base)_1, ... kept for this run, found
+        by the raw values of ``a`` and ``base``.  The specs of
+        ``catalog.core`` resolve their tables once per run, so a lookup
+        does not recur per term."""
         key = (value_key(a), value_key(base))
         table = self._finite.get(key)
         if table is None:
             table = self._finite[key] = FiniteTable(a, base, self.prec)
-        self._finite_ids[ids] = (a, base, table)
         return table
 
     def finite(self, a, base, k: int) -> QComplex:

@@ -353,7 +353,10 @@ def test_criterion_6_master_theorem_engine():
             slots = (
                 engine.BlockSlot(
                     milne_lilly_summation(
-                        params["a1"], params["x1"], bases.power(params["h1"])
+                        params["a1"],
+                        params["x1"],
+                        bases.power(params["h1"]),
+                        bases.prec,
                     ),
                     params["h1"],
                     params["z1"],

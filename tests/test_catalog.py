@@ -3,7 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-from qheine import catalog, cli
+from qheine import catalog, cli, report
 from qheine.catalog import core, ramanujan
 from qheine.catalog.core import ParamSpec
 from qheine.errors import (
@@ -17,8 +17,6 @@ from qheine.catalog.an_qbinomial import (
     euler_exp_summation,
     stretched_euler_summation,
 )
-from qheine.catalog.classical import q_euler_summation
-from qheine.catalog.kajihara import kajihara_summation
 from qheine.multisum import (
     SeriesSide,
     TruncationPolicy,
@@ -408,35 +406,37 @@ class TestEulerExponential:
 
 
 class TestStretchPrecision:
-    """q_euler_summation and kajihara_summation multiply their stretch at
-    the precision they are given: built at 53 bits or at 128, their two
-    sides sum to the same values at 128 bits, bit for bit."""
+    """Every summation builder that forms constants from its parameters (a
+    stretch, the arguments of its product or summand) forms them at the
+    precision it is given: built at 53 bits or at 128, its two sides sum to
+    the same values at 128 bits, bit for bit."""
 
-    @staticmethod
-    def _sums(name, build_prec):
-        bases = BaseSystem(mpf("0.35"))
-        if name == "q_euler":
-            build, grid = q_euler_summation, (mpf("0.37"), mpf("-0.61"), mpf("0.43"))
-        else:
-            build, grid = kajihara_summation, (
-                (mpf("0.6"), mpf("-0.45")),
-                (mpf("0.7"),),
-                mpf("0.41"),
-                (mpf("0.8"), mpf("1.1")),
-                (mpf("0.9"),),
-            )
-        with mp.workprec(build_prec):
-            summation = build(*grid, bases.q, bases.prec)
-        sides = core.summation_sides(
-            (summation.dimension, summation.inner_dimension),
-            lambda ctx: (summation, mpf("0.15")),
-        )
-        ctx = make_context({}, bases)
-        return [evaluate_in_context(side, ctx)[0] for side in sides]
-
-    @pytest.mark.parametrize("name", ["q_euler", "kajihara"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "q_euler",
+            "kajihara",
+            "milne_lilly",
+            "gk",
+            "euler_exp",
+            "stretched_euler",
+            "extra_c",
+        ],
+    )
     def test_built_at_53_bits_sums_as_at_128(self, name):
-        assert self._sums(name, 53) == self._sums(name, 128)
+        bases = BaseSystem(mpf("0.35"))
+        sums = []
+        for build_prec in (53, 128):
+            build = util.summation_builds(bases.q, bases.prec)[name]
+            with mp.workprec(build_prec):
+                summation = build()
+            sides = core.summation_sides(
+                (summation.dimension, summation.inner_dimension),
+                lambda ctx: (summation, mpf("0.15")),
+            )
+            ctx = make_context({}, bases)
+            sums.append([evaluate_in_context(side, ctx)[0] for side in sides])
+        assert sums[0] == sums[1]
 
 
 # -- unfactored summands of the block-factored sides --------------------------
@@ -1513,9 +1513,10 @@ class TestDisplayedPairsBindOnce:
 
 class TestRunArgumentsFormedOnce:
     """Arguments that do not depend on the index (q_euler's c / a and c / b,
-    heine_2phi1's c / b and a z) are formed once per run, so each finite
-    table is found by the identity of its arguments: the identity map of
-    ``PochCache.finite_table`` holds one entry per table."""
+    heine_2phi1's c / b and a z) are formed once per run, and each spec
+    resolves its finite tables once per run: the number of
+    ``PochCache.finite_table`` calls in a case does not grow with the
+    number of terms it sums."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1526,17 +1527,28 @@ class TestRunArgumentsFormedOnce:
         ],
         ids=["compose-q_euler", "heine_2phi1", "q_euler"],
     )
-    def test_one_identity_entry_per_table(self, monkeypatch, tmp_path, argv):
-        contexts = []
-        raw = core.make_context
+    def test_finite_table_calls_do_not_grow_with_terms(
+        self, monkeypatch, tmp_path, argv
+    ):
+        raw = PochCache.finite_table
 
-        def make_context(*args, **kwargs):
-            contexts.append(raw(*args, **kwargs))
-            return contexts[-1]
+        def run(extra):
+            """finite_table calls and terms summed per case."""
+            calls = {}
 
-        monkeypatch.setattr(core, "make_context", make_context)
-        out = str(tmp_path / "report.jsonl")
-        assert cli.main(argv + ["--samples", "2", "--seed", "1", "--out", out]) == 0
-        assert len(contexts) == 2
-        for ctx in contexts:
-            assert len(ctx.poch._finite_ids) == len(ctx.poch._finite) > 0
+            def finite_table(cache, a, base):
+                calls[cache] = calls.get(cache, 0) + 1
+                return raw(cache, a, base)
+
+            monkeypatch.setattr(PochCache, "finite_table", finite_table)
+            out = tmp_path / "report.jsonl"
+            argv_out = argv + ["--samples", "2", "--seed", "1", "--out", str(out)]
+            assert cli.main(argv_out + extra) == 0
+            cases = report.parse_json_lines(out.read_text())["cases"]
+            terms = [case["lhs_terms"] + case["rhs_terms"] for case in cases]
+            return list(calls.values()), terms
+
+        few_calls, few_terms = run(["--tail-tol", "1e-12", "--tol", "1e-10"])
+        calls, terms = run([])
+        assert all(few < more for few, more in zip(few_terms, terms)), terms
+        assert calls == few_calls and min(calls) > 0

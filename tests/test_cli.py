@@ -264,6 +264,19 @@ class TestComposeCommand:
         parsed = report.parse_json_lines(out)
         assert all(case["passed"] for case in parsed["cases"])
 
+    def test_case_rows_name_the_identity_as_the_summary_does(self, capsys):
+        # With its block dimensions, as the summary names it.
+        code, out = run_cli(
+            capsys,
+            ["compose", "--blocks", "milne_lilly:2,gk:1", "--base", "q_bin",
+             "--samples", "2", "--seed", "1"],
+        )
+        assert code == 0
+        parsed = report.parse_json_lines(out)
+        label = "composed:milne_lilly:2+gk:1/q_bin"
+        assert [row["identity"] for row in parsed["summaries"]] == [label]
+        assert [row["identity"] for row in parsed["cases"]] == [label, label]
+
     def test_broken_block_exit_3(self, capsys):
         code, out = run_cli(
             capsys,

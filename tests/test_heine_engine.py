@@ -135,7 +135,7 @@ class TestCompose:
         for params, bases in catalog.sample_domain(identity, seed=52, count=2):
             with mp.workprec(bases.prec):
                 first = milne_lilly_summation(
-                    params["a1"], params["x1"], bases.power(params["h1"])
+                    params["a1"], params["x1"], bases.power(params["h1"]), bases.prec
                 )
                 second = gk_summation(
                     params["a2"], params["x2"], bases.power(params["h2"]), bases.prec

@@ -518,7 +518,7 @@ class TestSharedCrossBases:
 
         def product(P, w):
             calls.append(w)
-            return qbin_product(P, self.b, B.qt, w)
+            return qbin_product(self.b, B.qt)(P, w)
 
         base = replace(qbin_summation(self.b, B.qt), product=product)
 
@@ -557,8 +557,9 @@ class TestSharedCrossBases:
                     scale = mpf(1)
                     for s, kr in zip(crosses, k):
                         scale *= direct.intpow(s, kr)
-                    expected = qbin_product(direct, self.b, B.qt, self.w * scale)
-                    expected /= qbin_product(direct, self.b, B.qt, self.w)
+                    product = qbin_product(self.b, B.qt)
+                    expected = product(direct, self.w * scale)
+                    expected /= product(direct, self.w)
                     for a, z, kr in zip(self.uppers, self.arguments, k):
                         expected *= qbin_term(direct, a, B.qh, z, (kr,))
                     assert _bits(lhs.term(ctx, k)) == _bits(expected), k

@@ -6,7 +6,16 @@ import math
 
 from mpmath import mp, mpf, mpmathify
 
+from qheine.catalog.an_qbinomial import (
+    euler_exp_summation,
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
+    stretched_euler_summation,
+)
+from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.catalog.core import sq_ratio, staircase, tri
+from qheine.catalog.kajihara import kajihara_summation
 from qheine.errors import (
     DegenerateVariables,
     DivisionByZero,
@@ -389,3 +398,24 @@ def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, j):
     value = vandermonde_ratio(yvec, j, base, P)
     value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
     return value * P.intpow(base, staircase(j))
+
+
+def summation_builds(base, prec) -> dict:
+    """Every catalog summation builder, named without its ``_summation``
+    suffix, as a function of no arguments that builds its summation in
+    ``base`` at fixed parameters, forming its constants at ``prec`` bits.
+    The parameters are read here, at the working precision."""
+    a, b, c = mpf("0.37"), mpf("-0.61"), mpf("0.43")
+    avec, xvec = (mpf("0.6"), mpf("-0.45")), (mpf("0.8"), mpf("1.1"))
+    grid = (avec, (mpf("0.7"),), mpf("0.41"), xvec, (mpf("0.9"),))
+    extra = mpf("0.3")
+    return {
+        "qbin": lambda: qbin_summation(a, base),
+        "q_euler": lambda: q_euler_summation(a, b, c, base, prec),
+        "kajihara": lambda: kajihara_summation(*grid, base, prec),
+        "milne_lilly": lambda: milne_lilly_summation(avec, xvec, base, prec),
+        "gk": lambda: gk_summation(a, xvec, base, prec),
+        "euler_exp": lambda: euler_exp_summation(xvec, base, prec),
+        "stretched_euler": lambda: stretched_euler_summation(3, base, prec),
+        "extra_c": lambda: extra_c_summation(avec, extra, xvec, base, prec),
+    }
