@@ -8,10 +8,11 @@ import random
 from dataclasses import replace
 from typing import Sequence
 
-from mpmath import mpmathify
+from mpmath import mp, mpmathify
 
 from ..errors import UnknownIdentity
 from ..multisum import Summation
+from ..qcore import raw_mul
 from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
 from .classical import q_euler_summation, qbin_summation
 from .core import coefficient, distinct_vector, signed
@@ -28,7 +29,7 @@ def broken_block(a, base) -> Summation:
     qbin = summation.term
 
     def term(P, z, k):
-        return qbin(P, z, k) * P.finite(z, base, k[0])
+        return raw_mul(qbin(P, z, k), P.finite(z, base, k[0]), *mp._prec_rounding)
 
     return replace(summation, term=term, label="broken")
 

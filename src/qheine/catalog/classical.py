@@ -11,7 +11,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from ..multisum import HeineBlock, Summation, heine_sides
-from ..qcore import ONE
+from ..qcore import ONE, from_raw
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -97,7 +97,7 @@ def _heine_build(dims):
         q, p = ctx.bases.q, ctx.params
         a, b, c, z = p["a"], p["b"], p["c"], p["z"]
         factors = [numer(b, q), numer(a * z, q), denom(c, q), denom(z, q)]
-        return ProductSpec(factors)(ctx.poch)
+        return from_raw(ProductSpec(factors)(ctx.poch))
 
     return spec_side(1, lhs), spec_side(1, rhs, rhs_prefactor)
 

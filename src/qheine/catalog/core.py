@@ -34,7 +34,6 @@ from ..qcore import (
     from_raw,
     raw_div,
     raw_mul,
-    raw_quotients,
     value_key,
 )
 
@@ -315,13 +314,14 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
     (outer, inner) dimensions, and ``bind(ctx)`` returns the run's
     ``Summation`` and argument z, once per run (``run_memo``).  The inner
     summand is taken at unit argument times (stretch z)^{|j|}.  The sum is
-    the lhs unless ``product_left``."""
+    the lhs unless ``product_left``.  The product, a prefactor, is the one
+    mpf or mpc; the terms are raw."""
     outer, inner = shape
 
     def bound(ctx) -> tuple:
-        """(summation, z, stretch z) of the run."""
+        """(summation, z, stretch z) of the run, the last one raw."""
         summation, z = bind(ctx)
-        return summation, z, summation.stretch * z
+        return summation, z, value_key(summation.stretch * z)
 
     def term(ctx, k):
         summation, z, _ = run_memo(ctx, bound)
@@ -329,20 +329,22 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
 
     def product(ctx):
         summation, z, _ = run_memo(ctx, bound)
-        return summation.product(ctx.poch, z)
+        return from_raw(summation.product(ctx.poch, z))
 
     def inner_term(ctx, j):
         summation, _, stretched = run_memo(ctx, bound)
-        return summation.inner(ctx.poch, j) * ctx.poch.intpow(stretched, sum(j))
+        power = ctx.poch.intpow(stretched, sum(j))
+        return raw_mul(summation.inner(ctx.poch, j), power, *mp._prec_rounding)
 
     sides = (SeriesSide(outer, term), SeriesSide(inner, inner_term, product))
     return sides[::-1] if product_left else sides
 
 
-def sq_ratio(P, avec, x, base, k) -> QComplex:
-    """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r},
-    multiplied on raw values as ``value *= num; value /= den``, factor by
-    factor in (r, s) order; its tables are built once per run."""
+def sq_ratio(P, avec, x, base, k) -> tuple:
+    """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r} as
+    a raw value, multiplied from 1 as ``value *= num; value /= den``
+    round it, factor by factor in (r, s) order; its tables are built once
+    per run."""
 
     def build():
         return [
@@ -354,9 +356,14 @@ def sq_ratio(P, avec, x, base, k) -> QComplex:
         ]
 
     rows = P.table("sq_ratio", (avec, x, base), build)
-    return raw_quotients(
-        (num.at(kr), den.at(kr)) for kr, row in zip(k, rows) if kr for num, den in row
-    )
+    prec, rnd = mp._prec_rounding
+    value = fone
+    for kr, row in zip(k, rows):
+        if kr:
+            for num, den in row:
+                value = raw_mul(value, num.at(kr), prec, rnd)
+                value = raw_div(value, den.at(kr), prec, rnd)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +383,8 @@ def denom(a, base, stretch: int = 1) -> tuple:
 
 
 def power_at(x, n: int, prec: int) -> QComplex:
-    """x ** n at ``prec`` bits, as ``PochCache.intpow`` gives it."""
+    """x ** n at ``prec`` bits: the raw value ``PochCache.intpow`` gives, as
+    an mpf or mpc."""
     return from_raw(_pow_int(value_key(x), n, prec, mp._prec_rounding[1]))
 
 
@@ -392,9 +400,10 @@ class TermSpec:
         z^{|k|} if it has an ``argument``, and (-1)^{|k|} if ``sign``,
 
     each optional; a factor is a ``numer`` or a ``denom``.  A spec is called
-    as term(P, z, k), or without an argument as inner(P, k).  Its tables are
-    looked up once per run (``PochCache.table``), and the pieces multiplied
-    on raw values in the order above, as ``value *= factor`` rounds them.
+    as term(P, z, k), with z an mpf or mpc, or without an argument as
+    inner(P, k).  Its tables are looked up once per run
+    (``PochCache.table``), and the raw pieces multiplied in the order
+    above, as ``value *= factor`` rounds them; the summand is a raw value.
     """
 
     base: QComplex
@@ -419,13 +428,13 @@ class TermSpec:
 
         return P.table(self, (), build)
 
-    def __call__(self, P, *args) -> QComplex:
+    def __call__(self, P, *args) -> tuple:
         z, k = args if self.argument else (None, *args)
         prec, rnd = mp._prec_rounding
         value = fone
         if self.vandermonde is not None:
             x, step = self.vandermonde
-            value = value_key(vandermonde_ratio(x, k, step, P))
+            value = vandermonde_ratio(x, k, step, P)
         if self.pairs is not None:
             factor = sq_ratio(P, *self.pairs, self.base, k)
             value = _fold(value, raw_mul, factor, prec, rnd)
@@ -436,47 +445,49 @@ class TermSpec:
                     value = _fold(value, op, table.at(stretch * index), prec, rnd)
         n = self.exponent(k) if self.exponent else 0
         if n:
-            value = _fold(value, raw_mul, P.intpow(self.base, n), prec, rnd)
+            value = _fold(value, raw_mul, P.intpow(value_key(self.base), n), prec, rnd)
         if self.monomials is not None:
             for x_r, kr in zip(self.monomials, k):
                 if kr:
-                    value = _fold(value, raw_mul, P.intpow(x_r, -kr), prec, rnd)
+                    power = P.intpow(value_key(x_r), -kr)
+                    value = _fold(value, raw_mul, power, prec, rnd)
         if self.argument and weight:
-            value = _fold(value, raw_mul, P.intpow(z, weight), prec, rnd)
+            value = _fold(value, raw_mul, P.intpow(value_key(z), weight), prec, rnd)
         if self.sign and weight & 1:
             value = raw_mul(value, fnone, prec, rnd)
-        return from_raw(value)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
 class ProductSpec:
     """A product as data: prod_i (c_i z; b_i)_oo^{+-1} over the ``factors``,
     each a ``numer(c_i, b_i)`` or a ``denom(c_i, b_i)``.  Called as
-    product(P, z), or as product(P) for the constant prod_i (c_i; b_i)_oo^{+-1}.
-    c_i z is multiplied at the working precision (z itself where c_i is 1),
-    and the factors on raw values in list order, as ``value *= f`` and
-    ``value /= f`` round them."""
+    product(P, z) with z an mpf or mpc, or as product(P) for the constant
+    prod_i (c_i; b_i)_oo^{+-1}.  c_i z is multiplied at the working
+    precision (z itself where c_i is 1), and the raw factors in list order,
+    as ``value *= f`` and ``value /= f`` round them; the product is a raw
+    value."""
 
     factors: Sequence
 
-    def __call__(self, P, z=None) -> QComplex:
+    def __call__(self, P, z=None) -> tuple:
         prec, rnd = mp._prec_rounding
         raw_z = None if z is None else value_key(z)
         value = fone
         for c, base, _, op in self.factors:
+            c = value_key(c)
             if raw_z is not None:
-                c = value_key(c)
-                c = z if c == fone else from_raw(raw_mul(c, raw_z, prec, rnd))
-            value = _fold(value, op, P.infinite(c, base), prec, rnd)
-        return from_raw(value)
+                c = raw_z if c == fone else raw_mul(c, raw_z, prec, rnd)
+            value = _fold(value, op, P.infinite(c, value_key(base)), prec, rnd)
+        return value
 
 
 def _fold(value, op, factor, prec: int, rnd: str) -> tuple:
-    """op(value, factor) for a raw value; a factor at the working precision
+    """op(value, factor) for raw values; a factor at the working precision
     times 1 is the factor itself."""
     if value is fone and op is raw_mul:
-        return value_key(factor)
-    return op(value, value_key(factor), prec, rnd)
+        return factor
+    return op(value, factor, prec, rnd)
 
 
 def run_memo(ctx, bind):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..multisum import HeineBlock, TruncationPolicy, heine_sides
-from ..qcore import e2
+from ..qcore import e2, from_raw
 from .an_qbinomial import (
     euler_exp_summation,
     gk_summation,
@@ -90,13 +90,13 @@ def _displayed(shapes, base_shape, bind, common):
 
 
 def _base_product(P, blocks, base):
-    return base.summation.product(P, base.argument)
+    return from_raw(base.summation.product(P, base.argument))
 
 
 def _base_over_block(P, blocks, base):
     (block,) = blocks
-    return _base_product(P, blocks, base) / block.summation.product(
-        P, block.argument
+    return _base_product(P, blocks, base) / from_raw(
+        block.summation.product(P, block.argument)
     )
 
 
@@ -193,7 +193,7 @@ def _q_sides(lhs, rhs, rhs_product):
         return lambda ctx: (spec(ctx.bases.q, ctx.bases.prec),)
 
     def prefactor(ctx):
-        return rhs_product(ctx.bases.q, ctx.bases.prec)(ctx.poch)
+        return from_raw(rhs_product(ctx.bases.q, ctx.bases.prec)(ctx.poch))
 
     (m, left), (n, right) = lhs, rhs
     return spec_side(m, bind(left)), spec_side(n, bind(right), prefactor)

@@ -21,7 +21,7 @@ from mpmath import mp, mpf, mpmathify
 from .catalog.core import Identity, signed
 from .errors import DomainEmpty, PropertyHViolation
 from .multisum import HeineBlock, SeriesSide, Summation, TruncationPolicy, heine_sides
-from .qcore import DEFAULT_PRECISION, PochCache
+from .qcore import DEFAULT_PRECISION, PochCache, from_raw
 
 __all__ = [
     "BlockSlot",
@@ -83,10 +83,10 @@ def check_property_H(
             if abs(z * factor) >= 0.9 * block.arg_bound:
                 factor = factor / (2 * abs(factor))
             k = tuple(rng.randint(0, 4) for _ in range(dimension))
-            reference = term(cache, z, k)
+            reference = from_raw(term(cache, z, k))
             if abs(reference) < tiny:
                 continue
-            scaled = term(cache, z * factor, k)
+            scaled = from_raw(term(cache, z * factor, k))
             deviation = abs(scaled - factor ** sum(k) * reference) / abs(reference)
             worst = max(worst, deviation)
     return HCheckResult(passed=bool(worst <= tol), max_deviation=worst, trials=trials)

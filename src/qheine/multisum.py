@@ -2,7 +2,9 @@
 
 A series side is a term function over multi-indices plus a prefactor.  The
 sum is taken shell by shell (constant total weight |k|), in lexicographic
-order inside each shell, so results are reproducible bit for bit.
+order inside each shell, so results are reproducible bit for bit.  Terms,
+and every value they are built from, are raw ``_mpf_``/``_mpc_`` tuples;
+an mpf or mpc is made per shell sum and for the side's value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .qcore import (
     from_raw,
     raw_div,
     raw_mul,
-    raw_product,
     raw_sum,
     value_key,
 )
@@ -103,7 +104,7 @@ def vandermonde_pairs(x: Sequence) -> list[tuple]:
 
 def vandermonde_ratio(
     x: Sequence, k: Sequence[int], step_power, poch: PochCache
-) -> QComplex:
+) -> tuple:
     """Type-A Vandermonde factor in ratio form:
     prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s).
 
@@ -111,43 +112,43 @@ def vandermonde_ratio(
     x_s) times S^{-sum_r (r-1) k_r}; series displays in the catalog use this
     form together with an explicit power factor.  The
     run's ``poch`` cache keeps the pair table of x and S, and in it each
-    pair's factor under its shift k_r - k_s: a factor is computed once per
-    run, at the cache precision.  A pair whose numerator or denominator
+    pair's raw factor under its shift k_r - k_s: a factor is computed once
+    per run, at the cache precision.  A pair whose numerator or denominator
     loses more than _LOSS_BITS bits to cancellation is evaluated by
     ``exact_pair`` instead.  The factors are multiplied in pair order at
     the cache precision; each is already rounded to it, so the product
     starts from the first factor with the bits a start from 1 would give.
+    The value is raw; with fewer than two variables it is libmp's ``fone``.
     """
     if len(x) != len(k):
         raise LengthMismatch("x and k must have the same length")
     if len(x) < 2:
-        return ONE
+        return fone
     pairs = poch.table(
         "vandermonde", (x, step_power), lambda: vandermonde_pairs(x)
     )
-    factors = []
+    prec, rnd = poch.prec, mp._prec_rounding[1]
+    value = None
     for pair in pairs:
         r, s, _, _, by_shift = pair
         shift = k[r] - k[s]
         factor = by_shift.get(shift)
         if factor is None:
             factor = by_shift[shift] = _pair_factor(x, step_power, pair, shift, poch)
-        factors.append(factor)
-    if len(factors) == 1:
-        return factors[0]
-    return raw_product(factors[1:], factors[0], prec=poch.prec)
+        value = factor if value is None else raw_mul(value, factor, prec, rnd)
+    return value
 
 
-def _pair_factor(x, step_power, pair, shift: int, poch: PochCache) -> QComplex:
+def _pair_factor(x, step_power, pair, shift: int, poch: PochCache) -> tuple:
     """(1 - S^shift x_r/x_s) / (1 - x_r/x_s) for one pair of
-    ``vandermonde_pairs``, at the cache precision."""
+    ``vandermonde_pairs``, at the cache precision, as a raw value."""
     r, s, ratio, den, _ = pair
     step = mpmathify(step_power)
     with mp.workprec(poch.prec):
-        num = 1 - poch.intpow(step, shift) * ratio
+        num = 1 - from_raw(poch.intpow(value_key(step), shift)) * ratio
         if den is None or abs(num) < _LOSS:
-            return exact_pair(x[r], x[s], step, shift, 0)
-        return num / den
+            return value_key(exact_pair(x[r], x[s], step, shift, 0))
+        return value_key(num / den)
 
 
 @dataclass
@@ -163,10 +164,10 @@ def make_context(params: Mapping, bases: BaseSystem, tol=None) -> EvalContext:
     return EvalContext(params=params, bases=bases, poch=PochCache(bases.prec, tol))
 
 
-# A summand (ctx, k) -> value.  A string, as the annotations are: a typing
+# A summand (ctx, k) -> raw value.  A string, as the annotations are: a typing
 # subscript made at import time would keep EvalContext in typing's caches
 # after the package is imported again.
-Term = "Callable[[EvalContext, MultiIndex], QComplex]"
+Term = "Callable[[EvalContext, MultiIndex], tuple]"
 
 
 def _in_shell(memo: dict, fn, total: int, key, ctx):
@@ -198,9 +199,9 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
     whose index is the whole of k could never be looked up again, so it is
     not kept: the coupling when every block is one-dimensional, and the part
     when there is only one block.  A part or coupling that raises is not
-    stored.  The factors are multiplied as raw values, coupling first, then
-    in block order, with the rounding of ``value *= factor`` at the working
-    precision; the term is one mpf or mpc made at the end.
+    stored.  Parts, couplings and the term are raw values: the factors are
+    multiplied coupling first, then in block order, with the rounding of
+    ``value *= factor`` at the working precision.
     """
     if len(sizes) != len(parts):
         raise LengthMismatch("block_term needs one part per block size")
@@ -213,7 +214,7 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
     keep_coupling = any(size > 1 for size in sizes)
     keep_parts = len(sizes) > 1
 
-    def term(ctx: EvalContext, k: MultiIndex) -> QComplex:
+    def term(ctx: EvalContext, k: MultiIndex) -> tuple:
         memo = ctx.poch.terms
         subs = [k[span] for span in spans]
         weights = tuple(map(sum, subs))
@@ -221,7 +222,7 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
             value = _in_shell(memo, coupling, sum(weights), weights, ctx)
         else:
             value = coupling(ctx, weights)
-        factors = []
+        prec, rnd = mp._prec_rounding
         for part, sub in zip(parts, subs):
             if keep_parts:
                 key = (part, sub)
@@ -230,8 +231,8 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
                     factor = memo[key] = part(ctx, sub)
             else:
                 factor = part(ctx, sub)
-            factors.append(factor)
-        return raw_product(factors, value)
+            value = raw_mul(value, factor, prec, rnd)
+        return value
 
     return term
 
@@ -239,7 +240,9 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
 @dataclass(frozen=True)
 class Summation:
     """A summation sum_k term(P, z, k) = product(P, z) over ``dimension``
-    indices, with its parameters bound.
+    indices, with its parameters bound.  ``term``, ``inner`` and ``product``
+    take the run's ``PochCache`` P and an mpf or mpc argument z, and
+    return raw values; read one with ``qcore.from_raw``.
 
     A transformation has an inner sum over ``inner_dimension`` indices as
     well: sum_k term(P, z, k) = product(P, z) * sum_j inner(P, j) (stretch
@@ -291,22 +294,23 @@ def heine_sides(
     summation.  ``bind(ctx)`` returns the run's blocks and base block as
     ``HeineBlock`` values; it is called once per run and kept in the run's
     ``PochCache.terms`` under ``bind``, and so are the products P_r(z_r) and
-    P_0(w) that the couplings divide by.  With z_r, s_r, S_r, P_r, R_r,
-    sigma_r the blocks' arguments, cross bases, summands, products, inner
-    summands and stretches, w and index 0 for the base block, and
-    s = prod_r s_r^{|k_r|}:
+    P_0(w) that the couplings divide by, as raw values.  With z_r, s_r,
+    S_r, P_r, R_r, sigma_r the blocks' arguments, cross bases, summands,
+    products, inner summands and stretches, w and index 0 for the base
+    block, and s = prod_r s_r^{|k_r|}:
 
         lhs = sum_{k, kt} prod_r S_r(z_r; k_r) * R_0(1; kt)
                 * P_0(w s)/P_0(w) * (sigma_0 w s)^{|kt|}
         rhs = prod_r P_r(z_r)/P_0(w) * sum_{j, jt} S_0(w; j) prod_r R_r(1; jt_r)
                 * prod_r P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|}
 
-    Both sides are ``block_term`` summands.  Expanding P_0(w s) as its sum
-    and swapping the two sums turns one side into the other.  Blocks that
-    share a cross base contribute one power of it, for the sum of their
-    weights, so weight tuples with the same sums give the same s; if any
-    cross base is shared, the lhs coupling of the current shell is kept
-    under those sums.
+    Both sides are ``block_term`` summands, whose parts and couplings are
+    raw values; only the rhs prefactor is an mpf or mpc.  Expanding P_0(w s)
+    as its sum and swapping the two sums turns one side into the other.
+    Blocks that share a cross base contribute one power of it, for the sum
+    of their weights, so weight tuples with the same sums give the same s;
+    if any cross base is shared, the lhs coupling of the current shell is
+    kept under those sums.
 
     Each coupling is a product ratio times an inner power.  The ratio and
     the argument of the power depend only on the group sums (lhs) or on |j|
@@ -377,8 +381,7 @@ def heine_sides(
         value = memo.get(key)
         if value is None:
             block = bound(ctx)[0][r]
-            product = block.summation.product(ctx.poch, block.argument)
-            value = memo[key] = value_key(product)
+            value = memo[key] = block.summation.product(ctx.poch, block.argument)
         return value
 
     def stretched(ctx, r, index) -> tuple:
@@ -411,7 +414,7 @@ def heine_sides(
         if zs == z:
             product = at_argument(ctx, r)
         else:
-            product = value_key(blocks[r].summation.product(P, from_raw(zs)))
+            product = blocks[r].summation.product(P, from_raw(zs))
         ratio = raw_div(product, at_argument(ctx, r), prec, rnd)
         arg = None
         if inner_sizes[r]:
@@ -424,10 +427,10 @@ def heine_sides(
         """The lhs coupling at ``sums``: the total weight of each group of
         blocks sharing a cross base, then the base block's inner weight."""
         if not base_inner:
-            return from_raw(stretched(ctx, p, sums)[0])
+            return stretched(ctx, p, sums)[0]
         prec, rnd = mp._prec_rounding
         ratio, arg = stretched(ctx, p, sums[:-1])
-        return from_raw(raw_mul(ratio, _pow_int(arg, sums[-1], prec, rnd), prec, rnd))
+        return raw_mul(ratio, _pow_int(arg, sums[-1], prec, rnd), prec, rnd)
 
     def lhs_coupling(ctx, weights):
         groups = bound(ctx)[1]
@@ -447,7 +450,7 @@ def heine_sides(
             if r in inner_weights:
                 power = _pow_int(arg, inner_weights[r], prec, rnd)
                 value = raw_mul(value, power, prec, rnd)
-        return from_raw(value)
+        return value
 
     def rhs_prefactor(ctx):
         prec, rnd = mp._prec_rounding
@@ -478,12 +481,13 @@ class SeriesSide:
     """One side of an identity: an n-fold sum with a prefactor.
 
     ``dimension == 0`` denotes a pure product side (the empty sum equals 1).
-    ``term`` maps (ctx, multi-index) to a scalar; ``prefactor`` and ``domain``
-    take the context alone.
+    ``term`` maps (ctx, multi-index) to a raw ``_mpf_`` or ``_mpc_`` value;
+    ``prefactor`` returns an mpf or mpc, and it and ``domain`` take the
+    context alone.
     """
 
     dimension: int
-    term: Callable[[EvalContext, MultiIndex], QComplex] = lambda ctx, k: mpf(1)
+    term: Callable[[EvalContext, MultiIndex], tuple] = lambda ctx, k: fone
     prefactor: Callable[[EvalContext], QComplex] = lambda ctx: mpf(1)
     domain: Callable[[EvalContext], bool] = lambda ctx: True
 
@@ -515,8 +519,9 @@ def evaluate_in_context(
     Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
     ``ctx.poch.leave_shells()``: a product, ratio or power requested in one
     shell only is dropped two shells later, and the prefactor's are kept for
-    the run.  A shell's terms are added on raw values, with the rounding of
-    ``shell_sum += term`` at the run's precision.
+    the run.  A shell's raw terms are added with the rounding of
+    ``shell_sum += term`` at the run's precision; the shell sum is the only
+    mpf or mpc made per shell, and the side's value is ``pref * total``.
     """
     if policy is None:
         policy = TruncationPolicy()

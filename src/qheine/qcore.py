@@ -7,6 +7,7 @@ was handed, so results are deterministic for a fixed precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import is_
 from typing import Sequence, Union
@@ -69,17 +70,19 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     The arguments are converted with ``mpmathify`` once; everything after
     that runs on raw values at the working precision.  |base|, the
     |base| >= 1 check, 1 - |base| and the threshold are the libmp calls of
-    mpmath's operators (``_threshold``), and the product is multiplied on
-    integers for a real a and base (``_real_infinite``) and on raw
-    ``_mpf_``/``_mpc_`` tuples otherwise, with the operations, precision and
-    rounding of mpmath's operators.  So the result and every exception are
-    bit for bit those of the loop ``prod *= 1 - factor; factor *= base`` on
-    mpf and mpc objects; one mpf or mpc is made at the end.
+    mpmath's operators (``_threshold``, memoised per base), and the product
+    is multiplied on integers for a real a and base (``_real_infinite``)
+    and on raw ``_mpf_``/``_mpc_`` tuples otherwise, with the operations,
+    precision and rounding of mpmath's operators.  So the result and every
+    exception are bit for bit those of the loop ``prod *= 1 - factor;
+    factor *= base`` on mpf and mpc objects; one mpf or mpc is made at the
+    end.
     """
     a = value_key(mpmathify(a))
     base = value_key(mpmathify(base))
     prec, rnd = mp._prec_rounding
-    gap, threshold = _threshold(base, tol, prec, rnd)
+    tol = default_tol(prec) if tol is None else mpmathify(tol)
+    gap, threshold = _threshold(base, tol._mpf_, prec, rnd)
     if _clearly_past_cap(a, gap, threshold):
         raise NonConvergentBase(_NOT_CONVERGED)
     if len(a) == 4 and len(base) == 4:
@@ -89,11 +92,17 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     return from_raw(prod)
 
 
+@functools.lru_cache(maxsize=256)
 def _threshold(base, tol, prec: int, rnd: str) -> tuple:
-    """(1 - |base|, tol * (1 - |base|)) for a raw base, rounded as
-    ``1 - abs(base)`` and ``mpmathify(tol) * gap`` round them, with tol
-    None the default at ``prec``; ``NonConvergentBase`` where |base| >= 1
-    (a nan passes, as it passes the comparison of mpf objects).
+    """(1 - |base|, tol * (1 - |base|)) for a raw base and a raw real tol,
+    rounded as ``1 - abs(base)`` and ``tol * gap`` round them;
+    ``NonConvergentBase`` where |base| >= 1 (a nan passes, as it passes the
+    comparison of mpf objects).
+
+    Memoised on its raw arguments: a run asks for the threshold of a few
+    bases, once per computed product, so every product on one base reads
+    one (gap, threshold).  An exception is not kept, so |base| >= 1 raises
+    on every call.
 
     These calls reach libmp through the ``libmp`` module, as mpmath's
     operators do, and leave this module's names of ``mpf_sub`` and
@@ -102,9 +111,7 @@ def _threshold(base, tol, prec: int, rnd: str) -> tuple:
     if mpf_ge(size, fone):
         raise NonConvergentBase(f"|base| = {from_raw(size)} >= 1")
     gap = libmp.mpf_sub(fone, size, prec, rnd)
-    if tol is None:
-        tol = default_tol(prec)
-    return gap, libmp.mpf_mul(mpmathify(tol)._mpf_, gap, prec, rnd)
+    return gap, libmp.mpf_mul(tol, gap, prec, rnd)
 
 
 def _clearly_past_cap(a, gap, threshold) -> bool:
@@ -326,26 +333,14 @@ def raw_product(values, start=ONE, prec: int | None = None) -> QComplex:
     return from_raw(raw)
 
 
-def raw_quotients(pairs, start=ONE) -> QComplex:
-    """start * n_1 / d_1 * n_2 / d_2 * ... for the (n_i, d_i) of ``pairs``,
-    on raw values with the rounding of ``value *= n; value /= d`` at the
-    working precision; one mpf or mpc is made at the end."""
-    prec, rnd = mp._prec_rounding
-    raw = value_key(start)
-    for num, den in pairs:
-        raw = raw_mul(raw, value_key(num), prec, rnd)
-        raw = raw_div(raw, value_key(den), prec, rnd)
-    return from_raw(raw)
-
-
 def raw_sum(values) -> QComplex:
-    """0 + v_1 + v_2 + ..., added in order on raw values with the rounding
-    of ``value += v`` at the working precision; one mpf or mpc is made at
-    the end."""
+    """0 + v_1 + v_2 + ... for raw values v_i, added in order with the
+    rounding of ``value += v`` at the working precision; one mpf or mpc is
+    made at the end."""
     prec, rnd = mp._prec_rounding
     raw = fzero
     for v in values:
-        raw = raw_add(raw, value_key(v), prec, rnd)
+        raw = raw_add(raw, v, prec, rnd)
     return from_raw(raw)
 
 
@@ -371,30 +366,33 @@ def value_key(x):
 
 
 class FiniteTable(list):
-    """(a; base)_0, (a; base)_1, ... as a list that ``at`` extends.
+    """(a; base)_0, (a; base)_1, ... as a list of raw values that ``at``
+    extends.
 
-    The next factor and the base are kept as raw values, and the table grows
-    with the raw operations of ``qpoch_infinite``: each entry is bit for bit
-    the loop ``prod *= 1 - factor; factor *= base`` on mpmath objects.
+    The next factor and the base are kept as raw values too, and the table
+    grows with the raw operations of ``qpoch_infinite``: each entry is bit
+    for bit the loop ``prod *= 1 - factor; factor *= base`` on mpmath
+    objects.  Read an entry as an mpf or mpc with ``from_raw``.
     """
 
     __slots__ = ("factor", "base", "prec")
 
     def __init__(self, a, base, prec: int):
-        super().__init__((mpf(1),))
+        super().__init__((fone,))
         self.factor = value_key(mpmathify(a))
         self.base = value_key(base)
         self.prec = prec
 
-    def at(self, k: int) -> QComplex:
-        """(a; base)_k, extending the table through index k if needed."""
+    def at(self, k: int) -> tuple:
+        """(a; base)_k as a raw value, extending the table through index k
+        if needed."""
         if len(self) <= k:
             prec, rnd = self.prec, mp._prec_rounding[1]
             factor, base = self.factor, self.base
-            prod = value_key(self[-1])
+            prod = self[-1]
             while len(self) <= k:
                 prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
-                self.append(from_raw(prod))
+                self.append(prod)
                 factor = raw_mul(factor, base, prec, rnd)
             self.factor = factor
         return self[k]
@@ -494,28 +492,33 @@ class PochCache:
 
     Values are bit-identical to computing them from scratch at the cache
     precision; the cache only removes repeated work across the many series
-    terms that share the same products, powers and pair tables.  Every key
-    is built from raw mpmath values (``value_key``), so no lookup hashes an
-    mpf object.  Infinite products, ratios and integer powers are kept in
-    ``ShellMemo`` memos: a value computed in a shell lives for that shell
-    and the next unless it is requested again there.  ``next_shell`` and
-    ``leave_shells`` mark the shell loop.  Finite tables and ``table``
-    values are kept for the run; the Vandermonde pair tables keep each
-    pair's factors by shift.  ``terms`` holds the block factors of
-    ``multisum.block_term``: each part under its function and index, the
-    current shell's couplings under the coupling function; and the run's
-    bound blocks of ``multisum.heine_sides`` under their ``bind`` function,
-    with the coupling ratios of its transformation blocks by index.
+    terms that share the same products, powers and pair tables.  Inside a
+    side every value is raw, an ``_mpf_`` or ``_mpc_`` tuple: ``infinite``
+    and ``intpow`` take and return raw values, and the finite tables hold
+    them; read one as an mpf or mpc with ``from_raw``.  Every key is built
+    from raw values, so no lookup hashes an mpf object.  Infinite products,
+    ratios and integer powers are kept in ``ShellMemo`` memos: a value
+    computed in a shell lives for that shell and the next unless it is
+    requested again there.  ``next_shell`` and ``leave_shells`` mark the
+    shell loop.  Finite tables and ``table`` values are kept for the run;
+    the Vandermonde pair tables keep each pair's raw factors by shift.
+    ``terms`` holds the raw block factors of ``multisum.block_term``: each
+    part under its function and index, the current shell's couplings under
+    the coupling function; and the run's bound blocks of
+    ``multisum.heine_sides`` under their ``bind`` function, with the
+    coupling ratios of its transformation blocks by index.
 
     An infinite product whose first factor is below the truncation
-    threshold by magnitude is exactly 1: ``infinite`` returns the shared
-    ``ONE`` for it without calling ``qpoch_infinite`` or storing it.  The
-    threshold's magnitude is kept per real base for the run.
+    threshold by magnitude is exactly 1: ``infinite`` returns libmp's
+    shared ``fone`` for it without calling ``qpoch_infinite`` or storing
+    it.  The threshold's magnitude is kept per real base for the run.
     """
 
     def __init__(self, prec: int, tol=None):
         self.prec = int(prec)
         self.tol = tol if tol is not None else default_tol(self.prec)
+        with mp.workprec(self.prec):
+            self._raw_tol = mpmathify(self.tol)._mpf_
         self.in_shell = False
         self._finite: dict = {}
         self._infinite = ShellMemo()
@@ -537,8 +540,8 @@ class PochCache:
         self.in_shell = False
 
     def finite_table(self, a, base) -> FiniteTable:
-        """The list of (a; base)_0, (a; base)_1, ... kept for this run, found
-        by the raw values of ``a`` and ``base``.  The specs of
+        """The list of raw (a; base)_0, (a; base)_1, ... kept for this run,
+        found by the raw values of ``a`` and ``base``.  The specs of
         ``catalog.core`` resolve their tables once per run, so a lookup
         does not recur per term."""
         key = (value_key(a), value_key(base))
@@ -547,53 +550,52 @@ class PochCache:
             table = self._finite[key] = FiniteTable(a, base, self.prec)
         return table
 
-    def finite(self, a, base, k: int) -> QComplex:
+    def finite(self, a, base, k: int) -> tuple:
+        """(a; base)_k as a raw value."""
         return self.finite_table(a, base).at(k)
 
-    def infinite(self, a, base) -> QComplex:
-        """(a; base)_oo at the cache precision; an empty product is the
-        shared ``ONE``.
+    def infinite(self, a, base) -> tuple:
+        """(a; base)_oo at the cache precision for a raw ``a`` and ``base``,
+        as a raw value; an empty product is libmp's shared ``fone``.
 
-        The value is an mpf or mpc object; arguments of other types are
-        read at the cache precision.  The product is computed by the
-        module's ``qpoch_infinite`` at the cache precision; ``mp.workprec``
-        is entered only when the ambient precision differs from it, which
-        it never does inside ``multisum.evaluate_in_context``."""
-        if not (isinstance(a, (mpf, mpc)) and isinstance(base, (mpf, mpc))):
-            with mp.workprec(self.prec):
-                a, base = mpmathify(a), mpmathify(base)
-        key = (value_key(a), value_key(base))
+        The product is computed by the module's ``qpoch_infinite`` at the
+        cache precision, entered with the mpf or mpc objects of the
+        arguments; ``mp.workprec`` is entered only when the ambient
+        precision differs from it, which it never does inside
+        ``multisum.evaluate_in_context``."""
         try:
-            below = self._empty_below[key[1]]
+            below = self._empty_below[base]
         except KeyError:
-            below = self._empty_below[key[1]] = self._empty_magnitude(key[1])
-        if below is not None and len(key[0]) == 4:
-            _, man, exp, bc = key[0]
+            below = self._empty_below[base] = self._empty_magnitude(base)
+        if below is not None and len(a) == 4:
+            _, man, exp, bc = a
             if man and bc <= self.prec and exp + bc < below:
-                return ONE
+                return fone
+        key = (a, base)
         value = self._infinite.find(key)
         if value is None:
             if mp.prec == self.prec:
-                value = qpoch_infinite(a, base, self.tol)
+                value = qpoch_infinite(from_raw(a), from_raw(base), self.tol)
             else:
                 with mp.workprec(self.prec):
-                    value = qpoch_infinite(a, base, self.tol)
+                    value = qpoch_infinite(from_raw(a), from_raw(base), self.tol)
+            value = value_key(value)
             self._infinite.keep(key, value, self.in_shell)
         return value
 
     def _empty_magnitude(self, base) -> int | None:
         """The magnitude (exponent + bit count) of the threshold
-        tol * (1 - |base|) that ``qpoch_infinite`` computes for a real raw
-        base, with the same calls at the cache precision: a real a of at
-        most ``prec`` bits and smaller magnitude stops its loop before the
-        first factor.  None where the shortcut does not apply: a complex
-        base, |base| >= 1 (the product raises) and a threshold that is not
-        a positive number."""
+        tol * (1 - |base|) that ``qpoch_infinite`` reads for a real raw
+        base at the cache precision (the same memoised ``_threshold``): a
+        real a of at most ``prec`` bits and smaller magnitude stops its
+        loop before the first factor.  None where the shortcut does not
+        apply: a complex base, |base| >= 1 (the product raises) and a
+        threshold that is not a positive number."""
         if len(base) != 4:
             return None
         try:
-            with mp.workprec(self.prec):
-                _, threshold = _threshold(base, self.tol, *mp._prec_rounding)
+            rnd = mp._prec_rounding[1]
+            _, threshold = _threshold(base, self._raw_tol, self.prec, rnd)
         except NonConvergentBase:
             return None
         if threshold[0] or not threshold[1]:
@@ -601,28 +603,29 @@ class PochCache:
         return threshold[2] + threshold[3]
 
     def ratio(self, a, base, scale) -> QComplex:
-        """(a; base)_kappa with scale = base**kappa, as a product ratio."""
+        """(a; base)_kappa with scale = base**kappa, as a product ratio: an
+        mpf or mpc object."""
         key = (value_key(a), value_key(base), value_key(scale))
         value = self._ratio.find(key)
         if value is None:
             prec, rnd = self.prec, mp._prec_rounding[1]
-            num = self.infinite(a, base)
-            den = self.infinite(from_raw(raw_mul(key[0], key[2], prec, rnd)), base)
-            if den == 0:
+            num = self.infinite(key[0], key[1])
+            den = self.infinite(raw_mul(key[0], key[2], prec, rnd), key[1])
+            if from_raw(den) == 0:
                 raise DivisionByZero(
                     "(a*scale; base)_oo vanished; the requested index is a pole"
                 )
-            value = from_raw(raw_div(value_key(num), value_key(den), prec, rnd))
+            value = from_raw(raw_div(num, den, prec, rnd))
             self._ratio.keep(key, value, self.in_shell)
         return value
 
-    def intpow(self, x, n: int) -> QComplex:
-        """x ** n for an integer n, evaluated at the cache precision on the
-        raw value, as mpmath's operator rounds it."""
-        key = (value_key(x), n)
+    def intpow(self, x, n: int) -> tuple:
+        """x ** n for a raw x and an integer n, as a raw value at the cache
+        precision, as mpmath's operator rounds it."""
+        key = (x, n)
         value = self._intpow.find(key)
         if value is None:
-            value = from_raw(_pow_int(key[0], n, self.prec, mp._prec_rounding[1]))
+            value = _pow_int(x, n, self.prec, mp._prec_rounding[1])
             self._intpow.keep(key, value, self.in_shell)
         return value
 

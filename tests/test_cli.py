@@ -357,6 +357,27 @@ def _load_script(name):
     return module
 
 
+class TestReportDigests:
+    """The stripped reports of the reference sweep, of the hiprec_sweep
+    families at 1024 bits and of the compose_mix specs hash to the digests
+    recorded here: a change that means to keep every value bit for bit
+    keeps them.  A change that moves values updates these constants and
+    says in CHANGES.md which values moved and why."""
+
+    DIGESTS = {
+        "reference": "621a2487792b2188d04138d0310ac3b83d72f61c6a8fa6fac507c3fbe0e5d479",
+        "compose_mix": "497bdafb0a5e3693b67ee77f965c24f72429504ac7e94d45c74067ff21e85b0a",
+        "hiprec": "00c4683bccbdc934efeade3b1367477db3b638b0ad9cbd71bdbdab187266bc2d",
+    }
+
+    @pytest.mark.parametrize("run", sorted(DIGESTS))
+    def test_digest_is_unchanged(self, capsys, run):
+        script = _load_script("report_digest")
+        capsys.readouterr()
+        assert script.main([] if run == "reference" else [run]) == 0
+        assert capsys.readouterr().out.split() == [self.DIGESTS[run]]
+
+
 class TestReportDiff:
     """scripts/report_diff.py fails a pair of reports whose cases did
     different work, even when every value and verdict agrees."""

@@ -20,7 +20,7 @@ from qheine.multisum import (
     enumerate_shell,
     make_context,
 )
-from qheine.qcore import BaseSystem, PochCache
+from qheine.qcore import BaseSystem, PochCache, from_raw, value_key
 from util import evaluate, rel, side_values
 
 
@@ -53,8 +53,8 @@ class TestPropertyH:
         assert broken.product(P, z) == qbin.product(P, z)
         assert (broken.dimension, broken.label) == (1, "broken")
         for k in range(6):
-            want = qbin.term(P, z, (k,)) * P.finite(z, base, k)
-            assert rel(broken.term(P, z, (k,)), want) < mpf(2) ** -120
+            want = from_raw(qbin.term(P, z, (k,))) * from_raw(P.finite(z, base, k))
+            assert rel(from_raw(broken.term(P, z, (k,))), want) < mpf(2) ** -120
 
     def test_trials_validated(self):
         block = qbin_summation(mpf("0.2"), mpf("0.3"))
@@ -84,7 +84,7 @@ class TestBlockSelfConsistency:
                 TruncationPolicy(max_shell_weight=48),
             )
             cache = PochCache(bases.prec)
-            assert rel(value, block.product(cache, z)) < mpf("1e-20")
+            assert rel(value, from_raw(block.product(cache, z))) < mpf("1e-20")
 
     def test_q_function_cocycle(self):
         # Q(z; s1*s2) = Q(z; s1) * Q(z*s1; s2) for product ratios.
@@ -97,7 +97,8 @@ class TestBlockSelfConsistency:
             s2 = mpf(rng.uniform(0.1, 0.8))
 
             def q_fn(arg, scale):
-                return block.product(cache, arg * scale) / block.product(cache, arg)
+                shifted = from_raw(block.product(cache, arg * scale))
+                return shifted / from_raw(block.product(cache, arg))
 
             combined = q_fn(z, s1 * s2)
             chained = q_fn(z, s1) * q_fn(z * s1, s2)
@@ -274,39 +275,46 @@ class TestCompose:
         # The summands of one expansion step as compose_with_transformation
         # wrote them for a pair of blocks, here for p blocks over the base.
         # ``inner`` is the inner summand R(x; j) at the argument x.
+        # The cache's raw values are read as objects (from_raw).
         def inner(block, P, x, j):
             if not block.inner_dimension:
                 return mpf(1)
-            return block.inner(P, j) * (block.stretch * x) ** sum(j)
+            return from_raw(block.inner(P, j)) * (block.stretch * x) ** sum(j)
+
+        def product(block, P, x):
+            return from_raw(block.product(P, x))
+
+        def power(P, cross, n):
+            return from_raw(P.intpow(value_key(cross), n))
 
         def lhs_reference(P, idx):
             value, scale, start = mpf(1), mpf(1), 0
             for slot, block, cross in zip(slots, views, crosses):
                 k = idx[start : start + block.dimension]
                 start += block.dimension
-                value *= block.term(P, slot.argument, k)
-                scale *= P.intpow(cross, sum(k))
+                value *= from_raw(block.term(P, slot.argument, k))
+                scale *= power(P, cross, sum(k))
             shifted = base_argument * scale
-            value *= base.product(P, shifted) / base.product(P, base_argument)
+            value *= product(base, P, shifted) / product(base, P, base_argument)
             return value * inner(base, P, shifted, idx[start:])
 
         def rhs_reference(P, idx):
             j = idx[: base.dimension]
             start = base.dimension
-            value = base.term(P, base_argument, j)
+            value = from_raw(base.term(P, base_argument, j))
             for slot, block, cross in zip(slots, views, crosses):
                 jt = idx[start : start + block.inner_dimension]
                 start += block.inner_dimension
-                shifted = slot.argument * P.intpow(cross, sum(j))
-                value *= block.product(P, shifted) / block.product(P, slot.argument)
+                shifted = slot.argument * power(P, cross, sum(j))
+                value *= product(block, P, shifted) / product(block, P, slot.argument)
                 value *= inner(block, P, shifted, jt)
             return value
 
         def prefactor_reference(P):
             value = mpf(1)
             for slot in slots:
-                value *= slot.block.product(P, slot.argument)
-            return value / base.product(P, base_argument)
+                value *= product(slot.block, P, slot.argument)
+            return value / product(base, P, base_argument)
 
         factored = make_context({}, bases)
         direct = PochCache(bases.prec)
@@ -319,7 +327,7 @@ class TestCompose:
             ):
                 for w in range(6):
                     for k in enumerate_shell(side.dimension, w):
-                        value = side.term(factored, k)
+                        value = from_raw(side.term(factored, k))
                         assert rel(value, reference(direct, k)) < mpf(2) ** -110, k
 
     def test_property_violation_raised(self):

@@ -34,9 +34,22 @@ from qheine import catalog, cli, qcore
 from qheine.catalog.blocks import sample_block
 from qheine.catalog.classical import qbin_product, qbin_summation
 from qheine.multisum import HeineBlock, heine_sides
-from qheine.qcore import PochCache
+from qheine.qcore import PochCache, from_raw, value_key
 from qheine.catalog.core import staircase
-from util import evaluate, qbin_term, rel, vandermonde_factor, vandermonde_ratio_loop
+from util import (
+    Objects,
+    evaluate,
+    qbin_term,
+    raw_terms,
+    rel,
+    vandermonde_factor,
+    vandermonde_ratio_loop,
+)
+
+
+def _vratio(x, k, step, cache):
+    """``vandermonde_ratio`` read as an object."""
+    return from_raw(vandermonde_ratio(x, k, step, cache))
 
 
 class TestShells:
@@ -67,7 +80,7 @@ class TestShells:
 class TestVandermonde:
     def test_single_variable(self):
         assert vandermonde_factor((mpf(1),), (3,), mpf("0.5")) == 1
-        assert vandermonde_ratio((mpf(1),), (3,), mpf("0.5"), PochCache(128)) == 1
+        assert _vratio((mpf(1),), (3,), mpf("0.5"), PochCache(128)) == 1
 
     def test_zero_index(self):
         x = (mpf(1), mpf("0.5"))
@@ -83,7 +96,7 @@ class TestVandermonde:
         with pytest.raises(DegenerateVariables):
             vandermonde_factor((mpf(1), mpf(1)), (1, 0), mpf("0.3"))
         with pytest.raises(DegenerateVariables):
-            vandermonde_ratio((mpf(1), mpf(1)), (1, 0), mpf("0.3"), PochCache(128))
+            _vratio((mpf(1), mpf(1)), (1, 0), mpf("0.3"), PochCache(128))
 
     @given(
         st.lists(
@@ -113,7 +126,7 @@ class TestVandermonde:
         x = tuple(mpf(1) + mpf(i) / 4 for i in range(n))
         step = mpf(step)
         factor = vandermonde_factor(x, tuple(k), step)
-        ratio = vandermonde_ratio(x, tuple(k), step, PochCache(mp.prec))
+        ratio = _vratio(x, tuple(k), step, PochCache(mp.prec))
         assert rel(factor, ratio * step ** staircase(tuple(k))) < mpf("1e-30")
 
     def test_cancelling_pair(self):
@@ -124,7 +137,7 @@ class TestVandermonde:
         with mp.workprec(400):
             exact = vandermonde_factor(x, (2, 3), step)
         assert rel(vandermonde_factor(x, (2, 3), step), exact) < mpf("1e-36")
-        ratio = vandermonde_ratio(x, (2, 3), step, PochCache(mp.prec)) * step**3
+        ratio = _vratio(x, (2, 3), step, PochCache(mp.prec)) * step**3
         assert rel(ratio, exact) < mpf("1e-36")
 
 
@@ -168,7 +181,7 @@ class TestCachedVandermonde:
         cache = PochCache(128)
         for _ in range(2):  # the second pass reads the cached factors
             for k in ks:
-                value = vandermonde_ratio(x, k, step, cache)
+                value = _vratio(x, k, step, cache)
                 assert _bits(value) == _bits(vandermonde_ratio_loop(x, k, step))
 
     @given(_vandermonde_points(), _vandermonde_points())
@@ -183,7 +196,7 @@ class TestCachedVandermonde:
         requests += [(x, other_step, k) for k in ks]
         for _ in range(2):
             for v, s, k in requests:
-                assert _bits(vandermonde_ratio(v, k, s, cache)) == _bits(
+                assert _bits(_vratio(v, k, s, cache)) == _bits(
                     vandermonde_ratio_loop(v, k, s)
                 )
 
@@ -199,7 +212,7 @@ class TestCachedVandermonde:
     def test_cancelling_pair_goes_through_exact_pair(self, x, step, k):
         cache = PochCache(128)
         for _ in range(2):
-            value = vandermonde_ratio(x, k, step, cache)
+            value = _vratio(x, k, step, cache)
             assert _bits(value) == _bits(vandermonde_ratio_loop(x, k, step))
         with mp.workprec(400):
             exact = vandermonde_ratio_loop(x, k, step)
@@ -207,7 +220,7 @@ class TestCachedVandermonde:
 
     def test_single_variable_needs_no_table(self):
         cache = PochCache(128)
-        assert vandermonde_ratio((mpf("0.7"),), (4,), mpf("0.5"), cache) == 1
+        assert _vratio((mpf("0.7"),), (4,), mpf("0.5"), cache) == 1
         assert not cache._tables
 
     def test_factors_at_the_cache_precision(self):
@@ -215,7 +228,7 @@ class TestCachedVandermonde:
         cache = PochCache(256)
         with mp.workprec(256):
             expected = vandermonde_ratio_loop(x, (3, 0, 2), step)
-        value = vandermonde_ratio(x, (3, 0, 2), step, cache)
+        value = _vratio(x, (3, 0, 2), step, cache)
         assert _bits(value) == _bits(expected)
 
     def test_caches_do_not_share_tables(self):
@@ -228,7 +241,7 @@ class TestCachedVandermonde:
                 for k in ((3, 0), (0, 2), (4, 1)):
                     with mp.workprec(prec):
                         expected = vandermonde_ratio_loop(x, k, step)
-                        value = vandermonde_ratio(x, k, step, cache)
+                        value = _vratio(x, k, step, cache)
                     assert _bits(value) == _bits(expected)
 
 
@@ -280,7 +293,7 @@ def _geometric_side(dimension):
             value *= ctx.params[f"z{i}"] ** ki
         return value
 
-    return SeriesSide(dimension, term)
+    return SeriesSide(dimension, raw_terms(term))
 
 
 class TestEvaluate:
@@ -304,11 +317,14 @@ class TestEvaluate:
         bases = BaseSystem(q)
 
         def term(ctx, k):
-            P = ctx.poch
+            P = Objects(ctx.poch)
             return P.finite(a, q, k[0]) / P.finite(q, q, k[0]) * z ** k[0]
 
         value, _ = evaluate(
-            SeriesSide(1, term), {}, bases, TruncationPolicy(max_shell_weight=90)
+            SeriesSide(1, raw_terms(term)),
+            {},
+            bases,
+            TruncationPolicy(max_shell_weight=90),
         )
         oracle = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
         assert rel(value, oracle) < mpf("1e-25")
@@ -326,7 +342,7 @@ class TestEvaluate:
             return mpf(1) / (k[0] - 1)
 
         with pytest.raises(PoleEncountered):
-            evaluate(SeriesSide(1, term), {}, bases)
+            evaluate(SeriesSide(1, raw_terms(term)), {}, bases)
 
     def test_truncation_warning(self):
         bases = BaseSystem(mpf("0.5"))
@@ -382,7 +398,7 @@ def _block_parts(complex_values):
         return mpf("0.7") ** k[0] / (1 + k[0])
 
     def third(ctx, k):
-        return ctx.poch.intpow(mpf("0.45"), 2 * k[0] + k[2]) * (3 - k[1])
+        return Objects(ctx.poch).intpow(mpf("0.45"), 2 * k[0] + k[2]) * (3 - k[1])
 
     def coupling(ctx, weights):
         return (mpf(1) + weights[0]) / (mpf(2) + weights[1] * weights[2] + c)
@@ -396,7 +412,7 @@ class TestBlockTerm:
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_equals_direct_product(self, complex_values):
         parts, coupling = _block_parts(complex_values)
-        term = block_term(self.sizes, parts, coupling)
+        term = block_term(self.sizes, list(map(raw_terms, parts)), raw_terms(coupling))
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         rng = random.Random(7)
         for _ in range(40):
@@ -405,15 +421,15 @@ class TestBlockTerm:
             direct = coupling(ctx, tuple(sum(b) for b in blocks))
             for part, sub in zip(parts, blocks):
                 direct *= part(ctx, sub)
-            assert term(ctx, k) == direct
-            assert term(ctx, k) == direct
-            assert isinstance(term(ctx, k), mpc) == complex_values
+            assert from_raw(term(ctx, k)) == direct
+            assert from_raw(term(ctx, k)) == direct
+            assert isinstance(from_raw(term(ctx, k)), mpc) == complex_values
 
     def test_each_part_once_per_sub_index(self):
         calls = Counter()
         parts, coupling = _block_parts(False)
-        counted = [_counted(calls, i, part) for i, part in enumerate(parts)]
-        coupling = _counted(calls, "c", coupling)
+        counted = [_counted(calls, i, raw_terms(part)) for i, part in enumerate(parts)]
+        coupling = _counted(calls, "c", raw_terms(coupling))
         side = SeriesSide(6, block_term(self.sizes, counted, coupling))
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         policy = TruncationPolicy(max_shell_weight=5, min_shells=6)
@@ -436,18 +452,20 @@ class TestBlockTerm:
         # One-dimensional blocks: the weight tuple is the whole index.
         calls = Counter()
         parts = (lambda ctx, k: mpf(k[0] + 1), lambda ctx, k: mpf(2) ** k[0])
-        coupling = _counted(calls, "c", lambda ctx, w: mpf(1) / (1 + w[0] + w[1]))
+        parts = tuple(map(raw_terms, parts))
+        coupling = raw_terms(lambda ctx, w: mpf(1) / (1 + w[0] + w[1]))
+        coupling = _counted(calls, "c", coupling)
         term = block_term((1, 1), parts, coupling)
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         for _ in range(2):
-            assert term(ctx, (2, 3)) == mpf(1) / 6 * 3 * 8
+            assert from_raw(term(ctx, (2, 3))) == mpf(1) / 6 * 3 * 8
         assert calls["c", (2, 3)] == 2
         assert coupling not in ctx.poch.terms
         # A single block: its sub-index is the whole index.
-        part = _counted(calls, "p", lambda ctx, k: mpf(k[0] - k[1]))
-        term = block_term((2,), (part,), lambda ctx, w: mpf(w[0]))
+        part = _counted(calls, "p", raw_terms(lambda ctx, k: mpf(k[0] - k[1])))
+        term = block_term((2,), (part,), raw_terms(lambda ctx, w: mpf(w[0])))
         for _ in range(2):
-            assert term(ctx, (4, 1)) == 15
+            assert from_raw(term(ctx, (4, 1))) == 15
         assert calls["p", (4, 1)] == 2
         assert (part, (4, 1)) not in ctx.poch.terms
 
@@ -455,7 +473,8 @@ class TestBlockTerm:
         def side(scale):
             parts = (lambda ctx, k: scale ** sum(k), lambda ctx, k: scale ** k[0])
             coupling = lambda ctx, w: scale + w[0] + w[1]  # noqa: E731
-            return SeriesSide(3, block_term((2, 1), parts, coupling))
+            term = block_term((2, 1), list(map(raw_terms, parts)), raw_terms(coupling))
+            return SeriesSide(3, term)
 
         lhs, rhs = side(mpf("0.5")), side(mpf("0.25"))
         bases = BaseSystem(mpf("0.5"))
@@ -473,12 +492,14 @@ class TestBlockTerm:
         assert shared[0] != shared[1]
 
     def test_pole_in_a_part_is_never_cached(self):
+        @raw_terms
         def part(ctx, k):
             if k == (1,):
                 raise DivisionByZero("pole at k = 1")
             return mpf("0.5") ** k[0]
 
-        side = SeriesSide(2, block_term((1, 1), (part, part), lambda ctx, w: mpf(1)))
+        one = raw_terms(lambda ctx, w: mpf(1))
+        side = SeriesSide(2, block_term((1, 1), (part, part), one))
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         for _ in range(2):
             with pytest.raises(PoleEncountered):
@@ -486,7 +507,7 @@ class TestBlockTerm:
             with pytest.raises(DivisionByZero):
                 side.term(ctx, (0, 1))
         assert (part, (1,)) not in ctx.poch.terms
-        assert ctx.poch.terms[part, (0,)] == 1
+        assert from_raw(ctx.poch.terms[part, (0,)]) == 1
 
     def test_degenerate_variables_propagate(self):
         x = (mpf("1.5"), mpf("1.5"))
@@ -494,8 +515,8 @@ class TestBlockTerm:
         def part(ctx, k):
             return vandermonde_ratio(x, k, ctx.bases.q, ctx.poch)
 
-        parts = (part, lambda ctx, k: mpf(1))
-        side = SeriesSide(3, block_term((2, 1), parts, lambda ctx, w: mpf(1)))
+        one = raw_terms(lambda ctx, k: mpf(1))
+        side = SeriesSide(3, block_term((2, 1), (part, one), one))
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         for _ in range(2):
             with pytest.raises(DegenerateVariables):
@@ -549,7 +570,7 @@ class TestSharedCrossBases:
         calls = []
         lhs, _ = self._sides(crosses, calls)
         ctx = make_context({}, B)
-        direct = PochCache(B.prec)
+        direct = Objects(PochCache(B.prec))
         with mp.workprec(B.prec):
             for w in range(6):
                 ctx.poch.next_shell()
@@ -558,11 +579,11 @@ class TestSharedCrossBases:
                     for s, kr in zip(crosses, k):
                         scale *= direct.intpow(s, kr)
                     product = qbin_product(self.b, B.qt)
-                    expected = product(direct, self.w * scale)
-                    expected /= product(direct, self.w)
+                    expected = from_raw(product(direct.cache, self.w * scale))
+                    expected /= from_raw(product(direct.cache, self.w))
                     for a, z, kr in zip(self.uppers, self.arguments, k):
                         expected *= qbin_term(direct, a, B.qh, z, (kr,))
-                    assert _bits(lhs.term(ctx, k)) == _bits(expected), k
+                    assert _bits(from_raw(lhs.term(ctx, k))) == _bits(expected), k
         # One per weight tuple; (0, 0) is the base argument itself.
         assert len(calls) == sum(w + 1 for w in range(6))
 
@@ -633,14 +654,15 @@ class TestCouplingMemo:
         subs = self._split(k, sizes)
         scale = mpf(1)
         for block, sub in zip(blocks, subs):
-            scale *= P.intpow(block.cross, sum(sub))
-        value = S0.product(P, base.argument * scale) / S0.product(P, base.argument)
+            scale *= from_raw(P.intpow(value_key(block.cross), sum(sub)))
+        value = from_raw(S0.product(P, base.argument * scale))
+        value /= from_raw(S0.product(P, base.argument))
         if S0.inner_dimension:
             value *= (S0.stretch * base.argument * scale) ** sum(subs[-1])
         parts = [b.summation.term(P, b.argument, sub) for b, sub in zip(blocks, subs)]
         if S0.inner_dimension:
             parts.append(S0.inner(P, subs[-1]))
-        return qcore.raw_product(parts, value)
+        return qcore.raw_product(map(from_raw, parts), value)
 
     def _rhs_reference(self, P, blocks, base, k):
         """The rhs term at k with its coupling evaluated afresh: prod_r
@@ -653,13 +675,13 @@ class TestCouplingMemo:
         value = mpf(1)
         for block in blocks:
             S, z = block.summation, block.argument
-            shift = P.intpow(block.cross, sum(subs[0]))
-            value *= S.product(P, z * shift) / S.product(P, z)
+            shift = from_raw(P.intpow(value_key(block.cross), sum(subs[0])))
+            value *= from_raw(S.product(P, z * shift)) / from_raw(S.product(P, z))
             if id(block) in inner_subs:
                 value *= (S.stretch * z * shift) ** sum(inner_subs[id(block)])
         parts = [base.summation.term(P, base.argument, subs[0])]
         parts += [b.summation.inner(P, inner_subs[id(b)]) for b in inner]
-        return qcore.raw_product(parts, value)
+        return qcore.raw_product(map(from_raw, parts), value)
 
     @pytest.mark.parametrize("spec", transformations)
     def test_one_product_per_block_and_index(self, spec):
@@ -689,7 +711,8 @@ class TestCouplingMemo:
                     ctx.poch.next_shell()
                     for k in enumerate_shell(side.dimension, w):
                         expected = reference(direct, blocks, base, k)
-                        assert _bits(side.term(ctx, k)) == _bits(expected), k
+                        got = from_raw(side.term(ctx, k))
+                        assert _bits(got) == _bits(expected), k
             ctx.poch.leave_shells()
 
     def test_own_product_of_zero(self):
@@ -747,6 +770,57 @@ def _compose_case():
     assert cli.main(argv + ["--samples", "1", "--seed", "1"]) == 0
 
 
+class TestRawValuesInsideASide:
+    """Inside a side every value is raw: the mpf and mpc objects a side
+    makes (``mp.make_mpf`` and ``mp.make_mpc``) are a few per shell, for
+    the shell sum, the products computed and the new Vandermonde shifts,
+    and none per term."""
+
+    @staticmethod
+    def _objects_made(monkeypatch, side, params, bases, shells):
+        """(objects made, terms) summing ``shells`` shells of ``side``."""
+        made = [0]
+        for name in ("make_mpf", "make_mpc"):
+
+            def counted(value, _make=getattr(mp, name)):
+                made[0] += 1
+                return _make(value)
+
+            monkeypatch.setattr(mp, name, counted)
+        policy = TruncationPolicy(max_shell_weight=shells - 1, tail_ratio_tol=0)
+        try:
+            with pytest.warns(TruncationNotConverged):
+                _, diag = evaluate_in_context(side, make_context(params, bases), policy)
+        finally:
+            monkeypatch.undo()
+        return made[0], diag.terms
+
+    @pytest.mark.parametrize(
+        "family_id, dims, side",
+        [
+            ("thm_heine7", {"n": 2, "m": 2}, "lhs"),
+            ("thm_heine7", {"n": 2, "m": 2}, "rhs"),
+            ("an_qbin_milne_lilly", {"n": 2}, "rhs"),
+        ],
+    )
+    def test_objects_grow_with_shells_not_terms(
+        self, monkeypatch, family_id, dims, side
+    ):
+        identity = catalog.lookup(family_id).instantiate(dims)
+        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        series = getattr(identity, side)
+        runs = [
+            self._objects_made(monkeypatch, series, params, bases, shells)
+            for shells in (12, 16, 20)
+        ]
+        (made, terms) = zip(*runs)
+        # Every 4 shells make as many objects, while a 2-fold side's
+        # shells grow by one term each: fewer objects than terms.
+        assert made[2] - made[1] == made[1] - made[0], runs
+        assert terms[2] - terms[1] > terms[1] - terms[0], runs
+        assert 2 * (made[2] - made[1]) < terms[2] - terms[1], runs
+
+
 class TestShellLifetimes:
     """evaluate_in_context marks each shell, so a product lives in the
     run's cache for as long as it is requested again."""
@@ -757,25 +831,25 @@ class TestShellLifetimes:
         q, a = self.q, mpf("0.3")
 
         def product(ctx):
-            return ctx.poch.infinite(a, q)
+            return Objects(ctx.poch).infinite(a, q)
 
         def rhs_term(ctx, k):
             return q ** k[0] * (product(ctx) if k[0] == 9 else 1)
 
-        lhs = SeriesSide(1, lambda ctx, k: q ** k[0], prefactor=product)
+        lhs = SeriesSide(1, raw_terms(lambda ctx, k: q ** k[0]), prefactor=product)
         ctx = make_context({}, BaseSystem(q))
         evaluate_in_context(lhs, ctx)
-        evaluate_in_context(SeriesSide(1, rhs_term), ctx)
+        evaluate_in_context(SeriesSide(1, raw_terms(rhs_term)), ctx)
         assert len(computed) == 1
 
     def test_product_of_consecutive_shells_computed_once(self, computed):
         q = self.q
 
         def term(ctx, k):
-            return q ** k[0] * ctx.poch.infinite(q ** (k[0] // 2), q)
+            return q ** k[0] * Objects(ctx.poch).infinite(q ** (k[0] // 2), q)
 
         ctx = make_context({}, BaseSystem(q))
-        _, diag = evaluate_in_context(SeriesSide(1, term), ctx)
+        _, diag = evaluate_in_context(SeriesSide(1, raw_terms(term)), ctx)
         assert len(computed) == (diag.shells + 1) // 2
         assert ctx.poch.in_shell is False
 
@@ -783,10 +857,10 @@ class TestShellLifetimes:
         q = self.q
 
         def term(ctx, k):
-            return q ** k[0] * ctx.poch.infinite(q ** (k[0] + 1), q)
+            return q ** k[0] * Objects(ctx.poch).infinite(q ** (k[0] + 1), q)
 
         ctx = make_context({}, BaseSystem(q))
-        _, diag = evaluate_in_context(SeriesSide(1, term), ctx)
+        _, diag = evaluate_in_context(SeriesSide(1, raw_terms(term)), ctx)
         memo = ctx.poch._infinite
         assert len(computed) == diag.shells
         assert not memo and len(memo.young) == len(memo.old) == 1

@@ -20,9 +20,10 @@ from qheine import cli, qcore
 ROOT = Path(__file__).resolve().parent.parent
 
 # Loads the package as perfbench/run.py does, then runs one q_binomial
-# verify and one q_bin/q_bin compose case of the benchmark's workloads with
-# the probes installed, and compares every patched owner's attributes before
-# installing and after removing them.
+# verify and two compose cases of the benchmark's workloads with the probes
+# installed: q_bin/q_bin, and milne_lilly:2+gk:1/q_bin, whose terms run
+# sq_ratio and the Vandermonde factor.  It compares every patched owner's
+# attributes before installing and after removing them.
 SCRIPT = textwrap.dedent(
     """
     import json, sys
@@ -35,6 +36,7 @@ SCRIPT = textwrap.dedent(
     wanted = (
         ("reference_sweep", "q_binomial{}"),
         ("compose_mix", "q_bin+q_bin/q_bin#0"),
+        ("compose_mix", "milne_lilly:2+gk:1/q_bin#0"),
     )
     cases = [
         case
@@ -67,6 +69,7 @@ SCRIPT = textwrap.dedent(
         "codes": [result["cases"][case.key]["code"] for case in cases],
         "errors": [result["cases"][case.key]["error"] for case in cases],
         "calls": dict(tracer.calls),
+        "counts": dict(tracer.counts),
         "restored": restored,
     }))
     """
@@ -84,21 +87,30 @@ def test_probes_install_and_come_off():
         check=True,
     )
     out = json.loads(done.stdout.splitlines()[-1])
-    assert out["keys"] == ["q_binomial{}", "q_bin+q_bin/q_bin#0"]
-    assert out["errors"] == [None, None]
-    assert out["codes"] == [0, 0]
+    assert out["keys"] == [
+        "q_binomial{}",
+        "q_bin+q_bin/q_bin#0",
+        "milne_lilly:2+gk:1/q_bin#0",
+    ]
+    assert out["errors"] == [None, None, None]
+    assert out["codes"] == [0, 0, 0]
+    # A refactor that routes the hot path around a patched name leaves its
+    # probe in place but never called: each must count.
     calls = out["calls"]
     for layer in (
         "cli",
         "catalog.verify",
         "catalog.term",
+        "catalog.sq_ratio",
         "heine_engine.compose",
         "heine_engine.property_h",
         "heine_engine.term",
         "multisum.side",
+        "multisum.vandermonde",
         "qcore.infinite",
     ):
         assert calls.get(layer, 0) > 0, layer
+    assert out["counts"].get("qcore.infinite.computed", 0) > 0
     assert out["restored"]
 
 

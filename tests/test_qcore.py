@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf, mpmathify
+from mpmath.libmp import fone
 
 from qheine import (
     BaseSystem,
@@ -18,7 +19,7 @@ from qheine import (
     qpoch_infinite,
 )
 from qheine import qcore
-from qheine.qcore import FiniteTable
+from qheine.qcore import FiniteTable, from_raw, value_key
 import util
 from util import (
     MAX_FACTORS,
@@ -187,13 +188,31 @@ class TestBaseSystem:
             BaseSystem(mpf("0.3"), prec=32)
 
 
+def _infinite(cache, a, base):
+    """``cache.infinite`` of a and base read at the cache precision, as an
+    object: the cache takes and returns raw values."""
+    with mp.workprec(cache.prec):
+        a, base = mpmathify(a), mpmathify(base)
+    return from_raw(cache.infinite(value_key(a), value_key(base)))
+
+
+def _intpow(cache, x, n):
+    """``cache.intpow`` of an object, as an object."""
+    return from_raw(cache.intpow(value_key(x), n))
+
+
+def _finite(cache, a, base, k):
+    """``cache.finite`` as an object."""
+    return from_raw(cache.finite(a, base, k))
+
+
 class TestPochCache:
     def test_matches_plain_functions(self):
         cache = PochCache(128)
         a, base = mpf("0.3"), mpf("0.5")
-        assert cache.finite(a, base, 7) == qpoch_finite(a, base, 7)
-        assert cache.finite(a, base, 3) == qpoch_finite(a, base, 3)
-        assert rel(cache.infinite(a, base), qpoch_infinite(a, base)) < mpf("1e-35")
+        assert _finite(cache, a, base, 7) == qpoch_finite(a, base, 7)
+        assert _finite(cache, a, base, 3) == qpoch_finite(a, base, 3)
+        assert rel(_infinite(cache, a, base), qpoch_infinite(a, base)) < mpf("1e-35")
         scale = base**2
         assert rel(cache.ratio(a, base, scale), qpoch_ratio(a, base, scale)) < mpf(
             "1e-35"
@@ -221,14 +240,14 @@ class TestCacheKeys:
     )
     def test_intpow_is_plain_power(self, x, n):
         cache = PochCache(128)
-        first = cache.intpow(x, n)
-        assert same_bits(first, x**n)
-        assert cache.intpow(x, n) is first
+        first = cache.intpow(value_key(x), n)
+        assert same_bits(from_raw(first), x**n)
+        assert cache.intpow(value_key(x), n) is first
 
     def test_intpow_at_cache_precision(self):
         cache = PochCache(256)
         x = mpf(1) / 3
-        value = cache.intpow(x, 5)
+        value = _intpow(cache, x, 5)
         with mp.workprec(256):
             assert same_bits(value, x**5)
 
@@ -242,11 +261,11 @@ class TestCacheKeys:
         cache = PochCache(prec)
         for n in range(-7, 14):
             with mp.workprec(ambient):
-                value = cache.intpow(x, n)
+                value = cache.intpow(value_key(x), n)
             with mp.workprec(prec):
                 expected = x**n
-            assert _raw_value(value) == _raw_value(expected)
-            assert cache.intpow(x, n) is value
+            assert _raw_value(from_raw(value)) == _raw_value(expected)
+            assert cache.intpow(value_key(x), n) is value
 
     @pytest.mark.parametrize("mpc_first", [False, True])
     def test_mpf_and_mpc_of_equal_value(self, mpc_first):
@@ -255,18 +274,18 @@ class TestCacheKeys:
         base = mpf("0.3")
         order = (cplx, real) if mpc_first else (real, cplx)
         for a in order:
-            assert same_bits(cache.finite(a, base, 4), qpoch_finite(a, base, 4))
-            assert same_bits(cache.intpow(a, 3), a**3)
-            assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
-        assert isinstance(cache.finite(cplx, base, 2), mpc)
-        assert isinstance(cache.finite(real, base, 2), mpf)
+            assert same_bits(_finite(cache, a, base, 4), qpoch_finite(a, base, 4))
+            assert same_bits(_intpow(cache, a, 3), a**3)
+            assert _infinite(cache, a, base) == qpoch_infinite(a, base, cache.tol)
+        assert isinstance(_finite(cache, cplx, base, 2), mpc)
+        assert isinstance(_finite(cache, real, base, 2), mpf)
 
     def test_tables_are_keyed_by_argument_and_base(self):
         cache = PochCache(128)
         a = mpf("0.3")
         for base in (mpf("0.5"), mpf("0.25"), mpc("0.5", "0")):
-            assert same_bits(cache.finite(a, base, 6), qpoch_finite(a, base, 6))
-            assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
+            assert same_bits(_finite(cache, a, base, 6), qpoch_finite(a, base, 6))
+            assert _infinite(cache, a, base) == qpoch_infinite(a, base, cache.tol)
 
     def test_tables_are_found_by_identity_then_by_value(self):
         cache = PochCache(128)
@@ -297,7 +316,7 @@ class TestCacheKeys:
         for k in range(1, 40):
             x = cache.finite_table(mpf(k) / 41, base)
             assert x is not table
-            assert same_bits(x.at(2), qpoch_finite(mpf(k) / 41, base, 2))
+            assert same_bits(from_raw(x.at(2)), qpoch_finite(mpf(k) / 41, base, 2))
         assert cache.finite_table(a, base) is table
 
     def test_finite_table_grows_like_the_product(self):
@@ -307,7 +326,7 @@ class TestCacheKeys:
         assert cache.finite(a, base, 5) == table[5]
         assert cache.finite_table(a, base) is table
         for k in range(len(table)):
-            assert same_bits(table[k], qpoch_finite(a, base, k))
+            assert same_bits(from_raw(table[k]), qpoch_finite(a, base, k))
 
 
 def _raw_value(v):
@@ -369,7 +388,7 @@ class TestRawKernel:
             with mp.workprec(prec):
                 want = _raw_value(qpoch_finite_loop(a, base, k))
                 assert _raw_value(qpoch_finite(a, base, k)) == want
-            assert _raw_value(value) == want
+            assert _raw_value(from_raw(value)) == want
 
     @given(_kernel_arguments(arg_max=3.0, base_max=1.2))
     @settings(max_examples=120, deadline=None)
@@ -395,25 +414,20 @@ class TestRawKernel:
     @given(st.lists(_kernel_arguments(arg_max=3.0, base_max=1.2), max_size=5))
     @settings(max_examples=80, deadline=None)
     def test_raw_folds_match_operator_chains(self, drawn):
-        # raw_product, raw_quotients and raw_sum: the bits of the operator
-        # loop from the same start, at the working precision or, for
-        # raw_product, at a precision of their own.
+        # raw_product and raw_sum: the bits of the operator loop from the
+        # same start, at the working precision or, for raw_product, at a
+        # precision of their own.  raw_sum adds raw values.
         values = [x for _, x, base in drawn for x in (x, base)]
-        nonzero = [v for v in values if v != 0]
         start = values[0] if values else mpf(1)
         for prec in (53, 128, 1024):
             with mp.workprec(prec):
-                product, quotients, total = start, start, mpf(0)
+                product, total = start, mpf(0)
                 for v in values:
                     product *= v
                     total += v
-                for num, den in zip(values, nonzero):
-                    quotients *= num
-                    quotients /= den
                 assert _raw_value(qcore.raw_product(values, start)) == _raw_value(product)
-                assert _raw_value(qcore.raw_sum(values)) == _raw_value(total)
-                got = qcore.raw_quotients(zip(values, nonzero), start)
-                assert _raw_value(got) == _raw_value(quotients)
+                got = qcore.raw_sum([value_key(v) for v in values])
+                assert _raw_value(got) == _raw_value(total)
             with mp.workprec(53):
                 got = qcore.raw_product(values, start, prec=prec)
             assert _raw_value(got) == _raw_value(product)
@@ -623,6 +637,59 @@ class TestRawKernel:
                 qpoch_infinite(mpf("0.5"), base)
 
 
+class TestThresholdMemo:
+    """``qcore._threshold`` is memoised on its raw arguments: it equals the
+    libmp formula, keeps no exception and holds a bounded number of
+    thresholds."""
+
+    @staticmethod
+    def _formula(base, tol, prec):
+        """(1 - |base|, tol * (1 - |base|)) by libmp, unmemoised."""
+        rnd = mp._prec_rounding[1]
+        if len(base) == 4:
+            size = libmp.mpf_abs(base, prec, rnd)
+        else:
+            size = libmp.mpc_abs(base, prec, rnd)
+        gap = libmp.mpf_sub(fone, size, prec, rnd)
+        return gap, libmp.mpf_mul(tol, gap, prec, rnd)
+
+    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("base", ["0.45", "-0.3", "1/3", "0.3+0.4j", "-0.5-0.2j"])
+    @pytest.mark.parametrize("tol", ["default", "nan", "negative"])
+    def test_equals_the_libmp_formula(self, prec, base, tol):
+        with mp.workprec(prec + 64):
+            base = mpf(1) / 3 if base == "1/3" else mpmathify(complex(base))
+            base = base.real if base.imag == 0 else base
+        with mp.workprec(prec):
+            tol = {
+                "default": default_tol(prec),
+                "nan": mpf("nan"),
+                "negative": -mpf(1) / 3,
+            }[tol]
+            raw_base, raw_tol = value_key(base), tol._mpf_
+            want = self._formula(raw_base, raw_tol, prec)
+            for _ in range(2):  # the second call reads the memo
+                got = qcore._threshold(raw_base, raw_tol, prec, "n")
+                assert got == want
+                assert got == qcore._threshold.__wrapped__(raw_base, raw_tol, prec, "n")
+            gap = 1 - abs(base)
+            assert want == (gap._mpf_, (tol * gap)._mpf_)
+
+    @pytest.mark.parametrize("base", [mpf(1), mpf(-1), mpf("1.5"), mpc("0.8", "0.6")])
+    def test_base_on_or_outside_the_unit_circle_raises_every_time(self, base):
+        raw_tol = default_tol(128)._mpf_
+        before = qcore._threshold.cache_info()
+        for _ in range(3):
+            with pytest.raises(NonConvergentBase):
+                qcore._threshold(value_key(base), raw_tol, 128, "n")
+        after = qcore._threshold.cache_info()
+        assert after.misses - before.misses == 3 and after.hits == before.hits
+
+    def test_memo_is_bounded(self):
+        maxsize = qcore._threshold.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
+
+
 @pytest.fixture
 def computed(monkeypatch):
     """The (a, base) of every infinite product the kernel computes."""
@@ -643,7 +710,7 @@ class TestShellMemo:
 
     def test_consecutive_shells_compute_once(self, computed):
         cache = PochCache(128)
-        a, base = mpf("0.3"), mpf("0.5")
+        a, base = value_key(mpf("0.3")), value_key(mpf("0.5"))
         cache.next_shell()
         first = cache.infinite(a, base)
         cache.next_shell()
@@ -655,7 +722,7 @@ class TestShellMemo:
 
     def test_requested_once_is_gone_two_shells_later(self, computed):
         cache = PochCache(128)
-        a, base = mpf("0.3"), mpf("0.5")
+        a, base = value_key(mpf("0.3")), value_key(mpf("0.5"))
         cache.next_shell()
         cache.infinite(a, base)
         cache.intpow(a, 3)
@@ -680,19 +747,19 @@ class TestShellMemo:
     def test_values_outside_shells_are_kept_for_the_run(self, computed):
         cache = PochCache(128)
         a, base = mpf("0.3"), mpf("0.5")
-        cache.infinite(a, base)
+        _infinite(cache, a, base)
         cache.next_shell()
         cache.leave_shells()
-        cache.intpow(a, 2)
+        _intpow(cache, a, 2)
         for _ in range(4):
             cache.next_shell()
-        assert cache.infinite(a, base) == qpoch_infinite(a, base, cache.tol)
+        assert _infinite(cache, a, base) == qpoch_infinite(a, base, cache.tol)
         assert len(computed) == 1
         assert (qcore.value_key(a), 2) in cache._intpow
 
 
 class TestEmptyProducts:
-    """``PochCache.infinite`` returns the shared ``ONE`` for a real product
+    """``PochCache.infinite`` returns libmp's ``fone`` for a real product
     whose first factor is below the threshold by magnitude, without
     computing or storing it; every other input takes ``qpoch_infinite``."""
 
@@ -730,25 +797,26 @@ class TestEmptyProducts:
             ]
         for a, shortcut in cases:
             computed.clear()
-            got = cache.infinite(a, base)
+            key = (qcore.value_key(a), qcore.value_key(base))
+            got = cache.infinite(*key)
             with mp.workprec(prec):
                 want = qpoch_infinite_loop(a, base, cache.tol)
-            assert _raw_value(got) == _raw_value(want), a
-            key = (qcore.value_key(a), qcore.value_key(base))
+            assert _raw_value(from_raw(got)) == _raw_value(want), a
             memo = cache._infinite
             if shortcut:
-                assert got is qcore.ONE and not computed
+                assert got is fone and not computed
                 assert key not in memo and key not in memo.young
             else:
                 assert len(computed) == 1 and key in memo
         # At the magnitude tie and one ulp below, the product is empty too.
-        assert cache.infinite(top, base) == cache.infinite(cases[2][0], base) == 1
+        tie = _infinite(cache, top, base)
+        assert tie == _infinite(cache, cases[2][0], base) == 1
 
     def test_complex_base_takes_the_kernel(self, computed):
         cache = PochCache(128)
         base = mpc("0.25", "0.25")
         a = mpf(2) ** -200
-        assert cache.infinite(a, base) == 1
+        assert _infinite(cache, a, base) == 1
         assert len(computed) == 1
 
     @pytest.mark.parametrize("tol", [mpf(0), mpf(-1)])
@@ -759,7 +827,10 @@ class TestEmptyProducts:
         monkeypatch.setattr(util, "MAX_FACTORS", 1000)
         cache = PochCache(128, tol)
         a, base = mpf(2) ** -300, mpf("0.5")
-        for product in (cache.infinite, lambda a, base: qpoch_infinite_loop(a, base, tol)):
+        for product in (
+            lambda a, base: _infinite(cache, a, base),
+            lambda a, base: qpoch_infinite_loop(a, base, tol),
+        ):
             with pytest.raises(NonConvergentBase):
                 product(a, base)
         assert len(computed) == 1
@@ -771,7 +842,7 @@ class TestEmptyProducts:
         cache = PochCache(128, tol)
         for _ in range(2):
             with pytest.raises(NonConvergentBase):
-                cache.infinite(mpf(2) ** -400, base)
+                _infinite(cache, mpf(2) ** -400, base)
         assert len(computed) == 2
 
 
@@ -788,7 +859,8 @@ class TestRawEntry:
     """``qpoch_infinite`` converts its arguments once and runs on raw values
     from there; its values and exceptions are those of the loop on mpf
     objects, bit for bit, whatever types it is given.  ``PochCache.infinite``
-    computes at the cache precision under any ambient precision."""
+    computes at the cache precision under any ambient precision, on
+    arguments read at the cache precision."""
 
     arguments = [mpf("0.3"), 3, -0.7, "0.3", mpc("0.3", "-0.2")]
     bases = [mpf("0.45"), 0, -0.45, "0.45", mpc("0.3", "0.3")]
@@ -836,9 +908,9 @@ class TestRawEntry:
     @pytest.mark.parametrize("prec", [64, 128, 1024])
     def test_cache_under_another_ambient_precision(self, prec, ambient):
         cache = PochCache(prec)
-        # Ints, floats and strings too: the cache reads them at its own
-        # precision, so a string and the mpf of another precision that it
-        # reads as at the ambient one get their own products.
+        # Ints, floats and strings too, read at the cache's precision
+        # (``_infinite``), so a string and the mpf of another precision that
+        # it reads as at the ambient one get their own products.
         cases = [(a, base) for a in self.arguments for base in self.bases]
         cases += [(mpf("0.3"), mpf(1)), (mpf("0.3"), mpc("0.8", "0.6"))]
         with mp.workprec(prec):
@@ -847,7 +919,7 @@ class TestRawEntry:
             ]
         with mp.workprec(ambient):
             for (a, base), want in zip(cases, wanted):
-                assert _outcome(cache.infinite, a, base) == want, (a, base)
+                assert _outcome(_infinite, cache, a, base) == want, (a, base)
                 assert mp.prec == ambient
 
     @pytest.mark.parametrize("first", ["string", "mpf", "float"])
@@ -868,4 +940,4 @@ class TestRawEntry:
         order = [first] + [name for name in base if name != first]
         with mp.workprec(53):
             for name in order:
-                assert _outcome(cache.infinite, a, base[name]) == want[name], name
+                assert _outcome(_infinite, cache, a, base[name]) == want[name], name

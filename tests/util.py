@@ -24,6 +24,7 @@ from qheine.errors import (
 )
 from qheine.multisum import (
     _LOSS,
+    EvalContext,
     evaluate_in_context,
     exact_pair,
     make_context,
@@ -31,11 +32,13 @@ from qheine.multisum import (
 )
 from qheine.qcore import (
     FiniteTable,
+    PochCache,
     default_tol,
     e2,
+    from_raw,
     qpoch_infinite,
     raw_product,
-    raw_quotients,
+    value_key,
 )
 
 REL_FLOOR = mpf("1e-300")
@@ -46,10 +49,11 @@ MAX_FACTORS = 200_000
 
 def qpoch_finite(a, base, k):
     """Finite q-rising factorial (a; base)_k = prod_{r<k} (1 - a*base^r),
-    read from a fresh ``qcore.FiniteTable`` at the working precision."""
+    read from a fresh ``qcore.FiniteTable`` at the working precision as an
+    mpf or mpc."""
     if k < 0:
         raise ValueError("finite q-rising factorial needs k >= 0")
-    return FiniteTable(a, base, mp.prec).at(int(k))
+    return from_raw(FiniteTable(a, base, mp.prec).at(int(k)))
 
 
 def qpoch_finite_loop(a, base, k):
@@ -207,11 +211,60 @@ def parse_csv(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def raw_terms(term):
+    """A summand written on mpf objects, as a ``SeriesSide`` term: its
+    value converted to raw with ``qcore.value_key``."""
+    return lambda ctx, k: value_key(term(ctx, k))
+
+
+class Objects:
+    """A run's ``PochCache`` read as mpf and mpc objects, for the summands
+    written by hand: ``finite``, ``intpow`` and ``infinite`` take objects
+    and convert the cache's raw values with ``qcore.from_raw``.  The cache
+    itself is ``cache``."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.prec = cache.prec
+
+    def finite(self, a, base, k):
+        return from_raw(self.cache.finite(a, base, k))
+
+    def intpow(self, x, n):
+        return from_raw(self.cache.intpow(value_key(x), n))
+
+    def infinite(self, a, base):
+        with mp.workprec(self.prec):
+            a, base = mpmathify(a), mpmathify(base)
+        return from_raw(self.cache.infinite(value_key(a), value_key(base)))
+
+    def ratio(self, a, base, scale):
+        return self.cache.ratio(a, base, scale)
+
+
+def object_context(params, bases) -> EvalContext:
+    """A context whose ``poch`` is a fresh cache read as objects
+    (``Objects``), for the summands written by hand."""
+    return EvalContext(params, bases, Objects(PochCache(bases.prec)))
+
+
+def vandermonde(x, k, step_power, P):
+    """``multisum.vandermonde_ratio`` on the cache of an ``Objects`` view, as
+    an object."""
+    return from_raw(vandermonde_ratio(x, k, step_power, P.cache))
+
+
+def sq(P, avec, x, base, k):
+    """``catalog.core.sq_ratio`` on the cache of an ``Objects`` view, as an
+    object."""
+    return from_raw(sq_ratio(P.cache, avec, x, base, k))
+
+
 # -- summands written by hand -------------------------------------------------
 #
 # The catalog states each summand as a ``catalog.core.TermSpec``.  These are
 # the same summands multiplied factor by factor on mpf objects, in the order
-# of their displays, as references for the specs.
+# of their displays, as references for the specs.  P is an ``Objects`` view.
 
 
 def qbin_term(P, a, base, z, k):
@@ -223,7 +276,7 @@ def qbin_term(P, a, base, z, k):
 def milne_lilly_term(P, avec, xvec, base, z, k):
     """V(x, k) prod_{r,s} (a_s x_r/x_s)_{k_r} / (base x_r/x_s)_{k_r} z^{|k|}
     base^{sum (r-1) k_r + e2(k)} prod_r x_r^{-k_r}."""
-    value = vandermonde_ratio(xvec, k, base, P) * sq_ratio(P, avec, xvec, base, k)
+    value = vandermonde(xvec, k, base, P) * sq(P, avec, xvec, base, k)
     value *= P.intpow(z, sum(k)) * P.intpow(base, staircase(k)) * P.intpow(base, e2(k))
     for r in range(len(xvec)):
         value *= P.intpow(xvec[r], -k[r])
@@ -232,7 +285,7 @@ def milne_lilly_term(P, avec, xvec, base, z, k):
 
 def gk_term(P, a, xvec, base, z, k):
     """V(x, k) prod_r (a)_{k_r} / (base)_{k_r} z^{|k|} base^{sum (r-1) k_r}."""
-    value = vandermonde_ratio(xvec, k, base, P)
+    value = vandermonde(xvec, k, base, P)
     for r in range(len(xvec)):
         value *= P.finite(a, base, k[r]) / P.finite(base, base, k[r])
     return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
@@ -241,7 +294,7 @@ def gk_term(P, a, xvec, base, z, k):
 def euler_exp_term(P, xvec, base, z, k):
     """V(x, k) prod_r base^{C(k_r, 2)} / (base)_{k_r} z^{|k|}
     base^{sum (r-1) k_r}."""
-    value = vandermonde_ratio(xvec, k, base, P)
+    value = vandermonde(xvec, k, base, P)
     for kr in k:
         value /= P.finite(base, base, kr)
     exponent = staircase(k) + sum(math.comb(kr, 2) for kr in k)
@@ -251,7 +304,7 @@ def euler_exp_term(P, xvec, base, z, k):
 def stretched_head(P, xvec, base, k):
     """V(x, k; Q^n) / prod_r (Q^r; Q)_{n k_r} for Q = ``base``."""
     n = len(xvec)
-    value = vandermonde_ratio(xvec, k, P.intpow(base, n), P)
+    value = vandermonde(xvec, k, P.intpow(base, n), P)
     for r, kr in enumerate(k, 1):
         value /= P.finite(P.intpow(base, r), base, n * kr)
     return value
@@ -287,22 +340,22 @@ def extra_c_rows(P, avec, c, xvec, base) -> list:
         for a_r, x_r in zip(avec, xvec):
             cx = c * x_r
             args = (cx / big_a, cx, cx, cx / a_r)
-            rows.append(tuple(P.finite_table(v, base) for v in args))
+            rows.append(tuple(P.cache.finite_table(v, base) for v in args))
         return rows
 
-    return P.table("extra_c", (avec, c, xvec, base), build)
+    return P.cache.table("extra_c", (avec, c, xvec, base), build)
 
 
 def extra_c_term(P, avec, c, xvec, base, z, k):
     """The Milne-Lilly head times prod_r (c x_r/A)_{k_r} (c x_r)_{|k|} /
     ((c x_r)_{k_r} (c x_r/a_r)_{|k|}) z^{|k|} base^{sum (r-1) k_r}."""
     kk = sum(k)
-    value = vandermonde_ratio(xvec, k, base, P) * sq_ratio(P, avec, xvec, base, k)
+    value = vandermonde(xvec, k, base, P) * sq(P, avec, xvec, base, k)
     if c:
         rows = extra_c_rows(P, avec, c, xvec, base)
         for kr, (num_r, num_kk, den_r, den_kk) in zip(k, rows):
-            value *= num_r.at(kr) * num_kk.at(kk)
-            value /= den_r.at(kr) * den_kk.at(kk)
+            value *= from_raw(num_r.at(kr)) * from_raw(num_kk.at(kk))
+            value /= from_raw(den_r.at(kr)) * from_raw(den_kk.at(kk))
     return value * P.intpow(z, kk) * P.intpow(base, staircase(k))
 
 
@@ -336,20 +389,25 @@ def finite_rows(P, tag: str, values: tuple, base, pairs) -> list:
 
     def build():
         return [
-            [(P.finite_table(a, base), P.finite_table(b, base)) for a, b in row]
+            [
+                (P.cache.finite_table(a, base), P.cache.finite_table(b, base))
+                for a, b in row
+            ]
             for row in pairs()
         ]
 
-    return P.table(tag, values + (base,), build)
+    return P.cache.table(tag, values + (base,), build)
 
 
 def times_rows(value, rows, k):
     """value * prod_r prod_{(num, den) in row r} num_{k_r} / den_{k_r},
-    factor by factor in row order on raw values; rows with k_r = 0 are 1."""
-    return raw_quotients(
-        ((num.at(kr), den.at(kr)) for kr, row in zip(k, rows) if kr for num, den in row),
-        value,
-    )
+    factor by factor in row order; rows with k_r = 0 are 1."""
+    for kr, row in zip(k, rows):
+        if kr:
+            for num, den in row:
+                value *= from_raw(num.at(kr))
+                value /= from_raw(den.at(kr))
+    return value
 
 
 def grid_rows(P, bvec, c, xvec, yvec, base) -> list:
@@ -387,7 +445,7 @@ def inner_rows(P, avec, bvec, c, xvec, yvec, base) -> list:
 
 def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
     """The Milne-Lilly head times the grid rows, z^{|k|} base^{sum (r-1) k_r}."""
-    value = vandermonde_ratio(xvec, k, base, P) * sq_ratio(P, avec, xvec, base, k)
+    value = vandermonde(xvec, k, base, P) * sq(P, avec, xvec, base, k)
     value = times_rows(value, grid_rows(P, bvec, c, xvec, yvec, base), k)
     return value * P.intpow(z, sum(k)) * P.intpow(base, staircase(k))
 
@@ -395,7 +453,7 @@ def kajihara_term(P, avec, bvec, c, xvec, yvec, base, z, k):
 def kajihara_inner_term(P, avec, bvec, c, xvec, yvec, base, j):
     """The inner summand at unit argument: V(y, j) times the inner rows,
     base^{sum (r-1) j_r}."""
-    value = vandermonde_ratio(yvec, j, base, P)
+    value = vandermonde(yvec, j, base, P)
     value = times_rows(value, inner_rows(P, avec, bvec, c, xvec, yvec, base), j)
     return value * P.intpow(base, staircase(j))
 
