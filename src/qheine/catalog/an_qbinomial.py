@@ -5,7 +5,8 @@ Euler sums that back the Ramanujan entries.
 
 Each summation is a ``TermSpec`` summand over a ``ProductSpec`` product
 side, whose constants (a_r / x_r, a base^r, -base^r, (-1)^n Q^n) its
-builder forms once, at the precision it is given."""
+builder forms once, with plain operators on the numbers it is given: mpf
+or mpc values at the precision it is given, or Fractions exactly."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from mpmath import mp
 
 from ..multisum import Summation
-from ..qcore import e2, raw_product
+from ..qcore import e2
 from .classical import qbin_product
 from .core import (
     IdentityFamily,
@@ -27,7 +28,6 @@ from .core import (
     distinct_vector,
     geom,
     numer,
-    power_at,
     signed,
     staircase,
     summation_sides,
@@ -124,7 +124,7 @@ def gk_summation(a, xvec, base, prec: int) -> Summation:
     """The summation, parameters bound; the a base^r and base^r, r < n, of
     its product are formed once, at ``prec`` bits."""
     with mp.workprec(prec):
-        powers = [power_at(base, r, prec) for r in range(len(xvec))]
+        powers = [base**r for r in range(len(xvec))]
         product = ProductSpec(
             [f for x in powers for f in (numer(a * x, base), denom(x, base))]
         )
@@ -187,7 +187,7 @@ def euler_exp_summation(xvec, base, prec: int) -> Summation:
     are formed once, at ``prec`` bits."""
     with mp.workprec(prec):
         product = ProductSpec(
-            [numer(-power_at(base, r, prec), base) for r in range(len(xvec))]
+            [numer(-(base**r), base) for r in range(len(xvec))]
         )
     return Summation(
         len(xvec),
@@ -214,27 +214,29 @@ def stretched_spec(n: int, base, prec: int, exponent=None, **fields) -> TermSpec
     """V(x, k; Q^n) / prod_r (Q^r; Q)_{n k_r} Q^{exponent(k)} at x_r =
     Q^{r-1}, r = 1..n, for Q = ``base``, with the further ``TermSpec``
     ``fields``; the exponent is the stretched Euler summand's unless one is
-    given.  x, Q^n and the Q^r are formed once, at ``prec`` bits."""
+    given.  x (``geom``), Q^n and the Q^r (``**``) are formed once, at
+    ``prec`` bits."""
     if exponent is None:
 
         def exponent(k):
             value = 2 * n * staircase(k) - n * (n - 1) * sum(k)
             return value + sum(tri(n * kr) for kr in k)
 
-    return TermSpec(
-        base,
-        vandermonde=(geom(base, n, prec), power_at(base, n, prec)),
-        rows=[(denom(power_at(base, r, prec), base, n),) for r in range(1, n + 1)],
-        exponent=exponent,
-        **fields,
-    )
+    with mp.workprec(prec):
+        return TermSpec(
+            base,
+            vandermonde=(geom(base, n, prec), base**n),
+            rows=[(denom(base**r, base, n),) for r in range(1, n + 1)],
+            exponent=exponent,
+            **fields,
+        )
 
 
 def stretched_euler_summation(n, base, prec: int) -> Summation:
     """The summation in base Q = ``base`` with x_r = Q^{r-1}, r = 1..n,
     multiplied at ``prec`` bits, as is (-1)^n Q^n of its product."""
     with mp.workprec(prec):
-        stretched = power_at(base, n, prec)
+        stretched = base**n
         product = ProductSpec([numer(-stretched if n % 2 else stretched, stretched)])
     return Summation(
         n,
@@ -252,13 +254,14 @@ def stretched_euler_summation(n, base, prec: int) -> Summation:
 
 
 def extra_c_summation(avec, c, xvec, base, prec: int) -> Summation:
-    """The summation, parameters bound; A = a_1 ... a_n and the arguments
-    c x_r / A, c x_r and c x_r / a_r are formed once, at ``prec`` bits.  At
-    c = 0 every extra factor is exactly 1, and the summand has none."""
-    big_a = raw_product(avec, prec=prec)
+    """The summation, parameters bound; A = a_1 ... a_n (``math.prod``) and
+    the arguments c x_r / A, c x_r and c x_r / a_r are formed once, at
+    ``prec`` bits, or exactly for Fractions.  At c = 0 every extra factor is
+    exactly 1, and the summand has none."""
     rows, total = [], []
-    if c:
-        with mp.workprec(prec):
+    with mp.workprec(prec):
+        big_a = math.prod(avec)
+        if c:
             for a_r, x_r in zip(avec, xvec):
                 cx = c * x_r
                 rows.append((numer(cx / big_a, base), denom(cx, base)))

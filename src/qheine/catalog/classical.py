@@ -11,7 +11,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from ..multisum import HeineBlock, Summation, heine_sides
-from ..qcore import ONE, from_raw
+from ..qcore import ONE
 from .core import (
     IdentityFamily,
     ParamSpec,
@@ -93,13 +93,12 @@ def _heine_build(dims):
         rows = [(numer(c / b, q), numer(z, q), denom(a * z, q), denom(q, q))]
         return TermSpec(q, rows=rows), b
 
-    def rhs_prefactor(ctx):
+    def rhs_product(ctx):
         q, p = ctx.bases.q, ctx.params
         a, b, c, z = p["a"], p["b"], p["c"], p["z"]
-        factors = [numer(b, q), numer(a * z, q), denom(c, q), denom(z, q)]
-        return from_raw(ProductSpec(factors)(ctx.poch))
+        return ProductSpec([numer(b, q), numer(a * z, q), denom(c, q), denom(z, q)])
 
-    return spec_side(1, lhs), spec_side(1, rhs, rhs_prefactor)
+    return spec_side(1, lhs), spec_side(1, rhs, rhs_product)
 
 
 def _heine_domain(dims, p, bases):

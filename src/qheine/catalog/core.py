@@ -27,10 +27,8 @@ from ..multisum import (
 )
 from ..qcore import (
     DEFAULT_PRECISION,
-    ONE,
     BaseSystem,
     QComplex,
-    _pow_int,
     from_raw,
     raw_div,
     raw_mul,
@@ -300,9 +298,10 @@ def tri(n: int) -> int:
 
 def geom(base_power, dim: int, prec: int) -> tuple:
     """(1, Q, Q^2, ..., Q^{dim-1}) for specialised variable vectors,
-    multiplied at ``prec`` bits."""
-    out = [mpf(1)]
+    multiplied at ``prec`` bits.  The 1 is a real one of Q's kind, |Q| ** 0:
+    an mpf for an mpf or mpc Q, a Fraction for a Fraction."""
     with mp.workprec(prec):
+        out = [abs(base_power) ** 0]
         for _ in range(dim - 1):
             out.append(out[-1] * base_power)
     return tuple(out)
@@ -380,12 +379,6 @@ def denom(a, base, stretch: int = 1) -> tuple:
     """(a; base)_{stretch * index} in the denominator of a ``TermSpec``, or
     (a z; base)_oo in the denominator of a ``ProductSpec``."""
     return a, base, stretch, raw_div
-
-
-def power_at(x, n: int, prec: int) -> QComplex:
-    """x ** n at ``prec`` bits: the raw value ``PochCache.intpow`` gives, as
-    an mpf or mpc."""
-    return from_raw(_pow_int(value_key(x), n, prec, mp._prec_rounding[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,12 +492,16 @@ def run_memo(ctx, bind):
     return value
 
 
-def spec_side(dimension: int, bind, prefactor=lambda ctx: ONE) -> SeriesSide:
-    """The side prefactor(ctx) * sum_k spec(k), where ``bind(ctx)`` returns
-    the run's ``TermSpec`` and then its argument, if it has one."""
+def spec_side(dimension: int, bind, product=None) -> SeriesSide:
+    """The side sum_k spec(k), where ``bind(ctx)`` returns the run's
+    ``TermSpec`` and then its argument, if it has one, times the constant
+    ``product(ctx)(P)`` if ``product(ctx)`` returns the run's
+    ``ProductSpec``."""
 
     def term(ctx, k):
         spec, *z = run_memo(ctx, bind)
         return spec(ctx.poch, *z, k)
 
-    return SeriesSide(dimension, term, prefactor)
+    if product is None:
+        return SeriesSide(dimension, term)
+    return SeriesSide(dimension, term, lambda ctx: from_raw(product(ctx)(ctx.poch)))

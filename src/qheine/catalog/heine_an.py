@@ -4,8 +4,6 @@ by which A_n q-binomial summation backs each side."""
 
 from __future__ import annotations
 
-from mpmath import mpf
-
 from ..multisum import HeineBlock, heine_sides
 from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
 from .core import (
@@ -18,8 +16,6 @@ from .core import (
 )
 
 __all__ = ["FAMILIES"]
-
-_ZERO = mpf(0)
 
 
 def _build(block, base):
@@ -175,7 +171,7 @@ THM_HEINE1 = IdentityFamily(
 
 # At c = 0 the extra-parameter summation has the plain product side.
 _heine2_build = _build(
-    lambda p, qh, prec: extra_c_summation(p["a"], _ZERO, p["x"], qh, prec),
+    lambda p, qh, prec: extra_c_summation(p["a"], 0, p["x"], qh, prec),
     lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt, prec),
 )
 

@@ -4,10 +4,12 @@ expansion step to two copies of it."""
 
 from __future__ import annotations
 
+import math
+
 from mpmath import mp, mpf
 
 from ..multisum import HeineBlock, Summation, heine_sides
-from ..qcore import ONE, raw_product
+from ..qcore import ONE
 from .classical import qbin_product
 from .core import (
     IdentityFamily,
@@ -27,8 +29,9 @@ __all__ = ["FAMILIES", "kajihara_summation"]
 
 def kajihara_summation(avec, bvec, c, xvec, yvec, base, prec: int) -> Summation:
     """The transformation, parameters bound: the inner summand at unit
-    argument and the stretch A B / c^m of its argument, multiplied at
-    ``prec`` bits, as are the arguments of the rows.  Row r of the summand:
+    argument and the stretch A B / c^m of its argument (A and B by
+    ``math.prod``), formed at ``prec`` bits, or exactly for Fractions, as
+    are the arguments of the rows.  Row r of the summand:
     (b_s x_r y_s)/(c x_r y_s) for every s; of the inner summand: (c y_r/(b_s
     y_s))/(base y_r/y_s), then (c x_s y_r/a_s)/(c x_s y_r), for every s."""
     m = len(yvec)
@@ -39,7 +42,7 @@ def kajihara_summation(avec, bvec, c, xvec, yvec, base, prec: int) -> Summation:
 
     by, ax = list(zip(bvec, yvec)), list(zip(avec, xvec))
     with mp.workprec(prec):
-        stretch = raw_product(avec) * raw_product(bvec) / c**m
+        stretch = math.prod(avec) * math.prod(bvec) / c**m
         grid = [
             quotients((b_s * x_r * y_s, c * x_r * y_s) for b_s, y_s in by)
             for x_r in xvec
@@ -83,7 +86,7 @@ def _kajihara_domain(dims, p, bases):
     if p["c"] == 0 or any(a == 0 for a in p["a"]):
         return False
     m = dims["m"]
-    big = raw_product(p["a"]) * raw_product(p["b"]) * p["z"] / p["c"] ** m
+    big = math.prod(p["a"]) * math.prod(p["b"]) * p["z"] / p["c"] ** m
     return abs(p["z"]) < 1 and abs(big) < 1
 
 
@@ -92,7 +95,7 @@ def _kajihara_sample(rng, dims, bases):
     a = tuple(signed(rng, 0.3, 0.9) for _ in range(n))
     b = tuple(signed(rng, 0.3, 0.9) for _ in range(m))
     c = signed(rng, 0.25, 0.55)
-    scale = raw_product(a) * raw_product(b) / c**m
+    scale = math.prod(a) * math.prod(b) / c**m
     z = argument(rng)
     if abs(scale * z) > mpf("0.2"):
         z = z * mpf("0.2") / abs(scale * z)
@@ -151,8 +154,8 @@ def _kajihara_double_domain(dims, p, bases):
         return False
     if any(v == 0 for v in p["a"] + p["d"] + p["b"] + p["e"]):
         return False
-    m_scale = raw_product(p["a"]) * raw_product(p["b"]) / p["c"] ** dims["mu"]
-    d_scale = raw_product(p["d"]) * raw_product(p["e"]) / p["f"] ** dims["nu"]
+    m_scale = math.prod(p["a"]) * math.prod(p["b"]) / p["c"] ** dims["mu"]
+    d_scale = math.prod(p["d"]) * math.prod(p["e"]) / p["f"] ** dims["nu"]
     return (
         abs(p["z"]) < 1
         and abs(p["w"]) < 1
@@ -170,8 +173,8 @@ def _kajihara_double_sample(rng, dims, bases):
     e = tuple(signed(rng, 0.3, 0.9) for _ in range(nu))
     c = signed(rng, 0.25, 0.55)
     f = signed(rng, 0.25, 0.55)
-    m_scale = raw_product(a) * raw_product(b) / c**mu
-    d_scale = raw_product(d) * raw_product(e) / f**nu
+    m_scale = math.prod(a) * math.prod(b) / c**mu
+    d_scale = math.prod(d) * math.prod(e) / f**nu
     z = argument(rng)
     if abs(m_scale * z) > mpf("0.2"):
         z = z * mpf("0.2") / abs(m_scale * z)

@@ -3,8 +3,6 @@ of its fully general block-composed extension."""
 
 from __future__ import annotations
 
-from mpmath import mpf
-
 from ..multisum import HeineBlock, heine_sides
 from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
 from .classical import qbin_summation
@@ -19,8 +17,6 @@ from .core import (
 )
 
 __all__ = ["FAMILIES"]
-
-_ZERO = mpf(0)
 
 
 # -- p-fold sum with p+1 bases collapsing to a single sum --------------------
@@ -171,9 +167,9 @@ def _master_lauricella_build(dims):
             HeineBlock(qbin_summation(c_r, B.qh), u_r, B.qht)
             for c_r, u_r in zip(p["cp"], p["u"])
         ]
-        an_block = extra_c_summation(p["a"], _ZERO, p["x"], B.qh, B.prec)
+        an_block = extra_c_summation(p["a"], 0, p["x"], B.qh, B.prec)
         blocks.append(HeineBlock(an_block, p["z"], B.qht))
-        base = extra_c_summation(p["b"], _ZERO, p["y"], B.qt, B.prec)
+        base = extra_c_summation(p["b"], 0, p["y"], B.qt, B.prec)
         return blocks, HeineBlock(base, p["w"])
 
     shapes = ((1, 0),) * dims["p"] + ((dims["n"], 0),)

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from mpmath import mp
+
 from ..multisum import HeineBlock, TruncationPolicy, heine_sides
 from ..qcore import e2, from_raw
 from .an_qbinomial import (
@@ -51,7 +53,6 @@ from .core import (
     denom,
     geom,
     numer,
-    power_at,
     run_memo,
     spec_side,
     staircase,
@@ -187,16 +188,21 @@ RAM_CORE = replace(
 def _q_sides(lhs, rhs, rhs_product):
     """The sides of an entry without parameters: ``lhs`` and ``rhs`` are
     (dimension, spec(q, prec)), each spec built once per run, and the rhs
-    is multiplied by the constant ``rhs_product(q, prec)``."""
+    is multiplied by the constant ``rhs_product(q, prec)``.  The builders
+    form their powers of q with ``**`` under ``mp.workprec(prec)``."""
+
+    def built(spec, B):
+        with mp.workprec(B.prec):
+            return spec(B.q, B.prec)
 
     def bind(spec):
-        return lambda ctx: (spec(ctx.bases.q, ctx.bases.prec),)
+        return lambda ctx: (built(spec, ctx.bases),)
 
-    def prefactor(ctx):
-        return from_raw(rhs_product(ctx.bases.q, ctx.bases.prec)(ctx.poch))
+    def product(ctx):
+        return built(rhs_product, ctx.bases)
 
     (m, left), (n, right) = lhs, rhs
-    return spec_side(m, bind(left)), spec_side(n, bind(right), prefactor)
+    return spec_side(m, bind(left)), spec_side(n, bind(right), product)
 
 
 def _linear_spec(n, q, prec, total) -> TermSpec:
@@ -215,12 +221,11 @@ def _ram_1_4_10_anm_build(dims):
     n, m = dims.get("n", 1), dims.get("m", 1)
 
     def lhs(q, prec):
-        q_m = power_at(q, m, prec)
-        total = [denom(power_at(q, m * r, prec), q_m, n) for r in range(1, m + 1)]
+        total = [denom(q ** (m * r), q**m, n) for r in range(1, m + 1)]
         return _linear_spec(n, q, prec, total)
 
     def rhs(q, prec):
-        q_m = power_at(q, m, prec)
+        q_m = q**m
         return TermSpec(
             q,
             vandermonde=(geom(q, m, prec), q_m),
@@ -232,8 +237,7 @@ def _ram_1_4_10_anm_build(dims):
         )
 
     def rhs_product(q, prec):
-        q_m = power_at(q, m, prec)
-        rows = [denom(power_at(q, m * r, prec), q_m) for r in range(1, m + 1)]
+        rows = [denom(q ** (m * r), q**m) for r in range(1, m + 1)]
         return ProductSpec([denom(q, q)] + rows)
 
     return _q_sides((n, lhs), (m, rhs), rhs_product)
@@ -289,16 +293,14 @@ def _ram_1_4_10_c_build(dims):
     n, m = dims.get("n", 1), dims.get("m", 1)
 
     def lhs(q, prec):
-        q_n = power_at(q, n, prec)
-        return _linear_spec(m, q, prec, [denom(q_n, q_n, m)])
+        return _linear_spec(m, q, prec, [denom(q**n, q**n, m)])
 
     def rhs(q, prec):
         total = [numer(q, q, m * n)]
         return stretched_spec(n, q, prec, total=total, sign=n % 2 == 1, argument=False)
 
     def rhs_product(q, prec):
-        q_n = power_at(q, n, prec)
-        return ProductSpec([denom(q, q), denom(q_n, q_n)])
+        return ProductSpec([denom(q, q), denom(q**n, q**n)])
 
     return _q_sides((m, lhs), (n, rhs), rhs_product)
 
@@ -470,16 +472,14 @@ def _ram_1_4_9a_build(dims):
     m = dims["m"]
 
     def lhs(q, prec):
-        q_m = power_at(q, m, prec)
-        return stretched_spec(m, q, prec, total=[denom(q_m, q_m, m)], argument=False)
+        return stretched_spec(m, q, prec, total=[denom(q**m, q**m, m)], argument=False)
 
     def rhs(q, prec):
-        total = [denom(power_at(-q, m, prec), power_at(q, m, prec), m)]
+        total = [denom((-q) ** m, q**m, m)]
         return stretched_spec(m, q, prec, total=total, sign=m % 2 == 1, argument=False)
 
     def rhs_product(q, prec):
-        q_m = power_at(q, m, prec)
-        return ProductSpec([numer(power_at(-q, m, prec), q_m), denom(q_m, q_m)])
+        return ProductSpec([numer((-q) ** m, q**m), denom(q**m, q**m)])
 
     return _q_sides((m, lhs), (m, rhs), rhs_product)
 
@@ -504,14 +504,13 @@ def _ram_1_4_9b_build(dims):
         return stretched_spec(m, q, prec, total=[denom(q, q, m)], argument=False)
 
     def rhs(q, prec):
-        rows = [(denom(q, q), denom(power_at(-q, m, prec), power_at(q, m, prec)))]
+        rows = [(denom(q, q), denom((-q) ** m, q**m))]
         return TermSpec(
             q, rows=rows, exponent=lambda k: tri(k[0]), sign=True, argument=False
         )
 
     def rhs_product(q, prec):
-        q_m = power_at(q, m, prec)
-        return ProductSpec([numer(power_at(-q, m, prec), q_m), denom(q, q)])
+        return ProductSpec([numer((-q) ** m, q**m), denom(q, q)])
 
     return _q_sides((m, lhs), (1, rhs), rhs_product)
 

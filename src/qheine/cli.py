@@ -231,9 +231,17 @@ def validate_config(config: RunConfig) -> None:
     if config.report not in ("json-lines", "csv", "text"):
         raise InvalidConfig(f"unknown report format {config.report!r}")
     if config.mode == "verify":
-        if config.identities != ["all"]:
-            for identity_id in config.identities:
-                catalog.lookup(identity_id)
+        if config.identities == ["all"]:
+            families = catalog.register_all()
+        else:
+            families = [catalog.lookup(name) for name in config.identities]
+        known = {name for family in families for name in family.dim_names}
+        for spec in config.dims or ():
+            if set(spec) - known:
+                raise InvalidConfig(
+                    f"dims names {sorted(set(spec) - known)} belong to no "
+                    "requested identity"
+                )
     elif config.mode == "compose":
         if not config.blocks:
             raise InvalidConfig("compose needs at least one block")

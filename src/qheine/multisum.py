@@ -273,17 +273,6 @@ class HeineBlock:
     cross: QComplex = ONE
 
 
-def _cross_power(entry, n: int, prec: int, rnd: str) -> tuple:
-    """x ** n for ``entry`` = (x, powers), x a raw value and ``powers`` the
-    list of x ** 0, x ** 1, ... computed so far, which is extended through
-    n; each power is ``_pow_int`` at ``prec`` bits, the value
-    ``PochCache.intpow`` gives at the cache precision."""
-    x, powers = entry
-    while len(powers) <= n:
-        powers.append(_pow_int(x, len(powers), prec, rnd))
-    return powers[n]
-
-
 def heine_sides(
     shapes: Sequence[tuple[int, int]], base_shape: tuple[int, int], bind
 ) -> tuple[SeriesSide, SeriesSide]:
@@ -320,11 +309,10 @@ def heine_sides(
     The arithmetic runs on raw values in the order of the display, with the
     rounding of mpmath's operators at the working precision.  What the
     couplings read is formed once per run and kept with the bound blocks:
-    the raw arguments, sigma_r z_r, and per cross base the list of its
-    integer powers at the cache precision (the values of
-    ``PochCache.intpow``); the products P_r(z_r) and P_0(w) are kept as raw
-    values.  Index 0 stretches by exactly 1, so its ratio divides P_r(z_r)
-    by itself and asks for no product.
+    the raw arguments, sigma_r z_r and each block's raw cross base, whose
+    integer powers are read from ``PochCache.intpow``; the products P_r(z_r)
+    and P_0(w) are kept as raw values.  Index 0 stretches by exactly 1, so
+    its ratio divides P_r(z_r) by itself and asks for no product.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
@@ -335,22 +323,18 @@ def heine_sides(
         """The run's blocks and base block, the block indices grouped by
         cross base (in order of first appearance), and the raw values the
         couplings read: each block's argument z_r (w for the base block),
-        sigma_r z_r for a block with an inner sum, and per block its cross
-        base with the list of that base's integer powers, one list per
-        group, which ``_cross_power`` fills."""
+        sigma_r z_r for a block with an inner sum, and each block's cross
+        base."""
         memo = ctx.poch.terms
         run = memo.get(bind)
         if run is None:
             prec, rnd = mp._prec_rounding
             blocks, base = bind(ctx)
             blocks = tuple(blocks) + (base,)
+            crosses = tuple(value_key(block.cross) for block in blocks[:p])
             groups: dict = {}
-            powers: dict = {}
-            crosses = []
-            for r, block in enumerate(blocks[:p]):
-                cross = value_key(block.cross)
+            for r, cross in enumerate(crosses):
                 groups.setdefault(cross, []).append(r)
-                crosses.append(powers.setdefault(cross, (cross, [])))
             args = tuple(value_key(block.argument) for block in blocks)
             stretched_args = tuple(
                 raw_mul(value_key(block.summation.stretch), z, prec, rnd)
@@ -405,10 +389,9 @@ def heine_sides(
         if r == p:
             scale = fone
             for group, weight in zip(groups, index):
-                power = _cross_power(crosses[group[0]], weight, P.prec, rnd)
-                scale = raw_mul(scale, power, prec, rnd)
+                scale = raw_mul(scale, P.intpow(crosses[group[0]], weight), prec, rnd)
         else:
-            scale = _cross_power(crosses[r], index, P.prec, rnd)
+            scale = P.intpow(crosses[r], index)
         z = args[r]
         zs = raw_mul(z, scale, prec, rnd)
         if zs == z:

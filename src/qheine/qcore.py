@@ -321,18 +321,6 @@ def from_raw(raw) -> QComplex:
     return mp.make_mpc(raw) if len(raw) == 2 else mp.make_mpf(raw)
 
 
-def raw_product(values, start=ONE, prec: int | None = None) -> QComplex:
-    """start * v_1 * v_2 * ..., multiplied in order on raw values and rounded
-    at each step as ``value *= v`` rounds it at ``prec`` (default: the
-    working precision); one mpf or mpc is made at the end."""
-    work, rnd = mp._prec_rounding
-    prec = prec or work
-    raw = value_key(start)
-    for v in values:
-        raw = raw_mul(raw, value_key(v), prec, rnd)
-    return from_raw(raw)
-
-
 def raw_sum(values) -> QComplex:
     """0 + v_1 + v_2 + ... for raw values v_i, added in order with the
     rounding of ``value += v`` at the working precision; one mpf or mpc is

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from qheine.multisum import (
     make_context,
     vandermonde_ratio,
 )
-from qheine.qcore import BaseSystem, PochCache, e2, from_raw, raw_product
+from qheine.qcore import BaseSystem, PochCache, e2, from_raw
 import util
 from util import (
     grid_rows,
@@ -454,9 +455,9 @@ def _unit(ctx):
 
 def _kajihara_double_prefactor(ctx):
     P, B, p = ctx.poch, ctx.bases, ctx.params
-    m_arg = raw_product(p["a"]) * raw_product(p["b"])
+    m_arg = math.prod(p["a"]) * math.prod(p["b"])
     m_arg /= p["c"] ** len(p["b"])
-    d_arg = raw_product(p["d"]) * raw_product(p["e"])
+    d_arg = math.prod(p["d"]) * math.prod(p["e"])
     d_arg /= p["f"] ** len(p["e"])
     return (
         P.infinite(p["w"], B.qt)
@@ -478,7 +479,7 @@ def _kajihara_double_reference(dims, outer, inner, swap):
         base, other = getattr(B, outer_base), getattr(B, inner_base)
         kk = sum(k)
         scale = P.intpow(B.qht, kk)
-        stretched = raw_product(p[d]) * raw_product(p[e])
+        stretched = math.prod(p[d]) * math.prod(p[e])
         stretched = stretched / p[f] ** dims[swap[1]] * p[w]
         value = util.vandermonde(p[x], k, base, P)
         value *= util.sq(P, p[a], p[x], base, k)
@@ -510,7 +511,7 @@ def _master_big_reference(dims):
             value *= P.finite(p["a2"], base2, kr) / P.finite(base2, base2, kr)
         scale = P.intpow(B.power(B.t * p["h1"]), sum(k1))
         scale *= P.intpow(B.power(B.t * p["h2"]), sum(k2))
-        big_bw = raw_product(p["b"]) * p["w"]
+        big_bw = math.prod(p["b"]) * p["w"]
         value *= P.ratio(p["w"], B.qt, scale) / P.ratio(big_bw, B.qt, scale)
         value *= P.intpow(p["z1"], sum(k1)) * P.intpow(p["z2"], sum(k2))
         value *= P.intpow(base1, core.staircase(k1) + e2(k1))
@@ -532,7 +533,7 @@ def _master_lauricella_reference(dims):
             value *= P.finite(cr, B.qh, lr) / P.finite(B.qh, B.qh, lr)
             value *= P.intpow(ur, lr)
         scale = P.intpow(B.qht, sum(k) + sum(l))
-        big_bw = raw_product(p["b"]) * p["w"]
+        big_bw = math.prod(p["b"]) * p["w"]
         value *= P.ratio(p["w"], B.qt, scale) / P.ratio(big_bw, B.qt, scale)
         return value * P.intpow(p["z"], sum(k)) * P.intpow(B.qh, core.staircase(k))
 
@@ -650,7 +651,7 @@ def _heine1_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         x = p["x"]
         kk = sum(k)
-        big_a = raw_product(p["a"])
+        big_a = math.prod(p["a"])
         scale = P.intpow(B.qht, kk)
         value = util.vandermonde(x, k, B.qh, P)
         value *= util.sq(ctx.poch, p["a"], x, B.qh, k)
@@ -659,15 +660,15 @@ def _heine1_reference(dims):
             cx = p["c"] * x[r]
             value *= P.finite(cx / big_a, B.qh, k[r]) * P.finite(cx, B.qh, kk)
             value /= P.finite(cx, B.qh, k[r]) * P.finite(cx / p["a"][r], B.qh, kk)
-        big_b = raw_product(p["b"])
+        big_b = math.prod(p["b"])
         value *= P.ratio(p["w"], B.qt, scale)
         value /= P.ratio(big_b * p["w"], B.qt, scale)
         return value
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = raw_product(p["a"])
-        big_b = raw_product(p["b"])
+        big_a = math.prod(p["a"])
+        big_b = math.prod(p["b"])
         return (
             P.infinite(p["w"], B.qt)
             / P.infinite(big_b * p["w"], B.qt)
@@ -679,8 +680,8 @@ def _heine1_reference(dims):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
         jj = sum(j)
-        big_a = raw_product(p["a"])
-        big_b = raw_product(p["b"])
+        big_a = math.prod(p["a"])
+        big_b = math.prod(p["b"])
         scale = P.intpow(B.qht, jj)
         value = util.vandermonde(y, j, B.qt, P)
         value *= util.sq(ctx.poch, p["b"], y, B.qt, j)
@@ -713,7 +714,7 @@ def _heine2_reference(dims):
 
     def rhs_prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_a = raw_product(p["a"])
+        big_a = math.prod(p["a"])
         value = mpf(1)
         for r in range(m):
             wy = p["w"] / p["y"][r]
@@ -723,7 +724,7 @@ def _heine2_reference(dims):
     def rhs_term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y = p["y"]
-        big_a = raw_product(p["a"])
+        big_a = math.prod(p["a"])
         scale = P.intpow(B.qht, sum(j))
         value = util.vandermonde(y, j, B.qt, P)
         value *= util.sq(ctx.poch, p["b"], y, B.qt, j)
@@ -1017,14 +1018,14 @@ def _master_big_rhs_reference(dims):
             value *= P.infinite(azx, base1) / P.infinite(zx, base1)
         for shifted, a_shifted in second_args(P, p, base2):
             value *= P.infinite(a_shifted, base2) / P.infinite(shifted, base2)
-        big_bw = raw_product(p["b"]) * p["w"]
+        big_bw = math.prod(p["b"]) * p["w"]
         return value * P.infinite(p["w"], B.qt) / P.infinite(big_bw, B.qt)
 
     def term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         base1, base2 = B.power(p["h1"]), B.power(p["h2"])
         y, jj = p["y"], sum(j)
-        big_b = raw_product(p["b"])
+        big_b = math.prod(p["b"])
         value = util.vandermonde(y, j, B.qt, P) * util.sq(P, p["b"], y, B.qt, j)
         for jr, yr, br in zip(j, y, p["b"]):
             cy = p["c"] * yr
@@ -1046,8 +1047,8 @@ def _master_big_rhs_reference(dims):
 def _master_lauricella_rhs_reference(dims):
     def prefactor(ctx):
         P, B, p = ctx.poch, ctx.bases, ctx.params
-        big_bw = raw_product(p["b"]) * p["w"]
-        big_az = raw_product(p["a"]) * p["z"]
+        big_bw = math.prod(p["b"]) * p["w"]
+        big_az = math.prod(p["a"]) * p["z"]
         value = (
             P.infinite(p["w"], B.qt)
             * P.infinite(big_az, B.qh)
@@ -1060,7 +1061,7 @@ def _master_lauricella_rhs_reference(dims):
     def term(ctx, j):
         P, B, p = ctx.poch, ctx.bases, ctx.params
         y, jj = p["y"], sum(j)
-        big_az = raw_product(p["a"]) * p["z"]
+        big_az = math.prod(p["a"]) * p["z"]
         scale = P.intpow(B.qht, jj)
         value = util.vandermonde(y, j, B.qt, P) * util.sq(P, p["b"], y, B.qt, j)
         value *= P.ratio(p["z"], B.qh, scale) / P.ratio(big_az, B.qh, scale)
@@ -1253,7 +1254,7 @@ def _kajihara_reference(dims):
         return util.kajihara_inner_term(ctx.poch, *grid(ctx), ctx.bases.q, j)
 
     def stretch(p):
-        return raw_product(p["a"]) * raw_product(p["b"]) / p["c"] ** dims["m"]
+        return math.prod(p["a"]) * math.prod(p["b"]) / p["c"] ** dims["m"]
 
     return {"lhs": (lhs_term, _unit), "rhs": _inner_side(stretch, inner)}
 

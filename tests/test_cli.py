@@ -125,6 +125,19 @@ class TestVerifyCommand:
         assert len(parsed["cases"]) == 2
         assert all(case["dims"] == {"n": 1, "m": 1} for case in parsed["cases"])
 
+    @pytest.mark.parametrize(
+        "identity, dims",
+        [("q_binomial", "nn=2"), ("q_binomial", "n=2"), ("thm_heine7", "nn=2")],
+    )
+    def test_dims_name_of_no_requested_identity_exit_2(self, identity, dims):
+        argv = ["verify", "--identity", identity, "--dims", dims, "--samples", "1"]
+        assert cli.main(argv) == 2
+
+    def test_dims_of_any_family_pass_with_all(self):
+        cli.validate_config(cli.RunConfig(dims=[{"n": 2, "m": 1}]))
+        with pytest.raises(InvalidConfig, match="no requested identity"):
+            cli.validate_config(cli.RunConfig(dims=[{"n": 2, "nn": 1}]))
+
     def test_csv_report(self, capsys, tmp_path):
         out_path = tmp_path / "cases.csv"
         code = cli.main(

@@ -662,7 +662,7 @@ class TestCouplingMemo:
         parts = [b.summation.term(P, b.argument, sub) for b, sub in zip(blocks, subs)]
         if S0.inner_dimension:
             parts.append(S0.inner(P, subs[-1]))
-        return qcore.raw_product(map(from_raw, parts), value)
+        return math.prod(map(from_raw, parts), start=value)
 
     def _rhs_reference(self, P, blocks, base, k):
         """The rhs term at k with its coupling evaluated afresh: prod_r
@@ -681,7 +681,7 @@ class TestCouplingMemo:
                 value *= (S.stretch * z * shift) ** sum(inner_subs[id(block)])
         parts = [base.summation.term(P, base.argument, subs[0])]
         parts += [b.summation.inner(P, inner_subs[id(b)]) for b in inner]
-        return qcore.raw_product(map(from_raw, parts), value)
+        return math.prod(map(from_raw, parts), start=value)
 
     @pytest.mark.parametrize("spec", transformations)
     def test_one_product_per_block_and_index(self, spec):

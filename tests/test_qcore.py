@@ -414,23 +414,16 @@ class TestRawKernel:
     @given(st.lists(_kernel_arguments(arg_max=3.0, base_max=1.2), max_size=5))
     @settings(max_examples=80, deadline=None)
     def test_raw_folds_match_operator_chains(self, drawn):
-        # raw_product and raw_sum: the bits of the operator loop from the
-        # same start, at the working precision or, for raw_product, at a
-        # precision of their own.  raw_sum adds raw values.
+        # raw_sum adds raw values with the bits of the operator loop, at the
+        # working precision.
         values = [x for _, x, base in drawn for x in (x, base)]
-        start = values[0] if values else mpf(1)
         for prec in (53, 128, 1024):
             with mp.workprec(prec):
-                product, total = start, mpf(0)
+                total = mpf(0)
                 for v in values:
-                    product *= v
                     total += v
-                assert _raw_value(qcore.raw_product(values, start)) == _raw_value(product)
                 got = qcore.raw_sum([value_key(v) for v in values])
                 assert _raw_value(got) == _raw_value(total)
-            with mp.workprec(53):
-                got = qcore.raw_product(values, start, prec=prec)
-            assert _raw_value(got) == _raw_value(product)
 
     @pytest.mark.parametrize(
         "a, base",

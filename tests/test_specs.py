@@ -6,6 +6,12 @@ that ``blocks.sample_block`` draws (but the ``broken`` counterexample),
 carries a ``TermSpec`` summand and a ``ProductSpec`` product.  A builder is
 a top-level function of a catalog module annotated to return a
 ``Summation``; those of ``blocks.py`` draw the shipped blocks.
+
+Builders make no mpmath values: every catalog function annotated to return
+a ``Summation``, a ``TermSpec`` or a ``ProductSpec``, and ``core.geom``, forms
+its constants with plain operators on the numbers it is given, so that it
+builds over Fractions as over mpf values.  ``blocks.broken_block`` is the one
+exception: its summand is code.
 """
 
 import ast
@@ -52,6 +58,43 @@ def builders(tree):
     ]
 
 
+SPEC_TYPES = {"Summation", "TermSpec", "ProductSpec"}
+MPMATH_MAKERS = {
+    "mpf",
+    "mpc",
+    "mpmathify",
+    "value_key",
+    "from_raw",
+    "_pow_int",
+    "raw_mul",
+    "raw_div",
+    "raw_product",
+    "power_at",
+}
+
+
+def spec_builders(tree):
+    """The module's functions, nested ones too, annotated to return a spec
+    type, and ``geom``; ``broken_block`` aside."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name != "broken_block"
+        and (
+            node.name == "geom"
+            or (isinstance(node.returns, ast.Name) and node.returns.id in SPEC_TYPES)
+        )
+    ]
+
+
+def called_names(node):
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def assert_specs(summation):
     assert isinstance(summation.term, TermSpec)
     assert isinstance(summation.product, ProductSpec)
@@ -88,3 +131,14 @@ def test_builder_summation_is_specs(name):
 def test_sampled_block_is_specs(name):
     dims = (1, 2) if name == "kajihara" else (2,)
     assert_specs(sample_block(name, random.Random(3), dims, BASE, 128))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_builders_make_no_mpmath_values(module):
+    stray = [
+        (node.name, name)
+        for node in spec_builders(parse(module))
+        for name in called_names(node)
+        if name in MPMATH_MAKERS
+    ]
+    assert not stray, f"{module}: builders make mpmath values {stray}"

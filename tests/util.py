@@ -37,7 +37,6 @@ from qheine.qcore import (
     e2,
     from_raw,
     qpoch_infinite,
-    raw_product,
     value_key,
 )
 
@@ -335,7 +334,7 @@ def extra_c_rows(P, avec, c, xvec, base) -> list:
     and (c x_r/a_r; base) with A = a_1 ... a_n."""
 
     def build():
-        big_a = raw_product(avec)
+        big_a = math.prod(avec)
         rows = []
         for a_r, x_r in zip(avec, xvec):
             cx = c * x_r
