@@ -310,9 +310,11 @@ def heine_sides(
     rounding of mpmath's operators at the working precision.  What the
     couplings read is formed once per run and kept with the bound blocks:
     the raw arguments, sigma_r z_r and each block's raw cross base, whose
-    integer powers are read from ``PochCache.intpow``; the products P_r(z_r)
-    and P_0(w) are kept as raw values.  Index 0 stretches by exactly 1, so
-    its ratio divides P_r(z_r) by itself and asks for no product.
+    integer powers are read from ``PochCache.intpow``, which keeps them for
+    the run, so a power the lhs asks for in one shell is not computed again
+    for the rhs shells later; the products P_r(z_r) and P_0(w) are kept as
+    raw values.  Index 0 stretches by exactly 1, so its ratio divides
+    P_r(z_r) by itself and asks for no product.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
@@ -500,9 +502,9 @@ def evaluate_in_context(
     """Sum one series side under a shared evaluation context.
 
     Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
-    ``ctx.poch.leave_shells()``: a product, ratio or power requested in one
-    shell only is dropped two shells later, and the prefactor's are kept for
-    the run.  A shell's raw terms are added with the rounding of
+    ``ctx.poch.leave_shells()``: a product or ratio requested in one shell
+    only is dropped two shells later, and the prefactor's are kept for the
+    run, as are integer powers.  A shell's raw terms are added with the rounding of
     ``shell_sum += term`` at the run's precision; the shell sum is the only
     mpf or mpc made per shell, and the side's value is ``pref * total``.
     """

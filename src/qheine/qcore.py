@@ -147,16 +147,28 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
 
     The loop runs on Python integers: the sign, mantissa and exponent of
     the product and of the factor f.  A step with 2^(-prec-4) <= |f| < 1
-    forms 1 - f exactly, then rounds it, prod * (1 - f) and f * base to
-    ``prec`` bits as ``libmpf._normalize1`` rounds to nearest: half to
-    even, a rounding up to 2^prec carrying into the exponent.  Rounding to
-    nearest depends on the value alone, so the mantissas keep their
-    trailing zero bits, and one canonical raw tuple is made at the end:
-    the result is bit for bit that of ``mpf_sub`` and ``mpf_mul`` at every
-    step.  The other steps call those two on canonical tuples: special
-    values, a zero base or product, |f| >= 1, f more than prec + 4 bits
-    below 1 (where ``mpf_add`` may perturb 1 instead of subtracting f) and
-    rounding modes other than nearest.
+    rounds 1 - f, prod * (1 - f) and f * base to ``prec`` bits as
+    ``libmpf._normalize1`` rounds to nearest: half to even, a rounding up
+    to 2^prec carrying into the exponent.  Rounding to nearest depends on
+    the value alone, so the mantissas keep their trailing zero bits, and
+    one canonical raw tuple is made at the end: the result is bit for bit
+    that of ``mpf_sub`` and ``mpf_mul`` at every step.  The other steps
+    call those two on canonical tuples: special values, a zero base or
+    product, |f| >= 1, f more than prec + 4 bits below 1 (where
+    ``mpf_add`` may perturb 1 instead of subtracting f), rounding modes
+    other than nearest and a precision of 1 bit.
+
+    The step never forms the exact 1 - f, a mantissa of about
+    prec - log2 |f| bits.  It takes the part of 1 - f that differs from a
+    power of two, g = |f| 2^s rounded to an integer, with s = prec for
+    f > 0 and s = prec - 1 for f < 0: 1 - f rounded is (2^s - g) 2^-s or
+    (2^s + g) 2^-s.  For 0 < f < 1/2, 1 - f lies in (1/2, 1), and for
+    f < 0 in (1, 2), so its prec bits end at 2^-s, and rounding half to
+    even commutes with adding the even 2^s; for 1/2 <= f < 1, g = f 2^prec
+    is exact and so is 1 - f.  The product is then multiplied by g alone,
+    as pman (2^s - g) = (pman << s) - g pman (+ for f < 0), the integer
+    that ``man * pman`` formed: g has about prec + log2 |f| bits, so the
+    multiply shrinks as the factors decay.
 
     The stopping test |factor| >= threshold first compares magnitudes
     (exponent + bitcount): a factor whose magnitude differs from the
@@ -168,8 +180,8 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     limit = prec if threshold[1] and not threshold[0] else 0
     bsign, bman, bexp, _ = base
     # Factors of magnitude (exponent + bitcount) in [lowest, 0] take the
-    # integer step.
-    lowest = -prec - 3 if bman and rnd == round_nearest else 1
+    # integer step; it needs an even 2^(prec-1), so prec > 1.
+    lowest = -prec - 3 if bman and prec > 1 and rnd == round_nearest else 1
     carry, half = 1 << prec, 1 << (prec - 1)
     psign, pman, pexp, pbc = fone
     fsign, fman, fexp, fbc = a
@@ -185,20 +197,24 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
         else:
             break
         if pman and lowest <= mag <= 0:
-            # 1 - f > 0, then prod * (1 - f).  Neither keeps a bit count, so
-            # a mantissa rounded up to 2^prec stays as it is.
-            man = (1 << -fexp) + fman if fsign else (1 << -fexp) - fman
-            exp = fexp
-            n = man.bit_length() - prec
+            # g = |f| 2^s rounded, then prod * (1 - f) = (pman << s) -+
+            # g * pman (see above).  Neither keeps a bit count, so a
+            # mantissa rounded up to 2^prec stays as it is.
+            s = prec - fsign
+            n = -fexp - s
             if n > 0:
-                t = man >> (n - 1)
-                if t & 1 and (t & 2 or man != t << (n - 1)):
-                    man = (t >> 1) + 1
+                t = fman >> (n - 1)
+                if t & 1 and (t & 2 or fman != t << (n - 1)):
+                    g = (t >> 1) + 1
                 else:
-                    man = t >> 1
-                exp += n
-            man *= pman
-            exp += pexp
+                    g = t >> 1
+            else:
+                g = fman << -n
+            if fsign:
+                man = (pman << s) + g * pman
+            else:
+                man = (pman << s) - g * pman
+            exp = pexp - s
             n = man.bit_length() - prec
             if n > 0:
                 t = man >> (n - 1)
@@ -484,12 +500,15 @@ class PochCache:
     side every value is raw, an ``_mpf_`` or ``_mpc_`` tuple: ``infinite``
     and ``intpow`` take and return raw values, and the finite tables hold
     them; read one as an mpf or mpc with ``from_raw``.  Every key is built
-    from raw values, so no lookup hashes an mpf object.  Infinite products,
-    ratios and integer powers are kept in ``ShellMemo`` memos: a value
-    computed in a shell lives for that shell and the next unless it is
-    requested again there.  ``next_shell`` and ``leave_shells`` mark the
-    shell loop.  Finite tables and ``table`` values are kept for the run;
-    the Vandermonde pair tables keep each pair's raw factors by shift.
+    from raw values, so no lookup hashes an mpf object.  Infinite products
+    and ratios are kept in ``ShellMemo`` memos: a value computed in a
+    shell lives for that shell and the next unless it is requested again
+    there.  ``next_shell`` and ``leave_shells`` mark the shell loop.
+    Integer powers, finite tables and ``table`` values are kept for the
+    run: a run raises a few constants to powers that recur across shells
+    and sides, such as the Heine cross powers that a lhs shell and,
+    shells later, the rhs ask for.  The Vandermonde pair tables keep each
+    pair's raw factors by shift.
     ``terms`` holds the raw block factors of ``multisum.block_term``: each
     part under its function and index, the current shell's couplings under
     the coupling function; and the run's bound blocks of
@@ -511,7 +530,7 @@ class PochCache:
         self._finite: dict = {}
         self._infinite = ShellMemo()
         self._ratio = ShellMemo()
-        self._intpow = ShellMemo()
+        self._intpow: dict = {}
         self._empty_below: dict = {}
         self._tables: dict = {}
         self._last: dict = {}
@@ -520,8 +539,8 @@ class PochCache:
     def next_shell(self) -> None:
         """Mark the start of a shell of the series being summed."""
         self.in_shell = True
-        for memo in (self._infinite, self._ratio, self._intpow):
-            memo.age()
+        self._infinite.age()
+        self._ratio.age()
 
     def leave_shells(self) -> None:
         """Mark the end of the shell loop: later values are kept for the run."""
@@ -609,12 +628,11 @@ class PochCache:
 
     def intpow(self, x, n: int) -> tuple:
         """x ** n for a raw x and an integer n, as a raw value at the cache
-        precision, as mpmath's operator rounds it."""
+        precision, as mpmath's operator rounds it; kept for the run."""
         key = (x, n)
-        value = self._intpow.find(key)
+        value = self._intpow.get(key)
         if value is None:
-            value = _pow_int(x, n, self.prec, mp._prec_rounding[1])
-            self._intpow.keep(key, value, self.in_shell)
+            value = self._intpow[key] = _pow_int(x, n, self.prec, mp._prec_rounding[1])
         return value
 
     def table(self, tag, values: tuple, build):

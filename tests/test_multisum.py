@@ -587,6 +587,26 @@ class TestSharedCrossBases:
         # One per weight tuple; (0, 0) is the base argument itself.
         assert len(calls) == sum(w + 1 for w in range(6))
 
+    def test_each_cross_power_once_per_run(self, monkeypatch):
+        # thm_heine7 at (2, 2) couples both sides through the cross base
+        # q^{ht}: the lhs asks for its powers by group sum, the rhs by |j|,
+        # shells apart.  PochCache.intpow keeps them for the run, so each
+        # power is computed once.
+        identity = catalog.lookup("thm_heine7").instantiate({"n": 2, "m": 2})
+        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        cross = value_key(bases.qht)
+        computed = Counter()
+
+        def counted(x, n, prec, rnd, _pow_int=qcore._pow_int):
+            if x == cross:
+                computed[n] += 1
+            return _pow_int(x, n, prec, rnd)
+
+        monkeypatch.setattr(qcore, "_pow_int", counted)
+        assert catalog.verify(identity, params, bases).passed
+        assert len(computed) > 10
+        assert set(computed.values()) == {1}, computed
+
 
 class TestCouplingMemo:
     """Where an inner weight exists, heine_sides computes each coupling's

@@ -3,7 +3,7 @@ import operator
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp, mpc, mpf, mpmathify
 from mpmath.libmp import fone
@@ -366,6 +366,9 @@ class TestRawKernel:
     bits of the product loop on mpmath objects in tests/util.py."""
 
     @given(_kernel_arguments(), st.sampled_from([None, "1e-12", "1e-40"]))
+    # At 1 bit, 1 - (-1/2) = 3/2 rounds to 2, but 2^0 plus 1/2 rounded half
+    # to even is 1: the complement step needs prec > 1.
+    @example((1, mpf("-0.5"), mpf("0.25")), "0.1")
     @settings(max_examples=120, deadline=None)
     def test_infinite_matches_object_loop(self, args, tol):
         prec, a, base = args
@@ -446,7 +449,7 @@ class TestRawKernel:
             (mpf(4), mpf("0.5")),
         ],
     )
-    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 1025, 1100])
     def test_edge_cases(self, a, base, prec):
         with mp.workprec(prec):
             got = qpoch_infinite(a, base)
@@ -456,7 +459,7 @@ class TestRawKernel:
                     qpoch_finite_loop(a, base, k)
                 )
 
-    @pytest.mark.parametrize("prec", [64, 128, 1024])
+    @pytest.mark.parametrize("prec", [64, 128, 1024, 1100])
     def test_real_products_take_the_integer_loop(self, monkeypatch, prec):
         # An ordinary real product is multiplied on integers: it calls
         # neither libmp operation of the loop.
@@ -487,13 +490,22 @@ class TestRawKernel:
             ("0.2", "0.95"),
             ("0.3", "0.75"),
             ("-0.7", "-0.75"),
+            ("0.375", "0.75"),
+            ("-0.75", "0.75"),
+            ("0.75", "0.45"),
+            ("-0.3", "-0.85"),
         ],
     )
     def test_rounding_at_low_precision(self, prec, a, base):
         # At 8-24 bits, 1 - f often needs one bit more than f, and so does
         # f * 3/4 for an odd mantissa of f, so ties are common; 1 - f for a
-        # small f rounds up to 2^prec.  tol = 2^-prec keeps the factors
-        # coming.
+        # small f rounds up to 2^prec, and g = |f| 2^s of the complement
+        # step rounds to 0.  The factors 3^(k+1) 2^(-2k-3) of (3/8; 3/4)
+        # and -3^(k+1) 2^(-2k-2) of (-3/4; 3/4) put g on a half at
+        # k = prec/2 - 1, for a positive f (s = prec) and a negative one
+        # (s = prec - 1).  The product mantissa rounds up to 2^prec before
+        # a step for (3/4; 0.45) at 8 bits and (-0.3; -0.85) at 8 and 12.
+        # tol = 2^-prec keeps the factors coming.
         with mp.workprec(prec):
             a, base, tol = mpf(a), mpf(base), mpf(2) ** -prec
             got = qpoch_infinite(a, base, tol)
@@ -515,7 +527,14 @@ class TestRawKernel:
 
     @pytest.mark.parametrize("tol", [None, mpf(2) ** -1070])
     @pytest.mark.parametrize(
-        "a, base", [("0.3", "0.7"), ("0.9", "-0.8"), ("-0.6", "0.6")]
+        "a, base",
+        [
+            ("0.3", "0.7"),
+            ("0.9", "-0.8"),
+            ("-0.6", "0.6"),
+            ("0.375", "0.75"),
+            ("-0.75", "0.75"),
+        ],
     )
     def test_rounding_at_1100_bits(self, tol, a, base):
         with mp.workprec(1100):
@@ -523,12 +542,13 @@ class TestRawKernel:
             got = qpoch_infinite(a, base, tol)
             assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
 
-    @pytest.mark.parametrize("prec", [8, 24, 64, 128])
+    @pytest.mark.parametrize("prec", [8, 24, 64, 128, 1024, 1025, 1100])
     @pytest.mark.parametrize("base", ["0.5", "-0.3"])
     def test_factors_far_below_one(self, prec, base):
         # tol = 2^(-prec-24) runs the factors more than prec + 4 bits below
         # 1, where mpf_sub(1, f) perturbs 1 instead of subtracting f once
-        # the exponents are more than 100 apart.
+        # the exponents are more than 100 apart; on the way, g = |f| 2^s of
+        # the complement step rounds to 0 for |f| below 2^(-prec-1).
         with mp.workprec(prec):
             a, base, tol = mpf("0.5"), mpf(base), mpf(2) ** (-prec - 24)
             got = qpoch_infinite(a, base, tol)
@@ -698,8 +718,9 @@ def computed(monkeypatch):
 
 
 class TestShellMemo:
-    """Products, ratios and powers computed in a shell live for that shell
-    and the next one unless requested again; others live for the run."""
+    """Products and ratios computed in a shell live for that shell and the
+    next one unless requested again; others, and integer powers, live for
+    the run."""
 
     def test_consecutive_shells_compute_once(self, computed):
         cache = PochCache(128)
@@ -721,10 +742,12 @@ class TestShellMemo:
         cache.intpow(a, 3)
         cache.next_shell()
         cache.next_shell()
-        for memo in (cache._infinite, cache._intpow):
-            assert not memo and not memo.young and not memo.old
+        memo = cache._infinite
+        assert not memo and not memo.young and not memo.old
         cache.infinite(a, base)
         assert len(computed) == 2
+        # Integer powers are kept for the run wherever they are computed.
+        assert list(cache._intpow) == [(a, 3)]
 
     def test_second_request_in_the_same_shell_keeps_it(self, computed):
         cache = PochCache(128)
