@@ -507,6 +507,8 @@ def evaluate_in_context(
     run, as are integer powers.  A shell's raw terms are added with the rounding of
     ``shell_sum += term`` at the run's precision; the shell sum is the only
     mpf or mpc made per shell, and the side's value is ``pref * total``.
+    A zero denominator in the prefactor or in a term raises
+    ``PoleEncountered``, naming the prefactor or the term's index.
     """
     if policy is None:
         policy = TruncationPolicy()
@@ -514,7 +516,10 @@ def evaluate_in_context(
         raise DomainViolation("parameter point outside the series domain")
     prec = ctx.bases.prec
     with mp.workprec(prec):
-        pref = side.prefactor(ctx)
+        try:
+            pref = side.prefactor(ctx)
+        except (ZeroDivisionError, DivisionByZero) as exc:
+            raise PoleEncountered(f"zero denominator in the prefactor: {exc}") from exc
         if side.dimension == 0:
             return pref, Diagnostics(shells=0, terms=0, converged=True)
 

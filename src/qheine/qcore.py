@@ -12,7 +12,7 @@ import math
 from operator import is_
 from typing import Sequence, Union
 
-from mpmath import libmp, mp, mpc, mpf, mpmathify
+from mpmath import mp, mpc, mpf, mpmathify
 from mpmath.libmp import (
     fone,
     fzero,
@@ -69,14 +69,14 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
 
     The arguments are converted with ``mpmathify`` once; everything after
     that runs on raw values at the working precision.  |base|, the
-    |base| >= 1 check, 1 - |base| and the threshold are the libmp calls of
-    mpmath's operators (``_threshold``, memoised per base), and the product
-    is multiplied on integers for a real a and base (``_real_infinite``)
-    and on raw ``_mpf_``/``_mpc_`` tuples otherwise, with the operations,
-    precision and rounding of mpmath's operators.  So the result and every
-    exception are bit for bit those of the loop ``prod *= 1 - factor;
-    factor *= base`` on mpf and mpc objects; one mpf or mpc is made at the
-    end.
+    |base| >= 1 check, 1 - |base| and the threshold are rounded as mpmath's
+    operators round them (``_threshold``, memoised per base), and the
+    product is multiplied on integers for a real a and base
+    (``_real_infinite``) and on raw ``_mpf_``/``_mpc_`` tuples otherwise,
+    with the operations, precision and rounding of mpmath's operators.  So
+    the result and every exception are bit for bit those of the loop
+    ``prod *= 1 - factor; factor *= base`` on mpf and mpc objects; one mpf
+    or mpc is made at the end.
     """
     a = value_key(mpmathify(a))
     base = value_key(mpmathify(base))
@@ -102,16 +102,12 @@ def _threshold(base, tol, prec: int, rnd: str) -> tuple:
     Memoised on its raw arguments: a run asks for the threshold of a few
     bases, once per computed product, so every product on one base reads
     one (gap, threshold).  An exception is not kept, so |base| >= 1 raises
-    on every call.
-
-    These calls reach libmp through the ``libmp`` module, as mpmath's
-    operators do, and leave this module's names of ``mpf_sub`` and
-    ``mpf_mul`` to the libmp steps of the product loop."""
+    on every call."""
     size = mpf_abs(base, prec, rnd) if len(base) == 4 else mpc_abs(base, prec, rnd)
     if mpf_ge(size, fone):
         raise NonConvergentBase(f"|base| = {from_raw(size)} >= 1")
-    gap = libmp.mpf_sub(fone, size, prec, rnd)
-    return gap, libmp.mpf_mul(tol, gap, prec, rnd)
+    gap = _one_minus(size, prec, rnd)
+    return gap, raw_mul(tol, gap, prec, rnd)
 
 
 def _clearly_past_cap(a, gap, threshold) -> bool:
@@ -153,10 +149,12 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     the value alone, so the mantissas keep their trailing zero bits, and
     one canonical raw tuple is made at the end: the result is bit for bit
     that of ``mpf_sub`` and ``mpf_mul`` at every step.  The other steps
-    call those two on canonical tuples: special values, a zero base or
-    product, |f| >= 1, f more than prec + 4 bits below 1 (where
-    ``mpf_add`` may perturb 1 instead of subtracting f), rounding modes
-    other than nearest and a precision of 1 bit.
+    call ``_one_minus`` and ``raw_mul`` on canonical tuples, which round as
+    those two do: special values, a zero base or product, |f| >= 1, f more
+    than prec + 4 bits below 1 (where ``mpf_add`` may perturb 1 instead of
+    subtracting f), rounding modes other than nearest and a precision of
+    1 bit.  Of these, only zeros, special values and the other rounding
+    modes reach libmp.
 
     The step never forms the exact 1 - f, a mantissa of about
     prec - log2 |f| bits.  It takes the part of 1 - f that differs from a
@@ -245,9 +243,9 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
         else:
             factor = _canonical(fsign, fman, fexp, fbc)
             prod = _canonical(psign, pman, pexp, pbc)
-            prod = mpf_mul(prod, mpf_sub(fone, factor, prec, rnd), prec, rnd)
+            prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
             psign, pman, pexp, pbc = prod
-            fsign, fman, fexp, fbc = mpf_mul(factor, base, prec, rnd)
+            fsign, fman, fexp, fbc = raw_mul(factor, base, prec, rnd)
     else:
         raise NonConvergentBase(_NOT_CONVERGED)
     if pman == 1 and not pexp and not psign:
@@ -259,12 +257,11 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
 
 def _canonical(sign, man, exp, bc) -> tuple:
     """The raw mpf (-1)^sign man 2^exp: a nonzero mantissa loses its
-    trailing zero bits and gets its bit count; zero and special values,
+    trailing zero bits and gets its bit count (``_round`` at the
+    mantissa's own length, which only strips); zero and special values,
     whose ``bc`` is part of their tuple, are returned as they are."""
     if man:
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        return sign, man, exp + zeros, man.bit_length()
+        return _round(sign, man, exp, man.bit_length())
     return sign, man, exp, bc
 
 
@@ -283,11 +280,45 @@ def _complex_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     raise NonConvergentBase(_NOT_CONVERGED)
 
 
+def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
+    """The raw mpf nearest (-1)^sign man 2^exp in ``prec`` bits, for an
+    integer man > 0: rounded half to even, as ``libmpf._normalize`` rounds
+    to nearest (a mantissa rounded up to 2^prec becomes 1), then stripped
+    of its trailing zero bits, so the tuple is canonical.
+
+    The one rounding step of the integer paths of ``raw_mul``, ``raw_div``,
+    ``raw_add``, ``_one_minus`` and ``_pow_int``.  Those paths take regular
+    reals (nonzero mantissas: no zero, inf or nan) at round-to-nearest and
+    a positive precision, as ``mp._prec_rounding`` holds; each forms the
+    exact integer that libmp forms and rounds it once here, so its result
+    is libmp's tuple bit for bit (Brent and Zimmermann, *Modern Computer
+    Arithmetic*, ch. 3).  Other operands reach the libmp function that the
+    path replaces.  ``_canonical`` calls it at the mantissa's own length to
+    strip alone."""
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man != t << (n - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp += zeros
+    return sign, man, exp, man.bit_length()
+
+
 def raw_mul(x, y, prec: int, rnd: str) -> tuple:
-    """x * y on raw values, as mpmath's operators round it; a real times a
-    complex value is ``mpc_mul_mpf``."""
+    """x * y on raw values, as mpmath's operators round it: for two regular
+    reals at round-to-nearest, the product of the mantissas rounded by
+    ``_round``; otherwise ``mpf_mul``, or ``mpc_mul_mpf`` for a real times a
+    complex value and ``mpc_mul`` for two complex values."""
     if len(x) == 4:
         if len(y) == 4:
+            if x[1] and y[1] and rnd == round_nearest:
+                return _round(x[0] ^ y[0], x[1] * y[1], x[2] + y[2], prec)
             return mpf_mul(x, y, prec, rnd)
         return mpc_mul_mpf(y, x, prec, rnd)
     if len(y) == 4:
@@ -296,9 +327,38 @@ def raw_mul(x, y, prec: int, rnd: str) -> tuple:
 
 
 def raw_add(x, y, prec: int, rnd: str) -> tuple:
-    """x + y on raw values, as mpmath's operators round it."""
+    """x + y on raw values, as mpmath's operators round it.
+
+    Two regular reals at round-to-nearest are added on integers, as
+    ``mpf_add`` adds them: the mantissa of the larger exponent is shifted
+    onto the other's and the two are added or subtracted, an exact
+    cancellation giving ``fzero``.  Where the exponents are more than 100
+    apart and the smaller operand lies more than prec + 4 bits below the
+    larger, libmp does not add it: it perturbs the larger mantissa, shifted
+    up by prec + 4 bits, by one unit towards the smaller operand's sign, and
+    rounds that; so does this path.  Other real operands call ``mpf_add``,
+    complex ones ``mpc_add_mpf`` and ``mpc_add``."""
     if len(x) == 4:
         if len(y) == 4:
+            if x[1] and y[1] and rnd == round_nearest:
+                if x[2] < y[2]:
+                    x, y = y, x
+                sign, man, exp, bc = x
+                ysign, yman, yexp, ybc = y
+                offset = exp - yexp
+                if offset > 100 and bc + offset - ybc > prec + 4:
+                    man <<= prec + 4
+                    man += 1 if sign == ysign else -1
+                    return _round(sign, man, exp - prec - 4, prec)
+                if sign == ysign:
+                    man = (man << offset) + yman
+                else:
+                    man = (man << offset) - yman
+                    if man <= 0:
+                        if not man:
+                            return fzero
+                        sign, man = ysign, -man
+                return _round(sign, man, yexp, prec)
             return mpf_add(x, y, prec, rnd)
         return mpc_add_mpf(y, x, prec, rnd)
     if len(y) == 4:
@@ -307,9 +367,31 @@ def raw_add(x, y, prec: int, rnd: str) -> tuple:
 
 
 def raw_div(x, y, prec: int, rnd: str) -> tuple:
-    """x / y on raw values, as mpmath's operators round it."""
+    """x / y on raw values, as mpmath's operators round it.
+
+    Two regular reals at round-to-nearest are divided on integers, as
+    ``mpf_div`` divides them: a divisor with mantissa 1 (a power of two)
+    only rounds x's mantissa; otherwise the quotient of x's mantissa
+    shifted up by ``extra`` = max(5, prec - bc(x) + bc(y) + 5) bits, with
+    a sticky bit appended where the division leaves a remainder, is
+    rounded.  Other real operands call ``mpf_div``, which raises
+    ``ZeroDivisionError`` for a zero divisor; complex ones call
+    ``mpc_mpf_div``, ``mpc_div_mpf`` and ``mpc_div``."""
     if len(x) == 4:
         if len(y) == 4:
+            if x[1] and y[1] and rnd == round_nearest:
+                sign, man, exp, bc = x
+                ysign, yman, yexp, ybc = y
+                if yman == 1:
+                    return _round(sign ^ ysign, man, exp - yexp, prec)
+                extra = prec - bc + ybc + 5
+                if extra < 5:
+                    extra = 5
+                quot, rem = divmod(man << extra, yman)
+                if rem:
+                    quot = (quot << 1) | 1
+                    extra += 1
+                return _round(sign ^ ysign, quot, exp - yexp - extra, prec)
             return mpf_div(x, y, prec, rnd)
         return mpc_mpf_div(x, y, prec, rnd)
     if len(y) == 4:
@@ -319,15 +401,62 @@ def raw_div(x, y, prec: int, rnd: str) -> tuple:
 
 def _pow_int(x, n: int, prec: int, rnd: str) -> tuple:
     """x ** n for a raw value and an integer n, as mpmath's operators round
-    it."""
+    it.
+
+    A regular real at round-to-nearest is raised on integers, as
+    ``mpf_pow_int`` raises it: a mantissa of 1 is exact, x ** 2 and powers
+    with bc(x) n < 1000 round the exact ``man ** n``, and larger powers run
+    libmp's binary powering, truncating every product to prec +
+    4 bitcount(n) + 4 bits before the one rounding at the end.  A negative
+    n divides 1 by x ** -n, taken at prec + 5 bits.  Other real values call
+    ``mpf_pow_int``, complex ones ``mpc_pow_int``."""
     if len(x) == 4:
-        return mpf_pow_int(x, n, prec, rnd)
+        sign, man, exp, _ = x
+        if not man or rnd != round_nearest:
+            return mpf_pow_int(x, n, prec, rnd)
+        if n < 0:
+            inverse = x if n == -1 else _pow_int(x, -n, prec + 5, rnd)
+            return raw_div(fone, inverse, prec, rnd)
+        if n == 0:
+            return fone
+        if n == 1:
+            return _round(sign, man, exp, prec)
+        sign &= n
+        if man == 1:
+            return sign, 1, exp * n, 1
+        if n == 2 or man.bit_length() * n < 1000:
+            return _round(sign, man**n, exp * n, prec)
+        work = prec + 4 * n.bit_length() + 4
+        pman, pexp = 1, 0
+        while True:
+            if n & 1:
+                pman *= man
+                pexp += exp
+                excess = pman.bit_length() - work
+                if excess > 0:
+                    pman >>= excess
+                    pexp += excess
+                n -= 1
+                if not n:
+                    return _round(sign, pman, pexp, prec)
+            man *= man
+            exp += exp
+            excess = man.bit_length() - work
+            if excess > 0:
+                man >>= excess
+                exp += excess
+            n >>= 1
     return mpc_pow_int(x, n, prec, rnd)
 
 
 def _one_minus(x, prec: int, rnd: str) -> tuple:
-    """1 - x on a raw value, as mpmath's operators round it."""
+    """1 - x on a raw value, as mpmath's operators round it: ``raw_add`` of
+    1 and -x for a regular real at round-to-nearest, else ``mpf_sub``, or
+    ``mpc_sub`` for a complex x."""
     if len(x) == 4:
+        sign, man, exp, bc = x
+        if man and rnd == round_nearest:
+            return raw_add(fone, (sign ^ 1, man, exp, bc), prec, rnd)
         return mpf_sub(fone, x, prec, rnd)
     return mpc_sub(_COMPLEX_ONE, x, prec, rnd)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpc, mpf
 
-from qheine import catalog, cli, report
+from qheine import BaseSystem, catalog, cli, report
 from qheine.errors import InvalidConfig
 from util import parse_csv
 
@@ -211,6 +211,19 @@ class TestVerifyCommand:
         assert code == 1
         parsed = report.parse_json_lines(out)
         assert parsed["total"]["failed"] == 2
+
+    def test_pole_exit_1(self, capsys, monkeypatch):
+        # heine_2phi1 at c = q^-2: the lhs term at k = 3 divides by 0.
+        def pole(identity, seed, count, prec):
+            params = {"a": mpf("0.3"), "b": mpf("0.25"), "c": mpf(4), "z": mpf("0.2")}
+            return [(params, BaseSystem(mpf(1) / 2, 1, 1, prec))]
+
+        monkeypatch.setattr(catalog, "sample_domain", pole)
+        code = cli.main(["verify", "--identity", "heine_2phi1", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: heine_2phi1 lhs: zero denominator")
+        assert captured.err.count("\n") == 1, captured.err
 
 
 class TestComposeCommand:

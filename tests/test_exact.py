@@ -18,9 +18,7 @@ raises TypeError, so a builder that rounds fails loudly.
 Out of scope, because they cannot terminate: the Euler exponential and
 stretched Euler summations (no parameter to set to q^{-N}), and the
 Ramanujan entries built on them or on sums such as sum q^k/(q;q)_k^2, which
-have no parameters (``OUT_OF_SCOPE``).  Not checked, although their blocks
-terminate: ``bibasic_euler`` and ``kajihara_double``, whose Heine pairs have
-inner sums, which ``heine_values`` does not read.
+have no parameters (``OUT_OF_SCOPE``).
 """
 
 import itertools
@@ -162,14 +160,20 @@ def product(spec: ProductSpec, z=1) -> Fraction:
     return value
 
 
+def inner_series(summation, z) -> Fraction:
+    """sum_j R(sigma z; j) of a summation's terminating inner summand R at
+    unit argument and stretch sigma, read as sum_j R(1; j) (sigma z)^{|j|};
+    1 for a summation without an inner sum."""
+    if not summation.inner_dimension:
+        return Fraction(1)
+    scale = exact(summation.stretch) * z
+    return series(summation.inner, summation.inner_dimension, None, scale)
+
+
 def summation_values(summation, z) -> tuple:
     """(sum, product times inner sum) of a ``Summation`` at argument z."""
     total = series(summation.term, summation.dimension, z)
-    closed = product(summation.product, z)
-    if summation.inner_dimension:
-        stretched = exact(summation.stretch) * z
-        closed *= series(summation.inner, summation.inner_dimension, None, stretched)
-    return total, closed
+    return total, product(summation.product, z) * inner_series(summation, z)
 
 
 def coupling(spec: ProductSpec, z, s) -> Fraction:
@@ -188,12 +192,15 @@ def coupling(spec: ProductSpec, z, s) -> Fraction:
 
 
 def heine_values(blocks, base) -> tuple:
-    """(lhs, rhs) of ``multisum.heine_sides`` over ``HeineBlock`` values
-    without inner sums, with s = prod_r s_r^{|k_r|}:
+    """(lhs, rhs) of ``multisum.heine_sides`` over ``HeineBlock`` values,
+    with s = prod_r s_r^{|k_r|} and the inner sums of ``inner_series``, as
+    the ``heine_sides`` docstring displays them:
 
         lhs = sum_k prod_r S_r(z_r; k_r) P_0(w s) / P_0(w)
+              * sum_kt R_0(sigma_0 w s; kt)
         rhs = prod_r P_r(z_r) / P_0(w)
               * sum_j S_0(w; j) prod_r P_r(z_r s_r^{|j|}) / P_r(z_r)
+              * sum_jt_r R_r(sigma_r z_r s_r^{|j|}; jt_r)
 
     The pair is an identity for any cross bases s_r; it is the paper's
     because each coupling is a finite product (``coupling``), which holds
@@ -205,15 +212,19 @@ def heine_values(blocks, base) -> tuple:
         shells(b.summation.term, b.summation.dimension, z_r)
         for b, z_r in zip(blocks, z)
     ]
-    lhs = sum(
-        math.prod(sums[k] for sums, k in zip(block_shells, weights))
-        * coupling(S0.product, w, math.prod(c**k for c, k in zip(cross, weights)))
-        for weights in itertools.product(*(range(len(s)) for s in block_shells))
-    )
+    lhs = 0
+    for weights in itertools.product(*(range(len(s)) for s in block_shells)):
+        s = math.prod(c**k for c, k in zip(cross, weights))
+        lhs += (
+            math.prod(sums[k] for sums, k in zip(block_shells, weights))
+            * coupling(S0.product, w, s)
+            * inner_series(S0, w * s)
+        )
     rhs = sum(
         part
         * math.prod(
             coupling(b.summation.product, z_r, s_r**j)
+            * inner_series(b.summation, z_r * s_r**j)
             for b, z_r, s_r in zip(blocks, z, cross)
         )
         for j, part in enumerate(shells(S0.term, S0.dimension, w))
@@ -326,6 +337,7 @@ def _heine_params(family_id, dims, B) -> dict:
     """A terminating point of the family: each upper parameter that a block
     summand reads at k_r is a negative power of the block's base."""
     n, m, p = dims.get("n", 1), dims.get("m", 1), dims.get("p", 1)
+    mu, nu = dims.get("mu", 1), dims.get("nu", 1)
     n1, n2 = dims.get("n1", 1), dims.get("n2", 1)
     q, qh, qt = B.q, B.qh, B.qt
     a, b = (qh**-2, qh**-1)[:n], (qt**-1, qt**-2)[:m]
@@ -336,8 +348,32 @@ def _heine_params(family_id, dims, B) -> dict:
     # are q^{-hn}.
     q_tm, q_hn = B.power(B.t * m), B.power(B.h * n)
     ram = dict(a=z, b=-z / (q * q_tm**2), c=w / (q * q_hn), d=w)
+    # The q-Euler and Kajihara blocks, their inner sums and their products
+    # terminate at a = base^{-N}, c = b base^{-M} (q-Euler) and at a_r =
+    # base^{-N_r}, b_s = c base^{M_s} (Kajihara), with M <= N.
+    c, f = F(2, 7), F(2, 9)
+    kajihara = dict(
+        a=(qh**-3, qh**-1)[:n],
+        b=(c * qh, c * qh**2)[:mu],
+        c=c,
+        d=(qt**-2, qt**-1)[:m],
+        e=(f * qt, f * qt)[:nu],
+        f=f,
+        x=x,
+        X=(F(1), F(7, 3))[:mu],
+        y=(F(1), F(5, 4))[:m],
+        Y=(F(1), F(5, 4))[:nu],
+        z=z,
+        w=w,
+    )
     return {
         "bibasic_heine": dict(a=qh**-2, b=qt**-2, z=z, w=w),
+        "bibasic_euler": dict(
+            a=qh**-3, b=F(2, 5), c=F(2, 5) * qh**-1,
+            d=qt**-2, e=F(3, 7), f=F(3, 7) * qt**-2,
+            z=z, w=w,
+        ),
+        "kajihara_double": kajihara,
         "thm_heine7": dict(a=a, b=b, x=x, y=y, z=z, w=w),
         "thm_heine8": dict(a=a, b=qt**-2, x=x, y=y, z=z, w=w),
         "thm_heine1": dict(a=a, b=b, c=F(2, 9), d=F(3, 13), x=x, y=y, z=z, w=w),
@@ -372,6 +408,8 @@ HEINE_CASES = [
     (family_id, dict(dims))
     for family_id in (
         "bibasic_heine",
+        "bibasic_euler",
+        "kajihara_double",
         "thm_heine7",
         "thm_heine8",
         "thm_heine1",

@@ -344,6 +344,21 @@ class TestEvaluate:
         with pytest.raises(PoleEncountered):
             evaluate(SeriesSide(1, raw_terms(term)), {}, bases)
 
+    @pytest.mark.parametrize("prec", [128, 1024])
+    def test_poles_of_heine_2phi1(self, prec):
+        # c = 4 = q^-2 at q = 1/2: (c; q)_k of the lhs terms is 0 from k = 3
+        # on, and (c; q)_oo in the rhs prefactor's denominator is 0.  The lhs
+        # divides by the exact zero in the integer raw_div's fallback; the
+        # rhs prefactor's ZeroDivisionError is a pole too, not a traceback.
+        identity = catalog.lookup("heine_2phi1").instantiate()
+        bases = BaseSystem(mpf(1) / 2, 1, 1, prec)
+        with mp.workprec(prec):
+            params = {"a": mpf("0.3"), "b": mpf("0.25"), "c": mpf(4), "z": mpf("0.2")}
+        with pytest.raises(PoleEncountered, match=r"index \(3,\)"):
+            evaluate_in_context(identity.lhs, make_context(params, bases))
+        with pytest.raises(PoleEncountered, match="prefactor"):
+            evaluate_in_context(identity.rhs, make_context(params, bases))
+
     def test_truncation_warning(self):
         bases = BaseSystem(mpf("0.5"))
         policy = TruncationPolicy(max_shell_weight=10)
@@ -748,7 +763,7 @@ class TestCouplingMemo:
         lhs, rhs = heine_sides(((1, 0),), (1, 0), bind)
         with pytest.raises(PoleEncountered, match=r"index \(0,\)"):
             evaluate_in_context(lhs, make_context({}, B))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(PoleEncountered, match="prefactor"):
             evaluate_in_context(rhs, make_context({}, B))
 
     def test_no_memo_without_an_inner_weight(self):

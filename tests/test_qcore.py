@@ -1,4 +1,5 @@
 import math
+import random
 import operator
 import time
 
@@ -18,7 +19,8 @@ from qheine import (
     e2,
     qpoch_infinite,
 )
-from qheine import qcore
+from qheine import catalog, qcore
+from qheine.multisum import evaluate_in_context, make_context
 from qheine.qcore import FiniteTable, from_raw, value_key
 import util
 from util import (
@@ -461,10 +463,11 @@ class TestRawKernel:
 
     @pytest.mark.parametrize("prec", [64, 128, 1024, 1100])
     def test_real_products_take_the_integer_loop(self, monkeypatch, prec):
-        # An ordinary real product is multiplied on integers: it calls
-        # neither libmp operation of the loop.
+        # An ordinary real product takes the loop's inline integer step at
+        # every factor: it calls neither libmp operation of the loop nor
+        # the raw operations of the loop's other steps.
         def refused(*args):
-            raise AssertionError("the real product loop called libmp")
+            raise AssertionError("a real product step left the integer loop")
 
         with mp.workprec(prec):
             cases = [
@@ -473,8 +476,12 @@ class TestRawKernel:
                 for base in (mpf("0.5"), mpf("-0.45"), mpf("0.7") ** mpf("1.37"))
             ]
             want = [_raw_value(qpoch_infinite_loop(a, base)) for a, base in cases]
-            monkeypatch.setattr(qcore, "mpf_mul", refused)
-            monkeypatch.setattr(qcore, "mpf_sub", refused)
+            # The memoised thresholds call _one_minus and raw_mul; form
+            # them before those are refused.
+            for a, base in cases:
+                qpoch_infinite(a, base)
+            for name in ("mpf_mul", "mpf_sub", "raw_mul", "_one_minus"):
+                monkeypatch.setattr(qcore, name, refused)
             got = [_raw_value(qpoch_infinite(a, base)) for a, base in cases]
         assert got == want
 
@@ -957,3 +964,266 @@ class TestRawEntry:
         with mp.workprec(53):
             for name in order:
                 assert _outcome(_infinite, cache, a, base[name]) == want[name], name
+
+
+# -- integer paths of the raw operations ---------------------------------------
+
+_NEAREST = libmp.round_nearest
+_EDGE_PRECISIONS = [2, 53, 64, 128, 1024, 1100]
+_BINARY = {
+    "mul": (qcore.raw_mul, libmp.mpf_mul),
+    "div": (qcore.raw_div, libmp.mpf_div),
+    "add": (qcore.raw_add, libmp.mpf_add),
+}
+
+
+def _libmp_one_minus(x, prec, rnd):
+    return libmp.mpf_sub(fone, x, prec, rnd)
+
+
+def _raw(man: int, exp: int = 0) -> tuple:
+    """The canonical raw mpf man 2^exp, unrounded."""
+    return libmp.from_man_exp(man, exp)
+
+
+def _tuple_or_error(function, *args):
+    """The raw tuple ``function(*args)`` returns, or the type of the
+    exception it raises."""
+    try:
+        value = function(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc)
+    assert isinstance(value, tuple)
+    return value
+
+
+def _same_outcome(ours, theirs, *args):
+    """``ours(*args)`` and ``theirs(*args)`` return the same tuple or raise
+    the same exception type."""
+    assert _tuple_or_error(ours, *args) == _tuple_or_error(theirs, *args), args
+
+
+def _agree_binary(x, y, prec, rnd=_NEAREST):
+    for ours, theirs in _BINARY.values():
+        _same_outcome(ours, theirs, x, y, prec, rnd)
+        _same_outcome(ours, theirs, y, x, prec, rnd)
+
+
+def _agree_unary(x, prec, rnd=_NEAREST, powers=(-3, -2, -1, 0, 1, 2, 3, 7, 8)):
+    _same_outcome(qcore._one_minus, _libmp_one_minus, x, prec, rnd)
+    for n in powers:
+        _same_outcome(qcore._pow_int, libmp.mpf_pow_int, x, n, prec, rnd)
+
+
+@st.composite
+def _regular_operands(draw):
+    """(prec, x, y): two regular raw reals of 1 to 3 prec + 8 bits, signed,
+    with exponents near each other or far apart."""
+    prec = draw(st.sampled_from(_EDGE_PRECISIONS) | st.integers(2, 1200))
+
+    def operand():
+        bits = draw(st.integers(1, 3 * prec + 8))
+        man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        exp = draw(st.integers(-8, 8) | st.integers(-3 * prec, 3 * prec))
+        return _raw(-man if draw(st.booleans()) else man, exp)
+
+    return prec, operand(), operand()
+
+
+def _seeded_operand(rng, prec: int) -> tuple:
+    """A regular raw real of a few bits, about prec bits, 2 prec bits or
+    up to 3 prec + 8 bits, sometimes all ones (so that it rounds up)."""
+    widest = rng.randint(1, 3 * prec + 8)
+    bits = rng.choice([1, 2, 3, prec - 1, prec, prec + 1, 2 * prec, widest])
+    man = rng.getrandbits(bits) | 1 << (bits - 1)
+    if rng.random() < 0.1:
+        man = (1 << bits) - 1
+    exp = rng.randint(-8, 8) if rng.random() < 0.6 else rng.randint(-3 * prec, 3 * prec)
+    return _raw(-man if rng.random() < 0.5 else man, exp)
+
+
+class TestIntegerArithmetic:
+    """``raw_mul``, ``raw_div``, ``raw_add``, ``_one_minus`` and ``_pow_int``
+    take two regular reals at round-to-nearest on integers, rounded by
+    ``_round``; each must return the tuple of the libmp function it
+    replaces, which the other operands still reach."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_regular_operands())
+    def test_random_operands_match_libmp(self, args):
+        prec, x, y = args
+        _agree_binary(x, y, prec)
+        _agree_unary(x, prec)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_operands_match_libmp(self, seed):
+        # y is sometimes x plus a few low bits, so that x - y cancels.
+        rng = random.Random(seed)
+        for _ in range(1500):
+            prec = rng.choice(_EDGE_PRECISIONS + [rng.randint(2, 1200)])
+            x, y = _seeded_operand(rng, prec), _seeded_operand(rng, prec)
+            if rng.random() < 0.3:
+                near = _raw(rng.choice([1, -1]) * rng.getrandbits(8), x[2] + rng.randint(-4, 4))
+                y = libmp.mpf_sub(x, near) if near[1] else x
+            _agree_binary(x, y, prec)
+            _agree_unary(x, prec, powers=(rng.randint(-40, 40),))
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_ties_round_to_even(self, prec, sign):
+        # M = 2k + 1 of prec + 1 bits lies halfway between 2k and 2k + 2:
+        # it rounds to 2k for an even k and to 2k + 2 for an odd one.  Every
+        # operation meets the tie: M * 1, M / 2^3, 2k + 1 and 1 - (-2k), M^1.
+        s = (-1) ** sign
+        for k in (2 ** (prec - 1), 2 ** (prec - 1) + 1):
+            m = 2 * k + 1
+            want = _raw(s * (2 * k + 2 * (k & 1)))
+            tie = _raw(s * m)
+            assert qcore.raw_mul(tie, fone, prec, _NEAREST) == want
+            assert qcore.raw_div(_raw(s * m, 3), _raw(1, 3), prec, _NEAREST) == want
+            assert qcore.raw_add(_raw(s * 2 * k), _raw(s), prec, _NEAREST) == want
+            assert qcore._pow_int(tie, 1, prec, _NEAREST) == want
+            if not sign:
+                assert qcore._one_minus(_raw(-2 * k), prec, _NEAREST) == want
+            _agree_binary(tie, fone, prec)
+            _agree_unary(tie, prec)
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_round_up_to_a_power_of_two(self, prec, sign):
+        # prec + 1 ones round up to 2^(prec + 1): mantissa 1, bit count 1.
+        ones = _raw((-1) ** sign * (2 ** (prec + 1) - 1), -5)
+        want = (sign, 1, prec - 4, 1)
+        assert qcore.raw_mul(ones, fone, prec, _NEAREST) == want
+        assert qcore.raw_div(ones, fone, prec, _NEAREST) == want
+        assert qcore.raw_add(ones, _raw((-1) ** sign, -7), prec, _NEAREST) == want
+        assert qcore._pow_int(ones, 1, prec, _NEAREST) == want
+        _agree_binary(ones, _raw(3, 7), prec)
+        _agree_unary(ones, prec)
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    def test_cancellation_gives_fzero(self, prec):
+        for x in (_raw(3), _raw(-(2**prec - 1), -prec), _raw(2 ** (2 * prec) + 1, 17)):
+            negative = libmp.mpf_neg(x)
+            assert qcore.raw_add(x, negative, prec, _NEAREST) == libmp.fzero
+            assert qcore.raw_add(negative, x, prec, _NEAREST) == libmp.fzero
+        assert qcore._one_minus(fone, prec, _NEAREST) == libmp.fzero
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    @pytest.mark.parametrize("ysign", [1, -1])
+    def test_exponent_gaps(self, prec, ysign):
+        # Exponents 99, 100 and 101 apart, and the small operand more than
+        # prec + 4 bits below the large one: beyond 100 and prec + 4 bits,
+        # libmp perturbs the large mantissa towards the small one's sign.
+        # A large mantissa of prec + 1 bits ending in 1 is a tie, which the
+        # perturbation's sign decides.
+        for xman in (1, 3, 2**70 + 1, 2**prec + 1, 2**prec + 3):
+            for gap in (99, 100, 101, prec + 5, prec + 106, 3 * prec + 200):
+                for yman in (1, 5, 2**prec + 1):
+                    x, y = _raw(xman, gap), _raw(ysign * yman)
+                    _agree_binary(x, y, prec)
+                    _agree_binary(libmp.mpf_neg(x), y, prec)
+                    tiny = _raw(ysign * yman, -gap)
+                    _same_outcome(qcore._one_minus, _libmp_one_minus, tiny, prec, _NEAREST)
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    def test_divisor_a_power_of_two(self, prec):
+        for x in (_raw(3), _raw(-(2 ** (prec + 3) - 1), 9), _raw(2 ** (2 * prec) + 1)):
+            for e in (-70, 0, 1, 70):
+                _same_outcome(qcore.raw_div, libmp.mpf_div, x, _raw(1, e), prec, _NEAREST)
+                _same_outcome(qcore.raw_div, libmp.mpf_div, x, _raw(-1, e), prec, _NEAREST)
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    def test_zero_divisor_raises(self, prec):
+        for x in (_raw(3), libmp.fzero, _raw(-(2 ** (prec + 3) - 1), 9)):
+            with pytest.raises(ZeroDivisionError):
+                qcore.raw_div(x, libmp.fzero, prec, _NEAREST)
+
+    @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
+    def test_integer_powers(self, prec):
+        # n = 1000 and 5047 run libmp's truncating binary powering for every
+        # mantissa but 1; n < 0 divides 1 by the power at prec + 5 bits.
+        powers = tuple(range(-3, 4)) + (7, 8, 1000, 5047, -1000)
+        for man in (1, -1, 3, -5, 2**prec - 1, 2**prec + 1, 3**40, 2 ** (2 * prec) - 1):
+            for exp in (-3, 0, 2):
+                _agree_unary(_raw(man, exp), prec, powers=powers)
+
+    SPECIAL = [libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan]
+
+    @pytest.mark.parametrize("prec", [2, 128])
+    def test_special_operands_and_other_roundings_reach_libmp(self, monkeypatch, prec):
+        # Zeros, inf and nan, and round_down / round_up: each call goes to
+        # the libmp function, which gives the result.
+        reached = []
+
+        def recorded(name):
+            function = getattr(qcore, name)
+
+            def call(*args):
+                reached.append(name)
+                return function(*args)
+
+            return call
+
+        names = ("mpf_mul", "mpf_div", "mpf_add", "mpf_sub", "mpf_pow_int")
+        for name in names:
+            monkeypatch.setattr(qcore, name, recorded(name))
+        regular = [_raw(3, -2), _raw(-(2**prec + 1), 5)]
+        cases = [(x, y, _NEAREST) for x in self.SPECIAL for y in self.SPECIAL + regular]
+        cases += [(y, x, _NEAREST) for x in self.SPECIAL for y in regular]
+        directed = (libmp.round_down, libmp.round_up)
+        cases += [(x, y, rnd) for x in regular for y in regular for rnd in directed]
+        for x, y, rnd in cases:
+            for name, (ours, theirs) in _BINARY.items():
+                del reached[:]
+                _same_outcome(ours, theirs, x, y, prec, rnd)
+                assert reached == ["mpf_" + name], (name, x, y, rnd)
+        for x in self.SPECIAL + regular:
+            for rnd in directed if x in regular else (_NEAREST,):
+                del reached[:]
+                _same_outcome(qcore._one_minus, _libmp_one_minus, x, prec, rnd)
+                assert reached == ["mpf_sub"]
+                for n in (-2, 0, 1, 3, 1000):
+                    del reached[:]
+                    _same_outcome(qcore._pow_int, libmp.mpf_pow_int, x, n, prec, rnd)
+                    assert reached == ["mpf_pow_int"], (x, n, rnd)
+
+    def test_sides_reach_libmp_for_no_ordinary_real_operation(self, monkeypatch):
+        # Both sides of three families that run every layer on reals: block
+        # summands, sq_ratio and the Vandermonde factor, Heine couplings with
+        # shared cross bases, inner sums and integer powers, the shell sums
+        # and the product kernel.  qcore's libmp names are counted; an
+        # ordinary operation (regular operands at round-to-nearest) must
+        # take the integer path.
+        calls, ordinary = [], []
+
+        def counted(name):
+            function = getattr(qcore, name)
+
+            def call(*args):
+                calls.append(name)
+                operands = [a for a in args if isinstance(a, tuple)]
+                if args[-1] == _NEAREST and all(a[1] for a in operands):
+                    ordinary.append((name, args))
+                return function(*args)
+
+            return call
+
+        for name in ("mpf_mul", "mpf_div", "mpf_add", "mpf_sub", "mpf_pow_int"):
+            monkeypatch.setattr(qcore, name, counted(name))
+        # The counters are in place: a zero reaches libmp, not as ordinary.
+        assert qcore.raw_mul(libmp.fzero, fone, 128, _NEAREST) == libmp.fzero
+        assert calls == ["mpf_mul"] and ordinary == []
+        cases = [
+            ("thm_heine7", {"n": 2, "m": 2}),
+            ("qlauricella_bibasic", {"p": 3}),
+            ("ram_1_4_10_c", {"n": 1, "m": 2}),
+        ]
+        for family_id, dims in cases:
+            identity = catalog.lookup(family_id).instantiate(dims)
+            [(params, bases)] = catalog.sample_domain(identity, seed=3, count=1)
+            ctx = make_context(params, bases)
+            for side in (identity.lhs, identity.rhs):
+                value, diag = evaluate_in_context(side, ctx)
+                assert value != 0 and diag.terms, family_id
+        assert ordinary == []
