@@ -10,11 +10,15 @@ reports hold different sets of cases, if any case's verdict (``passed`` and
 ``rhs_shells``, ``lhs_terms``, ``rhs_terms``) differ, and 0 otherwise.
 
 Use it where ``report_digest.py`` cannot help: a change that moves the last
-bits of the values changes the digest, and this shows by how much.
+bits of the values changes the digest, and this shows by how much.  The
+reports ``report_digest.py --save`` writes can be compared too, the joined
+compose_mix reports included; a case that appears twice in one report is
+an error (exit 2).
 
 Example:
     PYTHONPATH=src python3 -m qheine.cli verify --all --samples 1 --seed 1 --out new.jsonl
     PYTHONPATH=src python3 scripts/report_diff.py base.jsonl new.jsonl
+    PYTHONPATH=src python3 scripts/report_digest.py --save new.jsonl compose_mix
 """
 
 import json
@@ -37,6 +41,8 @@ def cases(path: str) -> dict:
             json.dumps(case["dims"], sort_keys=True),
             case["sample_index"],
         )
+        if key in out:
+            raise ValueError(f"{path}: case {key} appears twice")
         out[key] = case
     return out
 
@@ -53,7 +59,11 @@ def main(argv) -> int:
     if len(argv) != 2:
         print("usage: report_diff.py BASE NEW", file=sys.stderr)
         return 2
-    base, new = cases(argv[0]), cases(argv[1])
+    try:
+        base, new = cases(argv[0]), cases(argv[1])
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     code = 0
     for key in sorted(set(base) ^ set(new)):
         where = "BASE" if key in base else "NEW"

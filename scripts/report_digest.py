@@ -24,10 +24,16 @@ sample count and the remaining arguments added; the digest is that of the
 stripped reports joined in spec order, and the exit code the largest of
 the runs'.
 
+A leading ``--save PATH`` also writes the stripped report (for compose_mix
+the stripped reports joined in spec order) to PATH, so that
+``scripts/report_diff.py`` can compare the runs of two checkouts case by
+case where their digests differ.
+
 Examples:
     PYTHONPATH=src python3 scripts/report_digest.py
     PYTHONPATH=src python3 scripts/report_digest.py hiprec
     PYTHONPATH=src python3 scripts/report_digest.py compose_mix
+    PYTHONPATH=src python3 scripts/report_digest.py --save hiprec.jsonl hiprec
     PYTHONPATH=src python3 scripts/report_digest.py --precision 1024 \
         --identity thm_heine7 --identity ram_core
     PYTHONPATH=src python3 scripts/report_digest.py compose --blocks q_euler \
@@ -79,14 +85,23 @@ def commands(extra: list) -> list:
 
 
 def main(extra: list) -> int:
-    digest = hashlib.sha256()
+    save = None
+    if extra[:1] == ["--save"]:
+        if len(extra) < 2:
+            print("usage: report_digest.py [--save PATH] [ARGS...]", file=sys.stderr)
+            return 2
+        save, extra = extra[1], extra[2:]
+    stripped = []
     code = 0
     for argv in commands(extra):
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             code = max(code, cli.main(argv))
-        digest.update(report.strip_volatile(buffer.getvalue()).encode("utf-8"))
-    print(digest.hexdigest())
+        stripped.append(report.strip_volatile(buffer.getvalue()))
+    text = "".join(stripped)
+    if save is not None:
+        Path(save).write_text(text, encoding="utf-8")
+    print(hashlib.sha256(text.encode("utf-8")).hexdigest())
     return code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 import time
@@ -228,6 +229,10 @@ def validate_config(config: RunConfig) -> None:
         raise InvalidConfig("min_shells must be >= 0")
     if not config.tail_tol > 0 or config.tolerance < 0:
         raise InvalidConfig("tail_tol must be > 0 and tolerance >= 0")
+    # inf and nan compare past the bounds above, and neither is JSON.
+    for name in ("tail_tol", "tolerance"):
+        if not math.isfinite(getattr(config, name)):
+            raise InvalidConfig(f"{name} must be finite")
     if config.report not in ("json-lines", "csv", "text"):
         raise InvalidConfig(f"unknown report format {config.report!r}")
     if config.mode == "verify":

@@ -531,21 +531,19 @@ def evaluate_in_context(
         shell_abs = mpf(0)
         poch = ctx.poch
 
-        def shell_terms(w):
-            for k in enumerate_shell(side.dimension, w):
+        try:
+            for w in range(policy.max_shell_weight + 1):
+                poch.next_shell()
+                terms = []
                 try:
-                    term = side.term(ctx, k)
+                    for k in enumerate_shell(side.dimension, w):
+                        terms.append(side.term(ctx, k))
                 except (ZeroDivisionError, DivisionByZero) as exc:
                     raise PoleEncountered(
                         f"zero denominator at index {k}: {exc}"
                     ) from exc
-                diag.terms += 1
-                yield term
-
-        try:
-            for w in range(policy.max_shell_weight + 1):
-                poch.next_shell()
-                shell_sum = raw_sum(shell_terms(w))
+                diag.terms += len(terms)
+                shell_sum = raw_sum(terms)
                 total += shell_sum
                 diag.shells = w + 1
                 prev_shell_abs = shell_abs if w > 0 else None

@@ -50,6 +50,12 @@ DEFAULT_PRECISION = 128
 _MAX_FACTORS = 200_000
 _NOT_CONVERGED = "infinite product did not reach tolerance; base too close to 1"
 
+# Guard bits of the factor that ``_real_infinite`` carries at absolute
+# precision, 2^-(prec + _GUARD) or finer.  Beyond half an ulp, a factor
+# then errs by less than 2^-(prec + _GUARD) / (1 - |base|), which is below
+# 2^-(prec + 1) for |base| <= 1 - 2^-(_GUARD - 1).
+_GUARD = 32
+
 _COMPLEX_ONE = (fone, fzero)
 ONE = mpf(1)
 _LN2 = math.log(2)
@@ -70,13 +76,17 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     The arguments are converted with ``mpmathify`` once; everything after
     that runs on raw values at the working precision.  |base|, the
     |base| >= 1 check, 1 - |base| and the threshold are rounded as mpmath's
-    operators round them (``_threshold``, memoised per base), and the
-    product is multiplied on integers for a real a and base
-    (``_real_infinite``) and on raw ``_mpf_``/``_mpc_`` tuples otherwise,
-    with the operations, precision and rounding of mpmath's operators.  So
-    the result and every exception are bit for bit those of the loop
-    ``prod *= 1 - factor; factor *= base`` on mpf and mpc objects; one mpf
-    or mpc is made at the end.
+    operators round them (``_threshold``, memoised per base).  Where a or
+    base is complex, the product is multiplied on raw ``_mpf_``/``_mpc_``
+    tuples with the operations, precision and rounding of mpmath's
+    operators, so the result and every exception are bit for bit those of
+    the loop ``prod *= 1 - factor; factor *= base`` on mpf and mpc
+    objects.  A real product (``_real_infinite``) takes that loop's steps
+    until the factor falls below 1, then carries the factor at absolute
+    precision 2^-(prec + ``_GUARD``) on integers: each later factor is
+    within half an ulp plus 2^-(prec + 32) / (1 - |base|) of the exact
+    1 - a base^k, where the object loop's factors carried up to k relative
+    ulps; exceptions are the loop's.  One mpf or mpc is made at the end.
     """
     a = value_key(mpmathify(a))
     base = value_key(mpmathify(base))
@@ -141,128 +151,116 @@ def _log(x) -> float:
 def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     """The raw product of ``qpoch_infinite`` for a real a and base.
 
-    The loop runs on Python integers: the sign, mantissa and exponent of
-    the product and of the factor f.  A step with 2^(-prec-4) <= |f| < 1
-    rounds 1 - f, prod * (1 - f) and f * base to ``prec`` bits as
-    ``libmpf._normalize1`` rounds to nearest: half to even, a rounding up
-    to 2^prec carrying into the exponent.  Rounding to nearest depends on
-    the value alone, so the mantissas keep their trailing zero bits, and
-    one canonical raw tuple is made at the end: the result is bit for bit
-    that of ``mpf_sub`` and ``mpf_mul`` at every step.  The other steps
-    call ``_one_minus`` and ``raw_mul`` on canonical tuples, which round as
-    those two do: special values, a zero base or product, |f| >= 1, f more
-    than prec + 4 bits below 1 (where ``mpf_add`` may perturb 1 instead of
-    subtracting f), rounding modes other than nearest and a precision of
-    1 bit.  Of these, only zeros, special values and the other rounding
+    The loop runs in two stages.  While the factor f is not a number of at
+    most ``prec`` bits with |f| < 1, or while the product is zero, a step
+    rounds 1 - f, prod * (1 - f) and f * base as mpmath's operators do
+    (``_one_minus`` and ``raw_mul`` on canonical raw tuples).  So do all
+    steps for special values, a zero base, a threshold that is not a
+    positive number, rounding modes other than nearest and a precision of
+    1 bit; of these, only zeros, special values and the other rounding
     modes reach libmp.
 
-    The step never forms the exact 1 - f, a mantissa of about
-    prec - log2 |f| bits.  It takes the part of 1 - f that differs from a
-    power of two, g = |f| 2^s rounded to an integer, with s = prec for
-    f > 0 and s = prec - 1 for f < 0: 1 - f rounded is (2^s - g) 2^-s or
-    (2^s + g) 2^-s.  For 0 < f < 1/2, 1 - f lies in (1/2, 1), and for
-    f < 0 in (1, 2), so its prec bits end at 2^-s, and rounding half to
-    even commutes with adding the even 2^s; for 1/2 <= f < 1, g = f 2^prec
-    is exact and so is 1 - f.  The product is then multiplied by g alone,
-    as pman (2^s - g) = (pman << s) - g pman (+ for f < 0), the integer
-    that ``man * pman`` formed: g has about prec + log2 |f| bits, so the
-    multiply shrinks as the factors decay.
+    The rest of the loop runs on Python integers and carries the factor at
+    absolute precision: |f| = F 2^-W for an integer F, with W = max(prec,
+    -m) + ``_GUARD`` for the threshold's magnitude m (exponent + bit
+    count), so that F resolves the threshold to ``_GUARD`` bits.  F starts
+    as |f| 2^W rounded down, and each step sets F = (F bman) >> -bexp,
+    that is F |base| rounded down, the sign of f following the base's; the
+    loop stops at the first F < ceil(threshold 2^W).  F loses bits as the
+    factors decay, so its multiply shrinks with them.  Each rounding down
+    loses less than 2^-W, so F 2^-W stays within 2^-W / (1 - |base|) of
+    |f| |base|^j, j steps after the f that entered.
 
-    The stopping test |factor| >= threshold first compares magnitudes
-    (exponent + bitcount): a factor whose magnitude differs from the
+    The step never forms 1 - f.  It takes g = F rounded half to even at
+    W - s bits, |f| 2^s rounded to an integer, with s = prec for f > 0 and
+    s = prec - 1 for f < 0, and multiplies the product by (2^s - g) 2^-s
+    or (2^s + g) 2^-s, 1 - f rounded to a multiple of 2^-s: pman (2^s - g)
+    is (pman << s) - g pman (+ for f < 0), where g has about prec +
+    log2 |f| bits.  The product is rounded to ``prec`` bits half to even,
+    as ``libmpf._normalize1`` rounds to nearest; a mantissa rounded up to
+    2^prec stays as it is until the canonical tuple is made at the end.
+    So each factor of this stage is within 2^-(s+1) + 2^-W / (1 - |base|)
+    of 1 - f base^j, for the f that entered: with ``_GUARD`` = 32 the
+    second term is below 2^-(prec+1) for every |base| <= 1 - 2^-31, so the
+    factor is within one ulp, 2^-s, and a product on a base closer to 1
+    needs more than ``_MAX_FACTORS`` factors unless it has a few.  (The
+    object loop rounds f relative to its size at every step, so its k-th
+    f carries up to k relative ulps.)  A factor rounded to 0 (g = 2^s)
+    makes the product ``fzero``.
+
+    The stopping test of the first stage, |f| >= threshold, compares
+    magnitudes first: a factor whose magnitude differs from the
     threshold's is on the side it points to.  Ties, factors with more than
     ``prec`` bits (whose abs would round) and thresholds that are not
-    positive numbers take the exact comparison.
+    positive numbers take the exact comparison.  Either stage raises
+    ``NonConvergentBase`` once more than ``_MAX_FACTORS`` factors would be
+    multiplied.
     """
-    tmag = threshold[2] + threshold[3]
-    limit = prec if threshold[1] and not threshold[0] else 0
+    tsign, tman, texp, tbc = threshold
+    tmag = texp + tbc
+    limit = prec if tman and not tsign else 0
     bsign, bman, bexp, _ = base
-    # Factors of magnitude (exponent + bitcount) in [lowest, 0] take the
-    # integer step; it needs an even 2^(prec-1), so prec > 1.
-    lowest = -prec - 3 if bman and prec > 1 and rnd == round_nearest else 1
-    carry, half = 1 << prec, 1 << (prec - 1)
-    psign, pman, pexp, pbc = fone
-    fsign, fman, fexp, fbc = a
-    for _ in range(_MAX_FACTORS + 1):
+    fixed = bman and prec > 1 and rnd == round_nearest
+    prod, factor = fone, a
+    for step in range(_MAX_FACTORS + 1):
+        fsign, fman, fexp, fbc = factor
         if fman and fbc <= limit:
             mag = fexp + fbc
             if mag < tmag or (
-                mag == tmag and mpf_cmp(_canonical(0, fman, fexp, fbc), threshold) < 0
+                mag == tmag and mpf_cmp((0, fman, fexp, fbc), threshold) < 0
             ):
+                return prod
+            if mag <= 0 and fixed and prod[1]:
                 break
-        elif mpf_ge(mpf_abs((fsign, fman, fexp, fbc), prec, rnd), threshold):
-            mag = 1  # the libmp step
-        else:
-            break
-        if pman and lowest <= mag <= 0:
-            # g = |f| 2^s rounded, then prod * (1 - f) = (pman << s) -+
-            # g * pman (see above).  Neither keeps a bit count, so a
-            # mantissa rounded up to 2^prec stays as it is.
-            s = prec - fsign
-            n = -fexp - s
-            if n > 0:
-                t = fman >> (n - 1)
-                if t & 1 and (t & 2 or fman != t << (n - 1)):
-                    g = (t >> 1) + 1
-                else:
-                    g = t >> 1
-            else:
-                g = fman << -n
-            if fsign:
-                man = (pman << s) + g * pman
-            else:
-                man = (pman << s) - g * pman
-            exp = pexp - s
-            n = man.bit_length() - prec
-            if n > 0:
-                t = man >> (n - 1)
-                if t & 1 and (t & 2 or man != t << (n - 1)):
-                    man = (t >> 1) + 1
-                else:
-                    man = t >> 1
-                exp += n
-            pman, pexp = man, exp
-            # f * base, whose bit count the stopping test reads.
-            man = fman * bman
-            exp = fexp + bexp
-            fbc = man.bit_length()
-            n = fbc - prec
-            if n > 0:
-                t = man >> (n - 1)
-                if t & 1 and (t & 2 or man != t << (n - 1)):
-                    man = (t >> 1) + 1
-                    if man == carry:
-                        man = half
-                        n += 1
-                else:
-                    man = t >> 1
-                exp += n
-                fbc = prec
-            fsign ^= bsign
-            fman, fexp = man, exp
-        else:
-            factor = _canonical(fsign, fman, fexp, fbc)
-            prod = _canonical(psign, pman, pexp, pbc)
-            prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
-            psign, pman, pexp, pbc = prod
-            fsign, fman, fexp, fbc = raw_mul(factor, base, prec, rnd)
+        elif not mpf_ge(mpf_abs(factor, prec, rnd), threshold):
+            return prod
+        prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
+        factor = raw_mul(factor, base, prec, rnd)
     else:
         raise NonConvergentBase(_NOT_CONVERGED)
-    if pman == 1 and not pexp and not psign:
-        # No factor was multiplied: return libmp's shared one, as the
-        # libmp loop does, so that the many such products cost no memory.
-        return fone
-    return _canonical(psign, pman, pexp, pbc)
-
-
-def _canonical(sign, man, exp, bc) -> tuple:
-    """The raw mpf (-1)^sign man 2^exp: a nonzero mantissa loses its
-    trailing zero bits and gets its bit count (``_round`` at the
-    mantissa's own length, which only strips); zero and special values,
-    whose ``bc`` is part of their tuple, are returned as they are."""
-    if man:
-        return _round(sign, man, exp, man.bit_length())
-    return sign, man, exp, bc
+    # The integer stage: F, its stopping bound and the two shifts of g.
+    width = max(prec, -tmag) + _GUARD
+    n = texp + width
+    bound = tman << n if n >= 0 else -(-tman >> -n)
+    n = fexp + width
+    F = fman << n if n >= 0 else fman >> -n
+    cut = width - prec
+    # The bits below the rounding bit of g, for f > 0 and f < 0.
+    tails = ((1 << (cut - 1)) - 1, (1 << cut) - 1)
+    psign, pman, pexp, _ = prod
+    for _ in range(_MAX_FACTORS - step):
+        # g = F rounded at cut + fsign bits, then prod * (1 - f) =
+        # (pman << s) -+ g * pman (see above).
+        t = F >> (cut + fsign - 1)
+        if t & 1 and (t & 2 or F & tails[fsign]):
+            g = (t >> 1) + 1
+        else:
+            g = t >> 1
+        s = prec - fsign
+        if fsign:
+            man = (pman << s) + g * pman
+        else:
+            man = (pman << s) - g * pman
+        exp = pexp - s
+        n = man.bit_length() - prec
+        if n > 0:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man != t << (n - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += n
+        pman, pexp = man, exp
+        F = F * bman >> -bexp
+        fsign ^= bsign
+        if F < bound:
+            break
+    else:
+        raise NonConvergentBase(_NOT_CONVERGED)
+    if not pman:
+        return fzero
+    # The canonical tuple: _round at the mantissa's own length only strips.
+    return _round(psign, pman, pexp, pman.bit_length())
 
 
 def _complex_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
@@ -293,8 +291,8 @@ def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
     exact integer that libmp forms and rounds it once here, so its result
     is libmp's tuple bit for bit (Brent and Zimmermann, *Modern Computer
     Arithmetic*, ch. 3).  Other operands reach the libmp function that the
-    path replaces.  ``_canonical`` calls it at the mantissa's own length to
-    strip alone."""
+    path replaces.  ``_real_infinite`` calls it at the mantissa's own
+    length to strip alone."""
     n = man.bit_length() - prec
     if n > 0:
         t = man >> (n - 1)
@@ -469,9 +467,17 @@ def from_raw(raw) -> QComplex:
 def raw_sum(values) -> QComplex:
     """0 + v_1 + v_2 + ... for raw values v_i, added in order with the
     rounding of ``value += v`` at the working precision; one mpf or mpc is
-    made at the end."""
+    made at the end.
+
+    0 + v_1 is v_1 itself for a real v_1 of at most ``prec`` bits, as raw
+    values are canonical (zero and special values included), so the first
+    value is added to nothing; a wider or complex one is rounded by
+    ``raw_add``."""
     prec, rnd = mp._prec_rounding
-    raw = fzero
+    values = iter(values)
+    raw = next(values, fzero)
+    if len(raw) != 4 or raw[3] > prec:
+        raw = raw_add(fzero, raw, prec, rnd)
     for v in values:
         raw = raw_add(raw, v, prec, rnd)
     return from_raw(raw)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -342,13 +343,35 @@ class TestMalformedInput:
         ],
     )
     def test_config_error_exit_2(self, capsys, tmp_path, argv, config):
+        self._exits_2(capsys, tmp_path, argv, config)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "name, flag", [("tolerance", "--tol"), ("tail_tol", "--tail-tol")]
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_tolerance_exit_2(
+        self, capsys, tmp_path, value, name, flag, source
+    ):
+        # A tolerance of inf passed every case and nan failed every one, and
+        # either wrote a header that is not JSON.
+        argv = ["verify", "--identity", "q_binomial", "--samples", "1"]
+        if source == "flag":
+            self._exits_2(capsys, tmp_path, argv + [flag, value], None)
+        else:
+            # json.dumps writes Infinity and NaN, which json.load reads back.
+            self._exits_2(capsys, tmp_path, argv, {name: float(value)})
+
+    @staticmethod
+    def _exits_2(capsys, tmp_path, argv, config):
         if config is not None:
             config_path = tmp_path / "run.json"
             config_path.write_text(json.dumps(config))
             argv = argv + ["--config", str(config_path)]
         code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
@@ -391,8 +414,8 @@ class TestReportDigests:
     says in CHANGES.md which values moved and why."""
 
     DIGESTS = {
-        "reference": "621a2487792b2188d04138d0310ac3b83d72f61c6a8fa6fac507c3fbe0e5d479",
-        "compose_mix": "497bdafb0a5e3693b67ee77f965c24f72429504ac7e94d45c74067ff21e85b0a",
+        "reference": "11aab12b81be7080ea4163cc1110b66f084c6af9a1765d84480f69aa068e02a3",
+        "compose_mix": "4d0a0c983df9d3f42e8e4b374c58497c89027a073e558366e1e8d811938a7df1",
         "hiprec": "00c4683bccbdc934efeade3b1367477db3b638b0ad9cbd71bdbdab187266bc2d",
     }
 
@@ -432,6 +455,35 @@ class TestReportDiff:
         assert diff.main([str(base), str(new)]) == 1
         out = capsys.readouterr().out
         assert out.count("COUNTS CHANGED") == 1 and "VERDICT" not in out
+
+
+def test_report_digest_saves_the_reports_it_hashes(tmp_path, capsys, monkeypatch):
+    # --save writes the stripped reports joined in run order; their sha256
+    # is the digest printed, and report_diff.py reads them, the cases of
+    # every run, and refuses a file that holds one case twice.
+    digest, diff = _load_script("report_digest"), _load_script("report_diff")
+    verify = ["verify", "--identity", "q_binomial", "--samples", "2", "--seed", "1"]
+    compose = ["compose", "--blocks", "q_bin", "--base", "q_bin", "--samples", "1"]
+    monkeypatch.setattr(digest, "commands", lambda extra: [verify, compose])
+    saved = tmp_path / "joined.jsonl"
+    capsys.readouterr()
+    assert digest.main(["--save", str(saved)]) == 0
+    printed = capsys.readouterr().out.split()
+    text = saved.read_text(encoding="utf-8")
+    assert printed == [hashlib.sha256(text.encode("utf-8")).hexdigest()]
+    assert report.strip_volatile(text) == text
+    cases = report.parse_json_lines(text)["cases"]
+    identities = {case["identity"] for case in cases}
+    assert identities == {"q_binomial", "composed:q_bin/q_bin"}
+    assert diff.main([str(saved), str(saved)]) == 0
+    out = capsys.readouterr().out
+    # Three case lines and the largest change.
+    assert len(out.splitlines()) == 4 and "CHANGED" not in out
+    monkeypatch.setattr(digest, "commands", lambda extra: [verify, verify])
+    twice = tmp_path / "twice.jsonl"
+    assert digest.main(["--save", str(twice)]) == 0
+    assert diff.main([str(saved), str(twice)]) == 2
+    assert "appears twice" in capsys.readouterr().err
 
 
 def test_report_digest_of_a_compose_run():

@@ -344,6 +344,35 @@ class TestEvaluate:
         with pytest.raises(PoleEncountered):
             evaluate(SeriesSide(1, raw_terms(term)), {}, bases)
 
+    def test_pole_inside_a_shell_names_its_index(self):
+        # (1, 1) is the middle index of shell 2: the terms before it were
+        # computed and the error names (1, 1), not the shell's last index.
+        bases = BaseSystem(mpf("0.5"))
+        seen = []
+
+        def term(ctx, k):
+            seen.append(k)
+            return mpf(1) / (k[0] - k[1]) if k[0] == k[1] == 1 else mpf(2) ** -sum(k)
+
+        with pytest.raises(PoleEncountered, match=r"index \(1, 1\)"):
+            evaluate(SeriesSide(2, raw_terms(term)), {}, bases)
+        assert seen[-2:] == [(0, 2), (1, 1)]
+
+    def test_shell_sums_reach_no_libmp_add(self, monkeypatch):
+        # Each shell's sum starts from its first term, which adds nothing
+        # to it: a real side of regular terms never calls mpf_add.
+        def refused(*args):
+            raise AssertionError("a shell sum reached mpf_add")
+
+        monkeypatch.setattr(qcore, "mpf_add", refused)
+        identity = catalog.lookup("q_binomial").instantiate()
+        bases = BaseSystem(mpf("0.5"))
+        params = {"a": mpf("0.3"), "z": mpf("0.25")}
+        value, diag = evaluate(identity.lhs, params, bases, identity.policy)
+        assert diag.converged and diag.terms == diag.shells > 1
+        product, _ = evaluate(identity.rhs, params, bases, identity.policy)
+        assert rel(value, product) < mpf("1e-25")
+
     @pytest.mark.parametrize("prec", [128, 1024])
     def test_poles_of_heine_2phi1(self, prec):
         # c = 4 = q^-2 at q = 1/2: (c; q)_k of the lhs terms is 0 from k = 3

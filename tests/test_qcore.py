@@ -29,6 +29,7 @@ from util import (
     qpoch_finite,
     qpoch_finite_loop,
     qpoch_infinite_loop,
+    qpoch_infinite_ref,
     qpoch_ratio,
     rel,
 )
@@ -363,9 +364,32 @@ def _kernel_arguments(draw, arg_max=1.6, base_max=0.8):
     return prec, a, base
 
 
+@st.composite
+def _real_product_arguments(draw):
+    """(prec, a, base, small_tol): a real a of prec bits and magnitude in
+    [2^-7, 2^6), so that many products start at |a| >= 1, and a real base
+    of prec bits and magnitude in [2^-7, 0.9], each of either sign;
+    small_tol asks for tol = 2^-prec, which gives products factors at low
+    precision too, in place of the default."""
+    prec = draw(st.integers(2, 1100))
+
+    def number(top, largest):
+        man = draw(st.integers(2 ** (prec - 1), largest))
+        exp = draw(st.integers(-6, top)) - prec
+        with mp.workprec(prec):
+            return mpf((-man if draw(st.booleans()) else man, exp))
+
+    a = number(6, 2**prec - 1)
+    base = number(0, (2**prec * 9) // 10)
+    return prec, a, base, draw(st.booleans())
+
+
 class TestRawKernel:
-    """qpoch_infinite and FiniteTable run on raw tuples; each must give the
-    bits of the product loop on mpmath objects in tests/util.py."""
+    """qpoch_infinite and FiniteTable run on raw tuples.  FiniteTable and a
+    complex infinite product must give the bits of the product loop on
+    mpmath objects in tests/util.py; a real infinite product, which carries
+    its factor at absolute precision once |factor| < 1, those of the
+    definition spelled there as ``qpoch_infinite_ref``."""
 
     @given(_kernel_arguments(), st.sampled_from([None, "1e-12", "1e-40"]))
     # At 1 bit, 1 - (-1/2) = 3/2 rounds to 2, but 2^0 plus 1/2 rounded half
@@ -377,7 +401,7 @@ class TestRawKernel:
         tol = None if tol is None else mpf(tol)
         with mp.workprec(prec):
             assert _raw_value(qpoch_infinite(a, base, tol)) == _raw_value(
-                qpoch_infinite_loop(a, base, tol)
+                qpoch_infinite_ref(a, base, tol)
             )
 
     @given(
@@ -455,7 +479,7 @@ class TestRawKernel:
     def test_edge_cases(self, a, base, prec):
         with mp.workprec(prec):
             got = qpoch_infinite(a, base)
-            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base))
+            assert _raw_value(got) == _raw_value(qpoch_infinite_ref(a, base))
             for k in (0, 1, 5):
                 assert _raw_value(qpoch_finite(a, base, k)) == _raw_value(
                     qpoch_finite_loop(a, base, k)
@@ -475,7 +499,7 @@ class TestRawKernel:
                 for a in (mpf("0.3"), mpf("-0.7"), mpf(1) / 3, mpf("0.97"))
                 for base in (mpf("0.5"), mpf("-0.45"), mpf("0.7") ** mpf("1.37"))
             ]
-            want = [_raw_value(qpoch_infinite_loop(a, base)) for a, base in cases]
+            want = [_raw_value(qpoch_infinite_ref(a, base)) for a, base in cases]
             # The memoised thresholds call _one_minus and raw_mul; form
             # them before those are refused.
             for a, base in cases:
@@ -504,11 +528,11 @@ class TestRawKernel:
         ],
     )
     def test_rounding_at_low_precision(self, prec, a, base):
-        # At 8-24 bits, 1 - f often needs one bit more than f, and so does
-        # f * 3/4 for an odd mantissa of f, so ties are common; 1 - f for a
-        # small f rounds up to 2^prec, and g = |f| 2^s of the complement
-        # step rounds to 0.  The factors 3^(k+1) 2^(-2k-3) of (3/8; 3/4)
-        # and -3^(k+1) 2^(-2k-2) of (-3/4; 3/4) put g on a half at
+        # At 8-24 bits, 1 - f often needs one bit more than f, so ties are
+        # common; g = |f| 2^s of the complement step rounds to 0 for a
+        # small f.  The factors 3^(k+1) 2^(-2k-3) of (3/8; 3/4) and
+        # -3^(k+1) 2^(-2k-2) of (-3/4; 3/4) are held exactly while they
+        # have at most prec + 32 bits, and put g on a half at
         # k = prec/2 - 1, for a positive f (s = prec) and a negative one
         # (s = prec - 1).  The product mantissa rounds up to 2^prec before
         # a step for (3/4; 0.45) at 8 bits and (-0.3; -0.85) at 8 and 12.
@@ -516,21 +540,23 @@ class TestRawKernel:
         with mp.workprec(prec):
             a, base, tol = mpf(a), mpf(base), mpf(2) ** -prec
             got = qpoch_infinite(a, base, tol)
-            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            assert _raw_value(got) == _raw_value(qpoch_infinite_ref(a, base, tol))
 
     @pytest.mark.parametrize("prec", [9, 65, 1025])
     def test_factor_rounded_up_to_the_threshold(self, prec):
         # At an odd precision, a = (2^(prec+1) - 1) / 3 / 2^prec has prec
         # bits, and a * 3/4 = (2^(prec+1) - 1) / 2^(prec+2) is a tie that
-        # rounds up to 1/2.  tol = 2 puts the threshold tol * (1 - 3/4) at
-        # 1/2 too, so the product keeps that factor only if its bit count
-        # followed the carry.
+        # the object loop rounds up to 1/2.  tol = 2 puts the threshold
+        # tol * (1 - 3/4) at 1/2 too, so the object loop keeps that factor.
+        # The kernel holds a * 3/4 exactly, below 1/2, and stops after one
+        # factor.
         with mp.workprec(prec):
             a = mpf((2 ** (prec + 1) - 1) // 3) / 2**prec
             base, tol = mpf("0.75"), mpf(2)
             got = qpoch_infinite(a, base, tol)
-            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
-            assert got == qpoch_finite(a, base, 2)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_ref(a, base, tol))
+            assert got == qpoch_finite(a, base, 1)
+            assert qpoch_infinite_loop(a, base, tol) == qpoch_finite(a, base, 2)
 
     @pytest.mark.parametrize("tol", [None, mpf(2) ** -1070])
     @pytest.mark.parametrize(
@@ -547,19 +573,59 @@ class TestRawKernel:
         with mp.workprec(1100):
             a, base = mpf(a), mpf(base)
             got = qpoch_infinite(a, base, tol)
-            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            assert _raw_value(got) == _raw_value(qpoch_infinite_ref(a, base, tol))
+
+    @given(_real_product_arguments())
+    @example((2, mpf(3), mpf("-0.5"), True))
+    @example((64, mpf(-40), mpf("0.75"), False))
+    @settings(max_examples=60, deadline=None)
+    def test_real_products_within_the_rounding_bound(self, args):
+        # Against the object loop at prec + 64 bits over the same factors,
+        # a real product is off by at most prod_k (1 + eps w_k) (1 + eps)
+        # - 1 relative, eps = 2^-prec: one rounding of the product per
+        # factor after the first, and per factor f_k = a base^k
+        #   w_k = max(1, 1/|1 - f_k|)
+        #         + (((1 + eps)^k - 1)/eps |f_k| + 2^-32/(1 - |base|))
+        #           (1 + eps) / |1 - f_k|,
+        # for the rounding of 1 - f (relative while |f| >= 1, at 2^-s with
+        # s >= prec - 1 after), the relative error that the steps with
+        # |f| >= 1 leave in f, and the factor's absolute error after.
+        # Where no factor is close to 1, that is about 2^-prec per factor
+        # and per product rounding.
+        prec, a, base, small_tol = args
+        tol = mpf(2) ** -prec if small_tol else None
+        with mp.workprec(prec):
+            got = qpoch_infinite(a, base, tol)
+            want, factors = util.real_product(a, base, tol)
+        assert _raw_value(got) == _raw_value(want)
+        with mp.workprec(prec + 64):
+            eps = mpf(2) ** -prec
+            slack = 2 ** -util.GUARD / (1 - abs(base))
+            exact, bound, grown, f = mpf(1), mpf(1), mpf(1), a
+            for k in range(factors):
+                distance = abs(1 - f)
+                if not distance:
+                    return  # an exact zero factor: no relative bound
+                inherited = (grown - 1) / eps * abs(f) + slack
+                weight = max(1, 1 / distance) + inherited * (1 + eps) / distance
+                bound *= (1 + eps * weight) * (1 + eps if k else 1)
+                exact *= 1 - f
+                f *= base
+                grown *= 1 + eps
+            bound -= 1
+            assert abs(got - exact) <= bound * abs(exact) * (1 + mpf(2) ** -32)
 
     @pytest.mark.parametrize("prec", [8, 24, 64, 128, 1024, 1025, 1100])
     @pytest.mark.parametrize("base", ["0.5", "-0.3"])
     def test_factors_far_below_one(self, prec, base):
         # tol = 2^(-prec-24) runs the factors more than prec + 4 bits below
-        # 1, where mpf_sub(1, f) perturbs 1 instead of subtracting f once
-        # the exponents are more than 100 apart; on the way, g = |f| 2^s of
-        # the complement step rounds to 0 for |f| below 2^(-prec-1).
+        # 1, where 1 - f rounds to 1 and g = |f| 2^s of the complement step
+        # rounds to 0 (for |f| below 2^(-prec-1)); the factor's 32 guard
+        # bits still resolve the threshold.
         with mp.workprec(prec):
             a, base, tol = mpf("0.5"), mpf(base), mpf(2) ** (-prec - 24)
             got = qpoch_infinite(a, base, tol)
-            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            assert _raw_value(got) == _raw_value(qpoch_infinite_ref(a, base, tol))
 
     @pytest.mark.parametrize("a, base", [(1, "0.5"), (4, "0.5"), (-4, "-0.25")])
     def test_a_factor_of_one_makes_the_product_zero(self, a, base):
@@ -576,7 +642,7 @@ class TestRawKernel:
         tol = mpf("0.375") + nudge * mpf(2) ** -100
         with mp.workprec(128):
             got = qpoch_infinite(a, base, tol)
-            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            assert _raw_value(got) == _raw_value(qpoch_infinite_ref(a, base, tol))
             factors = 3 if nudge <= 0 else 2
             assert got == qpoch_finite(a, base, factors)
 
@@ -628,14 +694,22 @@ class TestRawKernel:
     def test_estimate_refuses_no_product_the_loop_finishes(self, monkeypatch):
         # (0.5; 0.9)_oo at tol 1e-3 multiplies 81 factors, the first base
         # above 1/2 where the factor count is estimated before the loop.
+        # The object loop's factors, and the kernel's for the complex base,
+        # are qpoch_finite's; the kernel's real ones are the definition's.
         a, tol = mpf("0.5"), mpf("1e-3")
         for base in (mpf("0.9"), mpc("0.72", "0.54")):
+            products = (qpoch_infinite, qpoch_infinite_loop)
+            wants = {product: qpoch_finite(a, base, 81) for product in products}
+            if isinstance(base, mpf):
+                value, factors = util.real_product(a, base, tol)
+                assert factors == 81
+                wants[qpoch_infinite] = value
             for cap, passes in ((81, True), (80, False), (40, False)):
                 monkeypatch.setattr(qcore, "_MAX_FACTORS", cap)
                 monkeypatch.setattr(util, "MAX_FACTORS", cap)
-                for product in (qpoch_infinite, qpoch_infinite_loop):
+                for product in products:
                     if passes:
-                        assert product(a, base, tol) == qpoch_finite(a, base, 81)
+                        assert product(a, base, tol) == wants[product]
                     else:
                         with pytest.raises(NonConvergentBase):
                             product(a, base, tol)
@@ -823,7 +897,7 @@ class TestEmptyProducts:
             key = (qcore.value_key(a), qcore.value_key(base))
             got = cache.infinite(*key)
             with mp.workprec(prec):
-                want = qpoch_infinite_loop(a, base, cache.tol)
+                want = qpoch_infinite_ref(a, base, cache.tol)
             assert _raw_value(from_raw(got)) == _raw_value(want), a
             memo = cache._infinite
             if shortcut:
@@ -880,8 +954,9 @@ def _outcome(product, *args):
 
 class TestRawEntry:
     """``qpoch_infinite`` converts its arguments once and runs on raw values
-    from there; its values and exceptions are those of the loop on mpf
-    objects, bit for bit, whatever types it is given.  ``PochCache.infinite``
+    from there; its values and exceptions are those of its definition
+    (``qpoch_infinite_ref``: the loop on mpf objects for complex products),
+    bit for bit, whatever types it is given.  ``PochCache.infinite``
     computes at the cache precision under any ambient precision, on
     arguments read at the cache precision."""
 
@@ -898,7 +973,7 @@ class TestRawEntry:
         with mp.workprec(prec):
             for a in self.arguments:
                 for base in self.bases:
-                    want = _outcome(qpoch_infinite_loop, a, base, tol)
+                    want = _outcome(qpoch_infinite_ref, a, base, tol)
                     assert _outcome(qpoch_infinite, a, base, tol) == want, (a, base)
 
     @pytest.mark.parametrize("prec", [64, 128, 1024])
@@ -924,7 +999,7 @@ class TestRawEntry:
             ulp = mpf(2) ** (threshold.exp)
             for a in (threshold - ulp, threshold, threshold + ulp):
                 for arg in (a, -a):
-                    want = _raw_value(qpoch_infinite_loop(arg, base, tol))
+                    want = _raw_value(qpoch_infinite_ref(arg, base, tol))
                     assert _raw_value(qpoch_infinite(arg, base, tol)) == want, arg
 
     @pytest.mark.parametrize("ambient", [53, 128])
@@ -938,7 +1013,7 @@ class TestRawEntry:
         cases += [(mpf("0.3"), mpf(1)), (mpf("0.3"), mpc("0.8", "0.6"))]
         with mp.workprec(prec):
             wanted = [
-                _outcome(qpoch_infinite_loop, a, base, cache.tol) for a, base in cases
+                _outcome(qpoch_infinite_ref, a, base, cache.tol) for a, base in cases
             ]
         with mp.workprec(ambient):
             for (a, base), want in zip(cases, wanted):
@@ -956,7 +1031,7 @@ class TestRawEntry:
             base = {"string": "0.45", "mpf": mpf("0.45"), "float": 0.45}
         with mp.workprec(128):
             want = {
-                name: _outcome(qpoch_infinite_loop, a, value, cache.tol)
+                name: _outcome(qpoch_infinite_ref, a, value, cache.tol)
                 for name, value in base.items()
             }
         assert want["mpf"] == want["float"] != want["string"]

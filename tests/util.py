@@ -3,8 +3,9 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
-from mpmath import mp, mpf, mpmathify
+from mpmath import mp, mpc, mpf, mpmathify
 
 from qheine.catalog.an_qbinomial import (
     euler_exp_summation,
@@ -44,6 +45,9 @@ REL_FLOOR = mpf("1e-300")
 
 # Must equal qcore._MAX_FACTORS.
 MAX_FACTORS = 200_000
+
+# Must equal qcore._GUARD.
+GUARD = 32
 
 
 def qpoch_finite(a, base, k):
@@ -91,6 +95,95 @@ def qpoch_infinite_loop(a, base, tol=None):
                 "infinite product did not reach tolerance; base too close to 1"
             )
     return prod
+
+
+def qpoch_infinite_ref(a, base, tol=None):
+    """Reference (a; base)_oo as ``qcore.qpoch_infinite`` defines it, which
+    it must match bit for bit, errors included: ``real_product``'s value
+    for a real a and base, the object loop ``qpoch_infinite_loop`` for a
+    complex one."""
+    a = mpmathify(a)
+    base = mpmathify(base)
+    if isinstance(a, mpc) or isinstance(base, mpc):
+        return qpoch_infinite_loop(a, base, tol)
+    return real_product(a, base, tol)[0]
+
+
+def _exact(x) -> Fraction:
+    """The value of a finite mpf as a fraction."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def real_product(a, base, tol=None):
+    """(value, factors): (a; base)_oo for a real a and base at round to
+    nearest, and the number of factors it multiplies.
+
+    The object loop ``qpoch_infinite_loop`` runs until the factor f is a
+    nonzero number of at most ``mp.prec`` bits with |f| < 1, the product is
+    nonzero, the base is finite and nonzero, the threshold is a positive
+    number and the precision is above 1 bit; if these never hold together,
+    it runs to its end.  From there on |f| is held as F / 2^W, with
+    W = max(prec, -m) + ``GUARD`` for the threshold's magnitude m (the
+    exponent of its leading bit, plus 1): F = floor(|f| 2^W) and then
+    floor(F |base|) per factor, the sign alternating with a negative
+    base.  The factor multiplied is 1 - g/2^s for f > 0 and 1 + g/2^s for
+    f < 0, with s = prec or prec - 1 and g = F / 2^(W - s) rounded half to
+    even, and the loop stops at the first F < threshold 2^W."""
+    a = mpmathify(a)
+    base = mpmathify(base)
+    absbase = abs(base)
+    if absbase >= 1:
+        raise NonConvergentBase(f"|base| = {absbase} >= 1")
+    if tol is None:
+        tol = default_tol(mp.prec)
+    prec = mp.prec
+    threshold = mpmathify(tol) * (1 - absbase)
+    absolute = prec > 1 and mp.isfinite(threshold) and threshold > 0
+    absolute = absolute and mp.isfinite(base) and base != 0
+    prod = mpf(1)
+    factor = a
+    count = 0
+    while abs(factor) >= threshold:
+        if (
+            absolute
+            and prod != 0
+            and mp.isfinite(factor)
+            and 0 < abs(factor) < 1
+            and abs(factor.man).bit_length() <= prec
+        ):
+            break
+        prod *= 1 - factor
+        factor *= base
+        count += 1
+        if count > MAX_FACTORS:
+            raise NonConvergentBase(
+                "infinite product did not reach tolerance; base too close to 1"
+            )
+    else:
+        return prod, count
+    man, exp = threshold.man_exp
+    width = max(prec, -(exp + man.bit_length())) + GUARD
+    scale = 2**width
+    held = math.floor(abs(_exact(factor)) * scale)
+    stop = _exact(threshold) * scale
+    ratio = abs(_exact(base))
+    negative = factor < 0
+    while True:
+        s = prec - 1 if negative else prec
+        g = round(Fraction(held, 2 ** (width - s)))
+        with mp.workprec(prec + 2):
+            step = mp.ldexp(mpf(2**s + g if negative else 2**s - g), -s)
+        prod *= step
+        count += 1
+        if count > MAX_FACTORS:
+            raise NonConvergentBase(
+                "infinite product did not reach tolerance; base too close to 1"
+            )
+        held = math.floor(held * ratio)
+        negative ^= base < 0
+        if held < stop:
+            return prod, count
 
 
 def vandermonde_ratio_loop(x, k, step_power):
