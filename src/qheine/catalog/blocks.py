@@ -29,7 +29,7 @@ def broken_block(a, base) -> Summation:
     qbin = summation.term
 
     def term(P, z, k):
-        return raw_mul(qbin(P, z, k), P.finite(z, base, k[0]), *mp._prec_rounding)
+        return raw_mul(qbin(P, z, k), P.finite(z, base, k[0]), mp.prec)
 
     return replace(summation, term=term, label="broken")
 

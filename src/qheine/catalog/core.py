@@ -333,7 +333,7 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
     def inner_term(ctx, j):
         summation, _, stretched = run_memo(ctx, bound)
         power = ctx.poch.intpow(stretched, sum(j))
-        return raw_mul(summation.inner(ctx.poch, j), power, *mp._prec_rounding)
+        return raw_mul(summation.inner(ctx.poch, j), power, mp.prec)
 
     sides = (SeriesSide(outer, term), SeriesSide(inner, inner_term, product))
     return sides[::-1] if product_left else sides
@@ -355,13 +355,13 @@ def sq_ratio(P, avec, x, base, k) -> tuple:
         ]
 
     rows = P.table("sq_ratio", (avec, x, base), build)
-    prec, rnd = mp._prec_rounding
+    prec = mp.prec
     value = fone
     for kr, row in zip(k, rows):
         if kr:
             for num, den in row:
-                value = raw_mul(value, num.at(kr), prec, rnd)
-                value = raw_div(value, den.at(kr), prec, rnd)
+                value = raw_mul(value, num.at(kr), prec)
+                value = raw_div(value, den.at(kr), prec)
     return value
 
 
@@ -423,31 +423,31 @@ class TermSpec:
 
     def __call__(self, P, *args) -> tuple:
         z, k = args if self.argument else (None, *args)
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         value = fone
         if self.vandermonde is not None:
             x, step = self.vandermonde
             value = vandermonde_ratio(x, k, step, P)
         if self.pairs is not None:
             factor = sq_ratio(P, *self.pairs, self.base, k)
-            value = _fold(value, raw_mul, factor, prec, rnd)
+            value = _fold(value, raw_mul, factor, prec)
         weight = sum(k)
         for index, factors in zip((weight, *k), self.tables(P)):
             if index:
                 for table, stretch, op in factors:
-                    value = _fold(value, op, table.at(stretch * index), prec, rnd)
+                    value = _fold(value, op, table.at(stretch * index), prec)
         n = self.exponent(k) if self.exponent else 0
         if n:
-            value = _fold(value, raw_mul, P.intpow(value_key(self.base), n), prec, rnd)
+            value = _fold(value, raw_mul, P.intpow(value_key(self.base), n), prec)
         if self.monomials is not None:
             for x_r, kr in zip(self.monomials, k):
                 if kr:
                     power = P.intpow(value_key(x_r), -kr)
-                    value = _fold(value, raw_mul, power, prec, rnd)
+                    value = _fold(value, raw_mul, power, prec)
         if self.argument and weight:
-            value = _fold(value, raw_mul, P.intpow(value_key(z), weight), prec, rnd)
+            value = _fold(value, raw_mul, P.intpow(value_key(z), weight), prec)
         if self.sign and weight & 1:
-            value = raw_mul(value, fnone, prec, rnd)
+            value = raw_mul(value, fnone, prec)
         return value
 
 
@@ -464,23 +464,23 @@ class ProductSpec:
     factors: Sequence
 
     def __call__(self, P, z=None) -> tuple:
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         raw_z = None if z is None else value_key(z)
         value = fone
         for c, base, _, op in self.factors:
             c = value_key(c)
             if raw_z is not None:
-                c = raw_z if c == fone else raw_mul(c, raw_z, prec, rnd)
-            value = _fold(value, op, P.infinite(c, value_key(base)), prec, rnd)
+                c = raw_z if c == fone else raw_mul(c, raw_z, prec)
+            value = _fold(value, op, P.infinite(c, value_key(base)), prec)
         return value
 
 
-def _fold(value, op, factor, prec: int, rnd: str) -> tuple:
+def _fold(value, op, factor, prec: int) -> tuple:
     """op(value, factor) for raw values; a factor at the working precision
     times 1 is the factor itself."""
     if value is fone and op is raw_mul:
         return factor
-    return op(value, factor, prec, rnd)
+    return op(value, factor, prec)
 
 
 def run_memo(ctx, bind):

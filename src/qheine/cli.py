@@ -430,38 +430,39 @@ def _total(summaries: list[dict], h_failures: int = 0) -> dict:
 
 
 def _write(text: str, out: str | None) -> None:
+    """Write the report to stdout or to the file ``out``; a file that cannot
+    be written is a configuration error."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "export-catalog":
-        text = json.dumps(catalog.catalog_document(), indent=2, sort_keys=True) + "\n"
-        _write(text, args.out)
-        return EXIT_OK
     try:
+        if args.command == "export-catalog":
+            document = catalog.catalog_document()
+            _write(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
+            return EXIT_OK
         config = config_from_args(args)
-    except (UnknownIdentity, InvalidConfig) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    mp.prec = config.precision
-    try:
+        mp.prec = config.precision
         if config.mode == "verify":
             records, exit_code = run_verify(config)
         else:
             records, exit_code = run_compose(config)
+        _write(report.render(records, config.report), config.out)
     except (UnknownIdentity, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except QHeineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    _write(report.render(records, config.report), config.out)
     return exit_code
 
 

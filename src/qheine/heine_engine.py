@@ -116,7 +116,7 @@ def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity
     )
 
 
-def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
+def compose(assignment: BlockAssignment) -> Identity:
     """Build the composed transformation for p blocks over one base block,
     any of them q-binomial or transformation blocks.
 
@@ -152,9 +152,8 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
             )
     if not abs(base_argument) < base_slot.block.arg_bound:
         raise DomainEmpty("base argument outside the base block domain")
-    if check:
-        for slot in slots + (base_slot,):
-            _require_property_H(slot.block, bases.prec)
+    for slot in slots + (base_slot,):
+        _require_property_H(slot.block, bases.prec)
 
     blocks = tuple(map(HeineBlock, (slot.block for slot in slots), arguments, cross))
     base = HeineBlock(base_slot.block, base_argument)
@@ -168,7 +167,7 @@ def compose(assignment: BlockAssignment, check: bool = True) -> Identity:
 
 
 def compose_with_transformation(
-    slot: BlockSlot, base_slot: BlockSlot, bases, check: bool = True
+    slot: BlockSlot, base_slot: BlockSlot, bases
 ) -> Identity:
     """``compose`` of one block over a base block."""
-    return compose(BlockAssignment((slot,), base_slot, bases), check)
+    return compose(BlockAssignment((slot,), base_slot, bases))

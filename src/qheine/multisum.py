@@ -127,7 +127,7 @@ def vandermonde_ratio(
     pairs = poch.table(
         "vandermonde", (x, step_power), lambda: vandermonde_pairs(x)
     )
-    prec, rnd = poch.prec, mp._prec_rounding[1]
+    prec = poch.prec
     value = None
     for pair in pairs:
         r, s, _, _, by_shift = pair
@@ -135,7 +135,7 @@ def vandermonde_ratio(
         factor = by_shift.get(shift)
         if factor is None:
             factor = by_shift[shift] = _pair_factor(x, step_power, pair, shift, poch)
-        value = factor if value is None else raw_mul(value, factor, prec, rnd)
+        value = factor if value is None else raw_mul(value, factor, prec)
     return value
 
 
@@ -222,7 +222,7 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
             value = _in_shell(memo, coupling, sum(weights), weights, ctx)
         else:
             value = coupling(ctx, weights)
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         for part, sub in zip(parts, subs):
             if keep_parts:
                 key = (part, sub)
@@ -231,7 +231,7 @@ def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> T
                     factor = memo[key] = part(ctx, sub)
             else:
                 factor = part(ctx, sub)
-            value = raw_mul(value, factor, prec, rnd)
+            value = raw_mul(value, factor, prec)
         return value
 
     return term
@@ -330,7 +330,7 @@ def heine_sides(
         memo = ctx.poch.terms
         run = memo.get(bind)
         if run is None:
-            prec, rnd = mp._prec_rounding
+            prec = mp.prec
             blocks, base = bind(ctx)
             blocks = tuple(blocks) + (base,)
             crosses = tuple(value_key(block.cross) for block in blocks[:p])
@@ -339,7 +339,7 @@ def heine_sides(
                 groups.setdefault(cross, []).append(r)
             args = tuple(value_key(block.argument) for block in blocks)
             stretched_args = tuple(
-                raw_mul(value_key(block.summation.stretch), z, prec, rnd)
+                raw_mul(value_key(block.summation.stretch), z, prec)
                 if size
                 else None
                 for block, z, size in zip(blocks, args, inner_sizes)
@@ -386,24 +386,24 @@ def heine_sides(
             if value is not None:
                 return value
         P = ctx.poch
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         blocks, groups, args, stretched_args, crosses = bound(ctx)
         if r == p:
             scale = fone
             for group, weight in zip(groups, index):
-                scale = raw_mul(scale, P.intpow(crosses[group[0]], weight), prec, rnd)
+                scale = raw_mul(scale, P.intpow(crosses[group[0]], weight), prec)
         else:
             scale = P.intpow(crosses[r], index)
         z = args[r]
-        zs = raw_mul(z, scale, prec, rnd)
+        zs = raw_mul(z, scale, prec)
         if zs == z:
             product = at_argument(ctx, r)
         else:
             product = blocks[r].summation.product(P, from_raw(zs))
-        ratio = raw_div(product, at_argument(ctx, r), prec, rnd)
+        ratio = raw_div(product, at_argument(ctx, r), prec)
         arg = None
         if inner_sizes[r]:
-            arg = raw_mul(stretched_args[r], scale, prec, rnd)
+            arg = raw_mul(stretched_args[r], scale, prec)
         if keep:
             memo[key] = ratio, arg
         return ratio, arg
@@ -413,9 +413,8 @@ def heine_sides(
         blocks sharing a cross base, then the base block's inner weight."""
         if not base_inner:
             return stretched(ctx, p, sums)[0]
-        prec, rnd = mp._prec_rounding
         ratio, arg = stretched(ctx, p, sums[:-1])
-        return raw_mul(ratio, _pow_int(arg, sums[-1], prec, rnd), prec, rnd)
+        return raw_mul(ratio, _pow_int(arg, sums[-1], mp.prec), mp.prec)
 
     def lhs_coupling(ctx, weights):
         groups = bound(ctx)[1]
@@ -426,23 +425,23 @@ def heine_sides(
         return _in_shell(ctx.poch.terms, lhs_ratio, sum(weights), sums, ctx)
 
     def rhs_coupling(ctx, weights):
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         inner_weights = dict(zip(inner_blocks, weights[1:]))
         value = fone
         for r in range(p):
             ratio, arg = stretched(ctx, r, weights[0])
-            value = raw_mul(value, ratio, prec, rnd)
+            value = raw_mul(value, ratio, prec)
             if r in inner_weights:
-                power = _pow_int(arg, inner_weights[r], prec, rnd)
-                value = raw_mul(value, power, prec, rnd)
+                power = _pow_int(arg, inner_weights[r], prec)
+                value = raw_mul(value, power, prec)
         return value
 
     def rhs_prefactor(ctx):
-        prec, rnd = mp._prec_rounding
+        prec = mp.prec
         value = fone
         for r in range(p):
-            value = raw_mul(value, at_argument(ctx, r), prec, rnd)
-        return from_raw(raw_div(value, at_argument(ctx, p), prec, rnd))
+            value = raw_mul(value, at_argument(ctx, r), prec)
+        return from_raw(raw_div(value, at_argument(ctx, p), prec))
 
     lhs_sizes = tuple(outer for outer, _ in shapes)
     lhs_parts = [summand(r) for r in range(p)]

@@ -50,7 +50,7 @@ DEFAULT_PRECISION = 128
 _MAX_FACTORS = 200_000
 _NOT_CONVERGED = "infinite product did not reach tolerance; base too close to 1"
 
-# Guard bits of the factor that ``_real_infinite`` carries at absolute
+# Guard bits of the factor that ``_infinite`` carries at absolute
 # precision, 2^-(prec + _GUARD) or finer.  Beyond half an ulp, a factor
 # then errs by less than 2^-(prec + _GUARD) / (1 - |base|), which is below
 # 2^-(prec + 1) for |base| <= 1 - 2^-(_GUARD - 1).
@@ -74,36 +74,33 @@ def qpoch_infinite(a, base, tol=None) -> QComplex:
     tail factor within ~tol of 1 in relative terms.
 
     The arguments are converted with ``mpmathify`` once; everything after
-    that runs on raw values at the working precision.  |base|, the
-    |base| >= 1 check, 1 - |base| and the threshold are rounded as mpmath's
-    operators round them (``_threshold``, memoised per base).  Where a or
-    base is complex, the product is multiplied on raw ``_mpf_``/``_mpc_``
-    tuples with the operations, precision and rounding of mpmath's
-    operators, so the result and every exception are bit for bit those of
-    the loop ``prod *= 1 - factor; factor *= base`` on mpf and mpc
-    objects.  A real product (``_real_infinite``) takes that loop's steps
-    until the factor falls below 1, then carries the factor at absolute
-    precision 2^-(prec + ``_GUARD``) on integers: each later factor is
-    within half an ulp plus 2^-(prec + 32) / (1 - |base|) of the exact
-    1 - a base^k, where the object loop's factors carried up to k relative
-    ulps; exceptions are the loop's.  One mpf or mpc is made at the end.
+    that runs on raw values at the working precision, rounded to nearest
+    as mpmath always rounds.  |base|, the |base| >= 1 check, 1 - |base|
+    and the threshold are rounded as mpmath's operators round them
+    (``_threshold``, memoised per base).  One loop, ``_infinite``, takes
+    every product.  Where a or base is complex, it multiplies raw
+    ``_mpf_``/``_mpc_`` tuples with the operations and precision of
+    mpmath's operators, so the result and every exception are bit for bit
+    those of the loop ``prod *= 1 - factor; factor *= base`` on mpf and mpc
+    objects.  A real product takes that loop's steps until the factor
+    falls below 1, then carries the factor at absolute precision
+    2^-(prec + ``_GUARD``) on integers: each later factor is within half an
+    ulp plus 2^-(prec + 32) / (1 - |base|) of the exact 1 - a base^k, where
+    the object loop's factors carried up to k relative ulps; exceptions are
+    the loop's.  One mpf or mpc is made at the end.
     """
     a = value_key(mpmathify(a))
     base = value_key(mpmathify(base))
-    prec, rnd = mp._prec_rounding
+    prec = mp.prec
     tol = default_tol(prec) if tol is None else mpmathify(tol)
-    gap, threshold = _threshold(base, tol._mpf_, prec, rnd)
+    gap, threshold = _threshold(base, tol._mpf_, prec)
     if _clearly_past_cap(a, gap, threshold):
         raise NonConvergentBase(_NOT_CONVERGED)
-    if len(a) == 4 and len(base) == 4:
-        prod = _real_infinite(a, base, threshold, prec, rnd)
-    else:
-        prod = _complex_infinite(a, base, threshold, prec, rnd)
-    return from_raw(prod)
+    return from_raw(_infinite(a, base, threshold, prec))
 
 
 @functools.lru_cache(maxsize=256)
-def _threshold(base, tol, prec: int, rnd: str) -> tuple:
+def _threshold(base, tol, prec: int) -> tuple:
     """(1 - |base|, tol * (1 - |base|)) for a raw base and a raw real tol,
     rounded as ``1 - abs(base)`` and ``tol * gap`` round them;
     ``NonConvergentBase`` where |base| >= 1 (a nan passes, as it passes the
@@ -113,11 +110,11 @@ def _threshold(base, tol, prec: int, rnd: str) -> tuple:
     bases, once per computed product, so every product on one base reads
     one (gap, threshold).  An exception is not kept, so |base| >= 1 raises
     on every call."""
-    size = mpf_abs(base, prec, rnd) if len(base) == 4 else mpc_abs(base, prec, rnd)
+    size = (mpf_abs if len(base) == 4 else mpc_abs)(base, prec, round_nearest)
     if mpf_ge(size, fone):
         raise NonConvergentBase(f"|base| = {from_raw(size)} >= 1")
-    gap = _one_minus(size, prec, rnd)
-    return gap, raw_mul(tol, gap, prec, rnd)
+    gap = _one_minus(size, prec)
+    return gap, raw_mul(tol, gap, prec)
 
 
 def _clearly_past_cap(a, gap, threshold) -> bool:
@@ -148,17 +145,18 @@ def _log(x) -> float:
     return math.log(man) + exp * _LN2
 
 
-def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
-    """The raw product of ``qpoch_infinite`` for a real a and base.
+def _infinite(a, base, threshold, prec: int) -> tuple:
+    """The raw product of ``qpoch_infinite``: one loop, in two stages.
 
-    The loop runs in two stages.  While the factor f is not a number of at
-    most ``prec`` bits with |f| < 1, or while the product is zero, a step
-    rounds 1 - f, prod * (1 - f) and f * base as mpmath's operators do
-    (``_one_minus`` and ``raw_mul`` on canonical raw tuples).  So do all
-    steps for special values, a zero base, a threshold that is not a
-    positive number, rounding modes other than nearest and a precision of
-    1 bit; of these, only zeros, special values and the other rounding
-    modes reach libmp.
+    The first stage rounds 1 - f, prod * (1 - f) and f * base as mpmath's
+    operators round them (``_one_minus`` and ``raw_mul`` on canonical raw
+    tuples), and stops at the first factor f with |f| below the threshold.
+    Every step of a complex product is taken here, with the |f| of
+    ``mpc_abs``; so are all steps of a real product on a zero base, special
+    values, a threshold that is not a positive number and a precision of 1
+    bit.  Any other real product leaves this stage for the integer stage
+    once f is a number of at most ``prec`` bits with |f| < 1 and the
+    product is not zero.
 
     The rest of the loop runs on Python integers and carries the factor at
     absolute precision: |f| = F 2^-W for an integer F, with W = max(prec,
@@ -188,8 +186,8 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     f carries up to k relative ulps.)  A factor rounded to 0 (g = 2^s)
     makes the product ``fzero``.
 
-    The stopping test of the first stage, |f| >= threshold, compares
-    magnitudes first: a factor whose magnitude differs from the
+    The first stage's stopping test for a real f, |f| >= threshold,
+    compares magnitudes first: a factor whose magnitude differs from the
     threshold's is on the side it points to.  Ties, factors with more than
     ``prec`` bits (whose abs would round) and thresholds that are not
     positive numbers take the exact comparison.  Either stage raises
@@ -199,12 +197,14 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     tsign, tman, texp, tbc = threshold
     tmag = texp + tbc
     limit = prec if tman and not tsign else 0
-    bsign, bman, bexp, _ = base
-    fixed = bman and prec > 1 and rnd == round_nearest
+    fixed = len(base) == 4 and base[1] and prec > 1
     prod, factor = fone, a
     for step in range(_MAX_FACTORS + 1):
-        fsign, fman, fexp, fbc = factor
-        if fman and fbc <= limit:
+        if len(factor) == 2:
+            if not mpf_ge(mpc_abs(factor, prec, round_nearest), threshold):
+                return prod
+        elif factor[1] and factor[3] <= limit:
+            fsign, fman, fexp, fbc = factor
             mag = fexp + fbc
             if mag < tmag or (
                 mag == tmag and mpf_cmp((0, fman, fexp, fbc), threshold) < 0
@@ -212,10 +212,10 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
                 return prod
             if mag <= 0 and fixed and prod[1]:
                 break
-        elif not mpf_ge(mpf_abs(factor, prec, rnd), threshold):
+        elif not mpf_ge(mpf_abs(factor, prec, round_nearest), threshold):
             return prod
-        prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
-        factor = raw_mul(factor, base, prec, rnd)
+        prod = raw_mul(prod, _one_minus(factor, prec), prec)
+        factor = raw_mul(factor, base, prec)
     else:
         raise NonConvergentBase(_NOT_CONVERGED)
     # The integer stage: F, its stopping bound and the two shifts of g.
@@ -227,6 +227,7 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     cut = width - prec
     # The bits below the rounding bit of g, for f > 0 and f < 0.
     tails = ((1 << (cut - 1)) - 1, (1 << cut) - 1)
+    bsign, bman, bexp, _ = base
     psign, pman, pexp, _ = prod
     for _ in range(_MAX_FACTORS - step):
         # g = F rounded at cut + fsign bits, then prod * (1 - f) =
@@ -263,21 +264,6 @@ def _real_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
     return _round(psign, pman, pexp, pman.bit_length())
 
 
-def _complex_infinite(a, base, threshold, prec: int, rnd: str) -> tuple:
-    """The raw product of ``qpoch_infinite`` when a or base is complex."""
-    prod, factor = fone, a
-    for _ in range(_MAX_FACTORS + 1):
-        if len(factor) == 4:
-            size = mpf_abs(factor, prec, rnd)
-        else:
-            size = mpc_abs(factor, prec, rnd)
-        if not mpf_ge(size, threshold):
-            return prod
-        prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
-        factor = raw_mul(factor, base, prec, rnd)
-    raise NonConvergentBase(_NOT_CONVERGED)
-
-
 def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
     """The raw mpf nearest (-1)^sign man 2^exp in ``prec`` bits, for an
     integer man > 0: rounded half to even, as ``libmpf._normalize`` rounds
@@ -286,13 +272,14 @@ def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
 
     The one rounding step of the integer paths of ``raw_mul``, ``raw_div``,
     ``raw_add``, ``_one_minus`` and ``_pow_int``.  Those paths take regular
-    reals (nonzero mantissas: no zero, inf or nan) at round-to-nearest and
-    a positive precision, as ``mp._prec_rounding`` holds; each forms the
-    exact integer that libmp forms and rounds it once here, so its result
-    is libmp's tuple bit for bit (Brent and Zimmermann, *Modern Computer
-    Arithmetic*, ch. 3).  Other operands reach the libmp function that the
-    path replaces.  ``_real_infinite`` calls it at the mantissa's own
-    length to strip alone."""
+    reals (nonzero mantissas: no zero, inf or nan) and a positive
+    precision; each forms the exact integer that libmp forms and rounds it
+    once here, so its result is libmp's tuple bit for bit (Brent and
+    Zimmermann, *Modern Computer Arithmetic*, ch. 3).  Other operands reach
+    the libmp function that the path replaces, at ``round_nearest``.
+    Round-to-nearest is the only mode: mpmath fixes it in
+    ``mp._prec_rounding`` and no setting changes it.  ``_infinite`` calls
+    this at the mantissa's own length to strip alone."""
     n = man.bit_length() - prec
     if n > 0:
         t = man >> (n - 1)
@@ -308,37 +295,37 @@ def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
     return sign, man, exp, man.bit_length()
 
 
-def raw_mul(x, y, prec: int, rnd: str) -> tuple:
+def raw_mul(x, y, prec: int) -> tuple:
     """x * y on raw values, as mpmath's operators round it: for two regular
-    reals at round-to-nearest, the product of the mantissas rounded by
-    ``_round``; otherwise ``mpf_mul``, or ``mpc_mul_mpf`` for a real times a
-    complex value and ``mpc_mul`` for two complex values."""
+    reals, the product of the mantissas rounded by ``_round``; otherwise
+    ``mpf_mul``, or ``mpc_mul_mpf`` for a real times a complex value and
+    ``mpc_mul`` for two complex values."""
     if len(x) == 4:
         if len(y) == 4:
-            if x[1] and y[1] and rnd == round_nearest:
+            if x[1] and y[1]:
                 return _round(x[0] ^ y[0], x[1] * y[1], x[2] + y[2], prec)
-            return mpf_mul(x, y, prec, rnd)
-        return mpc_mul_mpf(y, x, prec, rnd)
+            return mpf_mul(x, y, prec, round_nearest)
+        return mpc_mul_mpf(y, x, prec, round_nearest)
     if len(y) == 4:
-        return mpc_mul_mpf(x, y, prec, rnd)
-    return mpc_mul(x, y, prec, rnd)
+        return mpc_mul_mpf(x, y, prec, round_nearest)
+    return mpc_mul(x, y, prec, round_nearest)
 
 
-def raw_add(x, y, prec: int, rnd: str) -> tuple:
+def raw_add(x, y, prec: int) -> tuple:
     """x + y on raw values, as mpmath's operators round it.
 
-    Two regular reals at round-to-nearest are added on integers, as
-    ``mpf_add`` adds them: the mantissa of the larger exponent is shifted
-    onto the other's and the two are added or subtracted, an exact
-    cancellation giving ``fzero``.  Where the exponents are more than 100
-    apart and the smaller operand lies more than prec + 4 bits below the
-    larger, libmp does not add it: it perturbs the larger mantissa, shifted
-    up by prec + 4 bits, by one unit towards the smaller operand's sign, and
-    rounds that; so does this path.  Other real operands call ``mpf_add``,
-    complex ones ``mpc_add_mpf`` and ``mpc_add``."""
+    Two regular reals are added on integers, as ``mpf_add`` adds them: the
+    mantissa of the larger exponent is shifted onto the other's and the two
+    are added or subtracted, an exact cancellation giving ``fzero``.  Where
+    the exponents are more than 100 apart and the smaller operand lies more
+    than prec + 4 bits below the larger, libmp does not add it: it perturbs
+    the larger mantissa, shifted up by prec + 4 bits, by one unit towards
+    the smaller operand's sign, and rounds that; so does this path.  Other
+    real operands call ``mpf_add``, complex ones ``mpc_add_mpf`` and
+    ``mpc_add``."""
     if len(x) == 4:
         if len(y) == 4:
-            if x[1] and y[1] and rnd == round_nearest:
+            if x[1] and y[1]:
                 if x[2] < y[2]:
                     x, y = y, x
                 sign, man, exp, bc = x
@@ -357,27 +344,26 @@ def raw_add(x, y, prec: int, rnd: str) -> tuple:
                             return fzero
                         sign, man = ysign, -man
                 return _round(sign, man, yexp, prec)
-            return mpf_add(x, y, prec, rnd)
-        return mpc_add_mpf(y, x, prec, rnd)
+            return mpf_add(x, y, prec, round_nearest)
+        return mpc_add_mpf(y, x, prec, round_nearest)
     if len(y) == 4:
-        return mpc_add_mpf(x, y, prec, rnd)
-    return mpc_add(x, y, prec, rnd)
+        return mpc_add_mpf(x, y, prec, round_nearest)
+    return mpc_add(x, y, prec, round_nearest)
 
 
-def raw_div(x, y, prec: int, rnd: str) -> tuple:
+def raw_div(x, y, prec: int) -> tuple:
     """x / y on raw values, as mpmath's operators round it.
 
-    Two regular reals at round-to-nearest are divided on integers, as
-    ``mpf_div`` divides them: a divisor with mantissa 1 (a power of two)
-    only rounds x's mantissa; otherwise the quotient of x's mantissa
-    shifted up by ``extra`` = max(5, prec - bc(x) + bc(y) + 5) bits, with
-    a sticky bit appended where the division leaves a remainder, is
-    rounded.  Other real operands call ``mpf_div``, which raises
-    ``ZeroDivisionError`` for a zero divisor; complex ones call
-    ``mpc_mpf_div``, ``mpc_div_mpf`` and ``mpc_div``."""
+    Two regular reals are divided on integers, as ``mpf_div`` divides them:
+    a divisor with mantissa 1 (a power of two) only rounds x's mantissa;
+    otherwise the quotient of x's mantissa shifted up by ``extra`` = max(5,
+    prec - bc(x) + bc(y) + 5) bits, with a sticky bit appended where the
+    division leaves a remainder, is rounded.  Other real operands call
+    ``mpf_div``, which raises ``ZeroDivisionError`` for a zero divisor;
+    complex ones call ``mpc_mpf_div``, ``mpc_div_mpf`` and ``mpc_div``."""
     if len(x) == 4:
         if len(y) == 4:
-            if x[1] and y[1] and rnd == round_nearest:
+            if x[1] and y[1]:
                 sign, man, exp, bc = x
                 ysign, yman, yexp, ybc = y
                 if yman == 1:
@@ -390,31 +376,31 @@ def raw_div(x, y, prec: int, rnd: str) -> tuple:
                     quot = (quot << 1) | 1
                     extra += 1
                 return _round(sign ^ ysign, quot, exp - yexp - extra, prec)
-            return mpf_div(x, y, prec, rnd)
-        return mpc_mpf_div(x, y, prec, rnd)
+            return mpf_div(x, y, prec, round_nearest)
+        return mpc_mpf_div(x, y, prec, round_nearest)
     if len(y) == 4:
-        return mpc_div_mpf(x, y, prec, rnd)
-    return mpc_div(x, y, prec, rnd)
+        return mpc_div_mpf(x, y, prec, round_nearest)
+    return mpc_div(x, y, prec, round_nearest)
 
 
-def _pow_int(x, n: int, prec: int, rnd: str) -> tuple:
+def _pow_int(x, n: int, prec: int) -> tuple:
     """x ** n for a raw value and an integer n, as mpmath's operators round
     it.
 
-    A regular real at round-to-nearest is raised on integers, as
-    ``mpf_pow_int`` raises it: a mantissa of 1 is exact, x ** 2 and powers
-    with bc(x) n < 1000 round the exact ``man ** n``, and larger powers run
-    libmp's binary powering, truncating every product to prec +
-    4 bitcount(n) + 4 bits before the one rounding at the end.  A negative
-    n divides 1 by x ** -n, taken at prec + 5 bits.  Other real values call
-    ``mpf_pow_int``, complex ones ``mpc_pow_int``."""
+    A regular real is raised on integers, as ``mpf_pow_int`` raises it: a
+    mantissa of 1 is exact, x ** 2 and powers with bc(x) n < 1000 round the
+    exact ``man ** n``, and larger powers run libmp's binary powering,
+    truncating every product to prec + 4 bitcount(n) + 4 bits before the one
+    rounding at the end.  A negative n divides 1 by x ** -n, taken at prec +
+    5 bits.  Other real values call ``mpf_pow_int``, complex ones
+    ``mpc_pow_int``."""
     if len(x) == 4:
         sign, man, exp, _ = x
-        if not man or rnd != round_nearest:
-            return mpf_pow_int(x, n, prec, rnd)
+        if not man:
+            return mpf_pow_int(x, n, prec, round_nearest)
         if n < 0:
-            inverse = x if n == -1 else _pow_int(x, -n, prec + 5, rnd)
-            return raw_div(fone, inverse, prec, rnd)
+            inverse = x if n == -1 else _pow_int(x, -n, prec + 5)
+            return raw_div(fone, inverse, prec)
         if n == 0:
             return fone
         if n == 1:
@@ -444,19 +430,19 @@ def _pow_int(x, n: int, prec: int, rnd: str) -> tuple:
                 man >>= excess
                 exp += excess
             n >>= 1
-    return mpc_pow_int(x, n, prec, rnd)
+    return mpc_pow_int(x, n, prec, round_nearest)
 
 
-def _one_minus(x, prec: int, rnd: str) -> tuple:
+def _one_minus(x, prec: int) -> tuple:
     """1 - x on a raw value, as mpmath's operators round it: ``raw_add`` of
-    1 and -x for a regular real at round-to-nearest, else ``mpf_sub``, or
-    ``mpc_sub`` for a complex x."""
+    1 and -x for a regular real, else ``mpf_sub``, or ``mpc_sub`` for a
+    complex x."""
     if len(x) == 4:
         sign, man, exp, bc = x
-        if man and rnd == round_nearest:
-            return raw_add(fone, (sign ^ 1, man, exp, bc), prec, rnd)
-        return mpf_sub(fone, x, prec, rnd)
-    return mpc_sub(_COMPLEX_ONE, x, prec, rnd)
+        if man:
+            return raw_add(fone, (sign ^ 1, man, exp, bc), prec)
+        return mpf_sub(fone, x, prec, round_nearest)
+    return mpc_sub(_COMPLEX_ONE, x, prec, round_nearest)
 
 
 def from_raw(raw) -> QComplex:
@@ -473,13 +459,13 @@ def raw_sum(values) -> QComplex:
     values are canonical (zero and special values included), so the first
     value is added to nothing; a wider or complex one is rounded by
     ``raw_add``."""
-    prec, rnd = mp._prec_rounding
+    prec = mp.prec
     values = iter(values)
     raw = next(values, fzero)
     if len(raw) != 4 or raw[3] > prec:
-        raw = raw_add(fzero, raw, prec, rnd)
+        raw = raw_add(fzero, raw, prec)
     for v in values:
-        raw = raw_add(raw, v, prec, rnd)
+        raw = raw_add(raw, v, prec)
     return from_raw(raw)
 
 
@@ -526,13 +512,12 @@ class FiniteTable(list):
         """(a; base)_k as a raw value, extending the table through index k
         if needed."""
         if len(self) <= k:
-            prec, rnd = self.prec, mp._prec_rounding[1]
-            factor, base = self.factor, self.base
+            prec, factor, base = self.prec, self.factor, self.base
             prod = self[-1]
             while len(self) <= k:
-                prod = raw_mul(prod, _one_minus(factor, prec, rnd), prec, rnd)
+                prod = raw_mul(prod, _one_minus(factor, prec), prec)
                 self.append(prod)
-                factor = raw_mul(factor, base, prec, rnd)
+                factor = raw_mul(factor, base, prec)
             self.factor = factor
         return self[k]
 
@@ -636,13 +621,13 @@ class PochCache:
     and ``intpow`` take and return raw values, and the finite tables hold
     them; read one as an mpf or mpc with ``from_raw``.  Every key is built
     from raw values, so no lookup hashes an mpf object.  Infinite products
-    and ratios are kept in ``ShellMemo`` memos: a value computed in a
-    shell lives for that shell and the next unless it is requested again
-    there.  ``next_shell`` and ``leave_shells`` mark the shell loop.
-    Integer powers, finite tables and ``table`` values are kept for the
-    run: a run raises a few constants to powers that recur across shells
-    and sides, such as the Heine cross powers that a lhs shell and,
-    shells later, the rhs ask for.  The Vandermonde pair tables keep each
+    are kept in a ``ShellMemo``: a value computed in a shell lives for
+    that shell and the next unless it is requested again there.
+    ``next_shell`` and ``leave_shells`` mark the shell loop.  Integer
+    powers, finite tables and ``table`` values are kept for the run: a run
+    raises a few constants to powers that recur across shells and sides,
+    such as the Heine cross powers that a lhs shell and, shells later, the
+    rhs ask for.  The Vandermonde pair tables keep each
     pair's raw factors by shift.
     ``terms`` holds the raw block factors of ``multisum.block_term``: each
     part under its function and index, the current shell's couplings under
@@ -664,7 +649,6 @@ class PochCache:
         self.in_shell = False
         self._finite: dict = {}
         self._infinite = ShellMemo()
-        self._ratio = ShellMemo()
         self._intpow: dict = {}
         self._empty_below: dict = {}
         self._tables: dict = {}
@@ -675,7 +659,6 @@ class PochCache:
         """Mark the start of a shell of the series being summed."""
         self.in_shell = True
         self._infinite.age()
-        self._ratio.age()
 
     def leave_shells(self) -> None:
         """Mark the end of the shell loop: later values are kept for the run."""
@@ -736,8 +719,7 @@ class PochCache:
         if len(base) != 4:
             return None
         try:
-            rnd = mp._prec_rounding[1]
-            _, threshold = _threshold(base, self._raw_tol, self.prec, rnd)
+            _, threshold = _threshold(base, self._raw_tol, self.prec)
         except NonConvergentBase:
             return None
         if threshold[0] or not threshold[1]:
@@ -746,20 +728,15 @@ class PochCache:
 
     def ratio(self, a, base, scale) -> QComplex:
         """(a; base)_kappa with scale = base**kappa, as a product ratio: an
-        mpf or mpc object."""
-        key = (value_key(a), value_key(base), value_key(scale))
-        value = self._ratio.find(key)
-        if value is None:
-            prec, rnd = self.prec, mp._prec_rounding[1]
-            num = self.infinite(key[0], key[1])
-            den = self.infinite(raw_mul(key[0], key[2], prec, rnd), key[1])
-            if from_raw(den) == 0:
-                raise DivisionByZero(
-                    "(a*scale; base)_oo vanished; the requested index is a pole"
-                )
-            value = from_raw(raw_div(num, den, prec, rnd))
-            self._ratio.keep(key, value, self.in_shell)
-        return value
+        mpf or mpc object.  Not memoised itself: its two products are."""
+        a, base = value_key(a), value_key(base)
+        num = self.infinite(a, base)
+        den = self.infinite(raw_mul(a, value_key(scale), self.prec), base)
+        if from_raw(den) == 0:
+            raise DivisionByZero(
+                "(a*scale; base)_oo vanished; the requested index is a pole"
+            )
+        return from_raw(raw_div(num, den, self.prec))
 
     def intpow(self, x, n: int) -> tuple:
         """x ** n for a raw x and an integer n, as a raw value at the cache
@@ -767,7 +744,7 @@ class PochCache:
         key = (x, n)
         value = self._intpow.get(key)
         if value is None:
-            value = self._intpow[key] = _pow_int(x, n, self.prec, mp._prec_rounding[1])
+            value = self._intpow[key] = _pow_int(x, n, self.prec)
         return value
 
     def table(self, tag, values: tuple, build):

@@ -313,6 +313,15 @@ class TestComposeCommand:
         parsed = report.parse_json_lines(out)
         assert parsed["cases"][0]["status"] == "property-H-failed"
 
+    def test_broken_block_csv_exit_3(self, capsys):
+        # The failed case has its status and no values, as in json-lines.
+        argv = ["compose", "--blocks", "broken", "--base", "q_bin", "--samples", "1"]
+        code, out = run_cli(capsys, argv + ["--report", "csv"])
+        assert code == 3
+        [row] = parse_csv(out)
+        assert (row["status"], row["passed"]) == ("property-H-failed", "False")
+        assert row["rel_error"] == row["lhs_re"] == row["rhs_converged"] == ""
+
     def test_unknown_block_exit_2(self):
         assert cli.main(["compose", "--blocks", "nonsense"]) == 2
 
@@ -374,6 +383,24 @@ class TestMalformedInput:
         err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--identity", "q_binomial", "--samples", "1"],
+        ["compose", "--samples", "1"],
+        ["export-catalog"],
+    ],
+)
+def test_unwritable_out_exit_2(capsys, tmp_path, argv):
+    # A report path in a missing directory is a configuration error.
+    out = tmp_path / "missing" / "r.jsonl"
+    code = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestExportCatalog:

@@ -641,10 +641,10 @@ class TestSharedCrossBases:
         cross = value_key(bases.qht)
         computed = Counter()
 
-        def counted(x, n, prec, rnd, _pow_int=qcore._pow_int):
+        def counted(x, n, prec, _pow_int=qcore._pow_int):
             if x == cross:
                 computed[n] += 1
-            return _pow_int(x, n, prec, rnd)
+            return _pow_int(x, n, prec)
 
         monkeypatch.setattr(qcore, "_pow_int", counted)
         assert catalog.verify(identity, params, bases).passed

@@ -136,7 +136,7 @@ def test_every_computed_product_reaches_qpoch_infinite(monkeypatch, capsys):
         return run
 
     monkeypatch.setattr(qcore, "qpoch_infinite", counted)
-    for name in ("_real_infinite", "_complex_infinite"):
+    for name in ("_infinite",):
         monkeypatch.setattr(qcore, name, loop(name))
     argv = ["compose", "--blocks", "q_bin,q_bin", "--base", "q_bin"]
     assert cli.main(argv + ["--samples", "2", "--seed", "1"]) == 0

@@ -435,7 +435,7 @@ class TestRawKernel:
             for raw_op, op in ops:
                 if op is operator.truediv and v == 0:
                     continue
-                raw = raw_op(qcore.value_key(u), qcore.value_key(v), prec, "n")
+                raw = raw_op(qcore.value_key(u), qcore.value_key(v), prec)
                 with mp.workprec(prec):
                     want = op(u, v)
                 assert _raw_value(qcore.from_raw(raw)) == _raw_value(want)
@@ -646,6 +646,20 @@ class TestRawKernel:
             factors = 3 if nudge <= 0 else 2
             assert got == qpoch_finite(a, base, factors)
 
+    @pytest.mark.parametrize("a", [("0.3", "0.4"), ("-0.2", "0.7"), ("0.6", "-0.1")])
+    @pytest.mark.parametrize("nudge", [0, 1, -1])
+    def test_complex_factor_at_the_threshold(self, a, nudge):
+        # The factor a/4 of base 1/2 has an inexact modulus; tol puts the
+        # threshold tol * (1 - 1/2) on that modulus as mpc_abs rounds it,
+        # or just off it with nudge, so the stop test must round as the
+        # object loop's abs does.
+        with mp.workprec(128):
+            a, base = mpc(*a), mpf("0.5")
+            tol = 2 * abs(a / 4) + nudge * mpf(2) ** -100
+            got = qpoch_infinite(a, base, tol)
+            assert _raw_value(got) == _raw_value(qpoch_infinite_loop(a, base, tol))
+            assert got == qpoch_finite(a, base, 3 if nudge <= 0 else 2)
+
     def test_threshold_not_positive(self, monkeypatch):
         monkeypatch.setattr(qcore, "_MAX_FACTORS", 1000)
         with mp.workprec(64):
@@ -763,9 +777,9 @@ class TestThresholdMemo:
             raw_base, raw_tol = value_key(base), tol._mpf_
             want = self._formula(raw_base, raw_tol, prec)
             for _ in range(2):  # the second call reads the memo
-                got = qcore._threshold(raw_base, raw_tol, prec, "n")
+                got = qcore._threshold(raw_base, raw_tol, prec)
                 assert got == want
-                assert got == qcore._threshold.__wrapped__(raw_base, raw_tol, prec, "n")
+                assert got == qcore._threshold.__wrapped__(raw_base, raw_tol, prec)
             gap = 1 - abs(base)
             assert want == (gap._mpf_, (tol * gap)._mpf_)
 
@@ -775,7 +789,7 @@ class TestThresholdMemo:
         before = qcore._threshold.cache_info()
         for _ in range(3):
             with pytest.raises(NonConvergentBase):
-                qcore._threshold(value_key(base), raw_tol, 128, "n")
+                qcore._threshold(value_key(base), raw_tol, 128)
         after = qcore._threshold.cache_info()
         assert after.misses - before.misses == 3 and after.hits == before.hits
 
@@ -1073,21 +1087,22 @@ def _tuple_or_error(function, *args):
 
 
 def _same_outcome(ours, theirs, *args):
-    """``ours(*args)`` and ``theirs(*args)`` return the same tuple or raise
-    the same exception type."""
-    assert _tuple_or_error(ours, *args) == _tuple_or_error(theirs, *args), args
+    """``ours(*args)`` and the libmp ``theirs(*args, round_nearest)`` return
+    the same tuple or raise the same exception type."""
+    want = _tuple_or_error(theirs, *args, _NEAREST)
+    assert _tuple_or_error(ours, *args) == want, args
 
 
-def _agree_binary(x, y, prec, rnd=_NEAREST):
+def _agree_binary(x, y, prec):
     for ours, theirs in _BINARY.values():
-        _same_outcome(ours, theirs, x, y, prec, rnd)
-        _same_outcome(ours, theirs, y, x, prec, rnd)
+        _same_outcome(ours, theirs, x, y, prec)
+        _same_outcome(ours, theirs, y, x, prec)
 
 
-def _agree_unary(x, prec, rnd=_NEAREST, powers=(-3, -2, -1, 0, 1, 2, 3, 7, 8)):
-    _same_outcome(qcore._one_minus, _libmp_one_minus, x, prec, rnd)
+def _agree_unary(x, prec, powers=(-3, -2, -1, 0, 1, 2, 3, 7, 8)):
+    _same_outcome(qcore._one_minus, _libmp_one_minus, x, prec)
     for n in powers:
-        _same_outcome(qcore._pow_int, libmp.mpf_pow_int, x, n, prec, rnd)
+        _same_outcome(qcore._pow_int, libmp.mpf_pow_int, x, n, prec)
 
 
 @st.composite
@@ -1119,7 +1134,7 @@ def _seeded_operand(rng, prec: int) -> tuple:
 
 class TestIntegerArithmetic:
     """``raw_mul``, ``raw_div``, ``raw_add``, ``_one_minus`` and ``_pow_int``
-    take two regular reals at round-to-nearest on integers, rounded by
+    take two regular reals on integers, rounded to nearest by
     ``_round``; each must return the tuple of the libmp function it
     replaces, which the other operands still reach."""
 
@@ -1154,12 +1169,12 @@ class TestIntegerArithmetic:
             m = 2 * k + 1
             want = _raw(s * (2 * k + 2 * (k & 1)))
             tie = _raw(s * m)
-            assert qcore.raw_mul(tie, fone, prec, _NEAREST) == want
-            assert qcore.raw_div(_raw(s * m, 3), _raw(1, 3), prec, _NEAREST) == want
-            assert qcore.raw_add(_raw(s * 2 * k), _raw(s), prec, _NEAREST) == want
-            assert qcore._pow_int(tie, 1, prec, _NEAREST) == want
+            assert qcore.raw_mul(tie, fone, prec) == want
+            assert qcore.raw_div(_raw(s * m, 3), _raw(1, 3), prec) == want
+            assert qcore.raw_add(_raw(s * 2 * k), _raw(s), prec) == want
+            assert qcore._pow_int(tie, 1, prec) == want
             if not sign:
-                assert qcore._one_minus(_raw(-2 * k), prec, _NEAREST) == want
+                assert qcore._one_minus(_raw(-2 * k), prec) == want
             _agree_binary(tie, fone, prec)
             _agree_unary(tie, prec)
 
@@ -1169,10 +1184,10 @@ class TestIntegerArithmetic:
         # prec + 1 ones round up to 2^(prec + 1): mantissa 1, bit count 1.
         ones = _raw((-1) ** sign * (2 ** (prec + 1) - 1), -5)
         want = (sign, 1, prec - 4, 1)
-        assert qcore.raw_mul(ones, fone, prec, _NEAREST) == want
-        assert qcore.raw_div(ones, fone, prec, _NEAREST) == want
-        assert qcore.raw_add(ones, _raw((-1) ** sign, -7), prec, _NEAREST) == want
-        assert qcore._pow_int(ones, 1, prec, _NEAREST) == want
+        assert qcore.raw_mul(ones, fone, prec) == want
+        assert qcore.raw_div(ones, fone, prec) == want
+        assert qcore.raw_add(ones, _raw((-1) ** sign, -7), prec) == want
+        assert qcore._pow_int(ones, 1, prec) == want
         _agree_binary(ones, _raw(3, 7), prec)
         _agree_unary(ones, prec)
 
@@ -1180,9 +1195,9 @@ class TestIntegerArithmetic:
     def test_cancellation_gives_fzero(self, prec):
         for x in (_raw(3), _raw(-(2**prec - 1), -prec), _raw(2 ** (2 * prec) + 1, 17)):
             negative = libmp.mpf_neg(x)
-            assert qcore.raw_add(x, negative, prec, _NEAREST) == libmp.fzero
-            assert qcore.raw_add(negative, x, prec, _NEAREST) == libmp.fzero
-        assert qcore._one_minus(fone, prec, _NEAREST) == libmp.fzero
+            assert qcore.raw_add(x, negative, prec) == libmp.fzero
+            assert qcore.raw_add(negative, x, prec) == libmp.fzero
+        assert qcore._one_minus(fone, prec) == libmp.fzero
 
     @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
     @pytest.mark.parametrize("ysign", [1, -1])
@@ -1199,20 +1214,20 @@ class TestIntegerArithmetic:
                     _agree_binary(x, y, prec)
                     _agree_binary(libmp.mpf_neg(x), y, prec)
                     tiny = _raw(ysign * yman, -gap)
-                    _same_outcome(qcore._one_minus, _libmp_one_minus, tiny, prec, _NEAREST)
+                    _same_outcome(qcore._one_minus, _libmp_one_minus, tiny, prec)
 
     @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
     def test_divisor_a_power_of_two(self, prec):
         for x in (_raw(3), _raw(-(2 ** (prec + 3) - 1), 9), _raw(2 ** (2 * prec) + 1)):
             for e in (-70, 0, 1, 70):
-                _same_outcome(qcore.raw_div, libmp.mpf_div, x, _raw(1, e), prec, _NEAREST)
-                _same_outcome(qcore.raw_div, libmp.mpf_div, x, _raw(-1, e), prec, _NEAREST)
+                _same_outcome(qcore.raw_div, libmp.mpf_div, x, _raw(1, e), prec)
+                _same_outcome(qcore.raw_div, libmp.mpf_div, x, _raw(-1, e), prec)
 
     @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
     def test_zero_divisor_raises(self, prec):
         for x in (_raw(3), libmp.fzero, _raw(-(2 ** (prec + 3) - 1), 9)):
             with pytest.raises(ZeroDivisionError):
-                qcore.raw_div(x, libmp.fzero, prec, _NEAREST)
+                qcore.raw_div(x, libmp.fzero, prec)
 
     @pytest.mark.parametrize("prec", _EDGE_PRECISIONS)
     def test_integer_powers(self, prec):
@@ -1226,9 +1241,9 @@ class TestIntegerArithmetic:
     SPECIAL = [libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan]
 
     @pytest.mark.parametrize("prec", [2, 128])
-    def test_special_operands_and_other_roundings_reach_libmp(self, monkeypatch, prec):
-        # Zeros, inf and nan, and round_down / round_up: each call goes to
-        # the libmp function, which gives the result.
+    def test_special_operands_reach_libmp(self, monkeypatch, prec):
+        # Zeros, inf and nan: each call goes to the libmp function, which
+        # gives the result.
         reached = []
 
         def recorded(name):
@@ -1244,24 +1259,21 @@ class TestIntegerArithmetic:
         for name in names:
             monkeypatch.setattr(qcore, name, recorded(name))
         regular = [_raw(3, -2), _raw(-(2**prec + 1), 5)]
-        cases = [(x, y, _NEAREST) for x in self.SPECIAL for y in self.SPECIAL + regular]
-        cases += [(y, x, _NEAREST) for x in self.SPECIAL for y in regular]
-        directed = (libmp.round_down, libmp.round_up)
-        cases += [(x, y, rnd) for x in regular for y in regular for rnd in directed]
-        for x, y, rnd in cases:
+        cases = [(x, y) for x in self.SPECIAL for y in self.SPECIAL + regular]
+        cases += [(y, x) for x in self.SPECIAL for y in regular]
+        for x, y in cases:
             for name, (ours, theirs) in _BINARY.items():
                 del reached[:]
-                _same_outcome(ours, theirs, x, y, prec, rnd)
-                assert reached == ["mpf_" + name], (name, x, y, rnd)
-        for x in self.SPECIAL + regular:
-            for rnd in directed if x in regular else (_NEAREST,):
+                _same_outcome(ours, theirs, x, y, prec)
+                assert reached == ["mpf_" + name], (name, x, y)
+        for x in self.SPECIAL:
+            del reached[:]
+            _same_outcome(qcore._one_minus, _libmp_one_minus, x, prec)
+            assert reached == ["mpf_sub"]
+            for n in (-2, 0, 1, 3, 1000):
                 del reached[:]
-                _same_outcome(qcore._one_minus, _libmp_one_minus, x, prec, rnd)
-                assert reached == ["mpf_sub"]
-                for n in (-2, 0, 1, 3, 1000):
-                    del reached[:]
-                    _same_outcome(qcore._pow_int, libmp.mpf_pow_int, x, n, prec, rnd)
-                    assert reached == ["mpf_pow_int"], (x, n, rnd)
+                _same_outcome(qcore._pow_int, libmp.mpf_pow_int, x, n, prec)
+                assert reached == ["mpf_pow_int"], (x, n)
 
     def test_sides_reach_libmp_for_no_ordinary_real_operation(self, monkeypatch):
         # Both sides of three families that run every layer on reals: block
@@ -1287,7 +1299,7 @@ class TestIntegerArithmetic:
         for name in ("mpf_mul", "mpf_div", "mpf_add", "mpf_sub", "mpf_pow_int"):
             monkeypatch.setattr(qcore, name, counted(name))
         # The counters are in place: a zero reaches libmp, not as ordinary.
-        assert qcore.raw_mul(libmp.fzero, fone, 128, _NEAREST) == libmp.fzero
+        assert qcore.raw_mul(libmp.fzero, fone, 128) == libmp.fzero
         assert calls == ["mpf_mul"] and ordinary == []
         cases = [
             ("thm_heine7", {"n": 2, "m": 2}),
@@ -1302,3 +1314,21 @@ class TestIntegerArithmetic:
                 value, diag = evaluate_in_context(side, ctx)
                 assert value != 0 and diag.terms, family_id
         assert ordinary == []
+
+
+class TestRoundingMode:
+    """qcore rounds to nearest and takes no rounding argument, because
+    mpmath holds round-to-nearest in ``mp._prec_rounding`` and nothing
+    changes it.  An mpmath that adds rounding modes fails here first."""
+
+    def test_context_rounds_to_nearest(self):
+        assert mp._prec_rounding[1] == libmp.round_nearest
+
+    def test_assigning_rounding_leaves_the_context(self):
+        saved = list(mp._prec_rounding)
+        try:
+            mp.rounding = "d"
+            assert mp._prec_rounding == saved
+        finally:
+            vars(mp).pop("rounding", None)
+            mp._prec_rounding[:] = saved
