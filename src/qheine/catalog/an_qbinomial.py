@@ -87,10 +87,6 @@ def _ml_build(dims):
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
-def _ml_domain(dims, p, bases):
-    return all(abs(p["z"] / xr) < 1 for xr in p["x"])
-
-
 def _ml_sample(rng, dims, bases):
     n = dims["n"]
     x = distinct_vector(rng, n)
@@ -108,7 +104,6 @@ AN_QBIN_MILNE_LILLY = IdentityFamily(
     dim_names=("n",),
     schema=(ParamSpec("a", "n"), ParamSpec("x", "n"), ParamSpec("z")),
     build=_ml_build,
-    domain=_ml_domain,
     sample=_ml_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )
@@ -150,10 +145,6 @@ def _gk_build(dims):
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
-def _gk_domain(dims, p, bases):
-    return abs(p["z"]) < 1
-
-
 def _gk_sample(rng, dims, bases):
     return {
         "a": coefficient(rng),
@@ -169,7 +160,6 @@ AN_QBIN_GK = IdentityFamily(
     dim_names=("n",),
     schema=(ParamSpec("a"), ParamSpec("x", "n"), ParamSpec("z")),
     build=_gk_build,
-    domain=_gk_domain,
     sample=_gk_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )
@@ -178,13 +168,13 @@ AN_QBIN_GK = IdentityFamily(
 # -- A_n Euler exponential sum, the a -> oo limit of the gk sum --------------
 # prod_{r<n} (-z q^r)_oo
 #   = sum_k V(x,k) prod_r q^{C(k_r,2)}/(q)_{k_r} z^{|k|} q^{sum (r-1)k_r}
-# Like the gk sum, it does not depend on x.  No catalog family: it backs the
-# partial-theta entries of catalog.ramanujan.
+# Like the gk sum, it does not depend on x, and it is entire in z.  No
+# catalog family: it backs the partial-theta entries of catalog.ramanujan.
 
 
 def euler_exp_summation(xvec, base, prec: int) -> Summation:
-    """The summation, parameters bound; the -base^r, r < n, of its product
-    are formed once, at ``prec`` bits."""
+    """The summation, parameters bound; it converges for every z.  The
+    -base^r, r < n, of its product are formed once, at ``prec`` bits."""
     with mp.workprec(prec):
         product = ProductSpec(
             [numer(-(base**r), base) for r in range(len(xvec))]
@@ -198,6 +188,7 @@ def euler_exp_summation(xvec, base, prec: int) -> Summation:
             exponent=lambda k: staircase(k) + sum(math.comb(kr, 2) for kr in k),
         ),
         product,
+        arg_bound=math.inf,
         label="euler_exp",
     )
 
@@ -242,6 +233,7 @@ def stretched_euler_summation(n, base, prec: int) -> Summation:
         n,
         stretched_spec(n, base, prec),
         product,
+        arg_bound=math.inf,
         label="stretched_euler",
     )
 
@@ -290,10 +282,6 @@ def _extra_c_build(dims):
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
-def _extra_c_domain(dims, p, bases):
-    return abs(p["z"]) < 1
-
-
 def _extra_c_sample(rng, dims, bases):
     n = dims["n"]
     return {
@@ -316,7 +304,6 @@ AN_QBIN_EXTRA_C = IdentityFamily(
         ParamSpec("z"),
     ),
     build=_extra_c_build,
-    domain=_extra_c_domain,
     sample=_extra_c_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )

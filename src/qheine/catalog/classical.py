@@ -59,10 +59,6 @@ def _qbin_build(dims):
     return summation_sides((1, 0), bind)
 
 
-def _qbin_domain(dims, p, bases):
-    return abs(p["z"]) < 1
-
-
 def _qbin_sample(rng, dims, bases):
     return {"a": coefficient(rng), "z": argument(rng)}
 
@@ -73,7 +69,6 @@ Q_BINOMIAL = IdentityFamily(
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("z")),
     build=_qbin_build,
-    domain=_qbin_domain,
     sample=_qbin_sample,
 )
 
@@ -140,10 +135,6 @@ def _bibasic_heine_build(dims):
     return heine_sides(((1, 0),), (1, 0), bind)
 
 
-def _bibasic_heine_domain(dims, p, bases):
-    return abs(p["z"]) < 1 and abs(p["w"]) < 1
-
-
 def _bibasic_heine_sample(rng, dims, bases):
     return {
         "a": coefficient(rng),
@@ -159,7 +150,6 @@ BIBASIC_HEINE = IdentityFamily(
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("w"), ParamSpec("z")),
     build=_bibasic_heine_build,
-    domain=_bibasic_heine_domain,
     sample=_bibasic_heine_sample,
 )
 
@@ -201,12 +191,6 @@ def _qeuler_build(dims):
     return summation_sides((1, 1), bind)
 
 
-def _qeuler_domain(dims, p, bases):
-    if p["c"] == 0:
-        return False
-    return abs(p["z"]) < 1 and abs(p["a"] * p["b"] * p["z"] / p["c"]) < 1
-
-
 def _qeuler_sample(rng, dims, bases):
     a = coefficient(rng)
     b = coefficient(rng)
@@ -222,7 +206,6 @@ Q_EULER = IdentityFamily(
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("z")),
     build=_qeuler_build,
-    domain=_qeuler_domain,
     sample=_qeuler_sample,
 )
 
@@ -241,19 +224,6 @@ def _bibasic_euler_build(dims):
         return (HeineBlock(first, p["z"], B.qht),), HeineBlock(base, p["w"])
 
     return heine_sides(((1, 1),), (1, 1), bind)
-
-
-def _bibasic_euler_domain(dims, p, bases):
-    if p["c"] == 0 or p["f"] == 0:
-        return False
-    # The inner sums start at the unshifted arguments, so those must already
-    # lie inside the unit disc.
-    return (
-        abs(p["z"]) < 1
-        and abs(p["w"]) < 1
-        and abs(p["a"] * p["b"] * p["z"] / p["c"]) < 1
-        and abs(p["d"] * p["e"] * p["w"] / p["f"]) < 1
-    )
 
 
 def _bibasic_euler_sample(rng, dims, bases):
@@ -280,7 +250,6 @@ BIBASIC_EULER = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_bibasic_euler_build,
-    domain=_bibasic_euler_domain,
     sample=_bibasic_euler_sample,
 )
 

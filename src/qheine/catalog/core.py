@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf, mpmathify
@@ -19,8 +20,10 @@ from ..errors import (
 )
 from ..multisum import (
     Diagnostics,
+    HeineBlock,
     SeriesSide,
     TruncationPolicy,
+    domain_fault,
     evaluate_in_context,
     make_context,
     vandermonde_ratio,
@@ -66,9 +69,24 @@ class Identity:
     schema: tuple[ParamSpec, ...]
     lhs: SeriesSide
     rhs: SeriesSide
-    domain: Callable[[Mapping, BaseSystem], bool]
     sample: Callable[[random.Random, BaseSystem], Mapping]
     policy: TruncationPolicy
+    domain: Callable[[Mapping, BaseSystem], bool] | None = None
+
+    def fault(self, ctx) -> str | None:
+        """Why the point of ``ctx`` is outside the domain, or None: a family
+        converges where the summations its sides bind converge (``domain_fault``
+        once per distinct ``bind``), unless it states a ``domain``.  Call it at
+        the run's precision: the terms read the blocks it binds."""
+        if self.domain is not None:
+            inside = self.domain(ctx.params, ctx.bases)
+            return None if inside else "point outside identity domain"
+        binds = dict.fromkeys(side.bind for side in (self.lhs, self.rhs) if side.bind)
+        for bind in binds:
+            reason = domain_fault(bind, ctx)
+            if reason:
+                return reason
+        return None
 
     def validate_params(self, params: Mapping) -> None:
         wanted = {spec.name for spec in self.schema}
@@ -91,19 +109,21 @@ class Identity:
 
 @dataclass(frozen=True)
 class IdentityFamily:
-    """A transformation family; dimensions are chosen at instantiation."""
+    """A transformation family; dimensions are chosen at instantiation.
+    ``domain(dims, params, bases)`` states the domain of a family whose sides
+    bind no summation (``heine_2phi1`` alone; see ``Identity.fault``)."""
 
     id: str
     reference: str
     dim_names: tuple[str, ...]
     schema: tuple[ParamSpec, ...]
     build: Callable[[Mapping[str, int]], tuple[SeriesSide, SeriesSide]]
-    domain: Callable[[Mapping[str, int], Mapping, BaseSystem], bool]
     sample: Callable[[random.Random, Mapping[str, int], BaseSystem], Mapping]
     default_dims: tuple[Mapping[str, int], ...] = (dict(),)
     # Ten shells of headroom over the generic cap lets the consecutive-shell
     # stop rule finish even when a side's value is small (ratio inflation).
     policy: TruncationPolicy = TruncationPolicy(max_shell_weight=50)
+    domain: Callable[[Mapping[str, int], Mapping, BaseSystem], bool] | None = None
 
     def instantiate(self, dims: Mapping[str, int] | None = None, **kw) -> Identity:
         assignment = dict(dims or {})
@@ -116,16 +136,9 @@ class IdentityFamily:
             if not isinstance(value, int) or value < 1:
                 raise InvalidConfig(f"{self.id}: dimension {name} must be >= 1")
         lhs, rhs = self.build(assignment)
-        dom = self.domain
-
-        def bound_domain(params, bases, _dims=assignment):
-            return dom(_dims, params, bases)
-
-        def ctx_domain(ctx, _dims=assignment):
-            return dom(_dims, ctx.params, ctx.bases)
-
-        lhs = replace(lhs, domain=ctx_domain)
-        rhs = replace(rhs, domain=ctx_domain)
+        domain = self.domain
+        if domain is not None:
+            domain = partial(domain, assignment)
         sampler = self.sample
 
         def bound_sample(rng, bases, _dims=assignment):
@@ -139,9 +152,9 @@ class IdentityFamily:
             schema=self.schema,
             lhs=lhs,
             rhs=rhs,
-            domain=bound_domain,
             sample=bound_sample,
             policy=self.policy,
+            domain=domain,
         )
 
 
@@ -170,17 +183,20 @@ def verify(
 ) -> VerificationResult:
     """Evaluate both sides of an identity and compare them.
 
-    The case passes when the relative error is within ``tolerance`` and both
-    sides converged: a side that reached the shell cap before its tail fell
-    below the policy's tolerance has not earned a verdict, however close the
-    two values are.
+    A point outside the domain (``Identity.fault``, checked once, on the run's
+    context) raises ``DomainViolation``.  The case passes when the relative
+    error is within ``tolerance`` and both sides converged: a side that
+    reached the shell cap before its tail fell below the policy's tolerance
+    has not earned a verdict, however close the two values are.
     """
     identity.validate_params(params)
-    if not identity.domain(params, bases):
-        raise DomainViolation(f"{identity.id}: point outside identity domain")
     if policy is None:
         policy = identity.policy
     ctx = make_context(params, bases)
+    with mp.workprec(bases.prec):
+        fault = identity.fault(ctx)
+    if fault:
+        raise DomainViolation(f"{identity.id}: {fault}")
     try:
         lhs_value, lhs_diag = evaluate_in_context(identity.lhs, ctx, policy)
     except QHeineError as exc:
@@ -231,7 +247,8 @@ def sample_domain(
     count: int,
     prec: int = DEFAULT_PRECISION,
 ) -> list[tuple[Mapping, BaseSystem]]:
-    """Deterministic pseudo-random points satisfying the identity domain."""
+    """Deterministic pseudo-random points in the identity's domain, each
+    draw checked by ``Identity.fault`` on a context of its own."""
     if count < 1:
         raise InvalidConfig("sample count must be >= 1")
     rng = random.Random(seed)
@@ -241,7 +258,8 @@ def sample_domain(
         bases = sample_bases(rng, prec)
         with mp.workprec(prec):
             params = identity.sample(rng, bases)
-        if identity.domain(params, bases):
+            fault = identity.fault(make_context(params, bases))
+        if not fault:
             points.append((params, bases))
             consecutive_failures = 0
         else:
@@ -314,13 +332,18 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
     ``Summation`` and argument z, once per run (``run_memo``).  The inner
     summand is taken at unit argument times (stretch z)^{|j|}.  The sum is
     the lhs unless ``product_left``.  The product, a prefactor, is the one
-    mpf or mpc; the terms are raw."""
+    mpf or mpc; the terms are raw.  Both sides bind the summation at z as a
+    base block (``multisum.domain_fault``)."""
     outer, inner = shape
 
     def bound(ctx) -> tuple:
         """(summation, z, stretch z) of the run, the last one raw."""
         summation, z = bind(ctx)
         return summation, z, value_key(summation.stretch * z)
+
+    def blocks(ctx) -> tuple:
+        summation, z, _ = run_memo(ctx, bound)
+        return (), HeineBlock(summation, z)
 
     def term(ctx, k):
         summation, z, _ = run_memo(ctx, bound)
@@ -335,7 +358,8 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
         power = ctx.poch.intpow(stretched, sum(j))
         return raw_mul(summation.inner(ctx.poch, j), power, mp.prec)
 
-    sides = (SeriesSide(outer, term), SeriesSide(inner, inner_term, product))
+    product_side = SeriesSide(inner, inner_term, product, blocks)
+    sides = (SeriesSide(outer, term, bind=blocks), product_side)
     return sides[::-1] if product_left else sides
 
 

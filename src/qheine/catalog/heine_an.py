@@ -40,12 +40,6 @@ _heine7_build = _build(
 )
 
 
-def _heine7_domain(dims, p, bases):
-    return all(abs(p["z"] / xr) < 1 for xr in p["x"]) and all(
-        abs(p["w"] / yr) < 1 for yr in p["y"]
-    )
-
-
 def _heine7_sample(rng, dims, bases):
     n, m = dims["n"], dims["m"]
     x = distinct_vector(rng, n)
@@ -74,7 +68,6 @@ THM_HEINE7 = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_heine7_build,
-    domain=_heine7_domain,
     sample=_heine7_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
@@ -84,10 +77,6 @@ _heine8_build = _build(
     lambda p, qh, prec: milne_lilly_summation(p["a"], p["x"], qh, prec),
     lambda p, qt, prec: gk_summation(p["b"], p["y"], qt, prec),
 )
-
-
-def _heine8_domain(dims, p, bases):
-    return abs(p["w"]) < 1 and all(abs(p["z"] / xr) < 1 for xr in p["x"])
 
 
 def _heine8_sample(rng, dims, bases):
@@ -117,7 +106,6 @@ THM_HEINE8 = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_heine8_build,
-    domain=_heine8_domain,
     sample=_heine8_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
@@ -127,10 +115,6 @@ _heine1_build = _build(
     lambda p, qh, prec: extra_c_summation(p["a"], p["c"], p["x"], qh, prec),
     lambda p, qt, prec: extra_c_summation(p["b"], p["d"], p["y"], qt, prec),
 )
-
-
-def _heine1_domain(dims, p, bases):
-    return abs(p["z"]) < 1 and abs(p["w"]) < 1
 
 
 def _heine1_sample(rng, dims, bases):
@@ -163,7 +147,6 @@ THM_HEINE1 = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_heine1_build,
-    domain=_heine1_domain,
     sample=_heine1_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
@@ -174,10 +157,6 @@ _heine2_build = _build(
     lambda p, qh, prec: extra_c_summation(p["a"], 0, p["x"], qh, prec),
     lambda p, qt, prec: milne_lilly_summation(p["b"], p["y"], qt, prec),
 )
-
-
-def _heine2_domain(dims, p, bases):
-    return abs(p["z"]) < 1 and all(abs(p["w"] / yr) < 1 for yr in p["y"])
 
 
 def _heine2_sample(rng, dims, bases):
@@ -207,7 +186,6 @@ THM_HEINE2 = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_heine2_build,
-    domain=_heine2_domain,
     sample=_heine2_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )

@@ -82,14 +82,6 @@ def _kajihara_build(dims):
     return summation_sides((dims["n"], dims["m"]), bind)
 
 
-def _kajihara_domain(dims, p, bases):
-    if p["c"] == 0 or any(a == 0 for a in p["a"]):
-        return False
-    m = dims["m"]
-    big = math.prod(p["a"]) * math.prod(p["b"]) * p["z"] / p["c"] ** m
-    return abs(p["z"]) < 1 and abs(big) < 1
-
-
 def _kajihara_sample(rng, dims, bases):
     n, m = dims["n"], dims["m"]
     a = tuple(signed(rng, 0.3, 0.9) for _ in range(n))
@@ -123,7 +115,6 @@ KAJIHARA = IdentityFamily(
         ParamSpec("z"),
     ),
     build=_kajihara_build,
-    domain=_kajihara_domain,
     sample=_kajihara_sample,
     default_dims=(
         {"n": 1, "m": 1},
@@ -147,21 +138,6 @@ def _kajihara_double_build(dims):
         return (first,), block(("d", "e", "f", "y", "Y"), B.qt, p["w"])
 
     return heine_sides(((dims["n"], dims["mu"]),), (dims["m"], dims["nu"]), bind)
-
-
-def _kajihara_double_domain(dims, p, bases):
-    if p["c"] == 0 or p["f"] == 0:
-        return False
-    if any(v == 0 for v in p["a"] + p["d"] + p["b"] + p["e"]):
-        return False
-    m_scale = math.prod(p["a"]) * math.prod(p["b"]) / p["c"] ** dims["mu"]
-    d_scale = math.prod(p["d"]) * math.prod(p["e"]) / p["f"] ** dims["nu"]
-    return (
-        abs(p["z"]) < 1
-        and abs(p["w"]) < 1
-        and abs(m_scale * p["z"]) < 1
-        and abs(d_scale * p["w"]) < 1
-    )
 
 
 def _kajihara_double_sample(rng, dims, bases):
@@ -217,7 +193,6 @@ KAJIHARA_DOUBLE = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_kajihara_double_build,
-    domain=_kajihara_double_domain,
     sample=_kajihara_double_sample,
     default_dims=(
         {"n": 1, "m": 1, "nu": 1, "mu": 1},

@@ -34,10 +34,6 @@ def _qlauricella_build(dims):
     return heine_sides(((1, 0),) * dims["p"], (1, 0), bind)
 
 
-def _qlauricella_domain(dims, p, bases):
-    return abs(p["w"]) < 1 and all(abs(zr) < 1 for zr in p["z"])
-
-
 def _qlauricella_sample(rng, dims, bases):
     p_dim = dims["p"]
     return {
@@ -62,7 +58,6 @@ QLAURICELLA_BIBASIC = IdentityFamily(
         ParamSpec("hexp", "p", role="exponent"),
     ),
     build=_qlauricella_build,
-    domain=_qlauricella_domain,
     sample=_qlauricella_sample,
     default_dims=({"p": 1}, {"p": 2}, {"p": 3}),
 )
@@ -91,14 +86,6 @@ def _master_big_build(dims):
 
     shapes = ((dims["n1"], 0), (dims["n2"], 0))
     return heine_sides(shapes, (dims["m"], 0), bind)
-
-
-def _master_big_domain(dims, p, bases):
-    return (
-        all(abs(p["z1"] / xr) < 1 for xr in p["x1"])
-        and abs(p["z2"]) < 1
-        and abs(p["w"]) < 1
-    )
 
 
 def _master_big_sample(rng, dims, bases):
@@ -140,7 +127,6 @@ MASTER_INSTANCE_BIG = IdentityFamily(
         ParamSpec("h2", role="exponent"),
     ),
     build=_master_big_build,
-    domain=_master_big_domain,
     sample=_master_big_sample,
     default_dims=(
         {"n1": 1, "n2": 1, "m": 1},
@@ -176,14 +162,6 @@ def _master_lauricella_build(dims):
     return heine_sides(shapes, (dims["m"], 0), bind)
 
 
-def _master_lauricella_domain(dims, p, bases):
-    return (
-        abs(p["z"]) < 1
-        and abs(p["w"]) < 1
-        and all(abs(ur) < 1 for ur in p["u"])
-    )
-
-
 def _master_lauricella_sample(rng, dims, bases):
     p_dim, n, m = dims["p"], dims["n"], dims["m"]
     return {
@@ -214,7 +192,6 @@ MASTER_INSTANCE_LAURICELLA = IdentityFamily(
         ParamSpec("w"),
     ),
     build=_master_lauricella_build,
-    domain=_master_lauricella_domain,
     sample=_master_lauricella_sample,
     default_dims=(
         {"p": 1, "n": 1, "m": 1},

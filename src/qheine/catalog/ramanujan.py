@@ -106,9 +106,9 @@ def _base_over_block(P, blocks, base):
 # -bq/a, x_r = q^{t(r-1)}) at a q^{tm}, with cross base q^{htmn}, over the
 # n-fold Milne-Lilly summation in base q^{hn} (every a_r = cq/d, x_r =
 # q^{h(r-1)}) at w = d q^{hn}.  With these x_r the Milne-Lilly product side
-# collapses to (cq/d w q^{h(1-n)}; q^h)_oo / (w q^{h(1-n)}; q^h)_oo.  The
-# display multiplies both sides by the base block's product over the
-# block's.
+# collapses to (cq/d w q^{h(1-n)}; q^h)_oo / (w q^{h(1-n)}; q^h)_oo, and its
+# bound min_r |x_r| = q^{h(n-1)} gives the domain |d q^h| < 1.  The display
+# multiplies both sides by the base block's product over the block's.
 
 
 def _ram_1_4_1_build(dims):
@@ -135,16 +135,6 @@ def _ram_1_4_1_build(dims):
     return _displayed(((m, 0),), (n, 0), bind, _base_over_block)
 
 
-def _ram_1_4_1_domain(dims, p, bases):
-    if p["a"] == 0 or p["d"] == 0:
-        return False
-    q_tm = bases.power(bases.t * dims.get("m", 1))
-    # The n-fold sum inherits max_r |z/x_r| < 1 from its parent
-    # transformation; with x_r = q^{h(r-1)} the binding case is |d q^h| < 1,
-    # strictly stronger than |d q^{hn}| < 1 once n > 1.
-    return abs(p["a"] * q_tm) < 1 and abs(p["d"] * bases.qh) < 1
-
-
 def _ram_1_4_1_sample(rng, dims, bases):
     q_tm = bases.power(bases.t * dims.get("m", 1))
     return {
@@ -162,7 +152,6 @@ RAM_1_4_1_ANM = IdentityFamily(
     dim_names=("n", "m"),
     schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
     build=_ram_1_4_1_build,
-    domain=_ram_1_4_1_domain,
     sample=_ram_1_4_1_sample,
     default_dims=(
         {"n": 1, "m": 1},
@@ -243,10 +232,6 @@ def _ram_1_4_10_anm_build(dims):
     return _q_sides((n, lhs), (m, rhs), rhs_product)
 
 
-def _always(dims, p, bases):
-    return True
-
-
 def _no_params(rng, dims, bases):
     return {}
 
@@ -258,7 +243,6 @@ RAM_1_4_10_ANM = IdentityFamily(
     dim_names=("n", "m"),
     schema=(),
     build=_ram_1_4_10_anm_build,
-    domain=_always,
     sample=_no_params,
     default_dims=(
         {"n": 1, "m": 1},
@@ -312,7 +296,6 @@ RAM_1_4_10_C = IdentityFamily(
     dim_names=("n", "m"),
     schema=(),
     build=_ram_1_4_10_c_build,
-    domain=_always,
     sample=_no_params,
     default_dims=(
         {"n": 1, "m": 1},
@@ -394,7 +377,6 @@ RAM_EQ26_A2 = IdentityFamily(
     dim_names=("m",),
     schema=(ParamSpec("a"), ParamSpec("b")),
     build=_partial_theta_build(_euler_block, _bases_t_h),
-    domain=_always,
     sample=_coeff_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
@@ -417,7 +399,6 @@ RAM_EQ26_A3 = IdentityFamily(
     dim_names=("m",),
     schema=(ParamSpec("a"), ParamSpec("b")),
     build=_partial_theta_build(_euler_block, _bases_1_1),
-    domain=_always,
     sample=_coeff_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
@@ -430,7 +411,6 @@ RAM_EQ26_B = IdentityFamily(
     dim_names=("n", "m"),
     schema=(ParamSpec("a"), ParamSpec("b")),
     build=_partial_theta_build(_stretched_block, _bases_t_h),
-    domain=_always,
     sample=_coeff_params,
     default_dims=(
         {"n": 1, "m": 1},
@@ -448,7 +428,6 @@ RAM_1_4_17_ANM = IdentityFamily(
     dim_names=("n", "m"),
     schema=(ParamSpec("a"), ParamSpec("b")),
     build=_partial_theta_build(_stretched_block, _bases_1_1),
-    domain=_always,
     sample=_coeff_params,
     default_dims=(
         {"n": 1, "m": 1},
@@ -491,7 +470,6 @@ RAM_1_4_9A = IdentityFamily(
     dim_names=("m",),
     schema=(),
     build=_ram_1_4_9a_build,
-    domain=_always,
     sample=_no_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
@@ -522,7 +500,6 @@ RAM_1_4_9B = IdentityFamily(
     dim_names=("m",),
     schema=(),
     build=_ram_1_4_9b_build,
-    domain=_always,
     sample=_no_params,
     default_dims=({"m": 1}, {"m": 2}),
 )

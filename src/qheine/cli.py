@@ -429,14 +429,14 @@ def _total(summaries: list[dict], h_failures: int = 0) -> dict:
     }
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write the report to stdout or to the file ``out``; a file that cannot
-    be written is a configuration error."""
+def _write(text: str, out: str | None, mode: str = "w") -> None:
+    """Write the report to stdout or to the file ``out``, opened in
+    ``mode``; a file that cannot be written is a configuration error."""
     if out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(out, mode, encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise InvalidConfig(f"cannot write {out}: {exc.strerror or exc}") from exc
@@ -451,6 +451,7 @@ def main(argv=None) -> int:
             _write(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
             return EXIT_OK
         config = config_from_args(args)
+        _write("", config.out, "a")  # an unwritable --out fails before the run
         mp.prec = config.precision
         if config.mode == "verify":
             records, exit_code = run_verify(config)

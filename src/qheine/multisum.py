@@ -19,7 +19,6 @@ from mpmath.libmp import fone
 from .errors import (
     DegenerateVariables,
     DivisionByZero,
-    DomainViolation,
     LengthMismatch,
     PoleEncountered,
     TruncationNotConverged,
@@ -248,8 +247,9 @@ class Summation:
     well: sum_k term(P, z, k) = product(P, z) * sum_j inner(P, j) (stretch
     z)^{|j|}, where ``inner`` is the inner summand at unit argument.  Every
     summand is homogeneous in its argument: term(P, z H, k) = H^{|k|}
-    term(P, z, k).  The sum converges for |z| < ``arg_bound``, and
-    ``label`` names it in a composed identity.
+    term(P, z, k).  The sum converges for |z| < ``arg_bound`` (``math.inf``
+    if it is entire), the one statement of its domain (``domain_fault``),
+    and ``label`` names it in a composed identity.
     """
 
     dimension: int
@@ -273,6 +273,29 @@ class HeineBlock:
     cross: QComplex = ONE
 
 
+def domain_fault(bind, ctx) -> str | None:
+    """Why the point of ``ctx`` lies outside the domain of the blocks and
+    base block ``bind(ctx)`` returns, or None: the one domain rule.  A Heine
+    pair holds where every summation it binds converges (Gasper-Rahman,
+    Basic Hypergeometric Series, 1.4): each |argument| < ``arg_bound`` and
+    each |cross base| < 1.  A block whose builder divides by zero is out."""
+    try:
+        blocks, base = bind(ctx)
+    except ZeroDivisionError as exc:
+        return f"a block has no value at this point ({exc})"
+    for block in blocks:
+        if not abs(block.cross) < 1:
+            label = block.summation.label
+            return f"|q^(t*h)| >= 1 for block {label!r}; no joint domain"
+    for block in (*blocks, base):
+        if not abs(block.argument) < block.summation.arg_bound:
+            return (
+                f"argument {mp.nstr(block.argument, 5)} outside the domain of "
+                f"block {block.summation.label!r}"
+            )
+    return None
+
+
 def heine_sides(
     shapes: Sequence[tuple[int, int]], base_shape: tuple[int, int], bind
 ) -> tuple[SeriesSide, SeriesSide]:
@@ -294,7 +317,8 @@ def heine_sides(
                 * prod_r P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|}
 
     Both sides are ``block_term`` summands, whose parts and couplings are
-    raw values; only the rhs prefactor is an mpf or mpc.  Expanding P_0(w s)
+    raw values; only the rhs prefactor is an mpf or mpc, and both ``bind``
+    the run's blocks.  Expanding P_0(w s)
     as its sum and swapping the two sums turns one side into the other.
     Blocks that share a cross base contribute one power of it, for the sum
     of their weights, so weight tuples with the same sums give the same s;
@@ -347,6 +371,10 @@ def heine_sides(
             run = (blocks, tuple(groups.values()), args, stretched_args, crosses)
             memo[bind] = run
         return run
+
+    def bound_blocks(ctx) -> tuple:
+        blocks = bound(ctx)[0]
+        return blocks[:p], blocks[p]
 
     def summand(r):
         def part(ctx, k):
@@ -450,13 +478,11 @@ def heine_sides(
         lhs_parts.append(inner_summand(p))
     rhs_sizes = (base_outer,) + tuple(shapes[r][1] for r in inner_blocks)
     rhs_parts = [summand(p)] + [inner_summand(r) for r in inner_blocks]
+    lhs_term = block_term(lhs_sizes, lhs_parts, lhs_coupling)
+    rhs_term = block_term(rhs_sizes, rhs_parts, rhs_coupling)
     return (
-        SeriesSide(sum(lhs_sizes), block_term(lhs_sizes, lhs_parts, lhs_coupling)),
-        SeriesSide(
-            sum(rhs_sizes),
-            block_term(rhs_sizes, rhs_parts, rhs_coupling),
-            rhs_prefactor,
-        ),
+        SeriesSide(sum(lhs_sizes), lhs_term, bind=bound_blocks),
+        SeriesSide(sum(rhs_sizes), rhs_term, rhs_prefactor, bound_blocks),
     )
 
 
@@ -466,14 +492,15 @@ class SeriesSide:
 
     ``dimension == 0`` denotes a pure product side (the empty sum equals 1).
     ``term`` maps (ctx, multi-index) to a raw ``_mpf_`` or ``_mpc_`` value;
-    ``prefactor`` returns an mpf or mpc, and it and ``domain`` take the
-    context alone.
+    ``prefactor`` returns an mpf or mpc, and ``bind`` the run's blocks and
+    base block for ``domain_fault`` (None: the side binds no summation);
+    both take the context alone.
     """
 
     dimension: int
     term: Callable[[EvalContext, MultiIndex], tuple] = lambda ctx, k: fone
     prefactor: Callable[[EvalContext], QComplex] = lambda ctx: mpf(1)
-    domain: Callable[[EvalContext], bool] = lambda ctx: True
+    bind: Callable[[EvalContext], tuple] | None = None
 
 
 @dataclass(frozen=True)
@@ -511,8 +538,6 @@ def evaluate_in_context(
     """
     if policy is None:
         policy = TruncationPolicy()
-    if not side.domain(ctx):
-        raise DomainViolation("parameter point outside the series domain")
     prec = ctx.bases.prec
     with mp.workprec(prec):
         try:

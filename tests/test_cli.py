@@ -393,14 +393,23 @@ class TestMalformedInput:
         ["export-catalog"],
     ],
 )
-def test_unwritable_out_exit_2(capsys, tmp_path, argv):
-    # A report path in a missing directory is a configuration error.
+def test_unwritable_out_exit_2(capsys, monkeypatch, tmp_path, argv):
+    # A report path in a missing directory is a configuration error, found
+    # before any case is verified.
+    verify, cases = catalog.verify, []
+
+    def counted(*args, **kwargs):
+        cases.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "verify", counted)
     out = tmp_path / "missing" / "r.jsonl"
     code = cli.main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+    assert cases == []
 
 
 class TestExportCatalog:

@@ -1,3 +1,4 @@
+import math
 import random
 import zlib
 
@@ -7,9 +8,11 @@ from mpmath import mp, mpf
 from qheine import catalog, heine_engine as engine
 from qheine.catalog.blocks import SHIPPED_BLOCK_NAMES, broken_block, sample_block
 from qheine.catalog.an_qbinomial import (
+    euler_exp_summation,
     extra_c_summation,
     gk_summation,
     milne_lilly_summation,
+    stretched_euler_summation,
 )
 from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.catalog.kajihara import kajihara_summation
@@ -55,6 +58,41 @@ class TestPropertyH:
         for k in range(6):
             want = from_raw(qbin.term(P, z, (k,))) * from_raw(P.finite(z, base, k))
             assert rel(from_raw(broken.term(P, z, (k,))), want) < mpf(2) ** -120
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda base: euler_exp_summation((mpf(1), mpf("1.4")), base, mp.prec),
+            lambda base: stretched_euler_summation(2, base, mp.prec),
+        ],
+        ids=["euler_exp", "stretched_euler"],
+    )
+    def test_entire_sums_are_homogeneous(self, build):
+        # An infinite bound draws as a bound of 1.
+        block = build(mpf("0.3"))
+        assert block.arg_bound == math.inf
+        result = engine.check_property_H(block, trials=16, seed=9)
+        assert result.passed
+        assert result.max_deviation < mpf("1e-30")
+
+    def test_spec_blocks_run_no_trials(self, monkeypatch):
+        # A ``TermSpec`` summand with an argument is homogeneous by its
+        # form, so composing the shipped blocks runs no numerical trial.
+        def trials(*args, **kwargs):
+            raise AssertionError("numerical trials for a spec block")
+
+        monkeypatch.setattr(engine, "check_property_H", trials)
+        bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
+        rng = random.Random(5)
+        base_slot = engine.BlockSlot(
+            q_euler_summation(mpf("0.4"), mpf("0.5"), mpf("0.6"), bases.qt, mp.prec),
+            bases.t,
+            mpf("0.1"),
+        )
+        for name in SHIPPED_BLOCK_NAMES + ("q_euler",):
+            block = sample_block(name, rng, _block_dims(name), bases.qh, mp.prec)
+            slot = engine.BlockSlot(block, bases.h, mpf("0.05"))
+            engine.compose(engine.BlockAssignment((slot,), base_slot, bases))
 
     def test_trials_validated(self):
         block = qbin_summation(mpf("0.2"), mpf("0.3"))

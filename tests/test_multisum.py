@@ -18,7 +18,6 @@ from qheine import (
     BaseSystem,
     DegenerateVariables,
     DivisionByZero,
-    DomainViolation,
     PoleEncountered,
     SeriesSide,
     TruncationNotConverged,
@@ -328,12 +327,6 @@ class TestEvaluate:
         )
         oracle = qpoch_infinite(a * z, q) / qpoch_infinite(z, q)
         assert rel(value, oracle) < mpf("1e-25")
-
-    def test_domain_violation(self):
-        bases = BaseSystem(mpf("0.5"))
-        side = SeriesSide(1, lambda ctx, k: mpf(0), domain=lambda ctx: False)
-        with pytest.raises(DomainViolation):
-            evaluate(side, {}, bases)
 
     def test_pole_encountered(self):
         bases = BaseSystem(mpf("0.5"))
