@@ -4,7 +4,6 @@ hypergeometric transformation identities over root systems of type A."""
 from .errors import (
     DegenerateVariables,
     DivisionByZero,
-    DomainEmpty,
     DomainExhausted,
     DomainViolation,
     InvalidConfig,

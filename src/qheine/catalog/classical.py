@@ -21,6 +21,7 @@ from .core import (
     coefficient,
     denom,
     numer,
+    run_memo,
     spec_side,
     summation_sides,
 )
@@ -77,6 +78,18 @@ Q_BINOMIAL = IdentityFamily(
 
 
 def _heine_build(dims):
+    """The two sides as displayed.  They bind the two q-binomial summations
+    of Heine's derivation, the one in a at z with cross base q over the one
+    in c/b at b, for their domain alone (``multisum.domain_fault``)."""
+
+    def bind(ctx):
+        q, p = ctx.bases.q, ctx.params
+        block = HeineBlock(qbin_summation(p["a"], q), p["z"], q)
+        return (block,), HeineBlock(qbin_summation(p["c"] / p["b"], q), p["b"])
+
+    def blocks(ctx):
+        return run_memo(ctx, bind)
+
     def lhs(ctx):
         q, p = ctx.bases.q, ctx.params
         rows = [(numer(p["a"], q), numer(p["b"], q), denom(p["c"], q), denom(q, q))]
@@ -93,11 +106,10 @@ def _heine_build(dims):
         a, b, c, z = p["a"], p["b"], p["c"], p["z"]
         return ProductSpec([numer(b, q), numer(a * z, q), denom(c, q), denom(z, q)])
 
-    return spec_side(1, lhs), spec_side(1, rhs, rhs_product)
-
-
-def _heine_domain(dims, p, bases):
-    return abs(p["z"]) < 1 and abs(p["b"]) < 1
+    return (
+        spec_side(1, lhs, blocks=blocks),
+        spec_side(1, rhs, rhs_product, blocks=blocks),
+    )
 
 
 def _heine_sample(rng, dims, bases):
@@ -115,7 +127,6 @@ HEINE_2PHI1 = IdentityFamily(
     dim_names=(),
     schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("z")),
     build=_heine_build,
-    domain=_heine_domain,
     sample=_heine_sample,
 )
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf, mpmathify
@@ -20,6 +19,7 @@ from ..errors import (
 )
 from ..multisum import (
     Diagnostics,
+    EvalContext,
     HeineBlock,
     SeriesSide,
     TruncationPolicy,
@@ -63,24 +63,18 @@ class Identity:
     """A registered transformation bound to a concrete dimension assignment."""
 
     id: str
-    family_id: str
-    reference: str
     dims: Mapping[str, int]
     schema: tuple[ParamSpec, ...]
     lhs: SeriesSide
     rhs: SeriesSide
     sample: Callable[[random.Random, BaseSystem], Mapping]
     policy: TruncationPolicy
-    domain: Callable[[Mapping, BaseSystem], bool] | None = None
 
     def fault(self, ctx) -> str | None:
         """Why the point of ``ctx`` is outside the domain, or None: a family
         converges where the summations its sides bind converge (``domain_fault``
-        once per distinct ``bind``), unless it states a ``domain``.  Call it at
-        the run's precision: the terms read the blocks it binds."""
-        if self.domain is not None:
-            inside = self.domain(ctx.params, ctx.bases)
-            return None if inside else "point outside identity domain"
+        once per distinct ``bind``).  Call it at the run's precision: the terms
+        read the blocks it binds."""
         binds = dict.fromkeys(side.bind for side in (self.lhs, self.rhs) if side.bind)
         for bind in binds:
             reason = domain_fault(bind, ctx)
@@ -109,9 +103,7 @@ class Identity:
 
 @dataclass(frozen=True)
 class IdentityFamily:
-    """A transformation family; dimensions are chosen at instantiation.
-    ``domain(dims, params, bases)`` states the domain of a family whose sides
-    bind no summation (``heine_2phi1`` alone; see ``Identity.fault``)."""
+    """A transformation family; dimensions are chosen at instantiation."""
 
     id: str
     reference: str
@@ -123,7 +115,6 @@ class IdentityFamily:
     # Ten shells of headroom over the generic cap lets the consecutive-shell
     # stop rule finish even when a side's value is small (ratio inflation).
     policy: TruncationPolicy = TruncationPolicy(max_shell_weight=50)
-    domain: Callable[[Mapping[str, int], Mapping, BaseSystem], bool] | None = None
 
     def instantiate(self, dims: Mapping[str, int] | None = None, **kw) -> Identity:
         assignment = dict(dims or {})
@@ -136,9 +127,6 @@ class IdentityFamily:
             if not isinstance(value, int) or value < 1:
                 raise InvalidConfig(f"{self.id}: dimension {name} must be >= 1")
         lhs, rhs = self.build(assignment)
-        domain = self.domain
-        if domain is not None:
-            domain = partial(domain, assignment)
         sampler = self.sample
 
         def bound_sample(rng, bases, _dims=assignment):
@@ -146,15 +134,12 @@ class IdentityFamily:
 
         return Identity(
             id=self.id,
-            family_id=self.id,
-            reference=self.reference,
             dims=assignment,
             schema=self.schema,
             lhs=lhs,
             rhs=rhs,
             sample=bound_sample,
             policy=self.policy,
-            domain=domain,
         )
 
 
@@ -176,23 +161,25 @@ class VerificationResult:
 
 def verify(
     identity: Identity,
-    params: Mapping,
-    bases: BaseSystem,
+    ctx: EvalContext,
     policy: TruncationPolicy | None = None,
     tolerance=mpf("1e-20"),
 ) -> VerificationResult:
-    """Evaluate both sides of an identity and compare them.
+    """Evaluate both sides of an identity on the run's context ``ctx`` (as
+    ``sample_domain`` returns it, or ``make_context(params, bases)``) and
+    compare them.
 
-    A point outside the domain (``Identity.fault``, checked once, on the run's
-    context) raises ``DomainViolation``.  The case passes when the relative
-    error is within ``tolerance`` and both sides converged: a side that
-    reached the shell cap before its tail fell below the policy's tolerance
-    has not earned a verdict, however close the two values are.
+    A point outside the domain (``Identity.fault``, checked once, on ``ctx``,
+    where it reads the blocks ``sample_domain`` bound) raises
+    ``DomainViolation``.  The case passes when the relative error is within
+    ``tolerance`` and both sides converged: a side that reached the shell cap
+    before its tail fell below the policy's tolerance has not earned a
+    verdict, however close the two values are.
     """
+    params, bases = ctx.params, ctx.bases
     identity.validate_params(params)
     if policy is None:
         policy = identity.policy
-    ctx = make_context(params, bases)
     with mp.workprec(bases.prec):
         fault = identity.fault(ctx)
     if fault:
@@ -246,21 +233,23 @@ def sample_domain(
     seed: int,
     count: int,
     prec: int = DEFAULT_PRECISION,
-) -> list[tuple[Mapping, BaseSystem]]:
-    """Deterministic pseudo-random points in the identity's domain, each
-    draw checked by ``Identity.fault`` on a context of its own."""
+) -> list[EvalContext]:
+    """Deterministic pseudo-random points in the identity's domain, as the
+    run contexts ``verify`` evaluates on: each draw is checked by
+    ``Identity.fault`` on a context of its own, which keeps the blocks it
+    bound."""
     if count < 1:
         raise InvalidConfig("sample count must be >= 1")
     rng = random.Random(seed)
-    points: list[tuple[Mapping, BaseSystem]] = []
+    contexts: list[EvalContext] = []
     consecutive_failures = 0
-    while len(points) < count:
+    while len(contexts) < count:
         bases = sample_bases(rng, prec)
         with mp.workprec(prec):
-            params = identity.sample(rng, bases)
-            fault = identity.fault(make_context(params, bases))
+            ctx = make_context(identity.sample(rng, bases), bases)
+            fault = identity.fault(ctx)
         if not fault:
-            points.append((params, bases))
+            contexts.append(ctx)
             consecutive_failures = 0
         else:
             consecutive_failures += 1
@@ -269,7 +258,7 @@ def sample_domain(
                     f"{identity.id}: rejection sampling failed "
                     f"{_MAX_REJECTS} times in a row"
                 )
-    return points
+    return contexts
 
 
 def signed(rng: random.Random, lo: float, hi: float) -> mpf:
@@ -516,16 +505,19 @@ def run_memo(ctx, bind):
     return value
 
 
-def spec_side(dimension: int, bind, product=None) -> SeriesSide:
+def spec_side(dimension: int, bind, product=None, blocks=None) -> SeriesSide:
     """The side sum_k spec(k), where ``bind(ctx)`` returns the run's
     ``TermSpec`` and then its argument, if it has one, times the constant
     ``product(ctx)(P)`` if ``product(ctx)`` returns the run's
-    ``ProductSpec``."""
+    ``ProductSpec``.  ``blocks`` is the side's ``SeriesSide.bind``."""
 
     def term(ctx, k):
         spec, *z = run_memo(ctx, bind)
         return spec(ctx.poch, *z, k)
 
+    def prefactor(ctx):
+        return from_raw(product(ctx)(ctx.poch))
+
     if product is None:
-        return SeriesSide(dimension, term)
-    return SeriesSide(dimension, term, lambda ctx: from_raw(product(ctx)(ctx.poch)))
+        return SeriesSide(dimension, term, bind=blocks)
+    return SeriesSide(dimension, term, prefactor, blocks)

@@ -28,7 +28,7 @@ from .errors import (
     QHeineError,
     UnknownIdentity,
 )
-from .multisum import TruncationPolicy
+from .multisum import HeineBlock, TruncationPolicy, make_context
 # Unused here; kept because perfbench/probes.py patches cli.evaluate_in_context.
 from .multisum import evaluate_in_context  # noqa: F401
 
@@ -177,6 +177,11 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
         raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfig("config file must hold a JSON object")
+    if data.get("mode", config.mode) != config.mode:
+        raise InvalidConfig(
+            f"config file {path} is for mode {data['mode']!r}, "
+            f"not {config.mode!r}"
+        )
     known = {f.name for f in dataclasses.fields(RunConfig)}
     for key, value in data.items():
         if key not in known:
@@ -300,12 +305,14 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
         for assignment in _assignments_for(family, config):
             identity = family.instantiate(assignment)
             policy = _policy_for(identity, config)
-            points = catalog.sample_domain(
+            contexts = catalog.sample_domain(
                 identity, seed=config.seed, count=config.samples, prec=config.precision
             )
-            for index, (params, bases) in enumerate(points):
+            for index in range(len(contexts)):
+                # Each context holds its case's products; drop it once verified.
+                ctx, contexts[index] = contexts[index], None
                 result = catalog.verify(
-                    identity, params, bases, policy, tolerance=config.tolerance
+                    identity, ctx, policy, tolerance=config.tolerance
                 )
                 records.append(report.case_row(result, assignment, index))
                 results.append(result)
@@ -316,10 +323,10 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
 
 
 def _compose_sample(config: RunConfig, rng: random.Random):
-    """Draw one composition: bases, one slot per requested block, the base
-    slot, and the composed identity."""
+    """Draw one composition: bases, one ``HeineBlock`` per requested block
+    (cross base q^{t h_r}), the base block, and the composed identity."""
     bases = sample_bases(rng, config.precision)
-    slots = []
+    blocks = []
     # Blocks derive constants from their parameters, so they are drawn at
     # the run's precision rather than the ambient one.
     with mp.workprec(config.precision):
@@ -328,14 +335,11 @@ def _compose_sample(config: RunConfig, rng: random.Random):
             h_r = exponent(rng)
             block = sample_block(name, rng, dims, bases.power(h_r), config.precision)
             z_r = argument(rng) * min(1, block.arg_bound)
-            slots.append(heine_engine.BlockSlot(block, h_r, z_r))
+            blocks.append(HeineBlock(block, z_r, bases.power(bases.t * h_r)))
         base_name, base_dims = parse_block_spec(config.base)
         base_block = sample_block(base_name, rng, base_dims, bases.qt, config.precision)
         w = argument(rng) * min(1, base_block.arg_bound)
-    base_slot = heine_engine.BlockSlot(base_block, bases.t, w)
-    composed = heine_engine.compose(
-        heine_engine.BlockAssignment(tuple(slots), base_slot, bases)
-    )
+        composed = heine_engine.compose(tuple(blocks), HeineBlock(base_block, w))
     return bases, composed
 
 
@@ -366,8 +370,7 @@ def run_compose(config: RunConfig) -> tuple[list[dict], int]:
             continue
         result = catalog.verify(
             composed,
-            {},
-            bases,
+            make_context({}, bases),
             _policy_for(composed, config),
             tolerance=config.tolerance,
         )

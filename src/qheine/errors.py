@@ -35,10 +35,6 @@ class PropertyHViolation(QHeineError):
     composition."""
 
 
-class DomainEmpty(QHeineError):
-    """A block assignment has no jointly admissible parameter point."""
-
-
 class DomainExhausted(QHeineError):
     """Rejection sampling failed too many times in a row."""
 

@@ -6,7 +6,8 @@ transformation sum_k L(z; k) = P(z) * sum_j R(sigma z; j), with its
 parameters bound.  Blocks whose summand is homogeneous in the argument
 (S(zH; k) = H^{|k|} S(z; k): by its form for a ``TermSpec`` with an
 argument, else checked numerically) can be composed: p blocks
-with bases q^{h_r} and one base block with base q^t yield a
+with bases q^{h_r}, each bound to its argument z_r and cross base q^{t h_r}
+as a ``multisum.HeineBlock``, over one base block with base q^t yield a
 (n_1+...+n_p)-fold to m-fold transformation, and the inner sums of
 transformation blocks join the other side.  The shipped blocks are the
 catalog's summations, drawn by ``catalog.blocks.sample_block``.
@@ -21,35 +22,16 @@ from dataclasses import dataclass
 from mpmath import mp, mpf, mpmathify
 
 from .catalog.core import Identity, TermSpec, signed
-from .errors import DomainEmpty, PropertyHViolation
-from .multisum import HeineBlock, SeriesSide, Summation, TruncationPolicy
-from .multisum import domain_fault, heine_sides
+from .errors import PropertyHViolation
+from .multisum import HeineBlock, SeriesSide, Summation, TruncationPolicy, heine_sides
 from .qcore import DEFAULT_PRECISION, PochCache, from_raw
 
 __all__ = [
-    "BlockSlot",
-    "BlockAssignment",
     "HCheckResult",
     "check_property_H",
     "compose",
     "compose_with_transformation",
 ]
-
-
-@dataclass(frozen=True)
-class BlockSlot:
-    """A block with its base exponent h_r and argument z_r."""
-
-    block: Summation
-    exponent: object
-    argument: object
-
-
-@dataclass(frozen=True)
-class BlockAssignment:
-    slots: tuple[BlockSlot, ...]
-    base_slot: BlockSlot
-    bases: object  # BaseSystem supplying q and the power cache
 
 
 @dataclass
@@ -115,8 +97,6 @@ def _require_property_H(block: Summation, prec: int) -> None:
 def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity:
     return Identity(
         id=label,
-        family_id="composed",
-        reference="mechanically composed transformation",
         dims={},
         schema=(),
         lhs=lhs,
@@ -126,54 +106,38 @@ def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity
     )
 
 
-def compose(assignment: BlockAssignment) -> Identity:
+def compose(blocks: tuple[HeineBlock, ...], base: HeineBlock) -> Identity:
     """Build the composed transformation for p blocks over one base block,
-    any of them q-binomial or transformation blocks.
+    any of them q-binomial or transformation blocks, each a ``HeineBlock``
+    as a catalog family's ``bind`` returns them.
 
     The left side is the flattened sum of the block summands (and the base
     block's inner sum) times the base block's product ratio at the
     dot-product index; the right side is the base block's sum (and the
     blocks' inner sums) times the product ratios of every block at the
-    stretched index.  Both are built by ``multisum.heine_sides``.  Blocks
-    outside their joint domain raise ``DomainEmpty`` by the catalog's rule,
-    ``multisum.domain_fault``.
+    stretched index.  Both are built by ``multisum.heine_sides``, and both
+    bind the given blocks, so ``catalog.verify`` refuses a point outside
+    their joint domain by the catalog's rule, ``multisum.domain_fault``.
+    The homogeneity check runs at the working precision.
     """
-    slots = tuple(assignment.slots)
-    base_slot = assignment.base_slot
-    bases = assignment.bases
-    if not slots:
-        raise DomainEmpty("assignment needs at least one block")
-
-    with mp.workprec(bases.prec):
-        cross = tuple(
-            bases.power(mpmathify(base_slot.exponent) * mpmathify(slot.exponent))
-            for slot in slots
-        )
-        arguments = tuple(mpmathify(slot.argument) for slot in slots)
-        base_argument = mpmathify(base_slot.argument)
-    blocks = tuple(map(HeineBlock, (slot.block for slot in slots), arguments, cross))
-    base = HeineBlock(base_slot.block, base_argument)
+    blocks = tuple(blocks)
+    if not blocks:
+        raise ValueError("compose needs at least one block")
+    for block in blocks + (base,):
+        _require_property_H(block.summation, mp.prec)
 
     def bind(ctx):
         return blocks, base
 
-    fault = domain_fault(bind, None)
-    if fault:
-        raise DomainEmpty(fault)
-    for slot in slots + (base_slot,):
-        _require_property_H(slot.block, bases.prec)
-
     lhs, rhs = heine_sides(
-        tuple((slot.block.dimension, slot.block.inner_dimension) for slot in slots),
-        (base_slot.block.dimension, base_slot.block.inner_dimension),
+        tuple((b.summation.dimension, b.summation.inner_dimension) for b in blocks),
+        (base.summation.dimension, base.summation.inner_dimension),
         bind,
     )
-    labels = "+".join(slot.block.label for slot in slots)
-    return _composed_identity(f"composed:{labels}/{base_slot.block.label}", lhs, rhs)
+    labels = "+".join(block.summation.label for block in blocks)
+    return _composed_identity(f"composed:{labels}/{base.summation.label}", lhs, rhs)
 
 
-def compose_with_transformation(
-    slot: BlockSlot, base_slot: BlockSlot, bases
-) -> Identity:
+def compose_with_transformation(block: HeineBlock, base: HeineBlock) -> Identity:
     """``compose`` of one block over a base block."""
-    return compose(BlockAssignment((slot,), base_slot, bases))
+    return compose((block,), base)

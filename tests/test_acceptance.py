@@ -19,16 +19,10 @@ from qheine import (
     qpoch_infinite,
     report,
 )
-from qheine.catalog.an_qbinomial import (
-    extra_c_summation,
-    gk_summation,
-    milne_lilly_summation,
-)
 from qheine.catalog.blocks import SHIPPED_BLOCK_NAMES, sample_block
-from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.multisum import TruncationPolicy, evaluate_in_context, make_context
 from qheine.qcore import BaseSystem
-from util import qpoch_finite, rel, side_values, verify_sweep
+from util import qpoch_finite, rel, sample_points, side_values, verify_sweep
 
 CLASSICAL_IDS = (
     "q_binomial",
@@ -151,7 +145,7 @@ def _compare_chain(source_identity, target_identity, remap, seed, count, bound):
     """Sample from ``source_identity`` and check that ``target_identity``
     evaluated at remapped parameters produces equal side values."""
     worst = mpf(0)
-    for params, bases in catalog.sample_domain(source_identity, seed=seed, count=count):
+    for params, bases in sample_points(source_identity, seed=seed, count=count):
         with mp.workprec(bases.prec):
             mapped = remap(params, bases)
         lhs0, rhs0 = side_values(source_identity, params, bases)
@@ -321,116 +315,22 @@ def test_criterion_6_master_theorem_engine():
 
     bound = mpf("1e-18")
     worst = mpf(0)
-    one = mpf(1)
 
-    # composed identities reproduce their catalog counterparts
-    bibasic = catalog.lookup("bibasic_heine").instantiate()
-    for params, bases in catalog.sample_domain(bibasic, seed=607, count=5):
-        composed = engine.compose(
-            engine.BlockAssignment(
-                (
-                    engine.BlockSlot(
-                        qbin_summation(params["a"], bases.qh),
-                        bases.h,
-                        params["z"],
-                    ),
-                ),
-                engine.BlockSlot(
-                    qbin_summation(params["b"], bases.qt),
-                    bases.t,
-                    params["w"],
-                ),
-                bases,
-            )
-        )
-        lhs0, rhs0 = side_values(bibasic, params, bases)
-        lhs1, rhs1 = side_values(composed, {}, bases)
-        worst = max(worst, rel(lhs0, lhs1), rel(rhs0, rhs1))
-
-    big = catalog.lookup("master_instance_big").instantiate({"n1": 2, "n2": 1, "m": 2})
-    for params, bases in catalog.sample_domain(big, seed=608, count=5):
-        with mp.workprec(bases.prec):
-            slots = (
-                engine.BlockSlot(
-                    milne_lilly_summation(
-                        params["a1"],
-                        params["x1"],
-                        bases.power(params["h1"]),
-                        bases.prec,
-                    ),
-                    params["h1"],
-                    params["z1"],
-                ),
-                engine.BlockSlot(
-                    gk_summation(
-                        params["a2"], params["x2"], bases.power(params["h2"]), bases.prec
-                    ),
-                    params["h2"],
-                    params["z2"],
-                ),
-            )
-            base_slot = engine.BlockSlot(
-                extra_c_summation(
-                    params["b"], params["c"], params["y"], bases.qt, bases.prec
-                ),
-                bases.t,
-                params["w"],
-            )
-        composed = engine.compose(engine.BlockAssignment(slots, base_slot, bases))
-        lhs0, rhs0 = side_values(big, params, bases)
-        lhs1, rhs1 = side_values(composed, {}, bases)
-        worst = max(worst, rel(lhs0, lhs1), rel(rhs0, rhs1))
-
-    lau = catalog.lookup("master_instance_lauricella").instantiate(
-        {"p": 2, "n": 1, "m": 2}
-    )
-    for params, bases in catalog.sample_domain(lau, seed=609, count=5):
-        slots = tuple(
-            engine.BlockSlot(
-                qbin_summation(params["cp"][r], bases.qh),
-                bases.h,
-                params["u"][r],
-            )
-            for r in range(2)
-        ) + (
-            engine.BlockSlot(
-                extra_c_summation(params["a"], 0, params["x"], bases.qh, bases.prec),
-                bases.h,
-                params["z"],
-            ),
-        )
-        base_slot = engine.BlockSlot(
-            extra_c_summation(params["b"], 0, params["y"], bases.qt, bases.prec),
-            bases.t,
-            params["w"],
-        )
-        composed = engine.compose(engine.BlockAssignment(slots, base_slot, bases))
-        lhs0, rhs0 = side_values(lau, params, bases)
-        lhs1, rhs1 = side_values(composed, {}, bases)
-        worst = max(worst, rel(lhs0, lhs1), rel(rhs0, rhs1))
-
-    euler = catalog.lookup("bibasic_euler").instantiate()
-    for params, bases in catalog.sample_domain(euler, seed=610, count=5):
-        composed = engine.compose_with_transformation(
-            engine.BlockSlot(
-                q_euler_summation(
-                    params["a"], params["b"], params["c"], bases.qh, bases.prec
-                ),
-                bases.h,
-                params["z"],
-            ),
-            engine.BlockSlot(
-                q_euler_summation(
-                    params["d"], params["e"], params["f"], bases.qt, bases.prec
-                ),
-                bases.t,
-                params["w"],
-            ),
-            bases,
-        )
-        lhs0, rhs0 = side_values(euler, params, bases)
-        lhs1, rhs1 = side_values(composed, {}, bases)
-        worst = max(worst, rel(lhs0, lhs1), rel(rhs0, rhs1))
+    # composed identities reproduce their catalog counterparts from the
+    # blocks the catalog families bind
+    for family_id, dims, seed in (
+        ("bibasic_heine", None, 607),
+        ("master_instance_big", {"n1": 2, "n2": 1, "m": 2}, 608),
+        ("master_instance_lauricella", {"p": 2, "n": 1, "m": 2}, 609),
+        ("bibasic_euler", None, 610),
+    ):
+        identity = catalog.lookup(family_id).instantiate(dims)
+        for ctx in catalog.sample_domain(identity, seed=seed, count=5):
+            with mp.workprec(ctx.bases.prec):
+                composed = engine.compose(*identity.lhs.bind(ctx))
+            lhs0, rhs0 = side_values(identity, ctx.params, ctx.bases)
+            lhs1, rhs1 = side_values(composed, {}, ctx.bases)
+            worst = max(worst, rel(lhs0, lhs1), rel(rhs0, rhs1))
 
     ok = worst < bound
     _announce(
@@ -481,11 +381,11 @@ def test_criterion_8_truncation_honesty():
                 tail_ratio_tol=policy.tail_ratio_tol,
                 min_shells=policy.min_shells,
             )
-            for params, bases in catalog.sample_domain(identity, seed=808, count=3):
-                result = catalog.verify(identity, params, bases, policy)
+            for params, bases in sample_points(identity, seed=808, count=3):
+                ctx = make_context(params, bases)
+                result = catalog.verify(identity, ctx, policy)
                 if not result.passed:
                     continue
-                ctx = make_context(params, bases)
                 for side, diag in (
                     (identity.lhs, result.lhs_diag),
                     (identity.rhs, result.rhs_diag),

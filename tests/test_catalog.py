@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,6 +10,7 @@ from qheine.catalog import core, ramanujan
 from qheine.catalog.core import ParamSpec
 from qheine.errors import (
     DegenerateVariables,
+    DomainExhausted,
     DomainViolation,
     InvalidConfig,
     TruncationNotConverged,
@@ -34,6 +36,7 @@ from util import (
     qpoch_finite,
     raw_terms,
     rel,
+    sample_points,
     side_values,
     vandermonde_ratio_loop,
 )
@@ -146,7 +149,8 @@ class TestVerify:
         identity = catalog.lookup("q_binomial").instantiate()
         params = {"a": bases.q, "z": mpf("0.3")}
         policy = TruncationPolicy(max_shell_weight=95, tail_ratio_tol=1e-30)
-        result = catalog.verify(identity, params, bases, policy, tolerance=mpf("1e-25"))
+        ctx = make_context(params, bases)
+        result = catalog.verify(identity, ctx, policy, tolerance=mpf("1e-25"))
         assert result.passed
         # Both sides collapse to the geometric value 1/(1-z).
         assert rel(result.rhs_value, 1 / (1 - mpf("0.3"))) < mpf("1e-30")
@@ -160,7 +164,7 @@ class TestVerify:
         identity = family.instantiate(
             {name: 1 for name in family.dim_names}
         )
-        params, bases = catalog.sample_domain(identity, seed=40, count=1)[0]
+        params, bases = sample_points(identity, seed=40, count=1)[0]
         params = dict(params)
         for name in ("z", "w"):
             if name in params:
@@ -168,7 +172,8 @@ class TestVerify:
         # Deep truncation: a remaining one-sided series (Heine's b-sum) must
         # itself be exhausted to reach the tight tolerance.
         policy = TruncationPolicy(max_shell_weight=140, tail_ratio_tol=1e-33)
-        result = catalog.verify(identity, params, bases, policy, tolerance=mpf("1e-28"))
+        ctx = make_context(params, bases)
+        result = catalog.verify(identity, ctx, policy, tolerance=mpf("1e-28"))
         assert result.passed
 
     def test_bibasic_heine_frozen_point(self):
@@ -186,7 +191,8 @@ class TestVerify:
         assert rel(lhs60, mpf(BIBASIC_ORACLE)) < mpf("1e-25")
         assert rel(lhs60, rhs60) < mpf("1e-25")
         # Production settings must agree with the oracle and pass at 1e-20.
-        result = catalog.verify(identity, params, bases, tolerance=mpf("1e-20"))
+        ctx = make_context(params, bases)
+        result = catalog.verify(identity, ctx, tolerance=mpf("1e-20"))
         assert result.passed
         assert rel(result.lhs_value, lhs60) < mpf("1e-22")
 
@@ -199,13 +205,13 @@ class TestVerify:
             dim_names=(),
             schema=(),
             build=lambda dims: (side, side),
-            domain=lambda dims, params, bases: True,
             sample=lambda rng, dims, bases: {},
             policy=TruncationPolicy(max_shell_weight=3),
         )
         identity = family.instantiate()
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
         with pytest.warns(TruncationNotConverged):
-            result = catalog.verify(identity, {}, BaseSystem(mpf("0.5")))
+            result = catalog.verify(identity, ctx)
         assert result.rel_error == 0
         assert not result.lhs_diag.converged and not result.rhs_diag.converged
         assert not result.passed
@@ -220,8 +226,9 @@ class TestVerify:
     def test_verify_rejects_out_of_domain(self):
         identity = catalog.lookup("q_binomial").instantiate()
         bases = BaseSystem(mpf("0.5"))
+        ctx = make_context({"a": mpf("0.2"), "z": mpf(2)}, bases)
         with pytest.raises(DomainViolation):
-            catalog.verify(identity, {"a": mpf("0.2"), "z": mpf(2)}, bases)
+            catalog.verify(identity, ctx)
 
 
 class TestSampling:
@@ -229,22 +236,40 @@ class TestSampling:
         identity = catalog.lookup("thm_heine8").instantiate({"n": 2, "m": 2})
         first = catalog.sample_domain(identity, seed=17, count=4)
         second = catalog.sample_domain(identity, seed=17, count=4)
-        for (p1, b1), (p2, b2) in zip(first, second):
-            assert p1 == p2
+        for one, two in zip(first, second):
+            b1, b2 = one.bases, two.bases
+            assert one.params == two.params
             assert (b1.q, b1.h, b1.t) == (b2.q, b2.h, b2.t)
 
     def test_points_satisfy_domain_and_count(self):
         identity = catalog.lookup("thm_heine8").instantiate({"n": 2, "m": 2})
-        points = catalog.sample_domain(identity, seed=23, count=25)
+        points = sample_points(identity, seed=23, count=25)
         assert len(points) == 25
         for params, bases in points:
             with mp.workprec(bases.prec):
                 assert identity.fault(make_context(params, bases)) is None
             identity.validate_params(params)
 
+    def test_rejection_sampling_gives_up(self, monkeypatch, capsys):
+        # A sampler that always draws z = 2, outside |z| < 1: the sampler
+        # stops after _MAX_REJECTS draws in a row, and the run exits 1.
+        family = dataclasses.replace(
+            catalog.lookup("q_binomial"),
+            sample=lambda rng, dims, bases: {"a": mpf("0.2"), "z": mpf(2)},
+        )
+        monkeypatch.setattr(core, "_MAX_REJECTS", 7)
+        with pytest.raises(DomainExhausted, match="failed 7 times in a row"):
+            catalog.sample_domain(family.instantiate(), seed=1, count=1)
+        monkeypatch.setattr(catalog, "lookup", lambda identity_id: family)
+        code = cli.main(["verify", "--identity", "q_binomial", "--samples", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: q_binomial: rejection sampling")
+        assert captured.err.count("\n") == 1, captured.err
+
     def test_bases_in_safe_box(self):
         identity = catalog.lookup("q_binomial").instantiate()
-        for _, bases in catalog.sample_domain(identity, seed=3, count=10):
+        for _, bases in sample_points(identity, seed=3, count=10):
             assert mpf("0.1") <= bases.q <= mpf("0.6")
             assert mpf("0.5") <= bases.h <= mpf("2.5")
             assert mpf("0.5") <= bases.t <= mpf("2.5")
@@ -259,10 +284,8 @@ def test_every_identity_passes_at_1e20():
             dims_list.append(family.default_dims[-1])
         for dims in dims_list:
             identity = family.instantiate(dims)
-            for params, bases in catalog.sample_domain(identity, seed=71, count=3):
-                result = catalog.verify(
-                    identity, params, bases, tolerance=mpf("1e-20")
-                )
+            for ctx in catalog.sample_domain(identity, seed=71, count=3):
+                result = catalog.verify(identity, ctx, tolerance=mpf("1e-20"))
                 assert result.passed, (family.id, dims, result.rel_error)
 
 
@@ -270,7 +293,7 @@ class TestStatedSpecialCases:
     def test_bibasic_reduces_to_heine_at_unit_exponents(self):
         heine = catalog.lookup("heine_2phi1").instantiate()
         bibasic = catalog.lookup("bibasic_heine").instantiate()
-        for params, bases in catalog.sample_domain(heine, seed=31, count=3):
+        for params, bases in sample_points(heine, seed=31, count=3):
             flat = BaseSystem(bases.q, 1, 1, bases.prec)
             lhs0, rhs0 = side_values(heine, params, flat)
             with mp.workprec(flat.prec):
@@ -288,16 +311,17 @@ class TestStatedSpecialCases:
     def test_extra_c_at_c_zero_matches_plain_product_side(self, n):
         family = catalog.lookup("an_qbin_extra_c")
         identity = family.instantiate({"n": n})
-        for params, bases in catalog.sample_domain(identity, seed=37, count=3):
+        for params, bases in sample_points(identity, seed=37, count=3):
             params = dict(params)
             params["c"] = mpf(0)
-            result = catalog.verify(identity, params, bases, tolerance=mpf("1e-20"))
+            ctx = make_context(params, bases)
+            result = catalog.verify(identity, ctx, tolerance=mpf("1e-20"))
             assert result.passed
 
     def test_ram_17_extension_collapses_to_classical(self):
         classical = catalog.lookup("ram_1_4_17").instantiate()
         extension = catalog.lookup("ram_1_4_17_anm").instantiate({"n": 1, "m": 1})
-        for params, bases in catalog.sample_domain(classical, seed=41, count=3):
+        for params, bases in sample_points(classical, seed=41, count=3):
             lhs0, rhs0 = side_values(classical, params, bases)
             lhs1, rhs1 = side_values(extension, params, bases)
             assert rel(lhs0, lhs1) < mpf("1e-20")
@@ -308,7 +332,7 @@ class TestStatedSpecialCases:
         # extension (dimension symbols swapped)...
         companion = catalog.lookup("ram_1_4_10_c").instantiate({"n": 1, "m": 2})
         single_theta = catalog.lookup("ram_1_4_10_m1").instantiate({"n": 2})
-        for params, bases in catalog.sample_domain(single_theta, seed=43, count=2):
+        for params, bases in sample_points(single_theta, seed=43, count=2):
             lhs0, rhs0 = side_values(single_theta, params, bases)
             lhs1, rhs1 = side_values(companion, params, bases)
             assert rel(lhs0, lhs1) < mpf("1e-20")
@@ -316,7 +340,7 @@ class TestStatedSpecialCases:
         # ... and at m = 1 with its single-sum form.
         companion = catalog.lookup("ram_1_4_10_c").instantiate({"n": 2, "m": 1})
         single_sum = catalog.lookup("ram_1_4_10_n_single").instantiate({"n": 2})
-        for params, bases in catalog.sample_domain(single_sum, seed=44, count=2):
+        for params, bases in sample_points(single_sum, seed=44, count=2):
             lhs0, rhs0 = side_values(single_sum, params, bases)
             lhs1, rhs1 = side_values(companion, params, bases)
             assert rel(lhs0, lhs1) < mpf("1e-20")
@@ -1467,7 +1491,7 @@ class TestBlockFactoredSides:
         family = catalog.lookup(family_id)
         for dims in family.default_dims:
             identity = family.instantiate(dims)
-            params, bases = catalog.sample_domain(identity, seed=9, count=1)[0]
+            params, bases = sample_points(identity, seed=9, count=1)[0]
             reference, prefactor = _REFERENCES[family_id, side](identity.dims)
             series = getattr(identity, side)
             factored = make_context(params, bases)
@@ -1509,10 +1533,10 @@ class TestDisplayedPairsBindOnce:
 
             monkeypatch.setattr(ramanujan, name, counted)
         identity = catalog.lookup(identity_id).instantiate()
-        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
-        # The draw was checked on a context of its own; count the case's.
-        calls.clear()
-        assert catalog.verify(identity, params, bases).passed
+        # The draw is bound on its context when it is checked, and
+        # ``verify`` reads those blocks.
+        [ctx] = catalog.sample_domain(identity, seed=1, count=1)
+        assert catalog.verify(identity, ctx).passed
         per_block = 2 if len(names) == 1 else 1  # block and base block
         assert sorted(calls) == sorted(names * per_block)
 

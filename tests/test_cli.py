@@ -12,6 +12,7 @@ from mpmath import mp, mpc, mpf
 
 from qheine import BaseSystem, catalog, cli, report
 from qheine.errors import InvalidConfig
+from qheine.multisum import make_context
 from util import parse_csv
 
 
@@ -217,7 +218,7 @@ class TestVerifyCommand:
         # heine_2phi1 at c = q^-2: the lhs term at k = 3 divides by 0.
         def pole(identity, seed, count, prec):
             params = {"a": mpf("0.3"), "b": mpf("0.25"), "c": mpf(4), "z": mpf("0.2")}
-            return [(params, BaseSystem(mpf(1) / 2, 1, 1, prec))]
+            return [make_context(params, BaseSystem(mpf(1) / 2, 1, 1, prec))]
 
         monkeypatch.setattr(catalog, "sample_domain", pole)
         code = cli.main(["verify", "--identity", "heine_2phi1", "--samples", "1"])
@@ -353,6 +354,41 @@ class TestMalformedInput:
     )
     def test_config_error_exit_2(self, capsys, tmp_path, argv, config):
         self._exits_2(capsys, tmp_path, argv, config)
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (
+                ["verify", "--identity", "q_binomial"],
+                {"mode": "compose", "blocks": ["q_bin"], "samples": 1},
+            ),
+            (
+                ["compose", "--blocks", "q_bin"],
+                {"mode": "verify", "identities": ["q_binomial"], "samples": 1},
+            ),
+        ],
+    )
+    def test_config_of_the_other_command_exit_2(self, capsys, tmp_path, argv, config):
+        # The command names the run: a config file for the other command is
+        # refused instead of switching the run to it.
+        self._exits_2(capsys, tmp_path, argv, config)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--identity", "q_binomial", "--samples", "1", "--seed", "2"],
+            ["compose", "--blocks", "q_bin", "--samples", "1", "--seed", "2"],
+        ],
+    )
+    def test_report_header_config_reloads(self, capsys, tmp_path, argv):
+        # The header's config names the command's own mode, so it loads.
+        code, out = run_cli(capsys, argv)
+        config_path = tmp_path / "run.json"
+        header = report.parse_json_lines(out)["header"]
+        config_path.write_text(json.dumps(header["config"]))
+        again, replay = run_cli(capsys, [argv[0], "--config", str(config_path)])
+        assert code == again == 0
+        assert report.strip_volatile(replay) == report.strip_volatile(out)
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize(
@@ -535,6 +571,24 @@ def test_report_digest_of_a_compose_run():
         assert re.fullmatch(r"[0-9a-f]{64}\n", run.stdout)
         digests.append(run.stdout)
     assert digests[0] == digests[1]
+
+
+def test_compose_showcase_matches_the_catalog(capsys, monkeypatch):
+    showcase = _load_script("compose_showcase")
+    assert showcase.main(["--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("lhs/rhs agreement: 0.0 / 0.0") == len(showcase.FAMILIES) == 4
+
+    # Composed sides evaluated at another precision differ: the script says
+    # which and exits 1.
+    def at_96_bits(params, bases):
+        return make_context(params, BaseSystem(bases.q, bases.h, bases.t, 96))
+
+    monkeypatch.setattr(showcase, "make_context", at_96_bits)
+    assert showcase.main(["--seed", "4"]) == 1
+    assert "composed sides differ from the catalog: bibasic_heine," in (
+        capsys.readouterr().out
+    )
 
 
 def test_report_digest_commands():

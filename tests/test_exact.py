@@ -39,7 +39,7 @@ from qheine.catalog.an_qbinomial import (
 from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.catalog.core import ProductSpec, TermSpec
 from qheine.catalog.kajihara import kajihara_summation
-from qheine.multisum import SeriesSide, enumerate_shell
+from qheine.multisum import SeriesSide, enumerate_shell, make_context
 from qheine.qcore import BaseSystem, raw_mul
 from util import summation_builds
 
@@ -482,7 +482,7 @@ def _relative(value, want: Fraction) -> Fraction:
 def _verify(family_id, dims, exact_params):
     params = {name: _as_mpf(v) for name, v in exact_params.items()}
     identity = catalog.lookup(family_id).instantiate(dims)
-    return catalog.verify(identity, params, FLOAT_BASES)
+    return catalog.verify(identity, make_context(params, FLOAT_BASES))
 
 
 @pytest.mark.parametrize("family_id", sorted(DYADIC))

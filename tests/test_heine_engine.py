@@ -7,24 +7,19 @@ from mpmath import mp, mpf
 
 from qheine import catalog, heine_engine as engine
 from qheine.catalog.blocks import SHIPPED_BLOCK_NAMES, broken_block, sample_block
-from qheine.catalog.an_qbinomial import (
-    euler_exp_summation,
-    extra_c_summation,
-    gk_summation,
-    milne_lilly_summation,
-    stretched_euler_summation,
-)
+from qheine.catalog.an_qbinomial import euler_exp_summation, stretched_euler_summation
 from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.catalog.kajihara import kajihara_summation
-from qheine.errors import DomainEmpty, PropertyHViolation
+from qheine.errors import DomainViolation, PropertyHViolation
 from qheine.multisum import (
+    HeineBlock,
     SeriesSide,
     TruncationPolicy,
     enumerate_shell,
     make_context,
 )
 from qheine.qcore import BaseSystem, PochCache, from_raw, value_key
-from util import evaluate, rel, side_values
+from util import evaluate, rel, sample_points, side_values
 
 
 def _block_dims(name):
@@ -84,15 +79,13 @@ class TestPropertyH:
         monkeypatch.setattr(engine, "check_property_H", trials)
         bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
         rng = random.Random(5)
-        base_slot = engine.BlockSlot(
+        base = HeineBlock(
             q_euler_summation(mpf("0.4"), mpf("0.5"), mpf("0.6"), bases.qt, mp.prec),
-            bases.t,
             mpf("0.1"),
         )
         for name in SHIPPED_BLOCK_NAMES + ("q_euler",):
             block = sample_block(name, rng, _block_dims(name), bases.qh, mp.prec)
-            slot = engine.BlockSlot(block, bases.h, mpf("0.05"))
-            engine.compose(engine.BlockAssignment((slot,), base_slot, bases))
+            engine.compose((HeineBlock(block, mpf("0.05"), bases.qht),), base)
 
     def test_trials_validated(self):
         block = qbin_summation(mpf("0.2"), mpf("0.3"))
@@ -143,91 +136,49 @@ class TestBlockSelfConsistency:
             assert rel(combined, chained) < mpf("1e-25")
 
 
+def composed_from_bind(identity, ctx):
+    """``compose`` of the blocks and base block the identity's lhs binds."""
+    with mp.workprec(ctx.bases.prec):
+        return engine.compose(*identity.lhs.bind(ctx))
+
+
 class TestCompose:
+    # Composing the blocks a catalog Heine family binds rebuilds its two
+    # sides: ``compose`` and the family share ``heine_sides``, so the values
+    # agree bit for bit.
     def test_single_classical_pair_reproduces_bibasic(self):
         bibasic = catalog.lookup("bibasic_heine").instantiate()
-        for params, bases in catalog.sample_domain(bibasic, seed=51, count=3):
-            slot = engine.BlockSlot(
-                qbin_summation(params["a"], bases.qh),
-                bases.h,
-                params["z"],
-            )
-            base_slot = engine.BlockSlot(
-                qbin_summation(params["b"], bases.qt),
-                bases.t,
-                params["w"],
-            )
-            composed = engine.compose(
-                engine.BlockAssignment((slot,), base_slot, bases)
-            )
+        for ctx in catalog.sample_domain(bibasic, seed=51, count=3):
+            bases = ctx.bases
+            composed = composed_from_bind(bibasic, ctx)
             # the composed identity is verifiable through the catalog machinery
-            result = catalog.verify(composed, {}, bases, tolerance=mpf("1e-20"))
+            result = catalog.verify(
+                composed, make_context({}, bases), tolerance=mpf("1e-20")
+            )
             assert result.passed
-            lhs0, rhs0 = side_values(bibasic, params, bases)
-            lhs1, rhs1 = side_values(composed, {}, bases)
-            assert rel(lhs0, lhs1) < mpf("1e-20")
-            assert rel(rhs0, rhs1) < mpf("1e-20")
+            assert side_values(bibasic, ctx.params, bases) == side_values(
+                composed, {}, bases
+            )
 
     def test_two_block_assignment_reproduces_catalog_instance(self):
-        family = catalog.lookup("master_instance_big")
-        identity = family.instantiate({"n1": 2, "n2": 1, "m": 2})
-        for params, bases in catalog.sample_domain(identity, seed=52, count=2):
-            with mp.workprec(bases.prec):
-                first = milne_lilly_summation(
-                    params["a1"], params["x1"], bases.power(params["h1"]), bases.prec
-                )
-                second = gk_summation(
-                    params["a2"], params["x2"], bases.power(params["h2"]), bases.prec
-                )
-                base_block = extra_c_summation(
-                    params["b"], params["c"], params["y"], bases.qt, bases.prec
-                )
-            composed = engine.compose(
-                engine.BlockAssignment(
-                    (
-                        engine.BlockSlot(first, params["h1"], params["z1"]),
-                        engine.BlockSlot(second, params["h2"], params["z2"]),
-                    ),
-                    engine.BlockSlot(base_block, bases.t, params["w"]),
-                    bases,
-                )
+        identity = catalog.lookup("master_instance_big").instantiate(
+            {"n1": 2, "n2": 1, "m": 2}
+        )
+        for ctx in catalog.sample_domain(identity, seed=52, count=2):
+            composed = composed_from_bind(identity, ctx)
+            assert side_values(identity, ctx.params, ctx.bases) == side_values(
+                composed, {}, ctx.bases
             )
-            lhs0, rhs0 = side_values(identity, params, bases)
-            lhs1, rhs1 = side_values(composed, {}, bases)
-            assert rel(lhs0, lhs1) < mpf("1e-18")
-            assert rel(rhs0, rhs1) < mpf("1e-18")
 
     def test_multi_block_assignment_reproduces_lauricella_instance(self):
-        family = catalog.lookup("master_instance_lauricella")
-        identity = family.instantiate({"p": 2, "n": 1, "m": 2})
-        for params, bases in catalog.sample_domain(identity, seed=53, count=2):
-            slots = [
-                engine.BlockSlot(
-                    qbin_summation(params["cp"][r], bases.qh),
-                    bases.h,
-                    params["u"][r],
-                )
-                for r in range(2)
-            ]
-            slots.append(
-                engine.BlockSlot(
-                    extra_c_summation(params["a"], 0, params["x"], bases.qh, bases.prec),
-                    bases.h,
-                    params["z"],
-                )
+        identity = catalog.lookup("master_instance_lauricella").instantiate(
+            {"p": 2, "n": 1, "m": 2}
+        )
+        for ctx in catalog.sample_domain(identity, seed=53, count=2):
+            composed = composed_from_bind(identity, ctx)
+            assert side_values(identity, ctx.params, ctx.bases) == side_values(
+                composed, {}, ctx.bases
             )
-            base_slot = engine.BlockSlot(
-                extra_c_summation(params["b"], 0, params["y"], bases.qt, bases.prec),
-                bases.t,
-                params["w"],
-            )
-            composed = engine.compose(
-                engine.BlockAssignment(tuple(slots), base_slot, bases)
-            )
-            lhs0, rhs0 = side_values(identity, params, bases)
-            lhs1, rhs1 = side_values(composed, {}, bases)
-            assert rel(lhs0, lhs1) < mpf("1e-18")
-            assert rel(rhs0, rhs1) < mpf("1e-18")
 
     @pytest.mark.parametrize(
         "block_specs,base_spec",
@@ -249,24 +200,22 @@ class TestCompose:
                 mpf(rng.uniform(0.6, 2.0)),
                 mpf(rng.uniform(0.6, 2.0)),
             )
-            slots = []
+            blocks = []
             for name, dims in block_specs:
                 exponent = mpf(rng.uniform(0.6, 2.0))
                 base = bases.power(exponent)
                 block = sample_block(name, rng, dims, base, bases.prec)
                 argument = mpf(rng.uniform(0.03, 0.2)) * min(1, block.arg_bound)
-                slots.append(engine.BlockSlot(block, exponent, argument))
+                cross = bases.power(bases.t * exponent)
+                blocks.append(HeineBlock(block, argument, cross))
             base_name, base_dims = base_spec
             base_block = sample_block(base_name, rng, base_dims, bases.qt, bases.prec)
             base_argument = mpf(rng.uniform(0.03, 0.2)) * min(1, base_block.arg_bound)
             composed = engine.compose(
-                engine.BlockAssignment(
-                    tuple(slots),
-                    engine.BlockSlot(base_block, bases.t, base_argument),
-                    bases,
-                )
+                tuple(blocks), HeineBlock(base_block, base_argument)
             )
-            result = catalog.verify(composed, {}, bases, tolerance=mpf("1e-18"))
+            ctx = make_context({}, bases)
+            result = catalog.verify(composed, ctx, tolerance=mpf("1e-18"))
             assert result.passed, (block_specs, base_spec, result.rel_error)
 
     @pytest.mark.parametrize(
@@ -293,21 +242,19 @@ class TestCompose:
             return sample_block(name, rng, dims, base, bases.prec)
 
         block_specs, base_spec = specs
-        slots = []
+        blocks = []
         with mp.workprec(bases.prec):
             for spec in block_specs:
                 exponent = mpf(rng.uniform(0.6, 2.0))
                 block = draw(spec, bases.power(exponent))
                 argument = mpf(rng.uniform(0.03, 0.2)) * min(1, block.arg_bound)
-                slots.append(engine.BlockSlot(block, exponent, argument))
+                cross = bases.power(bases.t * exponent)
+                blocks.append(HeineBlock(block, argument, cross))
             base_block = draw(base_spec, bases.qt)
             base_argument = mpf("0.15") * min(1, base_block.arg_bound)
-        base_slot = engine.BlockSlot(base_block, bases.t, base_argument)
-        composed = engine.compose(
-            engine.BlockAssignment(tuple(slots), base_slot, bases)
-        )
-        views = [slot.block for slot in slots]
-        crosses = [bases.power(bases.t * slot.exponent) for slot in slots]
+            composed = engine.compose(
+                tuple(blocks), HeineBlock(base_block, base_argument)
+            )
         base = base_block
 
         # The summands of one expansion step as compose_with_transformation
@@ -327,11 +274,12 @@ class TestCompose:
 
         def lhs_reference(P, idx):
             value, scale, start = mpf(1), mpf(1), 0
-            for slot, block, cross in zip(slots, views, crosses):
+            for bound in blocks:
+                block = bound.summation
                 k = idx[start : start + block.dimension]
                 start += block.dimension
-                value *= from_raw(block.term(P, slot.argument, k))
-                scale *= power(P, cross, sum(k))
+                value *= from_raw(block.term(P, bound.argument, k))
+                scale *= power(P, bound.cross, sum(k))
             shifted = base_argument * scale
             value *= product(base, P, shifted) / product(base, P, base_argument)
             return value * inner(base, P, shifted, idx[start:])
@@ -340,18 +288,19 @@ class TestCompose:
             j = idx[: base.dimension]
             start = base.dimension
             value = from_raw(base.term(P, base_argument, j))
-            for slot, block, cross in zip(slots, views, crosses):
+            for bound in blocks:
+                block, z = bound.summation, bound.argument
                 jt = idx[start : start + block.inner_dimension]
                 start += block.inner_dimension
-                shifted = slot.argument * power(P, cross, sum(j))
-                value *= product(block, P, shifted) / product(block, P, slot.argument)
+                shifted = z * power(P, bound.cross, sum(j))
+                value *= product(block, P, shifted) / product(block, P, z)
                 value *= inner(block, P, shifted, jt)
             return value
 
         def prefactor_reference(P):
             value = mpf(1)
-            for slot in slots:
-                value *= product(slot.block, P, slot.argument)
+            for bound in blocks:
+                value *= product(bound.summation, P, bound.argument)
             return value / product(base, P, base_argument)
 
         factored = make_context({}, bases)
@@ -370,51 +319,42 @@ class TestCompose:
 
     def test_property_violation_raised(self):
         bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
-        slot = engine.BlockSlot(
-            broken_block(mpf("0.2"), bases.qh), bases.h, mpf("0.1")
-        )
-        base_slot = engine.BlockSlot(
-            qbin_summation(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
-        )
+        block = HeineBlock(broken_block(mpf("0.2"), bases.qh), mpf("0.1"), bases.qht)
+        base = HeineBlock(qbin_summation(mpf("0.2"), bases.qt), mpf("0.1"))
         with pytest.raises(PropertyHViolation):
-            engine.compose(engine.BlockAssignment((slot,), base_slot, bases))
+            engine.compose((block,), base)
 
     def test_argument_outside_domain(self):
+        # ``compose`` builds the sides; ``verify`` refuses the point by the
+        # one domain rule, as for a catalog family.
         bases = BaseSystem(mpf("0.3"), mpf("1.2"), mpf("0.9"))
-        slot = engine.BlockSlot(
-            qbin_summation(mpf("0.2"), bases.qh), bases.h, mpf("1.5")
-        )
-        base_slot = engine.BlockSlot(
-            qbin_summation(mpf("0.2"), bases.qt), bases.t, mpf("0.1")
-        )
-        with pytest.raises(DomainEmpty):
-            engine.compose(engine.BlockAssignment((slot,), base_slot, bases))
+        block = HeineBlock(qbin_summation(mpf("0.2"), bases.qh), mpf("1.5"), bases.qht)
+        base = HeineBlock(qbin_summation(mpf("0.2"), bases.qt), mpf("0.1"))
+        composed = engine.compose((block,), base)
+        with pytest.raises(DomainViolation, match="outside the domain of block"):
+            catalog.verify(composed, make_context({}, bases))
+
+    def test_no_blocks_refused(self):
+        base = HeineBlock(qbin_summation(mpf("0.2"), mpf("0.3")), mpf("0.1"))
+        with pytest.raises(ValueError):
+            engine.compose((), base)
 
 
 class TestComposeWithTransformation:
     def test_classical_euler_pair_reproduces_bibasic_euler(self):
         target = catalog.lookup("bibasic_euler").instantiate()
-        for params, bases in catalog.sample_domain(target, seed=54, count=2):
-            first = q_euler_summation(
-                params["a"], params["b"], params["c"], bases.qh, bases.prec
+        for ctx in catalog.sample_domain(target, seed=54, count=2):
+            with mp.workprec(ctx.bases.prec):
+                (first,), base = target.lhs.bind(ctx)
+                composed = engine.compose_with_transformation(first, base)
+            assert side_values(target, ctx.params, ctx.bases) == side_values(
+                composed, {}, ctx.bases
             )
-            base = q_euler_summation(
-                params["d"], params["e"], params["f"], bases.qt, bases.prec
-            )
-            composed = engine.compose_with_transformation(
-                engine.BlockSlot(first, bases.h, params["z"]),
-                engine.BlockSlot(base, bases.t, params["w"]),
-                bases,
-            )
-            lhs0, rhs0 = side_values(target, params, bases)
-            lhs1, rhs1 = side_values(composed, {}, bases)
-            assert rel(lhs0, lhs1) < mpf("1e-18")
-            assert rel(rhs0, rhs1) < mpf("1e-18")
 
     def test_degenerate_euler_pair_reproduces_bibasic_heine(self):
         # with c = b and f = e the inner sums collapse to their first term
         bibasic = catalog.lookup("bibasic_heine").instantiate()
-        for params, bases in catalog.sample_domain(bibasic, seed=55, count=2):
+        for params, bases in sample_points(bibasic, seed=55, count=2):
             first = q_euler_summation(
                 params["a"], mpf("0.4"), mpf("0.4"), bases.qh, bases.prec
             )
@@ -422,9 +362,8 @@ class TestComposeWithTransformation:
                 params["b"], mpf("0.3"), mpf("0.3"), bases.qt, bases.prec
             )
             composed = engine.compose_with_transformation(
-                engine.BlockSlot(first, bases.h, params["z"]),
-                engine.BlockSlot(base, bases.t, params["w"]),
-                bases,
+                HeineBlock(first, params["z"], bases.qht),
+                HeineBlock(base, params["w"]),
             )
             lhs0, rhs0 = side_values(bibasic, params, bases)
             lhs1, rhs1 = side_values(composed, {}, bases)
@@ -434,7 +373,7 @@ class TestComposeWithTransformation:
     def test_one_dimensional_kajihara_pair_matches_bibasic_euler(self):
         target = catalog.lookup("bibasic_euler").instantiate()
         one = mpf(1)
-        for params, bases in catalog.sample_domain(target, seed=56, count=2):
+        for params, bases in sample_points(target, seed=56, count=2):
             first = kajihara_summation(
                 (params["a"],), (params["b"],), params["c"], (one,), (one,),
                 bases.qh, bases.prec,
@@ -444,9 +383,8 @@ class TestComposeWithTransformation:
                 bases.qt, bases.prec,
             )
             composed = engine.compose_with_transformation(
-                engine.BlockSlot(first, bases.h, params["z"]),
-                engine.BlockSlot(base, bases.t, params["w"]),
-                bases,
+                HeineBlock(first, params["z"], bases.qht),
+                HeineBlock(base, params["w"]),
             )
             lhs0, rhs0 = side_values(target, params, bases)
             lhs1, rhs1 = side_values(composed, {}, bases)
@@ -454,17 +392,13 @@ class TestComposeWithTransformation:
             assert rel(rhs0, rhs1) < mpf("1e-18")
 
     def test_qbinomial_blocks_lift_to_transformations(self):
-        # composing two lifted q-binomial blocks equals the plain composition
+        # a single q-binomial block over a q-binomial base, composed as a
+        # transformation pair, is the bibasic Heine pair
         bibasic = catalog.lookup("bibasic_heine").instantiate()
-        params, bases = catalog.sample_domain(bibasic, seed=57, count=1)[0]
-        first = qbin_summation(params["a"], bases.qh)
-        base = qbin_summation(params["b"], bases.qt)
-        composed = engine.compose_with_transformation(
-            engine.BlockSlot(first, bases.h, params["z"]),
-            engine.BlockSlot(base, bases.t, params["w"]),
-            bases,
+        [ctx] = catalog.sample_domain(bibasic, seed=57, count=1)
+        with mp.workprec(ctx.bases.prec):
+            (first,), base = bibasic.lhs.bind(ctx)
+            composed = engine.compose_with_transformation(first, base)
+        assert side_values(bibasic, ctx.params, ctx.bases) == side_values(
+            composed, {}, ctx.bases
         )
-        lhs0, rhs0 = side_values(bibasic, params, bases)
-        lhs1, rhs1 = side_values(composed, {}, bases)
-        assert rel(lhs0, lhs1) < mpf("1e-20")
-        assert rel(rhs0, rhs1) < mpf("1e-20")

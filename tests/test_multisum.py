@@ -41,6 +41,7 @@ from util import (
     qbin_term,
     raw_terms,
     rel,
+    sample_points,
     vandermonde_factor,
     vandermonde_ratio_loop,
 )
@@ -264,7 +265,7 @@ class TestReimport:
                     ("qheine.multisum", "EvalContext"),
                     ("qheine.qcore", "PochCache"),
                     ("qheine.multisum", "Summation"),
-                    ("qheine.heine_engine", "BlockSlot"),
+                    ("qheine.heine_engine", "HCheckResult"),
                 ]
             ]
             load()
@@ -630,8 +631,8 @@ class TestSharedCrossBases:
         # shells apart.  PochCache.intpow keeps them for the run, so each
         # power is computed once.
         identity = catalog.lookup("thm_heine7").instantiate({"n": 2, "m": 2})
-        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
-        cross = value_key(bases.qht)
+        [ctx] = catalog.sample_domain(identity, seed=1, count=1)
+        cross = value_key(ctx.bases.qht)
         computed = Counter()
 
         def counted(x, n, prec, _pow_int=qcore._pow_int):
@@ -640,7 +641,7 @@ class TestSharedCrossBases:
             return _pow_int(x, n, prec)
 
         monkeypatch.setattr(qcore, "_pow_int", counted)
-        assert catalog.verify(identity, params, bases).passed
+        assert catalog.verify(identity, ctx).passed
         assert len(computed) > 10
         assert set(computed.values()) == {1}, computed
 
@@ -818,8 +819,8 @@ def _verify_cases(family_id, dims_list=None):
     family = catalog.lookup(family_id)
     for dims in dims_list or family.default_dims:
         identity = family.instantiate(dims)
-        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
-        assert catalog.verify(identity, params, bases).passed
+        [ctx] = catalog.sample_domain(identity, seed=1, count=1)
+        assert catalog.verify(identity, ctx).passed
 
 
 def _compose_case():
@@ -864,7 +865,7 @@ class TestRawValuesInsideASide:
         self, monkeypatch, family_id, dims, side
     ):
         identity = catalog.lookup(family_id).instantiate(dims)
-        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        params, bases = sample_points(identity, seed=1, count=1)[0]
         series = getattr(identity, side)
         runs = [
             self._objects_made(monkeypatch, series, params, bases, shells)
@@ -924,7 +925,7 @@ class TestShellLifetimes:
 
     def test_qlauricella_left_side_keeps_two_shells(self, computed, monkeypatch):
         identity = catalog.lookup("qlauricella_bibasic").instantiate({"p": 3})
-        params, bases = catalog.sample_domain(identity, seed=1, count=1)[0]
+        params, bases = sample_points(identity, seed=1, count=1)[0]
         ctx = make_context(params, bases)
         marks = []
         raw_next = qcore.PochCache.next_shell

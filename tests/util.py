@@ -279,6 +279,14 @@ def side_values(identity, params, bases, policy=None):
     return lhs, rhs
 
 
+def sample_points(identity, seed, count):
+    """The (params, bases) of the contexts ``catalog.sample_domain`` draws."""
+    from qheine import catalog
+
+    contexts = catalog.sample_domain(identity, seed=seed, count=count)
+    return [(ctx.params, ctx.bases) for ctx in contexts]
+
+
 def verify_sweep(family, dims_list, seed, count, tolerance, policy=None):
     """Run verify over sampled points for each dimension assignment; returns
     the worst relative error seen (all cases must pass)."""
@@ -287,10 +295,8 @@ def verify_sweep(family, dims_list, seed, count, tolerance, policy=None):
     worst = mpf(0)
     for dims in dims_list:
         identity = family.instantiate(dims)
-        for params, bases in catalog.sample_domain(identity, seed=seed, count=count):
-            result = catalog.verify(
-                identity, params, bases, policy, tolerance=tolerance
-            )
+        for ctx in catalog.sample_domain(identity, seed=seed, count=count):
+            result = catalog.verify(identity, ctx, policy, tolerance=tolerance)
             assert result.passed, (
                 f"{family.id} at dims {dims} failed: rel={result.rel_error}"
             )
