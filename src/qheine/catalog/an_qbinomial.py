@@ -18,15 +18,17 @@ from ..multisum import Summation
 from ..qcore import e2
 from .classical import qbin_product
 from .core import (
+    ARGUMENT,
+    COEFFICIENT,
+    DISTINCT,
     IdentityFamily,
     ParamSpec,
     ProductSpec,
     TermSpec,
-    argument,
-    coefficient,
     denom,
-    distinct_vector,
+    each,
     geom,
+    inside,
     numer,
     signed,
     staircase,
@@ -42,6 +44,8 @@ __all__ = [
     "stretched_spec",
     "stretched_euler_summation",
     "extra_c_summation",
+    "EXTRA_A",
+    "EXTRA_C",
 ]
 
 
@@ -87,24 +91,17 @@ def _ml_build(dims):
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
-def _ml_sample(rng, dims, bases):
-    n = dims["n"]
-    x = distinct_vector(rng, n)
-    return {
-        "a": tuple(coefficient(rng) for _ in range(n)),
-        "x": x,
-        "z": argument(rng) * min(abs(xr) for xr in x),
-    }
-
-
 AN_QBIN_MILNE_LILLY = IdentityFamily(
     id="an_qbin_milne_lilly",
     reference="A_n q-binomial theorem with paired parameter and variable "
     "vectors (product of n classical ratios)",
     dim_names=("n",),
-    schema=(ParamSpec("a", "n"), ParamSpec("x", "n"), ParamSpec("z")),
+    schema=(
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("a", COEFFICIENT, "n"),
+        ParamSpec("z", inside("x")),
+    ),
     build=_ml_build,
-    sample=_ml_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )
 
@@ -145,22 +142,17 @@ def _gk_build(dims):
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
-def _gk_sample(rng, dims, bases):
-    return {
-        "a": coefficient(rng),
-        "x": distinct_vector(rng, dims["n"]),
-        "z": argument(rng),
-    }
-
-
 AN_QBIN_GK = IdentityFamily(
     id="an_qbin_gk",
     reference="A_n q-binomial theorem with one upper parameter and a "
     "q-shifted product side",
     dim_names=("n",),
-    schema=(ParamSpec("a"), ParamSpec("x", "n"), ParamSpec("z")),
+    schema=(
+        ParamSpec("a", COEFFICIENT),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("z", ARGUMENT),
+    ),
     build=_gk_build,
-    sample=_gk_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )
 
@@ -282,14 +274,9 @@ def _extra_c_build(dims):
     return summation_sides((dims["n"], 0), bind, product_left=True)
 
 
-def _extra_c_sample(rng, dims, bases):
-    n = dims["n"]
-    return {
-        "a": tuple(signed(rng, 0.35, 0.9) for _ in range(n)),
-        "c": signed(rng, 0.0, 0.45),
-        "x": distinct_vector(rng, n),
-        "z": argument(rng),
-    }
+# The draws of the parameters a_r and c of the extra-parameter summation.
+EXTRA_A = each(signed, 0.35, 0.9)
+EXTRA_C = each(signed, 0.0, 0.45)
 
 
 AN_QBIN_EXTRA_C = IdentityFamily(
@@ -298,13 +285,12 @@ AN_QBIN_EXTRA_C = IdentityFamily(
     "disappears in one dimension",
     dim_names=("n",),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("c"),
-        ParamSpec("x", "n"),
-        ParamSpec("z"),
+        ParamSpec("a", EXTRA_A, "n"),
+        ParamSpec("c", EXTRA_C),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("z", ARGUMENT),
     ),
     build=_extra_c_build,
-    sample=_extra_c_sample,
     default_dims=({"n": 1}, {"n": 2}),
 )
 

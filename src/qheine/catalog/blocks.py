@@ -5,20 +5,23 @@ counterexample."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from mpmath import mp, mpmathify
 
 from ..errors import UnknownIdentity
 from ..multisum import Summation
 from ..qcore import raw_mul
-from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
+from .an_qbinomial import EXTRA_A, EXTRA_C, extra_c_summation, gk_summation
+from .an_qbinomial import milne_lilly_summation
 from .classical import q_euler_summation, qbin_summation
-from .core import coefficient, distinct_vector, signed
-from .kajihara import kajihara_summation
+from .core import COEFFICIENT, DISTINCT, ParamSpec, draw_params, each, signed
+from .kajihara import GRID, GRID_C, NEAR_ONE, kajihara_summation
 
-__all__ = ["broken_block", "sample_block", "SHIPPED_BLOCK_NAMES", "BLOCK_NAMES"]
+__all__ = [
+    "BLOCKS", "BLOCK_NAMES", "SHIPPED_BLOCK_NAMES", "broken_block", "sample_block"
+]
 
 
 def broken_block(a, base) -> Summation:
@@ -34,8 +37,52 @@ def broken_block(a, base) -> Summation:
     return replace(summation, term=term, label="broken")
 
 
+@dataclass(frozen=True)
+class BlockFamily:
+    """A block family: its dimension names, its parameters in draw order
+    (``ParamSpec``), and ``build(*params, base, prec)``, which takes them in
+    that order and binds the summation in ``base``."""
+
+    dim_names: tuple[str, ...]
+    schema: tuple[ParamSpec, ...]
+    build: Callable[..., Summation]
+
+
+_A = ParamSpec("a", COEFFICIENT)
+_X = ParamSpec("x", DISTINCT, "n")
+
+BLOCKS = {
+    "q_bin": BlockFamily((), (_A,), lambda a, base, prec: qbin_summation(a, base)),
+    "milne_lilly": BlockFamily(
+        ("n",), (ParamSpec("a", COEFFICIENT, "n"), _X), milne_lilly_summation
+    ),
+    "gk": BlockFamily(("n",), (_A, _X), gk_summation),
+    "extra_c": BlockFamily(
+        ("n",),
+        (ParamSpec("a", EXTRA_A, "n"), ParamSpec("c", EXTRA_C), _X),
+        extra_c_summation,
+    ),
+    "kajihara": BlockFamily(
+        ("n", "m"),
+        (
+            ParamSpec("a", GRID, "n"),
+            ParamSpec("b", GRID, "m"),
+            ParamSpec("c", GRID_C),
+            ParamSpec("x", NEAR_ONE, "n"),
+            ParamSpec("y", NEAR_ONE, "m"),
+        ),
+        kajihara_summation,
+    ),
+    "q_euler": BlockFamily(
+        (),
+        (_A, ParamSpec("b", COEFFICIENT), ParamSpec("c", each(signed, 0.3, 0.9))),
+        q_euler_summation,
+    ),
+    "broken": BlockFamily((), (_A,), lambda a, base, prec: broken_block(a, base)),
+}
+
 SHIPPED_BLOCK_NAMES = ("q_bin", "milne_lilly", "gk", "extra_c", "kajihara")
-BLOCK_NAMES = SHIPPED_BLOCK_NAMES + ("q_euler", "broken")
+BLOCK_NAMES = tuple(BLOCKS)
 
 
 def sample_block(
@@ -44,45 +91,14 @@ def sample_block(
     """Draw a block of the named family with random admissible parameters;
     the blocks that derive constants from them multiply at ``prec`` bits.
 
-    ``dims`` carries one entry for most families and (n, m) for the
-    transformation family.
+    ``dims`` gives the family's dimensions in the order of its
+    ``dim_names``; a missing one is 1, and one beyond them is not read.
     """
-    dims = tuple(dims)
-    n = dims[0] if dims else 1
-    if name == "q_bin":
-        return qbin_summation(coefficient(rng), base)
-    if name == "milne_lilly":
-        return milne_lilly_summation(
-            tuple(coefficient(rng) for _ in range(n)),
-            distinct_vector(rng, n),
-            base,
-            prec,
-        )
-    if name == "gk":
-        return gk_summation(coefficient(rng), distinct_vector(rng, n), base, prec)
-    if name == "extra_c":
-        return extra_c_summation(
-            tuple(signed(rng, 0.35, 0.9) for _ in range(n)),
-            signed(rng, 0.0, 0.45),
-            distinct_vector(rng, n),
-            base,
-            prec,
-        )
-    if name == "kajihara":
-        m = dims[1] if len(dims) > 1 else 1
-        return kajihara_summation(
-            tuple(signed(rng, 0.3, 0.9) for _ in range(n)),
-            tuple(signed(rng, 0.3, 0.9) for _ in range(m)),
-            signed(rng, 0.25, 0.55),
-            distinct_vector(rng, n, 0.75, 1.2),
-            distinct_vector(rng, m, 0.75, 1.2),
-            base,
-            prec,
-        )
-    if name == "q_euler":
-        return q_euler_summation(
-            coefficient(rng), coefficient(rng), signed(rng, 0.3, 0.9), base, prec
-        )
-    if name == "broken":
-        return broken_block(coefficient(rng), base)
-    raise UnknownIdentity(f"no block family named {name!r}")
+    try:
+        family = BLOCKS[name]
+    except KeyError:
+        raise UnknownIdentity(f"no block family named {name!r}") from None
+    names = family.dim_names
+    assignment = dict(zip(names, (*dims, *(1,) * len(names))))
+    params = draw_params(family.schema, rng, assignment, None)
+    return family.build(*params.values(), base, prec)

@@ -13,12 +13,13 @@ from mpmath import mp
 from ..multisum import HeineBlock, Summation, heine_sides
 from ..qcore import ONE
 from .core import (
+    ARGUMENT,
+    COEFFICIENT,
     IdentityFamily,
     ParamSpec,
     ProductSpec,
     TermSpec,
     argument,
-    coefficient,
     denom,
     numer,
     run_memo,
@@ -60,17 +61,12 @@ def _qbin_build(dims):
     return summation_sides((1, 0), bind)
 
 
-def _qbin_sample(rng, dims, bases):
-    return {"a": coefficient(rng), "z": argument(rng)}
-
-
 Q_BINOMIAL = IdentityFamily(
     id="q_binomial",
     reference="classical q-binomial theorem: sum (a)_k/(q)_k z^k as a product",
     dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("z")),
+    schema=(ParamSpec("a", COEFFICIENT), ParamSpec("z", ARGUMENT)),
     build=_qbin_build,
-    sample=_qbin_sample,
 )
 
 
@@ -112,22 +108,17 @@ def _heine_build(dims):
     )
 
 
-def _heine_sample(rng, dims, bases):
-    return {
-        "a": coefficient(rng),
-        "b": argument(rng),
-        "c": coefficient(rng),
-        "z": argument(rng),
-    }
-
-
 HEINE_2PHI1 = IdentityFamily(
     id="heine_2phi1",
     reference="Heine's transformation of a 2phi1 series",
     dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("z")),
+    schema=(
+        ParamSpec("a", COEFFICIENT),
+        ParamSpec("b", ARGUMENT),
+        ParamSpec("c", COEFFICIENT),
+        ParamSpec("z", ARGUMENT),
+    ),
     build=_heine_build,
-    sample=_heine_sample,
 )
 
 
@@ -146,22 +137,17 @@ def _bibasic_heine_build(dims):
     return heine_sides(((1, 0),), (1, 0), bind)
 
 
-def _bibasic_heine_sample(rng, dims, bases):
-    return {
-        "a": coefficient(rng),
-        "b": coefficient(rng),
-        "w": argument(rng),
-        "z": argument(rng),
-    }
-
-
 BIBASIC_HEINE = IdentityFamily(
     id="bibasic_heine",
     reference="bibasic Heine transformation mixing bases q^h and q^t",
     dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("w"), ParamSpec("z")),
+    schema=(
+        ParamSpec("a", COEFFICIENT),
+        ParamSpec("b", COEFFICIENT),
+        ParamSpec("w", ARGUMENT),
+        ParamSpec("z", ARGUMENT),
+    ),
     build=_bibasic_heine_build,
-    sample=_bibasic_heine_sample,
 )
 
 
@@ -202,22 +188,28 @@ def _qeuler_build(dims):
     return summation_sides((1, 1), bind)
 
 
-def _qeuler_sample(rng, dims, bases):
-    a = coefficient(rng)
-    b = coefficient(rng)
-    c = coefficient(rng)
-    bound = min(1, abs(c / (a * b)))
-    z = argument(rng) * bound
-    return {"a": a, "b": b, "c": c, "z": z}
+def _euler_argument(a: str, b: str, c: str):
+    """The draw of an argument times min(1, |c / (a b)|) for the parameters
+    named a, b and c drawn before it: inside the domain of the q-Euler
+    summation in them."""
+
+    def draw(rng, size, params, dims, bases):
+        return argument(rng) * min(1, abs(params[c] / (params[a] * params[b])))
+
+    return draw
 
 
 Q_EULER = IdentityFamily(
     id="q_euler",
     reference="q-analogue of Euler's transformation (second iterate of Heine)",
     dim_names=(),
-    schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("z")),
+    schema=(
+        ParamSpec("a", COEFFICIENT),
+        ParamSpec("b", COEFFICIENT),
+        ParamSpec("c", COEFFICIENT),
+        ParamSpec("z", _euler_argument("a", "b", "c")),
+    ),
     build=_qeuler_build,
-    sample=_qeuler_sample,
 )
 
 
@@ -237,31 +229,17 @@ def _bibasic_euler_build(dims):
     return heine_sides(((1, 1),), (1, 1), bind)
 
 
-def _bibasic_euler_sample(rng, dims, bases):
-    a, b, c = coefficient(rng), coefficient(rng), coefficient(rng)
-    d, e, f = coefficient(rng), coefficient(rng), coefficient(rng)
-    z = argument(rng) * min(1, abs(c / (a * b)))
-    w = argument(rng) * min(1, abs(f / (d * e)))
-    return {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "z": z, "w": w}
-
-
 BIBASIC_EULER = IdentityFamily(
     id="bibasic_euler",
     reference="bibasic double-sum transformation built on the q-Euler "
     "transformation in bases q^h and q^t",
     dim_names=(),
     schema=(
-        ParamSpec("a"),
-        ParamSpec("b"),
-        ParamSpec("c"),
-        ParamSpec("d"),
-        ParamSpec("e"),
-        ParamSpec("f"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        *(ParamSpec(name, COEFFICIENT) for name in "abcdef"),
+        ParamSpec("z", _euler_argument("a", "b", "c")),
+        ParamSpec("w", _euler_argument("d", "e", "f")),
     ),
     build=_bibasic_euler_build,
-    sample=_bibasic_euler_sample,
 )
 
 

@@ -47,13 +47,18 @@ _REL_FLOOR = mpf(10) ** -300
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One named entry of an identity's parameter schema.
+    """One parameter of an identity: its name, its draw, the dimension
+    symbol sizing it as a vector (None = scalar) and its role (an ordinary
+    value or a base exponent).
 
-    ``length`` names the dimension symbol sizing a vector (None = scalar);
-    ``role`` distinguishes ordinary values from base exponents.
+    A schema lists its entries in draw order, and ``draw_params`` draws them
+    in turn: ``draw(rng, size, params, dims, bases)`` returns the value, with
+    ``size`` the vector's length (None for a scalar) and ``params`` the
+    parameters drawn before it.
     """
 
     name: str
+    draw: Callable
     length: str | None = None
     role: str = "value"
 
@@ -67,8 +72,11 @@ class Identity:
     schema: tuple[ParamSpec, ...]
     lhs: SeriesSide
     rhs: SeriesSide
-    sample: Callable[[random.Random, BaseSystem], Mapping]
     policy: TruncationPolicy
+
+    def sample(self, rng: random.Random, bases: BaseSystem) -> dict:
+        """One draw of the parameters (``draw_params``)."""
+        return draw_params(self.schema, rng, self.dims, bases)
 
     def fault(self, ctx) -> str | None:
         """Why the point of ``ctx`` is outside the domain, or None: a family
@@ -110,7 +118,6 @@ class IdentityFamily:
     dim_names: tuple[str, ...]
     schema: tuple[ParamSpec, ...]
     build: Callable[[Mapping[str, int]], tuple[SeriesSide, SeriesSide]]
-    sample: Callable[[random.Random, Mapping[str, int], BaseSystem], Mapping]
     default_dims: tuple[Mapping[str, int], ...] = (dict(),)
     # Ten shells of headroom over the generic cap lets the consecutive-shell
     # stop rule finish even when a side's value is small (ratio inflation).
@@ -127,18 +134,12 @@ class IdentityFamily:
             if not isinstance(value, int) or value < 1:
                 raise InvalidConfig(f"{self.id}: dimension {name} must be >= 1")
         lhs, rhs = self.build(assignment)
-        sampler = self.sample
-
-        def bound_sample(rng, bases, _dims=assignment):
-            return sampler(rng, _dims, bases)
-
         return Identity(
             id=self.id,
             dims=assignment,
             schema=self.schema,
             lhs=lhs,
             rhs=rhs,
-            sample=bound_sample,
             policy=self.policy,
         )
 
@@ -261,6 +262,17 @@ def sample_domain(
     return contexts
 
 
+def draw_params(schema, rng: random.Random, dims: Mapping[str, int], bases) -> dict:
+    """The parameters of ``schema`` at the dimensions ``dims``, each drawn
+    by its entry's ``draw`` in schema order (``ParamSpec``); ``bases`` is
+    the point's ``BaseSystem``, or None for a block."""
+    params: dict = {}
+    for spec in schema:
+        size = None if spec.length is None else dims[spec.length]
+        params[spec.name] = spec.draw(rng, size, params, dims, bases)
+    return params
+
+
 def signed(rng: random.Random, lo: float, hi: float) -> mpf:
     magnitude = rng.uniform(lo, hi)
     return mpf(magnitude if rng.random() < 0.5 else -magnitude)
@@ -287,6 +299,39 @@ def distinct_vector(rng: random.Random, dim: int, lo=0.7, hi=1.9) -> tuple[mpf, 
 
 def exponent(rng: random.Random) -> mpf:
     return mpf(rng.uniform(0.5, 2.5))
+
+
+def each(unit, *args) -> Callable:
+    """The draw of ``unit(rng, *args)``: one value for a scalar, one per
+    entry for a vector."""
+
+    def draw(rng, size, params, dims, bases):
+        if size is None:
+            return unit(rng, *args)
+        return tuple(unit(rng, *args) for _ in range(size))
+
+    return draw
+
+
+def distinct(*bounds) -> Callable:
+    """The draw of a vector ``distinct_vector(rng, size, *bounds)``."""
+    return lambda rng, size, params, dims, bases: distinct_vector(rng, size, *bounds)
+
+
+def inside(name: str) -> Callable:
+    """The draw of an argument times min_r |x_r|, x the vector ``name``
+    drawn before it: inside the domain of a Milne-Lilly summation in x."""
+
+    def draw(rng, size, params, dims, bases):
+        return argument(rng) * min(abs(v) for v in params[name])
+
+    return draw
+
+
+COEFFICIENT = each(coefficient)
+ARGUMENT = each(argument)
+EXPONENT = each(exponent)
+DISTINCT = distinct()
 
 
 # ---------------------------------------------------------------------------

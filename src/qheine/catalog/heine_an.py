@@ -5,15 +5,14 @@ by which A_n q-binomial summation backs each side."""
 from __future__ import annotations
 
 from ..multisum import HeineBlock, heine_sides
-from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
-from .core import (
-    IdentityFamily,
-    ParamSpec,
-    argument,
-    coefficient,
-    distinct_vector,
-    signed,
+from .an_qbinomial import (
+    EXTRA_A,
+    EXTRA_C,
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
 )
+from .core import ARGUMENT, COEFFICIENT, DISTINCT, IdentityFamily, ParamSpec, inside
 
 __all__ = ["FAMILIES"]
 
@@ -40,35 +39,20 @@ _heine7_build = _build(
 )
 
 
-def _heine7_sample(rng, dims, bases):
-    n, m = dims["n"], dims["m"]
-    x = distinct_vector(rng, n)
-    y = distinct_vector(rng, m)
-    return {
-        "a": tuple(coefficient(rng) for _ in range(n)),
-        "b": tuple(coefficient(rng) for _ in range(m)),
-        "x": x,
-        "y": y,
-        "z": argument(rng) * min(abs(v) for v in x),
-        "w": argument(rng) * min(abs(v) for v in y),
-    }
-
-
 THM_HEINE7 = IdentityFamily(
     id="thm_heine7",
     reference="n-fold to m-fold bibasic Heine transformation, paired "
     "parameter vectors on both sides",
     dim_names=("n", "m"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b", "m"),
-        ParamSpec("x", "n"),
-        ParamSpec("y", "m"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("y", DISTINCT, "m"),
+        ParamSpec("a", COEFFICIENT, "n"),
+        ParamSpec("b", COEFFICIENT, "m"),
+        ParamSpec("z", inside("x")),
+        ParamSpec("w", inside("y")),
     ),
     build=_heine7_build,
-    sample=_heine7_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
 
@@ -79,34 +63,20 @@ _heine8_build = _build(
 )
 
 
-def _heine8_sample(rng, dims, bases):
-    n, m = dims["n"], dims["m"]
-    x = distinct_vector(rng, n)
-    return {
-        "a": tuple(coefficient(rng) for _ in range(n)),
-        "b": coefficient(rng),
-        "x": x,
-        "y": distinct_vector(rng, m),
-        "z": argument(rng) * min(abs(v) for v in x),
-        "w": argument(rng),
-    }
-
-
 THM_HEINE8 = IdentityFamily(
     id="thm_heine8",
     reference="n-fold to m-fold bibasic Heine transformation with a single "
     "lower parameter and q-shifted argument products",
     dim_names=("n", "m"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b"),
-        ParamSpec("x", "n"),
-        ParamSpec("y", "m"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("a", COEFFICIENT, "n"),
+        ParamSpec("b", COEFFICIENT),
+        ParamSpec("y", DISTINCT, "m"),
+        ParamSpec("z", inside("x")),
+        ParamSpec("w", ARGUMENT),
     ),
     build=_heine8_build,
-    sample=_heine8_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
 
@@ -117,37 +87,22 @@ _heine1_build = _build(
 )
 
 
-def _heine1_sample(rng, dims, bases):
-    n, m = dims["n"], dims["m"]
-    return {
-        "a": tuple(signed(rng, 0.35, 0.9) for _ in range(n)),
-        "b": tuple(signed(rng, 0.35, 0.9) for _ in range(m)),
-        "c": signed(rng, 0.0, 0.45),
-        "d": signed(rng, 0.0, 0.45),
-        "x": distinct_vector(rng, n),
-        "y": distinct_vector(rng, m),
-        "z": argument(rng),
-        "w": argument(rng),
-    }
-
-
 THM_HEINE1 = IdentityFamily(
     id="thm_heine1",
     reference="n-fold to m-fold bibasic Heine transformation with extra "
     "parameters that vanish in one dimension",
     dim_names=("n", "m"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b", "m"),
-        ParamSpec("c"),
-        ParamSpec("d"),
-        ParamSpec("x", "n"),
-        ParamSpec("y", "m"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        ParamSpec("a", EXTRA_A, "n"),
+        ParamSpec("b", EXTRA_A, "m"),
+        ParamSpec("c", EXTRA_C),
+        ParamSpec("d", EXTRA_C),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("y", DISTINCT, "m"),
+        ParamSpec("z", ARGUMENT),
+        ParamSpec("w", ARGUMENT),
     ),
     build=_heine1_build,
-    sample=_heine1_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
 
@@ -159,34 +114,20 @@ _heine2_build = _build(
 )
 
 
-def _heine2_sample(rng, dims, bases):
-    n, m = dims["n"], dims["m"]
-    y = distinct_vector(rng, m)
-    return {
-        "a": tuple(coefficient(rng) for _ in range(n)),
-        "b": tuple(coefficient(rng) for _ in range(m)),
-        "x": distinct_vector(rng, n),
-        "y": y,
-        "z": argument(rng),
-        "w": argument(rng) * min(abs(v) for v in y),
-    }
-
-
 THM_HEINE2 = IdentityFamily(
     id="thm_heine2",
     reference="n-fold to m-fold bibasic Heine transformation combining the "
     "plain-product and paired-vector summations",
     dim_names=("n", "m"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b", "m"),
-        ParamSpec("x", "n"),
-        ParamSpec("y", "m"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        ParamSpec("y", DISTINCT, "m"),
+        ParamSpec("a", COEFFICIENT, "n"),
+        ParamSpec("b", COEFFICIENT, "m"),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("z", ARGUMENT),
+        ParamSpec("w", inside("y")),
     ),
     build=_heine2_build,
-    sample=_heine2_sample,
     default_dims=({"n": 1, "m": 1}, {"n": 1, "m": 2}, {"n": 2, "m": 1}, {"n": 2, "m": 2}),
 )
 

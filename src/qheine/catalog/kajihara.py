@@ -17,14 +17,21 @@ from .core import (
     TermSpec,
     argument,
     denom,
-    distinct_vector,
+    distinct,
+    each,
     numer,
     signed,
     staircase,
     summation_sides,
 )
 
-__all__ = ["FAMILIES", "kajihara_summation"]
+__all__ = ["FAMILIES", "kajihara_summation", "GRID", "GRID_C", "NEAR_ONE"]
+
+# The draws of the grid parameters a_r and b_s, of c, and of the variable
+# vectors x and y of the Kajihara summation.
+GRID = each(signed, 0.3, 0.9)
+GRID_C = each(signed, 0.25, 0.55)
+NEAR_ONE = distinct(0.75, 1.2)
 
 
 def kajihara_summation(avec, bvec, c, xvec, yvec, base, prec: int) -> Summation:
@@ -82,23 +89,20 @@ def _kajihara_build(dims):
     return summation_sides((dims["n"], dims["m"]), bind)
 
 
-def _kajihara_sample(rng, dims, bases):
-    n, m = dims["n"], dims["m"]
-    a = tuple(signed(rng, 0.3, 0.9) for _ in range(n))
-    b = tuple(signed(rng, 0.3, 0.9) for _ in range(m))
-    c = signed(rng, 0.25, 0.55)
-    scale = math.prod(a) * math.prod(b) / c**m
-    z = argument(rng)
-    if abs(scale * z) > mpf("0.2"):
-        z = z * mpf("0.2") / abs(scale * z)
-    return {
-        "a": a,
-        "b": b,
-        "c": c,
-        "x": distinct_vector(rng, n, 0.75, 1.2),
-        "y": distinct_vector(rng, m, 0.75, 1.2),
-        "z": z,
-    }
+def _clipped(a: str, b: str, c: str):
+    """The draw of an argument z, clipped to |scale z| <= 0.2 with scale =
+    A B / c^m the stretch of the Kajihara summation in the parameters named
+    a, b and c drawn before it (m the length of b)."""
+
+    def draw(rng, size, params, dims, bases):
+        grid_b = params[b]
+        scale = math.prod(params[a]) * math.prod(grid_b) / params[c] ** len(grid_b)
+        z = argument(rng)
+        if abs(scale * z) > mpf("0.2"):
+            z = z * mpf("0.2") / abs(scale * z)
+        return z
+
+    return draw
 
 
 KAJIHARA = IdentityFamily(
@@ -107,15 +111,14 @@ KAJIHARA = IdentityFamily(
     "coupling both variable vectors",
     dim_names=("n", "m"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b", "m"),
-        ParamSpec("c"),
-        ParamSpec("x", "n"),
-        ParamSpec("y", "m"),
-        ParamSpec("z"),
+        ParamSpec("a", GRID, "n"),
+        ParamSpec("b", GRID, "m"),
+        ParamSpec("c", GRID_C),
+        ParamSpec("z", _clipped("a", "b", "c")),
+        ParamSpec("x", NEAR_ONE, "n"),
+        ParamSpec("y", NEAR_ONE, "m"),
     ),
     build=_kajihara_build,
-    sample=_kajihara_sample,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -140,60 +143,26 @@ def _kajihara_double_build(dims):
     return heine_sides(((dims["n"], dims["mu"]),), (dims["m"], dims["nu"]), bind)
 
 
-def _kajihara_double_sample(rng, dims, bases):
-    n, m = dims["n"], dims["m"]
-    nu, mu = dims["nu"], dims["mu"]
-    a = tuple(signed(rng, 0.3, 0.9) for _ in range(n))
-    b = tuple(signed(rng, 0.3, 0.9) for _ in range(mu))
-    d = tuple(signed(rng, 0.3, 0.9) for _ in range(m))
-    e = tuple(signed(rng, 0.3, 0.9) for _ in range(nu))
-    c = signed(rng, 0.25, 0.55)
-    f = signed(rng, 0.25, 0.55)
-    m_scale = math.prod(a) * math.prod(b) / c**mu
-    d_scale = math.prod(d) * math.prod(e) / f**nu
-    z = argument(rng)
-    if abs(m_scale * z) > mpf("0.2"):
-        z = z * mpf("0.2") / abs(m_scale * z)
-    w = argument(rng)
-    if abs(d_scale * w) > mpf("0.2"):
-        w = w * mpf("0.2") / abs(d_scale * w)
-    return {
-        "a": a,
-        "b": b,
-        "c": c,
-        "d": d,
-        "e": e,
-        "f": f,
-        "x": distinct_vector(rng, n, 0.75, 1.2),
-        "X": distinct_vector(rng, mu, 0.75, 1.2),
-        "y": distinct_vector(rng, m, 0.75, 1.2),
-        "Y": distinct_vector(rng, nu, 0.75, 1.2),
-        "z": z,
-        "w": w,
-    }
-
-
 KAJIHARA_DOUBLE = IdentityFamily(
     id="kajihara_double",
     reference="four-sum bibasic transformation pairing two copies of the "
     "doubled-grid transformation across bases q^h and q^t",
     dim_names=("n", "m", "nu", "mu"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b", "mu"),
-        ParamSpec("c"),
-        ParamSpec("d", "m"),
-        ParamSpec("e", "nu"),
-        ParamSpec("f"),
-        ParamSpec("x", "n"),
-        ParamSpec("X", "mu"),
-        ParamSpec("y", "m"),
-        ParamSpec("Y", "nu"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        ParamSpec("a", GRID, "n"),
+        ParamSpec("b", GRID, "mu"),
+        ParamSpec("d", GRID, "m"),
+        ParamSpec("e", GRID, "nu"),
+        ParamSpec("c", GRID_C),
+        ParamSpec("f", GRID_C),
+        ParamSpec("z", _clipped("a", "b", "c")),
+        ParamSpec("w", _clipped("d", "e", "f")),
+        ParamSpec("x", NEAR_ONE, "n"),
+        ParamSpec("X", NEAR_ONE, "mu"),
+        ParamSpec("y", NEAR_ONE, "m"),
+        ParamSpec("Y", NEAR_ONE, "nu"),
     ),
     build=_kajihara_double_build,
-    sample=_kajihara_double_sample,
     default_dims=(
         {"n": 1, "m": 1, "nu": 1, "mu": 1},
         {"n": 2, "m": 1, "nu": 1, "mu": 2},

@@ -4,16 +4,22 @@ of its fully general block-composed extension."""
 from __future__ import annotations
 
 from ..multisum import HeineBlock, heine_sides
-from .an_qbinomial import extra_c_summation, gk_summation, milne_lilly_summation
+from .an_qbinomial import (
+    EXTRA_A,
+    EXTRA_C,
+    extra_c_summation,
+    gk_summation,
+    milne_lilly_summation,
+)
 from .classical import qbin_summation
 from .core import (
+    ARGUMENT,
+    COEFFICIENT,
+    DISTINCT,
+    EXPONENT,
     IdentityFamily,
     ParamSpec,
-    argument,
-    coefficient,
-    distinct_vector,
-    exponent,
-    signed,
+    inside,
 )
 
 __all__ = ["FAMILIES"]
@@ -34,31 +40,19 @@ def _qlauricella_build(dims):
     return heine_sides(((1, 0),) * dims["p"], (1, 0), bind)
 
 
-def _qlauricella_sample(rng, dims, bases):
-    p_dim = dims["p"]
-    return {
-        "a": tuple(coefficient(rng) for _ in range(p_dim)),
-        "b": coefficient(rng),
-        "z": tuple(argument(rng) for _ in range(p_dim)),
-        "w": argument(rng),
-        "hexp": tuple(exponent(rng) for _ in range(p_dim)),
-    }
-
-
 QLAURICELLA_BIBASIC = IdentityFamily(
     id="qlauricella_bibasic",
     reference="p-fold multibasic sum with dot-product index collapsing to a "
     "single sum in base q^t",
     dim_names=("p",),
     schema=(
-        ParamSpec("a", "p"),
-        ParamSpec("b"),
-        ParamSpec("z", "p"),
-        ParamSpec("w"),
-        ParamSpec("hexp", "p", role="exponent"),
+        ParamSpec("a", COEFFICIENT, "p"),
+        ParamSpec("b", COEFFICIENT),
+        ParamSpec("z", ARGUMENT, "p"),
+        ParamSpec("w", ARGUMENT),
+        ParamSpec("hexp", EXPONENT, "p", role="exponent"),
     ),
     build=_qlauricella_build,
-    sample=_qlauricella_sample,
     default_dims=({"p": 1}, {"p": 2}, {"p": 3}),
 )
 
@@ -88,46 +82,26 @@ def _master_big_build(dims):
     return heine_sides(shapes, (dims["m"], 0), bind)
 
 
-def _master_big_sample(rng, dims, bases):
-    n1, n2, m = dims["n1"], dims["n2"], dims["m"]
-    x1 = distinct_vector(rng, n1)
-    return {
-        "a1": tuple(coefficient(rng) for _ in range(n1)),
-        "a2": coefficient(rng),
-        "b": tuple(signed(rng, 0.35, 0.9) for _ in range(m)),
-        "c": signed(rng, 0.0, 0.45),
-        "x1": x1,
-        "x2": distinct_vector(rng, n2),
-        "y": distinct_vector(rng, m),
-        "z1": argument(rng) * min(abs(v) for v in x1),
-        "z2": argument(rng),
-        "w": argument(rng),
-        "h1": exponent(rng),
-        "h2": exponent(rng),
-    }
-
-
 MASTER_INSTANCE_BIG = IdentityFamily(
     id="master_instance_big",
     reference="two-block composed transformation: paired-vector and "
     "single-parameter sums over an extra-parameter base sum",
     dim_names=("n1", "n2", "m"),
     schema=(
-        ParamSpec("a1", "n1"),
-        ParamSpec("a2"),
-        ParamSpec("b", "m"),
-        ParamSpec("c"),
-        ParamSpec("x1", "n1"),
-        ParamSpec("x2", "n2"),
-        ParamSpec("y", "m"),
-        ParamSpec("z1"),
-        ParamSpec("z2"),
-        ParamSpec("w"),
-        ParamSpec("h1", role="exponent"),
-        ParamSpec("h2", role="exponent"),
+        ParamSpec("x1", DISTINCT, "n1"),
+        ParamSpec("a1", COEFFICIENT, "n1"),
+        ParamSpec("a2", COEFFICIENT),
+        ParamSpec("b", EXTRA_A, "m"),
+        ParamSpec("c", EXTRA_C),
+        ParamSpec("x2", DISTINCT, "n2"),
+        ParamSpec("y", DISTINCT, "m"),
+        ParamSpec("z1", inside("x1")),
+        ParamSpec("z2", ARGUMENT),
+        ParamSpec("w", ARGUMENT),
+        ParamSpec("h1", EXPONENT, role="exponent"),
+        ParamSpec("h2", EXPONENT, role="exponent"),
     ),
     build=_master_big_build,
-    sample=_master_big_sample,
     default_dims=(
         {"n1": 1, "n2": 1, "m": 1},
         {"n1": 2, "n2": 1, "m": 2},
@@ -162,37 +136,22 @@ def _master_lauricella_build(dims):
     return heine_sides(shapes, (dims["m"], 0), bind)
 
 
-def _master_lauricella_sample(rng, dims, bases):
-    p_dim, n, m = dims["p"], dims["n"], dims["m"]
-    return {
-        "a": tuple(coefficient(rng) for _ in range(n)),
-        "b": tuple(coefficient(rng) for _ in range(m)),
-        "cp": tuple(coefficient(rng) for _ in range(p_dim)),
-        "u": tuple(argument(rng) for _ in range(p_dim)),
-        "x": distinct_vector(rng, n),
-        "y": distinct_vector(rng, m),
-        "z": argument(rng),
-        "w": argument(rng),
-    }
-
-
 MASTER_INSTANCE_LAURICELLA = IdentityFamily(
     id="master_instance_lauricella",
     reference="(p+1)-block composed transformation: p one-dimensional sums "
     "and a plain-product A_n sum over a plain-product base sum",
     dim_names=("p", "n", "m"),
     schema=(
-        ParamSpec("a", "n"),
-        ParamSpec("b", "m"),
-        ParamSpec("cp", "p"),
-        ParamSpec("u", "p"),
-        ParamSpec("x", "n"),
-        ParamSpec("y", "m"),
-        ParamSpec("z"),
-        ParamSpec("w"),
+        ParamSpec("a", COEFFICIENT, "n"),
+        ParamSpec("b", COEFFICIENT, "m"),
+        ParamSpec("cp", COEFFICIENT, "p"),
+        ParamSpec("u", ARGUMENT, "p"),
+        ParamSpec("x", DISTINCT, "n"),
+        ParamSpec("y", DISTINCT, "m"),
+        ParamSpec("z", ARGUMENT),
+        ParamSpec("w", ARGUMENT),
     ),
     build=_master_lauricella_build,
-    sample=_master_lauricella_sample,
     default_dims=(
         {"p": 1, "n": 1, "m": 1},
         {"p": 2, "n": 1, "m": 2},

@@ -44,12 +44,12 @@ from .an_qbinomial import (
     stretched_spec,
 )
 from .core import (
+    COEFFICIENT,
     IdentityFamily,
     ParamSpec,
     ProductSpec,
     TermSpec,
     argument,
-    coefficient,
     denom,
     geom,
     numer,
@@ -135,14 +135,15 @@ def _ram_1_4_1_build(dims):
     return _displayed(((m, 0),), (n, 0), bind, _base_over_block)
 
 
-def _ram_1_4_1_sample(rng, dims, bases):
-    q_tm = bases.power(bases.t * dims.get("m", 1))
-    return {
-        "a": argument(rng) / q_tm,
-        "b": coefficient(rng),
-        "c": coefficient(rng),
-        "d": argument(rng) / bases.qh,
-    }
+def _over(power):
+    """The draw of an argument divided by ``power(bases, m)``, m the
+    dimension m (1 where the entry has none): the block argument, the value
+    times that power, is an argument."""
+
+    def draw(rng, size, params, dims, bases):
+        return argument(rng) / power(bases, dims.get("m", 1))
+
+    return draw
 
 
 RAM_1_4_1_ANM = IdentityFamily(
@@ -150,9 +151,13 @@ RAM_1_4_1_ANM = IdentityFamily(
     reference="m-fold to n-fold extension of the central bibasic "
     "transformation, variables specialised to geometric progressions",
     dim_names=("n", "m"),
-    schema=(ParamSpec("a"), ParamSpec("b"), ParamSpec("c"), ParamSpec("d")),
+    schema=(
+        ParamSpec("a", _over(lambda B, m: B.power(B.t * m))),
+        ParamSpec("b", COEFFICIENT),
+        ParamSpec("c", COEFFICIENT),
+        ParamSpec("d", _over(lambda B, m: B.qh)),
+    ),
     build=_ram_1_4_1_build,
-    sample=_ram_1_4_1_sample,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -232,10 +237,6 @@ def _ram_1_4_10_anm_build(dims):
     return _q_sides((n, lhs), (m, rhs), rhs_product)
 
 
-def _no_params(rng, dims, bases):
-    return {}
-
-
 RAM_1_4_10_ANM = IdentityFamily(
     id="ram_1_4_10_anm",
     reference="n-fold to m-fold extension of the classical evaluation of "
@@ -243,7 +244,6 @@ RAM_1_4_10_ANM = IdentityFamily(
     dim_names=("n", "m"),
     schema=(),
     build=_ram_1_4_10_anm_build,
-    sample=_no_params,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -296,7 +296,6 @@ RAM_1_4_10_C = IdentityFamily(
     dim_names=("n", "m"),
     schema=(),
     build=_ram_1_4_10_c_build,
-    sample=_no_params,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -320,8 +319,8 @@ RAM_1_4_10_N_SINGLE = replace(
 # -- quadratic-exponent partial-theta transformations -------------------------
 
 
-def _coeff_params(rng, dims, bases):
-    return {"a": coefficient(rng), "b": coefficient(rng)}
+# The parameters of the partial-theta entries: the arguments of the blocks.
+_PARTIAL_THETA = (ParamSpec("a", COEFFICIENT), ParamSpec("b", COEFFICIENT))
 
 
 def _euler_block(B, e, dim, z):
@@ -375,9 +374,8 @@ RAM_EQ26_A2 = IdentityFamily(
     id="ram_eq26_a2",
     reference="m-fold partial-theta transformation with bases q^h and q^{tm}",
     dim_names=("m",),
-    schema=(ParamSpec("a"), ParamSpec("b")),
+    schema=_PARTIAL_THETA,
     build=_partial_theta_build(_euler_block, _bases_t_h),
-    sample=_coeff_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
 
@@ -397,9 +395,8 @@ RAM_EQ26_A3 = IdentityFamily(
     reference="equal-base form of the m-fold partial-theta transformation "
     "with a free index stretch t",
     dim_names=("m",),
-    schema=(ParamSpec("a"), ParamSpec("b")),
+    schema=_PARTIAL_THETA,
     build=_partial_theta_build(_euler_block, _bases_1_1),
-    sample=_coeff_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
 
@@ -409,9 +406,8 @@ RAM_EQ26_B = IdentityFamily(
     reference="fully quadratic m-fold to n-fold partial-theta "
     "transformation in bases q^{hn} and q^{tm}",
     dim_names=("n", "m"),
-    schema=(ParamSpec("a"), ParamSpec("b")),
+    schema=_PARTIAL_THETA,
     build=_partial_theta_build(_stretched_block, _bases_t_h),
-    sample=_coeff_params,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -426,9 +422,8 @@ RAM_1_4_17_ANM = IdentityFamily(
     reference="m-fold to n-fold extension of the symmetric partial-theta "
     "transformation with index stretch t",
     dim_names=("n", "m"),
-    schema=(ParamSpec("a"), ParamSpec("b")),
+    schema=_PARTIAL_THETA,
     build=_partial_theta_build(_stretched_block, _bases_1_1),
-    sample=_coeff_params,
     default_dims=(
         {"n": 1, "m": 1},
         {"n": 1, "m": 2},
@@ -470,7 +465,6 @@ RAM_1_4_9A = IdentityFamily(
     dim_names=("m",),
     schema=(),
     build=_ram_1_4_9a_build,
-    sample=_no_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
 
@@ -500,7 +494,6 @@ RAM_1_4_9B = IdentityFamily(
     dim_names=("m",),
     schema=(),
     build=_ram_1_4_9b_build,
-    sample=_no_params,
     default_dims=({"m": 1}, {"m": 2}),
 )
 

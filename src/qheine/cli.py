@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from mpmath import mp, mpf
 
 from . import __version__, catalog, heine_engine, report
-from .catalog.blocks import BLOCK_NAMES, sample_block
+from .catalog.blocks import BLOCKS, sample_block
 from .catalog.core import argument, exponent, sample_bases
 from .errors import (
     InvalidConfig,
@@ -257,9 +257,12 @@ def validate_config(config: RunConfig) -> None:
             raise InvalidConfig("compose needs at least one block")
         for spec in list(config.blocks) + [config.base]:
             name, dims = parse_block_spec(spec)
-            if name not in BLOCK_NAMES:
+            if name not in BLOCKS:
                 raise InvalidConfig(f"unknown block {name!r}")
-            if len(dims) > (2 if name == "kajihara" else 1) or min(dims) < 1:
+            # One value per dimension name; a block without dimensions is
+            # one-fold and takes the 1 a spec without dimensions reads as.
+            names = BLOCKS[name].dim_names
+            if min(dims) < 1 or (len(dims) > len(names) and dims != (1,)):
                 raise InvalidConfig(f"bad block dimensions in {spec!r}")
 
 

@@ -101,7 +101,6 @@ def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity
         schema=(),
         lhs=lhs,
         rhs=rhs,
-        sample=lambda rng, bases: {},
         policy=TruncationPolicy(max_shell_weight=50),
     )
 

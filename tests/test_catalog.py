@@ -205,7 +205,6 @@ class TestVerify:
             dim_names=(),
             schema=(),
             build=lambda dims: (side, side),
-            sample=lambda rng, dims, bases: {},
             policy=TruncationPolicy(max_shell_weight=3),
         )
         identity = family.instantiate()
@@ -251,11 +250,14 @@ class TestSampling:
             identity.validate_params(params)
 
     def test_rejection_sampling_gives_up(self, monkeypatch, capsys):
-        # A sampler that always draws z = 2, outside |z| < 1: the sampler
+        # A schema that always draws z = 2, outside |z| < 1: the sampler
         # stops after _MAX_REJECTS draws in a row, and the run exits 1.
         family = dataclasses.replace(
             catalog.lookup("q_binomial"),
-            sample=lambda rng, dims, bases: {"a": mpf("0.2"), "z": mpf(2)},
+            schema=(
+                ParamSpec("a", lambda *_: mpf("0.2")),
+                ParamSpec("z", lambda *_: mpf(2)),
+            ),
         )
         monkeypatch.setattr(core, "_MAX_REJECTS", 7)
         with pytest.raises(DomainExhausted, match="failed 7 times in a row"):

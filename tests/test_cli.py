@@ -350,6 +350,9 @@ class TestMalformedInput:
             (["verify", "--identity", "q_binomial"], {"dims": {"n": 2}}),
             (["verify", "--identity", "q_binomial", "--max-shell", "-1"], None),
             (["verify", "--identity", "q_binomial", "--tail-tol", "0"], None),
+            # A dimension the block does not have is refused, not ignored.
+            (["compose", "--blocks", "q_bin:3", "--base", "q_euler:2"], None),
+            (["compose", "--base", "q_euler:2"], None),
         ],
     )
     def test_config_error_exit_2(self, capsys, tmp_path, argv, config):
@@ -481,14 +484,30 @@ def _load_script(name):
 class TestReportDigests:
     """The stripped reports of the reference sweep, of the hiprec_sweep
     families at 1024 bits and of the compose_mix specs hash to the digests
-    recorded here: a change that means to keep every value bit for bit
-    keeps them.  A change that moves values updates these constants and
-    says in CHANGES.md which values moved and why."""
+    recorded here, and so do the compose runs of the two blocks that
+    compose_mix never draws, with their exit codes: a change that means to
+    keep every value bit for bit keeps them.  A change that moves values
+    updates these constants and says in CHANGES.md which values moved and
+    why."""
 
     DIGESTS = {
         "reference": "11aab12b81be7080ea4163cc1110b66f084c6af9a1765d84480f69aa068e02a3",
         "compose_mix": "4d0a0c983df9d3f42e8e4b374c58497c89027a073e558366e1e8d811938a7df1",
         "hiprec": "00c4683bccbdc934efeade3b1367477db3b638b0ad9cbd71bdbdab187266bc2d",
+    }
+
+    # block -> (qheine compose arguments, exit code, digest)
+    COMPOSE_RUNS = {
+        "extra_c": (
+            "--blocks extra_c:2,extra_c:1 --base extra_c:2 --samples 2 --seed 5",
+            0,
+            "1c3063c437dc316f294de8075f964f29ee37dc7c463a3a1b8aa1d390007e21a2",
+        ),
+        "broken": (
+            "--blocks broken --base q_bin --samples 2 --seed 5",
+            3,
+            "59162053b73f2c9f51710cf92416367da4d05d261d818ed350704acb8d9532f6",
+        ),
     }
 
     @pytest.mark.parametrize("run", sorted(DIGESTS))
@@ -497,6 +516,14 @@ class TestReportDigests:
         capsys.readouterr()
         assert script.main([] if run == "reference" else [run]) == 0
         assert capsys.readouterr().out.split() == [self.DIGESTS[run]]
+
+    @pytest.mark.parametrize("block", sorted(COMPOSE_RUNS))
+    def test_compose_digest_is_unchanged(self, capsys, block):
+        arguments, exit_code, digest = self.COMPOSE_RUNS[block]
+        script = _load_script("report_digest")
+        capsys.readouterr()
+        assert script.main(["compose", *arguments.split()]) == exit_code
+        assert capsys.readouterr().out.split() == [digest]
 
 
 class TestReportDiff:

@@ -6,7 +6,8 @@ block's |argument| is below its summation's ``arg_bound``, every cross base
 lies inside the unit disc, and a block whose builder divides by zero at the
 point is outside.  The catalog families derive their domains from the
 blocks their sides bind; none states one by hand, and the AST checks below
-keep it so.
+keep it so.  They also keep each parameter's draw in its schema entry: no
+module writes a sampler of its own.
 """
 
 import ast
@@ -62,8 +63,9 @@ def with_bind(identity, bind):
 
 @pytest.mark.parametrize("identity_id, dims", CASES)
 def test_every_draw_is_admissible(identity_id, dims):
-    # The draws of ``sample_domain``, replayed: none is rejected, so the
-    # derived rule moves no sampled point.
+    # The draws of ``sample_domain``, replayed: each fits the family's
+    # schema, and none is rejected, so the derived rule moves no sampled
+    # point.
     identity = instantiate(identity_id, dims)
     for seed in (1, 2, 3, 26101):
         rng = random.Random(seed)
@@ -71,6 +73,7 @@ def test_every_draw_is_admissible(identity_id, dims):
             bases = sample_bases(rng)
             with mp.workprec(bases.prec):
                 params = identity.sample(rng, bases)
+            identity.validate_params(params)
             assert fault(identity, params, bases) is None, (seed, params)
 
 
@@ -213,7 +216,7 @@ def calls(tree):
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_only_heine_2phi1_states_a_domain(module):
+def test_no_module_states_a_domain(module):
     # No module states a domain, in an ``IdentityFamily(...)``, a
     # ``replace(...)`` of one or any other call; ``heine_2phi1`` derives its
     # own as every other family does.
@@ -234,6 +237,28 @@ def test_no_hand_written_domain_functions(module):
         if isinstance(node, ast.FunctionDef) and node.name.endswith("_domain")
     }
     assert defined == allowed.get(module, set())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_hand_written_samplers(module):
+    # Each schema entry draws its parameter: no module defines a sampler of
+    # its own, and no family is given one.
+    tree = parse(module)
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (
+            node.name.endswith("_sample")
+            or node.name in ("_no_params", "_coeff_params")
+        )
+    ]
+    given = [
+        (name, family_id)
+        for name, family_id, keywords in calls(tree)
+        if name in ("IdentityFamily", "replace") and "sample" in keywords
+    ]
+    assert defined == [] and given == []
 
 
 def test_the_checks_see_every_family():
