@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpmathify
 
-from ..errors import UnknownIdentity
+from ..errors import InvalidConfig, UnknownIdentity
 from ..multisum import Summation
 from ..qcore import raw_mul
 from .an_qbinomial import EXTRA_A, EXTRA_C, extra_c_summation, gk_summation
@@ -20,7 +20,8 @@ from .core import COEFFICIENT, DISTINCT, ParamSpec, draw_params, each, signed
 from .kajihara import GRID, GRID_C, NEAR_ONE, kajihara_summation
 
 __all__ = [
-    "BLOCKS", "BLOCK_NAMES", "SHIPPED_BLOCK_NAMES", "broken_block", "sample_block"
+    "BLOCKS", "BLOCK_NAMES", "SHIPPED_BLOCK_NAMES", "block_dims", "broken_block",
+    "sample_block",
 ]
 
 
@@ -85,20 +86,28 @@ SHIPPED_BLOCK_NAMES = ("q_bin", "milne_lilly", "gk", "extra_c", "kajihara")
 BLOCK_NAMES = tuple(BLOCKS)
 
 
+def block_dims(name: str, dims: Sequence[int]) -> dict[str, int]:
+    """The dimension assignment of the named block family: ``dims`` gives
+    one value per name of its ``dim_names``, in that order, and a missing
+    one is 1.  A one-fold family has no names and takes nothing or ``(1,)``;
+    a value below 1 or beyond the names is refused."""
+    try:
+        names = BLOCKS[name].dim_names
+    except KeyError:
+        raise UnknownIdentity(f"no block family named {name!r}") from None
+    dims = tuple(dims)
+    if min(dims, default=1) < 1 or (len(dims) > len(names) and dims != (1,)):
+        raise InvalidConfig(f"block {name!r} with dimensions {names} cannot take {dims}")
+    return dict(zip(names, (*dims, *(1,) * len(names))))
+
+
 def sample_block(
     name: str, rng: random.Random, dims: Sequence[int], base, prec: int
 ) -> Summation:
-    """Draw a block of the named family with random admissible parameters;
-    the blocks that derive constants from them multiply at ``prec`` bits.
-
-    ``dims`` gives the family's dimensions in the order of its
-    ``dim_names``; a missing one is 1, and one beyond them is not read.
-    """
-    try:
-        family = BLOCKS[name]
-    except KeyError:
-        raise UnknownIdentity(f"no block family named {name!r}") from None
-    names = family.dim_names
-    assignment = dict(zip(names, (*dims, *(1,) * len(names))))
+    """Draw a block of the named family with random admissible parameters
+    at the dimensions ``block_dims`` reads from ``dims``; the blocks that
+    derive constants from them multiply at ``prec`` bits."""
+    assignment = block_dims(name, dims)
+    family = BLOCKS[name]
     params = draw_params(family.schema, rng, assignment, None)
     return family.build(*params.values(), base, prec)

@@ -1,6 +1,12 @@
 """Command-line harness: catalog verification sweeps, block compositions,
 and catalog metadata export.
 
+``RunConfig`` declares each run option once: a flag's ``dest`` is its field
+name (``--tol`` sets ``tolerance``), a flag both commands take defaults to
+its field's default, and a ``--config`` file is checked against the field's
+type hint.  ``run_verify`` and ``run_compose`` only draw cases; ``_run``
+verifies the cases of both and writes their report records.
+
 Exit codes: 0 all checks passed, 1 verification failures, 2 configuration
 errors, 3 homogeneity (composition precondition) failures.
 """
@@ -14,20 +20,16 @@ import math
 import random
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from mpmath import mp, mpf
 
 from . import __version__, catalog, heine_engine, report
-from .catalog.blocks import BLOCKS, sample_block
+from .catalog.blocks import block_dims, sample_block
 from .catalog.core import argument, exponent, sample_bases
-from .errors import (
-    InvalidConfig,
-    PropertyHViolation,
-    QHeineError,
-    UnknownIdentity,
-)
+from .errors import InvalidConfig, PropertyHViolation, QHeineError, UnknownIdentity
 from .multisum import HeineBlock, TruncationPolicy, make_context
 # Unused here; kept because perfbench/probes.py patches cli.evaluate_in_context.
 from .multisum import evaluate_in_context  # noqa: F401
@@ -49,8 +51,8 @@ class RunConfig:
     seed: int = 1
     precision: int = 128
     max_shell: int | None = None
-    tail_tol: float = 1e-24
-    min_shells: int = 6
+    tail_tol: float = TruncationPolicy.tail_ratio_tol
+    min_shells: int = TruncationPolicy.min_shells
     tolerance: float = 1e-20
     report: str = "json-lines"
     out: str | None = None
@@ -59,6 +61,10 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+# The type a value of each field must have; a config file can set any field.
+_FIELD_HINTS = typing.get_type_hints(RunConfig)
 
 
 def parse_dims_spec(spec: str) -> dict:
@@ -91,6 +97,10 @@ def parse_block_spec(spec: str) -> tuple[str, tuple[int, ...]]:
     return name, parts or (1,)
 
 
+def _spec_list(text: str) -> list[str]:
+    return [spec.strip() for spec in text.split(",") if spec.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qheine",
@@ -98,30 +108,30 @@ def build_parser() -> argparse.ArgumentParser:
         "identities over root systems of type A",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default = RunConfig()
 
     def add_common(p):
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--precision", type=int, default=128, help="binary digits")
-        p.add_argument("--max-shell", type=int, default=None)
-        p.add_argument("--tail-tol", type=float, default=1e-24)
-        p.add_argument("--min-shells", type=int, default=6)
-        p.add_argument("--tol", type=float, default=1e-20)
+        p.add_argument("--samples", type=int, default=default.samples)
+        p.add_argument("--seed", type=int, default=default.seed)
         p.add_argument(
-            "--report",
-            choices=("json-lines", "csv", "text"),
-            default="json-lines",
+            "--precision", type=int, default=default.precision, help="binary digits"
         )
-        p.add_argument("--out", default=None)
+        p.add_argument("--max-shell", type=int, default=default.max_shell)
+        p.add_argument("--tail-tol", type=float, default=default.tail_tol)
+        p.add_argument("--min-shells", type=int, default=default.min_shells)
+        p.add_argument("--tol", dest="tolerance", type=float, default=default.tolerance)
+        p.add_argument("--report", choices=report.FORMATS, default=default.report)
+        p.add_argument("--out", default=default.out)
         p.add_argument("--config", default=None, help="JSON file; overrides flags")
 
     p_verify = sub.add_parser("verify", help="verify catalog identities")
-    p_verify.add_argument("--identity", action="append", default=[])
+    p_verify.add_argument("--identity", dest="identities", action="append")
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument(
         "--dims",
         action="append",
-        default=[],
+        type=parse_dims_spec,
+        default=default.dims,
         help='dimension assignment like "n=2,m=1"; repeatable',
     )
     add_common(p_verify)
@@ -129,10 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compose = sub.add_parser("compose", help="compose blocks and verify the result")
     p_compose.add_argument(
         "--blocks",
-        default="q_bin",
+        type=_spec_list,
+        default=[default.base],  # one block of the default base's family
         help='comma-separated block specs like "milne_lilly:2,gk:2"',
     )
-    p_compose.add_argument("--base", default="q_bin", help='base block spec')
+    p_compose.add_argument("--base", default=default.base, help="base block spec")
     add_common(p_compose)
 
     p_export = sub.add_parser("export-catalog", help="write catalog metadata")
@@ -141,28 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(mode=args.command)
-    if args.command == "verify":
-        if args.all or not args.identity:
-            config.identities = ["all"]
-        else:
-            config.identities = list(args.identity)
-        config.dims = [parse_dims_spec(s) for s in args.dims] or None
-    elif args.command == "compose":
-        config.blocks = [s.strip() for s in args.blocks.split(",") if s.strip()]
-        config.base = args.base
-    for name in (
-        "samples",
-        "seed",
-        "precision",
-        "tail_tol",
-        "min_shells",
-    ):
-        setattr(config, name, getattr(args, name))
-    config.max_shell = args.max_shell
-    config.tolerance = args.tol
-    config.report = args.report
-    config.out = args.out
+    """The run the parsed flags describe: each value under its field name,
+    then a ``--config`` file's keys over them."""
+    given = vars(args)
+    names = [f.name for f in dataclasses.fields(RunConfig) if f.name in given]
+    config = RunConfig(mode=args.command, **{name: given[name] for name in names})
+    if args.command == "verify" and (args.all or not args.identities):
+        config.identities = ["all"]
     if args.config:
         config = apply_config_file(config, args.config)
     validate_config(config)
@@ -190,39 +186,27 @@ def apply_config_file(config: RunConfig, path: str) -> RunConfig:
     return config
 
 
-# The type each RunConfig field must have; a config file can set any field.
-_FIELD_TYPES = {
-    "mode": str,
-    "identities": list,
-    "dims": (list, type(None)),
-    "samples": int,
-    "seed": int,
-    "precision": int,
-    "max_shell": (int, type(None)),
-    "tail_tol": (int, float),
-    "min_shells": int,
-    "tolerance": (int, float),
-    "report": str,
-    "out": (str, type(None)),
-    "blocks": list,
-    "base": str,
-}
-
-
 def validate_config(config: RunConfig) -> None:
-    for name, kind in _FIELD_TYPES.items():
+    for name, hint in _FIELD_HINTS.items():
+        kinds = typing.get_args(hint) or (hint,)
+        if float in kinds:
+            kinds += (int,)  # a float field accepts an int
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kinds):
             raise InvalidConfig(f"{name} has the wrong type: {value!r}")
     for name in ("identities", "blocks"):
         if not all(isinstance(v, str) for v in getattr(config, name)):
             raise InvalidConfig(f"{name} must be a list of strings")
+    # An empty list would run nothing, or every family at all-ones dimensions.
+    for name in ("identities", "dims"):
+        if getattr(config, name) == []:
+            raise InvalidConfig(f"{name} must not be empty")
     for spec in config.dims or ():
         if not isinstance(spec, dict) or not all(
             isinstance(k, str) and type(v) is int and v >= 1 for k, v in spec.items()
         ):
             raise InvalidConfig(f"dims entry {spec!r} must map names to integers >= 1")
-    if config.mode not in ("verify", "compose"):
+    if config.mode not in _RUNNERS:
         raise InvalidConfig(f"unknown mode {config.mode!r}")
     if config.samples < 1:
         raise InvalidConfig("samples must be >= 1")
@@ -238,7 +222,7 @@ def validate_config(config: RunConfig) -> None:
     for name in ("tail_tol", "tolerance"):
         if not math.isfinite(getattr(config, name)):
             raise InvalidConfig(f"{name} must be finite")
-    if config.report not in ("json-lines", "csv", "text"):
+    if config.report not in report.FORMATS:
         raise InvalidConfig(f"unknown report format {config.report!r}")
     if config.mode == "verify":
         if config.identities == ["all"]:
@@ -255,15 +239,8 @@ def validate_config(config: RunConfig) -> None:
     elif config.mode == "compose":
         if not config.blocks:
             raise InvalidConfig("compose needs at least one block")
-        for spec in list(config.blocks) + [config.base]:
-            name, dims = parse_block_spec(spec)
-            if name not in BLOCKS:
-                raise InvalidConfig(f"unknown block {name!r}")
-            # One value per dimension name; a block without dimensions is
-            # one-fold and takes the 1 a spec without dimensions reads as.
-            names = BLOCKS[name].dim_names
-            if min(dims) < 1 or (len(dims) > len(names) and dims != (1,)):
-                raise InvalidConfig(f"bad block dimensions in {spec!r}")
+        for spec in [*config.blocks, config.base]:
+            block_dims(*parse_block_spec(spec))
 
 
 def _policy_for(identity, config: RunConfig) -> TruncationPolicy:
@@ -282,12 +259,42 @@ def _assignments_for(family, config: RunConfig) -> list[dict]:
         return [dict(d) for d in family.default_dims]
     seen = []
     for spec in config.dims:
-        filtered = {k: v for k, v in spec.items() if k in family.dim_names}
-        for name in family.dim_names:
-            filtered.setdefault(name, 1)
-        if filtered not in seen:
-            seen.append(filtered)
-    return seen or [{}]
+        assignment = {name: spec.get(name, 1) for name in family.dim_names}
+        if assignment not in seen:
+            seen.append(assignment)
+    return seen
+
+
+def _run(config: RunConfig, groups) -> tuple[list[dict], int]:
+    """Verify every case of ``groups`` and write the report records: the
+    header, a row per case, a summary per group and the total; returns them
+    and the exit code.
+
+    A group is ``(label, cases)`` and a case ``(dims, sample_index, draw)``,
+    whose draw is an ``(identity, context)`` pair or the
+    ``PropertyHViolation`` that refused its composition.
+    """
+    records: list[dict] = [_header(config)]
+    for label, cases in groups:
+        started = time.perf_counter()
+        rows, results = [], []
+        for dims, index, draw in cases:
+            if isinstance(draw, PropertyHViolation):
+                row = {"kind": "case", "passed": False, "status": "property-H-failed"}
+                row["detail"] = str(draw)
+            else:
+                identity, ctx = draw
+                policy = _policy_for(identity, config)
+                results.append(
+                    catalog.verify(identity, ctx, policy, tolerance=config.tolerance)
+                )
+                row = report.case_row(results[-1], dims, index)
+            row.update(identity=label, dims=dict(dims), sample_index=index)
+            rows.append(row)
+        records += rows
+        records.append(_summary(label, rows, results, started, config.precision))
+    records.append(_total(records))
+    return records, records[-1]["exit_code"]
 
 
 def run_verify(config: RunConfig) -> tuple[list[dict], int]:
@@ -297,37 +304,28 @@ def run_verify(config: RunConfig) -> tuple[list[dict], int]:
         ids = [family.id for family in catalog.register_all()]
     else:
         ids = list(config.identities)
-    ids = sorted(set(ids))
+    return _run(config, ((i, _verify_cases(i, config)) for i in sorted(set(ids))))
 
-    records: list[dict] = [_header(config)]
-    summaries = []
-    for identity_id in ids:
-        family = catalog.lookup(identity_id)
-        started = time.perf_counter()
-        results = []
-        for assignment in _assignments_for(family, config):
-            identity = family.instantiate(assignment)
-            policy = _policy_for(identity, config)
-            contexts = catalog.sample_domain(
-                identity, seed=config.seed, count=config.samples, prec=config.precision
-            )
-            for index in range(len(contexts)):
-                # Each context holds its case's products; drop it once verified.
-                ctx, contexts[index] = contexts[index], None
-                result = catalog.verify(
-                    identity, ctx, policy, tolerance=config.tolerance
-                )
-                records.append(report.case_row(result, assignment, index))
-                results.append(result)
-        summaries.append(_summary(identity_id, results, started, config.precision))
-        records.append(summaries[-1])
-    records.append(_total(summaries))
-    return records, records[-1]["exit_code"]
+
+def _verify_cases(identity_id: str, config: RunConfig):
+    """The cases of one catalog family: each assignment's sampled contexts."""
+    family = catalog.lookup(identity_id)
+    for assignment in _assignments_for(family, config):
+        identity = family.instantiate(assignment)
+        contexts = catalog.sample_domain(
+            identity, seed=config.seed, count=config.samples, prec=config.precision
+        )
+        for index in range(len(contexts)):
+            # Each context holds its case's products; the list lets go of it
+            # here, so it is freed once verified.
+            ctx, contexts[index] = contexts[index], None
+            yield assignment, index, (identity, ctx)
 
 
 def _compose_sample(config: RunConfig, rng: random.Random):
     """Draw one composition: bases, one ``HeineBlock`` per requested block
-    (cross base q^{t h_r}), the base block, and the composed identity."""
+    (cross base q^{t h_r}) and the base block; returns the composed identity
+    and its context, as ``catalog.sample_domain`` returns its draws."""
     bases = sample_bases(rng, config.precision)
     blocks = []
     # Blocks derive constants from their parameters, so they are drawn at
@@ -343,46 +341,27 @@ def _compose_sample(config: RunConfig, rng: random.Random):
         base_block = sample_block(base_name, rng, base_dims, bases.qt, config.precision)
         w = argument(rng) * min(1, base_block.arg_bound)
         composed = heine_engine.compose(tuple(blocks), HeineBlock(base_block, w))
-    return bases, composed
+    return composed, make_context({}, bases)
 
 
 def run_compose(config: RunConfig) -> tuple[list[dict], int]:
     """Sample block assignments, compose them, and verify each composition."""
-    records: list[dict] = [_header(config)]
-    rng = random.Random(config.seed)
     label = "composed:" + "+".join(config.blocks) + "/" + config.base
-    started = time.perf_counter()
-    results = []
-    h_failures = 0
+    return _run(config, [(label, _compose_cases(config))])
+
+
+def _compose_cases(config: RunConfig):
+    """The compositions drawn from one seed; a refused one is its error."""
+    rng = random.Random(config.seed)
     for index in range(config.samples):
         try:
-            bases, composed = _compose_sample(config, rng)
+            draw = _compose_sample(config, rng)
         except PropertyHViolation as exc:
-            h_failures += 1
-            records.append(
-                {
-                    "kind": "case",
-                    "identity": label,
-                    "dims": {},
-                    "sample_index": index,
-                    "passed": False,
-                    "status": "property-H-failed",
-                    "detail": str(exc),
-                }
-            )
-            continue
-        result = catalog.verify(
-            composed,
-            make_context({}, bases),
-            _policy_for(composed, config),
-            tolerance=config.tolerance,
-        )
-        row = report.case_row(result, composed.dims, index)
-        records.append({**row, "identity": label})
-        results.append(result)
-    summary = _summary(label, results, started, config.precision, h_failures)
-    records += [summary, _total([summary], h_failures)]
-    return records, records[-1]["exit_code"]
+            draw = exc
+        yield {}, index, draw
+
+
+_RUNNERS = {"verify": run_verify, "compose": run_compose}
 
 
 def _header(config: RunConfig) -> dict:
@@ -398,13 +377,13 @@ def _header(config: RunConfig) -> dict:
 
 
 def _summary(
-    identity: str, results: list, started: float, prec: int, h_failures: int = 0
+    identity: str, rows: list, results: list, started: float, prec: int
 ) -> dict:
-    """Per-identity counts; ``h_failures`` cases failed before verification.
-    The worst relative error is written with the digits of the run's
+    """Per-identity counts of the case ``rows``, and the worst relative error
+    of the verified ``results`` written with the digits of the run's
     precision ``prec``, as the case rows are."""
-    cases = len(results) + h_failures
-    passed = sum(int(result.passed) for result in results)
+    cases = len(rows)
+    passed = sum(row["passed"] for row in rows)
     worst = max((result.rel_error for result in results), default=mpf(0))
     return {
         "kind": "summary",
@@ -417,10 +396,10 @@ def _summary(
     }
 
 
-def _total(summaries: list[dict], h_failures: int = 0) -> dict:
-    cases = sum(summary["cases"] for summary in summaries)
-    passed = sum(summary["passed"] for summary in summaries)
-    if h_failures:
+def _total(records: list[dict]) -> dict:
+    rows = [record for record in records if record["kind"] == "case"]
+    cases, passed = len(rows), sum(row["passed"] for row in rows)
+    if any(row["status"] == "property-H-failed" for row in rows):
         exit_code = EXIT_PROPERTY_H_FAILED
     elif passed != cases:
         exit_code = EXIT_VERIFICATION_FAILED
@@ -449,9 +428,9 @@ def _write(text: str, out: str | None, mode: str = "w") -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # A --dims value is parsed here, and a bad one is a configuration error.
+        args = build_parser().parse_args(argv)
         if args.command == "export-catalog":
             document = catalog.catalog_document()
             _write(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
@@ -459,10 +438,7 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         _write("", config.out, "a")  # an unwritable --out fails before the run
         mp.prec = config.precision
-        if config.mode == "verify":
-            records, exit_code = run_verify(config)
-        else:
-            records, exit_code = run_compose(config)
+        records, exit_code = _RUNNERS[config.mode](config)
         _write(report.render(records, config.report), config.out)
     except (UnknownIdentity, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -174,14 +174,12 @@ def render_text(records: Iterable[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Report format -> renderer; the CLI's --report choices are its keys.
+FORMATS = {"json-lines": render_json_lines, "csv": render_csv, "text": render_text}
+
+
 def render(records: list[dict], fmt: str) -> str:
-    if fmt == "json-lines":
-        return render_json_lines(records)
-    if fmt == "csv":
-        return render_csv(records)
-    if fmt == "text":
-        return render_text(records)
-    raise ValueError(f"unknown report format {fmt!r}")
+    return FORMATS[fmt](records)
 
 
 def parse_json_lines(text: str) -> dict:

@@ -307,7 +307,7 @@ def test_criterion_6_master_theorem_engine():
     rng = random.Random(606)
     # homogeneity certificates for the shipped library and the counterexample
     for name in SHIPPED_BLOCK_NAMES:
-        dims = (2, 2) if name == "kajihara" else (2,)
+        dims = {"kajihara": (2, 2), "q_bin": (1,)}.get(name, (2,))
         block = sample_block(name, rng, dims, mpf("0.3"), mp.prec)
         assert engine.check_property_H(block, trials=24, seed=61).passed, name
     broken = sample_block("broken", rng, (1,), mpf("0.3"), mp.prec)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -353,10 +354,21 @@ class TestMalformedInput:
             # A dimension the block does not have is refused, not ignored.
             (["compose", "--blocks", "q_bin:3", "--base", "q_euler:2"], None),
             (["compose", "--base", "q_euler:2"], None),
+            # An empty list verified nothing and passed, or ran every family
+            # at all-ones dimensions.
+            (["verify", "--identity", "q_binomial"], {"identities": []}),
+            (["verify", "--identity", "q_binomial"], {"dims": []}),
         ],
     )
     def test_config_error_exit_2(self, capsys, tmp_path, argv, config):
         self._exits_2(capsys, tmp_path, argv, config)
+
+    @pytest.mark.parametrize("value", [{}, True])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.RunConfig)])
+    def test_wrong_typed_config_value_exit_2(self, capsys, tmp_path, name, value):
+        # No field takes a dict, and none takes a bool for its int or float.
+        argv = ["verify", "--identity", "q_binomial", "--samples", "1"]
+        self._exits_2(capsys, tmp_path, argv, {name: value})
 
     @pytest.mark.parametrize(
         "argv, config",
@@ -461,6 +473,19 @@ class TestExportCatalog:
 
 
 class TestConfigParsing:
+    @pytest.mark.parametrize("command", ["verify", "compose"])
+    def test_flag_defaults_are_run_config_defaults(self, command):
+        # A flag stores under its field's name and reads its default there;
+        # the fields named here are one command's own, or built from flags.
+        args = vars(cli.build_parser().parse_args([command]))
+        default = cli.RunConfig()
+        own = {"mode", "identities", "dims", "blocks", "base"}
+        for name in {f.name for f in dataclasses.fields(cli.RunConfig)} - own:
+            assert args[name] == getattr(default, name), name
+
+    def test_float_field_accepts_an_int(self):
+        cli.validate_config(cli.RunConfig(tail_tol=1, tolerance=0))
+
     def test_parse_dims(self):
         assert cli.parse_dims_spec("n=2,m=1") == {"n": 2, "m": 1}
         with pytest.raises(InvalidConfig):

@@ -6,11 +6,16 @@ import pytest
 from mpmath import mp, mpf
 
 from qheine import catalog, heine_engine as engine
-from qheine.catalog.blocks import SHIPPED_BLOCK_NAMES, broken_block, sample_block
+from qheine.catalog.blocks import (
+    SHIPPED_BLOCK_NAMES,
+    block_dims,
+    broken_block,
+    sample_block,
+)
 from qheine.catalog.an_qbinomial import euler_exp_summation, stretched_euler_summation
 from qheine.catalog.classical import q_euler_summation, qbin_summation
 from qheine.catalog.kajihara import kajihara_summation
-from qheine.errors import DomainViolation, PropertyHViolation
+from qheine.errors import DomainViolation, InvalidConfig, PropertyHViolation
 from qheine.multisum import (
     HeineBlock,
     SeriesSide,
@@ -23,7 +28,24 @@ from util import evaluate, rel, sample_points, side_values
 
 
 def _block_dims(name):
-    return (2, 2) if name == "kajihara" else (2,)
+    return {"kajihara": (2, 2), "q_bin": (1,), "q_euler": (1,)}.get(name, (2,))
+
+
+class TestBlockDims:
+    def test_one_value_per_name_and_a_missing_one_is_1(self):
+        assert block_dims("q_bin", ()) == block_dims("q_bin", (1,)) == {}
+        assert block_dims("gk", (3,)) == {"n": 3}
+        assert block_dims("kajihara", (2,)) == {"n": 2, "m": 1}
+        assert block_dims("kajihara", (2, 3)) == {"n": 2, "m": 3}
+
+    @pytest.mark.parametrize(
+        "name, dims",
+        [("q_bin", (2,)), ("q_euler", (1, 1)), ("gk", (2, 1)), ("kajihara", (2, 0))],
+    )
+    def test_sample_block_refuses_dimensions_the_block_lacks(self, name, dims):
+        # A one-fold block drew the same block whatever it was given.
+        with pytest.raises(InvalidConfig):
+            sample_block(name, random.Random(7), dims, mpf("0.3"), mp.prec)
 
 
 class TestPropertyH:

@@ -129,7 +129,7 @@ def test_builder_summation_is_specs(name):
 
 @pytest.mark.parametrize("name", [n for n in BLOCK_NAMES if n != "broken"])
 def test_sampled_block_is_specs(name):
-    dims = (1, 2) if name == "kajihara" else (2,)
+    dims = {"kajihara": (1, 2), "q_bin": (1,), "q_euler": (1,)}.get(name, (2,))
     assert_specs(sample_block(name, random.Random(3), dims, BASE, 128))
 
 
