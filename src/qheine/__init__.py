@@ -20,7 +20,6 @@ from .multisum import (
     EvalContext,
     SeriesSide,
     TruncationPolicy,
-    block_term,
     enumerate_shell,
     evaluate_in_context,
     make_context,

@@ -236,11 +236,21 @@ def validate_config(config: RunConfig) -> None:
                     f"dims names {sorted(set(spec) - known)} belong to no "
                     "requested identity"
                 )
-    elif config.mode == "compose":
+        policies = [(family.id, family.policy) for family in families]
+    else:
         if not config.blocks:
             raise InvalidConfig("compose needs at least one block")
         for spec in [*config.blocks, config.base]:
             block_dims(*parse_block_spec(spec))
+        policies = [("a composed identity", heine_engine.COMPOSED_POLICY)]
+    # A side stops early only after min_shells shells, below its cap.
+    for name, policy in policies:
+        cap = policy.max_shell_weight if config.max_shell is None else config.max_shell
+        if config.min_shells >= cap:
+            raise InvalidConfig(
+                f"min_shells {config.min_shells} is not below the shell cap "
+                f"{cap} of {name}, so no side could converge"
+            )
 
 
 def _policy_for(identity, config: RunConfig) -> TruncationPolicy:

@@ -94,6 +94,10 @@ def _require_property_H(block: Summation, prec: int) -> None:
         )
 
 
+# The truncation of every composed identity.
+COMPOSED_POLICY = TruncationPolicy(max_shell_weight=50)
+
+
 def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity:
     return Identity(
         id=label,
@@ -101,7 +105,7 @@ def _composed_identity(label: str, lhs: SeriesSide, rhs: SeriesSide) -> Identity
         schema=(),
         lhs=lhs,
         rhs=rhs,
-        policy=TruncationPolicy(max_shell_weight=50),
+        policy=COMPOSED_POLICY,
     )
 
 

@@ -2,15 +2,19 @@
 
 A series side is a term function over multi-indices plus a prefactor.  The
 sum is taken shell by shell (constant total weight |k|), in lexicographic
-order inside each shell, so results are reproducible bit for bit.  Terms,
-and every value they are built from, are raw ``_mpf_``/``_mpc_`` tuples;
-an mpf or mpc is made per shell sum and for the side's value.
+order inside each shell, so results are reproducible bit for bit; a side
+with a block plan is summed by block weights.  Terms, and every value they
+are built from, are raw ``_mpf_``/``_mpc_`` tuples; an mpf or mpc is made
+per shell sum and for the side's value.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import chain, groupby
 from typing import Callable, Mapping, Sequence
 
 from mpmath import mp, mpf, mpmathify
@@ -163,75 +167,25 @@ def make_context(params: Mapping, bases: BaseSystem, tol=None) -> EvalContext:
     return EvalContext(params=params, bases=bases, poch=PochCache(bases.prec, tol))
 
 
-# A summand (ctx, k) -> raw value.  A string, as the annotations are: a typing
-# subscript made at import time would keep EvalContext in typing's caches
-# after the package is imported again.
-Term = "Callable[[EvalContext, MultiIndex], tuple]"
+def plan_term(parts, coupling) -> Callable:
+    """The ``term`` of a side whose ``parts(ctx)`` gives the run's blocks as
+    groups of (size, part) pairs in index order.  ``term(ctx, k)`` is the
+    summand coupling(ctx, S) * prod_r part_r(ctx, k_r), S the groups'
+    weights; ``term(ctx, S, factors)``, as ``evaluate_in_context`` calls it
+    once per weight tuple S, is the coupling times the groups' shell sums
+    ``factors``.  Factors are multiplied coupling first, then in order, with
+    the rounding of ``value *= factor`` at the working precision."""
 
-
-def _in_shell(memo: dict, fn, total: int, key, ctx):
-    """fn(ctx, key), kept in ``memo`` under ``fn`` and ``key`` while the
-    shell of weight ``total`` lasts: only the current shell's values are
-    kept."""
-    shell = memo.get(fn)
-    if shell is None or shell[0] != total:
-        shell = memo[fn] = (total, {})
-    value = shell[1].get(key)
-    if value is None:
-        value = shell[1][key] = fn(ctx, key)
-    return value
-
-
-def block_term(sizes: Sequence[int], parts: Sequence[Term], coupling: Term) -> Term:
-    """Summand of a series whose index k = (k_1, ..., k_p) splits into blocks
-    of the given ``sizes``:
-
-        term(ctx, k) = coupling(ctx, (|k_1|, ..., |k_p|)) * prod_r part_r(ctx, k_r).
-
-    This is the shape of a side built by Heine's method: block summands times
-    a product ratio whose index depends on the block weights alone.  Each
-    part value is computed once per sub-index k_r and the coupling once per
-    weight tuple, and both are kept in the run's ``PochCache.terms`` under
-    the function, so two sides sharing one cache never mix.  The weights of
-    a tuple add up to |k|, so a coupling is only looked up again within the
-    same shell, and only the current shell's couplings are kept.  A value
-    whose index is the whole of k could never be looked up again, so it is
-    not kept: the coupling when every block is one-dimensional, and the part
-    when there is only one block.  A part or coupling that raises is not
-    stored.  Parts, couplings and the term are raw values: the factors are
-    multiplied coupling first, then in block order, with the rounding of
-    ``value *= factor`` at the working precision.
-    """
-    if len(sizes) != len(parts):
-        raise LengthMismatch("block_term needs one part per block size")
-    spans = []
-    start = 0
-    for size in sizes:
-        spans.append(slice(start, start + size))
-        start += size
-    parts = tuple(parts)
-    keep_coupling = any(size > 1 for size in sizes)
-    keep_parts = len(sizes) > 1
-
-    def term(ctx: EvalContext, k: MultiIndex) -> tuple:
-        memo = ctx.poch.terms
-        subs = [k[span] for span in spans]
-        weights = tuple(map(sum, subs))
-        if keep_coupling:
-            value = _in_shell(memo, coupling, sum(weights), weights, ctx)
-        else:
-            value = coupling(ctx, weights)
-        prec = mp.prec
-        for part, sub in zip(parts, subs):
-            if keep_parts:
-                key = (part, sub)
-                factor = memo.get(key)
-                if factor is None:
-                    factor = memo[key] = part(ctx, sub)
-            else:
-                factor = part(ctx, sub)
-            value = raw_mul(value, factor, prec)
-        return value
+    def term(ctx: EvalContext, index: MultiIndex, factors=None) -> tuple:
+        if factors is None:
+            weights, factors, start = [], [], 0
+            for group in parts(ctx):
+                weights.append(sum(index[start : start + sum(s for s, _ in group)]))
+                for size, part in group:
+                    factors.append(part(ctx, index[start : start + size]))
+                    start += size
+            index = tuple(weights)
+        return reduce(partial(raw_mul, prec=mp.prec), factors, coupling(ctx, index))
 
     return term
 
@@ -316,29 +270,26 @@ def heine_sides(
         rhs = prod_r P_r(z_r)/P_0(w) * sum_{j, jt} S_0(w; j) prod_r R_r(1; jt_r)
                 * prod_r P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|}
 
-    Both sides are ``block_term`` summands, whose parts and couplings are
-    raw values; only the rhs prefactor is an mpf or mpc, and both ``bind``
-    the run's blocks.  Expanding P_0(w s)
-    as its sum and swapping the two sums turns one side into the other.
-    Blocks that share a cross base contribute one power of it, for the sum
-    of their weights, so weight tuples with the same sums give the same s;
-    if any cross base is shared, the lhs coupling of the current shell is
-    kept under those sums.
+    Both sides are summed by block weights (``plan_term``): the summands
+    S_r and R_r are the parts, and the rest of each summand is the coupling
+    of the block weights.  Expanding P_0(w s) as its sum and swapping the
+    two sums turns one side into the other.  Neighbouring blocks that share
+    a cross base form one group of the lhs plan and contribute one power of
+    it, for the sum of their weights.  Parts and couplings are raw values;
+    only the rhs prefactor is an mpf or mpc.
 
     Each coupling is a product ratio times an inner power.  The ratio and
-    the argument of the power depend only on the group sums (lhs) or on |j|
-    (rhs, per block), so where an inner weight exists, and one such index
-    therefore recurs across shells, they are computed once per index and
-    kept for the run in ``PochCache.terms``; the power is taken per term.
-    The arithmetic runs on raw values in the order of the display, with the
-    rounding of mpmath's operators at the working precision.  What the
-    couplings read is formed once per run and kept with the bound blocks:
-    the raw arguments, sigma_r z_r and each block's raw cross base, whose
-    integer powers are read from ``PochCache.intpow``, which keeps them for
-    the run, so a power the lhs asks for in one shell is not computed again
-    for the rhs shells later; the products P_r(z_r) and P_0(w) are kept as
-    raw values.  Index 0 stretches by exactly 1, so its ratio divides
-    P_r(z_r) by itself and asks for no product.
+    the power's argument depend only on the lhs group weights or on |j|
+    (rhs, per block); where an inner weight exists such an index recurs
+    across shells, so they are computed once per index and kept for the
+    run in ``PochCache.terms``.  The arithmetic runs on raw values in the
+    order of the display, with the rounding of mpmath's operators at the
+    working precision.  The raw arguments, sigma_r z_r and cross bases are
+    formed once per run and kept with the bound blocks; the cross bases'
+    integer powers come from ``PochCache.intpow``, which keeps them for the
+    run, so the rhs shells do not recompute a power the lhs asked for.
+    Index 0 stretches by exactly 1, so its ratio divides P_r(z_r) by itself
+    and asks for no product.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
@@ -346,8 +297,8 @@ def heine_sides(
     inner_blocks = [r for r in range(p) if inner_sizes[r]]
 
     def bound(ctx) -> tuple:
-        """The run's blocks and base block, the block indices grouped by
-        cross base (in order of first appearance), and the raw values the
+        """The run's blocks and base block, the block indices grouped into
+        runs of neighbours with one cross base, and the raw values the
         couplings read: each block's argument z_r (w for the base block),
         sigma_r z_r for a block with an inner sum, and each block's cross
         base."""
@@ -358,9 +309,7 @@ def heine_sides(
             blocks, base = bind(ctx)
             blocks = tuple(blocks) + (base,)
             crosses = tuple(value_key(block.cross) for block in blocks[:p])
-            groups: dict = {}
-            for r, cross in enumerate(crosses):
-                groups.setdefault(cross, []).append(r)
+            groups = [list(g) for _, g in groupby(range(p), crosses.__getitem__)]
             args = tuple(value_key(block.argument) for block in blocks)
             stretched_args = tuple(
                 raw_mul(value_key(block.summation.stretch), z, prec)
@@ -368,7 +317,7 @@ def heine_sides(
                 else None
                 for block, z, size in zip(blocks, args, inner_sizes)
             )
-            run = (blocks, tuple(groups.values()), args, stretched_args, crosses)
+            run = (blocks, groups, args, stretched_args, crosses)
             memo[bind] = run
         return run
 
@@ -388,8 +337,8 @@ def heine_sides(
 
     def at_argument(ctx, r):
         """P_r(z_r), or P_0(w) for r = p, as a raw value: block r's product
-        at its own argument, which the couplings divide by on every term,
-        once per run and kept in the run's ``PochCache.terms``."""
+        at its own argument, which the couplings divide by, once per run
+        and kept in the run's ``PochCache.terms``."""
         memo = ctx.poch.terms
         key = (at_argument, r)
         value = memo.get(key)
@@ -400,12 +349,11 @@ def heine_sides(
 
     def stretched(ctx, r, index) -> tuple:
         """Block r's product ratio P_r(z_r S)/P_r(z_r) at the stretch S of
-        ``index`` (r = p: the base block, at w and the group sums; else the
-        base block's outer weight |j|), and sigma_r z_r S for a block with
-        an inner sum, as raw values.  At index 0, S is exactly 1 and z_r S
-        is z_r, so the product at z_r S is P_r(z_r) and is not requested
-        again.  Where an inner weight exists, one index recurs across
-        shells, so the pair is kept for the run in ``PochCache.terms``."""
+        ``index`` (r = p: the base block, at w and the group weights; else
+        the base block's outer weight |j|), and sigma_r z_r S for a block
+        with an inner sum, as raw values.  At index 0, S is exactly 1, so
+        the product is P_r(z_r) and is not requested again.  Where an inner
+        weight exists, the pair is kept for the run in ``PochCache.terms``."""
         keep = inner_sizes[r] if r == p else inner_blocks
         memo = ctx.poch.terms
         key = (stretched, r, index)
@@ -436,21 +384,13 @@ def heine_sides(
             memo[key] = ratio, arg
         return ratio, arg
 
-    def lhs_ratio(ctx, sums):
-        """The lhs coupling at ``sums``: the total weight of each group of
+    def lhs_coupling(ctx, weights):
+        """The lhs coupling at ``weights``: the weight of each group of
         blocks sharing a cross base, then the base block's inner weight."""
         if not base_inner:
-            return stretched(ctx, p, sums)[0]
-        ratio, arg = stretched(ctx, p, sums[:-1])
-        return raw_mul(ratio, _pow_int(arg, sums[-1], mp.prec), mp.prec)
-
-    def lhs_coupling(ctx, weights):
-        groups = bound(ctx)[1]
-        if len(groups) == p:
-            return lhs_ratio(ctx, weights)
-        sums = tuple(sum(weights[r] for r in group) for group in groups)
-        sums += weights[p:]
-        return _in_shell(ctx.poch.terms, lhs_ratio, sum(weights), sums, ctx)
+            return stretched(ctx, p, weights)[0]
+        ratio, arg = stretched(ctx, p, weights[:-1])
+        return raw_mul(ratio, _pow_int(arg, weights[-1], mp.prec), mp.prec)
 
     def rhs_coupling(ctx, weights):
         prec = mp.prec
@@ -471,18 +411,23 @@ def heine_sides(
             value = raw_mul(value, at_argument(ctx, r), prec)
         return from_raw(raw_div(value, at_argument(ctx, p), prec))
 
-    lhs_sizes = tuple(outer for outer, _ in shapes)
-    lhs_parts = [summand(r) for r in range(p)]
-    if base_inner:
-        lhs_sizes += (base_inner,)
-        lhs_parts.append(inner_summand(p))
-    rhs_sizes = (base_outer,) + tuple(shapes[r][1] for r in inner_blocks)
-    rhs_parts = [summand(p)] + [inner_summand(r) for r in inner_blocks]
-    lhs_term = block_term(lhs_sizes, lhs_parts, lhs_coupling)
-    rhs_term = block_term(rhs_sizes, rhs_parts, rhs_coupling)
+    lhs_blocks = [(outer, summand(r)) for r, (outer, _) in enumerate(shapes)]
+    base_group = [((base_inner, inner_summand(p)),)] if base_inner else []
+
+    def lhs_parts(ctx):
+        groups = [tuple(lhs_blocks[r] for r in group) for group in bound(ctx)[1]]
+        return tuple(groups + base_group)
+
+    rhs_groups = (((base_outer, summand(p)),),)
+    rhs_groups += tuple(((inner_sizes[r], inner_summand(r)),) for r in inner_blocks)
+    rhs_parts = lambda ctx: rhs_groups  # noqa: E731
+    lhs_term = plan_term(lhs_parts, lhs_coupling)
+    rhs_term = plan_term(rhs_parts, rhs_coupling)
+    lhs_dimension = sum(outer for outer, _ in shapes) + base_inner
+    rhs_dimension = base_outer + sum(inner_sizes[:p])
     return (
-        SeriesSide(sum(lhs_sizes), lhs_term, bind=bound_blocks),
-        SeriesSide(sum(rhs_sizes), rhs_term, rhs_prefactor, bound_blocks),
+        SeriesSide(lhs_dimension, lhs_term, bind=bound_blocks, parts=lhs_parts),
+        SeriesSide(rhs_dimension, rhs_term, rhs_prefactor, bound_blocks, rhs_parts),
     )
 
 
@@ -491,16 +436,19 @@ class SeriesSide:
     """One side of an identity: an n-fold sum with a prefactor.
 
     ``dimension == 0`` denotes a pure product side (the empty sum equals 1).
-    ``term`` maps (ctx, multi-index) to a raw ``_mpf_`` or ``_mpc_`` value;
-    ``prefactor`` returns an mpf or mpc, and ``bind`` the run's blocks and
-    base block for ``domain_fault`` (None: the side binds no summation);
-    both take the context alone.
+    ``term`` maps (ctx, multi-index) to the summand, a raw ``_mpf_`` or
+    ``_mpc_`` value; ``prefactor`` returns an mpf or mpc, and ``bind`` the
+    run's blocks and base block for ``domain_fault`` (None: the side binds
+    no summation); both take the context alone.  ``parts(ctx)``, if given,
+    is the run's block plan: groups of (size, part) pairs in index order,
+    whose ``plan_term`` with a coupling is ``term``.
     """
 
     dimension: int
     term: Callable[[EvalContext, MultiIndex], tuple] = lambda ctx, k: fone
     prefactor: Callable[[EvalContext], QComplex] = lambda ctx: mpf(1)
     bind: Callable[[EvalContext], tuple] | None = None
+    parts: Callable[[EvalContext], tuple] | None = None
 
 
 @dataclass(frozen=True)
@@ -525,16 +473,25 @@ class Diagnostics:
 def evaluate_in_context(
     side: SeriesSide, ctx: EvalContext, policy: TruncationPolicy | None = None
 ) -> tuple[QComplex, Diagnostics]:
-    """Sum one series side under a shared evaluation context.
+    """Sum one series side under a shared evaluation context, by block
+    weights (``SeriesSide.parts``; a side without a plan is one block with
+    coupling 1).
+
+    In shell W each block's shell sum sigma(W) is the sum of its part over
+    the compositions of W, a group's is the convolution of its blocks', and
+    the shell is sum_{|S|=W} coupling(S) prod_g sigma_g(S_g); every sum runs
+    in lexicographic order, and the shell sums are kept for this call only.
+    Sums are taken on raw values with the rounding of ``sum += value`` at
+    the run's precision; the shell sum is the only mpf or mpc made per
+    shell, and the side's value is ``pref * total``.  ``Diagnostics.terms``
+    counts the indices summed, C(W+N-1, N-1) in shell W of an N-fold side.
 
     Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
     ``ctx.poch.leave_shells()``: a product or ratio requested in one shell
     only is dropped two shells later, and the prefactor's are kept for the
-    run, as are integer powers.  A shell's raw terms are added with the rounding of
-    ``shell_sum += term`` at the run's precision; the shell sum is the only
-    mpf or mpc made per shell, and the side's value is ``pref * total``.
-    A zero denominator in the prefactor or in a term raises
-    ``PoleEncountered``, naming the prefactor or the term's index.
+    run, as are integer powers.  A zero denominator raises
+    ``PoleEncountered`` naming the prefactor, a part's index (and its block,
+    in a plan) or a coupling's weight tuple.
     """
     if policy is None:
         policy = TruncationPolicy()
@@ -547,6 +504,13 @@ def evaluate_in_context(
         if side.dimension == 0:
             return pref, Diagnostics(shells=0, terms=0, converged=True)
 
+        plan = side.parts(ctx) if side.parts else (((side.dimension, side.term),),)
+        # Each block's shell sums by group, and each group's, for this call:
+        # a one-block group's are its block's.
+        sums = [[[] for _ in group] for group in plan]
+        group_sums = [s[0] if len(s) == 1 else [] for s in sums]
+        blocks = list(enumerate(zip(chain(*plan), chain(*sums))))
+
         tail_tol = mpmathify(policy.tail_ratio_tol)
         total = mpf(0)
         diag = Diagnostics()
@@ -554,20 +518,42 @@ def evaluate_in_context(
         prev_shell_abs = None
         shell_abs = mpf(0)
         poch = ctx.poch
+        mul = partial(raw_mul, prec=prec)
 
         try:
             for w in range(policy.max_shell_weight + 1):
                 poch.next_shell()
-                terms = []
-                try:
-                    for k in enumerate_shell(side.dimension, w):
-                        terms.append(side.term(ctx, k))
-                except (ZeroDivisionError, DivisionByZero) as exc:
-                    raise PoleEncountered(
-                        f"zero denominator at index {k}: {exc}"
-                    ) from exc
-                diag.terms += len(terms)
-                shell_sum = raw_sum(terms)
+                for b, ((size, part), block_sums) in blocks:
+                    values = []
+                    try:
+                        for k in enumerate_shell(size, w):
+                            values.append(part(ctx, k))
+                    except (ZeroDivisionError, DivisionByZero) as exc:
+                        where = f" of block {b}" if side.parts else ""
+                        raise PoleEncountered(
+                            f"zero denominator at index {k}{where}: {exc}"
+                        ) from exc
+                    block_sums.append(raw_sum(values))
+                for sigmas, group_sum in zip(sums, group_sums):
+                    if len(sigmas) > 1:
+                        splits = enumerate_shell(len(sigmas), w)
+                        factors = [[s[u] for s, u in zip(sigmas, v)] for v in splits]
+                        group_sum.append(raw_sum(reduce(mul, f) for f in factors))
+                if side.parts:
+                    values = []
+                    try:
+                        for weights in enumerate_shell(len(plan), w):
+                            factors = [s[u] for s, u in zip(group_sums, weights)]
+                            values.append(side.term(ctx, weights, factors))
+                    except (ZeroDivisionError, DivisionByZero) as exc:
+                        raise PoleEncountered(
+                            f"zero denominator at weight index {weights}: {exc}"
+                        ) from exc
+                    shell = raw_sum(values)
+                else:
+                    shell = group_sums[0][w]
+                diag.terms += math.comb(w + side.dimension - 1, w)
+                shell_sum = from_raw(shell)
                 total += shell_sum
                 diag.shells = w + 1
                 prev_shell_abs = shell_abs if w > 0 else None

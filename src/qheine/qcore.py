@@ -450,10 +450,9 @@ def from_raw(raw) -> QComplex:
     return mp.make_mpc(raw) if len(raw) == 2 else mp.make_mpf(raw)
 
 
-def raw_sum(values) -> QComplex:
+def raw_sum(values) -> tuple:
     """0 + v_1 + v_2 + ... for raw values v_i, added in order with the
-    rounding of ``value += v`` at the working precision; one mpf or mpc is
-    made at the end.
+    rounding of ``value += v`` at the working precision, as a raw value.
 
     0 + v_1 is v_1 itself for a real v_1 of at most ``prec`` bits, as raw
     values are canonical (zero and special values included), so the first
@@ -466,7 +465,7 @@ def raw_sum(values) -> QComplex:
         raw = raw_add(fzero, raw, prec)
     for v in values:
         raw = raw_add(raw, v, prec)
-    return from_raw(raw)
+    return raw
 
 
 def e2(k: Sequence[int]) -> int:
@@ -629,11 +628,11 @@ class PochCache:
     such as the Heine cross powers that a lhs shell and, shells later, the
     rhs ask for.  The Vandermonde pair tables keep each
     pair's raw factors by shift.
-    ``terms`` holds the raw block factors of ``multisum.block_term``: each
-    part under its function and index, the current shell's couplings under
-    the coupling function; and the run's bound blocks of
-    ``multisum.heine_sides`` under their ``bind`` function, with the
-    coupling ratios of its transformation blocks by index.
+    ``terms`` holds the run's bound blocks under their ``bind`` function
+    (``multisum.heine_sides``, ``catalog.core.run_memo``), the products at
+    the Heine blocks' own arguments and the coupling ratios of transformation
+    blocks by index.  No part or coupling value is kept here: the shell loop
+    keeps each block's shell sums for one evaluation.
 
     An infinite product whose first factor is below the truncation
     threshold by magnitude is exactly 1: ``infinite`` returns libmp's

@@ -358,6 +358,16 @@ class TestMalformedInput:
             # at all-ones dimensions.
             (["verify", "--identity", "q_binomial"], {"identities": []}),
             (["verify", "--identity", "q_binomial"], {"dims": []}),
+            # No side can stop early when min_shells reaches the shell cap:
+            # --max-shell, else the family's or composed identity's own.
+            (
+                ["verify", "--identity", "thm_heine7", "--min-shells", "100"]
+                + ["--max-shell", "5"],
+                None,
+            ),
+            (["verify", "--identity", "thm_heine7", "--max-shell", "0"], None),
+            (["verify", "--identity", "thm_heine7", "--min-shells", "50"], None),
+            (["compose", "--blocks", "q_bin"], {"min_shells": 50}),
         ],
     )
     def test_config_error_exit_2(self, capsys, tmp_path, argv, config):
@@ -506,6 +516,17 @@ def _load_script(name):
     return module
 
 
+def test_side_cost_prints_one_side_of_one_case(capsys):
+    # scripts/side_cost.py times one side alone on the family's first draw
+    # at seed 1; its index and shell counts are those of the report.
+    script = _load_script("side_cost")
+    argv = ["master_instance_lauricella", "--dims", "p=2,n=2,m=1", "--side", "lhs"]
+    assert script.main(argv) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("master_instance_lauricella lhs seconds=")
+    assert line.endswith(" terms=52360 shells=32"), line
+
+
 class TestReportDigests:
     """The stripped reports of the reference sweep, of the hiprec_sweep
     families at 1024 bits and of the compose_mix specs hash to the digests
@@ -516,9 +537,9 @@ class TestReportDigests:
     why."""
 
     DIGESTS = {
-        "reference": "11aab12b81be7080ea4163cc1110b66f084c6af9a1765d84480f69aa068e02a3",
-        "compose_mix": "4d0a0c983df9d3f42e8e4b374c58497c89027a073e558366e1e8d811938a7df1",
-        "hiprec": "00c4683bccbdc934efeade3b1367477db3b638b0ad9cbd71bdbdab187266bc2d",
+        "reference": "ea41cb22bda3ded6d2c279e91b52dd8a343a0e5bdc0952f9b18604c3035743ca",
+        "compose_mix": "379bad47dad96c0f0d865f9ebdf98bc7c8246699ecfcfc269a183e07fe4b122b",
+        "hiprec": "104258e813a234091b7df915c91834bb4a080c193c8a875e963e200d4ace4706",
     }
 
     # block -> (qheine compose arguments, exit code, digest)
@@ -526,7 +547,7 @@ class TestReportDigests:
         "extra_c": (
             "--blocks extra_c:2,extra_c:1 --base extra_c:2 --samples 2 --seed 5",
             0,
-            "1c3063c437dc316f294de8075f964f29ee37dc7c463a3a1b8aa1d390007e21a2",
+            "15af9f2598b70b33690fe8d3cea08029abc3f655cfcca6a325d840a7555dcecb",
         ),
         "broken": (
             "--blocks broken --base q_bin --samples 2 --seed 5",

@@ -22,7 +22,6 @@ from qheine import (
     SeriesSide,
     TruncationNotConverged,
     TruncationPolicy,
-    block_term,
     enumerate_shell,
     evaluate_in_context,
     make_context,
@@ -32,7 +31,7 @@ from qheine import (
 from qheine import catalog, cli, qcore
 from qheine.catalog.blocks import sample_block
 from qheine.catalog.classical import qbin_product, qbin_summation
-from qheine.multisum import HeineBlock, heine_sides
+from qheine.multisum import HeineBlock, heine_sides, plan_term
 from qheine.qcore import PochCache, from_raw, value_key
 from qheine.catalog.core import staircase
 from util import (
@@ -426,7 +425,8 @@ def _counted(calls, name, function):
 
 
 def _block_parts(complex_values):
-    """Three block factors and a coupling with real or complex values."""
+    """Three block factors, of sizes 2, 1 and 3, and a coupling of any
+    number of group weights, with real or complex values."""
     c = mpc("0.3", "0.2") if complex_values else mpf("0.3")
 
     def first(ctx, k):
@@ -439,80 +439,127 @@ def _block_parts(complex_values):
         return Objects(ctx.poch).intpow(mpf("0.45"), 2 * k[0] + k[2]) * (3 - k[1])
 
     def coupling(ctx, weights):
-        return (mpf(1) + weights[0]) / (mpf(2) + weights[1] * weights[2] + c)
+        return (mpf(1) + weights[0]) / (mpf(2) + weights[-1] * sum(weights) + c)
 
     return (first, second, third), coupling
 
 
+# The blocks of ``_block_parts`` grouped as neighbours sharing a cross base
+# would be: each alone, or with a neighbour, or all three together.
+GROUPINGS = {
+    "distinct": ((0,), (1,), (2,)),
+    "shared_first": ((0, 1), (2,)),
+    "shared_last": ((0,), (1, 2)),
+    "shared_all": ((0, 1, 2),),
+}
+
+
+def _plan_side(sizes, parts, coupling, grouping=None):
+    """A side summed by block weights: the blocks ``sizes`` and ``parts``,
+    grouped by ``grouping`` (index lists; default, each block alone)."""
+    grouping = grouping or tuple((r,) for r in range(len(sizes)))
+    plan = tuple(tuple((sizes[r], parts[r]) for r in group) for group in grouping)
+
+    def plan_parts(ctx):
+        return plan
+
+    return SeriesSide(sum(sizes), plan_term(plan_parts, coupling), parts=plan_parts)
+
+
+def _per_index(side):
+    """``side`` summed index by index, as ``term(ctx, k)`` gives each
+    summand: the sum the plan regroups."""
+    return replace(side, parts=None)
+
+
+def _fixed_shells(side, ctx, shells):
+    """The side's value and diagnostics summed over exactly ``shells``
+    shells."""
+    policy = TruncationPolicy(max_shell_weight=shells - 1, tail_ratio_tol=0)
+    with pytest.warns(TruncationNotConverged):
+        return evaluate_in_context(side, ctx, policy)
+
+
 class TestBlockTerm:
+    """Sides summed by block weights (``SeriesSide.parts``, ``plan_term``):
+    shell W is sum_{|S|=W} coupling(S) prod_g sigma_g(S_g), with each
+    block's shell sums sigma computed once per evaluation and kept in it."""
+
     sizes = (2, 1, 3)
 
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_equals_direct_product(self, complex_values):
+        # term(ctx, k) is the summand at k: the coupling at the group
+        # weights times each block's part, in block order.
         parts, coupling = _block_parts(complex_values)
-        term = block_term(self.sizes, list(map(raw_terms, parts)), raw_terms(coupling))
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         rng = random.Random(7)
-        for _ in range(40):
-            k = tuple(rng.randint(0, 4) for _ in range(6))
-            blocks = (k[:2], k[2:3], k[3:])
-            direct = coupling(ctx, tuple(sum(b) for b in blocks))
-            for part, sub in zip(parts, blocks):
-                direct *= part(ctx, sub)
-            assert from_raw(term(ctx, k)) == direct
-            assert from_raw(term(ctx, k)) == direct
-            assert isinstance(from_raw(term(ctx, k)), mpc) == complex_values
+        for grouping in GROUPINGS.values():
+            side = _plan_side(
+                self.sizes,
+                list(map(raw_terms, parts)),
+                raw_terms(coupling),
+                grouping,
+            )
+            for _ in range(20):
+                k = tuple(rng.randint(0, 4) for _ in range(6))
+                blocks = (k[:2], k[2:3], k[3:])
+                weights = tuple(sum(sum(blocks[r]) for r in g) for g in grouping)
+                direct = coupling(ctx, weights)
+                for part, sub in zip(parts, blocks):
+                    direct *= part(ctx, sub)
+                assert from_raw(side.term(ctx, k)) == direct
+                assert isinstance(from_raw(side.term(ctx, k)), mpc) == complex_values
 
     def test_each_part_once_per_sub_index(self):
-        calls = Counter()
-        parts, coupling = _block_parts(False)
-        counted = [_counted(calls, i, raw_terms(part)) for i, part in enumerate(parts)]
-        coupling = _counted(calls, "c", raw_terms(coupling))
-        side = SeriesSide(6, block_term(self.sizes, counted, coupling))
-        ctx = make_context({}, BaseSystem(mpf("0.5")))
-        policy = TruncationPolicy(max_shell_weight=5, min_shells=6)
-        with pytest.warns(TruncationNotConverged):
-            evaluate_in_context(side, ctx, policy)
-        indices = [k for w in range(6) for k in enumerate_shell(6, w)]
-        expected = set()
-        for k in indices:
-            blocks = (k[:2], k[2:3], k[3:])
-            expected |= {(i, sub) for i, sub in enumerate(blocks)}
-            expected.add(("c", tuple(sum(b) for b in blocks)))
-        assert set(calls) == expected
-        assert set(calls.values()) == {1}
-        assert len(indices) > len(calls)
-        # Only the last shell's couplings are still kept.
-        total, kept = ctx.poch.terms[coupling]
-        assert total == 5 and all(sum(w) == 5 for w in kept)
+        # Each part once per sub-index and each coupling once per tuple of
+        # group weights, however many indices share them.
+        for grouping in GROUPINGS.values():
+            calls = Counter()
+            parts, coupling = _block_parts(False)
+            counted = [
+                _counted(calls, r, raw_terms(part)) for r, part in enumerate(parts)
+            ]
+            coupling = _counted(calls, "c", raw_terms(coupling))
+            side = _plan_side(self.sizes, counted, coupling, grouping)
+            ctx = make_context({}, BaseSystem(mpf("0.5")))
+            _, diag = _fixed_shells(side, ctx, 6)
+            indices = [k for w in range(6) for k in enumerate_shell(6, w)]
+            expected = set()
+            for k in indices:
+                blocks = (k[:2], k[2:3], k[3:])
+                expected |= {(r, sub) for r, sub in enumerate(blocks)}
+                weights = tuple(sum(sum(blocks[r]) for r in g) for g in grouping)
+                expected.add(("c", weights))
+            assert set(calls) == expected
+            assert set(calls.values()) == {1}
+            assert diag.terms == len(indices) > len(calls)
+            # The shell sums live in the evaluation, not in the run's cache.
+            assert ctx.poch.terms == {}
 
     def test_whole_index_values_are_not_kept(self):
-        # One-dimensional blocks: the weight tuple is the whole index.
+        # One-dimensional blocks: the weight tuple is the whole index, and a
+        # summand asked for twice is computed twice.  A side keeps nothing
+        # of its parts or couplings in the run's cache.
         calls = Counter()
         parts = (lambda ctx, k: mpf(k[0] + 1), lambda ctx, k: mpf(2) ** k[0])
         parts = tuple(map(raw_terms, parts))
         coupling = raw_terms(lambda ctx, w: mpf(1) / (1 + w[0] + w[1]))
         coupling = _counted(calls, "c", coupling)
-        term = block_term((1, 1), parts, coupling)
+        side = _plan_side((1, 1), parts, coupling)
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         for _ in range(2):
-            assert from_raw(term(ctx, (2, 3))) == mpf(1) / 6 * 3 * 8
+            assert from_raw(side.term(ctx, (2, 3))) == mpf(1) / 6 * 3 * 8
         assert calls["c", (2, 3)] == 2
-        assert coupling not in ctx.poch.terms
-        # A single block: its sub-index is the whole index.
-        part = _counted(calls, "p", raw_terms(lambda ctx, k: mpf(k[0] - k[1])))
-        term = block_term((2,), (part,), raw_terms(lambda ctx, w: mpf(w[0])))
-        for _ in range(2):
-            assert from_raw(term(ctx, (4, 1))) == 15
-        assert calls["p", (4, 1)] == 2
-        assert (part, (4, 1)) not in ctx.poch.terms
+        _fixed_shells(side, ctx, 4)
+        assert calls["c", (2, 3)] == 2 and calls["c", (1, 2)] == 1
+        assert ctx.poch.terms == {}
 
     def test_sides_sharing_a_cache_keep_separate_memos(self):
         def side(scale):
             parts = (lambda ctx, k: scale ** sum(k), lambda ctx, k: scale ** k[0])
             coupling = lambda ctx, w: scale + w[0] + w[1]  # noqa: E731
-            term = block_term((2, 1), list(map(raw_terms, parts)), raw_terms(coupling))
-            return SeriesSide(3, term)
+            return _plan_side((2, 1), list(map(raw_terms, parts)), raw_terms(coupling))
 
         lhs, rhs = side(mpf("0.5")), side(mpf("0.25"))
         bases = BaseSystem(mpf("0.5"))
@@ -537,15 +584,14 @@ class TestBlockTerm:
             return mpf("0.5") ** k[0]
 
         one = raw_terms(lambda ctx, w: mpf(1))
-        side = SeriesSide(2, block_term((1, 1), (part, part), one))
+        side = _plan_side((1, 1), (part, part), one)
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         for _ in range(2):
-            with pytest.raises(PoleEncountered):
+            with pytest.raises(PoleEncountered, match=r"index \(1,\) of block 0"):
                 evaluate_in_context(side, ctx)
             with pytest.raises(DivisionByZero):
                 side.term(ctx, (0, 1))
-        assert (part, (1,)) not in ctx.poch.terms
-        assert from_raw(ctx.poch.terms[part, (0,)]) == 1
+        assert ctx.poch.terms == {}
 
     def test_degenerate_variables_propagate(self):
         x = (mpf("1.5"), mpf("1.5"))
@@ -554,16 +600,85 @@ class TestBlockTerm:
             return vandermonde_ratio(x, k, ctx.bases.q, ctx.poch)
 
         one = raw_terms(lambda ctx, k: mpf(1))
-        side = SeriesSide(3, block_term((2, 1), (part, one), one))
+        side = _plan_side((2, 1), (part, one), one)
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         for _ in range(2):
             with pytest.raises(DegenerateVariables):
                 evaluate_in_context(side, ctx)
 
+    @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_regrouped_equals_the_per_index_sum(self, complex_values, grouping):
+        # The same indices, summed in another order: each shell agrees with
+        # the per-index one to within the rounding of its sums.
+        parts, coupling = _block_parts(complex_values)
+        side = _plan_side(
+            self.sizes,
+            list(map(raw_terms, parts)),
+            raw_terms(coupling),
+            GROUPINGS[grouping],
+        )
+        bases = BaseSystem(mpf("0.5"))
+        for shells in (1, 5, 9):
+            value, diag = _fixed_shells(side, make_context({}, bases), shells)
+            direct, direct_diag = _fixed_shells(
+                _per_index(side), make_context({}, bases), shells
+            )
+            assert (diag.shells, diag.terms) == (direct_diag.shells, direct_diag.terms)
+            assert rel(value, direct) < mpf(2) ** -118, (shells, value, direct)
+            assert isinstance(value, mpc) == complex_values
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_one_dimensional_plans_are_bit_for_bit(self, complex_values):
+        # Where every block is one-dimensional and alone in its group, the
+        # weight tuples are the indices and each summand is the coupling
+        # times the parts in block order: the per-index sum, bit for bit.
+        c = mpc("0.2", "-0.1") if complex_values else mpf("0.2")
+        parts = [
+            raw_terms(lambda ctx, k, r=r: (c + r / mpf(20)) ** k[0] / (1 + r + k[0]))
+            for r in range(3)
+        ]
+        coupling = raw_terms(lambda ctx, w: (mpf(1) + w[0]) / (3 + w[1] + c * w[2]))
+        side = _plan_side((1, 1, 1), parts, coupling)
+        bases = BaseSystem(mpf("0.5"))
+        policy = TruncationPolicy(max_shell_weight=60, tail_ratio_tol=1e-24)
+        value, diag = evaluate_in_context(side, make_context({}, bases), policy)
+        direct, direct_diag = evaluate_in_context(
+            _per_index(side), make_context({}, bases), policy
+        )
+        assert diag.converged and diag.shells > 20
+        assert _bits(value) == _bits(direct)
+        assert diag == direct_diag
+
+    def test_pole_names_the_block_and_sub_index(self):
+        # A part's pole names its block and its own index; a coupling's
+        # names the tuple of group weights.
+        @raw_terms
+        def part(ctx, k):
+            if k == (1, 0):
+                raise DivisionByZero("pole at k = (1, 0)")
+            return mpf("0.5") ** sum(k)
+
+        one = raw_terms(lambda ctx, w: mpf(1))
+        side = _plan_side((1, 2), (one, part), one)
+        ctx = make_context({}, BaseSystem(mpf("0.5")))
+        with pytest.raises(PoleEncountered, match=r"index \(1, 0\) of block 1"):
+            evaluate_in_context(side, ctx)
+
+        @raw_terms
+        def coupling(ctx, w):
+            return mpf(1) / (w[0] - 2 * w[1] - 1)
+
+        two = raw_terms(lambda ctx, k: mpf("0.5") ** sum(k))
+        side = _plan_side((2, 1), (two, one), coupling)
+        with pytest.raises(PoleEncountered, match=r"weight index \(1, 0\)"):
+            evaluate_in_context(side, ctx)
+
 
 class TestSharedCrossBases:
     """heine_sides gives blocks that share a cross base one power of it, for
-    the sum of their weights, and keeps the lhs coupling under those sums."""
+    the sum of their weights, and computes the lhs coupling once per tuple
+    of those sums."""
 
     bases = BaseSystem(mpf("0.35"), mpf("1.3"), mpf("0.8"))
     uppers = (mpf("0.3"), mpf("-0.5"))

@@ -451,7 +451,7 @@ class TestRawKernel:
                 total = mpf(0)
                 for v in values:
                     total += v
-                got = qcore.raw_sum([value_key(v) for v in values])
+                got = qcore.from_raw(qcore.raw_sum([value_key(v) for v in values]))
                 assert _raw_value(got) == _raw_value(total)
 
     @pytest.mark.parametrize(
