@@ -35,6 +35,7 @@ from ..qcore import (
     from_raw,
     raw_div,
     raw_mul,
+    raw_product,
     value_key,
 )
 
@@ -399,9 +400,8 @@ def summation_sides(shape: tuple[int, int], bind, product_left: bool = False):
 
 def sq_ratio(P, avec, x, base, k) -> tuple:
     """prod_{r,s} (a_s x_r/x_s; base)_{k_r} / (base x_r/x_s; base)_{k_r} as
-    a raw value, multiplied from 1 as ``value *= num; value /= den``
-    round it, factor by factor in (r, s) order; its tables are built once
-    per run."""
+    a raw value, one ``raw_product`` of the factors in (r, s) order, each
+    numerator before its denominator; its tables are built once per run."""
 
     def build():
         return [
@@ -413,14 +413,12 @@ def sq_ratio(P, avec, x, base, k) -> tuple:
         ]
 
     rows = P.table("sq_ratio", (avec, x, base), build)
-    prec = mp.prec
-    value = fone
+    factors = []
     for kr, row in zip(k, rows):
         if kr:
             for num, den in row:
-                value = raw_mul(value, num.at(kr), prec)
-                value = raw_div(value, den.at(kr), prec)
-    return value
+                factors += (raw_mul, num.at(kr)), (raw_div, den.at(kr))
+    return raw_product(factors, mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +451,8 @@ class TermSpec:
     each optional; a factor is a ``numer`` or a ``denom``.  A spec is called
     as term(P, z, k), with z an mpf or mpc, or without an argument as
     inner(P, k).  Its tables are looked up once per run
-    (``PochCache.table``), and the raw pieces multiplied in the order
-    above, as ``value *= factor`` rounds them; the summand is a raw value.
+    (``PochCache.table``), and the raw pieces, in the order above, are one
+    ``raw_product``, rounded once; the summand is a raw value.
     """
 
     base: QComplex
@@ -481,32 +479,29 @@ class TermSpec:
 
     def __call__(self, P, *args) -> tuple:
         z, k = args if self.argument else (None, *args)
-        prec = mp.prec
-        value = fone
+        factors = []
         if self.vandermonde is not None:
             x, step = self.vandermonde
-            value = vandermonde_ratio(x, k, step, P)
+            factors.append((raw_mul, vandermonde_ratio(x, k, step, P)))
         if self.pairs is not None:
-            factor = sq_ratio(P, *self.pairs, self.base, k)
-            value = _fold(value, raw_mul, factor, prec)
+            factors.append((raw_mul, sq_ratio(P, *self.pairs, self.base, k)))
         weight = sum(k)
-        for index, factors in zip((weight, *k), self.tables(P)):
+        for index, row in zip((weight, *k), self.tables(P)):
             if index:
-                for table, stretch, op in factors:
-                    value = _fold(value, op, table.at(stretch * index), prec)
+                for table, stretch, op in row:
+                    factors.append((op, table.at(stretch * index)))
         n = self.exponent(k) if self.exponent else 0
         if n:
-            value = _fold(value, raw_mul, P.intpow(value_key(self.base), n), prec)
+            factors.append((raw_mul, P.intpow(value_key(self.base), n)))
         if self.monomials is not None:
             for x_r, kr in zip(self.monomials, k):
                 if kr:
-                    power = P.intpow(value_key(x_r), -kr)
-                    value = _fold(value, raw_mul, power, prec)
+                    factors.append((raw_mul, P.intpow(value_key(x_r), -kr)))
         if self.argument and weight:
-            value = _fold(value, raw_mul, P.intpow(value_key(z), weight), prec)
+            factors.append((raw_mul, P.intpow(value_key(z), weight)))
         if self.sign and weight & 1:
-            value = raw_mul(value, fnone, prec)
-        return value
+            factors.append((raw_mul, fnone))
+        return raw_product(factors, mp.prec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,8 +510,8 @@ class ProductSpec:
     each a ``numer(c_i, b_i)`` or a ``denom(c_i, b_i)``.  Called as
     product(P, z) with z an mpf or mpc, or as product(P) for the constant
     prod_i (c_i; b_i)_oo^{+-1}.  c_i z is multiplied at the working
-    precision (z itself where c_i is 1), and the raw factors in list order,
-    as ``value *= f`` and ``value /= f`` round them; the product is a raw
+    precision (z itself where c_i is 1), and the raw factors, in list
+    order, are one ``raw_product``, rounded once; the product is a raw
     value."""
 
     factors: Sequence
@@ -524,21 +519,13 @@ class ProductSpec:
     def __call__(self, P, z=None) -> tuple:
         prec = mp.prec
         raw_z = None if z is None else value_key(z)
-        value = fone
+        factors = []
         for c, base, _, op in self.factors:
             c = value_key(c)
             if raw_z is not None:
                 c = raw_z if c == fone else raw_mul(c, raw_z, prec)
-            value = _fold(value, op, P.infinite(c, value_key(base)), prec)
-        return value
-
-
-def _fold(value, op, factor, prec: int) -> tuple:
-    """op(value, factor) for raw values; a factor at the working precision
-    times 1 is the factor itself."""
-    if value is fone and op is raw_mul:
-        return factor
-    return op(value, factor, prec)
+            factors.append((op, P.infinite(c, value_key(base))))
+        return raw_product(factors, prec)
 
 
 def run_memo(ctx, bind):

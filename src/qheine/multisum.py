@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial, reduce
 from itertools import chain, groupby
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +35,7 @@ from .qcore import (
     from_raw,
     raw_div,
     raw_mul,
+    raw_product,
     raw_sum,
     value_key,
 )
@@ -118,10 +118,9 @@ def vandermonde_ratio(
     pair's raw factor under its shift k_r - k_s: a factor is computed once
     per run, at the cache precision.  A pair whose numerator or denominator
     loses more than _LOSS_BITS bits to cancellation is evaluated by
-    ``exact_pair`` instead.  The factors are multiplied in pair order at
-    the cache precision; each is already rounded to it, so the product
-    starts from the first factor with the bits a start from 1 would give.
-    The value is raw; with fewer than two variables it is libmp's ``fone``.
+    ``exact_pair`` instead.  The factors, in pair order, are one
+    ``raw_product`` at the cache precision, rounded once.  The value is
+    raw; with fewer than two variables it is libmp's ``fone``.
     """
     if len(x) != len(k):
         raise LengthMismatch("x and k must have the same length")
@@ -130,16 +129,15 @@ def vandermonde_ratio(
     pairs = poch.table(
         "vandermonde", (x, step_power), lambda: vandermonde_pairs(x)
     )
-    prec = poch.prec
-    value = None
+    factors = []
     for pair in pairs:
         r, s, _, _, by_shift = pair
         shift = k[r] - k[s]
         factor = by_shift.get(shift)
         if factor is None:
             factor = by_shift[shift] = _pair_factor(x, step_power, pair, shift, poch)
-        value = factor if value is None else raw_mul(value, factor, prec)
-    return value
+        factors.append((raw_mul, factor))
+    return raw_product(factors, poch.prec)
 
 
 def _pair_factor(x, step_power, pair, shift: int, poch: PochCache) -> tuple:
@@ -173,8 +171,8 @@ def plan_term(parts, coupling) -> Callable:
     summand coupling(ctx, S) * prod_r part_r(ctx, k_r), S the groups'
     weights; ``term(ctx, S, factors)``, as ``evaluate_in_context`` calls it
     once per weight tuple S, is the coupling times the groups' shell sums
-    ``factors``.  Factors are multiplied coupling first, then in order, with
-    the rounding of ``value *= factor`` at the working precision."""
+    ``factors``.  The coupling and then the factors in order are one
+    ``raw_product`` at the working precision, rounded once."""
 
     def term(ctx: EvalContext, index: MultiIndex, factors=None) -> tuple:
         if factors is None:
@@ -185,7 +183,8 @@ def plan_term(parts, coupling) -> Callable:
                     factors.append(part(ctx, index[start : start + size]))
                     start += size
             index = tuple(weights)
-        return reduce(partial(raw_mul, prec=mp.prec), factors, coupling(ctx, index))
+        factors = [coupling(ctx, index), *factors]
+        return raw_product([(raw_mul, f) for f in factors], mp.prec)
 
     return term
 
@@ -278,18 +277,19 @@ def heine_sides(
     it, for the sum of their weights.  Parts and couplings are raw values;
     only the rhs prefactor is an mpf or mpc.
 
-    Each coupling is a product ratio times an inner power.  The ratio and
-    the power's argument depend only on the lhs group weights or on |j|
-    (rhs, per block); where an inner weight exists such an index recurs
-    across shells, so they are computed once per index and kept for the
-    run in ``PochCache.terms``.  The arithmetic runs on raw values in the
-    order of the display, with the rounding of mpmath's operators at the
-    working precision.  The raw arguments, sigma_r z_r and cross bases are
-    formed once per run and kept with the bound blocks; the cross bases'
-    integer powers come from ``PochCache.intpow``, which keeps them for the
-    run, so the rhs shells do not recompute a power the lhs asked for.
-    Index 0 stretches by exactly 1, so its ratio divides P_r(z_r) by itself
-    and asks for no product.
+    Each coupling is a product ratio times an inner power.  The stretched
+    product and the power's argument depend only on the lhs group weights
+    or on |j| (rhs, per block); where an inner weight exists such an index
+    recurs across shells, so they are computed once per index and kept for
+    the run in ``PochCache.terms``.  The arithmetic runs on raw values: each
+    stretched argument, and each coupling with its products, divisors and
+    powers in the order of the display, is one ``raw_product`` at the
+    working precision, rounded once.  The raw arguments, sigma_r z_r and
+    cross bases are formed once per run and kept with the bound blocks; the
+    cross bases' integer powers come from ``PochCache.intpow``, which keeps
+    them for the run, so the rhs shells do not recompute a power the lhs
+    asked for.  Index 0 stretches by exactly 1, so its ratio divides
+    P_r(z_r) by itself and asks for no product.
     """
     p = len(shapes)
     base_outer, base_inner = base_shape
@@ -348,12 +348,14 @@ def heine_sides(
         return value
 
     def stretched(ctx, r, index) -> tuple:
-        """Block r's product ratio P_r(z_r S)/P_r(z_r) at the stretch S of
-        ``index`` (r = p: the base block, at w and the group weights; else
-        the base block's outer weight |j|), and sigma_r z_r S for a block
-        with an inner sum, as raw values.  At index 0, S is exactly 1, so
-        the product is P_r(z_r) and is not requested again.  Where an inner
-        weight exists, the pair is kept for the run in ``PochCache.terms``."""
+        """Block r's product P_r(z_r S) at the stretch S of ``index`` (r =
+        p: the base block, at w and the group weights; else the base block's
+        outer weight |j|), and sigma_r z_r S for a block with an inner sum,
+        as raw values; z_r S and sigma_r z_r S are each one ``raw_product``
+        of the argument and the cross powers.  At index 0, S is exactly 1,
+        so the product is P_r(z_r) and is not requested again.  Where an
+        inner weight exists, the pair is kept for the run in
+        ``PochCache.terms``."""
         keep = inner_sizes[r] if r == p else inner_blocks
         memo = ctx.poch.terms
         key = (stretched, r, index)
@@ -365,51 +367,54 @@ def heine_sides(
         prec = mp.prec
         blocks, groups, args, stretched_args, crosses = bound(ctx)
         if r == p:
-            scale = fone
-            for group, weight in zip(groups, index):
-                scale = raw_mul(scale, P.intpow(crosses[group[0]], weight), prec)
+            powers = [
+                (raw_mul, P.intpow(crosses[group[0]], weight))
+                for group, weight in zip(groups, index)
+            ]
         else:
-            scale = P.intpow(crosses[r], index)
+            powers = [(raw_mul, P.intpow(crosses[r], index))]
         z = args[r]
-        zs = raw_mul(z, scale, prec)
+        zs = raw_product([(raw_mul, z), *powers], prec)
         if zs == z:
             product = at_argument(ctx, r)
         else:
             product = blocks[r].summation.product(P, from_raw(zs))
-        ratio = raw_div(product, at_argument(ctx, r), prec)
         arg = None
         if inner_sizes[r]:
-            arg = raw_mul(stretched_args[r], scale, prec)
+            arg = raw_product([(raw_mul, stretched_args[r]), *powers], prec)
         if keep:
-            memo[key] = ratio, arg
-        return ratio, arg
+            memo[key] = product, arg
+        return product, arg
 
     def lhs_coupling(ctx, weights):
-        """The lhs coupling at ``weights``: the weight of each group of
-        blocks sharing a cross base, then the base block's inner weight."""
-        if not base_inner:
-            return stretched(ctx, p, weights)[0]
-        ratio, arg = stretched(ctx, p, weights[:-1])
-        return raw_mul(ratio, _pow_int(arg, weights[-1], mp.prec), mp.prec)
+        """The lhs coupling at ``weights`` (the weight of each group of
+        blocks sharing a cross base, then the base block's inner weight):
+        P_0(w s)/P_0(w) times the inner power, one ``raw_product``."""
+        prec = mp.prec
+        product, arg = stretched(ctx, p, weights[:-1] if base_inner else weights)
+        factors = [(raw_mul, product), (raw_div, at_argument(ctx, p))]
+        if base_inner:
+            factors.append((raw_mul, _pow_int(arg, weights[-1], prec)))
+        return raw_product(factors, prec)
 
     def rhs_coupling(ctx, weights):
+        """The rhs coupling at ``weights`` (|j|, then each inner weight):
+        prod_r P_r(z_r s_r^{|j|})/P_r(z_r) times the inner powers, one
+        ``raw_product``."""
         prec = mp.prec
         inner_weights = dict(zip(inner_blocks, weights[1:]))
-        value = fone
+        factors = []
         for r in range(p):
-            ratio, arg = stretched(ctx, r, weights[0])
-            value = raw_mul(value, ratio, prec)
+            product, arg = stretched(ctx, r, weights[0])
+            factors += (raw_mul, product), (raw_div, at_argument(ctx, r))
             if r in inner_weights:
-                power = _pow_int(arg, inner_weights[r], prec)
-                value = raw_mul(value, power, prec)
-        return value
+                factors.append((raw_mul, _pow_int(arg, inner_weights[r], prec)))
+        return raw_product(factors, prec)
 
     def rhs_prefactor(ctx):
-        prec = mp.prec
-        value = fone
-        for r in range(p):
-            value = raw_mul(value, at_argument(ctx, r), prec)
-        return from_raw(raw_div(value, at_argument(ctx, p), prec))
+        factors = [(raw_mul, at_argument(ctx, r)) for r in range(p)]
+        factors.append((raw_div, at_argument(ctx, p)))
+        return from_raw(raw_product(factors, mp.prec))
 
     lhs_blocks = [(outer, summand(r)) for r, (outer, _) in enumerate(shapes)]
     base_group = [((base_inner, inner_summand(p)),)] if base_inner else []
@@ -481,9 +486,10 @@ def evaluate_in_context(
     the compositions of W, a group's is the convolution of its blocks', and
     the shell is sum_{|S|=W} coupling(S) prod_g sigma_g(S_g); every sum runs
     in lexicographic order, and the shell sums are kept for this call only.
-    Sums are taken on raw values with the rounding of ``sum += value`` at
-    the run's precision; the shell sum is the only mpf or mpc made per
-    shell, and the side's value is ``pref * total``.  ``Diagnostics.terms``
+    Each shell sum is one ``raw_sum`` of raw values at the run's precision,
+    and each term of a group's convolution one ``raw_product``, each rounded
+    once; the shell sum is the only mpf or mpc made per shell, and the
+    side's value is ``pref * total``.  ``Diagnostics.terms``
     counts the indices summed, C(W+N-1, N-1) in shell W of an N-fold side.
 
     Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
@@ -518,7 +524,6 @@ def evaluate_in_context(
         prev_shell_abs = None
         shell_abs = mpf(0)
         poch = ctx.poch
-        mul = partial(raw_mul, prec=prec)
 
         try:
             for w in range(policy.max_shell_weight + 1):
@@ -536,9 +541,11 @@ def evaluate_in_context(
                     block_sums.append(raw_sum(values))
                 for sigmas, group_sum in zip(sums, group_sums):
                     if len(sigmas) > 1:
-                        splits = enumerate_shell(len(sigmas), w)
-                        factors = [[s[u] for s, u in zip(sigmas, v)] for v in splits]
-                        group_sum.append(raw_sum(reduce(mul, f) for f in factors))
+                        products = [
+                            raw_product([(raw_mul, s[u]) for s, u in zip(sigmas, v)], prec)
+                            for v in enumerate_shell(len(sigmas), w)
+                        ]
+                        group_sum.append(raw_sum(products))
                 if side.parts:
                     values = []
                     try:

@@ -56,6 +56,15 @@ _NOT_CONVERGED = "infinite product did not reach tolerance; base too close to 1"
 # 2^-(prec + 1) for |base| <= 1 - 2^-(_GUARD - 1).
 _GUARD = 32
 
+# ``raw_product`` multiplies mantissas exactly until its running numerator
+# or denominator passes 2^_EXACT_BITS and is longer than prec + _FOLD_GUARD
+# bits; past that it keeps prec + _FOLD_GUARD bits of it, rounded down.
+# ``raw_sum`` adds on integers aligned _FOLD_GUARD bits below the working
+# precision of its largest term.
+_EXACT_BITS = 1024
+_EXACT_LIMIT = 1 << _EXACT_BITS
+_FOLD_GUARD = 64
+
 _COMPLEX_ONE = (fone, fzero)
 ONE = mpf(1)
 _LN2 = math.log(2)
@@ -277,9 +286,10 @@ def _round(sign: int, man: int, exp: int, prec: int) -> tuple:
     once here, so its result is libmp's tuple bit for bit (Brent and
     Zimmermann, *Modern Computer Arithmetic*, ch. 3).  Other operands reach
     the libmp function that the path replaces, at ``round_nearest``.
-    Round-to-nearest is the only mode: mpmath fixes it in
-    ``mp._prec_rounding`` and no setting changes it.  ``_infinite`` calls
-    this at the mantissa's own length to strip alone."""
+    ``raw_product`` and ``raw_sum`` round a whole product or sum of
+    regular reals here once.  Round-to-nearest is the only mode: mpmath
+    fixes it in ``mp._prec_rounding`` and no setting changes it.
+    ``_infinite`` calls this at the mantissa's own length to strip alone."""
     n = man.bit_length() - prec
     if n > 0:
         t = man >> (n - 1)
@@ -383,6 +393,73 @@ def raw_div(x, y, prec: int) -> tuple:
     return mpc_div(x, y, prec, round_nearest)
 
 
+def raw_product(factors, prec: int) -> tuple:
+    """The product of a sequence of (op, x) pairs, op ``raw_mul`` for a
+    factor x and ``raw_div`` for a divisor x, as a raw value rounded once.
+
+    Where every x is a regular real (nonzero mantissa), the mantissas of
+    the factors and those of the divisors are multiplied into two integers,
+    the first is divided by the second with a sticky bit, as ``raw_div``
+    divides, and ``_round`` rounds the quotient once.  While neither
+    integer passes 2^``_EXACT_BITS`` or is longer than w = prec +
+    ``_FOLD_GUARD`` bits, the result is the exact product rounded to
+    nearest, ties to even.  An integer past both is cut back to w bits,
+    rounded down, each time, which keeps the multiplies short at high
+    precision; each cut moves the value by less than 2^-(prec+63)
+    relative, so the result is the exact value rounded to nearest unless
+    that lies within m 2^-(prec+62) relative of a rounding boundary, m the
+    number of pairs.
+
+    Any other x (zero, inf, nan or complex) sends the whole sequence to
+    ``value = op(value, x)`` from 1, pair by pair in order, the fold each
+    caller ran before: for x of at most ``prec`` bits its value is that
+    fold's, bit for bit, and a zero divisor raises ``ZeroDivisionError``
+    as ``raw_div`` does.  One real factor of at most ``prec`` bits is
+    returned as it is, the value of either path."""
+    if len(factors) == 1:
+        op, x = factors[0]
+        if op is raw_mul and len(x) == 4 and x[3] <= prec:
+            return x
+    width = prec + _FOLD_GUARD
+    limit = _EXACT_LIMIT if width < _EXACT_BITS else 1 << width
+    sign = exp = dexp = 0
+    man = dman = 1
+    try:
+        for op, (s, m, e, _) in factors:
+            sign ^= s
+            if op is raw_div:
+                dman *= m
+                dexp += e
+                if dman > limit:
+                    n = dman.bit_length() - width
+                    dman >>= n
+                    dexp += n
+            else:
+                man *= m
+                exp += e
+                if man > limit:
+                    n = man.bit_length() - width
+                    man >>= n
+                    exp += n
+    except ValueError:  # a complex x: a pair of parts does not unpack
+        man = 0
+    if not (man and dman):
+        value = fone
+        for op, x in factors:
+            value = op(value, x, prec)
+        return value
+    if dman == 1:
+        return _round(sign, man, exp - dexp, prec)
+    extra = prec - man.bit_length() + dman.bit_length() + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(man << extra, dman)
+    if rem:
+        quot = (quot << 1) | 1
+        extra += 1
+    return _round(sign, quot, exp - dexp - extra, prec)
+
+
 def _pow_int(x, n: int, prec: int) -> tuple:
     """x ** n for a raw value and an integer n, as mpmath's operators round
     it.
@@ -451,19 +528,51 @@ def from_raw(raw) -> QComplex:
 
 
 def raw_sum(values) -> tuple:
-    """0 + v_1 + v_2 + ... for raw values v_i, added in order with the
-    rounding of ``value += v`` at the working precision, as a raw value.
+    """v_1 + v_2 + ... for raw values v_i at the working precision, as a
+    raw value.
 
-    0 + v_1 is v_1 itself for a real v_1 of at most ``prec`` bits, as raw
-    values are canonical (zero and special values included), so the first
-    value is added to nothing; a wider or complex one is rounded by
-    ``raw_add``."""
+    Where every v_i is real and finite, the sum is taken in fixed point:
+    with 2^top above the largest |v_i|, each v_i is an integer multiple of
+    2^(top - prec - ``_FOLD_GUARD``), exact where it has no lower bits and
+    its magnitude rounded down otherwise, and the integers' sum is rounded
+    once by ``_round``.  So the result is within half an ulp of it plus
+    n 2^-(prec+63) max |v_i| of the exact sum, for n values; an exact
+    cancellation gives ``fzero``, and one value of at most ``prec`` bits
+    comes back as it is.  With a complex, inf or nan value the values are
+    added in order with the rounding of ``value += v`` (``raw_add``), from
+    0 + v_1, which is v_1 itself for a real v_1 of at most ``prec`` bits."""
     prec = mp.prec
-    values = iter(values)
-    raw = next(values, fzero)
+    values = list(values)
+    top = None
+    for v in values:
+        if len(v) != 4:
+            break
+        _, man, exp, bc = v
+        if man:
+            if top is None or exp + bc > top:
+                top = exp + bc
+        elif exp:  # inf or nan
+            break
+    else:
+        if top is None:
+            return fzero
+        align = top - prec - _FOLD_GUARD
+        total = 0
+        for sign, man, exp, _ in values:
+            if exp >= align:
+                man <<= exp - align
+            else:
+                man >>= align - exp
+            total += -man if sign else man
+        if total > 0:
+            return _round(0, total, align, prec)
+        if total:
+            return _round(1, -total, align, prec)
+        return fzero
+    raw = values[0]
     if len(raw) != 4 or raw[3] > prec:
         raw = raw_add(fzero, raw, prec)
-    for v in values:
+    for v in values[1:]:
         raw = raw_add(raw, v, prec)
     return raw
 

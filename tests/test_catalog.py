@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-from qheine import catalog, cli, report
+from qheine import catalog, cli, qcore, report
 from qheine.catalog import core, ramanujan
 from qheine.catalog.core import ParamSpec
 from qheine.errors import (
@@ -18,6 +18,7 @@ from qheine.errors import (
 )
 from qheine.catalog.an_qbinomial import (
     euler_exp_summation,
+    milne_lilly_summation,
     stretched_euler_summation,
 )
 from qheine.multisum import (
@@ -28,9 +29,10 @@ from qheine.multisum import (
     make_context,
     vandermonde_ratio,
 )
-from qheine.qcore import BaseSystem, PochCache, e2, from_raw
+from qheine.qcore import BaseSystem, PochCache, e2, from_raw, raw_div, raw_mul
 import util
 from util import (
+    fold_values,
     grid_rows,
     inner_rows,
     qpoch_finite,
@@ -351,7 +353,7 @@ class TestStatedSpecialCases:
 
 class TestTermTables:
     """The run-cached sq_ratio and Vandermonde helper against the direct
-    formulas, bit for bit."""
+    formulas, each one product rounded once (``util.fold_values``)."""
 
     @staticmethod
     def _point(rng, n, complex_x):
@@ -368,15 +370,17 @@ class TestTermTables:
 
     @staticmethod
     def _direct_sq_ratio(avec, x, base, k):
-        value = mpf(1)
+        """The values sq_ratio may take: its factors, each numerator before
+        its denominator, rounded once."""
+        factors = []
         for r in range(len(x)):
             if k[r] == 0:
                 continue
             for s in range(len(x)):
                 ratio = x[r] / x[s]
-                value *= qpoch_finite(avec[s] * ratio, base, k[r])
-                value /= qpoch_finite(base * ratio, base, k[r])
-        return value
+                factors.append((raw_mul, qpoch_finite(avec[s] * ratio, base, k[r])))
+                factors.append((raw_div, qpoch_finite(base * ratio, base, k[r])))
+        return fold_values(factors)
 
     @pytest.mark.parametrize("complex_x", [False, True])
     def test_matches_direct_formulas(self, complex_x):
@@ -388,9 +392,30 @@ class TestTermTables:
             cache = PochCache(128)
             for _ in range(2):  # the second pass reads the cached tables
                 cached = from_raw(core.sq_ratio(cache, avec, x, base, k))
-                assert cached == self._direct_sq_ratio(avec, x, base, k)
+                assert cached in self._direct_sq_ratio(avec, x, base, k)
                 want = vandermonde_ratio_loop(x, k, base)
                 assert from_raw(vandermonde_ratio(x, k, base, cache)) == want
+
+    def test_one_rounding_per_fold(self, monkeypatch):
+        # A real Milne-Lilly summand rounds three products once each: its
+        # Vandermonde factor (3 pair factors), sq_ratio (9 numerators and 9
+        # denominators) and the summand (those two, a base power, three
+        # monomials and z^|k|), not once per factor.
+        avec = (mpf("0.3"), mpf("-0.5"), mpf("0.7"))
+        x = (mpf("0.8"), mpf("1.1"), mpf("1.6"))
+        term = milne_lilly_summation(avec, x, mpf("0.45"), 128).term
+        cache, z, k = PochCache(128), mpf("0.2"), (2, 1, 3)
+        first = term(cache, z, k)  # fills the tables, pair factors and powers
+        calls = []
+        rounded = qcore._round
+
+        def counted(*args):
+            calls.append(args)
+            return rounded(*args)
+
+        monkeypatch.setattr(qcore, "_round", counted)
+        assert term(cache, z, k) == first
+        assert len(calls) == 3
 
     def test_coincident_variables_raise(self):
         cache = PochCache(128)

@@ -527,6 +527,19 @@ def test_side_cost_prints_one_side_of_one_case(capsys):
     assert line.endswith(" terms=52360 shells=32"), line
 
 
+def test_fold_cost_prints_both_tables(capsys):
+    # scripts/fold_cost.py times raw_product and raw_sum against the
+    # sequential folds: one row per precision and count in each table.
+    script = _load_script("fold_cost")
+    assert script.main(["--number", "1", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    headers = [line for line in lines if line.startswith("| bits |")]
+    assert [h.split("|")[4].strip() for h in headers] == ["raw_product µs", "raw_sum µs"]
+    rows = [line for line in lines if line.startswith("| ") and line[2].isdigit()]
+    assert len(rows) == 2 * 3 * 4
+    assert {row.split("|")[1].strip() for row in rows} == {"128", "256", "1024"}
+
+
 class TestReportDigests:
     """The stripped reports of the reference sweep, of the hiprec_sweep
     families at 1024 bits and of the compose_mix specs hash to the digests
@@ -537,9 +550,9 @@ class TestReportDigests:
     why."""
 
     DIGESTS = {
-        "reference": "ea41cb22bda3ded6d2c279e91b52dd8a343a0e5bdc0952f9b18604c3035743ca",
-        "compose_mix": "379bad47dad96c0f0d865f9ebdf98bc7c8246699ecfcfc269a183e07fe4b122b",
-        "hiprec": "104258e813a234091b7df915c91834bb4a080c193c8a875e963e200d4ace4706",
+        "reference": "91477ea8d28c63d542be075a028a9822462e53b1f1e82726e5523e343b841b54",
+        "compose_mix": "727257adddec85f5e1c2d8332487abbf7691b3605855411a3b2effbe18b602fe",
+        "hiprec": "8cdd85d251a2a5fc4dd11444e4b7a48f1d5783660f1dd329430c5e4a7ac08833",
     }
 
     # block -> (qheine compose arguments, exit code, digest)
@@ -547,7 +560,7 @@ class TestReportDigests:
         "extra_c": (
             "--blocks extra_c:2,extra_c:1 --base extra_c:2 --samples 2 --seed 5",
             0,
-            "15af9f2598b70b33690fe8d3cea08029abc3f655cfcca6a325d840a7555dcecb",
+            "019c9feb22562cffd581f389cf35e584348905bff35f55800cf94e2b9b69951b",
         ),
         "broken": (
             "--blocks broken --base q_bin --samples 2 --seed 5",

@@ -32,12 +32,12 @@ from qheine import catalog, cli, qcore
 from qheine.catalog.blocks import sample_block
 from qheine.catalog.classical import qbin_product, qbin_summation
 from qheine.multisum import HeineBlock, heine_sides, plan_term
-from qheine.qcore import PochCache, from_raw, value_key
+from qheine.qcore import PochCache, from_raw, raw_div, raw_mul, value_key
 from qheine.catalog.core import staircase
 from util import (
     Objects,
     evaluate,
-    qbin_term,
+    fold_once,
     raw_terms,
     rel,
     sample_points,
@@ -490,7 +490,7 @@ class TestBlockTerm:
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_equals_direct_product(self, complex_values):
         # term(ctx, k) is the summand at k: the coupling at the group
-        # weights times each block's part, in block order.
+        # weights times each block's part, in block order, rounded once.
         parts, coupling = _block_parts(complex_values)
         ctx = make_context({}, BaseSystem(mpf("0.5")))
         rng = random.Random(7)
@@ -505,10 +505,9 @@ class TestBlockTerm:
                 k = tuple(rng.randint(0, 4) for _ in range(6))
                 blocks = (k[:2], k[2:3], k[3:])
                 weights = tuple(sum(sum(blocks[r]) for r in g) for g in grouping)
-                direct = coupling(ctx, weights)
-                for part, sub in zip(parts, blocks):
-                    direct *= part(ctx, sub)
-                assert from_raw(side.term(ctx, k)) == direct
+                factors = [(raw_mul, coupling(ctx, weights))]
+                factors += [(raw_mul, part(ctx, sub)) for part, sub in zip(parts, blocks)]
+                assert from_raw(side.term(ctx, k)) == fold_once(factors)
                 assert isinstance(from_raw(side.term(ctx, k)), mpc) == complex_values
 
     def test_each_part_once_per_sub_index(self):
@@ -728,14 +727,26 @@ class TestSharedCrossBases:
             for w in range(6):
                 ctx.poch.next_shell()
                 for k in enumerate_shell(2, w):
-                    scale = mpf(1)
-                    for s, kr in zip(crosses, k):
-                        scale *= direct.intpow(s, kr)
+                    # Each product rounded once: w s, the coupling, each
+                    # block's summand and the term.
+                    stretched = [(raw_mul, self.w)]
+                    stretched += [
+                        (raw_mul, direct.intpow(s, kr)) for s, kr in zip(crosses, k)
+                    ]
                     product = qbin_product(self.b, B.qt)
-                    expected = from_raw(product(direct.cache, self.w * scale))
-                    expected /= from_raw(product(direct.cache, self.w))
+                    factors = [
+                        (raw_mul, from_raw(product(direct.cache, fold_once(stretched)))),
+                        (raw_div, from_raw(product(direct.cache, self.w))),
+                    ]
+                    factors = [(raw_mul, fold_once(factors))]
                     for a, z, kr in zip(self.uppers, self.arguments, k):
-                        expected *= qbin_term(direct, a, B.qh, z, (kr,))
+                        summand = [
+                            (raw_mul, direct.finite(a, B.qh, kr)),
+                            (raw_div, direct.finite(B.qh, B.qh, kr)),
+                            (raw_mul, direct.intpow(z, kr)),
+                        ]
+                        factors.append((raw_mul, fold_once(summand)))
+                    expected = fold_once(factors)
                     assert _bits(from_raw(lhs.term(ctx, k))) == _bits(expected), k
         # One per weight tuple; (0, 0) is the base argument itself.
         assert len(calls) == sum(w + 1 for w in range(6))
@@ -763,8 +774,8 @@ class TestSharedCrossBases:
 
 class TestCouplingMemo:
     """Where an inner weight exists, heine_sides computes each coupling's
-    product ratio once per (block, index) for the run, and every term is
-    still the unmemoised coupling times its parts, bit for bit."""
+    product once per (block, index) for the run, and every term is still
+    the unmemoised coupling times its parts, bit for bit."""
 
     bases = BaseSystem(mpf("0.35"), mpf("1.3"), mpf("0.8"))
     # (block specs, base spec): name and dims, as ``qheine compose`` reads them.
@@ -819,42 +830,58 @@ class TestCouplingMemo:
             start += size
         return out
 
+    @staticmethod
+    def _term(coupling, parts):
+        """The term: the coupling's factors rounded once, then times the
+        parts, rounded once."""
+        factors = [(raw_mul, fold_once(coupling))]
+        return fold_once(factors + [(raw_mul, from_raw(part)) for part in parts])
+
     def _lhs_reference(self, P, blocks, base, k):
         """The lhs term at k with its coupling evaluated afresh:
-        P_0(w s)/P_0(w) (sigma_0 w s)^{|kt|} times the block summands."""
+        P_0(w s)/P_0(w) (sigma_0 w s)^{|kt|} times the block summands, with
+        w s and sigma_0 w s each rounded once."""
         S0 = base.summation
         sizes = [b.summation.dimension for b in blocks] + [S0.inner_dimension]
         subs = self._split(k, sizes)
-        scale = mpf(1)
-        for block, sub in zip(blocks, subs):
-            scale *= from_raw(P.intpow(value_key(block.cross), sum(sub)))
-        value = from_raw(S0.product(P, base.argument * scale))
-        value /= from_raw(S0.product(P, base.argument))
+        powers = [
+            (raw_mul, from_raw(P.intpow(value_key(block.cross), sum(sub))))
+            for block, sub in zip(blocks, subs)
+        ]
+        stretched = fold_once([(raw_mul, base.argument)] + powers)
+        coupling = [
+            (raw_mul, from_raw(S0.product(P, stretched))),
+            (raw_div, from_raw(S0.product(P, base.argument))),
+        ]
         if S0.inner_dimension:
-            value *= (S0.stretch * base.argument * scale) ** sum(subs[-1])
+            arg = fold_once([(raw_mul, S0.stretch * base.argument)] + powers)
+            coupling.append((raw_mul, arg ** sum(subs[-1])))
         parts = [b.summation.term(P, b.argument, sub) for b, sub in zip(blocks, subs)]
         if S0.inner_dimension:
             parts.append(S0.inner(P, subs[-1]))
-        return math.prod(map(from_raw, parts), start=value)
+        return self._term(coupling, parts)
 
     def _rhs_reference(self, P, blocks, base, k):
         """The rhs term at k with its coupling evaluated afresh: prod_r
         P_r(z_r s_r^{|j|})/P_r(z_r) (sigma_r z_r s_r^{|j|})^{|jt_r|} times
-        the base summand and the inner summands."""
+        the base summand and the inner summands, with z_r s_r^{|j|} and
+        sigma_r z_r s_r^{|j|} each rounded once."""
         inner = [b for b in blocks if b.summation.inner_dimension]
         sizes = [base.summation.dimension] + [b.summation.inner_dimension for b in inner]
         subs = self._split(k, sizes)
         inner_subs = dict(zip(map(id, inner), subs[1:]))
-        value = mpf(1)
+        coupling = []
         for block in blocks:
             S, z = block.summation, block.argument
-            shift = from_raw(P.intpow(value_key(block.cross), sum(subs[0])))
-            value *= from_raw(S.product(P, z * shift)) / from_raw(S.product(P, z))
+            shift = (raw_mul, from_raw(P.intpow(value_key(block.cross), sum(subs[0]))))
+            coupling.append((raw_mul, from_raw(S.product(P, fold_once([(raw_mul, z), shift])))))
+            coupling.append((raw_div, from_raw(S.product(P, z))))
             if id(block) in inner_subs:
-                value *= (S.stretch * z * shift) ** sum(inner_subs[id(block)])
+                arg = fold_once([(raw_mul, S.stretch * z), shift])
+                coupling.append((raw_mul, arg ** sum(inner_subs[id(block)])))
         parts = [base.summation.term(P, base.argument, subs[0])]
         parts += [b.summation.inner(P, inner_subs[id(b)]) for b in inner]
-        return math.prod(map(from_raw, parts), start=value)
+        return self._term(coupling, parts)
 
     @pytest.mark.parametrize("spec", transformations)
     def test_one_product_per_block_and_index(self, spec):

@@ -2,6 +2,7 @@ import math
 import random
 import operator
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -443,8 +444,9 @@ class TestRawKernel:
     @given(st.lists(_kernel_arguments(arg_max=3.0, base_max=1.2), max_size=5))
     @settings(max_examples=80, deadline=None)
     def test_raw_folds_match_operator_chains(self, drawn):
-        # raw_sum adds raw values with the bits of the operator loop, at the
-        # working precision.
+        # raw_sum adds values with a complex one among them with the bits of
+        # the operator loop, at the working precision, and real values
+        # within its bound of their exact sum (TestRawSum).
         values = [x for _, x, base in drawn for x in (x, base)]
         for prec in (53, 128, 1024):
             with mp.workprec(prec):
@@ -452,7 +454,10 @@ class TestRawKernel:
                 for v in values:
                     total += v
                 got = qcore.from_raw(qcore.raw_sum([value_key(v) for v in values]))
-                assert _raw_value(got) == _raw_value(total)
+                if any(isinstance(v, mpc) for v in values):
+                    assert _raw_value(got) == _raw_value(total)
+                else:
+                    assert within_sum_bound(got, values)
 
     @pytest.mark.parametrize(
         "a, base",
@@ -743,6 +748,128 @@ class TestRawKernel:
         with mp.workprec(64):
             with pytest.raises(NonConvergentBase, match="did not reach tolerance"):
                 qpoch_infinite(mpf("0.5"), base)
+
+
+@st.composite
+def _fold_factors(draw):
+    """(prec, factors): a precision of 53 to 1100 bits and 1 to 12 (op, x)
+    pairs, op ``raw_mul`` or ``raw_div`` and x a nonzero real of either
+    sign and any exponent, most of them prec bits wide."""
+    prec = draw(st.integers(53, 1100))
+    factors = []
+    for _ in range(draw(st.integers(1, 12))):
+        width = draw(st.sampled_from([prec, prec, prec, draw(st.integers(1, prec))]))
+        man = draw(st.integers(2 ** (width - 1), 2**width - 1))
+        exp = draw(st.integers(-300, 300)) - width
+        x = mp.make_mpf(libmp.from_man_exp(-man if draw(st.booleans()) else man, exp))
+        factors.append((draw(st.sampled_from([qcore.raw_mul, qcore.raw_div])), x))
+    return prec, factors
+
+
+def _raw_pairs(factors):
+    return [(op, value_key(x)) for op, x in factors]
+
+
+def within_sum_bound(got, values) -> bool:
+    """Whether ``got`` is within the bound ``qcore.raw_sum`` states of the
+    exact sum of the real ``values`` at the working precision: half an ulp
+    of ``got`` plus n 2^-(prec+63) max |v|."""
+    exact = sum(map(util._exact, values), Fraction(0))
+    largest = max((abs(util._exact(v)) for v in values), default=Fraction(0))
+    ulp = Fraction(2) ** (got.man_exp[1] + got.man.bit_length() - mp.prec) if got else 0
+    bound = ulp / 2 + len(values) * largest / 2 ** (mp.prec + 63)
+    return abs(util._exact(got) - exact) <= bound
+
+
+class TestRawProduct:
+    """``qcore.raw_product`` rounds a product of regular reals once, and
+    takes any other product factor by factor in order."""
+
+    @given(_fold_factors())
+    @settings(max_examples=400, deadline=None)
+    @example((128, [(qcore.raw_mul, mpf(1) / 3)] * 8 + [(qcore.raw_div, mpf(1) / 7)] * 4))
+    @example((1024, [(qcore.raw_mul, mpf(1) / 3)] * 12))
+    def test_rounds_the_exact_value_once(self, drawn):
+        # Against fractions: the exact product rounded to nearest, or its
+        # neighbour only where the fold cut a long integer and the exact
+        # value lies within the cut's bound of a rounding boundary.
+        prec, factors = drawn
+        got = qcore.raw_product(_raw_pairs(factors), prec)
+        with mp.workprec(prec):
+            assert got in [value_key(v) for v in util.fold_values(factors)]
+
+    @pytest.mark.parametrize("prec", [53, 128, 1024])
+    @pytest.mark.parametrize(
+        "other",
+        [
+            libmp.fzero,
+            libmp.finf,
+            libmp.fninf,
+            libmp.fnan,
+            (libmp.from_float(0.3), libmp.from_float(-0.2)),
+        ],
+    )
+    @pytest.mark.parametrize("at", [0, 2, 5])
+    def test_other_values_take_the_sequential_fold(self, prec, other, at):
+        # Zero, inf, nan and complex factors: value = op(value, x) from 1, in
+        # order, bit for bit, with the other factor or divisor anywhere.
+        rng = random.Random(prec + at)
+        with mp.workprec(prec):
+            factors = [
+                (rng.choice([qcore.raw_mul, qcore.raw_div]), mpf(rng.uniform(-3, 3)) / 7)
+                for _ in range(5)
+            ]
+            for op in (qcore.raw_mul, qcore.raw_div):
+                drawn = factors[:at] + [(op, from_raw(other))] + factors[at:]
+                try:
+                    want = value_key(util.fold_in_order(drawn))
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        qcore.raw_product(_raw_pairs(drawn), prec)
+                    continue
+                assert qcore.raw_product(_raw_pairs(drawn), prec) == want
+
+    def test_empty_product_is_one(self):
+        assert qcore.raw_product([], 128) == fone
+
+
+class TestRawSum:
+    """``qcore.raw_sum`` adds real values in fixed point and rounds once."""
+
+    @given(
+        st.integers(53, 1100),
+        st.lists(
+            st.tuples(
+                st.integers(-(2**1100), 2**1100), st.integers(-1200, 200)
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_within_the_stated_bound(self, prec, drawn):
+        values = [mp.make_mpf(libmp.from_man_exp(man, exp)) for man, exp in drawn]
+        with mp.workprec(prec):
+            got = from_raw(qcore.raw_sum([value_key(v) for v in values]))
+            assert within_sum_bound(got, values)
+
+    @pytest.mark.parametrize("prec", [53, 128, 1024])
+    def test_exact_cancellation_is_zero(self, prec):
+        rng = random.Random(prec)
+        with mp.workprec(prec):
+            values = [mpf(rng.uniform(-1, 1)) / 7 for _ in range(6)]
+            raw = [value_key(v) for v in values]
+            negated = [libmp.mpf_neg(v) for v in raw]
+            assert qcore.raw_sum(raw + negated[::-1]) == libmp.fzero
+            assert qcore.raw_sum([libmp.fzero] * 3) == libmp.fzero
+            assert qcore.raw_sum([]) == libmp.fzero
+
+    @pytest.mark.parametrize("prec", [53, 128, 1024])
+    def test_single_value_comes_back(self, prec):
+        with mp.workprec(prec):
+            value = value_key(-mpf(1) / 3)
+            assert qcore.raw_sum([value]) == value
+            assert qcore.raw_sum([libmp.fzero, value, libmp.fzero]) == value
 
 
 class TestThresholdMemo:

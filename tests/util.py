@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, mpmathify
+from mpmath.libmp import from_man_exp
 
 from qheine.catalog.an_qbinomial import (
     euler_exp_summation,
@@ -38,6 +39,8 @@ from qheine.qcore import (
     e2,
     from_raw,
     qpoch_infinite,
+    raw_div,
+    raw_mul,
     value_key,
 )
 
@@ -48,6 +51,10 @@ MAX_FACTORS = 200_000
 
 # Must equal qcore._GUARD.
 GUARD = 32
+
+# Must equal qcore._EXACT_BITS and qcore._FOLD_GUARD.
+EXACT_BITS = 1024
+FOLD_GUARD = 64
 
 
 def qpoch_finite(a, base, k):
@@ -111,8 +118,8 @@ def qpoch_infinite_ref(a, base, tol=None):
 
 def _exact(x) -> Fraction:
     """The value of a finite mpf as a fraction."""
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def real_product(a, base, tol=None):
@@ -186,9 +193,67 @@ def real_product(a, base, tol=None):
             return prod, count
 
 
+def fold_in_order(factors):
+    """``value = value * x`` or ``value / x`` from 1 on mpmath objects, for
+    (op, x) pairs with op ``qcore.raw_mul`` or ``qcore.raw_div``, in order:
+    the fold ``qcore.raw_product`` takes for a zero, inf, nan or complex
+    x."""
+    value = mpf(1)
+    for op, x in factors:
+        value = value * x if op is raw_mul else value / x
+    return value
+
+
+def fold_values(factors) -> tuple:
+    """The values ``qcore.raw_product`` may give for (op, x) pairs of mpmath
+    objects at the working precision, the nearest first.
+
+    Where every x is a nonzero finite mpf, the factors and divisors are
+    multiplied as fractions and rounded once to nearest, ties to even.  The
+    fold cuts its running numerator or denominator back to prec +
+    ``FOLD_GUARD`` bits once it passes 2^``EXACT_BITS`` and 2^(prec +
+    ``FOLD_GUARD``); where one of the exact running integers does so, and
+    the exact value lies within
+    m 2^-(prec+62) relative of a rounding boundary (m pairs), the value on
+    the boundary's other side is accepted too.  Any other x: the values of
+    ``fold_in_order``."""
+    if not all(isinstance(x, mpf) and x and mp.isfinite(x) for _, x in factors):
+        return (fold_in_order(factors),)
+    prec = mp.prec
+    exact = Fraction(1)
+    running = {raw_mul: 1, raw_div: 1}
+    limit = 2 ** max(EXACT_BITS, prec + FOLD_GUARD)
+    cut = False
+    for op, x in factors:
+        exact = exact * _exact(x) if op is raw_mul else exact / _exact(x)
+        running[op] *= abs(x.man)
+        cut = cut or running[op] > limit
+    size = abs(exact)
+    shift = size.numerator.bit_length() - size.denominator.bit_length() - prec
+    while size / Fraction(2) ** shift >= 2**prec:
+        shift += 1
+    while size / Fraction(2) ** shift < 2 ** (prec - 1):
+        shift -= 1
+    scaled = size / Fraction(2) ** shift
+    mans = [round(scaled)]
+    low = math.floor(scaled)
+    bound = len(factors) * scaled / 2 ** (prec + 62)
+    if cut and abs(scaled - low - Fraction(1, 2)) < bound:
+        mans.append(low + 1 if mans[0] == low else low)
+    sign = -1 if exact < 0 else 1
+    return tuple(mp.make_mpf(from_man_exp(sign * m, shift)) for m in mans)
+
+
+def fold_once(factors):
+    """The nearest of ``fold_values``: the value ``qcore.raw_product`` gives
+    for (op, x) pairs of mpmath objects, wherever its cuts keep it."""
+    return fold_values(factors)[0]
+
+
 def vandermonde_ratio_loop(x, k, step_power):
     """Reference prod_{r<s} (1 - S^{k_r-k_s} x_r/x_s) / (1 - x_r/x_s): the
-    uncached loop on mpmath objects at the working precision, which
+    uncached loop over the pairs on mpmath objects at the working
+    precision, with its factors multiplied by ``fold_once``, which
     ``multisum.vandermonde_ratio`` must match bit for bit.  A pair whose
     numerator or denominator is below ``multisum._LOSS`` goes through
     ``exact_pair``."""
@@ -204,15 +269,15 @@ def vandermonde_ratio_loop(x, k, step_power):
             if den == 0:
                 raise DegenerateVariables(f"x[{r}] == x[{s}]")
             pairs.append((r, s, ratio, den))
-    value = mpf(1)
+    factors = []
     for r, s, ratio, den in pairs:
         shift = k[r] - k[s]
         num = 1 - step**shift * ratio
         if abs(den) < _LOSS or abs(num) < _LOSS:
-            value *= exact_pair(x[r], x[s], step, shift, 0)
+            factors.append((raw_mul, exact_pair(x[r], x[s], step, shift, 0)))
         else:
-            value *= num / den
-    return value
+            factors.append((raw_mul, num / den))
+    return fold_once(factors)
 
 
 def qpoch_ratio(a, base, scale, tol=None):
