@@ -3,9 +3,10 @@
 
 Draws the family's first sample at seed 1 (``catalog.sample_domain(identity,
 1, 1)``) at 128 bits, and evaluates the requested side on a fresh context of
-that draw, so no product of the other side is in its cache.  Prints one
-line: the wall time of the evaluation in seconds, the indices summed
-(``Diagnostics.terms``) and the shells.
+that draw.  Prints one line: the wall time of the evaluation in seconds, the
+indices summed (``Diagnostics.terms``), the shells and the infinite products
+the side computed (the calls of ``qcore.qpoch_infinite``, which this script
+wraps while the side is evaluated).
 
 Example:
     PYTHONPATH=src python3 scripts/side_cost.py master_instance_lauricella \
@@ -16,7 +17,7 @@ import argparse
 import sys
 import time
 
-from qheine import catalog
+from qheine import catalog, qcore
 from qheine.cli import parse_dims_spec
 from qheine.multisum import evaluate_in_context, make_context
 
@@ -31,12 +32,24 @@ def main(argv=None) -> int:
     [drawn] = catalog.sample_domain(identity, seed=1, count=1, prec=128)
     ctx = make_context(drawn.params, drawn.bases)
     side = getattr(identity, args.side)
-    start = time.perf_counter()
-    _, diag = evaluate_in_context(side, ctx, identity.policy)
-    seconds = time.perf_counter() - start
+    kernel = qcore.qpoch_infinite
+    products = 0
+
+    def counted(a, base, tol=None):
+        nonlocal products
+        products += 1
+        return kernel(a, base, tol)
+
+    qcore.qpoch_infinite = counted
+    try:
+        start = time.perf_counter()
+        _, diag = evaluate_in_context(side, ctx, identity.policy)
+        seconds = time.perf_counter() - start
+    finally:
+        qcore.qpoch_infinite = kernel
     print(
         f"{args.family} {args.side} seconds={seconds:.4f} "
-        f"terms={diag.terms} shells={diag.shells}"
+        f"terms={diag.terms} shells={diag.shells} products={products}"
     )
     return 0
 

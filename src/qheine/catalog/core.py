@@ -510,21 +510,26 @@ class ProductSpec:
     each a ``numer(c_i, b_i)`` or a ``denom(c_i, b_i)``.  Called as
     product(P, z) with z an mpf or mpc, or as product(P) for the constant
     prod_i (c_i; b_i)_oo^{+-1}.  c_i z is multiplied at the working
-    precision (z itself where c_i is 1), and the raw factors, in list
-    order, are one ``raw_product``, rounded once; the product is a raw
-    value."""
+    precision (z itself where c_i is 1), each distinct (c_i z, b_i) is
+    computed once per call, and the raw factors, in list order, are one
+    ``raw_product``, rounded once; the product is a raw value."""
 
     factors: Sequence
 
     def __call__(self, P, z=None) -> tuple:
         prec = mp.prec
         raw_z = None if z is None else value_key(z)
+        products = {}
         factors = []
         for c, base, _, op in self.factors:
             c = value_key(c)
             if raw_z is not None:
                 c = raw_z if c == fone else raw_mul(c, raw_z, prec)
-            factors.append((op, P.infinite(c, value_key(base))))
+            key = c, value_key(base)
+            value = products.get(key)
+            if value is None:
+                value = products[key] = P.infinite(*key)
+            factors.append((op, value))
         return raw_product(factors, prec)
 
 

@@ -34,7 +34,7 @@ from dataclasses import replace
 
 from mpmath import mp
 
-from ..multisum import HeineBlock, TruncationPolicy, heine_sides
+from ..multisum import HeineBlock, TruncationPolicy, heine_sides, own_product
 from ..qcore import e2, from_raw
 from .an_qbinomial import (
     euler_exp_summation,
@@ -53,7 +53,6 @@ from .core import (
     denom,
     geom,
     numer,
-    run_memo,
     spec_side,
     staircase,
     tri,
@@ -69,36 +68,24 @@ _SLOW_POLICY = TruncationPolicy(max_shell_weight=170)
 # -- entries built by Heine's method -----------------------------------------
 
 
-def _displayed(shapes, base_shape, bind, common):
+def _displayed(shapes, base_shape, bind, over_block: bool):
     """The sides of ``multisum.heine_sides(shapes, base_shape, bind)`` as
-    displayed: both multiplied by ``common(P, blocks, base)``, which is the
-    lhs prefactor and multiplies the rhs one.  ``common`` is built from the
-    bound blocks' own products, which the rhs prefactor computes anyway.
-    Both read one ``bind`` per run (``run_memo``)."""
-
-    def bound(ctx):
-        return run_memo(ctx, bind)
-
-    lhs, rhs = heine_sides(shapes, base_shape, bound)
+    displayed: both multiplied by the base block's product P_0(w), over the
+    block's P_1(z) if ``over_block``.  That factor is the lhs prefactor and
+    multiplies the rhs one; its products are the ``own_product`` values the
+    rhs prefactor and the couplings read, so none is computed twice."""
+    lhs, rhs = heine_sides(shapes, base_shape, bind)
 
     def factor(ctx):
-        return common(ctx.poch, *bound(ctx))
+        value = from_raw(own_product(ctx, lhs.bind, 1))
+        if over_block:
+            value /= from_raw(own_product(ctx, lhs.bind, 0))
+        return value
 
     def rhs_prefactor(ctx):
         return factor(ctx) * rhs.prefactor(ctx)
 
     return replace(lhs, prefactor=factor), replace(rhs, prefactor=rhs_prefactor)
-
-
-def _base_product(P, blocks, base):
-    return from_raw(base.summation.product(P, base.argument))
-
-
-def _base_over_block(P, blocks, base):
-    (block,) = blocks
-    return _base_product(P, blocks, base) / from_raw(
-        block.summation.product(P, block.argument)
-    )
 
 
 # -- the central bibasic identity and its m-fold to n-fold extension ----------
@@ -132,7 +119,7 @@ def _ram_1_4_1_build(dims):
         base = replace(base, product=product)
         return (block,), HeineBlock(base, p["d"] * q_hn)
 
-    return _displayed(((m, 0),), (n, 0), bind, _base_over_block)
+    return _displayed(((m, 0),), (n, 0), bind, over_block=True)
 
 
 def _over(power):
@@ -354,7 +341,7 @@ def _partial_theta_build(kind, exponents):
             block = HeineBlock(*kind(B, e, m, p["b"]), B.power(g))
             return (block,), HeineBlock(*kind(B, f, n, p["a"]))
 
-        return _displayed(((m, 0),), (n, 0), bind, _base_product)
+        return _displayed(((m, 0),), (n, 0), bind, over_block=False)
 
     return build
 

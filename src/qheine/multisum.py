@@ -249,6 +249,22 @@ def domain_fault(bind, ctx) -> str | None:
     return None
 
 
+def own_product(ctx, bind, r: int) -> tuple:
+    """Block r's product at its own argument, P_r(z_r), of the blocks and
+    base block ``bind(ctx)`` returns (r = the number of blocks: the base
+    block's P_0(w)), as a raw value.  Once per run: it is kept in the run's
+    ``PochCache.terms`` under (bind, r), for the Heine couplings and for any
+    prefactor that reads it."""
+    memo = ctx.poch.terms
+    key = (bind, r)
+    value = memo.get(key)
+    if value is None:
+        blocks, base = bind(ctx)
+        block = blocks[r] if r < len(blocks) else base
+        value = memo[key] = block.summation.product(ctx.poch, block.argument)
+    return value
+
+
 def heine_sides(
     shapes: Sequence[tuple[int, int]], base_shape: tuple[int, int], bind
 ) -> tuple[SeriesSide, SeriesSide]:
@@ -258,8 +274,9 @@ def heine_sides(
     ``base_shape`` the base block's; an inner dimension of 0 means a plain
     summation.  ``bind(ctx)`` returns the run's blocks and base block as
     ``HeineBlock`` values; it is called once per run and kept in the run's
-    ``PochCache.terms`` under ``bind``, and so are the products P_r(z_r) and
-    P_0(w) that the couplings divide by, as raw values.  With z_r, s_r,
+    ``PochCache.terms`` under ``bind``.  The products P_r(z_r) and P_0(w)
+    that the couplings divide by are each ``own_product`` of the sides'
+    ``SeriesSide.bind``, once per run.  With z_r, s_r,
     S_r, P_r, R_r, sigma_r the blocks' arguments, cross bases, summands,
     products, inner summands and stretches, w and index 0 for the base
     block, and s = prod_r s_r^{|k_r|}:
@@ -335,18 +352,6 @@ def heine_sides(
     def inner_summand(r):
         return lambda ctx, j: bound(ctx)[0][r].summation.inner(ctx.poch, j)
 
-    def at_argument(ctx, r):
-        """P_r(z_r), or P_0(w) for r = p, as a raw value: block r's product
-        at its own argument, which the couplings divide by, once per run
-        and kept in the run's ``PochCache.terms``."""
-        memo = ctx.poch.terms
-        key = (at_argument, r)
-        value = memo.get(key)
-        if value is None:
-            block = bound(ctx)[0][r]
-            value = memo[key] = block.summation.product(ctx.poch, block.argument)
-        return value
-
     def stretched(ctx, r, index) -> tuple:
         """Block r's product P_r(z_r S) at the stretch S of ``index`` (r =
         p: the base block, at w and the group weights; else the base block's
@@ -376,7 +381,7 @@ def heine_sides(
         z = args[r]
         zs = raw_product([(raw_mul, z), *powers], prec)
         if zs == z:
-            product = at_argument(ctx, r)
+            product = own_product(ctx, bound_blocks, r)
         else:
             product = blocks[r].summation.product(P, from_raw(zs))
         arg = None
@@ -392,7 +397,7 @@ def heine_sides(
         P_0(w s)/P_0(w) times the inner power, one ``raw_product``."""
         prec = mp.prec
         product, arg = stretched(ctx, p, weights[:-1] if base_inner else weights)
-        factors = [(raw_mul, product), (raw_div, at_argument(ctx, p))]
+        factors = [(raw_mul, product), (raw_div, own_product(ctx, bound_blocks, p))]
         if base_inner:
             factors.append((raw_mul, _pow_int(arg, weights[-1], prec)))
         return raw_product(factors, prec)
@@ -406,14 +411,14 @@ def heine_sides(
         factors = []
         for r in range(p):
             product, arg = stretched(ctx, r, weights[0])
-            factors += (raw_mul, product), (raw_div, at_argument(ctx, r))
+            factors += (raw_mul, product), (raw_div, own_product(ctx, bound_blocks, r))
             if r in inner_weights:
                 factors.append((raw_mul, _pow_int(arg, inner_weights[r], prec)))
         return raw_product(factors, prec)
 
     def rhs_prefactor(ctx):
-        factors = [(raw_mul, at_argument(ctx, r)) for r in range(p)]
-        factors.append((raw_div, at_argument(ctx, p)))
+        factors = [(raw_mul, own_product(ctx, bound_blocks, r)) for r in range(p)]
+        factors.append((raw_div, own_product(ctx, bound_blocks, p)))
         return from_raw(raw_product(factors, mp.prec))
 
     lhs_blocks = [(outer, summand(r)) for r, (outer, _) in enumerate(shapes)]
@@ -492,12 +497,8 @@ def evaluate_in_context(
     side's value is ``pref * total``.  ``Diagnostics.terms``
     counts the indices summed, C(W+N-1, N-1) in shell W of an N-fold side.
 
-    Each shell starts with ``ctx.poch.next_shell()``, and the loop ends with
-    ``ctx.poch.leave_shells()``: a product or ratio requested in one shell
-    only is dropped two shells later, and the prefactor's are kept for the
-    run, as are integer powers.  A zero denominator raises
-    ``PoleEncountered`` naming the prefactor, a part's index (and its block,
-    in a plan) or a coupling's weight tuple.
+    A zero denominator raises ``PoleEncountered`` naming the prefactor, a
+    part's index (and its block, in a plan) or a coupling's weight tuple.
     """
     if policy is None:
         policy = TruncationPolicy()
@@ -523,64 +524,59 @@ def evaluate_in_context(
         small_streak = 0
         prev_shell_abs = None
         shell_abs = mpf(0)
-        poch = ctx.poch
 
-        try:
-            for w in range(policy.max_shell_weight + 1):
-                poch.next_shell()
-                for b, ((size, part), block_sums) in blocks:
-                    values = []
-                    try:
-                        for k in enumerate_shell(size, w):
-                            values.append(part(ctx, k))
-                    except (ZeroDivisionError, DivisionByZero) as exc:
-                        where = f" of block {b}" if side.parts else ""
-                        raise PoleEncountered(
-                            f"zero denominator at index {k}{where}: {exc}"
-                        ) from exc
-                    block_sums.append(raw_sum(values))
-                for sigmas, group_sum in zip(sums, group_sums):
-                    if len(sigmas) > 1:
-                        products = [
-                            raw_product([(raw_mul, s[u]) for s, u in zip(sigmas, v)], prec)
-                            for v in enumerate_shell(len(sigmas), w)
-                        ]
-                        group_sum.append(raw_sum(products))
-                if side.parts:
-                    values = []
-                    try:
-                        for weights in enumerate_shell(len(plan), w):
-                            factors = [s[u] for s, u in zip(group_sums, weights)]
-                            values.append(side.term(ctx, weights, factors))
-                    except (ZeroDivisionError, DivisionByZero) as exc:
-                        raise PoleEncountered(
-                            f"zero denominator at weight index {weights}: {exc}"
-                        ) from exc
-                    shell = raw_sum(values)
-                else:
-                    shell = group_sums[0][w]
-                diag.terms += math.comb(w + side.dimension - 1, w)
-                shell_sum = from_raw(shell)
-                total += shell_sum
-                diag.shells = w + 1
-                prev_shell_abs = shell_abs if w > 0 else None
-                shell_abs = abs(shell_sum)
-                ratio = shell_abs / max(abs(total), _TINY)
-                if w >= policy.min_shells and ratio < tail_tol:
-                    small_streak += 1
-                    if small_streak >= 2:
-                        break
-                else:
-                    small_streak = 0
+        for w in range(policy.max_shell_weight + 1):
+            for b, ((size, part), block_sums) in blocks:
+                values = []
+                try:
+                    for k in enumerate_shell(size, w):
+                        values.append(part(ctx, k))
+                except (ZeroDivisionError, DivisionByZero) as exc:
+                    where = f" of block {b}" if side.parts else ""
+                    raise PoleEncountered(
+                        f"zero denominator at index {k}{where}: {exc}"
+                    ) from exc
+                block_sums.append(raw_sum(values))
+            for sigmas, group_sum in zip(sums, group_sums):
+                if len(sigmas) > 1:
+                    products = [
+                        raw_product([(raw_mul, s[u]) for s, u in zip(sigmas, v)], prec)
+                        for v in enumerate_shell(len(sigmas), w)
+                    ]
+                    group_sum.append(raw_sum(products))
+            if side.parts:
+                values = []
+                try:
+                    for weights in enumerate_shell(len(plan), w):
+                        factors = [s[u] for s, u in zip(group_sums, weights)]
+                        values.append(side.term(ctx, weights, factors))
+                except (ZeroDivisionError, DivisionByZero) as exc:
+                    raise PoleEncountered(
+                        f"zero denominator at weight index {weights}: {exc}"
+                    ) from exc
+                shell = raw_sum(values)
             else:
-                diag.converged = False
-                warnings.warn(
-                    "tail ratio never fell below tolerance before the shell cap",
-                    TruncationNotConverged,
-                    stacklevel=2,
-                )
-        finally:
-            poch.leave_shells()
+                shell = group_sums[0][w]
+            diag.terms += math.comb(w + side.dimension - 1, w)
+            shell_sum = from_raw(shell)
+            total += shell_sum
+            diag.shells = w + 1
+            prev_shell_abs = shell_abs if w > 0 else None
+            shell_abs = abs(shell_sum)
+            ratio = shell_abs / max(abs(total), _TINY)
+            if w >= policy.min_shells and ratio < tail_tol:
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+        else:
+            diag.converged = False
+            warnings.warn(
+                "tail ratio never fell below tolerance before the shell cap",
+                TruncationNotConverged,
+                stacklevel=2,
+            )
 
         # Geometric tail estimate from the last two shells, floored at the
         # precision noise level so the bound is never vacuously zero.

@@ -678,75 +678,33 @@ class BaseSystem:
         return f"BaseSystem(q={self.q}, h={self.h}, t={self.t}, prec={self.prec})"
 
 
-class ShellMemo(dict):
-    """A memo whose values live for the run or for two shells.
-
-    The dict itself holds the run's values.  A value computed inside a shell
-    of ``multisum.evaluate_in_context`` is kept in ``young`` for that shell
-    and in ``old`` for the next one, then dropped; a second request in that
-    window moves it to the run.  A value computed outside the shell loop,
-    such as a prefactor's, goes straight to the run.
-    """
-
-    __slots__ = ("young", "old")
-
-    def __init__(self):
-        super().__init__()
-        self.young: dict = {}
-        self.old: dict = {}
-
-    def find(self, key):
-        """The value under ``key``, or None; a young or old value found is
-        moved to the run."""
-        value = self.get(key)
-        if value is None:
-            value = self.young.pop(key, None)
-            if value is None:
-                value = self.old.pop(key, None)
-                if value is None:
-                    return None
-            self[key] = value
-        return value
-
-    def keep(self, key, value, in_shell: bool) -> None:
-        """Store a value just computed, in a shell or for the run."""
-        (self.young if in_shell else self)[key] = value
-
-    def age(self) -> None:
-        """A shell boundary: the last shell's values become old, and the
-        values computed in the shell before and not requested again go."""
-        self.old = self.young
-        self.young = {}
-
-
 class PochCache:
     """Memoised q-rising factorials and term-layer values for one run.
 
     Values are bit-identical to computing them from scratch at the cache
     precision; the cache only removes repeated work across the many series
-    terms that share the same products, powers and pair tables.  Inside a
-    side every value is raw, an ``_mpf_`` or ``_mpc_`` tuple: ``infinite``
-    and ``intpow`` take and return raw values, and the finite tables hold
-    them; read one as an mpf or mpc with ``from_raw``.  Every key is built
-    from raw values, so no lookup hashes an mpf object.  Infinite products
-    are kept in a ``ShellMemo``: a value computed in a shell lives for
-    that shell and the next unless it is requested again there.
-    ``next_shell`` and ``leave_shells`` mark the shell loop.  Integer
-    powers, finite tables and ``table`` values are kept for the run: a run
-    raises a few constants to powers that recur across shells and sides,
-    such as the Heine cross powers that a lhs shell and, shells later, the
-    rhs ask for.  The Vandermonde pair tables keep each
-    pair's raw factors by shift.
+    terms that share the same powers and pair tables.  Inside a side every
+    value is raw, an ``_mpf_`` or ``_mpc_`` tuple: ``infinite`` and
+    ``intpow`` take and return raw values, and the finite tables hold them;
+    read one as an mpf or mpc with ``from_raw``.  Every key is built from
+    raw values, so no lookup hashes an mpf object.  Integer powers, finite
+    tables and ``table`` values are kept for the run: a run raises a few
+    constants to powers that recur across shells and sides, such as the
+    Heine cross powers that a lhs shell and, shells later, the rhs ask for.
+    The Vandermonde pair tables keep each pair's raw factors by shift.
     ``terms`` holds the run's bound blocks under their ``bind`` function
     (``multisum.heine_sides``, ``catalog.core.run_memo``), the products at
-    the Heine blocks' own arguments and the coupling ratios of transformation
-    blocks by index.  No part or coupling value is kept here: the shell loop
-    keeps each block's shell sums for one evaluation.
+    the Heine blocks' own arguments (``multisum.own_product``) and the
+    stretched products of blocks with an inner sum by index.  No part or
+    coupling value is kept here: the shell loop keeps each block's shell
+    sums for one evaluation.
 
-    An infinite product whose first factor is below the truncation
-    threshold by magnitude is exactly 1: ``infinite`` returns libmp's
-    shared ``fone`` for it without calling ``qpoch_infinite`` or storing
-    it.  The threshold's magnitude is kept per real base for the run.
+    Infinite products are not kept: each is computed where it is asked
+    for, and the callers that read one product twice keep it themselves.
+    One whose first factor is below the truncation threshold by magnitude
+    is exactly 1: ``infinite`` returns libmp's shared ``fone`` for it
+    without calling ``qpoch_infinite``.  The threshold's magnitude is kept
+    per real base for the run.
     """
 
     def __init__(self, prec: int, tol=None):
@@ -754,23 +712,12 @@ class PochCache:
         self.tol = tol if tol is not None else default_tol(self.prec)
         with mp.workprec(self.prec):
             self._raw_tol = mpmathify(self.tol)._mpf_
-        self.in_shell = False
         self._finite: dict = {}
-        self._infinite = ShellMemo()
         self._intpow: dict = {}
         self._empty_below: dict = {}
         self._tables: dict = {}
         self._last: dict = {}
         self.terms: dict = {}
-
-    def next_shell(self) -> None:
-        """Mark the start of a shell of the series being summed."""
-        self.in_shell = True
-        self._infinite.age()
-
-    def leave_shells(self) -> None:
-        """Mark the end of the shell loop: later values are kept for the run."""
-        self.in_shell = False
 
     def finite_table(self, a, base) -> FiniteTable:
         """The list of raw (a; base)_0, (a; base)_1, ... kept for this run,
@@ -789,7 +736,8 @@ class PochCache:
 
     def infinite(self, a, base) -> tuple:
         """(a; base)_oo at the cache precision for a raw ``a`` and ``base``,
-        as a raw value; an empty product is libmp's shared ``fone``.
+        as a raw value; an empty product is libmp's shared ``fone``.  Not
+        kept: a second request computes the product again.
 
         The product is computed by the module's ``qpoch_infinite`` at the
         cache precision, entered with the mpf or mpc objects of the
@@ -804,17 +752,12 @@ class PochCache:
             _, man, exp, bc = a
             if man and bc <= self.prec and exp + bc < below:
                 return fone
-        key = (a, base)
-        value = self._infinite.find(key)
-        if value is None:
-            if mp.prec == self.prec:
+        if mp.prec == self.prec:
+            value = qpoch_infinite(from_raw(a), from_raw(base), self.tol)
+        else:
+            with mp.workprec(self.prec):
                 value = qpoch_infinite(from_raw(a), from_raw(base), self.tol)
-            else:
-                with mp.workprec(self.prec):
-                    value = qpoch_infinite(from_raw(a), from_raw(base), self.tol)
-            value = value_key(value)
-            self._infinite.keep(key, value, self.in_shell)
-        return value
+        return value_key(value)
 
     def _empty_magnitude(self, base) -> int | None:
         """The magnitude (exponent + bit count) of the threshold
@@ -836,7 +779,8 @@ class PochCache:
 
     def ratio(self, a, base, scale) -> QComplex:
         """(a; base)_kappa with scale = base**kappa, as a product ratio: an
-        mpf or mpc object.  Not memoised itself: its two products are."""
+        mpf or mpc object.  Not memoised, and neither are its two
+        products."""
         a, base = value_key(a), value_key(base)
         num = self.infinite(a, base)
         den = self.infinite(raw_mul(a, value_key(scale), self.prec), base)

@@ -518,13 +518,14 @@ def _load_script(name):
 
 def test_side_cost_prints_one_side_of_one_case(capsys):
     # scripts/side_cost.py times one side alone on the family's first draw
-    # at seed 1; its index and shell counts are those of the report.
+    # at seed 1; its index and shell counts are those of the report, and
+    # it counts the infinite products the side computed.
     script = _load_script("side_cost")
     argv = ["master_instance_lauricella", "--dims", "p=2,n=2,m=1", "--side", "lhs"]
     assert script.main(argv) == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("master_instance_lauricella lhs seconds=")
-    assert line.endswith(" terms=52360 shells=32"), line
+    assert line.endswith(" terms=52360 shells=32 products=18"), line
 
 
 def test_fold_cost_prints_both_tables(capsys):

@@ -725,7 +725,6 @@ class TestSharedCrossBases:
         direct = Objects(PochCache(B.prec))
         with mp.workprec(B.prec):
             for w in range(6):
-                ctx.poch.next_shell()
                 for k in enumerate_shell(2, w):
                     # Each product rounded once: w s, the coupling, each
                     # block's summand and the term.
@@ -908,12 +907,10 @@ class TestCouplingMemo:
         for side, reference in ((lhs, self._lhs_reference), (rhs, self._rhs_reference)):
             with mp.workprec(B.prec):
                 for w in range(7):
-                    ctx.poch.next_shell()
                     for k in enumerate_shell(side.dimension, w):
                         expected = reference(direct, blocks, base, k)
                         got = from_raw(side.term(ctx, k))
                         assert _bits(got) == _bits(expected), k
-            ctx.poch.leave_shells()
 
     def test_own_product_of_zero(self):
         # (b w; q^t)_oo = 0 at b w = 1: P_0(w) = 0 ends the lhs at its first
@@ -1021,68 +1018,9 @@ class TestRawValuesInsideASide:
         assert 2 * (made[2] - made[1]) < terms[2] - terms[1], runs
 
 
-class TestShellLifetimes:
-    """evaluate_in_context marks each shell, so a product lives in the
-    run's cache for as long as it is requested again."""
-
-    q = mpf("0.1")
-
-    def test_left_prefactor_product_read_by_right_terms(self, computed):
-        q, a = self.q, mpf("0.3")
-
-        def product(ctx):
-            return Objects(ctx.poch).infinite(a, q)
-
-        def rhs_term(ctx, k):
-            return q ** k[0] * (product(ctx) if k[0] == 9 else 1)
-
-        lhs = SeriesSide(1, raw_terms(lambda ctx, k: q ** k[0]), prefactor=product)
-        ctx = make_context({}, BaseSystem(q))
-        evaluate_in_context(lhs, ctx)
-        evaluate_in_context(SeriesSide(1, raw_terms(rhs_term)), ctx)
-        assert len(computed) == 1
-
-    def test_product_of_consecutive_shells_computed_once(self, computed):
-        q = self.q
-
-        def term(ctx, k):
-            return q ** k[0] * Objects(ctx.poch).infinite(q ** (k[0] // 2), q)
-
-        ctx = make_context({}, BaseSystem(q))
-        _, diag = evaluate_in_context(SeriesSide(1, raw_terms(term)), ctx)
-        assert len(computed) == (diag.shells + 1) // 2
-        assert ctx.poch.in_shell is False
-
-    def test_product_requested_once_is_dropped(self, computed):
-        q = self.q
-
-        def term(ctx, k):
-            return q ** k[0] * Objects(ctx.poch).infinite(q ** (k[0] + 1), q)
-
-        ctx = make_context({}, BaseSystem(q))
-        _, diag = evaluate_in_context(SeriesSide(1, raw_terms(term)), ctx)
-        memo = ctx.poch._infinite
-        assert len(computed) == diag.shells
-        assert not memo and len(memo.young) == len(memo.old) == 1
-
-    def test_qlauricella_left_side_keeps_two_shells(self, computed, monkeypatch):
-        identity = catalog.lookup("qlauricella_bibasic").instantiate({"p": 3})
-        params, bases = sample_points(identity, seed=1, count=1)[0]
-        ctx = make_context(params, bases)
-        marks = []
-        raw_next = qcore.PochCache.next_shell
-
-        def next_shell(cache):
-            marks.append(len(computed))
-            raw_next(cache)
-
-        monkeypatch.setattr(qcore.PochCache, "next_shell", next_shell)
-        _, diag = evaluate_in_context(identity.lhs, ctx, identity.policy)
-        memo = ctx.poch._infinite
-        last_two = len(computed) - marks[-2]
-        assert diag.shells > 20 and len(computed) > 5 * last_two
-        assert len(memo.young) + len(memo.old) == last_two
-        assert len(memo) < diag.shells
+class TestProductsComputedOnce:
+    """No case computes an infinite product twice: the (a, base) of every
+    product the kernel computes under one run's ``PochCache`` is distinct."""
 
     @pytest.mark.parametrize(
         "run",
@@ -1095,6 +1033,8 @@ class TestShellLifetimes:
             lambda: _verify_cases("ram_1_4_1_anm", [{"n": 2, "m": 2}]),
             lambda: _verify_cases("ram_eq26_a2", [{"m": 2}]),
             _compose_case,
+            lambda: _verify_cases("ram_1_4_10"),
+            lambda: _verify_cases("ram_1_4_9a", [{"m": 2}]),
         ],
         ids=[
             "master_instance_lauricella",
@@ -1103,12 +1043,25 @@ class TestShellLifetimes:
             "ram_1_4_1_anm",
             "ram_eq26_a2",
             "compose",
+            "ram_1_4_10",
+            "ram_1_4_9a",
         ],
     )
-    def test_as_few_products_as_an_unbounded_memo(self, computed, monkeypatch, run):
+    def test_no_product_computed_twice(self, computed, monkeypatch, run):
+        # A new cache starts a new run: mark it among the products.
+        raw_init = qcore.PochCache.__init__
+
+        def init(cache, *args, **kwargs):
+            computed.append(None)
+            raw_init(cache, *args, **kwargs)
+
+        monkeypatch.setattr(qcore.PochCache, "__init__", init)
         run()
-        bounded = len(computed)
-        computed.clear()
-        monkeypatch.setattr(qcore.ShellMemo, "age", lambda memo: None)
-        run()
-        assert bounded == len(computed) > 0
+        runs = [[]]
+        for call in computed:
+            if call is None:
+                runs.append([])
+            else:
+                runs[-1].append(tuple(map(qcore.value_key, call)))
+        assert all(len(set(keys)) == len(keys) for keys in runs)
+        assert sum(map(len, runs)) > 0

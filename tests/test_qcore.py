@@ -939,67 +939,10 @@ def computed(monkeypatch):
     return calls
 
 
-class TestShellMemo:
-    """Products and ratios computed in a shell live for that shell and the
-    next one unless requested again; others, and integer powers, live for
-    the run."""
-
-    def test_consecutive_shells_compute_once(self, computed):
-        cache = PochCache(128)
-        a, base = value_key(mpf("0.3")), value_key(mpf("0.5"))
-        cache.next_shell()
-        first = cache.infinite(a, base)
-        cache.next_shell()
-        assert cache.infinite(a, base) is first
-        for _ in range(5):
-            cache.next_shell()
-        assert cache.infinite(a, base) is first
-        assert len(computed) == 1
-
-    def test_requested_once_is_gone_two_shells_later(self, computed):
-        cache = PochCache(128)
-        a, base = value_key(mpf("0.3")), value_key(mpf("0.5"))
-        cache.next_shell()
-        cache.infinite(a, base)
-        cache.intpow(a, 3)
-        cache.next_shell()
-        cache.next_shell()
-        memo = cache._infinite
-        assert not memo and not memo.young and not memo.old
-        cache.infinite(a, base)
-        assert len(computed) == 2
-        # Integer powers are kept for the run wherever they are computed.
-        assert list(cache._intpow) == [(a, 3)]
-
-    def test_second_request_in_the_same_shell_keeps_it(self, computed):
-        cache = PochCache(128)
-        a, base = mpf("0.3"), mpf("0.5")
-        cache.next_shell()
-        cache.ratio(a, base, base**2)
-        cache.ratio(a, base, base**2)
-        for _ in range(3):
-            cache.next_shell()
-        cache.ratio(a, base, base**2)
-        assert len(computed) == 2  # numerator and denominator, once each
-
-    def test_values_outside_shells_are_kept_for_the_run(self, computed):
-        cache = PochCache(128)
-        a, base = mpf("0.3"), mpf("0.5")
-        _infinite(cache, a, base)
-        cache.next_shell()
-        cache.leave_shells()
-        _intpow(cache, a, 2)
-        for _ in range(4):
-            cache.next_shell()
-        assert _infinite(cache, a, base) == qpoch_infinite(a, base, cache.tol)
-        assert len(computed) == 1
-        assert (qcore.value_key(a), 2) in cache._intpow
-
-
 class TestEmptyProducts:
     """``PochCache.infinite`` returns libmp's ``fone`` for a real product
     whose first factor is below the threshold by magnitude, without
-    computing or storing it; every other input takes ``qpoch_infinite``."""
+    computing it; every other input takes ``qpoch_infinite``."""
 
     @staticmethod
     def _threshold(cache, base):
@@ -1040,12 +983,10 @@ class TestEmptyProducts:
             with mp.workprec(prec):
                 want = qpoch_infinite_ref(a, base, cache.tol)
             assert _raw_value(from_raw(got)) == _raw_value(want), a
-            memo = cache._infinite
             if shortcut:
                 assert got is fone and not computed
-                assert key not in memo and key not in memo.young
             else:
-                assert len(computed) == 1 and key in memo
+                assert len(computed) == 1
         # At the magnitude tie and one ulp below, the product is empty too.
         tie = _infinite(cache, top, base)
         assert tie == _infinite(cache, cases[2][0], base) == 1
